@@ -228,9 +228,7 @@ fn main() {
         .float("dentry_hit_ratio", stats.dentry_hit_ratio())
         .float("attr_hit_ratio", stats.attr_hit_ratio());
 
-    let trace = locus_bench::export_and_audit_trace(&cached, "e12");
-    let text = std::fs::read_to_string(&trace).expect("trace readable");
-    let events = locus_net::parse_jsonl(&text).expect("trace parses");
+    let (trace, events) = locus_bench::export_and_audit_trace(&cached, "e12");
     let served = audit_cached_resolves(&events);
     assert_eq!(
         served, REPEATS as usize,

@@ -144,28 +144,18 @@ fn run(cluster: &Cluster, pids: &[Pid]) -> RunStats {
     }
 }
 
-/// Full sweep point under one engine; tracing optionally captured for
-/// the cross-engine identity assert.
-fn measure(sites: u32, engine: EngineKind, trace: bool) -> (RunStats, Option<(Vec<locus_net::TraceEvent>, String, u64)>) {
+/// Full sweep point under one engine; with `trace` the run is observed,
+/// audited and fingerprinted for the cross-engine identity assert.
+fn measure(
+    sites: u32,
+    engine: EngineKind,
+    trace: bool,
+) -> (RunStats, Option<locus_bench::Fingerprint>) {
     let cluster = build(sites, engine);
     let pids = seed(&cluster, sites);
-    if trace {
-        cluster.net().set_tracing(true);
-        if engine == EngineKind::ParallelEpoch {
-            cluster.net().set_observing(true);
-        }
-    }
+    cluster.net().set_observing(trace);
     let stats = run(&cluster, &pids);
-    let fingerprint = trace.then(|| {
-        if engine == EngineKind::ParallelEpoch {
-            locus_bench::export_and_audit_trace(&cluster, "e14");
-        }
-        (
-            cluster.net().take_trace(),
-            format!("{:?}", cluster.net().stats()),
-            cluster.net().now().as_micros(),
-        )
-    });
+    let fingerprint = trace.then(|| locus_bench::audited_fingerprint(&cluster, "e14"));
     (stats, fingerprint)
 }
 
@@ -200,10 +190,13 @@ fn main() {
             "read batches must engage the parallel path at {sites} sites"
         );
         if let (Some(s), Some(p)) = (seq_fp, par_fp) {
-            assert_eq!(s.2, p.2, "virtual clocks diverged at {sites} sites");
-            assert_eq!(s.0, p.0, "message traces diverged at {sites} sites");
-            assert_eq!(s.1, p.1, "statistics diverged at {sites} sites");
-            println!("  [{sites} sites: trace, stats and clock byte-identical across engines]");
+            assert_eq!(s.3, p.3, "virtual clocks diverged at {sites} sites");
+            assert_eq!(s.0, p.0, "event streams diverged at {sites} sites");
+            assert_eq!(s.1, p.1, "latency histograms diverged at {sites} sites");
+            assert_eq!(s.2, p.2, "statistics diverged at {sites} sites");
+            println!(
+                "  [{sites} sites: events, histograms, stats and clock byte-identical across engines]"
+            );
         }
 
         let speedup = seq.wall.as_secs_f64() / par.wall.as_secs_f64().max(1e-9);

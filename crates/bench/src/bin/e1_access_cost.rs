@@ -110,6 +110,6 @@ fn main() {
         .cache("e1", cache);
     let path = report.write();
     println!("wrote {}", path.display());
-    let trace = locus_bench::export_and_audit_trace(&cluster, "e1");
+    let (trace, _) = locus_bench::export_and_audit_trace(&cluster, "e1");
     println!("wrote {}", trace.display());
 }

@@ -182,7 +182,7 @@ fn main() {
         .elapsed("seq64_batched_us", b_elapsed)
         .float("seq64_msg_ratio", msg_ratio);
 
-    let trace = locus_bench::export_and_audit_trace(&cluster, "e3");
+    let (trace, _) = locus_bench::export_and_audit_trace(&cluster, "e3");
     println!("wrote {}", trace.display());
 
     // §3 process messages: a remote fork is one FORK req, the parent's

@@ -9,8 +9,8 @@
 //! Run with `cargo run -p locus-bench --bin fig1_syscall_trace`.
 
 use locus::{OpenMode, SiteId};
+use locus_bench::figures::{render_timeline, transmissions};
 use locus_bench::standard_cluster;
-use locus_net::trace::render_timeline;
 
 fn main() {
     let cluster = standard_cluster(3, &[0]);
@@ -27,16 +27,17 @@ fn main() {
         .expect("open");
 
     println!("Figure 1: a read(2) at {us} of a file stored at S0\n");
-    cluster.net().set_tracing(true);
+    cluster.net().set_observing(true);
     let t0 = cluster.net().now();
     let data = cluster.read(reader, fd, 64).expect("read");
     let elapsed = cluster.net().now() - t0;
-    cluster.net().set_tracing(false);
-    let events = cluster.net().take_trace();
+    cluster.net().set_observing(false);
+    let events = cluster.net().take_obs_events();
+    let msgs = transmissions(&events);
 
-    println!("{}", render_timeline(&events, us));
+    println!("{}", render_timeline(&msgs, us));
     println!("bytes returned : {}", data.len());
-    println!("messages       : {}", events.len());
+    println!("messages       : {}", msgs.len());
     println!("elapsed (sim)  : {elapsed}");
     println!();
     println!("The kernel at {us} packaged the request, slept awaiting the");

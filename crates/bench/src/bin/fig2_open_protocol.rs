@@ -11,8 +11,8 @@
 //! Run with `cargo run -p locus-bench --bin fig2_open_protocol`.
 
 use locus::{Cluster, FilegroupId, OpenMode, SiteId};
+use locus_bench::figures::{render_sequence, transmissions};
 use locus_fs::ops::{namei, open};
-use locus_net::trace::render_sequence;
 use locus_types::MachineType;
 
 fn s(i: u32) -> SiteId {
@@ -99,11 +99,11 @@ fn main() {
         let latest = cluster.fs().kernel(s(2)).local_info(gfid).unwrap().vv;
         cluster.fs().kernel(s(1)).note_latest(gfid, &latest);
 
-        cluster.net().set_tracing(true);
+        cluster.net().set_observing(true);
         let t = open::open_gfid(cluster.fs(), s(0), gfid, OpenMode::Read).expect("open");
-        cluster.net().set_tracing(false);
-        let events = cluster.net().take_trace();
-        let seq = render_sequence(&events, |site| match site.0 {
+        cluster.net().set_observing(false);
+        let events = cluster.net().take_obs_events();
+        let seq = render_sequence(&transmissions(&events), |site| match site.0 {
             0 => Some("US"),
             1 => Some("CSS"),
             2 => Some("SS"),

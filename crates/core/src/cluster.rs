@@ -207,11 +207,6 @@ impl Cluster {
         self.placement.borrow().as_ref().map_or(0, |d| d.migrations)
     }
 
-    /// Cumulative placement refusals (handoffs bounced by a cooldown).
-    pub fn placement_refusals(&self) -> u64 {
-        self.placement.borrow().as_ref().map_or(0, |d| d.refusals)
-    }
-
     // ------------------------------------------------------------------
     // Processes
     // ------------------------------------------------------------------
@@ -315,12 +310,6 @@ impl Cluster {
     pub fn commit(&self, pid: Pid, fd: u32) -> SysResult<()> {
         let (site, kfd) = self.kernel_fd(pid, fd)?;
         fsfd::commit_fd(&self.fsc, site, kfd)
-    }
-
-    /// Discards a descriptor's pending modifications.
-    pub fn abort_changes(&self, pid: Pid, fd: u32) -> SysResult<()> {
-        let (site, kfd) = self.kernel_fd(pid, fd)?;
-        fsfd::abort_fd(&self.fsc, site, kfd)
     }
 
     /// Closes a descriptor (committing written files).
@@ -513,12 +502,6 @@ impl Cluster {
     /// Begins a subtransaction at `site`.
     pub fn txn_sub(&self, parent: TxnId, site: SiteId) -> SysResult<TxnId> {
         self.txns.begin_sub(&self.fsc, parent, site)
-    }
-
-    /// Transactional whole-file read.
-    pub fn txn_read(&self, tid: TxnId, pid: Pid, path: &str) -> SysResult<Vec<u8>> {
-        let gfid = self.resolve(pid, path)?;
-        self.txns.read(&self.fsc, tid, gfid)
     }
 
     /// Transactional whole-file write (staged until top-level commit).

@@ -33,7 +33,6 @@ fn sharded_cluster(engine: EngineKind) -> (Cluster, Vec<locus::Pid>) {
     }
     cluster.settle();
     cluster.net().reset_stats();
-    cluster.net().set_tracing(true);
     cluster.net().set_observing(true);
     (cluster, pids)
 }
@@ -84,7 +83,6 @@ fn serial_reasons(cluster: &Cluster) -> Vec<(String, u64)> {
 
 struct Fingerprint {
     outcomes: Vec<Vec<Result<EpochOutcome, locus::Errno>>>,
-    trace: Vec<locus_net::TraceEvent>,
     obs_jsonl: String,
     hists: String,
     stats: String,
@@ -100,7 +98,6 @@ fn fingerprint(engine: EngineKind) -> Fingerprint {
     assert!(report.is_clean(), "{} engine: {}", engine, report.summary());
     Fingerprint {
         outcomes,
-        trace: cluster.net().take_trace(),
         obs_jsonl: obs::export_jsonl(&events),
         hists: format!("{:?}", cluster.net().obs_histograms()),
         stats: format!("{:?}", cluster.net().stats()),
@@ -121,7 +118,6 @@ fn parallel_epochs_match_sequential_byte_for_byte() {
     );
     assert_eq!(seq.outcomes, par.outcomes);
     assert_eq!(seq.now, par.now, "virtual clocks diverged");
-    assert_eq!(seq.trace, par.trace, "message traces diverged");
     assert_eq!(seq.obs_jsonl, par.obs_jsonl, "obs event streams diverged");
     assert_eq!(seq.hists, par.hists, "histograms diverged");
     assert_eq!(seq.stats, par.stats, "statistics diverged");

@@ -54,7 +54,6 @@ fn chaos_cluster(engine: EngineKind) -> (Cluster, Vec<Pid>) {
     }
     cluster.settle();
     cluster.net().reset_stats();
-    cluster.net().set_tracing(true);
     cluster.net().set_observing(true);
     (cluster, pids)
 }
@@ -84,8 +83,7 @@ fn digest(cluster: &Cluster, outcomes: &str) -> String {
     let report = obs::audit(&events);
     assert!(report.is_clean(), "{}", report.summary());
     format!(
-        "outcomes:{outcomes}\ntrace:{:?}\nobs:{}\nhists:{:?}\nstats:{:?}\nnow:{}",
-        cluster.net().take_trace(),
+        "outcomes:{outcomes}\nobs:{}\nhists:{:?}\nstats:{:?}\nnow:{}",
         obs::export_jsonl(&events),
         cluster.net().obs_histograms(),
         cluster.net().stats(),

@@ -468,13 +468,10 @@ impl FsCluster {
         }
         if trigger != css && !self.in_epoch() {
             // The committing SS synchronously nudges the CSS to break the
-            // leases; one control message models the trigger.
-            let _ = self.net.send(
-                trigger,
-                css,
-                "LEASE break",
-                crate::cost::CONTROL_MSG_BYTES,
-            );
+            // leases; one control message models the trigger. The recalls
+            // below run even when it is lost: skipping them would leave
+            // live leases behind a commit.
+            let _ = self.one_way(trigger, css, FsMsg::LeaseBreak { gfid });
         }
         for holder in holders {
             if holder == css {
@@ -870,6 +867,13 @@ impl FsCluster {
                 }
                 Ok(FsReply::Ok)
             }
+            FsMsg::LeaseBreak { .. } => Ok(FsReply::Ok),
+            FsMsg::ReconfigRegister {
+                gfid,
+                us,
+                ss,
+                write,
+            } => ops::cleanup::handle_reconfig_register(self, at, gfid, us, ss, write),
             FsMsg::CssHandoff { fg, epoch, new_css } => {
                 crate::handoff::handle_css_handoff(self, at, fg, epoch, new_css)
             }

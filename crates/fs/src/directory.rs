@@ -99,11 +99,6 @@ impl Directory {
         self.entries.iter().filter(|e| !e.removed)
     }
 
-    /// Number of live entries.
-    pub fn live_count(&self) -> usize {
-        self.live().count()
-    }
-
     /// Inserts a live entry; `Eexist` if the name is already live, and the
     /// tombstone of a previously removed name is resurrected in place.
     pub fn insert(&mut self, name: &str, ino: Ino) -> SysResult<()> {

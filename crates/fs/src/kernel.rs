@@ -216,13 +216,6 @@ impl FsKernel {
             .unwrap_or_default()
     }
 
-    /// Whether any lease is outstanding on `gfid`.
-    pub fn has_lease_holders(&self, gfid: Gfid) -> bool {
-        self.lease_holders
-            .get(&gfid)
-            .is_some_and(|s| !s.is_empty())
-    }
-
     /// Every site holding a lease on any file of `fg`, in site order —
     /// the committing filegroup's recall fan-out joins the mutating
     /// footprint through this set.
@@ -274,12 +267,6 @@ impl FsKernel {
             !holders.is_empty()
         });
         dropped
-    }
-
-    /// Number of (file, holder) lease pairs outstanding (tests assert
-    /// transfer and revocation).
-    pub fn lease_table_size(&self) -> usize {
-        self.lease_holders.values().map(BTreeSet::len).sum()
     }
 
     /// Counts one synchronization request served by this site in its CSS
@@ -414,12 +401,6 @@ impl FsKernel {
         fd
     }
 
-    /// Installs a descriptor under a specific number (fork inheritance).
-    pub fn install_fd(&mut self, fd: Fd, of: OpenFile) {
-        self.next_fd = self.next_fd.max(fd + 1);
-        self.fds.insert(fd, of);
-    }
-
     /// Looks up a descriptor.
     pub fn fd(&self, fd: Fd) -> SysResult<&OpenFile> {
         self.fds.get(&fd).ok_or(Errno::Ebadf)
@@ -459,12 +440,6 @@ impl FsKernel {
         if !dup {
             self.prop_queue.push_back(req);
         }
-    }
-
-    /// Registered open mode conflict helper: whether an US-side write open
-    /// exists for `gfid` on this site.
-    pub fn writing_here(&self, gfid: Gfid) -> bool {
-        self.incore.get(&gfid).map(|i| i.writing).unwrap_or(false)
     }
 
     /// Device registry access for examples/tests (attach input, inspect

@@ -20,12 +20,12 @@
 
 use std::collections::BTreeSet;
 
-use locus_types::{Errno, Gfid, OpenMode, SiteId};
+use locus_types::{Errno, Gfid, OpenMode, SiteId, SysResult};
 
 use crate::cluster::FsCluster;
 use crate::kernel::FdKind;
 use crate::ops::open::open_gfid;
-use crate::proto::Fd;
+use crate::proto::{Fd, FsMsg, FsReply};
 
 /// What cleanup did at one site.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -247,22 +247,38 @@ pub fn rebuild_css_state(fsc: &FsCluster, partition: &BTreeSet<SiteId>) -> usize
             if !partition.contains(&css) {
                 continue;
             }
-            if css != site {
-                let _ = fsc.net().send(site, css, "RECONFIG register", 96);
+            let msg = FsMsg::ReconfigRegister {
+                gfid,
+                us: site,
+                ss,
+                write,
+            };
+            if fsc.one_way(site, css, msg).is_ok() {
+                registered += 1;
             }
-            let mut k = fsc.kernel(css);
-            let info = match k.local_info(gfid) {
-                Some(i) => i,
-                None => continue,
-            };
-            let mode = if write {
-                OpenMode::Write
-            } else {
-                OpenMode::Read
-            };
-            let _ = k.incore_mut(gfid, info).css_mut().register(site, ss, mode);
-            registered += 1;
         }
     }
     registered
+}
+
+/// CSS side of [`FsMsg::ReconfigRegister`]: enters one re-registered open
+/// in the lock table. `Enoent` when the CSS stores no copy to hang the
+/// incore state on.
+pub(crate) fn handle_reconfig_register(
+    fsc: &FsCluster,
+    css: SiteId,
+    gfid: Gfid,
+    us: SiteId,
+    ss: SiteId,
+    write: bool,
+) -> SysResult<FsReply> {
+    let mut k = fsc.kernel(css);
+    let info = k.local_info(gfid).ok_or(Errno::Enoent)?;
+    let mode = if write {
+        OpenMode::Write
+    } else {
+        OpenMode::Read
+    };
+    let _ = k.incore_mut(gfid, info).css_mut().register(us, ss, mode);
+    Ok(FsReply::Ok)
 }

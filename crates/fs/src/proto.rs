@@ -320,6 +320,29 @@ pub enum FsMsg {
         /// The file whose lease is being recalled.
         gfid: Gfid,
     },
+    /// Committing SS → CSS (one-way): an invalidation at the storage site
+    /// must break the file's outstanding leases. The CSS-side recall
+    /// fan-out is driven by the committing operation itself, so the
+    /// message carries the trigger's cost and the handler has nothing
+    /// left to do; a lost break does not stop the recalls.
+    LeaseBreak {
+        /// The file whose leases are being broken.
+        gfid: Gfid,
+    },
+    /// Partition member → (new) CSS (one-way): re-registers one open
+    /// file so the CSS can rebuild its lock table after a
+    /// reconfiguration (§5.6). The registration happens in the handler,
+    /// so only on delivery.
+    ReconfigRegister {
+        /// The open file.
+        gfid: Gfid,
+        /// The using site holding it open.
+        us: SiteId,
+        /// The storage site serving the open.
+        ss: SiteId,
+        /// Whether the open is for modification.
+        write: bool,
+    },
     /// New CSS → old CSS: epoch-numbered synchronization-role transfer.
     /// The old CSS stops answering as CSS (racing requests get
     /// [`FsReply::NotCss`] redirects), records the new assignment, and
@@ -479,7 +502,11 @@ pub enum FsReply {
     Ok,
 }
 
-/// Short labels used for message statistics and traces.
+/// Wire size of a [`FsMsg::ReconfigRegister`]: a control header plus the
+/// open's (gfid, storage site, mode) triple.
+const RECONFIG_REGISTER_BYTES: usize = 96;
+
+/// Short labels used for message statistics and events.
 impl FsMsg {
     /// The statistics/trace label of this message.
     pub fn kind(&self) -> &'static str {
@@ -505,6 +532,8 @@ impl FsMsg {
             FsMsg::Invalidate { .. } => "INVALIDATE",
             FsMsg::VvCheck { .. } => "VV check",
             FsMsg::LeaseRecall { .. } => "LEASE recall",
+            FsMsg::LeaseBreak { .. } => "LEASE break",
+            FsMsg::ReconfigRegister { .. } => "RECONFIG register",
             FsMsg::CssHandoff { .. } => "CSS handoff",
             FsMsg::CssUpdate { .. } => "CSS update",
         }
@@ -534,6 +563,8 @@ impl FsMsg {
             FsMsg::Invalidate { .. } => "INVALIDATE ack",
             FsMsg::VvCheck { .. } => "VV resp",
             FsMsg::LeaseRecall { .. } => "LEASE recall ack",
+            FsMsg::LeaseBreak { .. } => "LEASE break ack",
+            FsMsg::ReconfigRegister { .. } => "RECONFIG register ack",
             FsMsg::CssHandoff { .. } => "CSS handoff resp",
             FsMsg::CssUpdate { .. } => "CSS update ack",
         }
@@ -546,6 +577,7 @@ impl FsMsg {
             FsMsg::WritePages { pages, .. } => {
                 crate::cost::CONTROL_MSG_BYTES + pages.iter().map(Vec::len).sum::<usize>()
             }
+            FsMsg::ReconfigRegister { .. } => RECONFIG_REGISTER_BYTES,
             _ => crate::cost::CONTROL_MSG_BYTES,
         }
     }

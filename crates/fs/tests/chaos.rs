@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use locus_fs::ops::fd;
 use locus_fs::{FsCluster, FsClusterBuilder, IoPolicy, ProcFsCtx};
-use locus_net::{FaultPlan, FaultSpec, Histogram, RetryPolicy, SimRng, TraceEvent};
+use locus_net::{FaultPlan, FaultSpec, Histogram, NetStats, ObsEvent, RetryPolicy, SimRng};
 use locus_types::{FileType, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
 use proptest::prelude::*;
 use proptest::{runtime, TestRng};
@@ -137,13 +137,18 @@ fn read_version(fsc: &FsCluster, us: SiteId, pad: usize) -> SysResult<u32> {
         .ok_or(locus_types::Errno::Eio)
 }
 
-/// What a clean schedule run yields: the protocol trace plus the
-/// per-(service, op) virtual-time latency histograms, both of which must
-/// be byte-identical across identical-seed replays.
-type ScheduleObservation = (Vec<TraceEvent>, BTreeMap<(String, String), Histogram>);
+/// What a clean schedule run yields: the event stream, the
+/// per-(service, op) virtual-time latency histograms and the network
+/// statistics, all of which must be byte-identical across identical-seed
+/// replays.
+type ScheduleObservation = (
+    Vec<ObsEvent>,
+    BTreeMap<(String, String), Histogram>,
+    NetStats,
+);
 
 /// Runs one complete seeded schedule under the paper-faithful per-page
-/// protocols; returns the network trace and latency histograms on
+/// protocols; returns the event stream, latency histograms and statistics on
 /// success, or a description of the violated invariant.
 fn run_schedule(seed: u64) -> Result<ScheduleObservation, String> {
     run_schedule_with(seed, IoPolicy::paper_faithful(), 0)
@@ -173,7 +178,6 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
         .name_cache(true)
         .build();
     let net = fsc.net();
-    net.set_tracing(true);
     net.set_observing(true);
 
     // Create version 0 on a pristine network, fully propagated.
@@ -267,25 +271,24 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
 
     // A truncated trace would make the determinism comparisons (and the
     // audit below) prefix-only: fail loudly instead of comparing less.
-    if net.trace_truncated() > 0 || net.obs_truncated() > 0 {
+    if net.obs_truncated() > 0 {
         return Err(format!(
-            "seed {seed}: trace truncated ({} protocol events, {} observability \
-             events dropped past the caps)",
-            net.trace_truncated(),
+            "seed {seed}: trace truncated ({} events dropped past the cap)",
             net.obs_truncated()
         ));
     }
     // Every schedule's span trace must audit clean against the protocol
     // invariants (reply matching, idempotent re-issue, bounded circuit
     // reopens, commit/read interleaving, one-way loss accounting).
-    let audit = locus_net::audit(&net.take_obs_events());
+    let events = net.take_obs_events();
+    let audit = locus_net::audit(&events);
     if !audit.is_clean() {
         return Err(format!(
             "seed {seed}: trace audit found violations: {:?}",
             audit.violations
         ));
     }
-    Ok((net.take_trace(), net.obs_histograms()))
+    Ok((events, net.obs_histograms(), net.stats()))
 }
 
 /// Runs `schedule` over every seed across `std::thread` workers. Each
@@ -370,13 +373,14 @@ fn batched_chaos_schedules_preserve_invariants() {
 #[test]
 fn identical_seed_gives_identical_trace() {
     for seed in [3u64, 1983, 0xFEED_FACE] {
-        let (ta, ha) = run_schedule(seed).expect("schedule upholds invariants");
-        let (tb, hb) = run_schedule(seed).expect("schedule upholds invariants");
+        let (ta, ha, sa) = run_schedule(seed).expect("schedule upholds invariants");
+        let (tb, hb, sb) = run_schedule(seed).expect("schedule upholds invariants");
         assert_eq!(ta, tb, "seed {seed}: traces diverged between identical runs");
         assert_eq!(
             ha, hb,
             "seed {seed}: latency histograms diverged between identical runs"
         );
+        assert_eq!(sa, sb, "seed {seed}: statistics diverged between identical runs");
         assert!(
             !ha.is_empty(),
             "seed {seed}: the schedule must feed the op histograms"
@@ -390,15 +394,16 @@ fn identical_seed_gives_identical_trace() {
 fn batched_identical_seed_gives_identical_trace() {
     let pad = 2 * locus_storage::PAGE_SIZE + 400;
     for seed in [3u64, 1983, 0xFEED_FACE] {
-        let (ta, ha) = run_schedule_with(seed, IoPolicy::batched(), pad)
+        let (ta, ha, sa) = run_schedule_with(seed, IoPolicy::batched(), pad)
             .expect("batched schedule upholds invariants");
-        let (tb, hb) = run_schedule_with(seed, IoPolicy::batched(), pad)
+        let (tb, hb, sb) = run_schedule_with(seed, IoPolicy::batched(), pad)
             .expect("batched schedule upholds invariants");
         assert_eq!(ta, tb, "seed {seed}: batched traces diverged between runs");
         assert_eq!(
             ha, hb,
             "seed {seed}: batched latency histograms diverged between runs"
         );
+        assert_eq!(sa, sb, "seed {seed}: batched statistics diverged between runs");
     }
 }
 

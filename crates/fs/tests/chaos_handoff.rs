@@ -37,8 +37,8 @@ use locus_fs::{
     ProcFsCtx,
 };
 use locus_net::{
-    FaultPlan, FaultSpec, HealthPolicy, Histogram, ObsEvent, RetryPolicy, SimRng, SiteHealth,
-    TraceEvent,
+    FaultPlan, FaultSpec, HealthPolicy, Histogram, NetStats, ObsEvent, RetryPolicy, SimRng,
+    SiteHealth,
 };
 use locus_types::{FileType, FilegroupId, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
 
@@ -145,10 +145,15 @@ fn seed_file(fsc: &FsCluster, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// What a clean schedule run yields: the protocol trace plus the
-/// per-(service, op) virtual-time latency histograms, both of which must
-/// be byte-identical across identical-seed replays.
-type ScheduleObservation = (Vec<TraceEvent>, BTreeMap<(String, String), Histogram>);
+/// What a clean schedule run yields: the event stream, the
+/// per-(service, op) virtual-time latency histograms and the network
+/// statistics, all of which must be byte-identical across identical-seed
+/// replays.
+type ScheduleObservation = (
+    Vec<ObsEvent>,
+    BTreeMap<(String, String), Histogram>,
+    NetStats,
+);
 
 /// Common tail of every schedule: no truncated buffers, required health /
 /// epoch notes present, audit clean, then hand back the observation.
@@ -158,10 +163,9 @@ fn finish(
     required_notes: &[&str],
 ) -> Result<ScheduleObservation, String> {
     let net = fsc.net();
-    if net.trace_truncated() > 0 || net.obs_truncated() > 0 {
+    if net.obs_truncated() > 0 {
         return Err(format!(
-            "seed {seed}: trace truncated ({} protocol events, {} observability events dropped)",
-            net.trace_truncated(),
+            "seed {seed}: trace truncated ({} events dropped past the cap)",
             net.obs_truncated()
         ));
     }
@@ -184,7 +188,7 @@ fn finish(
             audit.violations
         ));
     }
-    Ok((net.take_trace(), net.obs_histograms()))
+    Ok((events, net.obs_histograms(), net.stats()))
 }
 
 /// Reads `/gray` at every site and checks full agreement inside the
@@ -228,7 +232,6 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<ScheduleObservation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
-    net.set_tracing(true);
     net.set_observing(true);
     seed_file(&fsc, seed)?;
 
@@ -350,7 +353,6 @@ fn run_reconfig_race_schedule(seed: u64) -> Result<ScheduleObservation, String> 
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
-    net.set_tracing(true);
     net.set_observing(true);
     seed_file(&fsc, seed)?;
 
@@ -480,6 +482,11 @@ fn gray_handoff_schedules_recover_and_replay_identically() {
         if a.1 != b.1 {
             return Err(format!(
                 "seed {seed}: latency histograms diverged between identical runs"
+            ));
+        }
+        if a.2 != b.2 {
+            return Err(format!(
+                "seed {seed}: statistics diverged between identical runs"
             ));
         }
         Ok(())

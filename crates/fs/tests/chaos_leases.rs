@@ -45,8 +45,8 @@ use locus_fs::ops::cleanup::cleanup_site;
 use locus_fs::ops::fd;
 use locus_fs::{css_handoff, probation_probe, FsCluster, FsClusterBuilder, ProcFsCtx};
 use locus_net::{
-    EngineKind, FaultPlan, FaultSpec, HealthPolicy, Histogram, RetryPolicy, SimRng, SiteHealth,
-    TraceEvent,
+    EngineKind, FaultPlan, FaultSpec, HealthPolicy, Histogram, NetStats, RetryPolicy, SimRng,
+    SiteHealth,
 };
 use locus_types::{FileType, FilegroupId, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
 
@@ -85,10 +85,15 @@ fn version_of(data: &[u8]) -> Option<u32> {
 
 /// One full write session for version `v` at the writer site.
 fn write_version(fsc: &FsCluster, v: u32) -> SysResult<()> {
-    let c = ctx(fsc, WRITER);
-    let fdn = fd::open(fsc, WRITER, &c, "/leased", OpenMode::Write)?;
-    let wrote = fd::write(fsc, WRITER, fdn, &payload(v)).map(|_| ());
-    let closed = fd::close(fsc, WRITER, fdn);
+    write_version_at(fsc, WRITER, v)
+}
+
+/// One full write session for version `v` from `us`.
+fn write_version_at(fsc: &FsCluster, us: SiteId, v: u32) -> SysResult<()> {
+    let c = ctx(fsc, us);
+    let fdn = fd::open(fsc, us, &c, "/leased", OpenMode::Write)?;
+    let wrote = fd::write(fsc, us, fdn, &payload(v)).map(|_| ());
+    let closed = fd::close(fsc, us, fdn);
     wrote.and(closed)
 }
 
@@ -153,7 +158,7 @@ fn seed_and_warm(fsc: &FsCluster, seed: u64) -> Result<(), String> {
 
 /// What a clean schedule yields; byte-identical across replays *and*
 /// across engines.
-type ScheduleObservation = (Vec<TraceEvent>, String, BTreeMap<(String, String), Histogram>);
+type ScheduleObservation = (String, BTreeMap<(String, String), Histogram>, NetStats);
 
 /// Common tail: nothing truncated, required notes present, audit clean
 /// (which includes invariant 11 — no stale hit after a recall).
@@ -163,10 +168,9 @@ fn finish(
     required_notes: &[&str],
 ) -> Result<ScheduleObservation, String> {
     let net = fsc.net();
-    if net.trace_truncated() > 0 || net.obs_truncated() > 0 {
+    if net.obs_truncated() > 0 {
         return Err(format!(
-            "seed {seed}: trace truncated ({} protocol events, {} observability events dropped)",
-            net.trace_truncated(),
+            "seed {seed}: trace truncated ({} events dropped past the cap)",
             net.obs_truncated()
         ));
     }
@@ -190,9 +194,9 @@ fn finish(
         ));
     }
     Ok((
-        net.take_trace(),
         locus_net::export_jsonl(&events),
         net.obs_histograms(),
+        net.stats(),
     ))
 }
 
@@ -277,7 +281,6 @@ fn all_sites() -> BTreeSet<SiteId> {
 fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
-    net.set_tracing(true);
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
 
@@ -345,7 +348,6 @@ fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<ScheduleObservation,
 fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
-    net.set_tracing(true);
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
 
@@ -407,7 +409,6 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
     let fsc = build_cluster(engine);
     let net = fsc.net();
     net.enable_health(HealthPolicy::default());
-    net.set_tracing(true);
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
 
@@ -504,7 +505,6 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
 fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
-    net.set_tracing(true);
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
 
@@ -583,7 +583,6 @@ fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<ScheduleObserva
 fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
-    net.set_tracing(true);
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
 
@@ -684,8 +683,8 @@ fn seed_set(base: u64, n: u64) -> Vec<u64> {
 }
 
 /// Replay + dual-engine check: two sequential runs and one
-/// parallel-epoch run of the same seed must observe identical traces,
-/// observability streams and histograms.
+/// parallel-epoch run of the same seed must observe identical
+/// observability streams, histograms and statistics.
 fn identical_across_engines(
     seed: u64,
     run: impl Fn(u64, EngineKind) -> Result<ScheduleObservation, String>,
@@ -737,4 +736,30 @@ fn partition_merge_revokes_both_sides() {
     run_schedules_parallel(&seed_set(0x1EA5_E005, 24), |seed| {
         identical_across_engines(seed, run_partition_merge)
     });
+}
+
+/// `LEASE break` is only the trigger's transport: a commit at a storage
+/// site other than the CSS whose break message is lost must still recall
+/// every holder before it completes — live leases behind a commit would
+/// serve stale attributes (auditor invariant 11).
+#[test]
+fn lost_lease_break_still_recalls_every_holder() {
+    let fsc = build_cluster(EngineKind::Sequential);
+    let net = fsc.net();
+    net.set_observing(true);
+    seed_and_warm(&fsc, 0).unwrap();
+    net.reset_stats();
+    net.install_faults(FaultPlan::new(7).kind_spec("LEASE break", FaultSpec::drop_rate(1.0)));
+    // Site 1 stores a copy, so it serves its own write: SS = 1, CSS = 0.
+    write_version_at(&fsc, SiteId(1), 1).expect("commit at a non-CSS storage site");
+    let st = net.stats();
+    assert_eq!(st.sends("LEASE break"), 0, "every break attempt was dropped");
+    assert_eq!(st.one_way_losses("LEASE break"), 1, "and counted lost, once");
+    assert!(st.sends("LEASE recall") > 0, "the recalls ran regardless");
+    net.clear_faults();
+    fsc.settle();
+    for r in READERS {
+        assert_eq!(read_version(&fsc, SiteId(r)), Ok(1), "stale read at S{r}");
+    }
+    finish(&fsc, 0, &["lease.recall"]).expect("audit clean, invariant 11 included");
 }

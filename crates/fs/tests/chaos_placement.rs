@@ -33,7 +33,7 @@ use locus_fs::{
     ProcFsCtx,
 };
 use locus_net::{
-    FaultPlan, FaultSpec, HealthPolicy, Histogram, ObsEvent, RetryPolicy, SimRng, TraceEvent,
+    FaultPlan, FaultSpec, HealthPolicy, Histogram, NetStats, ObsEvent, RetryPolicy, SimRng,
     CSS_CLAIM_COOLDOWN,
 };
 use locus_topology::PlacementConfig;
@@ -135,7 +135,11 @@ fn seed_files(fsc: &FsCluster, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-type ScheduleObservation = (Vec<TraceEvent>, BTreeMap<(String, String), Histogram>);
+type ScheduleObservation = (
+    Vec<ObsEvent>,
+    BTreeMap<(String, String), Histogram>,
+    NetStats,
+);
 
 /// Common tail: nothing truncated, required notes present, audit clean
 /// (which re-checks the claim-cooldown bound as invariant 9), then the
@@ -146,10 +150,9 @@ fn finish(
     required_notes: &[&str],
 ) -> Result<ScheduleObservation, String> {
     let net = fsc.net();
-    if net.trace_truncated() > 0 || net.obs_truncated() > 0 {
+    if net.obs_truncated() > 0 {
         return Err(format!(
-            "seed {seed}: trace truncated ({} protocol events, {} observability events dropped)",
-            net.trace_truncated(),
+            "seed {seed}: trace truncated ({} events dropped past the cap)",
             net.obs_truncated()
         ));
     }
@@ -191,7 +194,7 @@ fn finish(
             audit.violations
         ));
     }
-    Ok((net.take_trace(), net.obs_histograms()))
+    Ok((events, net.obs_histograms(), net.stats()))
 }
 
 /// Reads `path` at every site and checks agreement inside the committed
@@ -238,7 +241,6 @@ fn run_migration_under_load_schedule(seed: u64) -> Result<ScheduleObservation, S
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
-    net.set_tracing(true);
     net.set_observing(true);
     seed_files(&fsc, seed)?;
 
@@ -333,7 +335,6 @@ fn run_notcss_race_schedule(seed: u64) -> Result<ScheduleObservation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
-    net.set_tracing(true);
     net.set_observing(true);
     seed_files(&fsc, seed)?;
 
@@ -429,7 +430,6 @@ fn run_handoff_storm_schedule(seed: u64) -> Result<ScheduleObservation, String> 
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
-    net.set_tracing(true);
     net.set_observing(true);
     seed_files(&fsc, seed)?;
 
@@ -527,6 +527,11 @@ fn placement_migrates_under_load_and_replays_identically() {
         if a.1 != b.1 {
             return Err(format!(
                 "seed {seed}: latency histograms diverged between identical runs"
+            ));
+        }
+        if a.2 != b.2 {
+            return Err(format!(
+                "seed {seed}: statistics diverged between identical runs"
             ));
         }
         Ok(())

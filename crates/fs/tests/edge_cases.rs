@@ -454,3 +454,53 @@ fn many_opens_same_file_single_us_closes_once_remotely() {
         "last close goes remote"
     );
 }
+
+/// Regression: the §5.6 lock-table rebuild used to enter a member's open
+/// at the CSS whether or not its `RECONFIG register` message arrived.
+/// The registration now happens in the message's handler, so a lost
+/// message registers nothing and is a counted one-way loss.
+#[test]
+fn lost_reconfig_register_registers_nothing() {
+    use locus_fs::ops::cleanup::rebuild_css_state;
+    use locus_net::{FaultPlan, FaultSpec};
+
+    let fsc = cluster();
+    let c0 = ctx(&fsc, s(0));
+    let fdn = fd::creat(
+        &fsc,
+        s(0),
+        &c0,
+        "/held",
+        FileType::Untyped,
+        Perms::FILE_DEFAULT,
+    )
+    .unwrap();
+    fd::write(&fsc, s(0), fdn, b"open across a reconfiguration").unwrap();
+    fd::close(&fsc, s(0), fdn).unwrap();
+    fsc.settle();
+    // Held open at the diskless site; the CSS is site 0.
+    let c2 = ctx(&fsc, s(2));
+    let held = fd::open(&fsc, s(2), &c2, "/held", OpenMode::Read).unwrap();
+
+    let everyone = [s(0), s(1), s(2)].into_iter().collect();
+    fsc.net().reset_stats();
+    fsc.net().install_faults(
+        FaultPlan::new(1).kind_spec("RECONFIG register", FaultSpec::drop_rate(1.0)),
+    );
+    assert_eq!(
+        rebuild_css_state(&fsc, &everyone),
+        0,
+        "no message was delivered, so nothing may be registered"
+    );
+    let st = fsc.net().stats();
+    assert_eq!(st.sends("RECONFIG register"), 0);
+    assert_eq!(st.one_way_losses("RECONFIG register"), 1);
+
+    fsc.net().clear_faults();
+    assert_eq!(
+        rebuild_css_state(&fsc, &everyone),
+        1,
+        "delivered: registered"
+    );
+    fd::close(&fsc, s(2), held).unwrap();
+}

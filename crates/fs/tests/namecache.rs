@@ -11,7 +11,7 @@
 
 use locus_fs::ops::{fd, namei};
 use locus_fs::{FsCluster, FsClusterBuilder, ProcFsCtx};
-use locus_net::{FaultPlan, FaultSpec, RetryPolicy, SimRng, TraceEvent};
+use locus_net::{FaultPlan, FaultSpec, NetStats, ObsEvent, RetryPolicy, SimRng};
 use locus_types::{FileType, MachineType, OpenMode, Perms, SiteId, Ticks};
 
 fn s(i: u32) -> SiteId {
@@ -295,7 +295,7 @@ fn cached_names_revalidate_through_the_new_css_after_handoff() {
 
     // Warm resolution survives the move, still VV-probe-only — but the
     // probes now interrogate the new CSS.
-    fsc.net().set_tracing(true);
+    fsc.net().set_observing(true);
     fsc.net().reset_stats();
     assert_eq!(namei::resolve(&fsc, s(2), &c2, "/a/b/c/f").unwrap(), gfid);
     let st = fsc.net().stats();
@@ -304,17 +304,19 @@ fn cached_names_revalidate_through_the_new_css_after_handoff() {
         st.sends("VV check") + st.sends("VV resp"),
         "warm post-handoff resolution may only exchange VV probes"
     );
-    let trace = fsc.net().take_trace();
+    let probe_targets: Vec<SiteId> = fsc
+        .net()
+        .take_obs_events()
+        .iter()
+        .filter_map(|e| match e {
+            ObsEvent::Request { kind, to, .. } if kind == "VV check" => Some(*to),
+            _ => None,
+        })
+        .collect();
+    assert!(!probe_targets.is_empty(), "warm resolution still revalidates");
     assert!(
-        trace
-            .iter()
-            .filter(|e| e.kind == "VV check")
-            .all(|e| e.to == s(1)),
+        probe_targets.iter().all(|&to| to == s(1)),
         "every revalidation probe must target the new CSS"
-    );
-    assert!(
-        trace.iter().any(|e| e.kind == "VV check"),
-        "warm resolution still revalidates"
     );
 
     // A foreign commit after the handoff: the next remote stat observes
@@ -329,18 +331,18 @@ fn cached_names_revalidate_through_the_new_css_after_handoff() {
 }
 
 /// The cache keeps the simulation deterministic: replaying one
-/// fault-injected rewrite schedule produces a byte-identical network
-/// trace and identical cache counters.
+/// fault-injected rewrite schedule produces a byte-identical event
+/// stream, identical network statistics and identical cache counters.
 #[test]
 fn cached_chaos_schedule_is_deterministic() {
-    let run = |seed: u64| -> (Vec<TraceEvent>, locus_storage::CacheStats) {
+    let run = |seed: u64| -> (Vec<ObsEvent>, NetStats, locus_storage::CacheStats) {
         let fsc = FsClusterBuilder::new()
             .site(MachineType::Vax)
             .site(MachineType::Pdp11)
             .filegroup("root", &[0])
             .name_cache(true)
             .build();
-        fsc.net().set_tracing(true);
+        fsc.net().set_observing(true);
         fsc.set_retry_policy(RetryPolicy {
             max_attempts: 12,
             base_backoff: Ticks::millis(1),
@@ -356,11 +358,16 @@ fn cached_chaos_schedule_is_deterministic() {
         for _ in 0..4 {
             let _ = namei::resolve(&fsc, s(1), &pdp, "/bin/who");
         }
-        assert_eq!(fsc.net().trace_truncated(), 0, "trace must be complete");
-        (fsc.net().take_trace(), fsc.cache_stats())
+        assert_eq!(fsc.net().obs_truncated(), 0, "trace must be complete");
+        (
+            fsc.net().take_obs_events(),
+            fsc.net().stats(),
+            fsc.cache_stats(),
+        )
     };
-    let (ta, ca) = run(0xD15C);
-    let (tb, cb) = run(0xD15C);
+    let (ta, sa, ca) = run(0xD15C);
+    let (tb, sb, cb) = run(0xD15C);
     assert_eq!(ta, tb, "traces diverged between identical cached runs");
+    assert_eq!(sa, sb, "statistics diverged between identical cached runs");
     assert_eq!(ca, cb, "cache counters diverged between identical runs");
 }

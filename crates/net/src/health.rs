@@ -125,11 +125,6 @@ impl HealthMonitor {
         };
     }
 
-    /// Whether the monitor is scoring.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Splits off the accounting of a site-shard: per-site scores, states
     /// and probe runs of the member sites, plus the EWMA rows of directed
     /// links with both endpoints inside. The monitor is duration-pure (it

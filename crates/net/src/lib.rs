@@ -13,8 +13,9 @@
 //!   changes, aborting ongoing activity (§5.1);
 //! * a **virtual clock** and a latency model calibrated to a 1983 Ethernet,
 //!   so experiment harnesses can report simulated elapsed time;
-//! * per-message-type **statistics** and a **protocol trace** from which
-//!   the Figure 1 / Figure 2 message sequences are regenerated.
+//! * per-message-type **statistics** and one **event stream**
+//!   ([`ObsEvent`]) from which the Figure 1 / Figure 2 message sequences
+//!   are regenerated and the protocol invariants audited.
 //!
 //! All state is behind interior mutability so a `&Net` can be threaded
 //! through nested simulated remote procedure calls.
@@ -32,7 +33,6 @@ pub mod obs;
 pub mod rpc;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 
 use std::cell::RefCell;
 
@@ -52,9 +52,8 @@ pub use obs::{
     OpStat, SendOutcome, CSS_CLAIM_COOLDOWN,
 };
 pub use rpc::{RpcEngine, RpcError, WireMsg, MAX_CONSECUTIVE_REOPENS};
-pub use stats::{LinkStats, NetStats, ServiceStats};
+pub use stats::{KindStats, LinkStats, NetStats, ServiceStats};
 pub use topology::Topology;
-pub use trace::{Trace, TraceEvent};
 
 use fault::{FaultInjector, Verdict};
 
@@ -70,7 +69,7 @@ pub enum NetError {
     /// must be performed by direct procedure call (§2.3.3).
     SelfSend,
     /// The message was lost to an injected fault. The destination never
-    /// saw it; the sender may safely retry ([`Net::send_with_retry`]).
+    /// saw it; the sender may safely retry (the [`RpcEngine`] does).
     Dropped,
     /// A *reply* was lost to an injected fault. The request was already
     /// served, so the conversation is ambiguous: the circuit closes
@@ -130,8 +129,22 @@ pub struct Net {
 pub struct OpMark {
     /// Virtual time at the boundary.
     pub now: Ticks,
-    trace_len: usize,
     obs_len: usize,
+}
+
+/// Which leg of the one kernel-to-kernel message discipline (§2.3.2) a
+/// transmission is: decides the [`ObsEvent`] shape, and whether an
+/// injected drop is a lost reply.
+pub(crate) enum Leg<'a> {
+    /// A request awaiting a reply of kind `reply_kind`.
+    Request {
+        reply_kind: &'a str,
+        idempotent: bool,
+    },
+    /// The reply to a served request.
+    Reply,
+    /// A one-way message with only low-level acknowledgement.
+    OneWay,
 }
 
 struct Inner {
@@ -140,7 +153,6 @@ struct Inner {
     clock: VirtualClock,
     latency: LatencyModel,
     stats: NetStats,
-    trace: Trace,
     obs: Observer,
     faults: FaultInjector,
     health: HealthMonitor,
@@ -210,7 +222,6 @@ impl Net {
                 clock: VirtualClock::new(),
                 latency,
                 stats: NetStats::new(),
-                trace: Trace::new(),
                 obs: Observer::new(),
                 faults: FaultInjector::inert(),
                 health: HealthMonitor::new(),
@@ -237,13 +248,15 @@ impl Net {
 
     /// Sends one message of `bytes` payload from `from` to `to`.
     ///
-    /// On success the virtual clock advances by the message latency, the
-    /// per-kind statistics are updated and a trace event is recorded. A
-    /// failed send (unreachable destination) closes any circuit between the
-    /// pair and is counted separately; timeout accounting is the caller's
-    /// policy. Under an installed [`FaultPlan`] the message may also be
-    /// dropped ([`NetError::Dropped`] — safe to retry), duplicated, or
-    /// delayed.
+    /// On success the virtual clock advances by the message latency and
+    /// the per-kind statistics are updated. A failed send (unreachable
+    /// destination) closes any circuit between the pair and is counted
+    /// separately; timeout accounting is the caller's policy. Under an
+    /// installed [`FaultPlan`] the message may also be dropped
+    /// ([`NetError::Dropped`] — safe to retry), duplicated, or delayed.
+    ///
+    /// This is the raw wire: no service attribution, no [`ObsEvent`].
+    /// Protocol traffic goes through the [`RpcEngine`].
     pub fn send(
         &self,
         from: SiteId,
@@ -251,51 +264,21 @@ impl Net {
         kind: &'static str,
         bytes: usize,
     ) -> Result<(), NetError> {
-        self.send_impl(from, to, kind, bytes, false, None)
+        Self::transmit(
+            &mut self.inner.borrow_mut(),
+            from,
+            to,
+            kind,
+            bytes,
+            false,
+            None,
+        )
     }
 
-    /// Sends a *reply* message: like [`Net::send`], except an injected
-    /// drop is a [`NetError::ReplyLost`] — the request was already served,
-    /// so the circuit is closed mid-conversation and the pair's next send
-    /// observes [`NetError::CircuitClosed`] (§5.1).
-    pub fn send_reply(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        kind: &'static str,
-        bytes: usize,
-    ) -> Result<(), NetError> {
-        self.send_impl(from, to, kind, bytes, true, None)
-    }
-
-    /// [`Net::send`] with the send additionally attributed to `service`
-    /// in the per-service accounting table (used by the
-    /// [`rpc::RpcEngine`]).
-    pub fn send_for(
-        &self,
-        service: &'static str,
-        from: SiteId,
-        to: SiteId,
-        kind: &'static str,
-        bytes: usize,
-    ) -> Result<(), NetError> {
-        self.send_impl(from, to, kind, bytes, false, Some(service))
-    }
-
-    /// [`Net::send_reply`] attributed to `service`.
-    pub fn send_reply_for(
-        &self,
-        service: &'static str,
-        from: SiteId,
-        to: SiteId,
-        kind: &'static str,
-        bytes: usize,
-    ) -> Result<(), NetError> {
-        self.send_impl(from, to, kind, bytes, true, Some(service))
-    }
-
-    fn send_impl(
-        &self,
+    /// One wire transmission: every send entry point ends here. `service`
+    /// is the engine's attribution (none for a raw [`Net::send`]).
+    fn transmit(
+        g: &mut Inner,
         from: SiteId,
         to: SiteId,
         kind: &'static str,
@@ -303,7 +286,6 @@ impl Net {
         is_reply: bool,
         service: Option<&'static str>,
     ) -> Result<(), NetError> {
-        let mut g = self.inner.borrow_mut();
         g.apply_due_faults();
         if from == to {
             return Err(NetError::SelfSend);
@@ -314,13 +296,13 @@ impl Net {
         let blame = if is_reply { from } else { to };
         if !g.topology.can_communicate(from, to) {
             g.circuits.close_pair(from, to);
-            g.stats.record_failure(kind);
-            g.stats.record_link_fail(from, to);
+            g.stats.kind_mut(kind).fails += 1;
+            g.stats.link_mut(from, to).fails += 1;
             return Err(NetError::Unreachable);
         }
         if g.circuits.take_abort(from, to) {
-            g.stats.record_failure(kind);
-            g.stats.record_link_fail(from, to);
+            g.stats.kind_mut(kind).fails += 1;
+            g.stats.link_mut(from, to).fails += 1;
             // A reopen notice is a flap signal: it means the previous
             // conversation on this pair died mid-flight.
             let ev = g.health.observe_fault(blame);
@@ -335,7 +317,7 @@ impl Net {
             // direction (asymmetric reachability) — unless the circuit
             // already aborted before the message reached the wire.
             if gs.blocked && verdict != Verdict::CircuitAbort {
-                g.stats.record_link_blocked(from, to);
+                g.stats.link_mut(from, to).blocked += 1;
                 verdict = Verdict::Drop;
             }
         }
@@ -345,8 +327,8 @@ impl Net {
             // torn down, and the sender observes the closure locally.
             g.circuits.close_pair(from, to);
             g.stats.circuits_closed += 1;
-            g.stats.record_failure(kind);
-            g.stats.record_link_fail(from, to);
+            g.stats.kind_mut(kind).fails += 1;
+            g.stats.link_mut(from, to).fails += 1;
             let ev = g.health.observe_fault(blame);
             g.note_health(ev);
             return Err(NetError::CircuitClosed);
@@ -354,32 +336,32 @@ impl Net {
         // The message reaches the wire in every remaining verdict: the
         // sender pays transmission latency whether or not delivery happens.
         let mut cost = g.latency.message_cost(bytes);
+        let row = g.stats.kind_mut(kind);
         if let Verdict::Delay(extra) = verdict {
             cost += extra;
-            g.stats.record_delay(kind);
+            row.delays += 1;
+        }
+        if verdict == Verdict::Drop {
+            row.drops += 1;
+        } else {
+            row.sends += 1;
+            row.bytes += bytes as u64;
+            if verdict == Verdict::Duplicate {
+                row.dups += 1;
+            }
         }
         if let Some(gs) = gray {
             if gs.is_slow() {
                 cost = gs.inflate(cost);
-                g.stats.record_link_slowed(from, to);
+                g.stats.link_mut(from, to).slowed += 1;
             }
         }
         g.clock.advance(cost);
-        let now = g.clock.now();
         if verdict == Verdict::Drop {
-            g.stats.record_drop(kind);
-            g.stats.record_link_drop(from, to);
+            g.stats.link_mut(from, to).drops += 1;
             if let Some(s) = service {
-                g.stats.record_service_drop(s);
+                g.stats.service_mut(s).drops += 1;
             }
-            g.trace.record(TraceEvent {
-                at: now,
-                from,
-                to,
-                kind,
-                bytes,
-                dropped: true,
-            });
             let ev = g.health.observe_fault(blame);
             g.note_health(ev);
             return if is_reply {
@@ -390,102 +372,112 @@ impl Net {
                 Err(NetError::Dropped)
             };
         }
-        g.stats.record(kind, bytes);
-        g.stats.record_link_send(from, to, bytes);
+        let link = g.stats.link_mut(from, to);
+        link.sends += 1;
+        link.bytes += bytes as u64;
         if let Some(s) = service {
-            g.stats.record_service_send(s, bytes);
+            let row = g.stats.service_mut(s);
+            row.sends += 1;
+            row.bytes += bytes as u64;
         }
         let ev = g.health.observe_success(from, to, blame, cost);
         g.note_health(ev);
-        g.trace.record(TraceEvent {
-            at: now,
-            from,
-            to,
-            kind,
-            bytes,
-            dropped: false,
-        });
         if verdict == Verdict::Duplicate {
             // The wire delivers a second copy; receivers are idempotent at
-            // the message level, so only the accounting notices.
+            // the message level, so only the clock and the `dups` counter
+            // notice.
             let dup_cost = g.latency.message_cost(bytes);
             g.clock.advance(dup_cost);
-            let at = g.clock.now();
-            g.stats.record_duplicate(kind);
-            g.trace.record(TraceEvent {
-                at,
-                from,
-                to,
-                kind,
-                bytes,
-                dropped: false,
-            });
         }
         Ok(())
     }
 
-    /// Sends with bounded retries under `policy`: each transient failure
-    /// (injected drop or a mid-conversation circuit abort) charges the
-    /// policy's exponential backoff to the virtual clock before the
-    /// resend, and is counted as a retry. Non-transient failures
-    /// (unreachable, self-send) return immediately.
-    pub fn send_with_retry(
+    /// The [`RpcEngine`]'s transmission: one attempt of `leg` under
+    /// `span`, attributed to `service`, with the statistics rows and the
+    /// [`ObsEvent`] written in the same borrow. A dropped
+    /// [`Leg::Reply`] is a [`NetError::ReplyLost`] — the request was
+    /// already served, so the circuit is closed mid-conversation and the
+    /// pair's next send observes [`NetError::CircuitClosed`] (§5.1).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn send_as(
         &self,
+        service: &'static str,
+        span: u64,
+        leg: Leg<'_>,
         from: SiteId,
         to: SiteId,
         kind: &'static str,
         bytes: usize,
-        policy: &RetryPolicy,
     ) -> Result<(), NetError> {
-        let mut attempt = 0;
-        let mut reopens = 0u32;
-        loop {
-            match self.send(from, to, kind, bytes) {
-                Ok(()) => return Ok(()),
-                Err(NetError::CircuitClosed) => {
-                    // A closed-circuit notice is local knowledge left by a
-                    // lost reply (§5.1), not a wire transmission; reopening
-                    // is immediate and spends no attempt — but a link that
-                    // flaps on every reopen must not spin forever.
-                    if reopens >= policy.max_reopens {
-                        return Err(NetError::CircuitClosed);
-                    }
-                    reopens += 1;
-                    self.note_retry(kind);
-                }
-                Err(e) if e.is_transient() && attempt + 1 < policy.max_attempts => {
-                    reopens = 0;
-                    self.charge_timeout(policy.backoff(attempt));
-                    self.note_retry(kind);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Counts one caller-level retry of `kind` in the statistics (used by
-    /// higher layers that re-issue whole RPCs rather than raw sends).
-    pub fn note_retry(&self, kind: &'static str) {
-        self.inner.borrow_mut().stats.record_retry(kind);
-    }
-
-    /// [`Net::note_retry`] additionally attributed to `service` in the
-    /// per-service accounting table.
-    pub fn note_retry_for(&self, service: &'static str, kind: &'static str) {
         let mut g = self.inner.borrow_mut();
-        g.stats.record_retry(kind);
-        g.stats.record_service_retry(service);
+        let is_reply = matches!(leg, Leg::Reply);
+        let result = Self::transmit(&mut g, from, to, kind, bytes, is_reply, Some(service));
+        if g.obs.enabled() {
+            let at = g.clock.now();
+            let outcome = SendOutcome::of(&result);
+            let (kind, bytes) = (kind.to_owned(), bytes as u64);
+            g.obs.record(match leg {
+                Leg::Request {
+                    reply_kind,
+                    idempotent,
+                } => ObsEvent::Request {
+                    span,
+                    at,
+                    from,
+                    to,
+                    kind,
+                    reply_kind: reply_kind.to_owned(),
+                    bytes,
+                    idempotent,
+                    outcome,
+                },
+                Leg::Reply => ObsEvent::Reply {
+                    span,
+                    at,
+                    from,
+                    to,
+                    kind,
+                    bytes,
+                    outcome,
+                },
+                Leg::OneWay => ObsEvent::OneWay {
+                    span,
+                    at,
+                    from,
+                    to,
+                    kind,
+                    bytes,
+                    outcome,
+                },
+            });
+        }
+        result
+    }
+
+    /// Counts one engine-level retry of `kind` (a resent request or a
+    /// re-issued RPC), attributed to `service`.
+    pub(crate) fn note_retry(&self, service: &'static str, kind: &'static str) {
+        let mut g = self.inner.borrow_mut();
+        g.stats.kind_mut(kind).retries += 1;
+        g.stats.service_mut(service).retries += 1;
     }
 
     /// Records a one-way notification of `kind` abandoned after retry
-    /// exhaustion, attributed to `service` (partition recovery later
-    /// reconciles what the notification would have carried, §4).
-    pub fn record_one_way_loss(&self, service: &'static str, kind: &'static str) {
-        self.inner
-            .borrow_mut()
-            .stats
-            .record_one_way_loss(service, kind);
+    /// exhaustion under `span`, attributed to `service` (partition
+    /// recovery later reconciles what the notification would have
+    /// carried, §4).
+    pub(crate) fn note_one_way_loss(&self, service: &'static str, span: u64, kind: &'static str) {
+        let mut g = self.inner.borrow_mut();
+        g.stats.kind_mut(kind).losses += 1;
+        g.stats.service_mut(service).losses += 1;
+        if g.obs.enabled() {
+            let at = g.clock.now();
+            g.obs.record(ObsEvent::OneWayLoss {
+                span,
+                at,
+                kind: kind.to_owned(),
+            });
+        }
     }
 
     /// Accounts local (same-site) kernel work of `cost` ticks; used by the
@@ -603,27 +595,9 @@ impl Net {
         self.inner.borrow().stats.clone()
     }
 
-    /// Resets message statistics (the topology, clock and trace persist).
+    /// Resets message statistics (the topology and clock persist).
     pub fn reset_stats(&self) {
         self.inner.borrow_mut().stats = NetStats::new();
-    }
-
-    /// Enables or disables trace recording.
-    pub fn set_tracing(&self, on: bool) {
-        self.inner.borrow_mut().trace.set_enabled(on);
-    }
-
-    /// Drains and returns the recorded trace events.
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.inner.borrow_mut().trace.take()
-    }
-
-    /// How many trace events were silently discarded past the trace cap
-    /// since the last [`Net::take_trace`]. A determinism check comparing
-    /// truncated traces compares prefixes, not schedules — callers should
-    /// fail when this is nonzero.
-    pub fn trace_truncated(&self) -> u64 {
-        self.inner.borrow().trace.truncated()
     }
 
     /// Enables or disables span observation ([`obs`]).
@@ -651,75 +625,6 @@ impl Net {
         let mut g = self.inner.borrow_mut();
         let now = g.clock.now();
         g.obs.span_close(now, span, outcome);
-    }
-
-    /// Records one request transmission attempt under `span` (used by the
-    /// [`rpc::RpcEngine`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn obs_request(
-        &self,
-        span: u64,
-        from: SiteId,
-        to: SiteId,
-        kind: &str,
-        reply_kind: &str,
-        bytes: u64,
-        idempotent: bool,
-        result: &Result<(), NetError>,
-    ) {
-        let mut g = self.inner.borrow_mut();
-        let now = g.clock.now();
-        g.obs.request(
-            now,
-            span,
-            from,
-            to,
-            kind,
-            reply_kind,
-            bytes,
-            idempotent,
-            obs::SendOutcome::of(result),
-        );
-    }
-
-    /// Records one reply transmission attempt under `span`.
-    pub fn obs_reply(
-        &self,
-        span: u64,
-        from: SiteId,
-        to: SiteId,
-        kind: &str,
-        bytes: u64,
-        result: &Result<(), NetError>,
-    ) {
-        let mut g = self.inner.borrow_mut();
-        let now = g.clock.now();
-        g.obs
-            .reply(now, span, from, to, kind, bytes, obs::SendOutcome::of(result));
-    }
-
-    /// Records one one-way transmission attempt under `span`.
-    pub fn obs_one_way(
-        &self,
-        span: u64,
-        from: SiteId,
-        to: SiteId,
-        kind: &str,
-        bytes: u64,
-        result: &Result<(), NetError>,
-    ) {
-        let mut g = self.inner.borrow_mut();
-        let now = g.clock.now();
-        g.obs
-            .one_way(now, span, from, to, kind, bytes, obs::SendOutcome::of(result));
-    }
-
-    /// Records a one-way send abandoned after retry exhaustion under
-    /// `span` (paired with [`Net::record_one_way_loss`]).
-    pub fn obs_one_way_loss(&self, span: u64, kind: &str) {
-        let mut g = self.inner.borrow_mut();
-        let now = g.clock.now();
-        g.obs.one_way_loss(now, span, kind);
     }
 
     /// Records a protocol annotation (e.g. `commit.begin`), attached to
@@ -756,11 +661,6 @@ impl Net {
         self.inner.borrow().latency
     }
 
-    /// Replaces the latency model (used by the layering-ablation bench).
-    pub fn set_latency(&self, latency: LatencyModel) {
-        self.inner.borrow_mut().latency = latency;
-    }
-
     /// Charges a timeout delay to the virtual clock (a poll that never got
     /// an answer still costs wall-clock time, §5.5). Scheduled fault
     /// events the delay passes over take effect immediately.
@@ -787,7 +687,7 @@ impl Net {
     /// ([`engine`]): the topology is snapshotted, the clock starts at the
     /// global `now`, circuits / health rows / fault-RNG streams belonging
     /// to `sites` *move* into the shard, and the shard records into fresh
-    /// trace/observer/stats buffers that [`Net::absorb_shards`] merges
+    /// observer/stats buffers that [`Net::absorb_shards`] merges
     /// back deterministically. The caller must guarantee the group's
     /// operations only touch `sites` and that no scheduled fault events
     /// remain unfired (the engine serializes such epochs).
@@ -796,8 +696,6 @@ impl Net {
         g.apply_due_faults();
         let mut clock = VirtualClock::new();
         clock.set(g.clock.now());
-        let mut trace = Trace::new();
-        trace.set_enabled(g.trace.enabled());
         Net {
             inner: RefCell::new(Inner {
                 topology: g.topology.clone(),
@@ -805,7 +703,6 @@ impl Net {
                 clock,
                 latency: g.latency,
                 stats: NetStats::new(),
-                trace,
                 obs: g.obs.fork_shard(),
                 faults: g.faults.split_sites(sites),
                 health: g.health.split_sites(sites),
@@ -813,7 +710,7 @@ impl Net {
         }
     }
 
-    /// Snapshots the clock and event-buffer positions at an operation
+    /// Snapshots the clock and event-buffer position at an operation
     /// boundary inside a shard. Consecutive marks delimit one operation's
     /// segment; the epoch barrier re-bases segments onto the merged clock
     /// in submission order, which is what makes the parallel engine's
@@ -822,7 +719,6 @@ impl Net {
         let g = self.inner.borrow();
         OpMark {
             now: g.clock.now(),
-            trace_len: g.trace.len(),
             obs_len: g.obs.len(),
         }
     }
@@ -835,12 +731,11 @@ impl Net {
     /// ids renumbered in first-appearance order; the global clock ends at
     /// the sum of all op durations; statistics, histograms, circuits,
     /// health rows and fault streams are folded back in shard order.
-    /// Panics if a shard overflowed an event cap mid-epoch (the merged
+    /// Panics if a shard overflowed the event cap mid-epoch (the merged
     /// stream could otherwise silently lose interior events).
     pub fn absorb_shards(&self, shards: Vec<(Net, Vec<OpMark>)>, order: &[(usize, usize)]) {
         struct ShardParts {
             marks: Vec<OpMark>,
-            trace: Vec<TraceEvent>,
             obs_events: Vec<ObsEvent>,
             obs_hists: std::collections::BTreeMap<(String, String), Histogram>,
             stats: NetStats,
@@ -853,11 +748,6 @@ impl Net {
             .into_iter()
             .map(|(net, marks)| {
                 let inner = net.inner.into_inner();
-                assert_eq!(
-                    inner.trace.truncated(),
-                    0,
-                    "a shard trace overflowed TRACE_CAP mid-epoch; shrink the epoch"
-                );
                 let (obs_events, obs_truncated, obs_hists) = inner.obs.into_shard_parts();
                 assert_eq!(
                     obs_truncated, 0,
@@ -865,7 +755,6 @@ impl Net {
                 );
                 ShardParts {
                     marks,
-                    trace: inner.trace.into_events(),
                     obs_events,
                     obs_hists,
                     stats: inner.stats,
@@ -883,11 +772,6 @@ impl Net {
             let (m0, m1) = (p.marks[j], p.marks[j + 1]);
             assert!(now >= m0.now, "epoch merge would rewind an op segment");
             let shift = now - m0.now;
-            for ev in &p.trace[m0.trace_len..m1.trace_len] {
-                let mut ev = ev.clone();
-                ev.at += shift;
-                g.trace.record(ev);
-            }
             g.obs
                 .absorb_segment(&p.obs_events[m0.obs_len..m1.obs_len], shift, &mut p.remap);
             now += m1.now - m0.now;
@@ -912,11 +796,6 @@ impl Net {
         self.inner.borrow_mut().health.enable(policy);
     }
 
-    /// Whether the health monitor is enabled.
-    pub fn health_enabled(&self) -> bool {
-        self.inner.borrow().health.enabled()
-    }
-
     /// Whether `site` is currently isolated by the health monitor
     /// (quarantined or still on probation). Quarantined sites must be
     /// skipped for CSS eligibility and replica reads; always `false`
@@ -933,11 +812,6 @@ impl Net {
     /// The current suspicion score of `site` (0 = fully healthy).
     pub fn health_score(&self, site: SiteId) -> u32 {
         self.inner.borrow().health.score(site)
-    }
-
-    /// Snapshot of every site the monitor has scored, in site order.
-    pub fn health_snapshot(&self) -> Vec<(SiteId, SiteHealth, u32)> {
-        self.inner.borrow().health.snapshot()
     }
 
     /// Moves a quarantined site to probation: the recovery layer calls
@@ -1027,18 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_sequence() {
-        let net = Net::new(3);
-        net.set_tracing(true);
-        net.send(SiteId(0), SiteId(1), "OPEN req", 10).unwrap();
-        net.send(SiteId(1), SiteId(2), "SS poll", 10).unwrap();
-        let tr = net.take_trace();
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr[0].kind, "OPEN req");
-        assert!(tr[0].at < tr[1].at);
-    }
-
-    #[test]
     fn reachability_requires_both_sites_up() {
         let net = Net::new(2);
         net.crash(SiteId(0));
@@ -1050,13 +912,12 @@ mod tests {
     #[test]
     fn injected_drops_surface_and_are_counted() {
         let net = Net::new(2);
-        net.set_tracing(true);
         net.install_faults(FaultPlan::new(7).default_spec(FaultSpec::drop_rate(1.0)));
+        let t0 = net.now();
         assert_eq!(net.send(SiteId(0), SiteId(1), "x", 8), Err(NetError::Dropped));
         assert_eq!(net.stats().drops("x"), 1);
-        let tr = net.take_trace();
-        assert_eq!(tr.len(), 1);
-        assert!(tr[0].dropped);
+        assert_eq!(net.stats().sends("x"), 0);
+        assert!(net.now() > t0, "a dropped message still reached the wire");
         // A dropped *request* leaves the circuit open for a retry.
         assert_eq!(net.open_circuits(), 1);
         net.clear_faults();
@@ -1073,7 +934,7 @@ mod tests {
         assert_eq!(net.open_circuits(), 1);
         net.install_faults(FaultPlan::new(1).default_spec(FaultSpec::drop_rate(1.0)));
         assert_eq!(
-            net.send_reply(SiteId(1), SiteId(0), "OPEN resp", 8),
+            net.send_as("test", 0, Leg::Reply, SiteId(1), SiteId(0), "OPEN resp", 8),
             Err(NetError::ReplyLost)
         );
         assert_eq!(net.open_circuits(), 0, "reply loss closed the circuit");
@@ -1086,38 +947,6 @@ mod tests {
         // After the abort is observed, a fresh circuit opens normally.
         assert!(net.send(SiteId(0), SiteId(1), "OPEN req", 8).is_ok());
         assert_eq!(net.open_circuits(), 1);
-    }
-
-    #[test]
-    fn send_with_retry_rides_out_transient_drops() {
-        let net = Net::new(2);
-        // Seed chosen arbitrarily; with drop 0.5 and 10 attempts the
-        // (deterministic) sequence succeeds well before exhaustion.
-        net.install_faults(FaultPlan::new(11).default_spec(FaultSpec::drop_rate(0.5)));
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            ..RetryPolicy::default()
-        };
-        let t0 = net.now();
-        net.send_with_retry(SiteId(0), SiteId(1), "x", 8, &policy)
-            .expect("retries ride out drops");
-        let stats = net.stats();
-        assert_eq!(stats.sends("x"), 1);
-        assert_eq!(stats.retries("x"), stats.drops("x"), "one retry per drop");
-        if stats.drops("x") > 0 {
-            assert!(net.now() >= t0 + policy.base_backoff, "backoff was charged");
-        }
-    }
-
-    #[test]
-    fn send_with_retry_gives_up_on_unreachable() {
-        let net = Net::new(2);
-        net.crash(SiteId(1));
-        assert_eq!(
-            net.send_with_retry(SiteId(0), SiteId(1), "x", 8, &RetryPolicy::default()),
-            Err(NetError::Unreachable)
-        );
-        assert_eq!(net.stats().retries("x"), 0, "non-transient: no retries");
     }
 
     #[test]
@@ -1200,7 +1029,7 @@ mod tests {
         net.send(SiteId(0), SiteId(1), "req", 8).unwrap();
         net.install_faults(FaultPlan::new(0).block_direction(SiteId(1), SiteId(0)));
         assert_eq!(
-            net.send_reply(SiteId(1), SiteId(0), "resp", 8),
+            net.send_as("test", 0, Leg::Reply, SiteId(1), SiteId(0), "resp", 8),
             Err(NetError::ReplyLost)
         );
         assert_eq!(net.open_circuits(), 0);
@@ -1256,10 +1085,9 @@ mod tests {
     }
 
     #[test]
-    fn identical_seed_gives_identical_trace() {
+    fn identical_seed_gives_identical_stats_and_clock() {
         let run = || {
             let net = Net::new(3);
-            net.set_tracing(true);
             net.install_faults(FaultPlan::new(99).default_spec(FaultSpec {
                 drop: 0.3,
                 duplicate: 0.1,
@@ -1270,8 +1098,10 @@ mod tests {
             for i in 0..40u32 {
                 let _ = net.send(SiteId(i % 3), SiteId((i + 1) % 3), "x", 16 + i as usize);
             }
-            net.take_trace()
+            (net.stats(), net.now())
         };
-        assert_eq!(run(), run());
+        let (stats, now) = run();
+        assert!(stats.total_drops() > 0 && stats.total_duplicates() > 0);
+        assert_eq!((stats, now), run());
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! The paper's evaluation is written entirely in observable units —
 //! messages per operation (§2.3.3), the Figure 1/2 timelines, and the
-//! failure-action tables (§5.6). Flat counters ([`crate::NetStats`]) and
-//! the unstructured message log ([`crate::Trace`]) regenerate the counts
-//! and the figures, but neither can answer *structural* questions: which
+//! failure-action tables (§5.6). Flat counters ([`crate::NetStats`])
+//! regenerate the counts, but cannot answer *structural* questions: which
 //! RPC attempts belonged to which system call, whether a reply matched a
 //! request that was actually outstanding, or whether a shadow-page commit
 //! overlapped a read of the version being committed.
 //!
-//! This module adds that structure:
+//! This module is the one event stream that can — every message the
+//! [`crate::RpcEngine`] moves is a [`ObsEvent::Request`],
+//! [`ObsEvent::Reply`] or [`ObsEvent::OneWay`] in it, which is also what
+//! the Figure 1/2 renderers in `locus-bench` draw from:
 //!
 //! * **Spans.** Each syscall-level operation (open, read, commit, fork,
 //!   partition-poll, …) opens a span; every RPC the [`crate::RpcEngine`]
@@ -420,98 +422,12 @@ impl Observer {
         });
     }
 
-    /// Records one request transmission attempt.
-    #[allow(clippy::too_many_arguments)]
-    pub fn request(
-        &mut self,
-        now: Ticks,
-        span: u64,
-        from: SiteId,
-        to: SiteId,
-        kind: &str,
-        reply_kind: &str,
-        bytes: u64,
-        idempotent: bool,
-        outcome: SendOutcome,
-    ) {
-        if !self.enabled {
-            return;
+    /// Records one wire event the send path built (a request, reply or
+    /// one-way attempt, or a one-way loss); a no-op while disabled.
+    pub fn record(&mut self, ev: ObsEvent) {
+        if self.enabled {
+            self.push_event(ev);
         }
-        self.push_event(ObsEvent::Request {
-            span,
-            at: now,
-            from,
-            to,
-            kind: kind.to_owned(),
-            reply_kind: reply_kind.to_owned(),
-            bytes,
-            idempotent,
-            outcome,
-        });
-    }
-
-    /// Records one reply transmission attempt.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reply(
-        &mut self,
-        now: Ticks,
-        span: u64,
-        from: SiteId,
-        to: SiteId,
-        kind: &str,
-        bytes: u64,
-        outcome: SendOutcome,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.push_event(ObsEvent::Reply {
-            span,
-            at: now,
-            from,
-            to,
-            kind: kind.to_owned(),
-            bytes,
-            outcome,
-        });
-    }
-
-    /// Records one one-way transmission attempt.
-    #[allow(clippy::too_many_arguments)]
-    pub fn one_way(
-        &mut self,
-        now: Ticks,
-        span: u64,
-        from: SiteId,
-        to: SiteId,
-        kind: &str,
-        bytes: u64,
-        outcome: SendOutcome,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.push_event(ObsEvent::OneWay {
-            span,
-            at: now,
-            from,
-            to,
-            kind: kind.to_owned(),
-            bytes,
-            outcome,
-        });
-    }
-
-    /// Records an abandoned one-way send.
-    pub fn one_way_loss(&mut self, now: Ticks, span: u64, kind: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.push_event(ObsEvent::OneWayLoss {
-            span,
-            at: now,
-            kind: kind.to_owned(),
-        });
     }
 
     /// Records a protocol annotation, attached to the innermost open

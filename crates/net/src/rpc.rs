@@ -27,7 +27,7 @@
 
 use locus_types::SiteId;
 
-use crate::{Net, NetError, RetryPolicy};
+use crate::{Leg, Net, NetError, RetryPolicy};
 
 /// Default upper bound on *consecutive* `CircuitClosed` reopen-retries
 /// within one engine call (the default for [`RetryPolicy::max_reopens`]).
@@ -47,7 +47,7 @@ pub trait WireMsg: Clone {
     /// per-service tables in [`crate::NetStats`] (e.g. `"fs"`, `"proc"`).
     const SERVICE: &'static str;
 
-    /// The request's kind label in statistics and traces.
+    /// The request's kind label in statistics and events.
     fn kind(&self) -> &'static str;
 
     /// The kind label of the reply paired with this request.
@@ -178,18 +178,11 @@ impl RpcEngine {
         let mut attempt = 0u32;
         let mut reopens = 0u32;
         loop {
-            let sent = net.send_for(M::SERVICE, from, to, kind, msg.wire_bytes());
-            net.obs_request(
-                span,
-                from,
-                to,
-                kind,
+            let leg = Leg::Request {
                 reply_kind,
-                msg.wire_bytes() as u64,
-                msg.idempotent(),
-                &sent,
-            );
-            match sent {
+                idempotent: msg.idempotent(),
+            };
+            match net.send_as(M::SERVICE, span, leg, from, to, kind, msg.wire_bytes()) {
                 Ok(()) => reopens = 0,
                 Err(NetError::CircuitClosed) => {
                     // The closed-circuit notice left by a lost reply (§5.1)
@@ -200,12 +193,12 @@ impl RpcEngine {
                         return Err(RpcError::CircuitFlapping);
                     }
                     reopens += 1;
-                    net.note_retry_for(M::SERVICE, kind);
+                    net.note_retry(M::SERVICE, kind);
                     continue;
                 }
                 Err(e) if e.is_transient() && attempt + 1 < self.policy.max_attempts => {
                     net.charge_timeout(self.policy.backoff(attempt));
-                    net.note_retry_for(M::SERVICE, kind);
+                    net.note_retry(M::SERVICE, kind);
                     attempt += 1;
                     continue;
                 }
@@ -220,15 +213,13 @@ impl RpcEngine {
             // A reply dropped on the wire and a circuit aborted before
             // the reply reached the wire look identical to the waiting
             // requester: the request was served, the answer never came.
-            let replied = net.send_reply_for(M::SERVICE, to, from, reply_kind, bytes);
-            net.obs_reply(span, to, from, reply_kind, bytes as u64, &replied);
-            match replied {
+            match net.send_as(M::SERVICE, span, Leg::Reply, to, from, reply_kind, bytes) {
                 Ok(()) => return Ok(result),
                 Err(NetError::ReplyLost | NetError::CircuitClosed)
                     if msg.idempotent() && attempt + 1 < self.policy.max_attempts =>
                 {
                     net.charge_timeout(self.policy.backoff(attempt));
-                    net.note_retry_for(M::SERVICE, kind);
+                    net.note_retry(M::SERVICE, kind);
                     attempt += 1;
                 }
                 Err(NetError::Unreachable) => return Err(RpcError::Unreachable),
@@ -285,27 +276,23 @@ impl RpcEngine {
         let mut attempt = 0u32;
         let mut reopens = 0u32;
         loop {
-            let sent = net.send_for(M::SERVICE, from, to, kind, msg.wire_bytes());
-            net.obs_one_way(span, from, to, kind, msg.wire_bytes() as u64, &sent);
-            match sent {
+            match net.send_as(M::SERVICE, span, Leg::OneWay, from, to, kind, msg.wire_bytes()) {
                 Ok(()) => return Ok(serve(msg)),
                 Err(NetError::CircuitClosed) => {
                     if reopens >= self.policy.max_reopens {
-                        net.record_one_way_loss(M::SERVICE, kind);
-                        net.obs_one_way_loss(span, kind);
+                        net.note_one_way_loss(M::SERVICE, span, kind);
                         return Err(RpcError::CircuitFlapping);
                     }
                     reopens += 1;
-                    net.note_retry_for(M::SERVICE, kind);
+                    net.note_retry(M::SERVICE, kind);
                 }
                 Err(e) if e.is_transient() && attempt + 1 < self.policy.max_attempts => {
                     net.charge_timeout(self.policy.backoff(attempt));
-                    net.note_retry_for(M::SERVICE, kind);
+                    net.note_retry(M::SERVICE, kind);
                     attempt += 1;
                 }
                 Err(e) => {
-                    net.record_one_way_loss(M::SERVICE, kind);
-                    net.obs_one_way_loss(span, kind);
+                    net.note_one_way_loss(M::SERVICE, span, kind);
                     return Err(match e {
                         NetError::Unreachable => RpcError::Unreachable,
                         _ => RpcError::RetriesExhausted,

@@ -51,17 +51,32 @@ pub struct ServiceStats {
     pub losses: u64,
 }
 
+/// One row of the per-message-kind table: everything the send path
+/// counts about one kind label.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KindStats {
+    /// Successful sends.
+    pub sends: u64,
+    /// Bytes carried by those sends.
+    pub bytes: u64,
+    /// Failed sends (unreachable destination or circuit abort).
+    pub fails: u64,
+    /// Messages lost to an injected drop.
+    pub drops: u64,
+    /// Injected wire-level duplicate deliveries.
+    pub dups: u64,
+    /// Injected delivery delays.
+    pub delays: u64,
+    /// Retries (resends provoked by a fault).
+    pub retries: u64,
+    /// One-way notifications abandoned after retry exhaustion.
+    pub losses: u64,
+}
+
 /// Counters of sends, bytes and failures, keyed by message kind label.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    sends: BTreeMap<&'static str, u64>,
-    bytes: BTreeMap<&'static str, u64>,
-    fails: BTreeMap<&'static str, u64>,
-    drops: BTreeMap<&'static str, u64>,
-    dups: BTreeMap<&'static str, u64>,
-    delays: BTreeMap<&'static str, u64>,
-    retries: BTreeMap<&'static str, u64>,
-    losses: BTreeMap<&'static str, u64>,
+    kinds: BTreeMap<&'static str, KindStats>,
     services: BTreeMap<&'static str, ServiceStats>,
     links: BTreeMap<(SiteId, SiteId), LinkStats>,
     site_busy: BTreeMap<SiteId, u64>,
@@ -76,88 +91,20 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// Records a successful send.
-    pub fn record(&mut self, kind: &'static str, bytes: usize) {
-        *self.sends.entry(kind).or_insert(0) += 1;
-        *self.bytes.entry(kind).or_insert(0) += bytes as u64;
+    /// The mutable row of one message kind (created zeroed on first use).
+    pub(crate) fn kind_mut(&mut self, kind: &'static str) -> &mut KindStats {
+        self.kinds.entry(kind).or_default()
     }
 
-    /// Records a failed send (unreachable destination).
-    pub fn record_failure(&mut self, kind: &'static str) {
-        *self.fails.entry(kind).or_insert(0) += 1;
+    /// The mutable row of one service (created zeroed on first use).
+    pub(crate) fn service_mut(&mut self, service: &'static str) -> &mut ServiceStats {
+        self.services.entry(service).or_default()
     }
 
-    /// Records a message lost to injected fault (drop).
-    pub fn record_drop(&mut self, kind: &'static str) {
-        *self.drops.entry(kind).or_insert(0) += 1;
-    }
-
-    /// Records an injected wire-level duplicate delivery.
-    pub fn record_duplicate(&mut self, kind: &'static str) {
-        *self.dups.entry(kind).or_insert(0) += 1;
-    }
-
-    /// Records an injected delivery delay.
-    pub fn record_delay(&mut self, kind: &'static str) {
-        *self.delays.entry(kind).or_insert(0) += 1;
-    }
-
-    /// Records one retry attempt (a resend provoked by a fault).
-    pub fn record_retry(&mut self, kind: &'static str) {
-        *self.retries.entry(kind).or_insert(0) += 1;
-    }
-
-    /// Records a one-way notification abandoned after retry exhaustion
-    /// (the loss partition recovery later reconciles), attributed to its
-    /// originating service.
-    pub fn record_one_way_loss(&mut self, service: &'static str, kind: &'static str) {
-        *self.losses.entry(kind).or_insert(0) += 1;
-        self.services.entry(service).or_default().losses += 1;
-    }
-
-    /// Attributes a successful send to a service.
-    pub fn record_service_send(&mut self, service: &'static str, bytes: usize) {
-        let row = self.services.entry(service).or_default();
-        row.sends += 1;
-        row.bytes += bytes as u64;
-    }
-
-    /// Attributes an injected drop to a service.
-    pub fn record_service_drop(&mut self, service: &'static str) {
-        self.services.entry(service).or_default().drops += 1;
-    }
-
-    /// Attributes a retry to a service.
-    pub fn record_service_retry(&mut self, service: &'static str) {
-        self.services.entry(service).or_default().retries += 1;
-    }
-
-    /// Records a successful send on the directed link `from -> to`.
-    pub fn record_link_send(&mut self, from: SiteId, to: SiteId, bytes: usize) {
-        let row = self.links.entry((from, to)).or_default();
-        row.sends += 1;
-        row.bytes += bytes as u64;
-    }
-
-    /// Records an injected drop on the directed link.
-    pub fn record_link_drop(&mut self, from: SiteId, to: SiteId) {
-        self.links.entry((from, to)).or_default().drops += 1;
-    }
-
-    /// Records a failed send (unreachable or circuit abort) on the
-    /// directed link.
-    pub fn record_link_fail(&mut self, from: SiteId, to: SiteId) {
-        self.links.entry((from, to)).or_default().fails += 1;
-    }
-
-    /// Records a gray slow-link latency inflation on the directed link.
-    pub fn record_link_slowed(&mut self, from: SiteId, to: SiteId) {
-        self.links.entry((from, to)).or_default().slowed += 1;
-    }
-
-    /// Records a gray one-directional block on the directed link.
-    pub fn record_link_blocked(&mut self, from: SiteId, to: SiteId) {
-        self.links.entry((from, to)).or_default().blocked += 1;
+    /// The mutable row of the directed link `from -> to` (created zeroed
+    /// on first use).
+    pub(crate) fn link_mut(&mut self, from: SiteId, to: SiteId) -> &mut LinkStats {
+        self.links.entry((from, to)).or_default()
     }
 
     /// Attributes `micros` of virtual CPU time to `site`. The simulation
@@ -201,39 +148,44 @@ impl NetStats {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
+    /// The accounting row of one message kind (zeros if never seen).
+    pub fn kind(&self, kind: &str) -> KindStats {
+        self.kinds.get(kind).copied().unwrap_or_default()
+    }
+
     /// Successful sends of `kind`.
     pub fn sends(&self, kind: &str) -> u64 {
-        self.sends.get(kind).copied().unwrap_or(0)
+        self.kind(kind).sends
     }
 
     /// Failed sends of `kind`.
     pub fn failures(&self, kind: &str) -> u64 {
-        self.fails.get(kind).copied().unwrap_or(0)
+        self.kind(kind).fails
     }
 
     /// Bytes carried by successful sends of `kind`.
     pub fn bytes(&self, kind: &str) -> u64 {
-        self.bytes.get(kind).copied().unwrap_or(0)
+        self.kind(kind).bytes
     }
 
     /// Injected drops of `kind`.
     pub fn drops(&self, kind: &str) -> u64 {
-        self.drops.get(kind).copied().unwrap_or(0)
+        self.kind(kind).drops
     }
 
     /// Retries of `kind`.
     pub fn retries(&self, kind: &str) -> u64 {
-        self.retries.get(kind).copied().unwrap_or(0)
+        self.kind(kind).retries
     }
 
     /// Abandoned one-way sends of `kind`.
     pub fn one_way_losses(&self, kind: &str) -> u64 {
-        self.losses.get(kind).copied().unwrap_or(0)
+        self.kind(kind).losses
     }
 
     /// Total abandoned one-way sends across all kinds.
     pub fn total_one_way_losses(&self) -> u64 {
-        self.losses.values().sum()
+        self.kinds.values().map(|k| k.losses).sum()
     }
 
     /// The accounting row of one service (zeros if it never sent).
@@ -258,58 +210,60 @@ impl NetStats {
 
     /// Total injected drops across all kinds.
     pub fn total_drops(&self) -> u64 {
-        self.drops.values().sum()
+        self.kinds.values().map(|k| k.drops).sum()
     }
 
     /// Total injected duplicates across all kinds.
     pub fn total_duplicates(&self) -> u64 {
-        self.dups.values().sum()
+        self.kinds.values().map(|k| k.dups).sum()
     }
 
     /// Total injected delays across all kinds.
     pub fn total_delays(&self) -> u64 {
-        self.delays.values().sum()
+        self.kinds.values().map(|k| k.delays).sum()
     }
 
     /// Total retries across all kinds.
     pub fn total_retries(&self) -> u64 {
-        self.retries.values().sum()
+        self.kinds.values().map(|k| k.retries).sum()
     }
 
     /// Total successful sends across all kinds.
     pub fn total_sends(&self) -> u64 {
-        self.sends.values().sum()
+        self.kinds.values().map(|k| k.sends).sum()
     }
 
     /// Total bytes across all kinds.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes.values().sum()
+        self.kinds.values().map(|k| k.bytes).sum()
     }
 
-    /// Iterates `(kind, sends, bytes)` sorted by kind.
+    /// Iterates `(kind, sends, bytes)` over the kinds that were sent at
+    /// least once, sorted by kind.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        self.sends
+        self.kinds
             .iter()
-            .map(|(&k, &n)| (k, n, self.bytes.get(k).copied().unwrap_or(0)))
+            .filter(|(_, row)| row.sends > 0)
+            .map(|(&k, row)| (k, row.sends, row.bytes))
     }
 
     /// Message-count difference against an earlier snapshot; used to count
     /// messages of a single operation.
     pub fn delta_sends(&self, earlier: &NetStats) -> BTreeMap<&'static str, u64> {
-        Self::diff(&self.sends, &earlier.sends)
+        Self::diff(&self.kinds, &earlier.kinds, |k| k.sends)
     }
 
     /// Injected-drop difference against an earlier snapshot. Run *totals*
     /// misattribute faults suffered by setup traffic; a per-operation
     /// figure must be a delta between snapshots bracketing the operation.
     pub fn delta_drops(&self, earlier: &NetStats) -> BTreeMap<&'static str, u64> {
-        Self::diff(&self.drops, &earlier.drops)
+        Self::diff(&self.kinds, &earlier.kinds, |k| k.drops)
     }
 
     /// Retry difference against an earlier snapshot (see
     /// [`NetStats::delta_drops`]).
     pub fn delta_retries(&self, earlier: &NetStats) -> BTreeMap<&'static str, u64> {
-        Self::diff(&self.retries, &earlier.retries)
+        Self::diff(&self.kinds, &earlier.kinds, |k| k.retries)
     }
 
     /// Sum of one delta table's counts across all kinds.
@@ -321,30 +275,30 @@ impl NetStats {
     /// Every table is additive; gauges are last-write-wins (shards touch
     /// disjoint gauge keys, and epoch ops set none today).
     pub fn merge_from(&mut self, other: NetStats) {
-        fn add<K: Ord>(into: &mut BTreeMap<K, u64>, from: BTreeMap<K, u64>) {
-            for (k, v) in from {
-                *into.entry(k).or_insert(0) += v;
-            }
+        for (k, row) in other.kinds {
+            let into = self.kind_mut(k);
+            into.sends += row.sends;
+            into.bytes += row.bytes;
+            into.fails += row.fails;
+            into.drops += row.drops;
+            into.dups += row.dups;
+            into.delays += row.delays;
+            into.retries += row.retries;
+            into.losses += row.losses;
         }
-        add(&mut self.sends, other.sends);
-        add(&mut self.bytes, other.bytes);
-        add(&mut self.fails, other.fails);
-        add(&mut self.drops, other.drops);
-        add(&mut self.dups, other.dups);
-        add(&mut self.delays, other.delays);
-        add(&mut self.retries, other.retries);
-        add(&mut self.losses, other.losses);
-        add(&mut self.site_busy, other.site_busy);
+        for (site, micros) in other.site_busy {
+            self.record_busy(site, micros);
+        }
         for (k, row) in other.services {
-            let into = self.services.entry(k).or_default();
+            let into = self.service_mut(k);
             into.sends += row.sends;
             into.bytes += row.bytes;
             into.retries += row.retries;
             into.drops += row.drops;
             into.losses += row.losses;
         }
-        for (k, row) in other.links {
-            let into = self.links.entry(k).or_default();
+        for ((from, to), row) in other.links {
+            let into = self.link_mut(from, to);
             into.sends += row.sends;
             into.bytes += row.bytes;
             into.drops += row.drops;
@@ -359,42 +313,29 @@ impl NetStats {
     /// Per-directed-link drop difference against an earlier snapshot
     /// (see [`NetStats::delta_drops`] for why deltas, not totals).
     pub fn delta_link_drops(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {
-        Self::diff_links(&self.links, &earlier.links, |l| l.drops)
+        Self::diff(&self.links, &earlier.links, |l| l.drops)
     }
 
     /// Per-directed-link slow-inflation difference against an earlier
     /// snapshot.
     pub fn delta_link_slowed(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {
-        Self::diff_links(&self.links, &earlier.links, |l| l.slowed)
+        Self::diff(&self.links, &earlier.links, |l| l.slowed)
     }
 
     /// Per-directed-link block difference against an earlier snapshot.
     pub fn delta_link_blocked(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {
-        Self::diff_links(&self.links, &earlier.links, |l| l.blocked)
+        Self::diff(&self.links, &earlier.links, |l| l.blocked)
     }
 
-    fn diff_links(
-        now: &BTreeMap<(SiteId, SiteId), LinkStats>,
-        earlier: &BTreeMap<(SiteId, SiteId), LinkStats>,
-        field: impl Fn(&LinkStats) -> u64,
-    ) -> BTreeMap<(SiteId, SiteId), u64> {
+    /// The rows whose `field` grew since `earlier`, with the growth.
+    fn diff<K: Ord + Copy, R>(
+        now: &BTreeMap<K, R>,
+        earlier: &BTreeMap<K, R>,
+        field: impl Fn(&R) -> u64,
+    ) -> BTreeMap<K, u64> {
         let mut out = BTreeMap::new();
         for (&k, row) in now {
             let d = field(row) - earlier.get(&k).map(&field).unwrap_or(0);
-            if d > 0 {
-                out.insert(k, d);
-            }
-        }
-        out
-    }
-
-    fn diff(
-        now: &BTreeMap<&'static str, u64>,
-        earlier: &BTreeMap<&'static str, u64>,
-    ) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for (&k, &n) in now {
-            let d = n - earlier.get(k).copied().unwrap_or(0);
             if d > 0 {
                 out.insert(k, d);
             }
@@ -407,13 +348,19 @@ impl NetStats {
 mod tests {
     use super::*;
 
+    fn sent(s: &mut NetStats, kind: &'static str, bytes: u64) {
+        let row = s.kind_mut(kind);
+        row.sends += 1;
+        row.bytes += bytes;
+    }
+
     #[test]
     fn records_and_sums() {
         let mut s = NetStats::new();
-        s.record("READ req", 32);
-        s.record("READ req", 32);
-        s.record("READ resp", 4096);
-        s.record_failure("OPEN req");
+        sent(&mut s, "READ req", 32);
+        sent(&mut s, "READ req", 32);
+        sent(&mut s, "READ resp", 4096);
+        s.kind_mut("OPEN req").fails += 1;
         assert_eq!(s.sends("READ req"), 2);
         assert_eq!(s.bytes("READ resp"), 4096);
         assert_eq!(s.failures("OPEN req"), 1);
@@ -424,11 +371,11 @@ mod tests {
     #[test]
     fn fault_counters_accumulate() {
         let mut s = NetStats::new();
-        s.record_drop("OPEN req");
-        s.record_drop("OPEN req");
-        s.record_duplicate("READ resp");
-        s.record_delay("SS poll");
-        s.record_retry("OPEN req");
+        s.kind_mut("OPEN req").drops += 1;
+        s.kind_mut("OPEN req").drops += 1;
+        s.kind_mut("READ resp").dups += 1;
+        s.kind_mut("SS poll").delays += 1;
+        s.kind_mut("OPEN req").retries += 1;
         assert_eq!(s.drops("OPEN req"), 2);
         assert_eq!(s.total_drops(), 2);
         assert_eq!(s.total_duplicates(), 1);
@@ -440,12 +387,12 @@ mod tests {
     #[test]
     fn service_table_accumulates_per_service() {
         let mut s = NetStats::new();
-        s.record_service_send("fs", 64);
-        s.record_service_send("fs", 1024);
-        s.record_service_retry("fs");
-        s.record_service_send("proc", 96);
-        s.record_service_drop("proc");
-        s.record_one_way_loss("proc", "EXIT notify");
+        s.service_mut("fs").sends += 2;
+        s.service_mut("fs").bytes += 1088;
+        s.service_mut("fs").retries += 1;
+        s.service_mut("proc").drops += 1;
+        s.service_mut("proc").losses += 1;
+        s.kind_mut("EXIT notify").losses += 1;
         assert_eq!(s.service("fs").sends, 2);
         assert_eq!(s.service("fs").bytes, 1088);
         assert_eq!(s.service("fs").retries, 1);
@@ -461,10 +408,10 @@ mod tests {
     #[test]
     fn delta_isolates_one_operation() {
         let mut s = NetStats::new();
-        s.record("OPEN req", 64);
+        sent(&mut s, "OPEN req", 64);
         let snap = s.clone();
-        s.record("OPEN req", 64);
-        s.record("OPEN resp", 128);
+        sent(&mut s, "OPEN req", 64);
+        sent(&mut s, "OPEN resp", 128);
         let d = s.delta_sends(&snap);
         assert_eq!(d.get("OPEN req"), Some(&1));
         assert_eq!(d.get("OPEN resp"), Some(&1));
@@ -478,12 +425,13 @@ mod tests {
     fn link_table_attributes_directions_separately() {
         let mut s = NetStats::new();
         let (a, b) = (SiteId(0), SiteId(1));
-        s.record_link_send(a, b, 64);
-        s.record_link_send(b, a, 32);
-        s.record_link_drop(a, b);
-        s.record_link_blocked(a, b);
-        s.record_link_slowed(b, a);
-        s.record_link_fail(b, a);
+        s.link_mut(a, b).sends += 1;
+        s.link_mut(a, b).bytes += 64;
+        s.link_mut(b, a).sends += 1;
+        s.link_mut(a, b).drops += 1;
+        s.link_mut(a, b).blocked += 1;
+        s.link_mut(b, a).slowed += 1;
+        s.link_mut(b, a).fails += 1;
         assert_eq!(s.link(a, b).sends, 1);
         assert_eq!(s.link(a, b).bytes, 64);
         assert_eq!(s.link(a, b).drops, 1);
@@ -500,12 +448,12 @@ mod tests {
     fn link_deltas_exclude_earlier_faults() {
         let mut s = NetStats::new();
         let (a, b) = (SiteId(0), SiteId(1));
-        s.record_link_drop(a, b);
-        s.record_link_slowed(a, b);
+        s.link_mut(a, b).drops += 1;
+        s.link_mut(a, b).slowed += 1;
         let snap = s.clone();
-        s.record_link_drop(a, b);
-        s.record_link_slowed(b, a);
-        s.record_link_blocked(b, a);
+        s.link_mut(a, b).drops += 1;
+        s.link_mut(b, a).slowed += 1;
+        s.link_mut(b, a).blocked += 1;
         let drops = s.delta_link_drops(&snap);
         assert_eq!(drops.get(&(a, b)), Some(&1), "only the new drop");
         let slowed = s.delta_link_slowed(&snap);
@@ -543,13 +491,13 @@ mod tests {
     fn drop_and_retry_deltas_exclude_earlier_faults() {
         let mut s = NetStats::new();
         // Setup traffic suffers faults too.
-        s.record_drop("OPEN req");
-        s.record_retry("OPEN req");
+        s.kind_mut("OPEN req").drops += 1;
+        s.kind_mut("OPEN req").retries += 1;
         let snap = s.clone();
         // The measured operation.
-        s.record_drop("PTN poll");
-        s.record_drop("PTN poll");
-        s.record_retry("PTN poll");
+        s.kind_mut("PTN poll").drops += 1;
+        s.kind_mut("PTN poll").drops += 1;
+        s.kind_mut("PTN poll").retries += 1;
         let drops = s.delta_drops(&snap);
         let retries = s.delta_retries(&snap);
         assert_eq!(drops.get("PTN poll"), Some(&2));

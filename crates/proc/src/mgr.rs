@@ -98,17 +98,6 @@ impl ProcMgr {
         Ok(f(p))
     }
 
-    /// All live processes on `site`.
-    pub fn procs_on(&self, site: SiteId) -> Vec<Pid> {
-        self.inner
-            .borrow()
-            .procs
-            .values()
-            .filter(|p| p.site == site && p.alive())
-            .map(|p| p.pid)
-            .collect()
-    }
-
     /// The execution site of `pid`.
     pub fn site_of(&self, pid: Pid) -> SysResult<SiteId> {
         Ok(self.get(pid)?.site)

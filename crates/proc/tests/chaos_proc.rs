@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use locus_fs::{FsCluster, FsClusterBuilder};
-use locus_net::{FaultPlan, FaultSpec, RetryPolicy, SimRng, TraceEvent};
+use locus_net::{FaultPlan, FaultSpec, NetStats, ObsEvent, RetryPolicy, SimRng};
 use locus_proc::ProcMgr;
 use locus_types::{Errno, SiteId, Ticks};
 use proptest::prelude::*;
@@ -250,27 +250,32 @@ fn lost_exit_notify_is_counted_not_silent() {
     assert!(pm.wait(parent).expect("wait").is_some());
 }
 
-/// Replaying one schedule must produce a byte-identical network trace:
+/// Replaying one schedule must produce a byte-identical event stream:
 /// the proc protocol inherits the engine's determinism.
 #[test]
 fn proc_protocol_trace_is_deterministic() {
     type Observation = (
-        Vec<TraceEvent>,
+        Vec<ObsEvent>,
         std::collections::BTreeMap<(String, String), locus_net::Histogram>,
+        NetStats,
     );
     let run = |seed: u64| -> Observation {
         let (fsc, pm) = cluster();
-        fsc.net().set_tracing(true);
         fsc.net().set_observing(true);
         fsc.net().install_faults(plan_for(seed));
         let _ = run_schedule_traced(seed, &fsc, &pm);
-        assert_eq!(fsc.net().trace_truncated(), 0, "trace must be complete");
-        (fsc.net().take_trace(), fsc.net().obs_histograms())
+        assert_eq!(fsc.net().obs_truncated(), 0, "trace must be complete");
+        (
+            fsc.net().take_obs_events(),
+            fsc.net().obs_histograms(),
+            fsc.net().stats(),
+        )
     };
-    let (ta, ha) = run(0xFEED);
-    let (tb, hb) = run(0xFEED);
+    let (ta, ha, sa) = run(0xFEED);
+    let (tb, hb, sb) = run(0xFEED);
     assert_eq!(ta, tb, "protocol traces diverged between identical runs");
     assert_eq!(ha, hb, "latency histograms diverged between identical runs");
+    assert_eq!(sa, sb, "statistics diverged between identical runs");
     assert!(ha.keys().any(|(svc, _)| svc == "proc"), "proc ops observed");
 }
 

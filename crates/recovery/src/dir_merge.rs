@@ -97,18 +97,15 @@ pub fn merge_directories(
         let Some(ino) = live_ino.or_else(|| recs.iter().map(|r| r.ino).min()) else {
             continue;
         };
-        let any_live = live_ino.is_some();
-        let any_tombstone = recs.iter().any(|r| r.removed);
+        // 2a/2c keep a live entry while the file is alive; 2b/2d let the
+        // delete win unless the file survived reconciliation (modified
+        // since the delete). A name that is a tombstone in every copy
+        // holding it stays one, even when the inode lives on under
+        // another name — a removed link is not brought back. The inode is
+        // interrogated for every name, live record or not: the oracle's
+        // inventory traffic is part of what a merge costs.
         let alive = file_alive(ino);
-        let keep_live = match (any_live, any_tombstone) {
-            // 2c: entry everywhere it appears, no deletes.
-            (true, false) => alive,
-            // 2b/2d: a delete exists somewhere; it propagates unless the
-            // file survived reconciliation (modified since the delete).
-            (true, true) | (false, true) => alive,
-            (false, false) => false,
-        };
-        if keep_live {
+        if live_ino.is_some() && alive {
             merged.insert(&name, ino).expect("names are unique here");
         } else {
             // Keep the tombstone so later merges still see the delete.
@@ -211,6 +208,26 @@ mod tests {
         assert_eq!(r.merged.lookup("a"), Some(Ino(1)));
         assert_eq!(r.merged.lookup("b"), Some(Ino(2)));
         assert_eq!(r.merged.lookup("c"), None);
+    }
+
+    /// Regression: unlinking one of two hard links leaves the inode alive
+    /// under the other name, and the removed name used to come back at
+    /// every merge (`EEXIST` on re-link).
+    #[test]
+    fn removed_link_stays_removed_while_the_inode_lives_on() {
+        let a = dir(&[("n1", 5, false), ("n2", 5, true)]);
+        let b = dir(&[("n1", 5, false), ("n2", 5, true)]);
+        let c = dir(&[("n1", 5, false)]);
+        let r = merge_directories(&[a, b, c], |_| true);
+        assert_eq!(r.merged.lookup("n1"), Some(Ino(5)));
+        assert_eq!(r.merged.lookup("n2"), None, "a tombstone in every copy");
+        assert!(r
+            .merged
+            .records()
+            .iter()
+            .any(|e| e.name == "n2" && e.removed));
+        let again = merge_directories(&[r.merged.clone(), r.merged.clone()], |_| true);
+        assert_eq!(again.merged, r.merged, "and it stays removed");
     }
 
     #[test]

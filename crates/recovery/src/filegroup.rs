@@ -254,17 +254,29 @@ fn reconcile_file_inner(
         // §4.4 rule b caveat for directories: a delete recorded in the
         // (vector-wise newer) winning copy must NOT propagate if the named
         // file was modified since the delete — the file-level pass has
-        // already resurrected it, so its entry comes back too.
+        // already resurrected it, so its entry comes back too. Only a
+        // delete some other copy has not seen can be undone this way: a
+        // name that is live nowhere was removed with every copy's
+        // knowledge (an unlinked hard link's inode lives on under its
+        // other name) and stays removed.
         let mut fixed_dir = false;
         if !latest.deleted && latest.ftype.is_directory_like() {
             let bytes = read_copy(fsc, winner, gfid)?;
             let dir = Directory::parse(&bytes)?;
+            let live_elsewhere = |name: &str| {
+                copies.iter().filter(|c| c.site != winner).any(|c| {
+                    read_copy(fsc, c.site, gfid)
+                        .and_then(|b| Directory::parse(&b))
+                        .is_ok_and(|d| d.lookup(name).is_some())
+                })
+            };
             let mut corrected = dir.clone();
             let mut changed = false;
             for rec in dir.records() {
                 if rec.removed
                     && file_alive(fsc, coordinator, Gfid::new(gfid.fg, rec.ino))
                     && corrected.lookup(&rec.name).is_none()
+                    && live_elsewhere(&rec.name)
                 {
                     corrected.insert(&rec.name, rec.ino).expect("name free");
                     changed = true;

@@ -203,6 +203,62 @@ fn delete_in_one_partition_propagates() {
     }
 }
 
+/// Regression: once every copy of a directory holds a removed hard link
+/// as a tombstone, no later merge may bring the name back just because
+/// the inode is still alive under its other name (it used to come back
+/// at every merge: `EEXIST` on re-link).
+#[test]
+fn removed_hard_link_stays_removed_across_later_merges() {
+    let fsc = cluster();
+    write_str(&fsc, s(0), "/kept", b"two names");
+    let c0 = ctx(&fsc, s(0));
+    namei::link(&fsc, s(0), &c0, "/kept", "/alias").unwrap();
+    fsc.settle();
+    let assert_alias_gone = |when: &str| {
+        for site in [s(0), s(1), s(2)] {
+            let c = ctx(&fsc, site);
+            assert_eq!(
+                namei::resolve(&fsc, site, &c, "/alias"),
+                Err(Errno::Enoent),
+                "the removed link is back at {site} {when}"
+            );
+            assert_eq!(read_str(&fsc, site, "/kept"), b"two names");
+        }
+    };
+
+    // Partition off the diskless site only: both containers see the
+    // unlink.
+    fsc.net().partition(&[vec![s(0), s(1)], vec![s(2)]]);
+    namei::unlink(&fsc, s(0), &c0, "/alias").unwrap();
+    fsc.settle();
+    merge_and_recover(&fsc);
+    fsc.settle();
+    assert_alias_gone("after the first merge");
+
+    // Both sides change the root directory: a two-copy directory merge.
+    partition(&fsc);
+    write_str(&fsc, s(0), "/from-a", b"A");
+    write_str(&fsc, s(1), "/from-b", b"B");
+    fsc.settle();
+    let report = merge_and_recover(&fsc);
+    assert!(report
+        .files
+        .iter()
+        .any(|(_, o)| *o == FileOutcome::DirectoryMerged));
+    fsc.settle();
+    assert_alias_gone("after a two-sided directory merge");
+
+    // One side changes it: the newer copy wins outright.
+    partition(&fsc);
+    write_str(&fsc, s(0), "/from-a-again", b"A2");
+    fsc.settle();
+    merge_and_recover(&fsc);
+    fsc.settle();
+    assert_alias_gone("after a one-sided merge");
+
+    namei::link(&fsc, s(0), &c0, "/kept", "/alias").expect("the name is free to re-link");
+}
+
 #[test]
 fn delete_versus_modify_saves_the_file() {
     // §4.4: "a file which was deleted in one partition while it was

@@ -63,11 +63,6 @@ impl Pack {
         Ok(())
     }
 
-    /// Whether this pack controls allocation of `ino`.
-    pub fn controls_ino(&self, ino: Ino) -> bool {
-        self.sb.ino_range.contains(&ino.0)
-    }
-
     /// Installs an inode under a caller-chosen number — used when a create
     /// or an update propagates in from another pack, and when building
     /// initial filesystem images.

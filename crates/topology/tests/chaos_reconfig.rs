@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use locus_net::{FaultPlan, FaultSpec, Net, SimRng, TraceEvent};
+use locus_net::{FaultPlan, FaultSpec, Net, NetStats, ObsEvent, SimRng};
 use locus_topology::{merge_protocol, partition_protocol, MergeTimeouts};
 use locus_types::{SiteId, Ticks};
 use proptest::prelude::*;
@@ -208,30 +208,31 @@ fn mid_poll_crash_excludes_the_victim_and_keeps_consensus() {
     }
 }
 
-/// Replaying one schedule must produce a byte-identical network trace:
+/// Replaying one schedule must produce a byte-identical event stream:
 /// the reconfiguration protocols inherit the engine's determinism.
 #[test]
 fn reconfig_trace_is_deterministic() {
     type Observation = (
-        Vec<TraceEvent>,
+        Vec<ObsEvent>,
         BTreeMap<(String, String), locus_net::Histogram>,
+        NetStats,
     );
     let run = |seed: u64| -> Observation {
         let net = Net::new(N_SITES as usize);
-        net.set_tracing(true);
         net.set_observing(true);
         let (plan, _) = plan_for(seed);
         net.install_faults(plan);
         let mut beliefs = full_beliefs();
         let _ = partition_protocol(&net, ACTIVE, &mut beliefs);
         let _ = merge_protocol(&net, ACTIVE, &mut beliefs, MergeTimeouts::default());
-        assert_eq!(net.trace_truncated(), 0, "trace must be complete");
-        (net.take_trace(), net.obs_histograms())
+        assert_eq!(net.obs_truncated(), 0, "trace must be complete");
+        (net.take_obs_events(), net.obs_histograms(), net.stats())
     };
-    let (ta, ha) = run(0xACE5);
-    let (tb, hb) = run(0xACE5);
+    let (ta, ha, sa) = run(0xACE5);
+    let (tb, hb, sb) = run(0xACE5);
     assert_eq!(ta, tb, "protocol traces diverged between identical runs");
     assert_eq!(ha, hb, "latency histograms diverged between identical runs");
+    assert_eq!(sa, sb, "statistics diverged between identical runs");
     assert!(
         ha.keys().any(|(svc, _)| svc == "topology"),
         "topology ops observed"

@@ -5,10 +5,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use locus_fs::ops::namei;
 use locus_fs::FsCluster;
+use locus_net::RpcEngine;
 use locus_types::{Errno, Gfid, SiteId, SysResult};
 
 use crate::locks::LockTable;
 pub use crate::locks::TxnId;
+use crate::proto::{TxnMsg, CTRL_BYTES};
 
 /// Transaction lifecycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,9 +52,6 @@ impl Default for TxnMgr {
     }
 }
 
-/// Wire size of a transaction-control message.
-const CTRL_BYTES: usize = 80;
-
 impl TxnMgr {
     /// An empty manager.
     pub fn new() -> Self {
@@ -81,14 +80,16 @@ impl TxnMgr {
             }
             p.site
         };
-        if psite != site {
-            fsc.net()
-                .send(psite, site, "TXN begin", CTRL_BYTES)
-                .map_err(|_| Errno::Esitedown)?;
-            fsc.net()
-                .send(site, psite, "TXN begin ack", CTRL_BYTES)
-                .map_err(|_| Errno::Esitedown)?;
-        }
+        RpcEngine::new(fsc.retry_policy())
+            .rpc(
+                fsc.net(),
+                psite,
+                site,
+                TxnMsg::Begin,
+                |_| CTRL_BYTES,
+                |_| (),
+            )
+            .map_err(|_| Errno::Esitedown)?;
         let tid = self.insert(Some(parent), site);
         self.inner
             .borrow_mut()
@@ -220,11 +221,9 @@ impl TxnMgr {
                 // Subtransaction: inherit updates and locks upward; one
                 // commit message if the parent is elsewhere.
                 let psite = self.inner.borrow().txns[&p].site;
-                if psite != site {
-                    fsc.net()
-                        .send(site, psite, "TXN commit", CTRL_BYTES)
-                        .map_err(|_| Errno::Esitedown)?;
-                }
+                RpcEngine::new(fsc.retry_policy())
+                    .one_way(fsc.net(), site, psite, TxnMsg::Commit, |_| ())
+                    .map_err(|_| Errno::Esitedown)?;
                 let mut g = self.inner.borrow_mut();
                 let parent_txn = g.txns.get_mut(&p).ok_or(Errno::Enotxn)?;
                 if parent_txn.state != TxnState::Active {
