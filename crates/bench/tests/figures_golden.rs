@@ -10,7 +10,23 @@ fn assert_stdout_matches(exe: &str, golden: &str) {
     let out = Command::new(exe).output().expect("figure binary runs");
     assert!(out.status.success(), "{exe} exited with {}", out.status);
     let got = String::from_utf8(out.stdout).expect("figure output is UTF-8");
-    assert_eq!(got, golden, "{exe} no longer prints the golden figure");
+    if got == golden {
+        return;
+    }
+    // Name the first line that differs, so a re-pin can be reviewed from
+    // the log alone (a missing line shows as `<end of output>`).
+    let (mut g, mut w) = (got.lines(), golden.lines());
+    let mut line = 1;
+    loop {
+        let (got, want) = (g.next(), w.next());
+        assert!(
+            got == want && got.is_some(),
+            "{exe} no longer prints the golden figure; first difference at line {line}:\n   got: {}\n  want: {}",
+            got.unwrap_or("<end of output>"),
+            want.unwrap_or("<end of output>"),
+        );
+        line += 1;
+    }
 }
 
 #[test]

@@ -3,8 +3,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
+use locus_net::Net;
 use locus_storage::{BufferCache, Pack, ShadowSession};
-use locus_types::{Errno, FilegroupId, Gfid, MachineType, OpenMode, PackId, SiteId, SysResult};
+use locus_types::{
+    Errno, FilegroupId, Gfid, MachineType, OpenMode, PackId, SiteId, SysResult, Ticks,
+    VersionVector,
+};
 
 use crate::device::DeviceState;
 use crate::incore::Incore;
@@ -64,6 +68,33 @@ pub struct WriteBehind {
     pub pages: Vec<Vec<u8>>,
     /// File size after applying the buffered pages.
     pub new_size: u64,
+}
+
+/// US-side mirror of what this site has changed in a file's open
+/// modification session at a *remote* SS: the image of every page it sent
+/// and the lowest page count it truncated to. Nothing here is visible to
+/// a reader until the session commits; on the `Committed` reply the
+/// images go into this site's network-keyed buffer cache under the
+/// committed version, so re-reading a file just rewritten costs no
+/// `READ req`. Abort, a failed commit, the last close and §5.6 cleanup
+/// simply drop it.
+#[derive(Clone, Debug)]
+pub struct Staged {
+    /// Page images sent to the SS, by logical page number.
+    pub pages: BTreeMap<usize, Vec<u8>>,
+    /// Lowest page count the session was truncated to (`usize::MAX` if
+    /// it never was): a page at or past it that is not in `pages` is a
+    /// hole in the session, whatever the cache holds for it.
+    pub npages: usize,
+}
+
+impl Default for Staged {
+    fn default() -> Self {
+        Staged {
+            pages: BTreeMap::new(),
+            npages: usize::MAX,
+        }
+    }
 }
 
 /// One open-file table entry.
@@ -158,6 +189,8 @@ pub struct FsKernel {
     pub name_cache: crate::namecache::NameAttrCache,
     /// Per-file write-behind buffers (batched I/O mode only).
     pub(crate) write_behind: HashMap<Gfid, WriteBehind>,
+    /// Per-file images of the pages sent to a remote SS's open session.
+    pub(crate) staged: HashMap<Gfid, Staged>,
     /// Cumulative synchronization requests this site served *as CSS*,
     /// per filegroup (§2.3.1 open/close/VV-check traffic). The placement
     /// driver samples deltas of this counter as its request-queue-depth
@@ -195,6 +228,7 @@ impl FsKernel {
             latest: HashMap::new(),
             name_cache: crate::namecache::NameAttrCache::new(),
             write_behind: HashMap::new(),
+            staged: HashMap::new(),
             css_served: BTreeMap::new(),
             css_claims: 0,
             lease_holders: BTreeMap::new(),
@@ -316,8 +350,10 @@ impl FsKernel {
     }
 
     /// Detaches a physical container (live replica removal). Returns the
-    /// pack, if this site hosted it.
+    /// pack, if this site hosted it. The buffers go with it: a pack-keyed
+    /// cache entry stands for a page *of that pack*.
     pub fn detach_pack(&mut self, id: PackId) -> Option<Pack> {
+        self.cache.clear();
         self.packs.remove(&id)
     }
 
@@ -431,15 +467,106 @@ impl FsKernel {
         self.prop_queue.len()
     }
 
-    /// Enqueues a propagation pull unless an identical one is pending.
+    /// Enqueues a propagation pull. A request already pending for the
+    /// same file and source absorbs the new one: the pull installs the
+    /// source's *latest* version, so it must fetch every page any of the
+    /// commits it covers changed — the union of their page lists, and
+    /// all pages as soon as one of them does not know its list.
     pub fn enqueue_propagation(&mut self, req: PropReq) {
-        let dup = self
+        let pending = self
             .prop_queue
-            .iter()
-            .any(|r| r.gfid == req.gfid && r.source == req.source);
-        if !dup {
+            .iter_mut()
+            .find(|r| r.gfid == req.gfid && r.source == req.source);
+        let Some(pending) = pending else {
             self.prop_queue.push_back(req);
+            return;
+        };
+        pending.pages = match (pending.pages.take(), req.pages) {
+            (Some(a), Some(b)) => Some(
+                a.into_iter()
+                    .chain(b)
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect(),
+            ),
+            _ => None,
+        };
+    }
+
+    /// Drains the disk time accumulated on the local container of `fg`
+    /// and charges it to this site. Every handler that touches the disk
+    /// ends with this, so the meter reads zero between handlers and a
+    /// page's 25 ms lands on the operation and the site that caused it.
+    pub(crate) fn charge_io(&mut self, net: &Net, fg: FilegroupId) {
+        let io = self.take_io(fg);
+        if io > Ticks::ZERO {
+            net.charge_cpu_at(self.site, io);
         }
+    }
+
+    /// Drains the local container's disk meter for a handler that folds
+    /// it into a larger charge of its own.
+    pub(crate) fn take_io(&mut self, fg: FilegroupId) -> Ticks {
+        self.pack_of(fg)
+            .map(|p| p.take_io_cost())
+            .unwrap_or_default()
+    }
+
+    /// The one place a shadow session becomes the committed version of
+    /// `gfid` in this site's container. Pairs the atomic inode switch
+    /// with everything that must follow it at this site: the session's
+    /// buffers are *installed* in the buffer cache (pages it cut off are
+    /// dropped, pages it did not touch stay — a pack-keyed entry always
+    /// equals the committed page in the pack), the name/attribute entries
+    /// of the superseded version go, `known_latest` learns the vector,
+    /// and the disk time is charged here, to the site that did the I/O.
+    pub(crate) fn commit_session(
+        &mut self,
+        net: &Net,
+        gfid: Gfid,
+        sess: ShadowSession,
+        vv: VersionVector,
+    ) -> SysResult<InodeInfo> {
+        let pack = self.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
+        let pid = pack.id();
+        let committed = sess.commit(pack, vv);
+        self.charge_io(net, gfid.fg);
+        let committed = committed?;
+        self.cache
+            .install(pid, gfid.ino, committed.pages, committed.npages);
+        self.name_cache.invalidate(gfid);
+        let info = self.local_info(gfid).expect("just committed");
+        self.note_latest(gfid, &info.vv);
+        Ok(info)
+    }
+
+    /// Discards the open modification session of `gfid`, if any, leaving
+    /// the committed version (and therefore the buffer cache) as it was.
+    /// Releasing shadow blocks costs no disk time, and the writes that
+    /// filled them were charged as they happened.
+    pub(crate) fn abort_session(&mut self, gfid: Gfid) -> SysResult<()> {
+        self.session_writer.remove(&gfid);
+        let Some(sess) = self.sessions.remove(&gfid) else {
+            return Ok(());
+        };
+        sess.abort(self.pack_of(gfid.fg).ok_or(Errno::Enocopy)?)
+    }
+
+    /// Takes `writer`'s open modification session on `gfid` out of the
+    /// table, beginning one on first touch; the caller puts it back. A
+    /// leftover session from a *different* writer is dead — the
+    /// single-writer policy means that writer's close or abort was lost
+    /// in transit — and is discarded before the new session begins.
+    pub(crate) fn take_session(&mut self, writer: SiteId, gfid: Gfid) -> SysResult<ShadowSession> {
+        if self.session_writer.get(&gfid) != Some(&writer) {
+            self.abort_session(gfid)?;
+        }
+        let sess = match self.sessions.remove(&gfid) {
+            Some(sess) => sess,
+            None => ShadowSession::begin(self.pack_of(gfid.fg).ok_or(Errno::Enocopy)?, gfid.ino)?,
+        };
+        self.session_writer.insert(gfid, writer);
+        Ok(sess)
     }
 
     /// Device registry access for examples/tests (attach input, inspect
@@ -547,17 +674,29 @@ mod tests {
     }
 
     #[test]
-    fn propagation_queue_dedups() {
+    fn propagation_queue_merges_page_lists_of_one_file_and_source() {
         let mut k = FsKernel::new(SiteId(0), MachineType::Vax);
         let gfid = Gfid::new(FilegroupId(0), Ino(2));
-        let req = PropReq {
+        let req = |pages: Option<Vec<usize>>| PropReq {
             gfid,
             source: SiteId(1),
-            pages: None,
+            pages,
         };
-        k.enqueue_propagation(req.clone());
-        k.enqueue_propagation(req);
+        k.enqueue_propagation(req(Some(vec![0, 2])));
+        k.enqueue_propagation(req(Some(vec![3, 2])));
         assert_eq!(k.prop_queue_len(), 1);
+        assert_eq!(k.prop_queue[0].pages, Some(vec![0, 2, 3]), "union, sorted");
+        // A commit that cannot list its pages makes the pull fetch all.
+        k.enqueue_propagation(req(None));
+        k.enqueue_propagation(req(Some(vec![1])));
+        assert_eq!(k.prop_queue_len(), 1);
+        assert_eq!(k.prop_queue[0].pages, None, "`None` absorbs");
+        // Another source is another pull.
+        k.enqueue_propagation(PropReq {
+            source: SiteId(2),
+            ..req(None)
+        });
+        assert_eq!(k.prop_queue_len(), 2);
     }
 
     #[test]

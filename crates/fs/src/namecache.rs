@@ -57,23 +57,18 @@ struct CachedDir {
     types: HashMap<Ino, FileType>,
 }
 
-/// One cached attribute entry.
-#[derive(Debug)]
-struct CachedAttr {
-    /// Inode information as of the version in `info.vv`.
-    info: InodeInfo,
-    /// Version under which remotely fetched *pages* of this file were
-    /// cached — the page-valid check of §3.2 fn 1 (formerly the ad-hoc
-    /// `cache_vv` map). Tracked separately from `info.vv`: attribute
-    /// refreshes must never make stale buffered pages look current.
-    pages_vv: Option<VersionVector>,
-}
-
 /// The per-site name and attribute cache.
 #[derive(Debug, Default)]
 pub struct NameAttrCache {
     dirs: HashMap<Gfid, CachedDir>,
-    attrs: HashMap<Gfid, CachedAttr>,
+    /// Inode information as of the version in its `vv`.
+    attrs: HashMap<Gfid, InodeInfo>,
+    /// Version the remotely fetched *pages* of a file in this site's
+    /// buffer cache are valid for — the page-valid check of §3.2 fn 1.
+    /// Kept apart from `attrs`: an attribute refresh must never make
+    /// stale buffered pages look current, and a commit by this site
+    /// re-tags the pages it installed without vouching for attributes.
+    page_tags: HashMap<Gfid, VersionVector>,
     /// Files this site holds a CSS-granted coherence lease on: cached
     /// entries for these gfids may be served without a `VvCheck` probe
     /// until a `LeaseRecall` (or any invalidation) drops the mark. A mark
@@ -104,28 +99,38 @@ impl NameAttrCache {
     /// opened. Always re-tags the entry with the opened version and
     /// refreshes the attribute copy — the open reply is authoritative.
     pub fn pages_fresh(&mut self, gfid: Gfid, info: &InodeInfo) -> bool {
-        let e = self.attrs.entry(gfid).or_insert_with(|| CachedAttr {
-            info: info.clone(),
-            pages_vv: None,
-        });
-        let fresh = e.pages_vv.as_ref() == Some(&info.vv);
+        let fresh = self.page_tag(gfid) == Some(&info.vv);
         if fresh {
             self.attr_hits += 1;
         } else {
             self.attr_misses += 1;
         }
-        e.pages_vv = Some(info.vv.clone());
-        e.info = info.clone();
+        self.tag_pages(gfid, info.vv.clone());
+        self.attrs.insert(gfid, info.clone());
         fresh
+    }
+
+    /// The version this site's network-fetched pages of `gfid` are valid
+    /// for, if any are vouched for at all.
+    pub fn page_tag(&self, gfid: Gfid) -> Option<&VersionVector> {
+        self.page_tags.get(&gfid)
+    }
+
+    /// Declares this site's network-keyed pages of `gfid` valid for
+    /// exactly `vv`. Only two callers may: the page-valid check above
+    /// (after dropping whatever failed it) and the using site's commit,
+    /// which has just brought the pages to the committed version.
+    pub fn tag_pages(&mut self, gfid: Gfid, vv: VersionVector) {
+        self.page_tags.insert(gfid, vv);
     }
 
     /// Serves the cached attributes if they cover `latest` (the version
     /// the CSS vouched for).
     pub fn attr_fresh(&mut self, gfid: Gfid, latest: &VersionVector) -> Option<InodeInfo> {
         match self.attrs.get(&gfid) {
-            Some(e) if e.info.vv.covers(latest) => {
+            Some(info) if info.vv.covers(latest) => {
                 self.attr_hits += 1;
-                Some(e.info.clone())
+                Some(info.clone())
             }
             _ => {
                 self.attr_misses += 1;
@@ -137,18 +142,7 @@ impl NameAttrCache {
     /// Upserts attributes learned from a stat or a directory read,
     /// leaving the page-valid tag alone.
     pub fn insert_attr(&mut self, gfid: Gfid, info: InodeInfo) {
-        match self.attrs.get_mut(&gfid) {
-            Some(e) => e.info = info,
-            None => {
-                self.attrs.insert(
-                    gfid,
-                    CachedAttr {
-                        info,
-                        pages_vv: None,
-                    },
-                );
-            }
-        }
+        self.attrs.insert(gfid, info);
     }
 
     /// Serves the cached directory contents and inode info if they cover
@@ -241,14 +235,10 @@ impl NameAttrCache {
         if !self.leases.contains(&gfid) {
             return None;
         }
-        match self.attrs.get(&gfid) {
-            Some(e) => {
-                self.attr_hits += 1;
-                self.lease_hits += 1;
-                Some(e.info.clone())
-            }
-            None => None,
-        }
+        let info = self.attrs.get(&gfid)?.clone();
+        self.attr_hits += 1;
+        self.lease_hits += 1;
+        Some(info)
     }
 
     /// Serves the cached directory contents under a live lease (see
@@ -307,6 +297,7 @@ impl NameAttrCache {
         self.leases.remove(&gfid);
         self.invalidations += u64::from(self.dirs.remove(&gfid).is_some());
         self.invalidations += u64::from(self.attrs.remove(&gfid).is_some());
+        self.page_tags.remove(&gfid);
     }
 
     /// Conservative whole-cache flush at a partition or merge transition
@@ -316,6 +307,7 @@ impl NameAttrCache {
         self.invalidations += (self.dirs.len() + self.attrs.len()) as u64;
         self.dirs.clear();
         self.attrs.clear();
+        self.page_tags.clear();
         self.leases.clear();
     }
 
@@ -326,9 +318,7 @@ impl NameAttrCache {
     /// first post-readmission open, even though the attribute copy is
     /// revalidated by the normal VvCheck path.
     pub fn clear_page_tags(&mut self) {
-        for e in self.attrs.values_mut() {
-            e.pages_vv = None;
-        }
+        self.page_tags.clear();
     }
 
     /// Number of cached entries, directories plus attributes (tests

@@ -140,6 +140,7 @@ pub fn cleanup_site(fsc: &FsCluster, site: SiteId, alive: &BTreeSet<SiteId>) -> 
     for (fd, gfid, write) in affected {
         if write {
             // "Discard pages, set error in local file descriptor."
+            crate::ops::io::discard_session_buffers(fsc, site, gfid);
             let mut k = fsc.kernel(site);
             if let Ok(of) = k.fd_mut(fd) {
                 of.error = Some(Errno::Esitedown);

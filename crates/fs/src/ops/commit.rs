@@ -33,6 +33,9 @@ fn commit_at_inner(
     // Commit is a write-behind flush point: every buffered page must be in
     // the SS's shadow session before the session is committed.
     io::flush_write_behind(fsc, us, gfid)?;
+    // The page images this site sent into the session leave the staging
+    // area here, so a failed commit drops them with the `?` below.
+    let staged = fsc.kernel(us).staged.remove(&gfid).unwrap_or_default();
     let reply = if ss == us {
         handle_commit(fsc, ss, gfid, meta)?
     } else {
@@ -42,12 +45,23 @@ fn commit_at_inner(
         return Err(Errno::Eio);
     };
     let mut k = fsc.kernel(us);
+    k.name_cache.invalidate(gfid);
+    if ss != us {
+        // Of this site's network-keyed pages of the file, exactly the
+        // images it sent are known to be pages of the committed version:
+        // they stay, tagged with it, and everything else goes (the SS's
+        // `Invalidate` to its readers has usually taken it already).
+        let net_pack = io::net_cache_pack(gfid.fg);
+        if info.deleted {
+            k.cache.install(net_pack, gfid.ino, [], 0);
+        } else {
+            k.cache.install(net_pack, gfid.ino, staged.pages, 0);
+            k.name_cache.tag_pages(gfid, info.vv.clone());
+        }
+    }
     if let Some(inc) = k.incore_get(gfid) {
         inc.info = info.clone();
     }
-    k.cache
-        .invalidate_file(io::net_cache_pack(gfid.fg), gfid.ino);
-    k.name_cache.invalidate(gfid);
     Ok(info)
 }
 
@@ -56,7 +70,7 @@ fn commit_at_inner(
 pub fn abort_at(fsc: &FsCluster, us: SiteId, gfid: Gfid, ss: SiteId) -> SysResult<()> {
     fsc.with_span("abort", us, || {
         fsc.net().charge_cpu_at(us, cost::SYSCALL_CPU);
-        io::discard_write_behind(fsc, us, gfid);
+        io::discard_session_buffers(fsc, us, gfid);
         if ss == us {
             handle_abort(fsc, ss, gfid)?;
         } else {
@@ -119,10 +133,16 @@ pub(crate) fn handle_commit(
             }
         }
         sess.set_mtime(now);
-        let pages = sess.modified_pages();
-        let inode_only = pages.is_empty();
-        let pack = k.pack_of(gfid.fg).expect("session implies pack");
-        let origin = pack.origin();
+        // "Which explicit logical pages were modified" — unless the
+        // session also cut pages off, which no list of written pages can
+        // tell a replica: then it must pull the whole file. And a commit
+        // that wrote no page but changed the size (a truncate over
+        // holes) is no inode-only change either: only a pull resizes a
+        // data copy.
+        let pages = (!sess.cut_pages()).then(|| sess.modified_pages());
+        let resized = k.local_info(gfid).map(|i| i.size) != Some(sess.working().size);
+        let inode_only = !resized && pages.as_ref().is_some_and(|p| p.is_empty());
+        let origin = k.pack_of(gfid.fg).expect("session implies pack").origin();
         let mut vv = sess.working().vv.clone();
         vv.bump(origin);
         // The begin/end pair brackets the atomic shadow-page install; the
@@ -133,29 +153,19 @@ pub(crate) fn handle_commit(
             fsc.net()
                 .obs_note(ss, "commit.begin", &gfid.to_string(), vv_total);
         }
-        let committed = sess.commit(pack, vv);
-        if committed.is_err() {
-            if fsc.net().observing() {
-                // The bracket closes whether the install succeeded or was
-                // rejected atomically — either way the critical section
-                // ended.
-                fsc.net()
-                    .obs_note(ss, "commit.end", &gfid.to_string(), vv_total);
-            }
-            committed?;
+        let committed = k.commit_session(fsc.net(), gfid, sess, vv);
+        if committed.is_err() && fsc.net().observing() {
+            // The bracket closes whether the install succeeded or was
+            // rejected atomically — either way the critical section
+            // ended.
+            fsc.net()
+                .obs_note(ss, "commit.end", &gfid.to_string(), vv_total);
         }
-        let pack_id = pack.id();
-        let info = InodeInfo::from(pack.inode(gfid.ino).expect("just committed"));
-        let io_cost = pack.take_io_cost();
-        k.cache.invalidate_file(pack_id, gfid.ino);
-        k.name_cache.invalidate(gfid);
-        k.note_latest(gfid, &info.vv);
+        let info = committed?;
         let readers: Vec<SiteId> = k
             .incore_get(gfid)
             .map(|inc| inc.serving.iter().copied().collect())
             .unwrap_or_default();
-        drop(k);
-        fsc.net().charge_cpu_at(ss, io_cost);
         (info, pages, inode_only, containers, css, readers, origin, vv_total)
     };
 
@@ -177,21 +187,21 @@ pub(crate) fn handle_commit(
     // [`FsCluster::notify`]); the *data* propagation they trigger is
     // background pull work, drained by `settle`. A notification lost to
     // a partition is recovered at merge.
-    let notify = |source_pages: Option<Vec<usize>>| FsMsg::CommitNotify {
+    let notify = || FsMsg::CommitNotify {
         gfid,
         vv: info.vv.clone(),
         source: ss,
         origin,
         inode_only,
-        pages: source_pages,
+        pages: pages.clone(),
         info: info.clone(),
     };
     if css != ss {
-        fsc.notify(ss, css, notify(Some(pages.clone())));
+        fsc.notify(ss, css, notify());
     }
     for (_, site) in containers {
         if site != ss && site != css {
-            fsc.notify(ss, site, notify(Some(pages.clone())));
+            fsc.notify(ss, site, notify());
         }
     }
     // Readers holding now-stale buffers get invalidations (the simplified
@@ -207,12 +217,7 @@ pub(crate) fn handle_commit(
 /// SS-side abort handler.
 pub(crate) fn handle_abort(fsc: &FsCluster, ss: SiteId, gfid: Gfid) -> SysResult<FsReply> {
     fsc.net().charge_cpu_at(ss, cost::CONTROL_CPU);
-    let mut k = fsc.kernel(ss);
-    k.session_writer.remove(&gfid);
-    if let Some(sess) = k.sessions.remove(&gfid) {
-        let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-        sess.abort(pack)?;
-    }
+    fsc.kernel(ss).abort_session(gfid)?;
     Ok(FsReply::Ok)
 }
 
@@ -238,6 +243,9 @@ pub(crate) fn handle_commit_notify(
     // file — holders must revalidate against the new version.
     let at_css = k.mount.css_of(gfid.fg) == Ok(at);
     let mut enqueue = false;
+    // A session that folds the notified inode information into the local
+    // copy without a pull.
+    let mut fold_in = None;
     {
         let Some(pack) = k.pack_of(gfid.fg) else {
             drop(k);
@@ -276,7 +284,7 @@ pub(crate) fn handle_commit_notify(
                     let mut sess = ShadowSession::begin(pack, gfid.ino)?;
                     sess.mark_deleted();
                     sess.set_nlink(info.nlink);
-                    sess.commit(pack, vv)?;
+                    fold_in = Some(sess);
                 } else if !has_data || (inode_only && is_immediate_predecessor) {
                     // Metadata-only change, or a copy that stores no data:
                     // fold the inode information in directly.
@@ -290,7 +298,7 @@ pub(crate) fn handle_commit_notify(
                         sess.set_size(info.size);
                         enqueue = is_replica && info.size > 0;
                     }
-                    sess.commit(pack, vv)?;
+                    fold_in = Some(sess);
                 } else {
                     // A stale data copy: bring it up to date by pulling.
                     enqueue = true;
@@ -298,10 +306,14 @@ pub(crate) fn handle_commit_notify(
             }
         }
     }
-    {
-        let pid = k.pack_of(gfid.fg).expect("container checked above").id();
-        k.cache.invalidate_file(pid, gfid.ino);
-        k.name_cache.invalidate(gfid);
+    // The buffer cache changes only with the pack: a fold-in installs
+    // what it changed (nothing, or everything gone on a delete), and a
+    // copy that is merely known stale keeps serving its own pages.
+    match fold_in {
+        Some(sess) => {
+            k.commit_session(fsc.net(), gfid, sess, vv)?;
+        }
+        None => k.name_cache.invalidate(gfid),
     }
     if enqueue {
         k.enqueue_propagation(PropReq {
@@ -385,11 +397,11 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
         if pack.inode(gfid.ino).is_some() {
             let mut sess = ShadowSession::begin(pack, gfid.ino)?;
             sess.mark_deleted();
-            sess.commit(pack, info.vv.clone())?;
+            k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
         } else {
             pack.install_inode(gfid.ino, info.to_disk_inode(false));
+            k.name_cache.invalidate(gfid);
         }
-        k.name_cache.invalidate(gfid);
         drop(k);
         recall_if_css(fsc, site, gfid);
         return Ok(());
@@ -413,12 +425,8 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
             sess.set_nlink(info.nlink);
             sess.set_replicas(info.replicas.clone());
             sess.set_mtime(info.mtime);
-            sess.commit(pack, info.vv.clone())?;
+            k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
             drop(k);
-            fsc.with_kernel(site, |k| {
-                k.name_cache.invalidate(gfid);
-                k.note_latest(gfid, &info.vv);
-            });
             recall_if_css(fsc, site, gfid);
             return Ok(());
         }
@@ -499,7 +507,9 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
     let mut k = fsc.kernel(site);
     let pack = k.pack_of(gfid.fg).expect("checked above");
     if failed {
-        sess.abort(pack)?;
+        let aborted = sess.abort(pack);
+        k.charge_io(fsc.net(), gfid.fg);
+        aborted?;
         return Err(Errno::Esitedown);
     }
     sess.truncate_pages(pack, npages)?;
@@ -510,13 +520,10 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
     sess.set_replicas(info.replicas.clone());
     sess.set_mtime(info.mtime);
     sess.set_data_here(true);
-    sess.commit(pack, info.vv.clone())?;
-    let pid = pack.id();
-    k.cache.invalidate_file(pid, gfid.ino);
-    k.cache
-        .invalidate_file(io::net_cache_pack(gfid.fg), gfid.ino);
-    k.name_cache.invalidate(gfid);
-    k.note_latest(gfid, &info.vv);
+    // The pulled buffers go from the wire into the shadow session and
+    // from the session into the buffer cache: the replica serves the
+    // version it just fetched without reading it back from its disk.
+    k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
     drop(k);
     recall_if_css(fsc, site, gfid);
     Ok(())

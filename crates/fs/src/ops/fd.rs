@@ -329,11 +329,16 @@ pub fn abort_fd(fsc: &FsCluster, site: SiteId, fd: Fd) -> SysResult<()> {
         let of = k.fd(fd)?;
         (of.gfid, of.ss)
     };
-    // Buffered-but-unsent pages are part of the aborted modifications.
-    crate::ops::io::discard_write_behind(fsc, site, gfid);
+    // `abort_at` drops the buffered-but-unsent pages with the session.
     commit::abort_at(fsc, site, gfid, ss)?;
     let mut k = fsc.kernel(site);
+    // "Back to the previous commit point" includes the size the aborted
+    // writes grew the descriptor to.
+    let committed = k.incore_get(gfid).map(|inc| inc.info.clone());
     let of = k.fd_mut(fd)?;
+    if let Some(info) = committed {
+        of.info = info;
+    }
     of.wrote = false;
     Ok(())
 }

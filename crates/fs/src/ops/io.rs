@@ -45,9 +45,10 @@ pub(crate) fn local_read_page(
 
 /// Reads one page locally *through the kernel buffer cache* ("all such
 /// requests are serviced via kernel buffers", §2.3.3). Session-served
-/// pages are never cached (they change in place); committed pages are
-/// cacheable even while a session is open, since the session only
-/// becomes visible at commit — which invalidates the cache.
+/// pages bypass the cache in both directions (they are not committed
+/// content); committed pages are cacheable even while a session is open,
+/// since the session only becomes visible at commit — which installs its
+/// pages in the cache ([`FsKernel::commit_session`]).
 pub(crate) fn cached_local_page(
     k: &mut FsKernel,
     requester: SiteId,
@@ -83,14 +84,12 @@ pub fn get_page(
     if ss == us {
         let mut k = fsc.kernel(us);
         let data = cached_local_page(&mut k, us, gfid, lpn)?;
-        let io = k
-            .pack_of(gfid.fg)
-            .map(|p| p.take_io_cost())
-            .unwrap_or_default();
-        // Local one-page readahead for sequential access.
+        let io = k.take_io(gfid.fg);
+        // Local one-page readahead for sequential access: asynchronous,
+        // so its disk time is not the reader's.
         if lpn + 1 < npages {
             let _ = cached_local_page(&mut k, us, gfid, lpn + 1);
-            let _ = k.pack_of(gfid.fg).map(|p| p.take_io_cost());
+            let _ = k.take_io(gfid.fg);
         }
         drop(k);
         fsc.net().charge_cpu_at(us, io + cost::PAGE_SERVICE_CPU);
@@ -99,10 +98,7 @@ pub fn get_page(
 
     // Remote page: check the network cache, then run the two-message read
     // protocol ("US -> SS request for page x of file y; SS -> US response").
-    let key = (net_cache_pack(gfid.fg), gfid.ino, lpn);
-    if let Some(data) = fsc.kernel(us).cache.get(&key) {
-        // Buffer-cache hits still cost the copy out of the kernel buffer.
-        fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
+    if let Some(data) = buffered_remote_page(fsc, us, gfid, lpn) {
         return Ok(data);
     }
     fsc.net().charge_cpu_at(us, cost::REMOTE_SETUP_CPU);
@@ -118,7 +114,7 @@ pub fn get_page(
     let FsReply::Page { data } = reply else {
         return Err(Errno::Eio);
     };
-    fsc.kernel(us).cache.put(key, data.clone());
+    cache_fetched(&mut fsc.kernel(us), gfid, lpn, data.clone());
     // Readahead "both at the SS, as well as across the network" (§2.3.3).
     if lpn + 1 < npages {
         let next_key = (net_cache_pack(gfid.fg), gfid.ino, lpn + 1);
@@ -133,11 +129,40 @@ pub fn get_page(
                     guess: 0,
                 },
             ) {
-                fsc.kernel(us).cache.put(next_key, next);
+                cache_fetched(&mut fsc.kernel(us), gfid, lpn + 1, next);
             }
         }
     }
     Ok(data)
+}
+
+/// Serves a page of a remotely stored file from this site's own buffers:
+/// the image it staged for its open modification session (read-your-
+/// writes without a round trip), else the network-keyed cache.
+fn buffered_remote_page(fsc: &FsCluster, us: SiteId, gfid: Gfid, lpn: usize) -> Option<Vec<u8>> {
+    let mut k = fsc.kernel(us);
+    let (staged, cut) = k.staged.get(&gfid).map_or((None, false), |s| {
+        (s.pages.get(&lpn).cloned(), lpn >= s.npages)
+    });
+    let data = match staged {
+        Some(page) => page,
+        // Truncated away in this session and not rewritten: whatever the
+        // cache holds for it is the old version's page.
+        None if cut => return None,
+        None => k.cache.get(&(net_cache_pack(gfid.fg), gfid.ino, lpn))?,
+    };
+    // Buffer hits still cost the copy out of the kernel buffer.
+    fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
+    Some(data)
+}
+
+/// Keeps a page fetched from a remote SS in the network-keyed cache —
+/// unless this site has uncommitted changes to the file: then the SS is
+/// serving its session, and what it sent need not be committed content.
+fn cache_fetched(k: &mut FsKernel, gfid: Gfid, lpn: usize, data: Vec<u8>) {
+    if !k.staged.contains_key(&gfid) {
+        k.cache.put((net_cache_pack(gfid.fg), gfid.ino, lpn), data);
+    }
 }
 
 /// SS-side read handler.
@@ -151,10 +176,7 @@ pub(crate) fn handle_read_page(
     let (data, io, vv_total) = {
         let mut k = fsc.kernel(ss);
         let data = cached_local_page(&mut k, from, gfid, lpn)?;
-        let io = k
-            .pack_of(gfid.fg)
-            .map(|p| p.take_io_cost())
-            .unwrap_or_default();
+        let io = k.take_io(gfid.fg);
         let vv_total = k.local_info(gfid).map(|i| i.vv.total()).unwrap_or(0);
         (data, io, vv_total)
     };
@@ -194,9 +216,7 @@ pub fn get_page_batched(
         return get_page(fsc, us, gfid, ss, lpn, npages).map(|d| (d, 0));
     }
     flush_write_behind(fsc, us, gfid)?;
-    let key = (net_cache_pack(gfid.fg), gfid.ino, lpn);
-    if let Some(data) = fsc.kernel(us).cache.get(&key) {
-        fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
+    if let Some(data) = buffered_remote_page(fsc, us, gfid, lpn) {
         return Ok((data, 0));
     }
     // Extend the request over consecutive pages still missing from the
@@ -235,8 +255,7 @@ pub fn get_page_batched(
     let fetched = pages.len();
     let mut k = fsc.kernel(us);
     for (i, page) in pages.iter().enumerate() {
-        k.cache
-            .put((net_cache_pack(gfid.fg), gfid.ino, lpn + i), page.clone());
+        cache_fetched(&mut k, gfid, lpn + i, page.clone());
     }
     drop(k);
     Ok((pages.into_iter().next().expect("checked non-empty"), fetched))
@@ -261,7 +280,7 @@ pub(crate) fn handle_read_pages(
         for i in 0..count.max(1) {
             match cached_local_page(&mut k, from, gfid, first + i) {
                 Ok(data) => {
-                    io += k.pack_of(gfid.fg).map(|p| p.take_io_cost()).unwrap_or_default();
+                    io += k.take_io(gfid.fg);
                     pages.push(data);
                 }
                 Err(e) if pages.is_empty() => return Err(e),
@@ -276,12 +295,11 @@ pub(crate) fn handle_read_pages(
     Ok(FsReply::Pages { pages })
 }
 
-/// Writes one page into the file's open modification session at its SS,
-/// beginning the session on first touch. A leftover session from a
-/// *different* writer is dead — the single-writer policy means that
-/// writer's close or abort was lost in transit — and is discarded before
-/// the new session begins.
+/// Writes one page into `writer`'s open modification session at the SS
+/// ([`FsKernel::take_session`]), then charges the disk time of the
+/// shadow-block write to the SS.
 pub(crate) fn local_write_page(
+    fsc: &FsCluster,
     k: &mut FsKernel,
     writer: SiteId,
     gfid: Gfid,
@@ -289,17 +307,7 @@ pub(crate) fn local_write_page(
     data: &[u8],
     new_size: u64,
 ) -> SysResult<()> {
-    let mut sess = match k.sessions.remove(&gfid) {
-        Some(s) if k.session_writer.get(&gfid) == Some(&writer) => s,
-        stale => {
-            let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-            if let Some(s) = stale {
-                s.abort(pack)?;
-            }
-            locus_storage::ShadowSession::begin(pack, gfid.ino)?
-        }
-    };
-    k.session_writer.insert(gfid, writer);
+    let mut sess = k.take_session(writer, gfid)?;
     let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
     let r = if lpn == usize::MAX {
         // Truncate control write: shrink to exactly `new_size` bytes.
@@ -315,6 +323,7 @@ pub(crate) fn local_write_page(
         r
     };
     k.sessions.insert(gfid, sess);
+    k.charge_io(fsc.net(), gfid.fg);
     r
 }
 
@@ -330,7 +339,7 @@ pub(crate) fn handle_write_page(
 ) -> SysResult<FsReply> {
     fsc.net().charge_cpu_at(ss, cost::PAGE_SERVICE_CPU);
     let mut k = fsc.kernel(ss);
-    local_write_page(&mut k, from, gfid, lpn, data, new_size)?;
+    local_write_page(fsc, &mut k, from, gfid, lpn, data, new_size)?;
     Ok(FsReply::Ok)
 }
 
@@ -351,9 +360,22 @@ pub(crate) fn handle_write_pages(
         .charge_cpu_at(ss, cost::PAGE_SERVICE_CPU.scaled(pages.len().max(1) as u64));
     let mut k = fsc.kernel(ss);
     for (i, page) in pages.iter().enumerate() {
-        local_write_page(&mut k, from, gfid, first + i, page, new_size)?;
+        local_write_page(fsc, &mut k, from, gfid, first + i, page, new_size)?;
     }
     Ok(FsReply::Ok)
+}
+
+/// Stages copies of page images that have landed in `gfid`'s session at
+/// its remote SS ([`Staged`](crate::kernel::Staged)). Called only after
+/// the send succeeded, so the stage holds exactly the pages the session
+/// holds.
+fn stage_sent(fsc: &FsCluster, us: SiteId, gfid: Gfid, first: usize, images: Vec<Vec<u8>>) {
+    let mut k = fsc.kernel(us);
+    k.staged
+        .entry(gfid)
+        .or_default()
+        .pages
+        .extend((first..).zip(images));
 }
 
 /// Flushes `gfid`'s write-behind buffer (if any) to its SS as one batched
@@ -362,6 +384,7 @@ pub(crate) fn flush_write_behind(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> Sys
     let Some(wb) = fsc.kernel(us).write_behind.remove(&gfid) else {
         return Ok(());
     };
+    let images = wb.pages.clone();
     fsc.one_way(
         us,
         wb.ss,
@@ -372,12 +395,17 @@ pub(crate) fn flush_write_behind(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> Sys
             new_size: wb.new_size,
         },
     )?;
+    stage_sent(fsc, us, gfid, wb.first, images);
     Ok(())
 }
 
-/// Drops `gfid`'s write-behind buffer without sending it (abort path).
-pub(crate) fn discard_write_behind(fsc: &FsCluster, us: SiteId, gfid: Gfid) {
-    fsc.kernel(us).write_behind.remove(&gfid);
+/// Drops what the US buffered for `gfid`'s open session — the unsent
+/// write-behind pages and the staged images of the sent ones — when the
+/// session ends without a commit.
+pub(crate) fn discard_session_buffers(fsc: &FsCluster, us: SiteId, gfid: Gfid) {
+    let mut k = fsc.kernel(us);
+    k.write_behind.remove(&gfid);
+    k.staged.remove(&gfid);
 }
 
 /// Parks one whole dirty page in the US write-behind buffer, flushing at
@@ -489,12 +517,13 @@ pub fn put_page_range(
         let new_size = (pos + take as u64).max(old_size);
         if ss == us {
             let mut k = fsc.kernel(us);
-            local_write_page(&mut k, us, gfid, lpn, &page, new_size)?;
+            local_write_page(fsc, &mut k, us, gfid, lpn, &page, new_size)?;
             drop(k);
             fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
         } else if buffering {
             buffer_page(fsc, us, gfid, ss, lpn, page, new_size)?;
         } else {
+            let image = page.clone();
             fsc.one_way(
                 us,
                 ss,
@@ -505,15 +534,8 @@ pub fn put_page_range(
                     new_size,
                 },
             )?;
+            stage_sent(fsc, us, gfid, lpn, vec![image]);
         }
-        // The page just written is stale in the US cache either way.
-        let mut k = fsc.kernel(us);
-        k.cache.invalidate_file(net_cache_pack(gfid.fg), gfid.ino);
-        if let Some(p) = k.pack_of(gfid.fg) {
-            let pid = p.id();
-            k.cache.invalidate_file(pid, gfid.ino);
-        }
-        drop(k);
         written += take;
         pos += take as u64;
     }

@@ -11,6 +11,8 @@
 //! * [`fd`] — descriptor-level calls and the shared-offset token scheme;
 //! * [`cleanup`] — the §5.6 failure actions applied to filesystem state.
 
+#[cfg(test)]
+mod cache_props;
 pub mod cleanup;
 pub mod commit;
 pub mod fd;

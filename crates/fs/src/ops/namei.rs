@@ -107,6 +107,11 @@ pub(crate) fn truncate_session_to(
                 new_size,
             },
         )?;
+        // Mirror the cut in the staged images of the session.
+        let mut k = fsc.kernel(us);
+        let stage = k.staged.entry(t.gfid).or_default();
+        stage.pages.split_off(&npages);
+        stage.npages = stage.npages.min(npages);
         Ok(())
     }
 }
@@ -120,21 +125,12 @@ pub(crate) fn truncate_local(
     new_size: u64,
 ) -> SysResult<()> {
     let mut k = fsc.kernel(ss);
-    let mut sess = match k.sessions.remove(&gfid) {
-        Some(s) if k.session_writer.get(&gfid) == Some(&ss) => s,
-        stale => {
-            let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-            if let Some(s) = stale {
-                s.abort(pack)?;
-            }
-            locus_storage::ShadowSession::begin(pack, gfid.ino)?
-        }
-    };
-    k.session_writer.insert(gfid, ss);
+    let mut sess = k.take_session(ss, gfid)?;
     let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
     let r = sess.truncate_pages(pack, npages);
     sess.set_size(new_size);
     k.sessions.insert(gfid, sess);
+    k.charge_io(fsc.net(), gfid.fg);
     r
 }
 

@@ -351,6 +351,9 @@ fn close_ticket_inner(fsc: &FsCluster, us: SiteId, t: &OpenTicket) -> SysResult<
         let last = inc.opens_here == 0;
         if last {
             inc.ss = None;
+            // Whatever this site staged for a session it never committed
+            // dies with its last open.
+            k.staged.remove(&t.gfid);
         }
         last
     };
@@ -417,12 +420,7 @@ fn ss_side_close(
         // confirmed). Closing without committing discards them.
         let mut k = fsc.kernel(ss);
         if k.session_writer.get(&gfid) == Some(&us) {
-            k.session_writer.remove(&gfid);
-            if let Some(sess) = k.sessions.remove(&gfid) {
-                if let Some(pack) = k.pack_of(gfid.fg) {
-                    let _ = sess.abort(pack);
-                }
-            }
+            let _ = k.abort_session(gfid);
         }
     }
     let css = fsc.kernel(ss).mount.css_of(gfid.fg)?;

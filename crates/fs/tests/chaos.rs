@@ -288,6 +288,22 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
             audit.violations
         ));
     }
+    // The commit/read interleaving invariant above is only worth its
+    // name if the reads it judged include ones the write-through buffer
+    // cache served: every `read.page` note carries the served version
+    // whether the page came off the disk or out of a buffer.
+    let read_notes = events
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::Note { key, .. } if key == "read.page"))
+        .count();
+    let cache = fsc.cache_stats();
+    if read_notes == 0 || cache.hits == 0 {
+        return Err(format!(
+            "seed {seed}: {read_notes} audited page reads, {} buffer-cache hits — \
+             the audit saw no cache-served read",
+            cache.hits
+        ));
+    }
     Ok((events, net.obs_histograms(), net.stats()))
 }
 

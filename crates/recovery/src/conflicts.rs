@@ -28,6 +28,8 @@ pub fn mark_conflict(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<()>
     let mut sess = ShadowSession::begin(pack, gfid.ino)?;
     sess.set_conflict(true);
     sess.commit(pack, vv)?;
+    // As in `overwrite_copy`: recovery's disk time is discarded, not
+    // charged, and never left on the meter.
     pack.take_io_cost();
     k.invalidate_caches_for(gfid);
     Ok(())

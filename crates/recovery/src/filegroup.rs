@@ -137,6 +137,10 @@ fn overwrite_copy(
     sess.set_replicas(template.replicas.clone());
     sess.set_conflict(false);
     sess.commit(pack, vv.clone())?;
+    // Recovery runs as the merge procedure, not as a system call of any
+    // site's workload: its disk time is discarded here on purpose, never
+    // left on the meter for the next handler, and the copy rewritten
+    // behind the buffer cache's back is dropped from it, not installed.
     pack.take_io_cost();
     k.invalidate_caches_for(gfid);
     k.note_latest(gfid, vv);

@@ -6,6 +6,12 @@
 //! `(pack, inode, logical page)`; the propagation process and the network
 //! read path rename buffers rather than copying through user space, which
 //! we model by the cache simply holding page images.
+//!
+//! The cache is write-through: whoever changes what a key stands for
+//! hands the new images to [`BufferCache::install`] in the same step, so
+//! an entry is never stale and a page just written is never re-read from
+//! the disk or the wire. [`BufferCache::invalidate_file`] is for the
+//! cases where the new content is not at hand (see its comment).
 
 use std::collections::HashMap;
 
@@ -144,6 +150,13 @@ impl BufferCache {
         self.map.contains_key(key)
     }
 
+    /// The cached image of a page, if any, with the same discretion as
+    /// [`BufferCache::contains`]: tests audit the cache's contents against
+    /// the disk with this without changing what it will evict or report.
+    pub fn peek(&self, key: &PageKey) -> Option<&[u8]> {
+        self.map.get(key).map(|e| e.data.as_slice())
+    }
+
     /// Looks up a page, refreshing its recency on hit.
     pub fn get(&mut self, key: &PageKey) -> Option<Vec<u8>> {
         self.tick += 1;
@@ -184,8 +197,33 @@ impl BufferCache {
         );
     }
 
-    /// Drops every cached page of a file (on commit of a new version, the
-    /// old buffers are stale; on delete they are discarded).
+    /// Brings the cached pages of one file copy in line with a change to
+    /// it: every cached page at or past `npages` is dropped (truncated
+    /// away or deleted; counted as invalidations), then each of `pages`
+    /// is inserted as the page's new content. Pages below `npages` that
+    /// are not in `pages` did not change and stay. The images are moved
+    /// in, not copied.
+    pub fn install(
+        &mut self,
+        pack: PackId,
+        ino: Ino,
+        pages: impl IntoIterator<Item = (usize, Vec<u8>)>,
+        npages: usize,
+    ) {
+        if npages != usize::MAX {
+            let before = self.map.len();
+            self.map
+                .retain(|(p, i, lpn), _| !(*p == pack && *i == ino && *lpn >= npages));
+            self.invalidations += (before - self.map.len()) as u64;
+        }
+        for (lpn, data) in pages {
+            self.put((pack, ino, lpn), data);
+        }
+    }
+
+    /// Drops every cached page of a file whose new content is not at
+    /// hand: a copy rewritten behind the cache's back (recovery), or
+    /// network-fetched pages that failed the page-valid check.
     pub fn invalidate_file(&mut self, pack: PackId, ino: Ino) {
         let before = self.map.len();
         self.map.retain(|(p, i, _), _| !(*p == pack && *i == ino));
@@ -264,6 +302,33 @@ mod tests {
         assert!(c.get(&key(1, 0)).is_none());
         assert!(c.get(&key(1, 1)).is_none());
         assert!(c.get(&key(2, 0)).is_some());
+        assert_eq!(c.full_stats().invalidations, 2);
+    }
+
+    #[test]
+    fn install_replaces_written_pages_and_drops_the_truncated_tail() {
+        let pack = PackId::new(FilegroupId(0), 0);
+        let mut c = BufferCache::new(8);
+        for lpn in 0..4 {
+            c.put(key(1, lpn), vec![lpn as u8]);
+        }
+        c.put(key(2, 3), vec![7]);
+        // Truncate to 2 pages, then rewrite page 1 and extend with page 3.
+        c.install(pack, Ino(1), vec![(1, vec![11]), (3, vec![13])], 2);
+        assert_eq!(c.get(&key(1, 0)), Some(vec![0]), "untouched page kept");
+        assert_eq!(c.get(&key(1, 1)), Some(vec![11]), "written page replaced");
+        assert!(c.get(&key(1, 2)).is_none(), "truncated page dropped");
+        assert_eq!(
+            c.get(&key(1, 3)),
+            Some(vec![13]),
+            "page past the cut re-installed"
+        );
+        assert_eq!(c.get(&key(2, 3)), Some(vec![7]), "other file untouched");
+        assert_eq!(c.full_stats().invalidations, 2);
+        // No truncation: nothing is dropped.
+        c.install(pack, Ino(1), vec![(0, vec![20])], usize::MAX);
+        assert_eq!(c.get(&key(1, 0)), Some(vec![20]));
+        assert_eq!(c.get(&key(1, 1)), Some(vec![11]));
         assert_eq!(c.full_stats().invalidations, 2);
     }
 

@@ -28,5 +28,5 @@ pub use buffer::{BufferCache, CacheStats};
 pub use disk::{BlockContent, BlockDevice, BlockNo, DiskParams, PAGE_SIZE};
 pub use inode::{DiskInode, PageTable, NDIRECT};
 pub use pack::Pack;
-pub use shadow::ShadowSession;
+pub use shadow::{Committed, ShadowSession};
 pub use superblock::Superblock;

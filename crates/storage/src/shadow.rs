@@ -26,12 +26,33 @@ pub struct ShadowSession {
     ino: Ino,
     work: DiskInode,
     /// Logical pages already shadowed this session; subsequent writes to
-    /// them are "reused in place" (§2.3.6).
-    shadowed: BTreeMap<usize, BlockNo>,
+    /// them are "reused in place" (§2.3.6). Each entry keeps the kernel
+    /// buffer the page was written from beside its shadow block — "the
+    /// buffer that contains it is renamed and sent out to secondary
+    /// storage" — so neither the session's own reads nor the buffer
+    /// cache after commit go back to the disk for it.
+    shadowed: BTreeMap<usize, (BlockNo, Vec<u8>)>,
+    /// Lowest page count a truncate of this session cut mapped pages off
+    /// at (`usize::MAX` if none did): every page at or past it that is
+    /// not in `shadowed` reads as a hole once the session commits.
+    truncated_to: usize,
     /// Old blocks to release if and only if the session commits.
     free_on_commit: Vec<BlockNo>,
     /// Whether the indirect block has been shadowed.
     indirect_shadowed: bool,
+}
+
+/// What a commit changed in the pack's page contents — what a buffer
+/// cache needs to stay equal to the pack without reading it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Committed {
+    /// The pages the session shadowed, as `(logical page, image)`; each
+    /// image is exactly [`PAGE_SIZE`] bytes.
+    pub pages: Vec<(usize, Vec<u8>)>,
+    /// Every page at or past this number that is not in `pages` is now
+    /// unmapped (truncated away, or released by a delete); `usize::MAX`
+    /// when the session unmapped nothing.
+    pub npages: usize,
 }
 
 impl ShadowSession {
@@ -43,6 +64,7 @@ impl ShadowSession {
             ino,
             work,
             shadowed: BTreeMap::new(),
+            truncated_to: usize::MAX,
             free_on_commit: Vec::new(),
             indirect_shadowed: false,
         })
@@ -59,11 +81,11 @@ impl ShadowSession {
     }
 
     /// Reads a page as currently visible *within* this session (shadow
-    /// content if written, otherwise the committed content).
+    /// content if written, otherwise the committed content). A shadowed
+    /// page is served from the buffer it was written from: no disk read.
     pub fn read_page(&self, pack: &mut Pack, lpn: usize) -> SysResult<Vec<u8>> {
-        if let Some(&b) = self.shadowed.get(&lpn) {
-            let content = pack.dev_mut().read(b)?;
-            return Ok(content.data()?.to_vec());
+        if let Some((_, buf)) = self.shadowed.get(&lpn) {
+            return Ok(buf.clone());
         }
         match self.lookup(pack, lpn)? {
             None => Ok(vec![0u8; PAGE_SIZE]),
@@ -80,16 +102,19 @@ impl ShadowSession {
         if lpn >= NDIRECT + NINDIRECT {
             return Err(Errno::Einval);
         }
-        if let Some(&b) = self.shadowed.get(&lpn) {
-            pack.dev_mut().write(b, BlockContent::from_bytes(bytes))?;
+        let content = BlockContent::from_bytes(bytes);
+        let buf = content.data()?.to_vec();
+        if let Some((b, old)) = self.shadowed.get_mut(&lpn) {
+            pack.dev_mut().write(*b, content)?;
+            *old = buf;
             return Ok(());
         }
-        let new = pack.dev_mut().alloc(BlockContent::from_bytes(bytes))?;
+        let new = pack.dev_mut().alloc(content)?;
         if let Some(old) = self.lookup(pack, lpn)? {
             self.free_on_commit.push(old);
         }
         self.map(pack, lpn, Some(new))?;
-        self.shadowed.insert(lpn, new);
+        self.shadowed.insert(lpn, (new, buf));
         Ok(())
     }
 
@@ -100,6 +125,7 @@ impl ShadowSession {
             if lpn < npages {
                 continue;
             }
+            self.truncated_to = self.truncated_to.min(npages);
             if self.shadowed.remove(&lpn).is_some() {
                 // A block born in this session dies in it.
                 pack.dev_mut().free(bno)?;
@@ -166,6 +192,14 @@ impl ShadowSession {
         self.work.data_here = data_here;
     }
 
+    /// Whether a truncate of this session cut off a mapped page. The
+    /// list of [`modified_pages`](Self::modified_pages) cannot say which
+    /// pages *went*, so a commit notification for such a session must not
+    /// offer it as the complete set of changes.
+    pub fn cut_pages(&self) -> bool {
+        self.truncated_to != usize::MAX
+    }
+
     /// The logical pages modified in this session, for the commit
     /// notification's "which explicit logical pages were modified" option
     /// (§2.3.6).
@@ -175,10 +209,13 @@ impl ShadowSession {
 
     /// Atomically installs the working inode with `new_vv` as the file's
     /// version vector, releasing replaced blocks. This is the single
-    /// atomic step of §2.3.6.
-    pub fn commit(mut self, pack: &mut Pack, new_vv: VersionVector) -> SysResult<()> {
+    /// atomic step of §2.3.6. Hands back the buffers of the pages it
+    /// installed (see [`Committed`]).
+    pub fn commit(mut self, pack: &mut Pack, new_vv: VersionVector) -> SysResult<Committed> {
         self.work.vv = new_vv;
-        if self.work.deleted {
+        let committed = if self.work.deleted {
+            // The shadow blocks are mapped, so they are freed with
+            // everything else; their buffers die with the file.
             let mapped = self.work.pages.mapped_pages(pack.dev_mut())?;
             for (_, bno) in mapped {
                 pack.dev_mut().free(bno)?;
@@ -188,19 +225,31 @@ impl ShadowSession {
             }
             self.work.pages = Default::default();
             self.work.size = 0;
-        }
+            Committed {
+                pages: Vec::new(),
+                npages: 0,
+            }
+        } else {
+            Committed {
+                pages: std::mem::take(&mut self.shadowed)
+                    .into_iter()
+                    .map(|(lpn, (_, buf))| (lpn, buf))
+                    .collect(),
+                npages: self.truncated_to,
+            }
+        };
         for bno in self.free_on_commit.drain(..) {
             pack.dev_mut().free(bno)?;
         }
         pack.itable_mut().insert(self.ino, self.work);
         pack.next_commit_seq();
-        Ok(())
+        Ok(committed)
     }
 
     /// Discards the session: every shadow block is released and the
     /// committed version remains exactly as it was.
     pub fn abort(mut self, pack: &mut Pack) -> SysResult<()> {
-        for (_, bno) in std::mem::take(&mut self.shadowed) {
+        for (_, (bno, _)) in std::mem::take(&mut self.shadowed) {
             pack.dev_mut().free(bno)?;
         }
         if self.indirect_shadowed {
@@ -370,6 +419,78 @@ mod tests {
         let on_disk = p.read_page(ino, 0).unwrap();
         assert_eq!(&on_disk[..9], b"committed");
         s.abort(&mut p).unwrap();
+    }
+
+    #[test]
+    fn session_keeps_its_buffers_and_commit_hands_them_over() {
+        let (mut p, ino) = pack_with_file(&vec![1u8; 4 * PAGE_SIZE]);
+        p.take_io_cost();
+        let mut s = ShadowSession::begin(&p, ino).unwrap();
+        s.write_page(&mut p, 1, b"first").unwrap();
+        s.write_page(&mut p, 1, b"second").unwrap();
+        s.write_page(&mut p, 3, &[7u8; PAGE_SIZE]).unwrap();
+        let writes = p.take_io_cost();
+        // The writer's own read of a shadowed page comes from the buffer.
+        let page = s.read_page(&mut p, 1).unwrap();
+        assert_eq!(&page[..6], b"second");
+        assert_eq!(page.len(), PAGE_SIZE, "padded like a disk page");
+        assert_eq!(
+            p.take_io_cost(),
+            Ticks::ZERO,
+            "no disk read for a held buffer"
+        );
+        assert_eq!(writes, Ticks::millis(75), "three block writes");
+        let vv = s.working().vv.clone();
+        let committed = s.commit(&mut p, vv).unwrap();
+        assert_eq!(committed.npages, usize::MAX, "nothing was cut off");
+        let lpns: Vec<usize> = committed.pages.iter().map(|(l, _)| *l).collect();
+        assert_eq!(lpns, vec![1, 3]);
+        for (lpn, image) in &committed.pages {
+            assert_eq!(image, &p.read_page(ino, *lpn).unwrap(), "page {lpn}");
+        }
+    }
+
+    #[test]
+    fn commit_reports_where_the_file_was_cut() {
+        let (mut p, ino) = pack_with_file(&vec![1u8; 4 * PAGE_SIZE]);
+        let mut s = ShadowSession::begin(&p, ino).unwrap();
+        s.truncate_pages(&mut p, 6).unwrap();
+        assert!(!s.cut_pages(), "a cut past the last page removes nothing");
+        s.write_page(&mut p, 2, b"kept").unwrap();
+        s.truncate_pages(&mut p, 3).unwrap();
+        s.truncate_pages(&mut p, 1).unwrap();
+        s.write_page(&mut p, 2, b"back").unwrap();
+        assert!(s.cut_pages());
+        s.set_size(3 * PAGE_SIZE as u64);
+        let vv = s.working().vv.clone();
+        let committed = s.commit(&mut p, vv).unwrap();
+        assert_eq!(committed.npages, 1, "the lowest cut");
+        assert_eq!(
+            committed.pages.len(),
+            1,
+            "page 2's first image died with the cut"
+        );
+        assert_eq!(&committed.pages[0].1[..4], b"back");
+        assert_eq!(
+            p.read_page(ino, 1).unwrap(),
+            vec![0u8; PAGE_SIZE],
+            "a hole now"
+        );
+        p.fsck().unwrap();
+
+        let mut s = ShadowSession::begin(&p, ino).unwrap();
+        s.write_page(&mut p, 0, b"doomed").unwrap();
+        s.mark_deleted();
+        let vv = s.working().vv.clone();
+        let gone = Committed {
+            pages: Vec::new(),
+            npages: 0,
+        };
+        assert_eq!(
+            s.commit(&mut p, vv).unwrap(),
+            gone,
+            "a delete keeps no page"
+        );
     }
 
     #[test]
