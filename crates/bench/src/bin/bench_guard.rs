@@ -2,36 +2,21 @@
 //!
 //! Compares freshly-written reports against the checked-in baselines in
 //! `crates/bench/baselines/`. The simulator is deterministic, so message
-//! counts and virtual times are exactly reproducible; the guard still
-//! allows a small tolerance so a deliberate cost-model tweak upstream
-//! does not hard-fail every key at once:
+//! counts and virtual times are exactly reproducible, and the one check
+//! is exact equality: every baseline key must be present in the measured
+//! report and every numeric key must match its baseline bit for bit. The
+//! benches run with the gray-failure health monitor enabled, so a pass
+//! also proves health tracking is free on the healthy path.
 //!
-//! * keys ending in `_msgs` or `_us` may not grow more than 5%;
-//! * keys ending in `_ratio` may not shrink more than 5%;
-//! * keys ending in `_tput` (throughputs) may not shrink more than the
-//!   relative tolerance, settable with `--rel-tol=<frac>` (default
-//!   0.05, i.e. 5%);
-//! * every baseline key must be present in the measured report.
+//! **Wall-clock keys are presence-only.** Keys containing `_wall_` or
+//! ending in `_speedup` measure host scheduling, not the simulation —
+//! they differ run to run — so only their *presence* in the measured
+//! report is checked, never their value.
 //!
-//! With `BENCH_STRICT=1` the tolerances (including `--rel-tol`)
-//! collapse to exact equality: every numeric key must match its
-//! baseline bit-for-bit. That is the determinism gate — the benches run
-//! with the gray-failure health monitor enabled, so a strict pass also
-//! proves health tracking is free on the healthy path.
-//!
-//! **Wall-clock keys are exempt in both modes.** Keys containing
-//! `_wall_` or ending in `_speedup` measure host scheduling, not the
-//! simulation — they differ run to run and flake on loaded CI runners.
-//! If a baseline carries one anyway, only its *presence* in the
-//! measured report is checked, never its value (previously strict mode
-//! compared them exactly, which no deterministic simulator can promise
-//! about the host).
-//!
-//! Run with `cargo run -p locus-bench --bin bench_guard --
-//! [--rel-tol=<frac>] [names...]` (default: `e1 e3 e12 e13 e14 e15
-//! e16`). Reads measured reports from `$BENCH_OUT_DIR` or
-//! `target/bench`, baselines from `$BENCH_BASELINE_DIR` or
-//! `crates/bench/baselines`.
+//! Run with `cargo run -p locus-bench --bin bench_guard -- [names...]`
+//! (default: `e1 e3 e12 e13 e14 e15 e16`). Reads measured reports from
+//! `$BENCH_OUT_DIR` or `target/bench`, baselines from
+//! `$BENCH_BASELINE_DIR` or `crates/bench/baselines`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -79,8 +64,6 @@ fn compare(
     name: &str,
     baseline: &BTreeMap<String, Option<f64>>,
     measured: &BTreeMap<String, Option<f64>>,
-    strict: bool,
-    rel_tol: f64,
 ) -> Vec<String> {
     let mut problems = Vec::new();
     for (key, base) in baseline {
@@ -94,39 +77,14 @@ fn compare(
         let (Some(base), Some(got)) = (base, got) else {
             continue; // non-numeric: presence was the whole check
         };
-        if strict {
-            if got != base {
-                problems.push(format!(
-                    "{name}: {key} diverged: {got} != baseline {base} (strict mode)"
-                ));
-            }
-        } else if key.ends_with("_msgs") || key.ends_with("_us") {
-            if *got > base * 1.05 {
-                problems.push(format!(
-                    "{name}: {key} regressed: {got} > baseline {base} (+5% allowed)"
-                ));
-            }
-        } else if key.ends_with("_ratio") && *got < base * 0.95 {
-            problems.push(format!(
-                "{name}: {key} regressed: {got} < baseline {base} (-5% allowed)"
-            ));
-        } else if key.ends_with("_tput") && *got < base * (1.0 - rel_tol) {
-            problems.push(format!(
-                "{name}: {key} regressed: {got} < baseline {base} (-{:.0}% allowed)",
-                rel_tol * 100.0
-            ));
+        if got != base {
+            problems.push(format!("{name}: {key} diverged: {got} != baseline {base}"));
         }
     }
     problems
 }
 
-fn check(
-    name: &str,
-    measured_dir: &Path,
-    baseline_dir: &Path,
-    strict: bool,
-    rel_tol: f64,
-) -> Vec<String> {
+fn check(name: &str, measured_dir: &Path, baseline_dir: &Path) -> Vec<String> {
     let file = format!("BENCH_{name}.json");
     let baseline = match load(&baseline_dir.join(&file)) {
         Ok(b) => b,
@@ -136,39 +94,19 @@ fn check(
         Ok(m) => m,
         Err(e) => return vec![format!("{name}: measured: {e}")],
     };
-    compare(name, &baseline, &measured, strict, rel_tol)
+    compare(name, &baseline, &measured)
 }
 
 fn main() -> ExitCode {
-    // Flags first, then bare report names.
-    let mut rel_tol = 0.05f64;
-    let mut names: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if let Some(v) = arg.strip_prefix("--rel-tol=") {
-            match v.parse::<f64>() {
-                Ok(t) if (0.0..1.0).contains(&t) => rel_tol = t,
-                _ => {
-                    eprintln!("bench_guard: --rel-tol wants a fraction in [0, 1), got {v}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg.starts_with("--") {
-            eprintln!("bench_guard: unknown flag {arg}");
-            return ExitCode::FAILURE;
-        } else {
-            names.push(arg);
-        }
+    let mut names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = names.iter().find(|a| a.starts_with("--")) {
+        eprintln!("bench_guard: unknown flag {flag}");
+        return ExitCode::FAILURE;
     }
     if names.is_empty() {
-        names = vec![
-            "e1".into(),
-            "e3".into(),
-            "e12".into(),
-            "e13".into(),
-            "e14".into(),
-            "e15".into(),
-            "e16".into(),
-        ];
+        names = ["e1", "e3", "e12", "e13", "e14", "e15", "e16"]
+            .map(String::from)
+            .to_vec();
     }
     let measured_dir = std::env::var_os("BENCH_OUT_DIR")
         .map(PathBuf::from)
@@ -177,15 +115,12 @@ fn main() -> ExitCode {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("crates/bench/baselines"));
 
-    let strict = std::env::var("BENCH_STRICT").as_deref() == Ok("1");
-
     let mut problems = Vec::new();
     for name in &names {
-        problems.extend(check(name, &measured_dir, &baseline_dir, strict, rel_tol));
+        problems.extend(check(name, &measured_dir, &baseline_dir));
     }
     if problems.is_empty() {
-        let mode = if strict { "identical to" } else { "within" };
-        println!("bench_guard: {} report(s) {mode} baseline", names.len());
+        println!("bench_guard: {} report(s) identical to baseline", names.len());
         ExitCode::SUCCESS
     } else {
         for p in &problems {
@@ -203,9 +138,8 @@ mod tests {
         pairs.iter().map(|(k, v)| (k.to_string(), Some(*v))).collect()
     }
 
-    /// The satellite regression: a wall-clock key whose measured value
-    /// differs wildly from the baseline must not fail the guard — in
-    /// tolerance mode *or* strict mode — while a genuinely simulated key
+    /// A wall-clock key whose measured value differs wildly from the
+    /// baseline must not fail the guard, while a genuinely simulated key
     /// (`*_msgs`) in the same report still does.
     #[test]
     fn wall_clock_keys_are_never_compared() {
@@ -219,8 +153,7 @@ mod tests {
             ("e15_speedup", 0.4),
             ("open_msgs", 6.0),
         ]);
-        assert!(compare("e15", &baseline, &measured, false, 0.05).is_empty());
-        assert!(compare("e15", &baseline, &measured, true, 0.05).is_empty());
+        assert!(compare("e15", &baseline, &measured).is_empty());
 
         // Same report with a real regression: only the _msgs key trips.
         let regressed = report(&[
@@ -228,10 +161,7 @@ mod tests {
             ("e15_speedup", 0.4),
             ("open_msgs", 9.0),
         ]);
-        let problems = compare("e15", &baseline, &regressed, false, 0.05);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("open_msgs"));
-        let problems = compare("e15", &baseline, &regressed, true, 0.05);
+        let problems = compare("e15", &baseline, &regressed);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("open_msgs"));
     }
@@ -243,7 +173,7 @@ mod tests {
     fn wall_clock_keys_must_still_be_present() {
         let baseline = report(&[("e15_wall_ms", 1812.0), ("s8_msgs_per_op", 6.0)]);
         let measured = report(&[("s8_msgs_per_op", 6.0)]);
-        let problems = compare("e15", &baseline, &measured, true, 0.05);
+        let problems = compare("e15", &baseline, &measured);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("e15_wall_ms missing"));
     }

@@ -9,9 +9,8 @@
 //! proof at scale **and** the speedup measurement:
 //!
 //! * per site count and engine it reports messages per operation
-//!   (deterministic — pinned by `bench_guard`, bit-for-bit under
-//!   `BENCH_STRICT=1`) and wall-clock time (hardware-dependent —
-//!   reported, never gated);
+//!   (deterministic — pinned bit for bit by `bench_guard`) and
+//!   wall-clock time (hardware-dependent — reported, never gated);
 //! * at 64 sites it additionally replays the whole window under both
 //!   engines with tracing enabled and asserts the message traces and
 //!   statistics are identical, then exports and audits the parallel
@@ -24,9 +23,7 @@
 //! every fourth round stats the shared root, whose footprint overlaps on
 //! the root container — those batches run serially, which is the honest
 //! price of shared data. On a single-CPU host the speedup hovers near
-//! (or below) 1x — thread scheduling costs with nothing to overlap;
-//! the ≥2x acceptance claim at 64 sites applies to multi-core runners
-//! and can be enforced with `BENCH_E14_GATE_SPEEDUP=1`.
+//! (or below) 1x — thread scheduling costs with nothing to overlap.
 //!
 //! Run with `cargo run --release -p locus-bench --bin e14_engine_speedup`.
 //! Writes `BENCH_e14.json` (honours `$BENCH_OUT_DIR`).
@@ -223,14 +220,8 @@ fn main() {
     if let Some(s) = speedup_at_64 {
         println!(
             "\n64-site wall-clock speedup: {s:.2}x on {cores} core(s) \
-             (claim: >= 2x on a multi-core runner; wall clock is never gated in CI)"
+             (reported, never gated)"
         );
-        if std::env::var("BENCH_E14_GATE_SPEEDUP").as_deref() == Ok("1") {
-            assert!(
-                s >= 2.0,
-                "parallel engine must reach 2x at 64 sites on this runner (got {s:.2}x)"
-            );
-        }
     }
 
     println!("\npaper: one virtual clock (§2.3.2 message-driven kernel); the epoch merge keeps it while sites execute concurrently.");

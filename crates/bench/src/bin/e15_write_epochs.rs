@@ -13,10 +13,9 @@
 //! batches still fan out across threads.
 //!
 //! * per site count and engine it reports messages per operation
-//!   (deterministic — pinned by `bench_guard`, bit-for-bit under
-//!   `BENCH_STRICT=1`) and wall-clock time (hardware-dependent —
-//!   reported, never gated: `*_wall_*` and `*_speedup` keys are exempt
-//!   from both guard modes);
+//!   (deterministic — pinned bit for bit by `bench_guard`) and
+//!   wall-clock time (hardware-dependent — reported, never gated:
+//!   `*_wall_*` and `*_speedup` keys are presence-only in the guard);
 //! * at 64 sites it replays the window under both engines with tracing
 //!   enabled and asserts the message traces and statistics are
 //!   identical, then exports and audits the parallel engine's

@@ -8,6 +8,13 @@
 //! with adaptive readahead (the paper's counts are unchanged by default;
 //! batching is opt-in).
 //!
+//! A third section is **E9** (§3.2): "in the worst case, performance is
+//! limited by the speed at which the tokens … can be flipped back and
+//! forth among processes on different machines, \[but\] such extreme
+//! behavior is exceedingly rare" — offset-token messages for 16 reads of
+//! one shared descriptor, strictly alternating between two sites against
+//! each site reading its 8 in one batch.
+//!
 //! Run with `cargo run -p locus-bench --bin e3_message_counts`. Writes
 //! `BENCH_e3.json` (honours `$BENCH_OUT_DIR`).
 
@@ -53,6 +60,61 @@ fn seq_read_64(policy: IoPolicy) -> (u64, Ticks, f64) {
     assert_eq!(got, data, "batched and unbatched reads must agree");
     locus_fs::ops::fd::close(cluster.fs(), us, f).expect("close");
     (msgs, elapsed, cluster.fs().cache_stats().hit_ratio())
+}
+
+/// E9: token traffic for 16 reads of a descriptor shared by a parent at
+/// its home site S0 and a forked child at S2. A flip towards the child is
+/// one `TOKEN acquire` (child asks the home), a flip back is one `TOKEN
+/// recall` (the home takes it); each is answered (`TOKEN grant` /
+/// `TOKEN surrender`), so a flip is two wire messages. `TOKEN give` is
+/// only sent by a remote holder that closes, which nobody does here.
+fn token_flips(report: &mut BenchReport) {
+    let cluster = standard_cluster(3, &[0, 1]);
+    let parent = cluster.login(SiteId(0), 1).expect("login");
+    cluster
+        .write_file(parent, "/tok", &vec![3u8; 64 * 1024])
+        .expect("seed");
+    cluster.settle();
+    let fd = cluster.open(parent, "/tok", OpenMode::Read).expect("open");
+    let child = cluster.fork(parent, Some(SiteId(2))).expect("remote fork");
+
+    println!("\nE9: offset-token messages over 16 reads of a shared descriptor (home S0, child S2):");
+    println!(
+        "{:<34} {:>9} {:>9} {:>9}",
+        "access pattern", "flips", "requests", "wire"
+    );
+    let mut measure = |name: &str, label: &str, order: &[locus::Pid]| {
+        cluster.lseek(parent, fd, 0).expect("rewind"); // the parent starts with the token
+        cluster.net().reset_stats();
+        for &p in order {
+            cluster.read(p, fd, 64).expect("read");
+        }
+        let st = cluster.net().stats();
+        let (acquire, recall, give) = (
+            st.sends("TOKEN acquire"),
+            st.sends("TOKEN recall"),
+            st.sends("TOKEN give"),
+        );
+        let wire = acquire
+            + st.sends("TOKEN grant")
+            + recall
+            + st.sends("TOKEN surrender")
+            + give
+            + st.sends("TOKEN give ack");
+        let flips = order.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        assert_eq!(acquire + recall, flips, "one token request per flip");
+        assert_eq!(wire, 2 * flips, "each request answered, nothing else sent");
+        println!("{label:<34} {flips:>9} {:>9} {wire:>9}", acquire + recall);
+        report
+            .int(&format!("e9_{name}_acquire_msgs"), acquire)
+            .int(&format!("e9_{name}_recall_msgs"), recall)
+            .int(&format!("e9_{name}_give_msgs"), give)
+            .int(&format!("e9_{name}_token_wire_msgs"), wire);
+    };
+    let alternating: Vec<_> = (0..8).flat_map(|_| [parent, child]).collect();
+    let batched: Vec<_> = [[parent; 8], [child; 8]].concat();
+    measure("pingpong", "strictly alternating (worst case)", &alternating);
+    measure("batched", "8 + 8 batched (common case)", &batched);
 }
 
 fn main() {
@@ -228,6 +290,8 @@ fn main() {
         .int("fork_page_msgs", fork_pages)
         .int("fork_resp_msgs", fork_resp)
         .int("signal_msgs", signal_msgs);
+
+    token_flips(&mut report);
 
     // Per-service wire accounting: a fixed mixed workload (remote file
     // write + remote fork/signal + a partition/merge reconfiguration with

@@ -65,7 +65,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use locus_fs::ops::namei;
-use locus_fs::FsCluster;
+use locus_fs::{Coherence, FsCluster};
 use locus_net::{EngineKind, OpMark};
 use locus_proc::ProcMgr;
 use locus_types::{
@@ -310,7 +310,7 @@ impl Cluster {
         // looked up in the root directory itself). Path shape alone
         // cannot decide; walk the using site's cached dentries. A miss
         // demotes to hazard, never to a wrong bound.
-        if !self.fsc.name_cache_enabled() {
+        if self.fsc.coherence() == Coherence::Off {
             return None;
         }
         let mut fgs = vec![root_fg];
@@ -370,7 +370,7 @@ impl Cluster {
             // the CSS: the holders receive their recalls as buffered posts
             // across the barrier, but the drain itself touches the rows,
             // so every current holder joins the mutating footprint.
-            if mutates && self.fsc.name_leases_enabled() {
+            if mutates && self.fsc.coherence() == Coherence::Lease {
                 sites.extend(self.fsc.kernel(css).lease_holder_sites_for(fg));
             }
         }

@@ -4,7 +4,7 @@ use locus_net::{EngineKind, LatencyModel, Net, RetryPolicy};
 use locus_storage::{DiskInode, Pack, Superblock};
 use locus_types::{FileType, FilegroupId, Gfid, Ino, MachineType, PackId, Perms, SiteId};
 
-use crate::cluster::{FsCluster, IoPolicy};
+use crate::cluster::{Coherence, FsCluster, IoPolicy};
 use crate::directory::Directory;
 use crate::kernel::FsKernel;
 use crate::mount::{MountInfo, MountTable};
@@ -338,8 +338,11 @@ impl FsClusterBuilder {
         fsc.set_mount_names(mount_names);
         fsc.set_retry_policy(self.retry);
         fsc.set_io_policy(self.io_policy);
-        fsc.set_name_cache(self.name_cache || self.name_leases);
-        fsc.set_name_leases(self.name_leases);
+        fsc.coherence.set(match (self.name_leases, self.name_cache) {
+            (true, _) => Coherence::Lease,
+            (false, true) => Coherence::Validate,
+            (false, false) => Coherence::Off,
+        });
         if let Some(engine) = self.engine {
             fsc.set_engine(engine);
         }

@@ -39,14 +39,14 @@ use crate::proto::{FsMsg, FsReply};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoPolicy {
     /// Fetch read windows with `ReadPages` instead of per-page RPCs.
-    pub batched_reads: bool,
+    pub(crate) batched_reads: bool,
     /// Cap on the adaptive readahead window, in pages.
-    pub max_read_window: usize,
+    pub(crate) max_read_window: usize,
     /// Coalesce consecutive written pages in a US buffer and flush them
     /// in batched `WritePages` messages.
-    pub write_behind: bool,
+    pub(crate) write_behind: bool,
     /// Flush the write-behind buffer when it reaches this many pages.
-    pub max_write_batch: usize,
+    pub(crate) max_write_batch: usize,
 }
 
 impl IoPolicy {
@@ -75,6 +75,22 @@ impl Default for IoPolicy {
     fn default() -> Self {
         IoPolicy::paper_faithful()
     }
+}
+
+/// How the using-site name/attribute cache ([`crate::namecache`]) is kept
+/// coherent. Each tier includes the one before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Coherence {
+    /// No cache: the paper-faithful protocol re-reads every directory on
+    /// every search (§2.3.4).
+    Off,
+    /// Pull validation: a cached entry is served after one
+    /// [`FsMsg::VvCheck`] round trip to the CSS vouches for its version.
+    Validate,
+    /// Push invalidation: the CSS records the validating site as a lease
+    /// holder, a leased warm hit is served with zero wire traffic, and
+    /// every invalidation path recalls the holders first.
+    Lease,
 }
 
 /// One stamped asynchronous message buffered on the site-sharded run
@@ -166,8 +182,7 @@ pub struct FsCluster {
     pub(crate) mail_seq: Cell<u32>,
     pub(crate) retry: Cell<RetryPolicy>,
     pub(crate) io_policy: Cell<IoPolicy>,
-    pub(crate) name_cache_on: Cell<bool>,
-    pub(crate) name_leases_on: Cell<bool>,
+    pub(crate) coherence: Cell<Coherence>,
     pub(crate) engine: Cell<EngineKind>,
     pub(crate) epoch: Cell<u64>,
     pub(crate) mount_names: RefCell<BTreeMap<String, FilegroupId>>,
@@ -190,8 +205,7 @@ impl FsCluster {
             mail_seq: Cell::new(1),
             retry: Cell::new(RetryPolicy::default()),
             io_policy: Cell::new(IoPolicy::paper_faithful()),
-            name_cache_on: Cell::new(false),
-            name_leases_on: Cell::new(false),
+            coherence: Cell::new(Coherence::Off),
             engine: Cell::new(locus_net::engine_from_env().unwrap_or_default()),
             epoch: Cell::new(0),
             mount_names: RefCell::new(BTreeMap::new()),
@@ -292,32 +306,10 @@ impl FsCluster {
         self.io_policy.set(policy);
     }
 
-    /// Whether the using-site name/attribute cache serves resolutions
-    /// (off by default: the paper-faithful protocol re-reads every
-    /// directory on every search, §2.3.4).
-    pub fn name_cache_enabled(&self) -> bool {
-        self.name_cache_on.get()
-    }
-
-    /// Enables or disables the using-site name/attribute cache.
-    pub fn set_name_cache(&self, on: bool) {
-        self.name_cache_on.set(on);
-    }
-
-    /// Whether CSS-granted coherence leases back the name/attribute
-    /// cache: a leased warm hit is served with zero wire traffic, and
-    /// every invalidation path recalls the holders instead of waiting for
-    /// them to re-validate. Off by default (pull-validation via
-    /// [`FsMsg::VvCheck`] only).
-    pub fn name_leases_enabled(&self) -> bool {
-        self.name_leases_on.get()
-    }
-
-    /// Enables or disables coherence leases (implies nothing about the
-    /// cache knob itself; the builder turns the cache on when leases are
-    /// requested).
-    pub fn set_name_leases(&self, on: bool) {
-        self.name_leases_on.set(on);
+    /// The name/attribute cache's coherence mode, fixed by the builder
+    /// ([`Coherence::Off`] by default).
+    pub fn coherence(&self) -> Coherence {
+        self.coherence.get()
     }
 
     /// Number of sites.
@@ -380,9 +372,7 @@ impl FsCluster {
             ("lease.revokes", s.lease_revokes),
         ] {
             self.net.set_stat_gauge(key, value);
-            if self.net.observing() {
-                self.net.obs_note(SiteId(0), key, "cluster", value);
-            }
+            self.net.obs_note(SiteId(0), key, "cluster", value);
         }
     }
 
@@ -459,7 +449,7 @@ impl FsCluster {
     /// byte-identical; the holders are part of the committing op's
     /// mutating footprint, so the shard owns their queues.
     pub(crate) fn recall_leases(&self, trigger: SiteId, css: SiteId, gfid: locus_types::Gfid) {
-        if !self.name_leases_enabled() {
+        if self.coherence() != Coherence::Lease {
             return;
         }
         let holders = self.kernel(css).take_lease_holders(gfid);
@@ -613,7 +603,7 @@ impl FsCluster {
                     self.net.obs_note(
                         p.to,
                         "settle.deliver",
-                        &format!("{}->{}@{}", p.from, p.to, p.at.as_micros()),
+                        format_args!("{}->{}@{}", p.from, p.to, p.at.as_micros()),
                         p.seq,
                     );
                     if self.net.reachable(p.from, p.to) && p.from != p.to {
@@ -696,8 +686,7 @@ impl FsCluster {
             mail_seq: Cell::new(self.mail_seq.get()),
             retry: Cell::new(self.retry.get()),
             io_policy: Cell::new(self.io_policy.get()),
-            name_cache_on: Cell::new(self.name_cache_on.get()),
-            name_leases_on: Cell::new(self.name_leases_on.get()),
+            coherence: Cell::new(self.coherence.get()),
             engine: Cell::new(self.engine.get()),
             epoch: Cell::new(self.epoch.get()),
             mount_names: RefCell::new(self.mount_names.borrow().clone()),
@@ -862,9 +851,7 @@ impl FsCluster {
             FsMsg::VvCheck { gfid } => ops::namei::handle_vv_check(self, at, from, gfid),
             FsMsg::LeaseRecall { gfid } => {
                 self.kernel(at).name_cache.recall_lease(gfid);
-                if self.net.observing() {
-                    self.net.obs_note(at, "lease.recall", &gfid.to_string(), 0);
-                }
+                self.net.obs_note(at, "lease.recall", gfid, 0);
                 Ok(FsReply::Ok)
             }
             FsMsg::LeaseBreak { .. } => Ok(FsReply::Ok),

@@ -27,7 +27,7 @@
 use locus_net::CSS_CLAIM_COOLDOWN;
 use locus_types::{Errno, FilegroupId, Gfid, PackId, SiteId, SysResult};
 
-use crate::cluster::FsCluster;
+use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
 use crate::kernel::PropReq;
 use crate::proto::{FsMsg, FsReply, MetaUpdate};
@@ -234,10 +234,8 @@ fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult
         k.mount.adopt_css(fg, new_css, epoch, claim_now);
         k.css_claims += 1;
     });
-    if fsc.net().observing() {
-        fsc.net()
-            .obs_note(new_css, "css.claim", &format!("fg{}", fg.0), epoch);
-    }
+    fsc.net()
+        .obs_note(new_css, "css.claim", format_args!("fg{}", fg.0), epoch);
     for site in fsc.sites() {
         if site == new_css {
             continue;
@@ -507,7 +505,7 @@ fn readmit(fsc: &FsCluster, site: SiteId) -> bool {
         k.name_cache.revoke_all_leases();
         k.name_cache.clear_page_tags();
     });
-    if fsc.name_leases_enabled() {
+    if fsc.coherence() == Coherence::Lease {
         for s in fsc.sites() {
             if s == site {
                 continue;

@@ -44,7 +44,7 @@ pub mod placement;
 pub mod proto;
 
 pub use build::FsClusterBuilder;
-pub use cluster::{FsCluster, IoPolicy};
+pub use cluster::{Coherence, FsCluster, IoPolicy};
 pub use directory::{DirEntry, Directory};
 pub use handoff::{css_handoff, probation_probe, replica_add, replica_remove, HandoffReport};
 pub use kernel::FsKernel;

@@ -149,17 +149,13 @@ pub(crate) fn handle_commit(
         // trace auditor checks that no read of the committing version
         // lands between them.
         let vv_total = vv.total();
-        if fsc.net().observing() {
-            fsc.net()
-                .obs_note(ss, "commit.begin", &gfid.to_string(), vv_total);
-        }
+        fsc.net().obs_note(ss, "commit.begin", gfid, vv_total);
         let committed = k.commit_session(fsc.net(), gfid, sess, vv);
-        if committed.is_err() && fsc.net().observing() {
+        if committed.is_err() {
             // The bracket closes whether the install succeeded or was
             // rejected atomically — either way the critical section
             // ended.
-            fsc.net()
-                .obs_note(ss, "commit.end", &gfid.to_string(), vv_total);
+            fsc.net().obs_note(ss, "commit.end", gfid, vv_total);
         }
         let info = committed?;
         let readers: Vec<SiteId> = k
@@ -174,11 +170,8 @@ pub(crate) fn handle_commit(
     // as unreachable) before `commit.end` closes the bracket, so no site
     // serves the superseded version from its cache afterwards.
     fsc.recall_leases(ss, css, gfid);
-    if fsc.net().observing() {
-        // The bracket closes only once the recalls are in — see above.
-        fsc.net()
-            .obs_note(ss, "commit.end", &gfid.to_string(), vv_total);
-    }
+    // The bracket closes only once the recalls are in — see above.
+    fsc.net().obs_note(ss, "commit.end", gfid, vv_total);
 
     // "As part of the commit operation, the SS sends messages to all the
     // other SS's of that file as well as the CSS" (§2.3.6). The

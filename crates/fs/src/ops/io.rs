@@ -189,10 +189,7 @@ pub(crate) fn handle_read_page(
 /// against `commit.begin`/`commit.end` brackets: a served page must never
 /// carry the version currently being installed.
 fn note_read(fsc: &FsCluster, ss: SiteId, gfid: Gfid, vv_total: u64) {
-    if fsc.net().observing() {
-        fsc.net()
-            .obs_note(ss, "read.page", &gfid.to_string(), vv_total);
-    }
+    fsc.net().obs_note(ss, "read.page", gfid, vv_total);
 }
 
 /// Fetches one logical page for a US with a *batched* readahead window

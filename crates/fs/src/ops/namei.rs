@@ -15,7 +15,7 @@
 //! itself.
 //!
 //! When the using-site name cache is enabled
-//! ([`FsCluster::set_name_cache`]), directory interrogation first asks the
+//! ([`Coherence::Validate`]), directory interrogation first asks the
 //! CSS for the most current version it knows ([`FsMsg::VvCheck`], one
 //! round trip) and serves the parsed contents from
 //! [`crate::namecache::NameAttrCache`] on a version match, skipping the
@@ -23,7 +23,7 @@
 //! pending propagations keep the paper's zero-message bypass instead.
 //!
 //! With coherence leases additionally enabled
-//! ([`FsCluster::set_name_leases`]), the probe itself disappears on the
+//! ([`Coherence::Lease`]), the probe itself disappears on the
 //! warm path: the CSS records the probing site as a lease holder on the
 //! first validation, and until it recalls the lease the holder serves
 //! cached dentries and attributes locally with zero messages.
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use locus_storage::PAGE_SIZE;
 use locus_types::{Errno, FileType, Gfid, Ino, OpenMode, Perms, SiteId, SysResult, VersionVector};
 
-use crate::cluster::FsCluster;
+use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
 use crate::directory::Directory;
 use crate::mailbox::Mailbox;
@@ -191,26 +191,25 @@ pub fn stat(fsc: &FsCluster, us: SiteId, ctx: &ProcFsCtx, path: &str) -> SysResu
 /// Stats a file by global identifier, served from the attribute cache
 /// when a CSS version probe vouches for the cached copy.
 pub fn stat_gfid(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<InodeInfo> {
-    let caching = fsc.name_cache_enabled() && !local_bypass(fsc, us, gfid);
+    let tier = coherence_for(fsc, us, gfid);
+    let caching = tier != Coherence::Off;
     if caching {
         // Under a live coherence lease the CSS pushes invalidations, so a
         // warm entry is served with no validation probe: zero messages.
-        // A quarantined site trusts nothing it cached — recalls may have
-        // failed to reach it — and falls back to the probe.
-        if fsc.name_leases_enabled() && !fsc.net().quarantined(us) {
+        if tier == Coherence::Lease {
             let hit = fsc.with_kernel(us, |k| k.name_cache.attr_under_lease(gfid));
             if let Some(info) = hit {
-                note_cache(fsc, us, "namecache.hit", gfid, info.vv.total());
+                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
                 return Ok(info);
             }
         }
         if let Ok(latest) = css_known_latest(fsc, us, gfid) {
             let hit = fsc.with_kernel(us, |k| k.name_cache.attr_fresh(gfid, &latest));
             if let Some(info) = hit {
-                note_cache(fsc, us, "namecache.hit", gfid, info.vv.total());
+                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
                 return Ok(info);
             }
-            note_cache(fsc, us, "namecache.miss", gfid, latest.total());
+            fsc.net().obs_note(us, "namecache.miss", gfid, latest.total());
         }
     }
     let t = open_gfid(fsc, us, gfid, OpenMode::InternalUnsyncRead)?;
@@ -222,12 +221,26 @@ pub fn stat_gfid(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<InodeInfo
     Ok(info)
 }
 
-/// Whether `gfid` is searched by the paper's zero-message local bypass
-/// (the §2.3.4 fast path in [`open_gfid`]) — if so the name cache has
-/// nothing to win and stays out of the way.
-fn local_bypass(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> bool {
+/// The one decision of which cache tier serves `gfid` at `us` right now:
+/// the cluster's mode, lowered to [`Coherence::Off`] where the paper's
+/// zero-message local bypass applies (the §2.3.4 fast path in
+/// [`open_gfid`]: a stored copy with no pending propagation — the cache
+/// has nothing to win), and from lease to validation while `us` is
+/// quarantined (it trusts nothing it cached: recalls may have failed to
+/// reach it).
+fn coherence_for(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> Coherence {
+    let mode = fsc.coherence();
+    if mode == Coherence::Off {
+        return mode;
+    }
     let k = fsc.kernel(us);
-    !k.prop_queue.iter().any(|r| r.gfid == gfid) && k.stores_data(gfid)
+    if k.stores_data(gfid) && !k.prop_queue.iter().any(|r| r.gfid == gfid) {
+        Coherence::Off
+    } else if mode == Coherence::Lease && fsc.net().quarantined(us) {
+        Coherence::Validate
+    } else {
+        mode
+    }
 }
 
 /// Asks the CSS for the most current version of `gfid` it knows
@@ -246,7 +259,7 @@ fn css_known_latest(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<Versio
             FsReply::VvKnown { vv, lease } => {
                 if lease {
                     fsc.with_kernel(us, |k| k.name_cache.grant_lease(gfid));
-                    note_cache(fsc, us, "lease.grant", gfid, vv.total());
+                    fsc.net().obs_note(us, "lease.grant", gfid, vv.total());
                 }
                 return Ok(vv);
             }
@@ -293,7 +306,7 @@ pub(crate) fn handle_vv_check(
     if k.local_info(gfid).is_none() {
         return Err(Errno::Enoent);
     }
-    let lease = fsc.name_leases_enabled() && from != css;
+    let lease = fsc.coherence() == Coherence::Lease && from != css;
     if lease {
         k.record_lease(gfid, from);
     }
@@ -301,13 +314,6 @@ pub(crate) fn handle_vv_check(
         vv: k.known_latest(gfid),
         lease,
     })
-}
-
-/// Drops a cache hit/miss breadcrumb under the enclosing resolve span.
-fn note_cache(fsc: &FsCluster, us: SiteId, key: &str, gfid: Gfid, value: u64) {
-    if fsc.net().observing() {
-        fsc.net().obs_note(us, key, &gfid.to_string(), value);
-    }
 }
 
 /// Produces a directory's parsed contents and inode info for searching,
@@ -321,15 +327,15 @@ fn dir_for_search(
     gfid: Gfid,
     check: impl Fn(&InodeInfo) -> SysResult<()>,
 ) -> SysResult<(Arc<Directory>, InodeInfo)> {
-    let caching = fsc.name_cache_enabled() && !local_bypass(fsc, us, gfid);
+    let tier = coherence_for(fsc, us, gfid);
+    let caching = tier != Coherence::Off;
     if caching {
         // Lease-held directories skip the per-component validation probe
         // entirely (the warm 4-deep resolve drops from 8 messages to 0).
-        // Quarantined sites fall back to the probe — see `stat_gfid`.
-        if fsc.name_leases_enabled() && !fsc.net().quarantined(us) {
+        if tier == Coherence::Lease {
             let hit = fsc.with_kernel(us, |k| k.name_cache.dir_under_lease(gfid));
             if let Some((dir, info)) = hit {
-                note_cache(fsc, us, "namecache.hit", gfid, info.vv.total());
+                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
                 check(&info)?;
                 return Ok((dir, info));
             }
@@ -337,11 +343,11 @@ fn dir_for_search(
         if let Ok(latest) = css_known_latest(fsc, us, gfid) {
             let hit = fsc.with_kernel(us, |k| k.name_cache.dir_fresh(gfid, &latest));
             if let Some((dir, info)) = hit {
-                note_cache(fsc, us, "namecache.hit", gfid, info.vv.total());
+                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
                 check(&info)?;
                 return Ok((dir, info));
             }
-            note_cache(fsc, us, "namecache.miss", gfid, latest.total());
+            fsc.net().obs_note(us, "namecache.miss", gfid, latest.total());
         }
     }
     let t = open_gfid(fsc, us, gfid, OpenMode::InternalUnsyncRead)?;
@@ -366,7 +372,7 @@ fn dir_for_search(
 /// inode, which removes the entry and bumps the directory version first),
 /// a full [`stat_gfid`] otherwise.
 fn child_type(fsc: &FsCluster, us: SiteId, dir: Gfid, child: Gfid) -> SysResult<FileType> {
-    if fsc.name_cache_enabled() {
+    if fsc.coherence() != Coherence::Off {
         if let Some(t) = fsc.kernel(us).name_cache.child_type(dir, child.ino) {
             return Ok(t);
         }

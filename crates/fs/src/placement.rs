@@ -160,9 +160,8 @@ impl PlacementDriver {
         // Publish the depth gauges and the cumulative handoff counter.
         for (&site, &load) in &report.site_load {
             fsc.net().set_stat_gauge(&format!("css.depth.{site}"), load);
-            if fsc.net().observing() && load > 0 {
-                fsc.net()
-                    .obs_note(site, "css.depth", &site.to_string(), load);
+            if load > 0 {
+                fsc.net().obs_note(site, "css.depth", site, load);
             }
         }
         // Decide and migrate, heaviest filegroups first so the per-step

@@ -21,17 +21,13 @@
 //! traces are identical: the whole fault pipeline is deterministic in the
 //! seed.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use std::collections::BTreeMap;
-
-use locus_fs::ops::fd;
-use locus_fs::{FsCluster, FsClusterBuilder, IoPolicy, ProcFsCtx};
-use locus_net::{FaultPlan, FaultSpec, Histogram, NetStats, ObsEvent, RetryPolicy, SimRng};
-use locus_types::{FileType, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
-use proptest::prelude::*;
-use proptest::{runtime, TestRng};
+use locus_fs::{FsCluster, FsClusterBuilder, IoPolicy};
+use locus_net::{FaultPlan, FaultSpec, ObsEvent, RetryPolicy, SimRng};
+use locus_testkit::{
+    finish, proptest_seed_set, replays_identically, run_schedules_parallel, Observation,
+    VersionedFile,
+};
+use locus_types::{SiteId, Ticks};
 
 /// Sites holding a container of the root filegroup; site 0 is the CSS.
 const CONTAINERS: [u32; 3] = [0, 1, 2];
@@ -42,31 +38,10 @@ const WRITER: SiteId = SiteId(0);
 /// Workload steps per schedule.
 const STEPS: u32 = 14;
 
-fn ctx(fsc: &FsCluster, site: SiteId) -> ProcFsCtx {
-    ProcFsCtx::new(fsc.kernel(site).mount.root().unwrap(), MachineType::Vax)
-}
-
-/// Version `v`'s file content, padded with `pad` extra bytes (multi-page
-/// payloads exercise the batched protocols). Strictly growing length, so
-/// overwriting from offset 0 never leaves a stale tail.
-fn payload_padded(v: u32, pad: usize) -> Vec<u8> {
-    let mut p = format!("v{v:04}:").into_bytes();
-    p.extend(std::iter::repeat_n(b'x', 16 + pad + v as usize));
-    p
-}
-
-/// Version `v`'s file content at the default (single-page) padding.
-fn payload(v: u32) -> Vec<u8> {
-    payload_padded(v, 0)
-}
-
-/// Parses a version back out, checking byte-exactness against
-/// [`payload_padded`] — any corruption or tearing fails the parse.
-fn version_of(data: &[u8], pad: usize) -> Option<u32> {
-    let s = std::str::from_utf8(data).ok()?;
-    let (num, _) = s.strip_prefix('v')?.split_once(':')?;
-    let v: u32 = num.parse().ok()?;
-    (data == payload_padded(v, pad).as_slice()).then_some(v)
+/// The file every schedule fights over, each version padded with `pad`
+/// extra bytes.
+fn chaos_file(pad: usize) -> VersionedFile {
+    VersionedFile { path: "/chaos", pad }
 }
 
 /// A seed-derived fault plan plus the times its scheduled topology
@@ -112,45 +87,10 @@ fn open_guard(fsc: &FsCluster, us: SiteId) -> bool {
     net.reachable(us, WRITER) && CONTAINERS.iter().any(|&c| net.reachable(WRITER, SiteId(c)))
 }
 
-/// One full write session for version `v` at the writer site.
-fn write_version(fsc: &FsCluster, v: u32, pad: usize) -> SysResult<()> {
-    let c = ctx(fsc, WRITER);
-    let fdn = fd::open(fsc, WRITER, &c, "/chaos", OpenMode::Write)?;
-    let wrote = fd::write(fsc, WRITER, fdn, &payload_padded(v, pad)).map(|_| ());
-    let closed = fd::close(fsc, WRITER, fdn);
-    wrote.and(closed)
-}
-
-/// One full read session from `us`; returns the version read.
-///
-/// # Panics
-///
-/// Panics on corrupt content — torn pages are a durability violation no
-/// fault schedule may excuse.
-fn read_version(fsc: &FsCluster, us: SiteId, pad: usize) -> SysResult<u32> {
-    let c = ctx(fsc, us);
-    let fdn = fd::open(fsc, us, &c, "/chaos", OpenMode::Read)?;
-    let data = fd::read(fsc, us, fdn, 1 << 20);
-    let _ = fd::close(fsc, us, fdn);
-    let data = data?;
-    Some(version_of(&data, pad).unwrap_or_else(|| panic!("corrupt content read: {data:?}")))
-        .ok_or(locus_types::Errno::Eio)
-}
-
-/// What a clean schedule run yields: the event stream, the
-/// per-(service, op) virtual-time latency histograms and the network
-/// statistics, all of which must be byte-identical across identical-seed
-/// replays.
-type ScheduleObservation = (
-    Vec<ObsEvent>,
-    BTreeMap<(String, String), Histogram>,
-    NetStats,
-);
-
 /// Runs one complete seeded schedule under the paper-faithful per-page
 /// protocols; returns the event stream, latency histograms and statistics on
 /// success, or a description of the violated invariant.
-fn run_schedule(seed: u64) -> Result<ScheduleObservation, String> {
+fn run_schedule(seed: u64) -> Result<Observation, String> {
     run_schedule_with(seed, IoPolicy::paper_faithful(), 0)
 }
 
@@ -158,7 +98,7 @@ fn run_schedule(seed: u64) -> Result<ScheduleObservation, String> {
 /// policy, with `pad` extra payload bytes (multi-page versions stress
 /// batched reads, readahead windows and write-behind flushes under the
 /// same fault plans).
-fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<ScheduleObservation, String> {
+fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Observation, String> {
     let fsc = FsClusterBuilder::new()
         .vax_sites(N_SITES as usize)
         .filegroup("root", &CONTAINERS)
@@ -181,13 +121,8 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
     net.set_observing(true);
 
     // Create version 0 on a pristine network, fully propagated.
-    let c0 = ctx(&fsc, WRITER);
-    let fdn = fd::creat(&fsc, WRITER, &c0, "/chaos", FileType::Untyped, Perms::FILE_DEFAULT)
-        .map_err(|e| format!("seed {seed}: pristine creat failed: {e:?}"))?;
-    fd::write(&fsc, WRITER, fdn, &payload_padded(0, pad))
-        .map_err(|e| format!("seed {seed}: pristine write failed: {e:?}"))?;
-    fd::close(&fsc, WRITER, fdn)
-        .map_err(|e| format!("seed {seed}: pristine close failed: {e:?}"))?;
+    let file = chaos_file(pad);
+    file.create(&fsc, WRITER, seed)?;
     fsc.settle();
 
     let (plan, event_times) = plan_for(seed);
@@ -203,14 +138,14 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
             next_version += 1;
             // A failed session may still have committed (the ack was
             // lost): `confirmed` stays, but reads may now see `v`.
-            if write_version(&fsc, v, pad).is_ok() {
+            if file.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
         } else {
             let us = SiteId(wl.gen_range(0u32..N_SITES));
             let guard_before = open_guard(&fsc, us);
             let t0 = net.now();
-            let res = read_version(&fsc, us, pad);
+            let res = file.read(&fsc, us);
             let t1 = net.now();
             match res {
                 Ok(v) => {
@@ -246,53 +181,19 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
     net.heal();
     fsc.settle();
 
-    let mut seen = Vec::new();
-    for i in 0..N_SITES {
-        let v = read_version(&fsc, SiteId(i), pad)
-            .map_err(|e| format!("seed {seed}: post-heal read at site {i} failed: {e:?}"))?;
-        seen.push(v);
-    }
-    if seen.iter().any(|&v| v != seen[0]) {
-        return Err(format!("seed {seed}: sites disagree after heal: {seen:?}"));
-    }
-    if seen[0] < confirmed {
-        return Err(format!(
-            "seed {seed}: committed v{confirmed} lost — final state is v{}",
-            seen[0]
-        ));
-    }
-    if seen[0] >= next_version {
-        return Err(format!(
-            "seed {seed}: final v{} was never written (max attempted v{})",
-            seen[0],
-            next_version - 1
-        ));
-    }
+    file.check_convergence(&fsc, seed, confirmed, next_version)?;
 
-    // A truncated trace would make the determinism comparisons (and the
-    // audit below) prefix-only: fail loudly instead of comparing less.
-    if net.obs_truncated() > 0 {
-        return Err(format!(
-            "seed {seed}: trace truncated ({} events dropped past the cap)",
-            net.obs_truncated()
-        ));
-    }
-    // Every schedule's span trace must audit clean against the protocol
-    // invariants (reply matching, idempotent re-issue, bounded circuit
-    // reopens, commit/read interleaving, one-way loss accounting).
-    let events = net.take_obs_events();
-    let audit = locus_net::audit(&events);
-    if !audit.is_clean() {
-        return Err(format!(
-            "seed {seed}: trace audit found violations: {:?}",
-            audit.violations
-        ));
-    }
+    // Every schedule's span trace must be complete and audit clean
+    // against the protocol invariants (reply matching, idempotent
+    // re-issue, bounded circuit reopens, commit/read interleaving,
+    // one-way loss accounting).
+    let obs = finish(net, seed, &[])?;
     // The commit/read interleaving invariant above is only worth its
     // name if the reads it judged include ones the write-through buffer
     // cache served: every `read.page` note carries the served version
     // whether the page came off the disk or out of a buffer.
-    let read_notes = events
+    let read_notes = obs
+        .0
         .iter()
         .filter(|e| matches!(e, ObsEvent::Note { key, .. } if key == "read.page"))
         .count();
@@ -304,60 +205,7 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Schedule
             cache.hits
         ));
     }
-    Ok((events, net.obs_histograms(), net.stats()))
-}
-
-/// Runs `schedule` over every seed across `std::thread` workers. Each
-/// schedule owns its whole cluster and virtual clock, so determinism is
-/// strictly per-seed: results are byte-identical to a serial run, only
-/// the wall-clock shrinks. Failures are reported in seed order.
-fn run_schedules_parallel(seeds: &[u64], schedule: impl Fn(u64) -> Result<(), String> + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<(), String>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let r = schedule(seeds[i]);
-                *results[i].lock().expect("no poisoned schedule slot") = Some(r);
-            });
-        }
-    });
-    for (i, slot) in results.iter().enumerate() {
-        let r = slot
-            .lock()
-            .expect("no poisoned schedule slot")
-            .take()
-            .expect("every slot ran");
-        if let Err(msg) = r {
-            panic!("schedule case {i} of {} failed:\n{msg}", seeds.len());
-        }
-    }
-}
-
-/// The 256 proptest-style seeds for [`chaos_schedules_preserve_invariants`],
-/// derived exactly as the in-tree proptest shim derives them (same test
-/// name hash, same per-case rng) so the seed set is unchanged from the
-/// previous `proptest!` form — including `PROPTEST_SEED` /
-/// `PROPTEST_CASES` overrides.
-fn proptest_seed_set(test_name: &str, cases: u32) -> Vec<u64> {
-    let config = ProptestConfig::with_cases(cases);
-    let cases = runtime::case_count(&config);
-    let base = runtime::base_seed(test_name);
-    (0..cases as u64)
-        .map(|case| {
-            let mut rng = TestRng::new(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Strategy::generate(&any::<u64>(), &mut rng)
-        })
-        .collect()
+    Ok(obs)
 }
 
 #[test]
@@ -366,7 +214,7 @@ fn chaos_schedules_preserve_invariants() {
         concat!(module_path!(), "::chaos_schedules_preserve_invariants"),
         256,
     );
-    run_schedules_parallel(&seeds, |seed| run_schedule(seed).map(|_| ()));
+    run_schedules_parallel(&seeds, run_schedule);
 }
 
 /// The same availability and durability invariants must hold with batched
@@ -381,24 +229,15 @@ fn batched_chaos_schedules_preserve_invariants() {
         64,
     );
     let pad = 2 * locus_storage::PAGE_SIZE + 400;
-    run_schedules_parallel(&seeds, |seed| {
-        run_schedule_with(seed, IoPolicy::batched(), pad).map(|_| ())
-    });
+    run_schedules_parallel(&seeds, |seed| run_schedule_with(seed, IoPolicy::batched(), pad));
 }
 
 #[test]
 fn identical_seed_gives_identical_trace() {
     for seed in [3u64, 1983, 0xFEED_FACE] {
-        let (ta, ha, sa) = run_schedule(seed).expect("schedule upholds invariants");
-        let (tb, hb, sb) = run_schedule(seed).expect("schedule upholds invariants");
-        assert_eq!(ta, tb, "seed {seed}: traces diverged between identical runs");
-        assert_eq!(
-            ha, hb,
-            "seed {seed}: latency histograms diverged between identical runs"
-        );
-        assert_eq!(sa, sb, "seed {seed}: statistics diverged between identical runs");
+        let (_, hists, _) = replays_identically(seed, run_schedule).unwrap_or_else(|e| panic!("{e}"));
         assert!(
-            !ha.is_empty(),
+            !hists.is_empty(),
             "seed {seed}: the schedule must feed the op histograms"
         );
     }
@@ -410,16 +249,8 @@ fn identical_seed_gives_identical_trace() {
 fn batched_identical_seed_gives_identical_trace() {
     let pad = 2 * locus_storage::PAGE_SIZE + 400;
     for seed in [3u64, 1983, 0xFEED_FACE] {
-        let (ta, ha, sa) = run_schedule_with(seed, IoPolicy::batched(), pad)
-            .expect("batched schedule upholds invariants");
-        let (tb, hb, sb) = run_schedule_with(seed, IoPolicy::batched(), pad)
-            .expect("batched schedule upholds invariants");
-        assert_eq!(ta, tb, "seed {seed}: batched traces diverged between runs");
-        assert_eq!(
-            ha, hb,
-            "seed {seed}: batched latency histograms diverged between runs"
-        );
-        assert_eq!(sa, sb, "seed {seed}: batched statistics diverged between runs");
+        replays_identically(seed, |seed| run_schedule_with(seed, IoPolicy::batched(), pad))
+            .unwrap_or_else(|e| panic!("batched: {e}"));
     }
 }
 
@@ -437,18 +268,16 @@ fn opens_always_succeed_under_pure_message_loss() {
             ..RetryPolicy::default()
         })
         .build();
-    let c0 = ctx(&fsc, WRITER);
-    let fdn = fd::creat(&fsc, WRITER, &c0, "/chaos", FileType::Untyped, Perms::FILE_DEFAULT)
-        .expect("pristine creat");
-    fd::write(&fsc, WRITER, fdn, &payload(0)).expect("pristine write");
-    fd::close(&fsc, WRITER, fdn).expect("pristine close");
+    let file = chaos_file(0);
+    file.create(&fsc, WRITER, 77).expect("pristine file");
     fsc.settle();
 
     fsc.net()
         .install_faults(FaultPlan::new(77).default_spec(FaultSpec::drop_rate(0.3)));
     for round in 0..8u32 {
         for i in 0..N_SITES {
-            let v = read_version(&fsc, SiteId(i), 0)
+            let v = file
+                .read(&fsc, SiteId(i))
                 .unwrap_or_else(|e| panic!("round {round}: open from site {i} failed: {e:?}"));
             assert_eq!(v, 0);
         }

@@ -27,20 +27,14 @@
 //! must produce byte-identical protocol traces and latency histograms:
 //! reconfiguration never breaks replay determinism.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use locus_fs::ops::fd;
 use locus_fs::{
     css_handoff, probation_probe, replica_add, replica_remove, FsCluster, FsClusterBuilder,
-    ProcFsCtx,
 };
-use locus_net::{
-    FaultPlan, FaultSpec, HealthPolicy, Histogram, NetStats, ObsEvent, RetryPolicy, SimRng,
-    SiteHealth,
+use locus_net::{FaultPlan, FaultSpec, HealthPolicy, RetryPolicy, SimRng, SiteHealth};
+use locus_testkit::{
+    finish, replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
 };
-use locus_types::{FileType, FilegroupId, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
+use locus_types::{FilegroupId, SiteId, Ticks};
 
 /// Sites holding a container of the root filegroup.
 const CONTAINERS: [u32; 3] = [0, 1, 2];
@@ -56,54 +50,8 @@ const OLD_CSS: SiteId = SiteId(0);
 /// The healthy container the synchronization role moves to.
 const NEW_CSS: SiteId = SiteId(1);
 
-fn ctx(fsc: &FsCluster, site: SiteId) -> ProcFsCtx {
-    ProcFsCtx::new(fsc.kernel(site).mount.root().unwrap(), MachineType::Vax)
-}
-
-/// Version `v`'s byte-exact file content (strictly growing length, so an
-/// overwrite from offset 0 never leaves a stale tail).
-fn payload(v: u32) -> Vec<u8> {
-    let mut p = format!("v{v:04}:").into_bytes();
-    p.extend(std::iter::repeat_n(b'x', 16 + v as usize));
-    p
-}
-
-/// Parses a version back out, checking byte-exactness — any corruption
-/// or tearing fails the parse.
-fn version_of(data: &[u8]) -> Option<u32> {
-    let s = std::str::from_utf8(data).ok()?;
-    let (num, _) = s.strip_prefix('v')?.split_once(':')?;
-    let v: u32 = num.parse().ok()?;
-    (data == payload(v).as_slice()).then_some(v)
-}
-
-/// One full write session for version `v` at the writer site.
-fn write_version(fsc: &FsCluster, v: u32) -> SysResult<()> {
-    let c = ctx(fsc, WRITER);
-    let fdn = fd::open(fsc, WRITER, &c, "/gray", OpenMode::Write)?;
-    let wrote = fd::write(fsc, WRITER, fdn, &payload(v)).map(|_| ());
-    let closed = fd::close(fsc, WRITER, fdn);
-    wrote.and(closed)
-}
-
-/// One full read session from `us`; returns the version read.
-///
-/// # Panics
-///
-/// Panics on corrupt content — torn pages are a durability violation no
-/// schedule may excuse.
-fn read_version(fsc: &FsCluster, us: SiteId) -> SysResult<u32> {
-    let c = ctx(fsc, us);
-    let fdn = fd::open(fsc, us, &c, "/gray", OpenMode::Read)?;
-    let data = fd::read(fsc, us, fdn, 1 << 20);
-    let _ = fd::close(fsc, us, fdn);
-    let data = data?;
-    Some(
-        version_of(&data)
-            .unwrap_or_else(|| panic!("corrupt content read at {us:?}: {data:?}")),
-    )
-    .ok_or(locus_types::Errno::Eio)
-}
+/// The file every schedule fights over.
+const GRAY: VersionedFile = VersionedFile::new("/gray");
 
 /// A health policy tuned so latency drift crosses the quarantine bar
 /// within a handful of operations (the defaults take a longer workload).
@@ -132,114 +80,23 @@ fn build_cluster() -> FsCluster {
         .build()
 }
 
-/// Creates `/gray` at version 0 on a pristine network, fully propagated.
-fn seed_file(fsc: &FsCluster, seed: u64) -> Result<(), String> {
-    let c0 = ctx(fsc, WRITER);
-    let fdn = fd::creat(fsc, WRITER, &c0, "/gray", FileType::Untyped, Perms::FILE_DEFAULT)
-        .map_err(|e| format!("seed {seed}: pristine creat failed: {e:?}"))?;
-    fd::write(fsc, WRITER, fdn, &payload(0))
-        .map_err(|e| format!("seed {seed}: pristine write failed: {e:?}"))?;
-    fd::close(fsc, WRITER, fdn)
-        .map_err(|e| format!("seed {seed}: pristine close failed: {e:?}"))?;
-    fsc.settle();
-    Ok(())
-}
-
-/// What a clean schedule run yields: the event stream, the
-/// per-(service, op) virtual-time latency histograms and the network
-/// statistics, all of which must be byte-identical across identical-seed
-/// replays.
-type ScheduleObservation = (
-    Vec<ObsEvent>,
-    BTreeMap<(String, String), Histogram>,
-    NetStats,
-);
-
-/// Common tail of every schedule: no truncated buffers, required health /
-/// epoch notes present, audit clean, then hand back the observation.
-fn finish(
-    fsc: &FsCluster,
-    seed: u64,
-    required_notes: &[&str],
-) -> Result<ScheduleObservation, String> {
-    let net = fsc.net();
-    if net.obs_truncated() > 0 {
-        return Err(format!(
-            "seed {seed}: trace truncated ({} events dropped past the cap)",
-            net.obs_truncated()
-        ));
-    }
-    let events = net.take_obs_events();
-    for key in required_notes {
-        let seen = events.iter().any(|e| match e {
-            ObsEvent::Note { key: k, .. } => k == key,
-            _ => false,
-        });
-        if !seen {
-            return Err(format!(
-                "seed {seed}: expected a `{key}` note in the observability stream"
-            ));
-        }
-    }
-    let audit = locus_net::audit(&events);
-    if !audit.is_clean() {
-        return Err(format!(
-            "seed {seed}: trace audit found violations: {:?}",
-            audit.violations
-        ));
-    }
-    Ok((events, net.obs_histograms(), net.stats()))
-}
-
-/// Reads `/gray` at every site and checks full agreement inside the
-/// committed window `[confirmed, next_version)`.
-fn check_convergence(
-    fsc: &FsCluster,
-    seed: u64,
-    confirmed: u32,
-    next_version: u32,
-) -> Result<(), String> {
-    let mut seen = Vec::new();
-    for i in 0..N_SITES {
-        let v = read_version(fsc, SiteId(i))
-            .map_err(|e| format!("seed {seed}: final read at site {i} failed: {e:?}"))?;
-        seen.push(v);
-    }
-    if seen.iter().any(|&v| v != seen[0]) {
-        return Err(format!("seed {seed}: sites disagree after recovery: {seen:?}"));
-    }
-    if seen[0] < confirmed {
-        return Err(format!(
-            "seed {seed}: committed v{confirmed} lost — final state is v{}",
-            seen[0]
-        ));
-    }
-    if seen[0] >= next_version {
-        return Err(format!(
-            "seed {seed}: final v{} was never written (max attempted v{})",
-            seen[0],
-            next_version - 1
-        ));
-    }
-    Ok(())
-}
-
 /// The acceptance scenario: a one-directional slow link on the CSS's
 /// outbound direction mid-workload → latency-drift detection →
 /// quarantine → live CSS handoff (writes keep succeeding) → fault lifts
 /// → probation probes readmit the site → every replica reconverges.
-fn run_gray_handoff_schedule(seed: u64) -> Result<ScheduleObservation, String> {
+fn run_gray_handoff_schedule(seed: u64) -> Result<Observation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
     net.set_observing(true);
-    seed_file(&fsc, seed)?;
+    GRAY.create(&fsc, WRITER, seed)?;
+    fsc.settle();
 
     // Phase 1: warm the per-link latency baselines on a healthy network
     // (drift detection needs `drift_min_samples` per directed link).
     for i in 0..10u32 {
         let us = if i % 3 == 2 { SiteId(4) } else { WRITER };
-        read_version(&fsc, us)
+        GRAY.read(&fsc, us)
             .map_err(|e| format!("seed {seed}: warmup read at {us:?} failed: {e:?}"))?;
     }
 
@@ -266,10 +123,10 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<ScheduleObservation, String> {
         if wl.gen_bool(0.5) {
             let v = next_version;
             next_version += 1;
-            if write_version(&fsc, v).is_ok() {
+            if GRAY.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
-        } else if let Ok(v) = read_version(&fsc, WRITER) {
+        } else if let Ok(v) = GRAY.read(&fsc, WRITER) {
             if v < confirmed || v >= next_version {
                 return Err(format!(
                     "seed {seed}: read v{v} outside committed window [{confirmed}, {}]",
@@ -304,11 +161,11 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<ScheduleObservation, String> {
     for _ in 0..5 {
         let v = next_version;
         next_version += 1;
-        write_version(&fsc, v)
+        GRAY.write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: post-handoff write v{v} failed: {e:?}"))?;
         confirmed = v;
         let us = if wl.gen_bool(0.5) { WRITER } else { SiteId(4) };
-        let r = read_version(&fsc, us)
+        let r = GRAY.read(&fsc, us)
             .map_err(|e| format!("seed {seed}: post-handoff read at {us:?} failed: {e:?}"))?;
         if r != confirmed {
             return Err(format!(
@@ -336,9 +193,9 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<ScheduleObservation, String> {
 
     // Phase 7: reconvergence — no committed write lost, none invented.
     fsc.settle();
-    check_convergence(&fsc, seed, confirmed, next_version)?;
+    GRAY.check_convergence(&fsc, seed, confirmed, next_version)?;
     finish(
-        &fsc,
+        net,
         seed,
         &["health.quarantine", "css.claim", "health.probation", "health.readmit"],
     )
@@ -349,12 +206,13 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<ScheduleObservation, String> {
 /// loss on top of a gray link. Checks the same durability window plus a
 /// clean audit; per-operation failures are tolerated (drops can defeat
 /// any finite retry budget) but committed data may never be lost.
-fn run_reconfig_race_schedule(seed: u64) -> Result<ScheduleObservation, String> {
+fn run_reconfig_race_schedule(seed: u64) -> Result<Observation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
     net.set_observing(true);
-    seed_file(&fsc, seed)?;
+    GRAY.create(&fsc, WRITER, seed)?;
+    fsc.settle();
 
     let mut wl = SimRng::seed_from_u64(seed ^ 0x6E47_A110);
     let spec = FaultSpec {
@@ -379,12 +237,12 @@ fn run_reconfig_race_schedule(seed: u64) -> Result<ScheduleObservation, String> 
             next_version += 1;
             // A failed session may still have committed (the ack was
             // lost): `confirmed` stays, but reads may now see `v`.
-            if write_version(&fsc, v).is_ok() {
+            if GRAY.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
         } else if roll < 75 {
             let us = SiteId(wl.gen_range(0u32..N_SITES));
-            if let Ok(v) = read_version(&fsc, us) {
+            if let Ok(v) = GRAY.read(&fsc, us) {
                 if v < confirmed || v >= next_version {
                     return Err(format!(
                         "seed {seed}: read v{v} outside committed window [{confirmed}, {}]",
@@ -423,48 +281,8 @@ fn run_reconfig_race_schedule(seed: u64) -> Result<ScheduleObservation, String> 
         }
     }
     fsc.settle();
-    check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(&fsc, seed, &[])
-}
-
-/// Runs `schedule` over every seed across `std::thread` workers. Each
-/// schedule owns its whole cluster and virtual clock, so determinism is
-/// strictly per-seed: results are byte-identical to a serial run, only
-/// the wall-clock shrinks. Failures are reported in seed order.
-fn run_schedules_parallel(seeds: &[u64], schedule: impl Fn(u64) -> Result<(), String> + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<(), String>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let r = schedule(seeds[i]);
-                *results[i].lock().expect("no poisoned schedule slot") = Some(r);
-            });
-        }
-    });
-    for (i, slot) in results.iter().enumerate() {
-        let r = slot
-            .lock()
-            .expect("no poisoned schedule slot")
-            .take()
-            .expect("every slot ran");
-        if let Err(msg) = r {
-            panic!("schedule case {i} of {} failed:\n{msg}", seeds.len());
-        }
-    }
-}
-
-fn seed_set(base: u64, n: u64) -> Vec<u64> {
-    (0..n).map(|i| base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+    GRAY.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &[])
 }
 
 /// Every seed runs the full detect → quarantine → handoff → readmit
@@ -474,22 +292,7 @@ fn seed_set(base: u64, n: u64) -> Vec<u64> {
 #[test]
 fn gray_handoff_schedules_recover_and_replay_identically() {
     run_schedules_parallel(&seed_set(0x61A4_F00D, 64), |seed| {
-        let a = run_gray_handoff_schedule(seed)?;
-        let b = run_gray_handoff_schedule(seed)?;
-        if a.0 != b.0 {
-            return Err(format!("seed {seed}: traces diverged between identical runs"));
-        }
-        if a.1 != b.1 {
-            return Err(format!(
-                "seed {seed}: latency histograms diverged between identical runs"
-            ));
-        }
-        if a.2 != b.2 {
-            return Err(format!(
-                "seed {seed}: statistics diverged between identical runs"
-            ));
-        }
-        Ok(())
+        replays_identically(seed, run_gray_handoff_schedule)
     });
 }
 
@@ -499,11 +302,6 @@ fn gray_handoff_schedules_recover_and_replay_identically() {
 #[test]
 fn reconfig_races_preserve_durability_and_determinism() {
     run_schedules_parallel(&seed_set(0x00DD_C0DE, 48), |seed| {
-        let a = run_reconfig_race_schedule(seed)?;
-        let b = run_reconfig_race_schedule(seed)?;
-        if a != b {
-            return Err(format!("seed {seed}: replay diverged between identical runs"));
-        }
-        Ok(())
+        replays_identically(seed, run_reconfig_race_schedule)
     });
 }

@@ -28,27 +28,25 @@
 //!
 //! Every seed runs its schedule **three times**: twice on the sequential
 //! engine (replay determinism) and once on the parallel-epoch engine —
-//! all three observations (protocol trace, exported observability
-//! stream, latency histograms) must be byte-identical. The recall
+//! all three observations (event stream, latency histograms,
+//! statistics) must be byte-identical. The recall
 //! transport branches on epoch state, not engine choice, and this is the
 //! standing proof. Each sequential schedule also ends with an
 //! epoch-stamped write, so the *post* flavour of the recall (buffered,
 //! delivered at the barrier in `PostStamp` order) is exercised under
 //! both engines, not just the RPC flavour.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use locus_fs::ops::cleanup::cleanup_site;
-use locus_fs::ops::fd;
-use locus_fs::{css_handoff, probation_probe, FsCluster, FsClusterBuilder, ProcFsCtx};
+use locus_fs::{css_handoff, probation_probe, FsCluster, FsClusterBuilder};
 use locus_net::{
-    EngineKind, FaultPlan, FaultSpec, HealthPolicy, Histogram, NetStats, RetryPolicy, SimRng,
-    SiteHealth,
+    EngineKind, FaultPlan, FaultSpec, HealthPolicy, RetryPolicy, SimRng, SiteHealth,
 };
-use locus_types::{FileType, FilegroupId, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
+use locus_testkit::{
+    finish, replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
+};
+use locus_types::{FilegroupId, SiteId, Ticks};
 
 /// Sites holding a container of the root filegroup; site 0 is the CSS.
 const CONTAINERS: [u32; 3] = [0, 1, 2];
@@ -64,57 +62,8 @@ const READERS: [u32; 3] = [1, 2, 4];
 /// pick on: no container lives there, so the workload stays available.
 const VICTIM: SiteId = SiteId(4);
 
-fn ctx(fsc: &FsCluster, site: SiteId) -> ProcFsCtx {
-    ProcFsCtx::new(fsc.kernel(site).mount.root().unwrap(), MachineType::Vax)
-}
-
-/// Version `v`'s byte-exact content (strictly growing length).
-fn payload(v: u32) -> Vec<u8> {
-    let mut p = format!("v{v:04}:").into_bytes();
-    p.extend(std::iter::repeat_n(b'x', 16 + v as usize));
-    p
-}
-
-/// Parses a version back out, checking byte-exactness.
-fn version_of(data: &[u8]) -> Option<u32> {
-    let s = std::str::from_utf8(data).ok()?;
-    let (num, _) = s.strip_prefix('v')?.split_once(':')?;
-    let v: u32 = num.parse().ok()?;
-    (data == payload(v).as_slice()).then_some(v)
-}
-
-/// One full write session for version `v` at the writer site.
-fn write_version(fsc: &FsCluster, v: u32) -> SysResult<()> {
-    write_version_at(fsc, WRITER, v)
-}
-
-/// One full write session for version `v` from `us`.
-fn write_version_at(fsc: &FsCluster, us: SiteId, v: u32) -> SysResult<()> {
-    let c = ctx(fsc, us);
-    let fdn = fd::open(fsc, us, &c, "/leased", OpenMode::Write)?;
-    let wrote = fd::write(fsc, us, fdn, &payload(v)).map(|_| ());
-    let closed = fd::close(fsc, us, fdn);
-    wrote.and(closed)
-}
-
-/// One full read session from `us`; returns the version read.
-///
-/// # Panics
-///
-/// Panics on corrupt content — a torn page is a durability violation no
-/// schedule may excuse.
-fn read_version(fsc: &FsCluster, us: SiteId) -> SysResult<u32> {
-    let c = ctx(fsc, us);
-    let fdn = fd::open(fsc, us, &c, "/leased", OpenMode::Read)?;
-    let data = fd::read(fsc, us, fdn, 1 << 20);
-    let _ = fd::close(fsc, us, fdn);
-    let data = data?;
-    Some(
-        version_of(&data)
-            .unwrap_or_else(|| panic!("corrupt content read at {us:?}: {data:?}")),
-    )
-    .ok_or(locus_types::Errno::Eio)
-}
+/// The file every schedule fights over.
+const LEASED: VersionedFile = VersionedFile::new("/leased");
 
 fn build_cluster(engine: EngineKind) -> FsCluster {
     FsClusterBuilder::new()
@@ -133,17 +82,11 @@ fn build_cluster(engine: EngineKind) -> FsCluster {
 /// Seeds `/leased` at version 0 on a pristine network, then warms every
 /// reader through two passes so each holds dentry and attribute leases.
 fn seed_and_warm(fsc: &FsCluster, seed: u64) -> Result<(), String> {
-    let c = ctx(fsc, WRITER);
-    let fdn = fd::creat(fsc, WRITER, &c, "/leased", FileType::Untyped, Perms::FILE_DEFAULT)
-        .map_err(|e| format!("seed {seed}: pristine creat failed: {e:?}"))?;
-    fd::write(fsc, WRITER, fdn, &payload(0))
-        .map_err(|e| format!("seed {seed}: pristine write failed: {e:?}"))?;
-    fd::close(fsc, WRITER, fdn)
-        .map_err(|e| format!("seed {seed}: pristine close failed: {e:?}"))?;
+    LEASED.create(fsc, WRITER, seed)?;
     fsc.settle();
     for r in READERS {
         for _ in 0..2 {
-            let v = read_version(fsc, SiteId(r))
+            let v = LEASED.read(fsc, SiteId(r))
                 .map_err(|e| format!("seed {seed}: warm read at S{r} failed: {e:?}"))?;
             if v != 0 {
                 return Err(format!("seed {seed}: warm read at S{r} saw v{v}, expected v0"));
@@ -152,83 +95,6 @@ fn seed_and_warm(fsc: &FsCluster, seed: u64) -> Result<(), String> {
     }
     if fsc.cache_stats().lease_grants == 0 {
         return Err(format!("seed {seed}: warming granted no leases"));
-    }
-    Ok(())
-}
-
-/// What a clean schedule yields; byte-identical across replays *and*
-/// across engines.
-type ScheduleObservation = (String, BTreeMap<(String, String), Histogram>, NetStats);
-
-/// Common tail: nothing truncated, required notes present, audit clean
-/// (which includes invariant 11 — no stale hit after a recall).
-fn finish(
-    fsc: &FsCluster,
-    seed: u64,
-    required_notes: &[&str],
-) -> Result<ScheduleObservation, String> {
-    let net = fsc.net();
-    if net.obs_truncated() > 0 {
-        return Err(format!(
-            "seed {seed}: trace truncated ({} events dropped past the cap)",
-            net.obs_truncated()
-        ));
-    }
-    let events = net.take_obs_events();
-    for key in required_notes {
-        let seen = events.iter().any(|e| match e {
-            locus_net::ObsEvent::Note { key: k, .. } => k == key,
-            _ => false,
-        });
-        if !seen {
-            return Err(format!(
-                "seed {seed}: expected a `{key}` note in the observability stream"
-            ));
-        }
-    }
-    let audit = locus_net::audit(&events);
-    if !audit.is_clean() {
-        return Err(format!(
-            "seed {seed}: trace audit found violations: {:?}",
-            audit.violations
-        ));
-    }
-    Ok((
-        locus_net::export_jsonl(&events),
-        net.obs_histograms(),
-        net.stats(),
-    ))
-}
-
-/// Reads `/leased` at every site and checks agreement inside the
-/// committed window `[confirmed, next_version)`.
-fn check_convergence(
-    fsc: &FsCluster,
-    seed: u64,
-    confirmed: u32,
-    next_version: u32,
-) -> Result<(), String> {
-    let mut seen = Vec::new();
-    for i in 0..N_SITES {
-        let v = read_version(fsc, SiteId(i))
-            .map_err(|e| format!("seed {seed}: final read at site {i} failed: {e:?}"))?;
-        seen.push(v);
-    }
-    if seen.iter().any(|&v| v != seen[0]) {
-        return Err(format!("seed {seed}: sites disagree after recovery: {seen:?}"));
-    }
-    if seen[0] < confirmed {
-        return Err(format!(
-            "seed {seed}: committed v{confirmed} lost — final state is v{}",
-            seen[0]
-        ));
-    }
-    if seen[0] >= next_version {
-        return Err(format!(
-            "seed {seed}: final v{} was never written (max attempted v{})",
-            seen[0],
-            next_version - 1
-        ));
     }
     Ok(())
 }
@@ -245,12 +111,12 @@ fn epoch_recall_tail(
     let v = *next_version;
     *next_version += 1;
     fsc.set_epoch_stamp(Some(fsc.net().now()));
-    let wrote = write_version(fsc, v);
+    let wrote = LEASED.write(fsc, WRITER, v);
     fsc.set_epoch_stamp(None);
     wrote.map_err(|e| format!("seed {seed}: epoch-stamped write v{v} failed: {e:?}"))?;
     fsc.settle();
     for r in READERS {
-        let got = read_version(fsc, SiteId(r))
+        let got = LEASED.read(fsc, SiteId(r))
             .map_err(|e| format!("seed {seed}: post-epoch read at S{r} failed: {e:?}"))?;
         if got != v {
             return Err(format!(
@@ -278,7 +144,7 @@ fn all_sites() -> BTreeSet<SiteId> {
 /// idempotent RPCs, so a dropped recall is retried until acked (or the
 /// holder revoked); after every *completed* write, no read anywhere may
 /// return an older version.
-fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
+fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<Observation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
     net.set_observing(true);
@@ -300,12 +166,12 @@ fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<ScheduleObservation,
         if rng.gen_bool(0.6) {
             let v = next_version;
             next_version += 1;
-            if write_version(&fsc, v).is_ok() {
+            if LEASED.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
         } else {
             let us = SiteId(READERS[rng.gen_range(0usize..READERS.len())]);
-            if let Ok(v) = read_version(&fsc, us) {
+            if let Ok(v) = LEASED.read(&fsc, us) {
                 if v < confirmed || v >= next_version {
                     return Err(format!(
                         "seed {seed}: stale read v{v} at {us:?} outside committed \
@@ -334,8 +200,8 @@ fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<ScheduleObservation,
             s.lease_recalls
         ));
     }
-    check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(&fsc, seed, &["lease.grant", "lease.recall"])
+    LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["lease.grant", "lease.recall"])
 }
 
 // ---------------------------------------------------------------------
@@ -345,7 +211,7 @@ fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<ScheduleObservation,
 /// The diskless holder crashes across the write window, so recalls to it
 /// fail and the CSS revokes it unreachable. On rejoin, the holder's §5.6
 /// cleanup flushes its stale marks before it serves anything.
-fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
+fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<Observation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
     net.set_observing(true);
@@ -362,7 +228,7 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<ScheduleObservat
     for _ in 0..rng.gen_range(1u32..3) {
         let v = next_version;
         next_version += 1;
-        write_version(&fsc, v)
+        LEASED.write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: write v{v} with crashed holder failed: {e:?}"))?;
         confirmed = v;
     }
@@ -382,7 +248,7 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<ScheduleObservat
             "seed {seed}: §5.6 cleanup left stale lease marks at the rejoined holder"
         ));
     }
-    let got = read_version(&fsc, VICTIM)
+    let got = LEASED.read(&fsc, VICTIM)
         .map_err(|e| format!("seed {seed}: post-rejoin read failed: {e:?}"))?;
     if got < confirmed {
         return Err(format!(
@@ -392,8 +258,8 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<ScheduleObservat
 
     confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
-    check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(&fsc, seed, &["lease.grant"])
+    LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["lease.grant"])
 }
 
 // ---------------------------------------------------------------------
@@ -405,7 +271,7 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<ScheduleObservat
 /// immediately, even though the undelivered recall left its stale marks
 /// in place — and probation readmission revokes everything it held,
 /// page tags included.
-fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
+fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<Observation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
     net.enable_health(HealthPolicy::default());
@@ -426,7 +292,7 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
         steps += 1;
         let v = next_version;
         next_version += 1;
-        write_version(&fsc, v)
+        LEASED.write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: write v{v} against a dark holder failed: {e:?}"))?;
         confirmed = v;
     }
@@ -454,7 +320,7 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
              (the guard, not delivery, is what this schedule tests)"
         ));
     }
-    if let Ok(v) = read_version(&fsc, VICTIM) {
+    if let Ok(v) = LEASED.read(&fsc, VICTIM) {
         if v < confirmed {
             return Err(format!(
                 "seed {seed}: quarantined holder served stale v{v} from under its \
@@ -480,7 +346,7 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
             "seed {seed}: readmission left lease marks at the probationer"
         ));
     }
-    let got = read_version(&fsc, VICTIM)
+    let got = LEASED.read(&fsc, VICTIM)
         .map_err(|e| format!("seed {seed}: post-readmit read failed: {e:?}"))?;
     if got < confirmed {
         return Err(format!(
@@ -491,8 +357,8 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
 
     confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
-    check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(&fsc, seed, &["health.quarantine", "health.readmit", "lease.grant"])
+    LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["health.quarantine", "health.readmit", "lease.grant"])
 }
 
 // ---------------------------------------------------------------------
@@ -502,7 +368,7 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<ScheduleObserv
 /// `css_handoff` moves the lease table with the version/lock state under
 /// one epoch; the new CSS's first recall reaches holders the *old* CSS
 /// granted to, racing reads and message drops the whole way.
-fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
+fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<Observation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
     net.set_observing(true);
@@ -548,12 +414,12 @@ fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<ScheduleObserva
         if rng.gen_bool(0.7) {
             let v = next_version;
             next_version += 1;
-            if write_version(&fsc, v).is_ok() {
+            if LEASED.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
         } else {
             let us = SiteId(READERS[rng.gen_range(0usize..READERS.len())]);
-            if let Ok(v) = read_version(&fsc, us) {
+            if let Ok(v) = LEASED.read(&fsc, us) {
                 if v < confirmed || v >= next_version {
                     return Err(format!(
                         "seed {seed}: stale read v{v} at {us:?} after handoff \
@@ -568,8 +434,8 @@ fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<ScheduleObserva
     net.clear_faults();
     confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
-    check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(&fsc, seed, &["css.claim", "lease.grant"])
+    LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["css.claim", "lease.grant"])
 }
 
 // ---------------------------------------------------------------------
@@ -580,7 +446,7 @@ fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<ScheduleObserva
 /// run the §5.6 cleanup — the CSS purges the departed holder's rows, the
 /// holder flushes its own marks — so the isolated side can never serve a
 /// stale warm hit, and after heal + settle everything reconverges.
-fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<ScheduleObservation, String> {
+fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<Observation, String> {
     let fsc = build_cluster(engine);
     let net = fsc.net();
     net.set_observing(true);
@@ -616,11 +482,11 @@ fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<ScheduleObservat
     for _ in 0..3 {
         let v = next_version;
         next_version += 1;
-        write_version(&fsc, v)
+        LEASED.write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: majority write v{v} failed: {e:?}"))?;
         confirmed = v;
         if rng.gen_bool(0.5) {
-            match read_version(&fsc, VICTIM) {
+            match LEASED.read(&fsc, VICTIM) {
                 Err(_) => {}
                 Ok(v) => {
                     return Err(format!(
@@ -635,65 +501,22 @@ fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<ScheduleObservat
     net.heal();
     confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
-    check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(&fsc, seed, &["lease.grant"])
+    LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["lease.grant"])
 }
 
 // ---------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------
 
-/// Runs `schedule` over every seed across worker threads; each schedule
-/// owns its whole cluster and virtual clock, so determinism is strictly
-/// per-seed.
-fn run_schedules_parallel(seeds: &[u64], schedule: impl Fn(u64) -> Result<(), String> + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<(), String>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let r = schedule(seeds[i]);
-                *results[i].lock().expect("no poisoned schedule slot") = Some(r);
-            });
-        }
-    });
-    for (i, slot) in results.iter().enumerate() {
-        let r = slot
-            .lock()
-            .expect("no poisoned schedule slot")
-            .take()
-            .expect("every slot ran");
-        if let Err(msg) = r {
-            panic!("schedule case {i} of {} failed:\n{msg}", seeds.len());
-        }
-    }
-}
-
-fn seed_set(base: u64, n: u64) -> Vec<u64> {
-    (0..n).map(|i| base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
-}
-
 /// Replay + dual-engine check: two sequential runs and one
 /// parallel-epoch run of the same seed must observe identical
 /// observability streams, histograms and statistics.
 fn identical_across_engines(
     seed: u64,
-    run: impl Fn(u64, EngineKind) -> Result<ScheduleObservation, String>,
+    run: impl Fn(u64, EngineKind) -> Result<Observation, String>,
 ) -> Result<(), String> {
-    let a = run(seed, EngineKind::Sequential)?;
-    let b = run(seed, EngineKind::Sequential)?;
-    if a != b {
-        return Err(format!("seed {seed}: sequential replay diverged"));
-    }
+    let a = replays_identically(seed, |seed| run(seed, EngineKind::Sequential))?;
     let p = run(seed, EngineKind::ParallelEpoch)?;
     if a != p {
         return Err(format!(
@@ -751,7 +574,7 @@ fn lost_lease_break_still_recalls_every_holder() {
     net.reset_stats();
     net.install_faults(FaultPlan::new(7).kind_spec("LEASE break", FaultSpec::drop_rate(1.0)));
     // Site 1 stores a copy, so it serves its own write: SS = 1, CSS = 0.
-    write_version_at(&fsc, SiteId(1), 1).expect("commit at a non-CSS storage site");
+    LEASED.write(&fsc, SiteId(1), 1).expect("commit at a non-CSS storage site");
     let st = net.stats();
     assert_eq!(st.sends("LEASE break"), 0, "every break attempt was dropped");
     assert_eq!(st.one_way_losses("LEASE break"), 1, "and counted lost, once");
@@ -759,7 +582,7 @@ fn lost_lease_break_still_recalls_every_holder() {
     net.clear_faults();
     fsc.settle();
     for r in READERS {
-        assert_eq!(read_version(&fsc, SiteId(r)), Ok(1), "stale read at S{r}");
+        assert_eq!(LEASED.read(&fsc, SiteId(r)), Ok(1), "stale read at S{r}");
     }
-    finish(&fsc, 0, &["lease.recall"]).expect("audit clean, invariant 11 included");
+    finish(net, 0, &["lease.recall"]).expect("audit clean, invariant 11 included");
 }

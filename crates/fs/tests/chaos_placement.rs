@@ -24,20 +24,18 @@
 //!   same bound the offline auditor re-checks as invariant 9.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use locus_fs::ops::fd;
 use locus_fs::{
     css_handoff, probation_probe, FsCluster, FsClusterBuilder, PlacementDriver, PlacementPolicy,
-    ProcFsCtx,
 };
 use locus_net::{
-    FaultPlan, FaultSpec, HealthPolicy, Histogram, NetStats, ObsEvent, RetryPolicy, SimRng,
-    CSS_CLAIM_COOLDOWN,
+    FaultPlan, FaultSpec, HealthPolicy, Net, ObsEvent, RetryPolicy, SimRng, CSS_CLAIM_COOLDOWN,
+};
+use locus_testkit::{
+    replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
 };
 use locus_topology::PlacementConfig;
-use locus_types::{FileType, FilegroupId, MachineType, OpenMode, Perms, SiteId, SysResult, Ticks};
+use locus_types::{FilegroupId, SiteId, Ticks};
 
 /// Five sites: site 0 holds the root, sites 1–3 hold the shard
 /// containers, site 4 is the diskless writer.
@@ -49,47 +47,10 @@ const FG2: FilegroupId = FilegroupId(2);
 /// The diskless writer driving every workload.
 const WRITER: SiteId = SiteId(4);
 
-fn ctx(fsc: &FsCluster, site: SiteId) -> ProcFsCtx {
-    ProcFsCtx::new(fsc.kernel(site).mount.root().unwrap(), MachineType::Vax)
-}
-
-fn payload(v: u32) -> Vec<u8> {
-    let mut p = format!("v{v:04}:").into_bytes();
-    p.extend(std::iter::repeat_n(b'x', 16 + v as usize));
-    p
-}
-
-fn version_of(data: &[u8]) -> Option<u32> {
-    let s = std::str::from_utf8(data).ok()?;
-    let (num, _) = s.strip_prefix('v')?.split_once(':')?;
-    let v: u32 = num.parse().ok()?;
-    (data == payload(v).as_slice()).then_some(v)
-}
-
-fn write_version(fsc: &FsCluster, path: &str, v: u32) -> SysResult<()> {
-    let c = ctx(fsc, WRITER);
-    let fdn = fd::open(fsc, WRITER, &c, path, OpenMode::Write)?;
-    let wrote = fd::write(fsc, WRITER, fdn, &payload(v)).map(|_| ());
-    let closed = fd::close(fsc, WRITER, fdn);
-    wrote.and(closed)
-}
-
-/// # Panics
-///
-/// Panics on corrupt content — torn pages are a durability violation no
-/// schedule may excuse.
-fn read_version(fsc: &FsCluster, us: SiteId, path: &str) -> SysResult<u32> {
-    let c = ctx(fsc, us);
-    let fdn = fd::open(fsc, us, &c, path, OpenMode::Read)?;
-    let data = fd::read(fsc, us, fdn, 1 << 20);
-    let _ = fd::close(fsc, us, fdn);
-    let data = data?;
-    version_of(&data)
-        .ok_or(locus_types::Errno::Eio)
-        .map_err(|e| {
-            panic!("corrupt content read at {us:?}: {e:?}");
-        })
-}
+/// The shard-one file (`/s0`, containers 1 and 2).
+const F0: VersionedFile = VersionedFile::new("/s0/f");
+/// The shard-two file (`/s1`, containers 2 and 3).
+const F1: VersionedFile = VersionedFile::new("/s1/f");
 
 fn trigger_happy_policy() -> HealthPolicy {
     HealthPolicy {
@@ -122,56 +83,21 @@ fn build_cluster() -> FsCluster {
 
 /// Seeds `/s0/f` and `/s1/f` at version 0 on a pristine network.
 fn seed_files(fsc: &FsCluster, seed: u64) -> Result<(), String> {
-    for path in ["/s0/f", "/s1/f"] {
-        let c = ctx(fsc, WRITER);
-        let fdn = fd::creat(fsc, WRITER, &c, path, FileType::Untyped, Perms::FILE_DEFAULT)
-            .map_err(|e| format!("seed {seed}: pristine creat {path} failed: {e:?}"))?;
-        fd::write(fsc, WRITER, fdn, &payload(0))
-            .map_err(|e| format!("seed {seed}: pristine write {path} failed: {e:?}"))?;
-        fd::close(fsc, WRITER, fdn)
-            .map_err(|e| format!("seed {seed}: pristine close {path} failed: {e:?}"))?;
-    }
+    F0.create(fsc, WRITER, seed)?;
+    F1.create(fsc, WRITER, seed)?;
     fsc.settle();
     Ok(())
 }
 
-type ScheduleObservation = (
-    Vec<ObsEvent>,
-    BTreeMap<(String, String), Histogram>,
-    NetStats,
-);
-
-/// Common tail: nothing truncated, required notes present, audit clean
-/// (which re-checks the claim-cooldown bound as invariant 9), then the
-/// observation for the replay comparison.
-fn finish(
-    fsc: &FsCluster,
-    seed: u64,
-    required_notes: &[&str],
-) -> Result<ScheduleObservation, String> {
-    let net = fsc.net();
-    if net.obs_truncated() > 0 {
-        return Err(format!(
-            "seed {seed}: trace truncated ({} events dropped past the cap)",
-            net.obs_truncated()
-        ));
-    }
-    let events = net.take_obs_events();
-    for key in required_notes {
-        let seen = events.iter().any(|e| match e {
-            ObsEvent::Note { key: k, .. } => k == key,
-            _ => false,
-        });
-        if !seen {
-            return Err(format!(
-                "seed {seed}: expected a `{key}` note in the observability stream"
-            ));
-        }
-    }
-    // The explicit storm bound, independent of the auditor: no two
-    // successful claims for one filegroup within the mechanism cooldown.
+/// Common tail: [`locus_testkit::finish`] (whose audit re-checks the
+/// claim-cooldown bound as invariant 9), then the same storm bound
+/// asserted explicitly, independent of the auditor.
+fn finish(net: &Net, seed: u64, required_notes: &[&str]) -> Result<Observation, String> {
+    let obs = locus_testkit::finish(net, seed, required_notes)?;
+    // No two successful claims for one filegroup within the mechanism
+    // cooldown.
     let mut last_claim: BTreeMap<&str, Ticks> = BTreeMap::new();
-    for e in &events {
+    for e in &obs.0 {
         if let ObsEvent::Note { at, key, label, .. } = e {
             if key == "css.claim" {
                 if let Some(&prev) = last_claim.get(label.as_str()) {
@@ -187,57 +113,14 @@ fn finish(
             }
         }
     }
-    let audit = locus_net::audit(&events);
-    if !audit.is_clean() {
-        return Err(format!(
-            "seed {seed}: trace audit found violations: {:?}",
-            audit.violations
-        ));
-    }
-    Ok((events, net.obs_histograms(), net.stats()))
-}
-
-/// Reads `path` at every site and checks agreement inside the committed
-/// window `[confirmed, next_version)`.
-fn check_convergence(
-    fsc: &FsCluster,
-    seed: u64,
-    path: &str,
-    confirmed: u32,
-    next_version: u32,
-) -> Result<(), String> {
-    let mut seen = Vec::new();
-    for i in 0..N_SITES {
-        let v = read_version(fsc, SiteId(i), path)
-            .map_err(|e| format!("seed {seed}: final read of {path} at site {i} failed: {e:?}"))?;
-        seen.push(v);
-    }
-    if seen.iter().any(|&v| v != seen[0]) {
-        return Err(format!(
-            "seed {seed}: sites disagree on {path} after recovery: {seen:?}"
-        ));
-    }
-    if seen[0] < confirmed {
-        return Err(format!(
-            "seed {seed}: committed v{confirmed} of {path} lost — final state is v{}",
-            seen[0]
-        ));
-    }
-    if seen[0] >= next_version {
-        return Err(format!(
-            "seed {seed}: final v{} of {path} was never written (max attempted v{})",
-            seen[0],
-            next_version - 1
-        ));
-    }
-    Ok(())
+    Ok(obs)
 }
 
 /// Family 1: the shard-one CSS (site 1) goes gray under load. The
 /// placement driver, stepped alongside the workload, must quarantine-
 /// evacuate the role to the healthy container (site 2) without being
 /// asked, and the workload keeps committing throughout.
-fn run_migration_under_load_schedule(seed: u64) -> Result<ScheduleObservation, String> {
+fn run_migration_under_load_schedule(seed: u64) -> Result<Observation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
@@ -254,7 +137,7 @@ fn run_migration_under_load_schedule(seed: u64) -> Result<ScheduleObservation, S
 
     // Warm latency baselines, then the shard-one CSS goes gray outbound.
     for _ in 0..10 {
-        read_version(&fsc, WRITER, "/s0/f")
+        F0.read(&fsc, WRITER)
             .map_err(|e| format!("seed {seed}: warmup read failed: {e:?}"))?;
     }
     let mut plan = FaultPlan::new(seed);
@@ -274,11 +157,11 @@ fn run_migration_under_load_schedule(seed: u64) -> Result<ScheduleObservation, S
         if wl.gen_bool(0.6) {
             let v = next_version;
             next_version += 1;
-            if write_version(&fsc, "/s0/f", v).is_ok() {
+            if F0.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
         } else {
-            let _ = read_version(&fsc, WRITER, "/s0/f");
+            let _ = F0.read(&fsc, WRITER);
         }
         driver.step(&fsc);
     }
@@ -303,7 +186,7 @@ fn run_migration_under_load_schedule(seed: u64) -> Result<ScheduleObservation, S
     for _ in 0..5 {
         let v = next_version;
         next_version += 1;
-        write_version(&fsc, "/s0/f", v)
+        F0.write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: post-migration write v{v} failed: {e:?}"))?;
         confirmed = v;
         driver.step(&fsc);
@@ -319,19 +202,15 @@ fn run_migration_under_load_schedule(seed: u64) -> Result<ScheduleObservation, S
         ));
     }
     fsc.settle();
-    check_convergence(&fsc, seed, "/s0/f", confirmed, next_version)?;
-    finish(
-        &fsc,
-        seed,
-        &["health.quarantine", "css.claim", "css.depth"],
-    )
+    F0.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["health.quarantine", "css.claim", "css.depth"])
 }
 
 /// Family 2: placement steps, manual handoffs and a lossy network race
 /// a two-shard multi-site workload. Stale CSS tables are healed by
 /// NotCss redirects mid-open; the committed windows of both shard files
 /// survive every interleaving.
-fn run_notcss_race_schedule(seed: u64) -> Result<ScheduleObservation, String> {
+fn run_notcss_race_schedule(seed: u64) -> Result<Observation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
@@ -356,32 +235,30 @@ fn run_notcss_race_schedule(seed: u64) -> Result<ScheduleObservation, String> {
     };
     net.install_faults(FaultPlan::new(seed).default_spec(spec));
 
-    // Per shard: (path, fg, containers, next_version, confirmed).
-    let mut shards = [
-        ("/s0/f", FG1, [1u32, 2], 1u32, 0u32),
-        ("/s1/f", FG2, [2, 3], 1, 0),
-    ];
+    // Per shard: (file, fg, containers, next_version, confirmed).
+    let mut shards = [(F0, FG1, [1u32, 2], 1u32, 0u32), (F1, FG2, [2, 3], 1, 0)];
     for _ in 0..20 {
         let roll = wl.gen_range(0u32..100);
         let which = wl.gen_range(0usize..2);
-        let (path, fg, containers, next_version, confirmed) = {
+        let (file, fg, containers, next_version, confirmed) = {
             let s = &mut shards[which];
             (s.0, s.1, s.2, &mut s.3, &mut s.4)
         };
         if roll < 40 {
             let v = *next_version;
             *next_version += 1;
-            if write_version(&fsc, path, v).is_ok() {
+            if file.write(&fsc, WRITER, v).is_ok() {
                 *confirmed = v;
             }
         } else if roll < 70 {
             // Reads from any site exercise NotCss healing: a site whose
             // table still names the old CSS is redirected and retries.
             let us = SiteId(wl.gen_range(0u32..N_SITES));
-            if let Ok(v) = read_version(&fsc, us, path) {
+            if let Ok(v) = file.read(&fsc, us) {
                 if v < *confirmed || v >= *next_version {
                     return Err(format!(
-                        "seed {seed}: read {path} v{v} outside committed window [{}, {}]",
+                        "seed {seed}: read {} v{v} outside committed window [{}, {}]",
+                        file.path,
                         *confirmed,
                         *next_version - 1
                     ));
@@ -415,10 +292,10 @@ fn run_notcss_race_schedule(seed: u64) -> Result<ScheduleObservation, String> {
         }
     }
     fsc.settle();
-    for (path, _, _, next_version, confirmed) in shards {
-        check_convergence(&fsc, seed, path, confirmed, next_version)?;
+    for (file, _, _, next_version, confirmed) in shards {
+        file.check_convergence(&fsc, seed, confirmed, next_version)?;
     }
-    finish(&fsc, seed, &[])
+    finish(net, seed, &[])
 }
 
 /// Family 3: an adversarial policy — zero hysteresis, no driver
@@ -426,7 +303,7 @@ fn run_notcss_race_schedule(seed: u64) -> Result<ScheduleObservation, String> {
 /// two shard-one containers every iteration, trying to thrash the role.
 /// The mechanism cooldown must bound the storm; [`finish`] asserts the
 /// per-window claim bound explicitly and via audit invariant 9.
-fn run_handoff_storm_schedule(seed: u64) -> Result<ScheduleObservation, String> {
+fn run_handoff_storm_schedule(seed: u64) -> Result<Observation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(trigger_happy_policy());
@@ -451,11 +328,11 @@ fn run_handoff_storm_schedule(seed: u64) -> Result<ScheduleObservation, String> 
         // the served-request attribution back and forth, so the greedy
         // policy proposes a move nearly every step.
         let us = SiteId(1 + (i % 2) as u32);
-        let _ = read_version(&fsc, us, "/s0/f");
+        let _ = F0.read(&fsc, us);
         if wl.gen_bool(0.4) {
             let v = next_version;
             next_version += 1;
-            if write_version(&fsc, "/s0/f", v).is_ok() {
+            if F0.write(&fsc, WRITER, v).is_ok() {
                 confirmed = v;
             }
         }
@@ -471,47 +348,8 @@ fn run_handoff_storm_schedule(seed: u64) -> Result<ScheduleObservation, String> 
         ));
     }
     fsc.settle();
-    check_convergence(&fsc, seed, "/s0/f", confirmed, next_version)?;
-    finish(&fsc, seed, &["css.claim"])
-}
-
-/// Runs `schedule` over every seed across `std::thread` workers. Each
-/// schedule owns its whole cluster and virtual clock, so determinism is
-/// strictly per-seed. Failures are reported in seed order.
-fn run_schedules_parallel(seeds: &[u64], schedule: impl Fn(u64) -> Result<(), String> + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<(), String>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let r = schedule(seeds[i]);
-                *results[i].lock().expect("no poisoned schedule slot") = Some(r);
-            });
-        }
-    });
-    for (i, slot) in results.iter().enumerate() {
-        let r = slot
-            .lock()
-            .expect("no poisoned schedule slot")
-            .take()
-            .expect("every slot ran");
-        if let Err(msg) = r {
-            panic!("schedule case {i} of {} failed:\n{msg}", seeds.len());
-        }
-    }
-}
-
-fn seed_set(base: u64, n: u64) -> Vec<u64> {
-    (0..n).map(|i| base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+    F0.check_convergence(&fsc, seed, confirmed, next_version)?;
+    finish(net, seed, &["css.claim"])
 }
 
 /// Gray CSS under load: the placement driver evacuates the role on its
@@ -519,22 +357,7 @@ fn seed_set(base: u64, n: u64) -> Vec<u64> {
 #[test]
 fn placement_migrates_under_load_and_replays_identically() {
     run_schedules_parallel(&seed_set(0x91AC_E000, 64), |seed| {
-        let a = run_migration_under_load_schedule(seed)?;
-        let b = run_migration_under_load_schedule(seed)?;
-        if a.0 != b.0 {
-            return Err(format!("seed {seed}: traces diverged between identical runs"));
-        }
-        if a.1 != b.1 {
-            return Err(format!(
-                "seed {seed}: latency histograms diverged between identical runs"
-            ));
-        }
-        if a.2 != b.2 {
-            return Err(format!(
-                "seed {seed}: statistics diverged between identical runs"
-            ));
-        }
-        Ok(())
+        replays_identically(seed, run_migration_under_load_schedule)
     });
 }
 
@@ -543,12 +366,7 @@ fn placement_migrates_under_load_and_replays_identically() {
 #[test]
 fn notcss_races_preserve_durability_and_determinism() {
     run_schedules_parallel(&seed_set(0x007C_55AA, 64), |seed| {
-        let a = run_notcss_race_schedule(seed)?;
-        let b = run_notcss_race_schedule(seed)?;
-        if a != b {
-            return Err(format!("seed {seed}: replay diverged between identical runs"));
-        }
-        Ok(())
+        replays_identically(seed, run_notcss_race_schedule)
     });
 }
 
@@ -557,11 +375,6 @@ fn notcss_races_preserve_durability_and_determinism() {
 #[test]
 fn handoff_storms_are_cooldown_bounded() {
     run_schedules_parallel(&seed_set(0x5702_4DFF, 64), |seed| {
-        let a = run_handoff_storm_schedule(seed)?;
-        let b = run_handoff_storm_schedule(seed)?;
-        if a != b {
-            return Err(format!("seed {seed}: replay diverged between identical runs"));
-        }
-        Ok(())
+        replays_identically(seed, run_handoff_storm_schedule)
     });
 }

@@ -35,6 +35,7 @@ pub mod stats;
 pub mod topology;
 
 use std::cell::RefCell;
+use std::fmt::Display;
 
 use locus_types::{SiteId, Ticks};
 
@@ -166,17 +167,11 @@ impl Inner {
         let now = self.clock.now();
         match ev {
             HealthEvent::Quarantined(site, score) => {
-                self.obs.note(
-                    now,
-                    site,
-                    "health.quarantine",
-                    &format!("S{}", site.0),
-                    score as u64,
-                );
+                self.obs
+                    .note(now, site, "health.quarantine", site, score as u64);
             }
             HealthEvent::Readmitted(site) => {
-                self.obs
-                    .note(now, site, "health.readmit", &format!("S{}", site.0), 0);
+                self.obs.note(now, site, "health.readmit", site, 0);
             }
         }
     }
@@ -628,8 +623,8 @@ impl Net {
     }
 
     /// Records a protocol annotation (e.g. `commit.begin`), attached to
-    /// the innermost open span.
-    pub fn obs_note(&self, site: SiteId, key: &str, label: &str, value: u64) {
+    /// the innermost open span. `label` is rendered only while observing.
+    pub fn obs_note(&self, site: SiteId, key: &str, label: impl Display, value: u64) {
         let mut g = self.inner.borrow_mut();
         let now = g.clock.now();
         g.obs.note(now, site, key, label, value);
@@ -824,8 +819,7 @@ impl Net {
         let mut g = self.inner.borrow_mut();
         if g.health.begin_probation(site) {
             let now = g.clock.now();
-            g.obs
-                .note(now, site, "health.probation", &format!("S{}", site.0), 0);
+            g.obs.note(now, site, "health.probation", site, 0);
             true
         } else {
             false

@@ -34,6 +34,7 @@
 //!   exactly one loss.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use locus_types::{SiteId, Ticks};
 
@@ -431,8 +432,8 @@ impl Observer {
     }
 
     /// Records a protocol annotation, attached to the innermost open
-    /// span (0 if none).
-    pub fn note(&mut self, now: Ticks, site: SiteId, key: &str, label: &str, value: u64) {
+    /// span (0 if none). `label` is rendered only while enabled.
+    pub fn note(&mut self, now: Ticks, site: SiteId, key: &str, label: impl Display, value: u64) {
         if !self.enabled {
             return;
         }
@@ -442,7 +443,7 @@ impl Observer {
             at: now,
             site,
             key: key.to_owned(),
-            label: label.to_owned(),
+            label: label.to_string(),
             value,
         });
     }

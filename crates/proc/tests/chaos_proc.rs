@@ -17,15 +17,11 @@
 //! * **The proc protocol is deterministic in the seed**: a replayed
 //!   schedule produces a byte-identical network trace.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use locus_fs::{FsCluster, FsClusterBuilder};
-use locus_net::{FaultPlan, FaultSpec, NetStats, ObsEvent, RetryPolicy, SimRng};
+use locus_net::{FaultPlan, FaultSpec, RetryPolicy, SimRng};
 use locus_proc::ProcMgr;
+use locus_testkit::{finish, proptest_seed_set, run_schedules_parallel, Observation};
 use locus_types::{Errno, SiteId, Ticks};
-use proptest::prelude::*;
-use proptest::{runtime, TestRng};
 
 /// Total sites; the root filegroup lives at sites 0 and 1.
 const N_SITES: u32 = 4;
@@ -77,7 +73,7 @@ fn plan_for(seed: u64) -> FaultPlan {
 
 /// One schedule: STEPS remote forks at rng-chosen sites under the fault
 /// plan, each successful child exited and reaped.
-fn run_schedule(seed: u64) -> Result<(), String> {
+fn run_schedule(seed: u64) -> Result<Observation, String> {
     let (fsc, pm) = cluster();
     fsc.net().set_observing(true);
     fsc.net().install_faults(plan_for(seed));
@@ -125,70 +121,7 @@ fn run_schedule(seed: u64) -> Result<(), String> {
     }
 
     // The schedule's span trace must be complete and audit clean.
-    if fsc.net().obs_truncated() > 0 {
-        return Err(format!(
-            "seed {seed}: {} observability events dropped past the cap",
-            fsc.net().obs_truncated()
-        ));
-    }
-    let audit = locus_net::audit(&fsc.net().take_obs_events());
-    if !audit.is_clean() {
-        return Err(format!(
-            "seed {seed}: trace audit found violations: {:?}",
-            audit.violations
-        ));
-    }
-    Ok(())
-}
-
-/// Runs `schedule` over every seed across `std::thread` workers. Each
-/// schedule owns its whole cluster and virtual clock, so determinism is
-/// strictly per-seed; failures are reported in seed order.
-fn run_schedules_parallel(seeds: &[u64], schedule: impl Fn(u64) -> Result<(), String> + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<(), String>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let r = schedule(seeds[i]);
-                *results[i].lock().expect("no poisoned schedule slot") = Some(r);
-            });
-        }
-    });
-    for (i, slot) in results.iter().enumerate() {
-        let r = slot
-            .lock()
-            .expect("no poisoned schedule slot")
-            .take()
-            .expect("every slot ran");
-        if let Err(msg) = r {
-            panic!("schedule case {i} of {} failed:\n{msg}", seeds.len());
-        }
-    }
-}
-
-/// Proptest-style seed derivation, identical to the filesystem chaos
-/// harness (same name hash, same per-case rng) — including
-/// `PROPTEST_SEED` / `PROPTEST_CASES` overrides.
-fn proptest_seed_set(test_name: &str, cases: u32) -> Vec<u64> {
-    let config = ProptestConfig::with_cases(cases);
-    let cases = runtime::case_count(&config);
-    let base = runtime::base_seed(test_name);
-    (0..cases as u64)
-        .map(|case| {
-            let mut rng = TestRng::new(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Strategy::generate(&any::<u64>(), &mut rng)
-        })
-        .collect()
+    finish(fsc.net(), seed, &[])
 }
 
 #[test]
@@ -254,11 +187,6 @@ fn lost_exit_notify_is_counted_not_silent() {
 /// the proc protocol inherits the engine's determinism.
 #[test]
 fn proc_protocol_trace_is_deterministic() {
-    type Observation = (
-        Vec<ObsEvent>,
-        std::collections::BTreeMap<(String, String), locus_net::Histogram>,
-        NetStats,
-    );
     let run = |seed: u64| -> Observation {
         let (fsc, pm) = cluster();
         fsc.net().set_observing(true);

@@ -23,14 +23,11 @@
 //!   network trace.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use locus_net::{FaultPlan, FaultSpec, Net, NetStats, ObsEvent, SimRng};
+use locus_net::{FaultPlan, FaultSpec, Net, SimRng};
+use locus_testkit::{finish, proptest_seed_set, run_schedules_parallel, Observation};
 use locus_topology::{merge_protocol, partition_protocol, MergeTimeouts};
 use locus_types::{SiteId, Ticks};
-use proptest::prelude::*;
-use proptest::{runtime, TestRng};
 
 /// Sites in the network.
 const N_SITES: u32 = 5;
@@ -66,7 +63,7 @@ fn plan_for(seed: u64) -> (FaultPlan, SiteId) {
 
 /// One schedule: partition protocol, then merge protocol, under a crash
 /// window that opens mid-poll.
-fn run_schedule(seed: u64) -> Result<(), String> {
+fn run_schedule(seed: u64) -> Result<Observation, String> {
     let net = Net::new(N_SITES as usize);
     net.set_observing(true);
     let (plan, _victim) = plan_for(seed);
@@ -110,68 +107,7 @@ fn run_schedule(seed: u64) -> Result<(), String> {
     }
 
     // The schedule's span trace must be complete and audit clean.
-    if net.obs_truncated() > 0 {
-        return Err(format!(
-            "seed {seed}: {} observability events dropped past the cap",
-            net.obs_truncated()
-        ));
-    }
-    let audit = locus_net::audit(&net.take_obs_events());
-    if !audit.is_clean() {
-        return Err(format!(
-            "seed {seed}: trace audit found violations: {:?}",
-            audit.violations
-        ));
-    }
-    Ok(())
-}
-
-/// Runs `schedule` over every seed across `std::thread` workers; each
-/// schedule owns its whole network and virtual clock.
-fn run_schedules_parallel(seeds: &[u64], schedule: impl Fn(u64) -> Result<(), String> + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<(), String>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let r = schedule(seeds[i]);
-                *results[i].lock().expect("no poisoned schedule slot") = Some(r);
-            });
-        }
-    });
-    for (i, slot) in results.iter().enumerate() {
-        let r = slot
-            .lock()
-            .expect("no poisoned schedule slot")
-            .take()
-            .expect("every slot ran");
-        if let Err(msg) = r {
-            panic!("schedule case {i} of {} failed:\n{msg}", seeds.len());
-        }
-    }
-}
-
-/// Proptest-style seed derivation, identical to the other chaos
-/// harnesses — including `PROPTEST_SEED` / `PROPTEST_CASES` overrides.
-fn proptest_seed_set(test_name: &str, cases: u32) -> Vec<u64> {
-    let config = ProptestConfig::with_cases(cases);
-    let cases = runtime::case_count(&config);
-    let base = runtime::base_seed(test_name);
-    (0..cases as u64)
-        .map(|case| {
-            let mut rng = TestRng::new(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Strategy::generate(&any::<u64>(), &mut rng)
-        })
-        .collect()
+    finish(&net, seed, &[])
 }
 
 #[test]
@@ -212,11 +148,6 @@ fn mid_poll_crash_excludes_the_victim_and_keeps_consensus() {
 /// the reconfiguration protocols inherit the engine's determinism.
 #[test]
 fn reconfig_trace_is_deterministic() {
-    type Observation = (
-        Vec<ObsEvent>,
-        BTreeMap<(String, String), locus_net::Histogram>,
-        NetStats,
-    );
     let run = |seed: u64| -> Observation {
         let net = Net::new(N_SITES as usize);
         net.set_observing(true);
