@@ -14,7 +14,7 @@
 //! report is checked, never their value.
 //!
 //! Run with `cargo run -p locus-bench --bin bench_guard -- [names...]`
-//! (default: `e1 e3 e12 e13 e14 e15 e16`). Reads measured reports from
+//! (default: `e1 e3 e5 e12 e13 e14 e15 e16`). Reads measured reports from
 //! `$BENCH_OUT_DIR` or `target/bench`, baselines from
 //! `$BENCH_BASELINE_DIR` or `crates/bench/baselines`.
 
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if names.is_empty() {
-        names = ["e1", "e3", "e12", "e13", "e14", "e15", "e16"]
+        names = ["e1", "e3", "e5", "e12", "e13", "e14", "e15", "e16"]
             .map(String::from)
             .to_vec();
     }

@@ -27,10 +27,30 @@ fn split(c: &Cluster) {
     c.reconfigure().expect("reconfig");
 }
 
-fn merge(c: &Cluster) -> Vec<(locus::Gfid, FileOutcome)> {
+/// The merge steps' recovery-inventory traffic, requests plus replies.
+#[derive(Default)]
+struct InventoryTraffic {
+    msgs: u64,
+    bytes: u64,
+}
+
+/// Heals and runs the merge reconfiguration, adding its inventory
+/// traffic to `inv`.
+fn merge_report(c: &Cluster, inv: &mut InventoryTraffic) -> locus::ReconfigReport {
     c.heal();
+    let before = c.net().stats();
     let r = c.reconfigure().expect("merge");
-    r.recovery
+    let after = c.net().stats();
+    for kind in ["RECOVERY inventory", "RECOVERY inventory resp"] {
+        inv.msgs += after.sends(kind) - before.sends(kind);
+        inv.bytes += after.bytes(kind) - before.bytes(kind);
+    }
+    r
+}
+
+fn merge(c: &Cluster, inv: &mut InventoryTraffic) -> Vec<(locus::Gfid, FileOutcome)> {
+    merge_report(c, inv)
+        .recovery
         .into_iter()
         .flat_map(|(_, rr)| rr.files)
         .collect()
@@ -43,6 +63,7 @@ fn count(outcomes: &[(locus::Gfid, FileOutcome)], o: FileOutcome) -> usize {
 fn main() {
     let mut report = BenchReport::new("e5");
     let mut totals = RunTotals::new();
+    let mut inv = InventoryTraffic::default();
     println!("E5: partitioned-update reconciliation matrix\n");
     println!("{:<52} {:<20}", "scenario", "observed outcome");
 
@@ -54,7 +75,7 @@ fn main() {
         split(&c);
         c.write_file(pa, "/f", b"new").unwrap();
         c.settle();
-        let out = merge(&c);
+        let out = merge(&c, &mut inv);
         println!(
             "{:<52} {:<20}",
             "modify in A only",
@@ -76,7 +97,7 @@ fn main() {
         c.write_file(pa, "/f", b"A").unwrap();
         c.write_file(pb, "/f", b"B").unwrap();
         c.settle();
-        let out = merge(&c);
+        let out = merge(&c, &mut inv);
         println!(
             "{:<52} {:<20}",
             "modify in A and B (untyped)",
@@ -98,7 +119,7 @@ fn main() {
         c.write_file(pa, "/only-a", b"A").unwrap();
         c.write_file(pb, "/only-b", b"B").unwrap();
         c.settle();
-        let out = merge(&c);
+        let out = merge(&c, &mut inv);
         println!(
             "{:<52} {:<20}",
             "create different names in A and B",
@@ -121,8 +142,7 @@ fn main() {
         c.write_file(pa, "/x", b"A's x").unwrap();
         c.write_file(pb, "/x", b"B's x").unwrap();
         c.settle();
-        c.heal();
-        let r = c.reconfigure().unwrap();
+        let r = merge_report(&c, &mut inv);
         let renames: usize = r
             .recovery
             .iter()
@@ -144,7 +164,7 @@ fn main() {
         split(&c);
         c.unlink(pa, "/dead").unwrap();
         c.settle();
-        let out = merge(&c);
+        let out = merge(&c, &mut inv);
         println!(
             "{:<52} {:<20}",
             "delete in A, untouched in B",
@@ -168,7 +188,7 @@ fn main() {
         c.unlink(pa, "/save").unwrap();
         c.write_file(pb, "/save", b"v2").unwrap();
         c.settle();
-        let out = merge(&c);
+        let out = merge(&c, &mut inv);
         println!(
             "{:<52} {:<20}",
             "delete in A, modify in B",
@@ -188,7 +208,7 @@ fn main() {
         locus_fs::ops::namei::deliver_mail(c.fs(), s(0), 5, "from A").unwrap();
         locus_fs::ops::namei::deliver_mail(c.fs(), s(1), 5, "from B").unwrap();
         c.settle();
-        let out = merge(&c);
+        let out = merge(&c, &mut inv);
         let msgs = c.mailbox_of(s(2), 5).unwrap();
         println!(
             "{:<52} {:<20}",
@@ -204,6 +224,13 @@ fn main() {
             .int("mail_messages", msgs.len() as u64);
         totals.absorb(&c);
     }
+    println!(
+        "\nrecovery inventory over the seven merges: {} msgs, {} bytes",
+        inv.msgs, inv.bytes
+    );
+    report
+        .int("recovery_inventory_msgs", inv.msgs)
+        .int("recovery_inventory_bytes", inv.bytes);
     report.totals(&totals);
     let path = report.write();
     println!("\npaper: §4.2 (detection), §4.4 (directories), §4.5 (mailboxes), §4.6 (conflicts).");

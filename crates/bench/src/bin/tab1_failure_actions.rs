@@ -2,7 +2,10 @@
 //! the paper prints them and as *live* fault injections whose observed
 //! behaviour is checked against each row.
 //!
-//! Run with `cargo run -p locus-bench --bin tab1_failure_actions`.
+//! Run with `cargo run -p locus-bench --bin tab1_failure_actions`; exits
+//! non-zero if any row's observed behaviour disagrees with the table.
+
+use std::process::ExitCode;
 
 use locus::{Cluster, Errno, OpenMode, ProcError, Signal, SiteId, TxnState};
 use locus_topology::cleanup::render_tables;
@@ -18,11 +21,14 @@ fn cluster() -> Cluster {
         .build()
 }
 
-fn check(name: &str, pass: bool) {
-    println!("  [{}] {name}", if pass { "ok" } else { "FAIL" });
-}
+fn main() -> ExitCode {
+    // Rows whose live behaviour disagreed with the table.
+    let mut failed = 0u32;
+    let mut check = |name: &str, pass: bool| {
+        println!("  [{}] {name}", if pass { "ok" } else { "FAIL" });
+        failed += u32::from(!pass);
+    };
 
-fn main() {
     println!("The §5.6 tables as specified:\n");
     println!("{}", render_tables());
 
@@ -144,4 +150,10 @@ fn main() {
             r.txns_aborted == 1 && c.txns().state(sub).unwrap() == TxnState::Aborted,
         );
     }
+
+    if failed > 0 {
+        eprintln!("tab1_failure_actions: {failed} row(s) FAILED");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -1,7 +1,7 @@
 //! Filegroup reconciliation: version-vector detection plus the per-type
 //! merge strategies (§4.2–§4.6).
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use locus_fs::directory::Directory;
 use locus_fs::kernel::PropReq;
@@ -9,17 +9,17 @@ use locus_fs::mailbox::Mailbox;
 use locus_fs::proto::InodeInfo;
 use locus_fs::FsCluster;
 use locus_net::RpcEngine;
-use locus_storage::{ShadowSession, PAGE_SIZE};
+use locus_storage::{Pack, ShadowSession, PAGE_SIZE};
 use locus_types::{Errno, FileType, FilegroupId, Gfid, Ino, SiteId, SysResult, VersionVector};
 
 use crate::conflicts::{mark_conflict, notify_owner};
 use crate::dir_merge::merge_directories;
 use crate::mail_merge::merge_mailboxes;
 use crate::managers::MergeManagers;
-use crate::proto::{RecMsg, RECOVERY_MSG_BYTES};
+use crate::proto::{InventoryReply, RecMsg};
 use crate::report::{FileOutcome, RecoveryReport};
 
-/// One copy of a file as seen during reconciliation.
+/// One copy of a file as the coordinator knows it.
 #[derive(Clone, Debug)]
 struct CopyView {
     site: SiteId,
@@ -27,46 +27,128 @@ struct CopyView {
     data_here: bool,
 }
 
-/// Gathers the copies of `gfid` at every container of its filegroup
-/// reachable from `coordinator`, charging inventory messages.
-fn gather_copies(fsc: &FsCluster, coordinator: SiteId, gfid: Gfid) -> SysResult<Vec<CopyView>> {
-    let containers = fsc
-        .kernel(coordinator)
-        .mount
-        .get(gfid.fg)?
-        .containers
-        .clone();
-    let mut out = Vec::new();
-    for (_, site) in containers {
-        if site != coordinator && !fsc.net().reachable(coordinator, site) {
-            continue;
-        }
-        if site != coordinator {
-            // One engine RPC per container: the inventory request now
-            // retries under the cluster policy instead of surfacing the
-            // first injected drop as a down site.
-            RpcEngine::new(fsc.retry_policy())
+/// What the coordinator knows about a filegroup's copies: one
+/// [`InventoryReply`] per reachable container (its own pack's is a
+/// procedure call), folded by inode. Nothing here is re-read from a
+/// remote kernel: a row changes only when the coordinator itself
+/// installs a copy or marks a conflict, and the whole table is asked for
+/// again after recovery mailed an owner, because that mail is an
+/// ordinary filesystem write outside recovery's own installs.
+#[derive(Default)]
+struct Inventory {
+    /// The containers that answered, in mount order, with their pack
+    /// index (version-vector update origin).
+    origins: Vec<(SiteId, u32)>,
+    /// Every copy of every inode, each row in mount order.
+    rows: BTreeMap<Ino, Vec<CopyView>>,
+    /// Owner mail went out since the table was taken.
+    stale: bool,
+}
+
+impl Inventory {
+    /// Asks every container of `fg` reachable from `coordinator` for its
+    /// inode table (just `only`'s row for demand recovery): one RPC per
+    /// other container, retried under the cluster policy, `Esitedown`
+    /// if one is abandoned.
+    fn take(
+        fsc: &FsCluster,
+        coordinator: SiteId,
+        fg: FilegroupId,
+        only: Option<Ino>,
+    ) -> SysResult<Inventory> {
+        let mut inv = Inventory::default();
+        for site in reachable_containers(fsc, coordinator, fg) {
+            let reply = RpcEngine::new(fsc.retry_policy())
                 .rpc(
                     fsc.net(),
                     coordinator,
                     site,
-                    RecMsg::Inventory,
-                    |_: &()| RECOVERY_MSG_BYTES,
-                    |_| (),
+                    RecMsg::Inventory { fg, only },
+                    InventoryReply::wire_bytes,
+                    |_| inventory_at(fsc, site, fg, only),
                 )
                 .map_err(|_| Errno::Esitedown)?;
+            inv.origins.push((site, reply.origin));
+            for (ino, info, data_here) in reply.rows {
+                inv.rows.entry(ino).or_default().push(CopyView {
+                    site,
+                    info,
+                    data_here,
+                });
+            }
         }
-        let k = fsc.kernel(site);
-        if let Some(info) = k.local_info(gfid) {
-            let data_here = k.stores_data(gfid) || info.deleted;
-            out.push(CopyView {
-                site,
-                info,
-                data_here,
-            });
+        Ok(inv)
+    }
+
+    fn copies(&self, ino: Ino) -> &[CopyView] {
+        self.rows.get(&ino).map_or(&[], Vec::as_slice)
+    }
+
+    /// The pack index of the container at `site` (update origin for
+    /// version vectors).
+    fn origin(&self, site: SiteId) -> u32 {
+        self.origins
+            .iter()
+            .find(|(s, _)| *s == site)
+            .map_or(0, |(_, o)| *o)
+    }
+
+    fn is_dir(&self, ino: Ino) -> bool {
+        self.copies(ino)
+            .first()
+            .is_some_and(|c| c.info.ftype.is_directory_like())
+    }
+
+    /// Whether any known copy of `ino` is live (not deleted) — the
+    /// "interrogate the inode" oracle for directory-merge rules b/d.
+    fn alive(&self, ino: Ino) -> bool {
+        self.copies(ino).iter().any(|c| !c.info.deleted)
+    }
+
+    /// Owner of a file, defaulting to root when unknown.
+    fn owner_of(&self, ino: Ino) -> u32 {
+        self.copies(ino).first().map_or(0, |c| c.info.owner)
+    }
+
+    /// Forgets the rows of containers that dropped out of `sites` since
+    /// the table was taken (fault schedules follow the virtual clock).
+    fn keep_sites(&mut self, sites: &[SiteId]) {
+        if self.origins.iter().any(|(s, _)| !sites.contains(s)) {
+            self.origins.retain(|(s, _)| sites.contains(s));
+            for copies in self.rows.values_mut() {
+                copies.retain(|c| sites.contains(&c.site));
+            }
         }
     }
-    Ok(out)
+}
+
+/// One inventory row: the inode's state in `pack` and whether the data
+/// is stored here (a tombstone counts: there is nothing to fetch).
+fn row_of(pack: &Pack, ino: Ino) -> Option<(InodeInfo, bool)> {
+    let inode = pack.inode(ino)?;
+    Some((InodeInfo::from(inode), inode.data_here || inode.deleted))
+}
+
+/// The inventory handler: runs at the container `site` and answers from
+/// its own pack only.
+fn inventory_at(
+    fsc: &FsCluster,
+    site: SiteId,
+    fg: FilegroupId,
+    only: Option<Ino>,
+) -> InventoryReply {
+    let k = fsc.kernel(site);
+    let Some(pack) = k.pack_of_ref(fg) else {
+        return InventoryReply::default();
+    };
+    let row = |ino| row_of(pack, ino).map(|(info, data_here)| (ino, info, data_here));
+    InventoryReply {
+        origin: pack.origin(),
+        rows: match only {
+            Some(ino) => row(ino).into_iter().collect(),
+            None => pack.inos().filter_map(row).collect(),
+        },
+    }
 }
 
 /// The live reachable sites holding container copies of `fg`.
@@ -96,9 +178,9 @@ fn read_copy(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<Vec<u8>> {
 }
 
 /// Overwrites one copy with `bytes` (or just metadata when `None`) under
-/// an explicit version vector. This is the recovery installer: it uses the
-/// same shadow commit as ordinary modification, so a crash mid-recovery
-/// still leaves a coherent copy.
+/// an explicit version vector and returns the copy as installed. This is
+/// the recovery installer: it uses the same shadow commit as ordinary
+/// modification, so a crash mid-recovery still leaves a coherent copy.
 #[allow(clippy::too_many_arguments)]
 fn overwrite_copy(
     fsc: &FsCluster,
@@ -108,7 +190,7 @@ fn overwrite_copy(
     template: &InodeInfo,
     vv: &VersionVector,
     deleted: bool,
-) -> SysResult<()> {
+) -> SysResult<CopyView> {
     let mut k = fsc.kernel(site);
     let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
     if pack.inode(gfid.ino).is_none() {
@@ -142,17 +224,34 @@ fn overwrite_copy(
     // left on the meter for the next handler, and the copy rewritten
     // behind the buffer cache's back is dropped from it, not installed.
     pack.take_io_cost();
+    let (info, data_here) = row_of(pack, gfid.ino).expect("just committed");
     k.invalidate_caches_for(gfid);
     k.note_latest(gfid, vv);
-    Ok(())
+    Ok(CopyView {
+        site,
+        info,
+        data_here,
+    })
 }
 
-/// Whether any reachable copy of `gfid` is live (not deleted) — the
-/// "interrogate the inode" oracle for directory-merge rules b/d.
-fn file_alive(fsc: &FsCluster, coordinator: SiteId, gfid: Gfid) -> bool {
-    gather_copies(fsc, coordinator, gfid)
-        .map(|copies| copies.iter().any(|c| !c.info.deleted))
-        .unwrap_or(false)
+/// Runs `f` inside a `recovery/<op>` span; untraced runs open none.
+fn spanned<T>(
+    fsc: &FsCluster,
+    op: &str,
+    site: SiteId,
+    f: impl FnOnce() -> SysResult<T>,
+) -> SysResult<T> {
+    if !fsc.net().observing() {
+        return f();
+    }
+    let span = fsc.net().obs_span_open("recovery", op, site);
+    let out = f();
+    let outcome = match &out {
+        Ok(_) => "ok".to_owned(),
+        Err(e) => format!("{e:?}"),
+    };
+    fsc.net().obs_span_close(span, &outcome);
+    out
 }
 
 /// Reconciles a single file across the partition coordinated by
@@ -178,30 +277,79 @@ pub fn reconcile_file_with(
     report: &mut RecoveryReport,
     managers: &MergeManagers,
 ) -> SysResult<FileOutcome> {
-    if !fsc.net().observing() {
-        return reconcile_file_inner(fsc, coordinator, gfid, report, managers);
-    }
-    let span = fsc.net().obs_span_open("recovery", "reconcile", coordinator);
-    let out = reconcile_file_inner(fsc, coordinator, gfid, report, managers);
-    let outcome = match &out {
-        Ok(_) => "ok".to_owned(),
-        Err(e) => format!("{e:?}"),
-    };
-    fsc.net().obs_span_close(span, &outcome);
-    out
+    // A plain file needs only its own row. A directory's merge rules
+    // interrogate the files it names, so a directory (or a file the
+    // coordinator holds no copy of to tell) takes the whole table.
+    let plain = fsc
+        .kernel(coordinator)
+        .local_info(gfid)
+        .is_some_and(|i| !i.ftype.is_directory_like());
+    let mut inv = Inventory::take(fsc, coordinator, gfid.fg, plain.then_some(gfid.ino))?;
+    reconcile_one(fsc, coordinator, gfid, &mut inv, report, managers)
+}
+
+fn reconcile_one(
+    fsc: &FsCluster,
+    coordinator: SiteId,
+    gfid: Gfid,
+    inv: &mut Inventory,
+    report: &mut RecoveryReport,
+    managers: &MergeManagers,
+) -> SysResult<FileOutcome> {
+    spanned(fsc, "reconcile", coordinator, || {
+        reconcile_file_inner(fsc, coordinator, gfid, inv, report, managers)
+    })
 }
 
 fn reconcile_file_inner(
     fsc: &FsCluster,
     coordinator: SiteId,
     gfid: Gfid,
+    inv: &mut Inventory,
     report: &mut RecoveryReport,
     managers: &MergeManagers,
 ) -> SysResult<FileOutcome> {
-    let copies = gather_copies(fsc, coordinator, gfid)?;
+    let sites = reachable_containers(fsc, coordinator, gfid.fg);
+    inv.keep_sites(&sites);
+    let copies = inv.copies(gfid.ino).to_vec();
     if copies.is_empty() {
         return Ok(FileOutcome::Consistent);
     }
+    // Installs one reconciled version at every reachable container —
+    // `bytes`, or a tombstone when `None` — and records the copies as
+    // installed in the coordinator's table.
+    let install = |inv: &mut Inventory,
+                   bytes: Option<&[u8]>,
+                   template: &InodeInfo,
+                   vv: &VersionVector|
+     -> SysResult<()> {
+        let deleted = bytes.is_none();
+        let mut rows = Vec::with_capacity(sites.len());
+        for &site in &sites {
+            if !deleted {
+                charge_propagate(fsc, coordinator, site);
+            }
+            rows.push(overwrite_copy(
+                fsc, site, gfid, bytes, template, vv, deleted,
+            )?);
+        }
+        inv.rows.insert(gfid.ino, rows);
+        Ok(())
+    };
+    // Marks every copy conflicted, at its container and in the table.
+    let mark_conflicted = |inv: &mut Inventory| -> SysResult<()> {
+        for c in inv.rows.get_mut(&gfid.ino).into_iter().flatten() {
+            mark_conflict(fsc, c.site, gfid)?;
+            c.info.conflict = true;
+        }
+        Ok(())
+    };
+    // Owner mail is an ordinary filesystem write: whatever it touched is
+    // no longer what the table says.
+    let notify = |inv: &mut Inventory, owner: u32, body: &str| {
+        notify_owner(fsc, coordinator, owner, body);
+        inv.stale = true;
+    };
 
     // Find the maximal versions under the version-vector order.
     let maximal: Vec<&CopyView> = copies
@@ -229,7 +377,7 @@ fn reconcile_file_inner(
         let winner = pick_data_source(&copies, &distinct[0].info.vv).unwrap_or(distinct[0].site);
         let latest = distinct[0].info.clone();
         let mut acted = false;
-        for site in reachable_containers(fsc, coordinator, gfid.fg) {
+        for &site in &sites {
             if site == winner {
                 continue;
             }
@@ -239,7 +387,7 @@ fn reconcile_file_inner(
                 Some(c) => {
                     let stale = !c.info.vv.covers(&latest.vv);
                     let missing_data = !latest.deleted
-                        && latest.replicas.contains(&pack_origin(fsc, c.site, gfid.fg))
+                        && latest.replicas.contains(&inv.origin(c.site))
                         && !c.data_here;
                     stale || missing_data
                 }
@@ -267,33 +415,33 @@ fn reconcile_file_inner(
         if !latest.deleted && latest.ftype.is_directory_like() {
             let bytes = read_copy(fsc, winner, gfid)?;
             let dir = Directory::parse(&bytes)?;
-            let live_elsewhere = |name: &str| {
-                copies.iter().filter(|c| c.site != winner).any(|c| {
-                    read_copy(fsc, c.site, gfid)
-                        .and_then(|b| Directory::parse(&b))
-                        .is_ok_and(|d| d.lookup(name).is_some())
-                })
-            };
+            // The other copies' directories: read and parsed once, and
+            // only when a removed record names a live file.
+            let mut others: Option<Vec<Directory>> = None;
             let mut corrected = dir.clone();
             let mut changed = false;
             for rec in dir.records() {
-                if rec.removed
-                    && file_alive(fsc, coordinator, Gfid::new(gfid.fg, rec.ino))
-                    && corrected.lookup(&rec.name).is_none()
-                    && live_elsewhere(&rec.name)
-                {
-                    corrected.insert(&rec.name, rec.ino).expect("name free");
-                    changed = true;
+                if rec.removed && inv.alive(rec.ino) && corrected.lookup(&rec.name).is_none() {
+                    let others = others.get_or_insert_with(|| {
+                        copies
+                            .iter()
+                            .filter(|c| c.site != winner)
+                            .filter_map(|c| {
+                                let bytes = read_copy(fsc, c.site, gfid).ok()?;
+                                Directory::parse(&bytes).ok()
+                            })
+                            .collect()
+                    });
+                    if others.iter().any(|d| d.lookup(&rec.name).is_some()) {
+                        corrected.insert(&rec.name, rec.ino).expect("name free");
+                        changed = true;
+                    }
                 }
             }
             if changed {
                 let mut vv = latest.vv.clone();
-                vv.bump(pack_origin(fsc, coordinator, gfid.fg));
-                let bytes = corrected.serialize();
-                for site in reachable_containers(fsc, coordinator, gfid.fg) {
-                    charge_propagate(fsc, coordinator, site);
-                    overwrite_copy(fsc, site, gfid, Some(&bytes), &latest, &vv, false)?;
-                }
+                vv.bump(inv.origin(coordinator));
+                install(inv, Some(&corrected.serialize()), &latest, &vv)?;
                 fixed_dir = true;
             }
         }
@@ -316,34 +464,20 @@ fn reconcile_file_inner(
             }
             // The reconciliation itself is an update, performed at the
             // coordinator's pack.
-            vv.bump(pack_origin(fsc, coordinator, gfid.fg));
+            vv.bump(inv.origin(coordinator));
             vv
         };
 
         if live.is_empty() {
             // Deleted on both sides: propagate a merged tombstone.
-            let template = distinct[0].info.clone();
-            for site in reachable_containers(fsc, coordinator, gfid.fg) {
-                overwrite_copy(fsc, site, gfid, None, &template, &merged_vv, true)?;
-            }
+            install(inv, None, &distinct[0].info, &merged_vv)?;
             FileOutcome::DeletePropagated
         } else if live.len() == 1 {
             // §4.4 rule d: "deleted in one partition while it was modified
             // in another, wants to be saved" — undo the delete.
             let saved = live[0];
             let bytes = read_copy(fsc, saved.site, gfid)?;
-            for site in reachable_containers(fsc, coordinator, gfid.fg) {
-                charge_propagate(fsc, coordinator, site);
-                overwrite_copy(
-                    fsc,
-                    site,
-                    gfid,
-                    Some(&bytes),
-                    &saved.info,
-                    &merged_vv,
-                    false,
-                )?;
-            }
+            install(inv, Some(&bytes), &saved.info, &merged_vv)?;
             FileOutcome::Resurrected
         } else {
             // Concurrent live modifications: resolve by type (§4.3).
@@ -353,28 +487,14 @@ fn reconcile_file_inner(
                     for c in &live {
                         dirs.push(Directory::parse(&read_copy(fsc, c.site, gfid)?)?);
                     }
-                    let merged = merge_directories(&dirs, |ino| {
-                        file_alive(fsc, coordinator, Gfid::new(gfid.fg, ino))
-                    });
+                    let merged = merge_directories(&dirs, |ino| inv.alive(ino));
                     let bytes = merged.merged.serialize();
-                    for site in reachable_containers(fsc, coordinator, gfid.fg) {
-                        charge_propagate(fsc, coordinator, site);
-                        overwrite_copy(
-                            fsc,
-                            site,
-                            gfid,
-                            Some(&bytes),
-                            &live[0].info,
-                            &merged_vv,
-                            false,
-                        )?;
-                    }
+                    install(inv, Some(&bytes), &live[0].info, &merged_vv)?;
                     for (name, renamed) in merged.renames {
                         for (new_name, ino) in &renamed {
-                            let owner = owner_of(fsc, coordinator, Gfid::new(gfid.fg, *ino));
-                            notify_owner(
-                                fsc,
-                                coordinator,
+                            let owner = inv.owner_of(*ino);
+                            notify(
+                                inv,
                                 owner,
                                 &format!(
                                     "name conflict on `{name}` after partition merge; \
@@ -396,18 +516,7 @@ fn reconcile_file_inner(
                         boxes.push(Mailbox::parse(&read_copy(fsc, c.site, gfid)?)?);
                     }
                     let merged = merge_mailboxes(&boxes).serialize();
-                    for site in reachable_containers(fsc, coordinator, gfid.fg) {
-                        charge_propagate(fsc, coordinator, site);
-                        overwrite_copy(
-                            fsc,
-                            site,
-                            gfid,
-                            Some(&merged),
-                            &live[0].info,
-                            &merged_vv,
-                            false,
-                        )?;
-                    }
+                    install(inv, Some(&merged), &live[0].info, &merged_vv)?;
                     FileOutcome::MailboxMerged
                 }
                 ftype if managers.handles(ftype) => {
@@ -421,27 +530,13 @@ fn reconcile_file_inner(
                     let manager = managers.get(ftype).expect("handles checked");
                     match manager(&versions) {
                         Some(merged) => {
-                            for site in reachable_containers(fsc, coordinator, gfid.fg) {
-                                charge_propagate(fsc, coordinator, site);
-                                overwrite_copy(
-                                    fsc,
-                                    site,
-                                    gfid,
-                                    Some(&merged),
-                                    &live[0].info,
-                                    &merged_vv,
-                                    false,
-                                )?;
-                            }
+                            install(inv, Some(&merged), &live[0].info, &merged_vv)?;
                             FileOutcome::ManagerMerged
                         }
                         None => {
-                            for c in &copies {
-                                mark_conflict(fsc, c.site, gfid)?;
-                            }
-                            notify_owner(
-                                fsc,
-                                coordinator,
+                            mark_conflicted(inv)?;
+                            notify(
+                                inv,
                                 live[0].info.owner,
                                 &format!("merge manager could not reconcile {gfid}"),
                             );
@@ -460,14 +555,10 @@ fn reconcile_file_inner(
                         report.files.push((gfid, FileOutcome::Consistent));
                         return Ok(FileOutcome::Consistent);
                     }
-                    for c in &copies {
-                        mark_conflict(fsc, c.site, gfid)?;
-                    }
-                    let owner = live[0].info.owner;
-                    notify_owner(
-                        fsc,
-                        coordinator,
-                        owner,
+                    mark_conflicted(inv)?;
+                    notify(
+                        inv,
+                        live[0].info.owner,
                         &format!(
                             "update conflict detected on {gfid}; access is blocked until resolved"
                         ),
@@ -481,26 +572,12 @@ fn reconcile_file_inner(
     Ok(outcome)
 }
 
-/// The pack index of the container at `site` (update-origin for version
-/// vectors).
-fn pack_origin(fsc: &FsCluster, site: SiteId, fg: FilegroupId) -> u32 {
-    fsc.with_kernel(site, |k| k.pack_of(fg).map(|p| p.origin()).unwrap_or(0))
-}
-
 /// Picks a copy that actually stores data for the given version.
 fn pick_data_source(copies: &[CopyView], vv: &VersionVector) -> Option<SiteId> {
     copies
         .iter()
         .find(|c| c.data_here && c.info.vv == *vv)
         .map(|c| c.site)
-}
-
-/// Owner of a file, defaulting to root when unknown.
-fn owner_of(fsc: &FsCluster, coordinator: SiteId, gfid: Gfid) -> u32 {
-    gather_copies(fsc, coordinator, gfid)
-        .ok()
-        .and_then(|c| c.first().map(|c| c.info.owner))
-        .unwrap_or(0)
 }
 
 fn charge_propagate(fsc: &FsCluster, from: SiteId, to: SiteId) {
@@ -531,63 +608,69 @@ pub fn reconcile_filegroup(
 }
 
 /// [`reconcile_filegroup`] with type-specific merge managers (§4.1).
+/// Observed runs wrap the pass in a `recovery/filegroup` span whose
+/// children name its phases: `inventory`, `files`, `directories`,
+/// `drain`.
 pub fn reconcile_filegroup_with(
     fsc: &FsCluster,
     coordinator: SiteId,
     fg: FilegroupId,
     managers: &MergeManagers,
 ) -> SysResult<RecoveryReport> {
-    let mut report = RecoveryReport::default();
-    let sites = reachable_containers(fsc, coordinator, fg);
+    spanned(fsc, "filegroup", coordinator, || {
+        reconcile_filegroup_inner(fsc, coordinator, fg, managers)
+    })
+}
 
-    // Inventory: the union of inode numbers known anywhere in the
-    // partition.
-    let mut inos: BTreeSet<Ino> = BTreeSet::new();
-    for &site in &sites {
-        charge_propagate(fsc, coordinator, site);
-        fsc.with_kernel(site, |k| {
-            if let Some(pack) = k.pack_of(fg) {
-                inos.extend(pack.inos());
-            }
-        });
-    }
+fn reconcile_filegroup_inner(
+    fsc: &FsCluster,
+    coordinator: SiteId,
+    fg: FilegroupId,
+    managers: &MergeManagers,
+) -> SysResult<RecoveryReport> {
+    let mut report = RecoveryReport::default();
+    let inventory = || Inventory::take(fsc, coordinator, fg, None);
+    let mut inv = spanned(fsc, "inventory", coordinator, inventory)?;
 
     // Notified-version tables may carry pre-partition hearsay; recovery
     // rebuilds knowledge from the actual copies. Cached names and
     // attributes were validated against those tables, so they go too.
-    for &site in &sites {
+    for &(site, _) in &inv.origins {
         fsc.with_kernel(site, |k| {
             k.clear_latest();
             k.name_cache.flush();
         });
     }
 
-    let is_dir = |fsc: &FsCluster, gfid: Gfid| -> bool {
-        gather_copies(fsc, coordinator, gfid)
-            .map(|c| {
-                c.first()
-                    .map(|c| c.info.ftype.is_directory_like())
-                    .unwrap_or(false)
-            })
-            .unwrap_or(false)
-    };
-
-    let all: Vec<Ino> = inos.into_iter().collect();
-    // Pass 1: plain files.
-    for &ino in &all {
-        let gfid = Gfid::new(fg, ino);
-        if !is_dir(fsc, gfid) {
-            reconcile_file_with(fsc, coordinator, gfid, &mut report, managers)?;
-        }
+    // The union of inode numbers known anywhere in the partition. Plain
+    // files go first, then directories (which interrogate the now-final
+    // file states).
+    let all: Vec<Ino> = inv.rows.keys().copied().collect();
+    for (pass, dirs) in [("files", false), ("directories", true)] {
+        spanned(fsc, pass, coordinator, || {
+            for &ino in &all {
+                if inv.is_dir(ino) != dirs {
+                    continue;
+                }
+                reconcile_one(
+                    fsc,
+                    coordinator,
+                    Gfid::new(fg, ino),
+                    &mut inv,
+                    &mut report,
+                    managers,
+                )?;
+                if inv.stale {
+                    inv = inventory()?;
+                }
+            }
+            Ok(())
+        })?;
     }
-    // Pass 2: directories (which interrogate the now-final file states).
-    for &ino in &all {
-        let gfid = Gfid::new(fg, ino);
-        if is_dir(fsc, gfid) {
-            reconcile_file_with(fsc, coordinator, gfid, &mut report, managers)?;
-        }
-    }
-    // Drain the pull propagation scheduled by pass 1 and 2.
-    fsc.settle();
+    // Drain the pull propagation scheduled by the two passes.
+    spanned(fsc, "drain", coordinator, || {
+        fsc.settle();
+        Ok(())
+    })?;
     Ok(report)
 }

@@ -24,9 +24,11 @@
 //! * **demand recovery** of a single file "out of order to allow access to
 //!   it with only a small delay" (§4.4).
 //!
-//! Recovery runs "as a privileged application program" (§5.3): it reaches
-//! directly into the containers rather than through the synchronized open
-//! path, charging recovery messages on the shared network.
+//! Recovery runs "as a privileged application program" (§5.3), outside
+//! the synchronized open path. What each copy looks like it learns from
+//! one bulk inventory reply per container ([`proto::InventoryReply`]);
+//! file *content* it still reads and installs by reaching directly into
+//! the containers, charging a propagate message on the shared network.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

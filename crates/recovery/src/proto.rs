@@ -5,21 +5,59 @@
 //! policy instead of failing on the first injected drop, and abandoned
 //! propagations are counted as one-way losses rather than vanishing
 //! silently. This module is the only place the recovery protocol's kind
-//! labels are spelled.
+//! labels and wire sizes are spelled.
 
+use locus_fs::proto::InodeInfo;
 use locus_net::WireMsg;
+use locus_types::{FilegroupId, Ino};
 
-/// Wire size charged per recovery control message.
+/// Wire size charged per recovery control message, and the fixed header
+/// of an inventory reply.
 pub const RECOVERY_MSG_BYTES: usize = 192;
+
+/// Wire size of one inventory row before its version vector: inode
+/// number, type, permissions, owner, size, link count, mtime, the
+/// deleted / conflict / data-here flags and the replica list.
+pub const INVENTORY_ENTRY_BYTES: usize = 48;
 
 /// One recovery message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecMsg {
-    /// Ask a container site for its copy's version vector and state; the
-    /// reply carries the inventory (§4.2).
-    Inventory,
+    /// Ask a container site for its pack's inode table of `fg` — every
+    /// inode, or just `only` for demand recovery; the reply is an
+    /// [`InventoryReply`] (§4.2).
+    Inventory {
+        /// The filegroup being reconciled.
+        fg: FilegroupId,
+        /// Restrict the reply to one inode (demand recovery, §4.4).
+        only: Option<Ino>,
+    },
     /// Propagate a reconciled version to a stale container copy (§4.3).
     Propagate,
+}
+
+/// What a container answers an [`RecMsg::Inventory`] with: one multi-row
+/// reply, as `FsReply::Pages` is.
+#[derive(Clone, Debug, Default)]
+pub struct InventoryReply {
+    /// The answering pack's index (its version-vector update origin).
+    pub origin: u32,
+    /// `(inode, its state in this pack, whether the data is stored
+    /// here or the copy is a tombstone)`, in inode order.
+    pub rows: Vec<(Ino, InodeInfo, bool)>,
+}
+
+impl InventoryReply {
+    /// Header plus, per row, the fixed entry and 8 bytes per
+    /// version-vector component.
+    pub fn wire_bytes(&self) -> usize {
+        RECOVERY_MSG_BYTES
+            + self
+                .rows
+                .iter()
+                .map(|(_, info, _)| INVENTORY_ENTRY_BYTES + 8 * info.vv.iter().count())
+                .sum::<usize>()
+    }
 }
 
 impl WireMsg for RecMsg {
@@ -27,14 +65,14 @@ impl WireMsg for RecMsg {
 
     fn kind(&self) -> &'static str {
         match self {
-            RecMsg::Inventory => "RECOVERY inventory",
+            RecMsg::Inventory { .. } => "RECOVERY inventory",
             RecMsg::Propagate => "RECOVERY propagate",
         }
     }
 
     fn reply_kind(&self) -> &'static str {
         match self {
-            RecMsg::Inventory => "RECOVERY inventory resp",
+            RecMsg::Inventory { .. } => "RECOVERY inventory resp",
             RecMsg::Propagate => "RECOVERY propagate ack",
         }
     }
@@ -56,10 +94,14 @@ mod tests {
 
     #[test]
     fn labels_match_the_historical_wire_format() {
-        assert_eq!(RecMsg::Inventory.kind(), "RECOVERY inventory");
-        assert_eq!(RecMsg::Inventory.reply_kind(), "RECOVERY inventory resp");
+        let inventory = RecMsg::Inventory {
+            fg: FilegroupId(0),
+            only: None,
+        };
+        assert_eq!(inventory.kind(), "RECOVERY inventory");
+        assert_eq!(inventory.reply_kind(), "RECOVERY inventory resp");
         assert_eq!(RecMsg::Propagate.kind(), "RECOVERY propagate");
-        assert_eq!(RecMsg::Inventory.wire_bytes(), RECOVERY_MSG_BYTES);
+        assert_eq!(inventory.wire_bytes(), RECOVERY_MSG_BYTES);
         assert!(RecMsg::Propagate.idempotent());
         assert_eq!(<RecMsg as WireMsg>::SERVICE, "recovery");
     }

@@ -4,7 +4,9 @@
 use locus_fs::mailbox::Mailbox;
 use locus_fs::ops::{fd, namei};
 use locus_fs::{FsCluster, FsClusterBuilder, ProcFsCtx};
+use locus_net::{FaultPlan, FaultSpec, ObsEvent};
 use locus_recovery::conflicts::split_conflict;
+use locus_recovery::proto::INVENTORY_ENTRY_BYTES;
 use locus_recovery::{reconcile_filegroup, FileOutcome, RecoveryReport};
 use locus_types::{Errno, FileType, FilegroupId, MachineType, OpenMode, Perms, SiteId};
 
@@ -380,4 +382,158 @@ fn partitioned_work_survives_even_when_updates_happen_on_both_sides() {
         assert_eq!(read_str(&fsc, site, "/proj/beta"), b"beta work");
         assert_eq!(read_str(&fsc, site, "/proj/shared"), b"beta touched shared");
     }
+}
+
+/// A healed, not yet reconciled cluster whose two containers diverged
+/// while split: `n` files from before the partition, one of them updated
+/// in A, and one new file on each side (a directory merge, no conflict).
+fn healed_after_divergence(n: usize) -> FsCluster {
+    let fsc = cluster();
+    for i in 0..n {
+        write_str(&fsc, s(0), &format!("/f{i}"), b"base");
+    }
+    fsc.settle();
+    partition(&fsc);
+    write_str(&fsc, s(0), "/f0", b"updated in A");
+    write_str(&fsc, s(0), "/from-a", b"A");
+    write_str(&fsc, s(1), "/from-b", b"B");
+    fsc.settle();
+    fsc.net().heal();
+    set_css(&fsc, &[s(0), s(1), s(2)], s(0));
+    fsc.net().reset_stats();
+    fsc
+}
+
+/// Every container's inode table: `(site, inode, info)`.
+fn copies(fsc: &FsCluster) -> Vec<(SiteId, locus_types::Ino, locus_fs::proto::InodeInfo)> {
+    let mut out = Vec::new();
+    for site in [s(0), s(1)] {
+        let k = fsc.kernel(site);
+        let pack = k.pack_of_ref(FilegroupId(0)).unwrap();
+        out.extend(
+            pack.inos()
+                .map(|i| (site, i, pack.inode(i).unwrap().into())),
+        );
+    }
+    out
+}
+
+#[test]
+fn inventory_messages_do_not_scale_with_file_count() {
+    let traffic = |n: usize| {
+        let fsc = healed_after_divergence(n);
+        let report = reconcile_filegroup(&fsc, s(0), FilegroupId(0)).unwrap();
+        assert_eq!(report.conflict_count(), 0);
+        let st = fsc.net().stats();
+        (
+            st.sends("RECOVERY inventory"),
+            st.bytes("RECOVERY inventory resp"),
+        )
+    };
+    let (few_msgs, few_bytes) = traffic(8);
+    let (many_msgs, many_bytes) = traffic(64);
+    assert_eq!(few_msgs, 1, "one request per other container");
+    assert_eq!(many_msgs, 1, "however many files it holds");
+    // Each extra file is one more row in the one reply: the fixed entry
+    // plus its one-component version vector.
+    assert_eq!(
+        many_bytes - few_bytes,
+        (64 - 8) * (INVENTORY_ENTRY_BYTES as u64 + 8)
+    );
+}
+
+#[test]
+fn second_pass_is_quiet() {
+    let fsc = healed_after_divergence(8);
+    let first = reconcile_filegroup(&fsc, s(0), FilegroupId(0)).unwrap();
+    assert!(first.actions() > 0);
+    fsc.net().reset_stats();
+    let second = reconcile_filegroup(&fsc, s(0), FilegroupId(0)).unwrap();
+    assert!(!second.files.is_empty());
+    assert!(second
+        .files
+        .iter()
+        .all(|(_, o)| *o == FileOutcome::Consistent));
+    let st = fsc.net().stats();
+    assert_eq!(st.sends("RECOVERY propagate"), 0);
+    assert_eq!(st.sends("RECOVERY inventory"), 1);
+}
+
+#[test]
+fn dropped_inventory_request_is_retried_to_the_same_report() {
+    let clean = healed_after_divergence(8);
+    let expected = reconcile_filegroup(&clean, s(0), FilegroupId(0)).unwrap();
+
+    let fsc = healed_after_divergence(8);
+    fsc.net().install_faults(
+        FaultPlan::new(4).kind_spec("RECOVERY inventory", FaultSpec::drop_rate(0.5)),
+    );
+    let report = reconcile_filegroup(&fsc, s(0), FilegroupId(0)).unwrap();
+    let st = fsc.net().stats();
+    assert_eq!(
+        (
+            st.drops("RECOVERY inventory"),
+            st.retries("RECOVERY inventory")
+        ),
+        (1, 1),
+        "seed 4 drops the first request and delivers the second"
+    );
+    assert_eq!(report.files, expected.files);
+    assert_eq!(report.name_conflicts, expected.name_conflicts);
+    assert_eq!(copies(&fsc), copies(&clean));
+}
+
+#[test]
+fn abandoned_inventory_is_esitedown_and_touches_nothing() {
+    let fsc = healed_after_divergence(8);
+    let before = copies(&fsc);
+    fsc.net().install_faults(
+        FaultPlan::new(3).kind_spec("RECOVERY inventory", FaultSpec::drop_rate(1.0)),
+    );
+    assert_eq!(
+        reconcile_filegroup(&fsc, s(0), FilegroupId(0)).unwrap_err(),
+        Errno::Esitedown
+    );
+    assert_eq!(copies(&fsc), before);
+    assert!(!fsc.has_pending_background_work());
+}
+
+#[test]
+fn observed_pass_names_its_phases_and_an_unobserved_one_opens_no_span() {
+    let events = |observe: bool| {
+        let fsc = healed_after_divergence(2);
+        fsc.net().set_observing(observe);
+        reconcile_filegroup(&fsc, s(0), FilegroupId(0)).unwrap();
+        fsc.net().take_obs_events()
+    };
+    let observed = events(true);
+    let root = observed
+        .iter()
+        .find_map(|e| match e {
+            ObsEvent::SpanOpen { id, op, .. } if op == "filegroup" => Some(*id),
+            _ => None,
+        })
+        .expect("a recovery/filegroup span");
+    let phases: Vec<String> = observed
+        .iter()
+        .filter_map(|e| match e {
+            ObsEvent::SpanOpen {
+                parent,
+                service,
+                op,
+                ..
+            } if *parent == root => Some(format!("{service}/{op}")),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        phases,
+        [
+            "recovery/inventory",
+            "recovery/files",
+            "recovery/directories",
+            "recovery/drain"
+        ]
+    );
+    assert!(events(false).is_empty());
 }
