@@ -81,6 +81,25 @@ fn measure(cluster: &Cluster) -> (Gfid, u64, u64) {
     (gfid, resolve_msgs, stat_msgs)
 }
 
+/// Messages of the first warm resolve after the diskless site is split
+/// off and healed back, each change followed by `reconfigure()`, with no
+/// namespace change in between: the §5.6 cleanup demotes the cache
+/// instead of emptying it, so the resolve costs one `VV check` round
+/// trip per component, as any warm resolve does.
+fn measure_after_reconfiguration(cluster: &Cluster) -> u64 {
+    let us = SiteId(1);
+    let ctx = us_ctx(cluster);
+    let gfid = namei::resolve(cluster.fs(), us, &ctx, DEPTH_PATH).expect("cold resolve");
+    cluster.partition(&[vec![SiteId(0)], vec![us]]);
+    cluster.reconfigure().expect("split");
+    cluster.heal();
+    cluster.reconfigure().expect("heal");
+    cluster.net().reset_stats();
+    let again = namei::resolve(cluster.fs(), us, &ctx, DEPTH_PATH).expect("post-merge resolve");
+    assert_eq!(again, gfid, "resolution must survive the reconfiguration");
+    cluster.net().stats().total_sends()
+}
+
 /// Audits the exported trace: every resolve span that recorded a
 /// `namecache.hit` and no `namecache.miss` must contain only `VV check`
 /// protocol work — no open/read/close fallback slipped through.
@@ -212,6 +231,16 @@ fn main() {
     );
     assert_eq!(stats.lease_grants, 0, "VvCheck-only mode must not grant leases");
 
+    let reconf_resolve = measure_after_reconfiguration(&build(true));
+    println!(
+        "\nwarm resolve right after split + heal + reconfigure: {reconf_resolve} messages \
+         (warm: {c_resolve})"
+    );
+    assert_eq!(
+        reconf_resolve, c_resolve,
+        "a reconfiguration with no namespace change must leave the cache warm"
+    );
+
     report
         .int("resolve4_uncached_msgs", un_resolve)
         .int("resolve4_cached_msgs", c_resolve)
@@ -226,7 +255,8 @@ fn main() {
         .int("name_invalidations", stats.name_invalidations)
         .int("dir_deep_copies", stats.dir_deep_copies)
         .float("dentry_hit_ratio", stats.dentry_hit_ratio())
-        .float("attr_hit_ratio", stats.attr_hit_ratio());
+        .float("attr_hit_ratio", stats.attr_hit_ratio())
+        .int("reconf_warm_resolve_msgs", reconf_resolve);
 
     let (trace, events) = locus_bench::export_and_audit_trace(&cached, "e12");
     let served = audit_cached_resolves(&events);

@@ -442,7 +442,7 @@ impl FsCluster {
     /// Outside an epoch batch each recall is a reliable rpc whose reply
     /// is the acknowledgement, so every holder has dropped its lease
     /// before the committing operation's `commit.end`; an unreachable
-    /// holder is revoked unilaterally (its own §5.6 cleanup flushes the
+    /// holder is revoked unilaterally (its own §5.6 cleanup demotes the
     /// cache when the partition change is processed). Inside an epoch the
     /// recalls buffer on the site-sharded run queues and cross the
     /// barrier in [`PostStamp`] order, keeping the parallel engine

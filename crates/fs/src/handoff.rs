@@ -493,18 +493,14 @@ pub fn probation_probe(
 /// site's own resources. Any modification session still open here lost
 /// its writer mid-flight (commits were refused throughout the window);
 /// discard them before the site serves traffic again. Caches get the
-/// same treatment: every coherence lease this site held may have been
-/// revoked at the CSS while recalls could not reach it, so the marks are
-/// dropped (entries revalidate through the normal `VvCheck` path), and
-/// the page-valid tags are cleared — pages fetched before the window
-/// must not look current at the first post-readmission open. The
-/// surviving sites' lease tables drop this site symmetrically.
+/// same treatment as at a partition change: every coherence lease this
+/// site held may have been revoked at the CSS while recalls could not
+/// reach it, so the cache is demoted — marks and page-valid tags go,
+/// entries revalidate through the normal `VvCheck` path. The surviving
+/// sites' lease tables drop this site symmetrically.
 fn readmit(fsc: &FsCluster, site: SiteId) -> bool {
     crate::ops::cleanup::sweep_local_sessions(fsc, site);
-    fsc.with_kernel(site, |k| {
-        k.name_cache.revoke_all_leases();
-        k.name_cache.clear_page_tags();
-    });
+    fsc.with_kernel(site, |k| k.name_cache.demote());
     if fsc.coherence() == Coherence::Lease {
         for s in fsc.sites() {
             if s == site {

@@ -185,7 +185,7 @@ pub struct FsKernel {
     /// The name-lookup and attribute cache (§2.3.4 acceleration), which
     /// also carries the page-valid tags of §3.2 fn 1: an open under a
     /// newer version drops the stale buffers. Public so recovery can
-    /// flush it alongside [`FsKernel::clear_latest`].
+    /// demote it alongside [`FsKernel::clear_latest`].
     pub name_cache: crate::namecache::NameAttrCache,
     /// Per-file write-behind buffers (batched I/O mode only).
     pub(crate) write_behind: HashMap<Gfid, WriteBehind>,
@@ -289,9 +289,18 @@ impl FsKernel {
         }
     }
 
-    /// Removes `site` from every lease row — the unilateral revoke of
-    /// quarantine, readmission and §5.6 cleanup. Returns how many leases
-    /// were dropped.
+    /// Drops the whole lease table — the CSS side of §5.6 cleanup, where
+    /// every holder demotes its cache in the same pass. Returns how many
+    /// (file, holder) leases were dropped.
+    pub fn clear_lease_table(&mut self) -> u64 {
+        let dropped = self.lease_holders.values().map(|h| h.len() as u64).sum();
+        self.lease_holders.clear();
+        dropped
+    }
+
+    /// Removes `site` from every lease row — the unilateral revoke at a
+    /// quarantined site's readmission. Returns how many leases were
+    /// dropped.
     pub fn purge_lease_holder(&mut self, site: SiteId) -> u64 {
         let mut dropped = 0;
         self.lease_holders.retain(|_, holders| {

@@ -13,15 +13,30 @@
 //! Coherence is three-fold:
 //!
 //! * **validate on use** — an entry is served only when its version
-//!   vector covers the most current version the CSS knows (§2.3.1); a
+//!   vector *equals* the most current version the CSS knows (§2.3.1); a
 //!   diskless using site receives no commit notifications, so the probe,
 //!   not the notification, is the coherence backbone;
 //! * **invalidate on write** — local directory mutation (`dir_update`
 //!   commits), inbound commit notifications, replica propagation and
 //!   explicit `Invalidate` messages all drop the file's entries;
-//! * **flush on reconfiguration** — partition and merge transitions
-//!   clear the whole cache conservatively (§5.6), so a resolution can
-//!   never be served from a divergent partition's view of a directory.
+//! * **demote on reconfiguration** — §5.6 cleanup, recovery and
+//!   readmission after quarantine call [`NameAttrCache::demote`]: every
+//!   lease mark and page-valid tag goes, the entries stay, and each is
+//!   served again only after a `VvCheck` against the CSS of the *new*
+//!   partition.
+//!
+//! Keeping entries across a partition change rests on two rules. *Exact
+//! version*: a version vector names one content, so an entry whose vector
+//! equals the CSS's holds the bytes that CSS would serve — but an entry
+//! *newer* than the CSS's (the site split off with a lagging replica)
+//! holds bytes its partition does not have, so `covers` is not enough.
+//! *No vouching for a conflict*: conflict marking is the one change that
+//! leaves the vector alone, so the CSS answers a probe on a copy marked
+//! in conflict with `Econflict` and the using site takes the uncached
+//! open, which carries the flag. Together with recovery rebuilding the
+//! CSS's `known_latest` from the actual copies before `reconfigure()`
+//! returns, that is enough: every answer a probe can give after a
+//! reconfiguration describes a copy the new partition holds.
 //!
 //! Everything here is plain local state: fills and invalidations cost no
 //! messages and no virtual time, so enabling the cache changes message
@@ -124,11 +139,11 @@ impl NameAttrCache {
         self.page_tags.insert(gfid, vv);
     }
 
-    /// Serves the cached attributes if they cover `latest` (the version
-    /// the CSS vouched for).
+    /// Serves the cached attributes if they are exactly `latest` (the
+    /// version the CSS vouched for).
     pub fn attr_fresh(&mut self, gfid: Gfid, latest: &VersionVector) -> Option<InodeInfo> {
         match self.attrs.get(&gfid) {
-            Some(info) if info.vv.covers(latest) => {
+            Some(info) if info.vv == *latest => {
                 self.attr_hits += 1;
                 Some(info.clone())
             }
@@ -145,16 +160,16 @@ impl NameAttrCache {
         self.attrs.insert(gfid, info);
     }
 
-    /// Serves the cached directory contents and inode info if they cover
-    /// `latest`. A stale entry is dropped on the spot (counted as an
-    /// invalidation) so a subsequent fill starts clean.
+    /// Serves the cached directory contents and inode info if they are
+    /// exactly `latest`. A stale entry is dropped on the spot (counted as
+    /// an invalidation) so a subsequent fill starts clean.
     pub fn dir_fresh(
         &mut self,
         gfid: Gfid,
         latest: &VersionVector,
     ) -> Option<(Arc<Directory>, InodeInfo)> {
         match self.dirs.get(&gfid) {
-            Some(e) if e.vv.covers(latest) => {
+            Some(e) if e.vv == *latest => {
                 self.dentry_hits += 1;
                 Some((Arc::clone(&e.dir), e.info.clone()))
             }
@@ -278,15 +293,16 @@ impl NameAttrCache {
         self.lease_revokes += n;
     }
 
-    /// Unilaterally drops every lease mark, counting each as a revoke,
-    /// without touching the cached entries — readmission calls this so
-    /// the ordinary `VvCheck` path revalidates (and possibly re-leases)
-    /// what survived the quarantine window. Returns how many marks died.
-    pub fn revoke_all_leases(&mut self) -> u64 {
-        let n = self.leases.len() as u64;
+    /// Demotes the whole cache at a partition change or a readmission:
+    /// every lease mark is revoked (counted) and every page-valid tag
+    /// dropped, while the dentry and attribute entries — with each
+    /// directory's remembered child types — stay. Nothing kept is served
+    /// until a `VvCheck` against the CSS the site now answers to reports
+    /// exactly its version; in lease mode that probe re-grants the lease.
+    pub fn demote(&mut self) {
+        self.lease_revokes += self.leases.len() as u64;
         self.leases.clear();
-        self.lease_revokes += n;
-        n
+        self.page_tags.clear();
     }
 
     /// Drops every entry for `gfid`: local commit, inbound notification,
@@ -300,29 +316,8 @@ impl NameAttrCache {
         self.page_tags.remove(&gfid);
     }
 
-    /// Conservative whole-cache flush at a partition or merge transition
-    /// (§5.6): everything cached was validated against the old
-    /// partition's CSS and is no longer trustworthy.
-    pub fn flush(&mut self) {
-        self.invalidations += (self.dirs.len() + self.attrs.len()) as u64;
-        self.dirs.clear();
-        self.attrs.clear();
-        self.page_tags.clear();
-        self.leases.clear();
-    }
-
-    /// Drops every attribute entry's page-valid tag without touching the
-    /// attribute copies themselves. Readmission from probation calls this
-    /// alongside [`NameAttrCache::flush`]-style dentry clearing: pages
-    /// fetched before the quarantine window must not look current at the
-    /// first post-readmission open, even though the attribute copy is
-    /// revalidated by the normal VvCheck path.
-    pub fn clear_page_tags(&mut self) {
-        self.page_tags.clear();
-    }
-
     /// Number of cached entries, directories plus attributes (tests
-    /// assert flushes).
+    /// assert what invalidation and demotion keep).
     pub fn entries(&self) -> usize {
         self.dirs.len() + self.attrs.len()
     }
@@ -447,34 +442,60 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_and_flush_drop_lease_marks() {
+    fn invalidation_drops_lease_marks() {
         let mut c = NameAttrCache::new();
         c.insert_attr(gfid(1), info(vv(1)));
         c.grant_lease(gfid(1));
         c.invalidate(gfid(1));
         assert!(!c.lease_held(gfid(1)), "invalidate kills the mark");
-        c.insert_attr(gfid(2), info(vv(1)));
-        c.grant_lease(gfid(2));
-        c.flush();
-        assert!(!c.lease_held(gfid(2)), "flush kills every mark");
         assert_eq!(c.leases_held(), 0);
     }
 
     #[test]
-    fn clear_page_tags_keeps_attrs_but_invalidates_pages() {
+    fn demote_keeps_entries_and_drops_marks_and_tags() {
         let mut c = NameAttrCache::new();
-        let f = gfid(4);
+        let (d, f) = (gfid(1), gfid(4));
+        c.insert_dir(d, info(vv(1)), Arc::new(Directory::new()));
+        c.remember_child_type(d, Ino(9), FileType::HiddenDirectory);
+        c.grant_lease(d);
         assert!(!c.pages_fresh(f, &info(vv(1))), "first open tags");
         assert!(c.pages_fresh(f, &info(vv(1))), "tagged pages fresh");
-        c.clear_page_tags();
+        assert_eq!(c.entries(), 2);
+
+        c.demote();
+        assert_eq!(c.entries(), 2, "entries survive a demotion");
+        assert_eq!(c.child_type(d, Ino(9)), Some(FileType::HiddenDirectory));
+        assert_eq!(c.leases_held(), 0, "every mark is revoked");
+        assert!(c.dir_under_lease(d).is_none(), "no lease-served hit after demote");
+        assert!(c.page_tag(f).is_none(), "every page tag is dropped");
         assert!(
             !c.pages_fresh(f, &info(vv(1))),
-            "cleared tag must force a refetch even at the same version"
+            "a dropped tag forces a refetch even at the same version"
         );
+        assert!(c.dir_fresh(d, &vv(1)).is_some(), "a VV check at the same version serves it");
+
+        let mut s = CacheStats::default();
+        c.merge_stats(&mut s);
+        assert_eq!(s.lease_revokes, 1, "the dropped mark counts as a revoke");
+        assert_eq!(s.name_invalidations, 0, "demotion invalidates nothing");
     }
 
     #[test]
-    fn invalidate_and_flush_count_dropped_entries() {
+    fn only_the_exact_version_is_served() {
+        // A vector *newer* than the CSS's is as stale as an older one: a
+        // site split off with a lagging replica must not keep serving
+        // what only the other partition holds.
+        let mut c = NameAttrCache::new();
+        let d = gfid(1);
+        c.insert_dir(d, info(vv(2)), Arc::new(Directory::new()));
+        c.insert_attr(d, info(vv(2)));
+        assert!(c.attr_fresh(d, &vv(1)).is_none(), "newer attrs not served");
+        assert!(c.dir_fresh(d, &vv(1)).is_none(), "newer contents not served");
+        assert!(c.dir_fresh(d, &vv(2)).is_none(), "and dropped on the spot");
+    }
+
+    #[test]
+    fn invalidate_counts_dropped_entries() {
         let mut c = NameAttrCache::new();
         c.insert_dir(gfid(1), info(vv(1)), Arc::new(Directory::new()));
         c.insert_attr(gfid(1), info(vv(1)));
@@ -482,10 +503,8 @@ mod tests {
         assert_eq!(c.entries(), 3);
         c.invalidate(gfid(1));
         assert_eq!(c.entries(), 1);
-        c.flush();
-        assert_eq!(c.entries(), 0);
         let mut s = CacheStats::default();
         c.merge_stats(&mut s);
-        assert_eq!(s.name_invalidations, 3);
+        assert_eq!(s.name_invalidations, 2);
     }
 }

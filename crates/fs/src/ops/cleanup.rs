@@ -53,24 +53,20 @@ pub fn cleanup_site(fsc: &FsCluster, site: SiteId, alive: &BTreeSet<SiteId>) -> 
     }
 
     // Every name-cache entry was validated against the old partition's
-    // CSS; flush conservatively before touching anything else (§5.6).
-    // The flush also drops any coherence-lease marks this site held.
-    fsc.with_kernel(site, |k| k.name_cache.flush());
-
-    // CSS role: leases granted to departed sites are unilaterally
-    // revoked — no recall can reach them, and their own §5.6 cleanup
-    // flushes their caches (the flush above is this site's arm of that).
+    // CSS: demote before touching anything else (§5.6). The entries stay
+    // and revalidate against the new partition's CSS on next use; this
+    // site's lease marks and page-valid tags go.
+    //
+    // CSS role: the whole lease table goes too, each row counted as a
+    // revoke. A departed holder cannot be recalled, and every member of
+    // every partition demotes in this same pass, so no row still backs a
+    // mark anywhere — a kept row would only draw recalls to sites that
+    // hold nothing.
     {
-        let departed: Vec<SiteId> =
-            fsc.sites().filter(|s| !alive.contains(s)).collect();
         let mut k = fsc.kernel(site);
-        let mut dropped = 0;
-        for s in departed {
-            dropped += k.purge_lease_holder(s);
-        }
-        if dropped > 0 {
-            k.name_cache.count_revokes(dropped);
-        }
+        k.name_cache.demote();
+        let dropped = k.clear_lease_table();
+        k.name_cache.count_revokes(dropped);
     }
 
     // ---- SS and CSS roles: local resources in use remotely ----------

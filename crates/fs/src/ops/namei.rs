@@ -284,7 +284,9 @@ fn css_known_latest(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<Versio
 /// version this CSS knows of, from its own copy and the commit
 /// notifications it has seen. In name-lease mode the probe doubles as the
 /// grant request: the CSS records `from` as a lease holder and vouches
-/// for the cached copy until it sends a [`FsMsg::LeaseRecall`].
+/// for the cached copy until it sends a [`FsMsg::LeaseRecall`]. A copy
+/// marked in conflict is never vouched for (`Econflict`): marking leaves
+/// the version vector alone, so only the uncached open carries the flag.
 pub(crate) fn handle_vv_check(
     fsc: &FsCluster,
     css: SiteId,
@@ -303,8 +305,10 @@ pub(crate) fn handle_vv_check(
         }
     }
     k.note_css_request(gfid.fg);
-    if k.local_info(gfid).is_none() {
-        return Err(Errno::Enoent);
+    match k.local_info(gfid) {
+        None => return Err(Errno::Enoent),
+        Some(info) if info.conflict => return Err(Errno::Econflict),
+        Some(_) => {}
     }
     let lease = fsc.coherence() == Coherence::Lease && from != css;
     if lease {

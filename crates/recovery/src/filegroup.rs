@@ -634,11 +634,13 @@ fn reconcile_filegroup_inner(
 
     // Notified-version tables may carry pre-partition hearsay; recovery
     // rebuilds knowledge from the actual copies. Cached names and
-    // attributes were validated against those tables, so they go too.
+    // attributes were validated against those tables, so they are
+    // demoted: kept, but served again only once a probe against the
+    // rebuilt knowledge reports exactly their version.
     for &(site, _) in &inv.origins {
         fsc.with_kernel(site, |k| {
             k.clear_latest();
-            k.name_cache.flush();
+            k.name_cache.demote();
         });
     }
 

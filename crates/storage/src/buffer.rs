@@ -42,7 +42,7 @@ pub struct CacheStats {
     pub attr_hits: u64,
     /// Attribute lookups that re-fetched the inode information.
     pub attr_misses: u64,
-    /// Name/attribute entries dropped by invalidation or flush.
+    /// Name/attribute entries dropped by invalidation.
     pub name_invalidations: u64,
     /// Directory contents materialized by parse + copy on a name-cache
     /// fill. A validated hit serves the parsed contents by shared

@@ -69,11 +69,16 @@ impl Default for DiskParams {
     }
 }
 
-/// A fixed-size array of blocks with a free list and an I/O cost meter.
+/// A fixed-capacity device of blocks with a free list and an I/O cost
+/// meter. The block table grows on allocation: blocks above the
+/// high-water mark (`blocks.len()`) have never been handed out and cost
+/// no memory until they are.
 #[derive(Debug)]
 pub struct BlockDevice {
     blocks: Vec<Option<BlockContent>>,
+    /// Recycled blocks below the high-water mark, reused last-freed first.
     free: Vec<BlockNo>,
+    nblocks: u32,
     params: DiskParams,
     io_cost: Ticks,
     reads: u64,
@@ -84,8 +89,9 @@ impl BlockDevice {
     /// A device with `nblocks` free blocks.
     pub fn new(nblocks: u32, params: DiskParams) -> Self {
         BlockDevice {
-            blocks: (0..nblocks).map(|_| None).collect(),
-            free: (0..nblocks).rev().collect(),
+            blocks: Vec::new(),
+            free: Vec::new(),
+            nblocks,
             params,
             io_cost: Ticks::ZERO,
             reads: 0,
@@ -95,13 +101,23 @@ impl BlockDevice {
 
     /// Number of free blocks remaining.
     pub fn free_blocks(&self) -> usize {
-        self.free.len()
+        self.free.len() + (self.nblocks as usize - self.blocks.len())
     }
 
-    /// Allocates a block and writes `content` to it.
+    /// Allocates a block and writes `content` to it: the most recently
+    /// freed block if there is one, else the lowest never-used block.
     pub fn alloc(&mut self, content: BlockContent) -> SysResult<BlockNo> {
-        let bno = self.free.pop().ok_or(Errno::Enospc)?;
-        self.blocks[bno as usize] = Some(content);
+        let bno = match self.free.pop() {
+            Some(bno) => {
+                self.blocks[bno as usize] = Some(content);
+                bno
+            }
+            None if self.blocks.len() < self.nblocks as usize => {
+                self.blocks.push(Some(content));
+                (self.blocks.len() - 1) as BlockNo
+            }
+            None => return Err(Errno::Enospc),
+        };
         self.charge_write();
         Ok(bno)
     }
@@ -201,6 +217,21 @@ mod tests {
         d.free(b).unwrap();
         assert_eq!(d.free_blocks(), 1);
         assert!(d.alloc(BlockContent::zeroed()).is_ok());
+    }
+
+    #[test]
+    fn reuse_is_lifo_then_lowest_unused() {
+        let mut d = dev();
+        let z = || BlockContent::zeroed();
+        let got: Vec<BlockNo> = (0..4).map(|_| d.alloc(z()).unwrap()).collect();
+        assert_eq!(got, [0, 1, 2, 3]);
+        d.free(1).unwrap();
+        d.free(3).unwrap();
+        assert_eq!(d.free_blocks(), 6);
+        let got: Vec<BlockNo> = (0..4).map(|_| d.alloc(z()).unwrap()).collect();
+        assert_eq!(got, [3, 1, 4, 5], "last freed first, then above the high-water mark");
+        assert!(!d.is_allocated(6));
+        assert_eq!(d.free(7), Err(Errno::Eio), "never-used block is not allocated");
     }
 
     #[test]

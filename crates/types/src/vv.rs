@@ -12,8 +12,8 @@
 //! container where the commit was performed) to the count of updates
 //! committed there.
 
+use core::cmp::Ordering;
 use core::fmt;
-use std::collections::BTreeMap;
 
 /// Result of comparing two version vectors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -52,7 +52,10 @@ impl VvOrder {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct VersionVector {
-    counts: BTreeMap<u32, u64>,
+    /// `(origin, count)` pairs sorted by origin, with no zero counts: one
+    /// small allocation per vector, and derived equality is vector
+    /// equality.
+    counts: Vec<(u32, u64)>,
 }
 
 impl VersionVector {
@@ -61,40 +64,63 @@ impl VersionVector {
         VersionVector::default()
     }
 
+    fn slot(&self, origin: u32) -> Result<usize, usize> {
+        self.counts.binary_search_by_key(&origin, |&(o, _)| o)
+    }
+
     /// The update count recorded for `origin` (zero if absent).
     pub fn get(&self, origin: u32) -> u64 {
-        self.counts.get(&origin).copied().unwrap_or(0)
+        self.slot(origin).map_or(0, |i| self.counts[i].1)
     }
 
     /// Records one more update committed at `origin`.
     pub fn bump(&mut self, origin: u32) {
-        *self.counts.entry(origin).or_insert(0) += 1;
+        match self.slot(origin) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (origin, 1)),
+        }
     }
 
     /// Total number of updates across all origins.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().map(|&(_, c)| c).sum()
     }
 
     /// Whether no update has ever been recorded.
     pub fn is_zero(&self) -> bool {
-        self.counts.values().all(|&c| c == 0)
+        self.counts.is_empty()
     }
 
-    /// Compares `self` against `other`.
+    /// Compares `self` against `other`: one merge walk over the two
+    /// sorted origin lists.
     pub fn compare(&self, other: &VersionVector) -> VvOrder {
         let mut some_greater = false;
         let mut some_less = false;
-        let origins = self.counts.keys().chain(other.counts.keys());
-        for &origin in origins {
-            let l = self.get(origin);
-            let r = other.get(origin);
-            if l > r {
-                some_greater = true;
-            } else if l < r {
-                some_less = true;
+        let (a, b) = (&self.counts, &other.counts);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    some_greater = true;
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    some_less = true;
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    match a[i].1.cmp(&b[j].1) {
+                        Ordering::Greater => some_greater = true,
+                        Ordering::Less => some_less = true,
+                        Ordering::Equal => {}
+                    }
+                    i += 1;
+                    j += 1;
+                }
             }
         }
+        some_greater |= i < a.len();
+        some_less |= j < b.len();
         match (some_greater, some_less) {
             (false, false) => VvOrder::Equal,
             (true, false) => VvOrder::Dominates,
@@ -112,22 +138,35 @@ impl VersionVector {
     /// when a conflict is resolved so the reconciled copy dominates both
     /// ancestors (the resolver then [`bump`](Self::bump)s its own origin).
     pub fn merge_max(&self, other: &VersionVector) -> VersionVector {
-        let mut out = self.clone();
-        for (&origin, &count) in &other.counts {
-            let slot = out.counts.entry(origin).or_insert(0);
-            if count > *slot {
-                *slot = count;
+        let (a, b) = (&self.counts, &other.counts);
+        let mut counts = Vec::with_capacity(a.len().max(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    counts.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    counts.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    counts.push((a[i].0, a[i].1.max(b[j].1)));
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        out
+        counts.extend_from_slice(&a[i..]);
+        counts.extend_from_slice(&b[j..]);
+        VersionVector { counts }
     }
 
-    /// Iterates over `(origin, count)` pairs with non-zero counts.
+    /// Iterates over `(origin, count)` pairs with non-zero counts, in
+    /// origin order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.counts
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(&o, &c)| (o, c))
+        self.counts.iter().copied()
     }
 }
 

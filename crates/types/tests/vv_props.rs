@@ -75,6 +75,27 @@ proptest! {
     }
 
     #[test]
+    fn compare_matches_pointwise_definition(a in arb_vv(), b in arb_vv()) {
+        let greater = (0u32..6).any(|o| a.get(o) > b.get(o));
+        let less = (0u32..6).any(|o| a.get(o) < b.get(o));
+        let expect = match (greater, less) {
+            (false, false) => VvOrder::Equal,
+            (true, false) => VvOrder::Dominates,
+            (false, true) => VvOrder::Dominated,
+            (true, true) => VvOrder::Concurrent,
+        };
+        prop_assert_eq!(a.compare(&b), expect);
+    }
+
+    #[test]
+    fn iter_is_origin_ordered_and_nonzero(a in arb_vv()) {
+        let pairs: Vec<(u32, u64)> = a.iter().collect();
+        prop_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert!(pairs.iter().all(|&(o, c)| c > 0 && a.get(o) == c));
+        prop_assert_eq!(pairs.is_empty(), a.is_zero());
+    }
+
+    #[test]
     fn total_matches_iter_sum(a in arb_vv()) {
         let sum: u64 = a.iter().map(|(_, c)| c).sum();
         prop_assert_eq!(a.total(), sum);
