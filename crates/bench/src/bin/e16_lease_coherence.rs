@@ -23,7 +23,10 @@
 //!   path, one write commits at the storage site, and the recall
 //!   round (2 messages per holder) must reach and ack every holder —
 //!   after which the writer's new size is visible everywhere and the
-//!   re-granted warm path is free again.
+//!   re-granted warm path is free again;
+//! * the virtual time of that write (`s{n}_recall_commit_sim_us`): its
+//!   commit waits for one fan-out round of recalls, the requests leaving
+//!   back to back on the CSS's wire, not for n − 1 round trips.
 //!
 //! The 64-site point exports `TRACE_e16.jsonl` with the `lease.*`
 //! gauges and runs the offline auditor over it, so invariant 11 (no
@@ -36,7 +39,7 @@
 use locus::{Cluster, SiteId};
 use locus_bench::BenchReport;
 use locus_fs::ops::namei;
-use locus_types::{Gfid, MachineType};
+use locus_types::{Gfid, MachineType, Ticks};
 
 const DEPTH_PATH: &str = "/a/b/c/f";
 const REPEATS: u64 = 8;
@@ -125,6 +128,8 @@ struct Fanout {
     warm_round_msgs: u64,
     /// Messages for the single write that recalls every leaf lease.
     recall_msgs: u64,
+    /// Virtual time of that write: the recalls are one fan-out round.
+    recall_commit: Ticks,
     recall_acks: u64,
     grants: u64,
 }
@@ -157,9 +162,11 @@ fn fanout(cluster: &Cluster, sites: u32, gfid: Gfid) -> Fanout {
     // from every holder before `commit.end` closes the bracket.
     let pre = cluster.fs().cache_stats();
     cluster.net().reset_stats();
+    let t0 = cluster.net().now();
     cluster
         .write_file(writer, DEPTH_PATH, REWRITE)
         .expect("rewrite leaf");
+    let recall_commit = cluster.net().now() - t0;
     let recall_msgs = cluster.net().stats().total_sends();
     let after = cluster.fs().cache_stats();
     // Every ex-holder re-validates, sees the new size, and is free again.
@@ -183,6 +190,7 @@ fn fanout(cluster: &Cluster, sites: u32, gfid: Gfid) -> Fanout {
         holders: u64::from(sites) - 1,
         warm_round_msgs,
         recall_msgs,
+        recall_commit,
         recall_acks: after.lease_recall_acks - pre.lease_recall_acks,
         grants,
     }
@@ -194,8 +202,16 @@ fn main() {
         "E16: lease coherence vs pull validation on {DEPTH_PATH}, {SWEEP:?} sites (x{REPEATS} warm)\n"
     );
     println!(
-        "{:>6} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>10}",
-        "sites", "vv res m/op", "lease res", "vv stat", "lease stat", "cold fill", "recall msgs", "acks"
+        "{:>6} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>10} {:>12}",
+        "sites",
+        "vv res m/op",
+        "lease res",
+        "vv stat",
+        "lease stat",
+        "cold fill",
+        "recall msgs",
+        "acks",
+        "recall us"
     );
 
     for &sites in &SWEEP {
@@ -212,7 +228,7 @@ fn main() {
         let f = fanout(&leased, sites, m.gfid);
 
         println!(
-            "{:>6} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>10}",
+            "{:>6} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>10} {:>12}",
             sites,
             base.resolve_warm,
             m.resolve_warm,
@@ -220,7 +236,8 @@ fn main() {
             m.stat_warm,
             m.resolve_cold,
             f.recall_msgs,
-            f.recall_acks
+            f.recall_acks,
+            f.recall_commit.as_micros()
         );
 
         // The headline claims, pinned exactly at every scale.
@@ -267,7 +284,11 @@ fn main() {
             .int(&format!("s{sites}_warm_round_msgs"), f.warm_round_msgs)
             .int(&format!("s{sites}_recall_fanout_msgs"), f.recall_msgs)
             .int(&format!("s{sites}_recall_acks"), f.recall_acks)
-            .int(&format!("s{sites}_lease_grants"), f.grants);
+            .int(&format!("s{sites}_lease_grants"), f.grants)
+            .int(
+                &format!("s{sites}_recall_commit_sim_us"),
+                f.recall_commit.as_micros(),
+            );
 
         if sites == 64 {
             let s = leased.fs().cache_stats();

@@ -60,7 +60,8 @@ impl Cluster {
         }
 
         // Stage 1: the partition protocol finds consistent, maximum
-        // partitions by iterative intersection (§5.4).
+        // partitions by iterative intersection (§5.4), each partition
+        // running its own side by side with the others.
         let outcomes = {
             let mut beliefs = self.beliefs.borrow_mut();
             partition_all(net, &mut beliefs)
@@ -71,20 +72,21 @@ impl Cluster {
 
         // Stage 2: the merge protocol, run by each partition's lowest
         // site, checks all possible sites and absorbs every reachable
-        // sub-partition (§5.5).
+        // sub-partition (§5.5). The initiators run side by side.
         let mut final_partitions: Vec<BTreeSet<SiteId>> = Vec::new();
-        for o in &outcomes {
+        let merge_polls = net.overlap(&outcomes, |o| {
             let initiator = *o.members.iter().next().expect("non-empty partition");
             if final_partitions.iter().any(|p| p.contains(&initiator)) {
-                continue; // already absorbed by an earlier merge
+                return 0; // already absorbed by an earlier merge
             }
             let mo = {
                 let mut beliefs = self.beliefs.borrow_mut();
                 merge_protocol(net, initiator, &mut beliefs, self.merge_timeouts)
             };
-            report.merge_polls += mo.polls;
             final_partitions.push(mo.members);
-        }
+            mo.polls
+        });
+        report.merge_polls = merge_polls.iter().sum();
         report.partitions = final_partitions.clone();
 
         // Stage 3: cleanup (§5.6) at every member of every partition, then
@@ -155,24 +157,34 @@ impl Cluster {
         }
 
         // Stage 4: the recovery procedure (§4) per filegroup, run in each
-        // partition that has a synchronization site for it.
-        for partition in &final_partitions {
-            let first = *partition.iter().next().expect("non-empty");
-            let fgs: Vec<FilegroupId> = {
+        // partition that has a synchronization site for it. Every pass
+        // runs at its own CSS, side by side with the others; the first
+        // failure ends the stage, as it would a serial loop.
+        let passes: Vec<(&BTreeSet<SiteId>, FilegroupId)> = final_partitions
+            .iter()
+            .flat_map(|partition| {
+                let first = *partition.iter().next().expect("non-empty");
                 let k = self.fsc.kernel(first);
-                k.mount.filegroups().map(|m| m.fg).collect()
-            };
-            for fg in fgs {
-                let css = match self.fsc.kernel(first).mount.css_of(fg) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                if !partition.contains(&css) {
-                    continue; // no container here: the filegroup is inaccessible
-                }
-                let r = reconcile_filegroup(&self.fsc, css, fg)?;
-                report.recovery.push((fg, r));
+                let fgs: Vec<FilegroupId> = k.mount.filegroups().map(|m| m.fg).collect();
+                fgs.into_iter().map(move |fg| (partition, fg))
+            })
+            .collect();
+        let mut failed = false;
+        let recovered = net.overlap(passes, |(partition, fg)| {
+            if failed {
+                return None;
             }
+            let first = *partition.iter().next().expect("non-empty");
+            let css = self.fsc.kernel(first).mount.css_of(fg).ok()?;
+            if !partition.contains(&css) {
+                return None; // no container here: the filegroup is inaccessible
+            }
+            let r = reconcile_filegroup(&self.fsc, css, fg);
+            failed = r.is_err();
+            Some(r.map(|r| (fg, r)))
+        });
+        for pass in recovered.into_iter().flatten() {
+            report.recovery.push(pass?);
         }
         self.fsc.settle();
         Ok(report)

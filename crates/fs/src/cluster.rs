@@ -391,10 +391,6 @@ impl FsCluster {
     /// reconciles.
     pub(crate) fn rpc(&self, from: SiteId, to: SiteId, msg: FsMsg) -> SysResult<FsReply> {
         let engine = RpcEngine::new(self.retry.get());
-        let reply_bytes = |result: &SysResult<FsReply>| match result {
-            Ok(reply) => reply.wire_bytes(),
-            Err(_) => crate::cost::CONTROL_MSG_BYTES,
-        };
         match engine.rpc(&self.net, from, to, msg, reply_bytes, |m| {
             self.dispatch(to, from, m)
         }) {
@@ -439,9 +435,10 @@ impl FsCluster {
     /// puller). A no-op when leases are off or no lease is outstanding —
     /// the leases-off wire image is untouched.
     ///
-    /// Outside an epoch batch each recall is a reliable rpc whose reply
-    /// is the acknowledgement, so every holder has dropped its lease
-    /// before the committing operation's `commit.end`; an unreachable
+    /// Outside an epoch batch the recalls are one fan-out round of
+    /// reliable rpcs whose replies are the acknowledgements, so every
+    /// holder has dropped its lease before the committing operation's
+    /// `commit.end`, at the cost of one overlapped round; an unreachable
     /// holder is revoked unilaterally (its own §5.6 cleanup demotes the
     /// cache when the partition change is processed). Inside an epoch the
     /// recalls buffer on the site-sharded run queues and cross the
@@ -463,19 +460,28 @@ impl FsCluster {
             // live leases behind a commit.
             let _ = self.one_way(trigger, css, FsMsg::LeaseBreak { gfid });
         }
-        for holder in holders {
-            if holder == css {
-                // Grants never target the CSS itself (a local probe is a
-                // procedure call); a row naming it is vestigial.
-                continue;
-            }
-            if self.in_epoch() {
+        // Grants never target the CSS itself (a local probe is a
+        // procedure call); a row naming it is vestigial.
+        let holders: Vec<SiteId> = holders.into_iter().filter(|&h| h != css).collect();
+        if self.in_epoch() {
+            for holder in holders {
                 self.post(css, holder, FsMsg::LeaseRecall { gfid });
-            } else {
-                match self.rpc(css, holder, FsMsg::LeaseRecall { gfid }) {
-                    Ok(_) => self.kernel(css).name_cache.count_recall_ack(),
-                    Err(_) => self.kernel(css).name_cache.count_revokes(1),
-                }
+            }
+            return;
+        }
+        let acks = RpcEngine::new(self.retry.get()).fan_out(
+            &self.net,
+            css,
+            &holders,
+            FsMsg::LeaseRecall { gfid },
+            reply_bytes,
+            |holder, m| self.dispatch(holder, css, m),
+        );
+        let mut k = self.kernel(css);
+        for ack in acks {
+            match ack {
+                Ok(Ok(_)) => k.name_cache.count_recall_ack(),
+                _ => k.name_cache.count_revokes(1),
             }
         }
     }
@@ -868,6 +874,14 @@ impl FsCluster {
                 crate::handoff::handle_css_update(self, at, fg, epoch, new_css)
             }
         }
+    }
+}
+
+/// Wire size of a filesystem reply; an error reply is one control message.
+fn reply_bytes(result: &SysResult<FsReply>) -> usize {
+    match result {
+        Ok(reply) => reply.wire_bytes(),
+        Err(_) => crate::cost::CONTROL_MSG_BYTES,
     }
 }
 

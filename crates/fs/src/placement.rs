@@ -196,11 +196,15 @@ impl PlacementDriver {
             if fg_load[&fg] < self.policy.config.min_load && Self::fit(fsc, *css) {
                 continue;
             }
+            // A role's load moves with it: a challenger is judged by the
+            // load it would carry holding the role, so a lone hot role
+            // never trades places with an idle site and back.
             let candidates: Vec<Candidate> = containers
                 .iter()
                 .map(|&s| Candidate {
                     site: s,
-                    load: site_load.get(&s).copied().unwrap_or(0),
+                    load: site_load.get(&s).copied().unwrap_or(0)
+                        + if s == *css { 0 } else { fg_load[&fg] },
                     healthy: Self::fit(fsc, s),
                 })
                 .collect();
@@ -273,6 +277,16 @@ mod tests {
         fsc.settle();
     }
 
+    /// The two shard filegroups of [`sharded_cluster`].
+    const S1: FilegroupId = FilegroupId(1);
+    const S2: FilegroupId = FilegroupId(2);
+
+    /// Equal load on both shards, each used from a different site.
+    fn churn_both(fsc: &FsCluster) {
+        churn(fsc, SiteId(1), "/s1/f", 20);
+        churn(fsc, SiteId(2), "/s2/g", 20);
+    }
+
     #[test]
     fn hot_site_sheds_roles_and_gauges_report_depth() {
         let fsc = sharded_cluster();
@@ -320,24 +334,65 @@ mod tests {
             fg_cooldown: Ticks::secs(5),
             ..PlacementPolicy::default()
         });
-        churn(&fsc, SiteId(1), "/s1/f", 20);
+        // Site 0 holds two loaded roles and sheds one.
+        churn_both(&fsc);
         let first = driver.step(&fsc);
         assert_eq!(first.migrated.len(), 1, "{first:?}");
-        // Pile load onto the *new* holder immediately: the role is
-        // inside the driver's cooldown, so it stays put — without even
+        // Hand the other role to the *new* holder too and load both: the
+        // new holder is as hot as site 0 was, but both assignments are
+        // inside the driver's cooldown, so they stay put — without even
         // consulting the handoff layer (no refusals).
-        churn(&fsc, SiteId(1), "/s1/f", 20);
+        let (moved, _, to) = first.migrated[0];
+        let other = if moved == S1 { S2 } else { S1 };
+        crate::handoff::css_handoff(&fsc, other, to).unwrap();
+        churn_both(&fsc);
         let second = driver.step(&fsc);
         assert!(
             second.migrated.is_empty(),
-            "cooldown keeps the fresh assignment put: {second:?}"
+            "cooldown keeps the fresh assignments put: {second:?}"
         );
         assert_eq!(second.refused, 0, "skipped, not proposed-and-refused");
         // Once the cooldown passes, rebalancing resumes.
         fsc.net().charge_cpu(Ticks::secs(5));
-        churn(&fsc, SiteId(1), "/s1/f", 20);
+        churn_both(&fsc);
         let third = driver.step(&fsc);
-        assert!(third.migrated.len() <= 1, "{third:?}");
+        assert_eq!(third.migrated.len(), 1, "{third:?}");
+        assert_eq!(third.migrated[0].1, to, "the hot site sheds a role");
+    }
+
+    #[test]
+    fn a_lone_hot_role_never_moves() {
+        // Moving the only loaded role just moves the heat: the challenger
+        // would carry all of it. (Before the role's own load was counted,
+        // the role went to an idle site and came back on the next step.)
+        let fsc = sharded_cluster();
+        let mut driver = PlacementDriver::new(PlacementPolicy::default());
+        for _ in 0..4 {
+            churn(&fsc, SiteId(1), "/s1/f", 20);
+            let r = driver.step(&fsc);
+            assert!(r.migrated.is_empty(), "{r:?}");
+            assert_eq!(r.refused, 0, "{r:?}");
+            fsc.net().charge_cpu(PlacementPolicy::default().fg_cooldown);
+        }
+        assert_eq!(driver.migrations, 0);
+    }
+
+    #[test]
+    fn two_equal_roles_split_once_then_stay() {
+        let fsc = sharded_cluster();
+        let mut driver = PlacementDriver::new(PlacementPolicy::default());
+        churn_both(&fsc);
+        let first = driver.step(&fsc);
+        assert_eq!(first.migrated.len(), 1, "{first:?}");
+        assert_eq!(first.migrated[0].1, SiteId(0), "the hot site sheds");
+        // One role per site: every further step leaves them where they are.
+        for _ in 0..3 {
+            fsc.net().charge_cpu(PlacementPolicy::default().fg_cooldown);
+            churn_both(&fsc);
+            let r = driver.step(&fsc);
+            assert!(r.migrated.is_empty(), "{r:?}");
+        }
+        assert_eq!(driver.migrations, 1);
     }
 
     #[test]
@@ -349,17 +404,16 @@ mod tests {
             fg_cooldown: Ticks::ZERO,
             ..PlacementPolicy::default()
         });
-        churn(&fsc, SiteId(1), "/s1/f", 20);
-        // Move the hot role by hand; the step that follows runs inside
-        // the claim cooldown. It attributes the whole window's load to
-        // the fresh holder, proposes moving it again, and the handoff
-        // layer refuses with `Eagain` — tolerated, nothing moves.
-        crate::handoff::css_handoff(&fsc, FilegroupId(1), SiteId(1)).unwrap();
+        churn_both(&fsc);
+        // Move both hot roles to one site by hand, `S1` last; the step
+        // that follows runs inside `S1`'s claim cooldown. It attributes
+        // the whole window's load to the fresh holder, proposes shedding
+        // `S1` (the tie goes to the lower id), and the handoff layer
+        // refuses with `Eagain` — tolerated, `S1` stays.
+        crate::handoff::css_handoff(&fsc, S2, SiteId(1)).unwrap();
+        crate::handoff::css_handoff(&fsc, S1, SiteId(1)).unwrap();
         let r = driver.step(&fsc);
-        assert!(
-            r.migrated.iter().all(|(fg, ..)| *fg != FilegroupId(1)),
-            "{r:?}"
-        );
+        assert!(r.migrated.iter().all(|(fg, ..)| *fg != S1), "{r:?}");
         assert!(r.refused >= 1, "refusal surfaced in the report: {r:?}");
         assert_eq!(driver.refusals, r.refused);
         // Past the cooldown the cluster still serves normally.

@@ -36,6 +36,14 @@ impl VirtualClock {
         assert!(now >= self.now, "epoch merge tried to move the clock backwards");
         self.now = now;
     }
+
+    /// Moves the clock back to the fork instant of an overlap, so the
+    /// next leg starts where the first one did. [`crate::Net::overlap`]
+    /// is the only caller: nothing else may move the clock backwards.
+    pub(crate) fn rewind(&mut self, fork: Ticks) {
+        debug_assert!(fork <= self.now, "an overlap leg rewinds to its fork");
+        self.now = fork;
+    }
 }
 
 #[cfg(test)]

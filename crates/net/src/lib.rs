@@ -157,6 +157,11 @@ struct Inner {
     obs: Observer,
     faults: FaultInjector,
     health: HealthMonitor,
+    /// Per-site service timeline: when each site's CPU and disk are next
+    /// free. Never later than the clock outside an overlap.
+    free_at: Vec<Ticks>,
+    /// Nesting depth of [`Net::overlap`] calls in progress.
+    overlaps: u32,
 }
 
 impl Inner {
@@ -220,6 +225,8 @@ impl Net {
                 obs: Observer::new(),
                 faults: FaultInjector::inert(),
                 health: HealthMonitor::new(),
+                free_at: vec![Ticks::ZERO; n],
+                overlaps: 0,
             }),
         }
     }
@@ -487,10 +494,54 @@ impl Net {
     /// clock cannot show *where* load concentrates; the busy table is what
     /// the scale sweep and the CSS placement policy read to find hot
     /// sites.
+    ///
+    /// Service starts once the site is free: a site serves one thing at a
+    /// time even while [`Net::overlap`] legs run side by side. Outside an
+    /// overlap every site is free by `now`, so this is a plain advance.
     pub fn charge_cpu_at(&self, site: SiteId, cost: Ticks) {
         let mut g = self.inner.borrow_mut();
-        g.clock.advance(cost);
+        let now = g.clock.now();
+        let free = g.free_at[site.index()];
+        debug_assert!(
+            g.overlaps > 0 || free <= now,
+            "{site} is busy past the clock outside an overlap"
+        );
+        let end = now.max(free) + cost;
+        g.clock.advance(end - now);
+        g.free_at[site.index()] = end;
         g.stats.record_busy(site, cost.as_micros());
+    }
+
+    /// Runs `leg` once per item as work at different sites proceeding side
+    /// by side in virtual time: every leg starts at the fork instant, and
+    /// the clock resumes at the latest leg's end. Legs still execute one
+    /// after another in item order, so every message, handler effect and
+    /// random draw is what a serial loop would produce; only the clock
+    /// differs. A site's service inside a leg still waits for that site
+    /// to be free ([`Net::charge_cpu_at`]), so legs that share a site
+    /// serialise there. Results come back in item order. This is the only
+    /// code that moves the clock backwards.
+    pub fn overlap<I: IntoIterator, T>(
+        &self,
+        items: I,
+        mut leg: impl FnMut(I::Item) -> T,
+    ) -> Vec<T> {
+        let fork = self.now();
+        let mut join = fork;
+        self.inner.borrow_mut().overlaps += 1;
+        let out = items
+            .into_iter()
+            .map(|item| {
+                self.inner.borrow_mut().clock.rewind(fork);
+                let r = leg(item);
+                join = join.max(self.now());
+                r
+            })
+            .collect();
+        let mut g = self.inner.borrow_mut();
+        g.overlaps -= 1;
+        g.clock.set(join);
+        out
     }
 
     /// Sets a named stats gauge (e.g. a sampled CSS request-queue depth);
@@ -701,6 +752,8 @@ impl Net {
                 obs: g.obs.fork_shard(),
                 faults: g.faults.split_sites(sites),
                 health: g.health.split_sites(sites),
+                free_at: g.free_at.clone(),
+                overlaps: 0,
             }),
         }
     }
@@ -737,6 +790,7 @@ impl Net {
             circuits: CircuitTable,
             faults: FaultInjector,
             health: HealthMonitor,
+            free_at: Vec<Ticks>,
             remap: std::collections::BTreeMap<u64, u64>,
         }
         let mut parts: Vec<ShardParts> = shards
@@ -756,6 +810,7 @@ impl Net {
                     circuits: inner.circuits,
                     faults: inner.faults,
                     health: inner.health,
+                    free_at: inner.free_at,
                     remap: std::collections::BTreeMap::new(),
                 }
             })
@@ -778,6 +833,9 @@ impl Net {
             g.circuits.absorb(p.circuits);
             g.faults.absorb(p.faults);
             g.health.absorb(p.health);
+            for (free, shard) in g.free_at.iter_mut().zip(p.free_at) {
+                *free = (*free).max(shard);
+            }
         }
     }
 
@@ -1076,6 +1134,47 @@ mod tests {
         );
         assert_eq!(net.stats().link(SiteId(0), SiteId(1)).fails, 1);
         assert!(net.health_score(SiteId(1)) > 0, "flap blamed on the flapper");
+    }
+
+    #[test]
+    fn overlapped_legs_take_the_longest_unless_they_share_a_site() {
+        let net = Net::new(3);
+        let ms = Ticks::millis;
+        let t0 = net.now();
+        net.overlap([(SiteId(0), ms(3)), (SiteId(1), ms(5))], |(site, cost)| {
+            net.charge_cpu_at(site, cost)
+        });
+        assert_eq!(net.now() - t0, ms(5), "different sites: the longer leg");
+        let t1 = net.now();
+        net.overlap([ms(3), ms(5)], |cost| net.charge_cpu_at(SiteId(2), cost));
+        assert_eq!(
+            net.now() - t1,
+            ms(8),
+            "one site serves one leg after the other"
+        );
+        // After the join every site is free by `now` again.
+        let t2 = net.now();
+        net.charge_cpu_at(SiteId(2), ms(1));
+        assert_eq!(net.now() - t2, ms(1));
+        assert_eq!(net.stats().busy_micros(SiteId(2)), ms(9).as_micros());
+    }
+
+    #[test]
+    fn a_leg_returning_early_still_joins() {
+        let net = Net::new(2);
+        net.crash(SiteId(1));
+        let t0 = net.now();
+        let legs = net.overlap([Ticks::millis(4), Ticks::ZERO], |wait| {
+            net.charge_timeout(wait);
+            net.send(SiteId(0), SiteId(1), "x", 8)?;
+            Ok::<_, NetError>(wait)
+        });
+        assert_eq!(legs, vec![Err(NetError::Unreachable); 2]);
+        assert_eq!(net.now() - t0, Ticks::millis(4), "joined at the longer leg");
+        // The overlap is closed: a site's service is a plain advance.
+        let t1 = net.now();
+        net.charge_cpu_at(SiteId(0), Ticks::millis(1));
+        assert_eq!(net.now() - t1, Ticks::millis(1));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   [`MAX_CONSECUTIVE_REOPENS`] so a flapping circuit cannot spin the
 //!   sender forever.
 
-use locus_types::SiteId;
+use locus_types::{SiteId, Ticks};
 
 use crate::{Leg, Net, NetError, RetryPolicy};
 
@@ -226,6 +226,38 @@ impl RpcEngine {
                 Err(_) => return Err(RpcError::ReplyLost),
             }
         }
+    }
+
+    /// Scatter-gather: the same request from `from` to every site in
+    /// `dests`, as one [`RpcEngine::rpc`] per destination run as
+    /// [`Net::overlap`] legs. Request k leaves once request k − 1 has left
+    /// the sender's wire, one `message_cost` later; a leg that put nothing
+    /// on the wire (an unreachable destination, a local call) delays no
+    /// one. Each leg keeps its own retry, backoff and §5.1 circuit
+    /// handling, the caller resumes at the latest reply, and results come
+    /// back in destination order. `serve` runs the handler at the
+    /// destination it is given.
+    pub fn fan_out<M: WireMsg, R>(
+        &self,
+        net: &Net,
+        from: SiteId,
+        dests: &[SiteId],
+        msg: M,
+        reply_bytes: impl Fn(&R) -> usize,
+        mut serve: impl FnMut(SiteId, M) -> R,
+    ) -> Vec<Result<R, RpcError>> {
+        let step = net.latency().message_cost(msg.wire_bytes());
+        let mut depart = Ticks::ZERO;
+        net.overlap(dests, |&to| {
+            // Wait for the sender's wire.
+            net.charge_timeout(depart);
+            let start = net.now();
+            let out = self.rpc(net, from, to, msg.clone(), &reply_bytes, |m| serve(to, m));
+            if to != from && net.now() > start {
+                depart += step;
+            }
+            out
+        })
     }
 
     /// One-way message with only low-level acknowledgement (the write
@@ -586,6 +618,77 @@ mod tests {
         let report = crate::obs::audit(&net.take_obs_events());
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.requests > 0 && report.one_ways > 0);
+    }
+
+    #[test]
+    fn fan_out_staggers_requests_and_waits_for_the_last_reply() {
+        let net = Net::new(4);
+        net.crash(SiteId(2));
+        let engine = RpcEngine::new(RetryPolicy::default());
+        let t0 = net.now();
+        let dests = [SiteId(1), SiteId(2), SiteId(3), SiteId(0)];
+        let out = engine.fan_out(
+            &net,
+            SiteId(0),
+            &dests,
+            TestMsg::Query,
+            |_: &u32| 32,
+            |to, _| to.0,
+        );
+        assert_eq!(out, vec![Ok(1), Err(RpcError::Unreachable), Ok(3), Ok(0)]);
+        // Site 3's request leaves once site 1's has left the wire; the
+        // unreachable site and the local call occupy it not at all.
+        let m = net.latency();
+        let round_trip = m.message_cost(64) + m.message_cost(32);
+        assert_eq!(net.now() - t0, m.message_cost(64) + round_trip);
+    }
+
+    #[test]
+    fn fan_out_sends_what_a_serial_loop_sends() {
+        let run = |fan: bool| {
+            let net = Net::new(6);
+            net.install_faults(FaultPlan::new(21).default_spec(FaultSpec::drop_rate(0.3)));
+            let engine = RpcEngine::new(RetryPolicy {
+                max_attempts: 16,
+                ..RetryPolicy::default()
+            });
+            let dests: Vec<SiteId> = (1..6).map(SiteId).collect();
+            let t0 = net.now();
+            let out = if fan {
+                engine.fan_out(
+                    &net,
+                    SiteId(0),
+                    &dests,
+                    TestMsg::Query,
+                    |_: &u32| 16,
+                    |to, _| to.0,
+                )
+            } else {
+                dests
+                    .iter()
+                    .map(|&to| {
+                        engine.rpc(&net, SiteId(0), to, TestMsg::Query, |_: &u32| 16, |_| to.0)
+                    })
+                    .collect()
+            };
+            (out, net.stats(), net.now() - t0)
+        };
+        let (fan, fan_stats, fan_time) = run(true);
+        let (serial, serial_stats, serial_time) = run(false);
+        assert_eq!(fan, (1..6).map(Ok).collect::<Vec<_>>(), "destination order");
+        assert_eq!(fan, serial);
+        assert_eq!(fan_stats, serial_stats, "the same sends, drops and retries");
+        let drops: std::collections::BTreeSet<u64> = (1..6)
+            .map(|d| {
+                let (to, back) = (SiteId(d), SiteId(0));
+                fan_stats.link(back, to).drops + fan_stats.link(to, back).drops
+            })
+            .collect();
+        assert!(
+            drops.len() > 1,
+            "legs retried different numbers of times: {drops:?}"
+        );
+        assert!(fan_time < serial_time, "{fan_time} vs {serial_time}");
     }
 
     #[test]

@@ -47,27 +47,27 @@ struct Inventory {
 
 impl Inventory {
     /// Asks every container of `fg` reachable from `coordinator` for its
-    /// inode table (just `only`'s row for demand recovery): one RPC per
-    /// other container, retried under the cluster policy, `Esitedown`
-    /// if one is abandoned.
+    /// inode table (just `only`'s row for demand recovery): one fan-out
+    /// round of RPCs to the other containers, each retried under the
+    /// cluster policy, `Esitedown` if any is abandoned.
     fn take(
         fsc: &FsCluster,
         coordinator: SiteId,
         fg: FilegroupId,
         only: Option<Ino>,
     ) -> SysResult<Inventory> {
+        let sites = reachable_containers(fsc, coordinator, fg);
+        let replies = RpcEngine::new(fsc.retry_policy()).fan_out(
+            fsc.net(),
+            coordinator,
+            &sites,
+            RecMsg::Inventory { fg, only },
+            InventoryReply::wire_bytes,
+            |site, _| inventory_at(fsc, site, fg, only),
+        );
         let mut inv = Inventory::default();
-        for site in reachable_containers(fsc, coordinator, fg) {
-            let reply = RpcEngine::new(fsc.retry_policy())
-                .rpc(
-                    fsc.net(),
-                    coordinator,
-                    site,
-                    RecMsg::Inventory { fg, only },
-                    InventoryReply::wire_bytes,
-                    |_| inventory_at(fsc, site, fg, only),
-                )
-                .map_err(|_| Errno::Esitedown)?;
+        for (site, reply) in sites.into_iter().zip(replies) {
+            let reply = reply.map_err(|_| Errno::Esitedown)?;
             inv.origins.push((site, reply.origin));
             for (ino, info, data_here) in reply.rows {
                 inv.rows.entry(ino).or_default().push(CopyView {

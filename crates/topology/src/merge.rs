@@ -80,26 +80,29 @@ fn merge_protocol_inner(
     timeouts: MergeTimeouts,
 ) -> MergeOutcome {
     let engine = RpcEngine::new(POLL_RETRY);
-    let n = net.site_count() as u32;
     let mut members: BTreeSet<SiteId> = [initiator].into_iter().collect();
-    let mut polls = 0;
-    let mut replies = 0;
 
-    // Asynchronous poll of every site in the network: one engine RPC per
-    // site, retried under the policy so an injected drop does not shrink
-    // the merged partition; only persistently unreachable sites are
-    // skipped. The MERGE info reply carries the responder's partition
-    // information.
-    for i in 0..n {
-        let site = SiteId(i);
-        if site == initiator {
-            continue;
-        }
-        polls += 1;
-        if engine
-            .rpc(net, initiator, site, TopoMsg::MergePoll, |_: &()| MERGE_MSG_BYTES, |_| ())
-            .is_ok()
-        {
+    // Asynchronous poll of every site in the network: one fan-out round,
+    // each poll an engine RPC retried under the policy so an injected
+    // drop does not shrink the merged partition; only persistently
+    // unreachable sites are skipped. The MERGE info reply carries the
+    // responder's partition information.
+    let others: Vec<SiteId> = (0..net.site_count() as u32)
+        .map(SiteId)
+        .filter(|&s| s != initiator)
+        .collect();
+    let answers = engine.fan_out(
+        net,
+        initiator,
+        &others,
+        TopoMsg::MergePoll,
+        |_: &()| MERGE_MSG_BYTES,
+        |_, _| (),
+    );
+    let polls = others.len() as u32;
+    let mut replies = 0;
+    for (site, answer) in others.into_iter().zip(answers) {
+        if answer.is_ok() {
             replies += 1;
             members.insert(site);
         }

@@ -67,33 +67,33 @@ fn partition_protocol_inner(
 
     while p_a != p_new {
         rounds += 1;
-        // Poll the sites believed up but not yet joined.
+        // Poll the sites believed up but not yet joined, all at once: one
+        // fan-out round. Each poll is one RPC under the engine's
+        // retry/backoff, so an injected message drop is not mistaken for
+        // a departed site — only persistent unreachability removes a site
+        // from the partition. The reply carries P_pollsite back.
         let pending: Vec<SiteId> = p_a.difference(&p_new).copied().collect();
-        for site in pending {
-            polls += 1;
-            // The poll is one RPC under the engine's retry/backoff, so an
-            // injected message drop is not mistaken for a departed site —
-            // only persistent unreachability removes a site from the
-            // partition. The reply carries P_pollsite back.
-            let p_polled = match engine.rpc(
-                net,
-                active,
-                site,
-                TopoMsg::PartitionPoll,
-                |_: &BTreeSet<SiteId>| PARTITION_MSG_BYTES,
-                |_| {
-                    beliefs
-                        .get(&site)
-                        .cloned()
-                        .unwrap_or_else(|| [site].into_iter().collect())
-                },
-            ) {
-                Ok(p) => p,
-                Err(_) => {
-                    // Cannot be reached: it is not in this partition.
-                    p_a.remove(&site);
-                    continue;
-                }
+        polls += pending.len() as u32;
+        let replies = engine.fan_out(
+            net,
+            active,
+            &pending,
+            TopoMsg::PartitionPoll,
+            |_: &BTreeSet<SiteId>| PARTITION_MSG_BYTES,
+            |site, _| {
+                beliefs
+                    .get(&site)
+                    .cloned()
+                    .unwrap_or_else(|| [site].into_iter().collect())
+            },
+        );
+        // No reply depends on another, so folding them after the round,
+        // in poll order, agrees with folding each as it arrives.
+        for (site, reply) in pending.into_iter().zip(replies) {
+            let Ok(p_polled) = reply else {
+                // Cannot be reached: it is not in this partition.
+                p_a.remove(&site);
+                continue;
             };
             // Pα := Pα ∩ P_pollsite — but the active site and the polled
             // site are in the new partition by construction.
@@ -127,18 +127,17 @@ fn partition_protocol_inner(
 
 /// Runs the partition protocol for *every* current partition: each
 /// connected component's lowest-numbered live site acts as the active site
-/// (the §5.7 total order provides the tie-break). Returns one outcome per
-/// partition.
+/// (the §5.7 total order provides the tie-break). The partitions run
+/// their protocols side by side ([`Net::overlap`]). Returns one outcome
+/// per partition.
 pub fn partition_all(
     net: &Net,
     beliefs: &mut BTreeMap<SiteId, BTreeSet<SiteId>>,
 ) -> Vec<PartitionOutcome> {
-    let mut outcomes = Vec::new();
-    for component in net.partitions() {
+    net.overlap(net.partitions(), |component| {
         let active = *component.first().expect("components are non-empty");
-        outcomes.push(partition_protocol(net, active, beliefs));
-    }
-    outcomes
+        partition_protocol(net, active, beliefs)
+    })
 }
 
 #[cfg(test)]

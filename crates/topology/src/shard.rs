@@ -56,15 +56,17 @@ impl ShardMap {
     }
 }
 
-/// One CSS candidate as the placement policy sees it: the site, its
-/// current synchronization load (served-request count or queue depth in
-/// the sampling window), and whether the health monitor considers it fit
-/// to hold the role.
+/// One CSS candidate as the placement policy sees it: the site, the
+/// synchronization load it would carry holding the role (served-request
+/// count or queue depth in the sampling window), and whether the health
+/// monitor considers it fit to hold the role.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
     /// The container site.
     pub site: SiteId,
-    /// Synchronization load currently attributed to the site.
+    /// Synchronization load the site would carry holding the role: the
+    /// incumbent's current load, or a challenger's current load plus the
+    /// role's own, since a role's load moves with it.
     pub load: u64,
     /// `false` when the site is Suspect/Quarantined/down — it may keep a
     /// role it already holds only if every alternative is also unfit.
@@ -101,8 +103,11 @@ impl Default for PlacementConfig {
 ///   and a healthy candidate exists — migrate to the lightest healthy
 ///   candidate regardless of hysteresis;
 /// * the current CSS is healthy but overloaded: its load is at least
-///   [`PlacementConfig::min_load`] and the lightest healthy candidate is
-///   lighter by the hysteresis margin.
+///   [`PlacementConfig::min_load`] and the lightest healthy candidate,
+///   holding the role, would still be lighter by the hysteresis margin.
+///   Because a challenger's [`Candidate::load`] includes the role's own,
+///   a site holding one hot role never sheds it to an idle site only to
+///   take it back on the next sample.
 ///
 /// Ties break toward the lowest-numbered site, so every caller computes
 /// the same answer from the same snapshot (determinism is what keeps

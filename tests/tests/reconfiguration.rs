@@ -342,3 +342,60 @@ fn lock_table_rebuilt_at_new_css_preserves_single_writer() {
     let fd2 = c.open(intruder, "/locked", OpenMode::Write).unwrap();
     c.close(intruder, fd2).unwrap();
 }
+
+#[test]
+fn overlapped_reconfiguration_never_creates_capacity() {
+    // The partitions, the merges and the per-filegroup recovery passes
+    // of one reconfiguration overlap in virtual time. They may not do
+    // more than the hardware could: a reconfiguration takes at least as
+    // long as one Ethernet needs to carry its bytes (1 µs a byte) and as
+    // the busiest site's own service inside it.
+    let mut b = Cluster::builder().vax_sites(32).filegroup("root", &[0, 16]);
+    for k in 0..8u32 {
+        b = b.filegroup_mounted(&format!("r{k}"), &[1 + k, 17 + k], &format!("/r{k}"));
+    }
+    let c = b.build();
+    let left: Vec<SiteId> = (0..16).map(s).collect();
+    let right: Vec<SiteId> = (16..32).map(s).collect();
+    let (pl, pr) = (c.login(s(0), 1).unwrap(), c.login(s(16), 2).unwrap());
+    let write_both_sides = |tag: &str| {
+        for k in 0..8 {
+            c.write_file(pl, &format!("/r{k}/{tag}-l"), tag.as_bytes())
+                .unwrap();
+            c.write_file(pr, &format!("/r{k}/{tag}-r"), tag.as_bytes())
+                .unwrap();
+        }
+        c.settle();
+    };
+    let reconfigure_within_capacity = |parts: usize| {
+        c.net().reset_stats();
+        let t0 = c.net().now();
+        let r = c.reconfigure().unwrap();
+        let elapsed = (c.net().now() - t0).as_micros();
+        let stats = c.net().stats();
+        assert_eq!(r.partitions.len(), parts);
+        assert!(
+            elapsed >= stats.total_bytes(),
+            "{elapsed} us carried {} bytes",
+            stats.total_bytes()
+        );
+        assert!(
+            elapsed >= stats.max_busy_micros(),
+            "{elapsed} us held {} us of service at one site",
+            stats.max_busy_micros()
+        );
+        (stats.total_bytes(), stats.max_busy_micros())
+    };
+    write_both_sides("before");
+    c.partition(&[left, right]);
+    let (split_bytes, _) = reconfigure_within_capacity(2);
+    assert!(split_bytes > 0);
+    write_both_sides("split");
+    c.heal();
+    // The merge pulls each side's new files across: disk time at the
+    // receiving containers, so the service bound is exercised too.
+    let (_, heal_busy) = reconfigure_within_capacity(1);
+    assert!(heal_busy > 0);
+    let p = c.login(s(31), 3).unwrap();
+    assert_eq!(c.read_file(p, "/r7/split-l").unwrap(), b"split");
+}
