@@ -14,7 +14,7 @@
 //! report is checked, never their value.
 //!
 //! Run with `cargo run -p locus-bench --bin bench_guard -- [names...]`
-//! (default: `e1 e3 e5 e6 e7 e12 e13 e14 e15 e16`). Reads measured reports from
+//! (default: `e1 e3 e4 e5 e6 e7 e8 e10 e11 e12 e13 e14 e15 e16`). Reads measured reports from
 //! `$BENCH_OUT_DIR` or `target/bench`, baselines from
 //! `$BENCH_BASELINE_DIR` or `crates/bench/baselines`.
 
@@ -105,7 +105,8 @@ fn main() -> ExitCode {
     }
     if names.is_empty() {
         names = [
-            "e1", "e3", "e5", "e6", "e7", "e12", "e13", "e14", "e15", "e16",
+            "e1", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e15",
+            "e16",
         ]
         .map(String::from)
         .to_vec();
