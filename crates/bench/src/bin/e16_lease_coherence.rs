@@ -26,7 +26,12 @@
 //!   re-granted warm path is free again;
 //! * the virtual time of that write (`s{n}_recall_commit_sim_us`): its
 //!   commit waits for one fan-out round of recalls, the requests leaving
-//!   back to back on the CSS's wire, not for n − 1 round trips.
+//!   back to back on the CSS's wire, not for n − 1 round trips;
+//! * at 64 sites, a warm resolve right after a split and `reconfigure()`
+//!   on each side: where the CSS stayed, the leases survive and it costs
+//!   0 messages (`s64_split_kept_resolve_msgs`); where the CSS moved, the
+//!   site demoted the filegroup and pays one `VV check` round trip per
+//!   component (`s64_split_moved_resolve_msgs`).
 //!
 //! The 64-site point exports `TRACE_e16.jsonl` with the `lease.*`
 //! gauges and runs the offline auditor over it, so invariant 11 (no
@@ -196,6 +201,47 @@ fn fanout(cluster: &Cluster, sites: u32, gfid: Gfid) -> Fanout {
     }
 }
 
+/// Messages for one warm resolve of [`DEPTH_PATH`] right after a split
+/// and `reconfigure()`, at a diskless site on each side: `(kept, moved,
+/// moved VV checks)`. The root filegroup has a container on each side
+/// (S0 and the first site of the second half), so the side without S0
+/// selects a new CSS.
+fn split_resolve(sites: u32) -> (u64, u64, u64) {
+    let half = sites / 2;
+    let cluster = Cluster::builder()
+        .vax_sites(sites as usize)
+        .filegroup("root", &[0, half])
+        .name_leases(true)
+        .build();
+    let p = cluster.login(SiteId(0), 1).expect("login");
+    cluster.mkdir(p, "/a").expect("mkdir /a");
+    cluster.mkdir(p, "/a/b").expect("mkdir /a/b");
+    cluster.mkdir(p, "/a/b/c").expect("mkdir /a/b/c");
+    cluster.write_file(p, DEPTH_PATH, SEED).expect("seed leaf");
+    cluster.settle();
+    let (kept, moved) = (SiteId(1), SiteId(half + 1));
+    for site in [kept, moved] {
+        let ctx = ctx_at(&cluster, site);
+        for _ in 0..2 {
+            namei::resolve(cluster.fs(), site, &ctx, DEPTH_PATH).expect("warm resolve");
+        }
+    }
+    let (a, b): (Vec<SiteId>, Vec<SiteId>) = (0..sites).map(SiteId).partition(|s| s.0 < half);
+    cluster.partition(&[a, b]);
+    cluster.reconfigure().expect("split");
+    cluster.settle();
+    let resolve_msgs = |site: SiteId| {
+        let ctx = ctx_at(&cluster, site);
+        cluster.net().reset_stats();
+        namei::resolve(cluster.fs(), site, &ctx, DEPTH_PATH).expect("resolve after split");
+        let st = cluster.net().stats();
+        (st.total_sends(), st.sends("VV check"))
+    };
+    let (kept_msgs, _) = resolve_msgs(kept);
+    let (moved_msgs, moved_checks) = resolve_msgs(moved);
+    (kept_msgs, moved_msgs, moved_checks)
+}
+
 fn main() {
     let mut report = BenchReport::new("e16");
     println!(
@@ -291,6 +337,17 @@ fn main() {
             );
 
         if sites == 64 {
+            let (kept, moved, checks) = split_resolve(sites);
+            println!(
+                "\n  64-site split: warm resolve {kept} msgs where the CSS stayed, \
+                 {moved} ({checks} VV checks) where it moved"
+            );
+            assert_eq!(kept, 0, "a kept filegroup keeps its leases across a split");
+            assert_eq!(checks, 4, "a moved filegroup costs one VV check per component");
+            assert_eq!(moved, 2 * checks, "probes and replies only");
+            report
+                .int("s64_split_kept_resolve_msgs", kept)
+                .int("s64_split_moved_resolve_msgs", moved);
             let s = leased.fs().cache_stats();
             leased.fs().publish_lease_gauges();
             println!(

@@ -60,6 +60,9 @@ fn main() {
             let observer = SiteId(rng.gen_range(0..SITES));
             cluster.partition(&[a.clone(), b.clone()]);
             cluster.reconfigure().expect("reconfig");
+            // Recovery decides and notifies; the pulls it queued run in
+            // the background, as any commit's do.
+            cluster.settle();
 
             let p = cluster.login(observer, 1).expect("login");
             let before = cluster.net().stats().total_sends();
@@ -94,6 +97,7 @@ fn main() {
 
             cluster.heal();
             cluster.reconfigure().expect("merge");
+            cluster.settle();
         }
 
         let pct = |n: u32| 100.0 * n as f64 / TRIALS as f64;

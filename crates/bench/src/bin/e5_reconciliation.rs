@@ -25,6 +25,9 @@ fn fresh() -> (Cluster, locus::Pid, locus::Pid) {
 fn split(c: &Cluster) {
     c.partition(&[vec![s(0), s(3)], vec![s(1), s(2)]]);
     c.reconfigure().expect("reconfig");
+    // Recovery decides and notifies; the pulls it queued run in the
+    // background, and the totals include them.
+    c.settle();
 }
 
 /// The merge steps' recovery-inventory traffic, requests plus replies.
@@ -45,6 +48,7 @@ fn merge_report(c: &Cluster, inv: &mut InventoryTraffic) -> locus::ReconfigRepor
         inv.msgs += after.sends(kind) - before.sends(kind);
         inv.bytes += after.bytes(kind) - before.bytes(kind);
     }
+    c.settle();
     r
 }
 

@@ -419,7 +419,7 @@ impl FsCluster {
     /// without touching kernels outside its footprint (a reader holding
     /// a stale buffer may live on any site), and the stamp re-basing at
     /// absorb time makes the delivery schedule engine-independent.
-    pub(crate) fn notify(&self, from: SiteId, to: SiteId, msg: FsMsg) {
+    pub fn notify(&self, from: SiteId, to: SiteId, msg: FsMsg) {
         if self.in_epoch() {
             self.post(from, to, msg);
         } else {
@@ -444,7 +444,9 @@ impl FsCluster {
     /// recalls buffer on the site-sharded run queues and cross the
     /// barrier in [`PostStamp`] order, keeping the parallel engine
     /// byte-identical; the holders are part of the committing op's
-    /// mutating footprint, so the shard owns their queues.
+    /// mutating footprint, so the shard owns their queues. Either way a
+    /// recall that never reaches its holder is remembered at the CSS and
+    /// re-sent at its next §5.6 cleanup.
     pub(crate) fn recall_leases(&self, trigger: SiteId, css: SiteId, gfid: locus_types::Gfid) {
         if self.coherence() != Coherence::Lease {
             return;
@@ -469,20 +471,41 @@ impl FsCluster {
             }
             return;
         }
+        self.send_recalls(css, gfid, &holders);
+    }
+
+    /// One acknowledged fan-out round of `LeaseRecall`s on `gfid` from
+    /// `css` to `holders`. An abandoned recall is a unilateral revoke,
+    /// remembered for the CSS's next cleanup.
+    pub(crate) fn send_recalls(&self, css: SiteId, gfid: locus_types::Gfid, holders: &[SiteId]) {
         let acks = RpcEngine::new(self.retry.get()).fan_out(
             &self.net,
             css,
-            &holders,
+            holders,
             FsMsg::LeaseRecall { gfid },
             reply_bytes,
             |holder, m| self.dispatch(holder, css, m),
         );
         let mut k = self.kernel(css);
-        for ack in acks {
+        for (&holder, ack) in holders.iter().zip(acks) {
             match ack {
                 Ok(Ok(_)) => k.name_cache.count_recall_ack(),
-                _ => k.name_cache.count_revokes(1),
+                _ => {
+                    k.name_cache.count_revokes(1);
+                    k.note_abandoned_recall(gfid, holder);
+                }
             }
+        }
+    }
+
+    /// Breaks the leases on `gfid` when `site` holds the CSS role: for
+    /// every path that installs a version directly into the CSS's pack
+    /// (a propagation pull, a recovery install), behind every granted
+    /// cache's back.
+    pub fn recall_if_css(&self, site: SiteId, gfid: locus_types::Gfid) {
+        let is_css = self.kernel(site).mount.css_of(gfid.fg) == Ok(site);
+        if is_css {
+            self.recall_leases(site, site, gfid);
         }
     }
 
@@ -612,11 +635,20 @@ impl FsCluster {
                         format_args!("{}->{}@{}", p.from, p.to, p.at.as_micros()),
                         p.seq,
                     );
-                    if self.net.reachable(p.from, p.to) && p.from != p.to {
-                        // Delivery failures surface as dropped
-                        // notifications, exactly like a partition race;
-                        // recovery handles it.
-                        let _ = self.one_way(p.from, p.to, p.msg);
+                    // A recall that cannot be delivered is remembered at
+                    // the CSS like an abandoned acknowledged one.
+                    let recall = match p.msg {
+                        FsMsg::LeaseRecall { gfid } => Some(gfid),
+                        _ => None,
+                    };
+                    // Other delivery failures surface as dropped
+                    // notifications, exactly like a partition race;
+                    // recovery handles it.
+                    let delivered = self.net.reachable(p.from, p.to)
+                        && p.from != p.to
+                        && self.one_way(p.from, p.to, p.msg).is_ok();
+                    if let (false, Some(gfid)) = (delivered, recall) {
+                        self.kernel(p.from).note_abandoned_recall(gfid, p.to);
                     }
                 }
                 if span != 0 {

@@ -317,7 +317,7 @@ pub(crate) fn handle_css_update(
         // An ex-CSS hearing the successor's claim releases its (already
         // snapshotted and shipped) lease table: the successor owns it now.
         if new_css != at {
-            k.clear_leases_for(fg);
+            k.retain_lease_rows(|g, _| g.fg != fg);
         }
     });
     Ok(FsReply::Ok)
@@ -506,7 +506,7 @@ fn readmit(fsc: &FsCluster, site: SiteId) -> bool {
             if s == site {
                 continue;
             }
-            let dropped = fsc.kernel(s).purge_lease_holder(site);
+            let dropped = fsc.kernel(s).retain_lease_rows(|_, h| h != site);
             if dropped > 0 {
                 fsc.kernel(s).name_cache.count_revokes(dropped);
             }

@@ -19,11 +19,16 @@
 //! * **invalidate on write** — local directory mutation (`dir_update`
 //!   commits), inbound commit notifications, replica propagation and
 //!   explicit `Invalidate` messages all drop the file's entries;
-//! * **demote on reconfiguration** — §5.6 cleanup, recovery and
-//!   readmission after quarantine call [`NameAttrCache::demote`]: every
-//!   lease mark and page-valid tag goes, the entries stay, and each is
-//!   served again only after a `VvCheck` against the CSS of the *new*
-//!   partition.
+//! * **demote on reconfiguration** — §5.6 cleanup and recovery call
+//!   [`NameAttrCache::demote_fg`] per filegroup, readmission after
+//!   quarantine calls [`NameAttrCache::demote`] on everything: the
+//!   demoted lease marks and page-valid tags go, the entries stay, and
+//!   each is served again only after a `VvCheck` against the CSS of the
+//!   *new* partition. Cleanup demotes only the filegroups a site does not
+//!   *keep*: a filegroup is kept when reconfiguration selects the same
+//!   CSS again and the site was in that CSS's partition (and up) at the
+//!   previous reconfiguration. A kept mark is backed by a lease row that
+//!   the CSS kept too, so the CSS's next recall still reaches it.
 //!
 //! Keeping entries across a partition change rests on two rules. *Exact
 //! version*: a version vector names one content, so an entry whose vector
@@ -47,7 +52,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use locus_storage::CacheStats;
-use locus_types::{FileType, Gfid, Ino, VersionVector};
+use locus_types::{FileType, FilegroupId, Gfid, Ino, VersionVector};
 
 use crate::directory::Directory;
 use crate::proto::InodeInfo;
@@ -305,6 +310,17 @@ impl NameAttrCache {
         self.page_tags.clear();
     }
 
+    /// [`NameAttrCache::demote`] restricted to the files of `fg`: the
+    /// reconfiguration step for a filegroup whose CSS moved, or whose CSS
+    /// this site was not partitioned with. Marks and tags of every other
+    /// filegroup stay.
+    pub fn demote_fg(&mut self, fg: FilegroupId) {
+        let before = self.leases.len();
+        self.leases.retain(|g| g.fg != fg);
+        self.lease_revokes += (before - self.leases.len()) as u64;
+        self.page_tags.retain(|g, _| g.fg != fg);
+    }
+
     /// Drops every entry for `gfid`: local commit, inbound notification,
     /// propagation, and explicit invalidation all land here. Any lease
     /// mark dies with the entries — a lease never vouches for state the
@@ -478,6 +494,24 @@ mod tests {
         c.merge_stats(&mut s);
         assert_eq!(s.lease_revokes, 1, "the dropped mark counts as a revoke");
         assert_eq!(s.name_invalidations, 0, "demotion invalidates nothing");
+    }
+
+    #[test]
+    fn demote_fg_touches_only_that_filegroup() {
+        let mut c = NameAttrCache::new();
+        let other = Gfid::new(FilegroupId(1), Ino(2));
+        for g in [gfid(1), other] {
+            c.insert_attr(g, info(vv(1)));
+            c.grant_lease(g);
+            c.tag_pages(g, vv(1));
+        }
+        c.demote_fg(FilegroupId(0));
+        assert!(!c.lease_held(gfid(1)) && c.page_tag(gfid(1)).is_none());
+        assert!(c.lease_held(other) && c.page_tag(other).is_some(), "fg 1 kept");
+        assert_eq!(c.entries(), 2, "entries survive");
+        let mut s = CacheStats::default();
+        c.merge_stats(&mut s);
+        assert_eq!(s.lease_revokes, 1);
     }
 
     #[test]

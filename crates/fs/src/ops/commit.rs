@@ -259,10 +259,17 @@ pub(crate) fn handle_commit_notify(
                 enqueue = needs_data;
             }
             Some(local) => {
-                if local.vv.covers(&vv) {
-                    return Ok(FsReply::Ok); // stale or duplicate notification
-                }
                 let has_data = local.data_here;
+                if local.vv.covers(&vv) {
+                    // Stale or duplicate notification — unless this data
+                    // replica holds the version without its pages (a
+                    // first-sight install whose pull never landed): that
+                    // copy still has to pull.
+                    if has_data || local.deleted || info.deleted || !is_replica {
+                        return Ok(FsReply::Ok);
+                    }
+                    enqueue = true;
+                }
                 // A data-bearing copy may fold an inode-only commit in
                 // place only if its data is current up to the immediately
                 // preceding version; otherwise its pages are stale and the
@@ -271,7 +278,9 @@ pub(crate) fn handle_commit_notify(
                     .iter()
                     .all(|(o, c)| local.vv.get(o) + u64::from(o == origin) == c)
                     && local.vv.iter().all(|(o, _)| vv.get(o) > 0);
-                if info.deleted {
+                if enqueue {
+                    // The pageless copy above: nothing to fold in.
+                } else if info.deleted {
                     // "As those sites discover that the new version is a
                     // delete, they also release their pages" (§2.3.7).
                     let mut sess = ShadowSession::begin(pack, gfid.ino)?;
@@ -322,16 +331,6 @@ pub(crate) fn handle_commit_notify(
     Ok(FsReply::Ok)
 }
 
-/// Breaks the leases on `gfid` when `site` holds the CSS role — the pull
-/// paths install versions directly into the pack, behind every granted
-/// cache's back.
-fn recall_if_css(fsc: &FsCluster, site: SiteId, gfid: Gfid) {
-    let is_css = fsc.kernel(site).mount.css_of(gfid.fg) == Ok(site);
-    if is_css {
-        fsc.recall_leases(site, site, gfid);
-    }
-}
-
 /// Propagation-source handler: an internal open of the latest version for
 /// a pulling site (§2.3.6).
 pub(crate) fn handle_pull_open(fsc: &FsCluster, at: SiteId, gfid: Gfid) -> SysResult<FsReply> {
@@ -354,11 +353,23 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
     if !fsc.net().reachable(site, req.source) {
         return Ok(()); // dropped; the merge procedure reconciles later
     }
+    // What this site knew before the pull: at the CSS, the notification
+    // of that version already recalled every lease granted before it.
+    let known = fsc.kernel(site).known_latest(req.gfid);
     let reply = fsc.rpc(site, req.source, FsMsg::PullOpen { gfid: req.gfid })?;
     let FsReply::PullInfo { info } = reply else {
         return Err(Errno::Eio);
     };
     let gfid = req.gfid;
+    // Breaks the leases on the file once the pulled version is in — but
+    // only if it is news: installing the version the CSS already vouched
+    // for changes nothing a holder could have cached (recall once per
+    // version).
+    let recall = |vv: &VersionVector| {
+        if *vv != known {
+            fsc.recall_if_css(site, gfid);
+        }
+    };
 
     // Already current (or locally newer — a conflict for the merge
     // procedure, not for propagation)?
@@ -396,7 +407,7 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
             k.name_cache.invalidate(gfid);
         }
         drop(k);
-        recall_if_css(fsc, site, gfid);
+        recall(&info.vv);
         return Ok(());
     }
 
@@ -420,7 +431,7 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
             sess.set_mtime(info.mtime);
             k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
             drop(k);
-            recall_if_css(fsc, site, gfid);
+            recall(&info.vv);
             return Ok(());
         }
         ShadowSession::begin(pack, gfid.ino)?
@@ -518,6 +529,6 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
     // version it just fetched without reading it back from its disk.
     k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
     drop(k);
-    recall_if_css(fsc, site, gfid);
+    recall(&info.vv);
     Ok(())
 }

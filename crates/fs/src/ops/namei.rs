@@ -234,7 +234,7 @@ fn coherence_for(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> Coherence {
         return mode;
     }
     let k = fsc.kernel(us);
-    if k.stores_data(gfid) && !k.prop_queue.iter().any(|r| r.gfid == gfid) {
+    if k.stores_data(gfid) && !k.pull_queued(gfid) {
         Coherence::Off
     } else if mode == Coherence::Lease && fsc.net().quarantined(us) {
         Coherence::Validate

@@ -42,7 +42,7 @@ fn open_gfid_inner(
     // without informing the CSS.
     if mode == OpenMode::InternalUnsyncRead {
         let mut k = fsc.kernel(us);
-        let pending = k.prop_queue.iter().any(|r| r.gfid == gfid);
+        let pending = k.pull_queued(gfid);
         if !pending && k.stores_data(gfid) {
             let info = k.local_info(gfid).expect("stores_data implies inode");
             if info.deleted {

@@ -371,3 +371,44 @@ fn cached_chaos_schedule_is_deterministic() {
     assert_eq!(sa, sb, "statistics diverged between identical cached runs");
     assert_eq!(ca, cb, "cache counters diverged between identical runs");
 }
+
+/// Recall once per version: a pull that installs at the CSS the very
+/// version its notification already recalled for changes nothing a
+/// holder could have cached, so a lease granted while the pull was
+/// pending survives it.
+#[test]
+fn a_pull_of_an_already_recalled_version_recalls_nothing() {
+    let fsc = FsClusterBuilder::new()
+        .vax_sites(3)
+        .filegroup("root", &[0, 1])
+        .name_leases(true)
+        .build();
+    write_str(&fsc, s(0), "/f", b"one");
+    fsc.settle();
+    let c2 = ctx(&fsc, s(2));
+    let gfid = namei::resolve(&fsc, s(2), &c2, "/f").unwrap();
+    assert_eq!(namei::stat_gfid(&fsc, s(2), gfid).unwrap().size, 3);
+
+    // Site 1 commits its own copy: the CSS (site 0) is notified, recalls
+    // the lease, and queues a pull of the new version.
+    write_str(&fsc, s(1), "/f", b"three");
+    assert!(fsc.kernel(s(0)).pull_queued(gfid), "the CSS's copy is stale");
+    // The holder re-validates while the pull is pending: a new lease at
+    // the new version.
+    assert_eq!(namei::stat_gfid(&fsc, s(2), gfid).unwrap().size, 5);
+    let held = fsc.kernel(s(2)).name_cache.leases_held();
+    assert!(held > 0);
+
+    fsc.net().reset_stats();
+    fsc.settle();
+    assert!(!fsc.kernel(s(0)).pull_queued(gfid), "the pull landed");
+    assert_eq!(fsc.net().stats().sends("LEASE recall"), 0);
+    assert_eq!(
+        fsc.kernel(s(2)).name_cache.leases_held(),
+        held,
+        "the lease survived"
+    );
+    fsc.net().reset_stats();
+    assert_eq!(namei::stat_gfid(&fsc, s(2), gfid).unwrap().size, 5);
+    assert_eq!(fsc.net().stats().total_sends(), 0, "served under the lease");
+}

@@ -32,6 +32,9 @@ pub fn mark_conflict(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<()>
     // charged, and never left on the meter.
     pack.take_io_cost();
     k.invalidate_caches_for(gfid);
+    drop(k);
+    // The flag changed behind the CSS's lease table, as a commit does.
+    fsc.recall_if_css(site, gfid);
     Ok(())
 }
 

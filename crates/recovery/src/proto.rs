@@ -9,7 +9,7 @@
 
 use locus_fs::proto::InodeInfo;
 use locus_net::WireMsg;
-use locus_types::{FilegroupId, Ino};
+use locus_types::{FilegroupId, Ino, VersionVector};
 
 /// Wire size charged per recovery control message, and the fixed header
 /// of an inventory reply.
@@ -36,26 +36,45 @@ pub enum RecMsg {
     Propagate,
 }
 
+/// One inode of a container's inventory.
+#[derive(Clone, Debug)]
+pub struct InventoryRow {
+    /// The inode.
+    pub ino: Ino,
+    /// Its state in the answering pack.
+    pub info: InodeInfo,
+    /// Whether the data is stored here (a tombstone counts: there is
+    /// nothing to fetch).
+    pub data_here: bool,
+    /// The version a queued propagation pull will bring this copy to —
+    /// what the container was last notified of — while one is queued.
+    pub pending: Option<VersionVector>,
+}
+
 /// What a container answers an [`RecMsg::Inventory`] with: one multi-row
 /// reply, as `FsReply::Pages` is.
 #[derive(Clone, Debug, Default)]
 pub struct InventoryReply {
     /// The answering pack's index (its version-vector update origin).
     pub origin: u32,
-    /// `(inode, its state in this pack, whether the data is stored
-    /// here or the copy is a tombstone)`, in inode order.
-    pub rows: Vec<(Ino, InodeInfo, bool)>,
+    /// One row per inode, in inode order.
+    pub rows: Vec<InventoryRow>,
 }
 
 impl InventoryReply {
-    /// Header plus, per row, the fixed entry and 8 bytes per
-    /// version-vector component.
+    /// Header plus, per row, the fixed entry and 8 bytes per component
+    /// of each version vector it carries.
     pub fn wire_bytes(&self) -> usize {
+        let vv_bytes = |vv: &VersionVector| 8 * vv.iter().count();
         RECOVERY_MSG_BYTES
             + self
                 .rows
                 .iter()
-                .map(|(_, info, _)| INVENTORY_ENTRY_BYTES + 8 * info.vv.iter().count())
+                .map(|r| {
+                    INVENTORY_ENTRY_BYTES
+                        + vv_bytes(&r.info.vv)
+                        + r.pending.as_ref().map_or(0, vv_bytes)
+                })
                 .sum::<usize>()
     }
 }

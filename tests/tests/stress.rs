@@ -71,6 +71,8 @@ fn run_stress(seed: u64, steps: usize) {
     let second = cluster.reconfigure().expect("idempotence check");
     let residual: usize = second.recovery.iter().map(|(_, r)| r.actions()).sum();
     assert_eq!(residual, 0, "seed {seed}: recovery did not converge");
+    // Recovery decides and notifies; the copies catch up by the pulls.
+    cluster.settle();
 
     // Mutual consistency of every copy of every file.
     let inos: Vec<_> = cluster.fs().with_kernel(SiteId(0), |k| {
