@@ -242,7 +242,7 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<Observation, Str
     // marks — granted before the crash, revoked at the CSS while it was
     // dark — must die here, not serve one more stale hit.
     net.revive(VICTIM);
-    cleanup_site(&fsc, VICTIM, &all_sites());
+    cleanup_site(&fsc, VICTIM, &all_sites(), &BTreeSet::new());
     if fsc.kernel(VICTIM).name_cache.leases_held() != 0 {
         return Err(format!(
             "seed {seed}: §5.6 cleanup left stale lease marks at the rejoined holder"
@@ -457,9 +457,9 @@ fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<Observation, Str
     let majority_alive: BTreeSet<SiteId> = majority.iter().copied().collect();
     let minority_alive: BTreeSet<SiteId> = std::iter::once(VICTIM).collect();
     for &s in &majority {
-        cleanup_site(&fsc, s, &majority_alive);
+        cleanup_site(&fsc, s, &majority_alive, &BTreeSet::new());
     }
-    cleanup_site(&fsc, VICTIM, &minority_alive);
+    cleanup_site(&fsc, VICTIM, &minority_alive, &BTreeSet::new());
     let before = fsc.cache_stats();
     if before.lease_revokes == 0 {
         return Err(format!(
