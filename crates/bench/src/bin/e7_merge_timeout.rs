@@ -22,20 +22,16 @@ fn beliefs_split(n: u32, split_at: u32) -> BTreeMap<SiteId, BTreeSet<SiteId>> {
         .collect()
 }
 
-fn run(n: u32, crash_tail: u32, timeouts: MergeTimeouts) -> (Ticks, usize) {
+/// Merges from site 0 after the last `crash_tail` sites crashed; sites
+/// below `noticed` have already dropped them from their partition sets,
+/// the rest still believe them up.
+fn run(n: u32, crash_tail: u32, noticed: u32, timeouts: MergeTimeouts) -> (Ticks, usize) {
     let net = Net::new(n as usize);
     for i in (n - crash_tail)..n {
         net.crash(SiteId(i));
     }
     let mut beliefs = beliefs_split(n, n / 2);
-    // Crashed sites drop out of the believers' own sets (their partition
-    // protocol already noticed); the *other* half still believes in them
-    // only if crash_tail reaches into it. Keep beliefs as the partition
-    // protocol would have left them:
-    // Only the initiator's half has already noticed the deaths; the other
-    // half still believes the crashed tail is up (that is precisely what
-    // makes the adaptive strategy wait long).
-    for i in 0..(n / 2) {
+    for i in 0..noticed {
         let b = beliefs.get_mut(&SiteId(i)).expect("present");
         for dead in (n - crash_tail)..n {
             b.remove(&SiteId(dead));
@@ -63,10 +59,10 @@ fn main() {
     let mut report = BenchReport::new("e7");
     let mut virtual_us = 0u64;
     for n in [4u32, 8, 16, 32] {
-        // All expected sites answer: the adaptive strategy pays only the
-        // short tail.
-        let (t_a, m) = run(n, 0, adaptive);
-        let (t_f, _) = run(n, 0, fixed);
+        // Every site answers: no poll is outstanding, so neither
+        // strategy waits.
+        let (t_a, m) = run(n, 0, n, adaptive);
+        let (t_f, _) = run(n, 0, n, fixed);
         println!(
             "{:<8} {:<26} {:>12} {:>12} {:>9}",
             n,
@@ -79,9 +75,11 @@ fn main() {
             .int(&format!("n{n}.all_answer_adaptive_us"), t_a.as_micros())
             .int(&format!("n{n}.all_answer_fixed_us"), t_f.as_micros());
         virtual_us += t_a.as_micros() + t_f.as_micros();
-        // One believed-up site stays silent: both strategies wait long.
-        let (t_a, m) = run(n, 1, adaptive);
-        let (t_f, _) = run(n, 1, fixed);
+        // One site stays silent that the other half still believes up
+        // (only the initiator's half noticed the crash): both strategies
+        // wait long.
+        let (t_a, m) = run(n, 1, n / 2, adaptive);
+        let (t_f, _) = run(n, 1, n / 2, fixed);
         println!(
             "{:<8} {:<26} {:>12} {:>12} {:>9}",
             n,
@@ -91,6 +89,30 @@ fn main() {
             m
         );
         report.int(&format!("n{n}.one_silent_adaptive_us"), t_a.as_micros());
+        virtual_us += t_a.as_micros() + t_f.as_micros();
+        // One site is silent but no member believes it up: every
+        // expected site answered, so the adaptive strategy pays only the
+        // short tail where the fixed one waits long.
+        let (t_a, m) = run(n, 1, n, adaptive);
+        let (t_f, _) = run(n, 1, n, fixed);
+        println!(
+            "{:<8} {:<26} {:>12} {:>12} {:>9}",
+            n,
+            "one unbelieved site silent",
+            t_a.to_string(),
+            t_f.to_string(),
+            m
+        );
+        report
+            .int(
+                &format!("n{n}.unbelieved_silent_adaptive_us"),
+                t_a.as_micros(),
+            )
+            .int(&format!("n{n}.unbelieved_silent_fixed_us"), t_f.as_micros());
+        assert!(
+            t_a < t_f,
+            "the adaptive rule shortens an unbelieved silence"
+        );
         virtual_us += t_a.as_micros() + t_f.as_micros();
     }
     // Lossy merge: injected drops force retransmissions but must not
@@ -138,7 +160,8 @@ fn main() {
     println!("paper: \"The merge protocol waits longer when there is a reasonable");
     println!("expectation that further replies will arrive … Once all such sites");
     println!("have replied, the timeout is short.\" The adaptive column matches");
-    println!("the fixed column only when a believed-up site is genuinely silent.");
+    println!("the fixed column when a believed-up site is genuinely silent, and");
+    println!("neither waits once every site has answered.");
     report.int("virtual_elapsed_us", virtual_us);
     let path = report.write();
     println!("wrote {}", path.display());

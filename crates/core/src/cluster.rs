@@ -175,6 +175,15 @@ impl Cluster {
         self.fsc.site_count()
     }
 
+    /// `site`'s partition set Pα as the last reconfiguration left it.
+    pub fn partition_set(&self, site: SiteId) -> BTreeSet<SiteId> {
+        self.beliefs
+            .borrow()
+            .get(&site)
+            .cloned()
+            .unwrap_or_default()
+    }
+
     /// Drains background propagation work.
     pub fn settle(&self) {
         self.fsc.settle();

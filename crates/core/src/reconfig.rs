@@ -1,14 +1,12 @@
-//! The full dynamic-reconfiguration procedure (§5.3–§5.6): partition
-//! protocol → merge protocol → cleanup → CSS re-selection and lock-table
-//! rebuild → recovery.
+//! The full dynamic-reconfiguration procedure (§5.3–§5.6): the partition
+//! and merge protocols each event calls for → cleanup → CSS re-selection
+//! and lock-table rebuild → recovery.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use locus_fs::ops::cleanup::{cleanup_site, rebuild_css_state, CleanupReport};
 use locus_recovery::{reconcile_filegroup, RecoveryReport};
-use locus_topology::merge::merge_protocol;
-use locus_topology::partition::partition_all;
-use locus_topology::select_css_excluding;
+use locus_topology::{establish_partitions, select_css_excluding};
 use locus_types::{FilegroupId, SiteId, SysResult};
 
 use crate::cluster::Cluster;
@@ -63,34 +61,16 @@ impl Cluster {
         // that filegroup's CSS then.
         let was_with: BTreeMap<SiteId, BTreeSet<SiteId>> = self.beliefs.borrow().clone();
 
-        // Stage 1: the partition protocol finds consistent, maximum
-        // partitions by iterative intersection (§5.4), each partition
-        // running its own side by side with the others.
-        let outcomes = {
+        // Stages 1–2: in each connected component, the partition protocol
+        // (§5.4) where a site was lost, then the merge protocol (§5.5)
+        // where one arrived; a component with neither keeps its partition.
+        let established = {
             let mut beliefs = self.beliefs.borrow_mut();
-            partition_all(net, &mut beliefs)
+            establish_partitions(net, &mut beliefs, self.merge_timeouts)
         };
-        for o in &outcomes {
-            report.partition_polls += o.polls;
-        }
-
-        // Stage 2: the merge protocol, run by each partition's lowest
-        // site, checks all possible sites and absorbs every reachable
-        // sub-partition (§5.5). The initiators run side by side.
-        let mut final_partitions: Vec<BTreeSet<SiteId>> = Vec::new();
-        let merge_polls = net.overlap(&outcomes, |o| {
-            let initiator = *o.members.iter().next().expect("non-empty partition");
-            if final_partitions.iter().any(|p| p.contains(&initiator)) {
-                return 0; // already absorbed by an earlier merge
-            }
-            let mo = {
-                let mut beliefs = self.beliefs.borrow_mut();
-                merge_protocol(net, initiator, &mut beliefs, self.merge_timeouts)
-            };
-            final_partitions.push(mo.members);
-            mo.polls
-        });
-        report.merge_polls = merge_polls.iter().sum();
+        report.partition_polls = established.partition_polls;
+        report.merge_polls = established.merge_polls;
+        let final_partitions = established.partitions;
         report.partitions = final_partitions.clone();
 
         // Stage 3: cleanup (§5.6) at every member of every partition, then

@@ -12,6 +12,8 @@
 //! * [`merge`] — the merge protocol: an asynchronous poll of every site
 //!   with the paper's **two-level adaptive timeout**, plus the
 //!   active-site arbitration pseudocode of §5.5;
+//! * [`reconfig`] — which of the two protocols each connected component
+//!   runs, read from the failure or arrival its partition sets reveal;
 //! * [`cleanup`] — the §5.6 failure-action tables as typed rules;
 //! * [`sync`] — the stage-ordered synchronization scheme of §5.7 that
 //!   avoids ACKs and circular waits;
@@ -34,6 +36,7 @@ pub mod css;
 pub mod merge;
 pub mod partition;
 pub mod proto;
+pub mod reconfig;
 pub mod shard;
 pub mod sync;
 
@@ -43,4 +46,5 @@ pub use shard::{select_placement, Candidate, PlacementConfig, ShardMap};
 pub use merge::{merge_protocol, MergeOutcome, MergeTimeouts};
 pub use partition::{partition_protocol, PartitionOutcome};
 pub use proto::TopoMsg;
+pub use reconfig::{establish_partitions, Established};
 pub use sync::{may_wait_for, ProtocolStage};

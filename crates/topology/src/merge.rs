@@ -29,7 +29,8 @@ use crate::proto::{TopoMsg, MERGE_MSG_BYTES, POLL_RETRY};
 pub struct MergeTimeouts {
     /// Waiting for sites some member still believes up.
     pub long: Ticks,
-    /// Tail wait once every expected site has answered.
+    /// Tail wait once every expected site has answered but some other
+    /// poll has not (with no poll outstanding there is no tail).
     pub short: Ticks,
 }
 
@@ -51,8 +52,8 @@ pub struct MergeOutcome {
     pub polls: u32,
     /// Replies received.
     pub replies: u32,
-    /// The timeout tail the initiator actually waited (short if every
-    /// expected site answered, long otherwise).
+    /// The timeout tail the initiator actually waited: none if every
+    /// site answered, short if every expected site did, long otherwise.
     pub waited: Ticks,
 }
 
@@ -108,9 +109,11 @@ fn merge_protocol_inner(
         }
     }
 
-    // Two-level timeout: the set of sites "believed up by some site in
-    // the new partition" is the union of member beliefs; if every such
-    // site replied, only the short tail is paid.
+    // The tail waits for polls still outstanding, so once every site in
+    // the network has answered the initiator declares at once. Otherwise
+    // the two-level timeout: the set of sites "believed up by some site
+    // in the new partition" is the union of member beliefs; if every
+    // such site replied, only the short tail is paid.
     let mut expected: BTreeSet<SiteId> = BTreeSet::new();
     for m in &members {
         if let Some(b) = beliefs.get(m) {
@@ -118,8 +121,9 @@ fn merge_protocol_inner(
         }
     }
     expected.insert(initiator);
-    let all_expected_replied = expected.is_subset(&members);
-    let waited = if all_expected_replied {
+    let waited = if replies == polls {
+        Ticks::ZERO
+    } else if expected.is_subset(&members) {
         timeouts.short
     } else {
         timeouts.long
@@ -209,11 +213,25 @@ mod tests {
 
     #[test]
     fn adaptive_timeout_short_when_all_expected_reply() {
-        let net = Net::new(3);
+        let net = Net::new(4);
+        net.crash(SiteId(3));
         let t = MergeTimeouts::default();
+        // Site 3 is silent, but no member believes it up.
         let mut beliefs = beliefs_of(&[&[0, 1], &[2]]);
         let out = merge_protocol(&net, SiteId(0), &mut beliefs, t);
+        assert_eq!(out.replies, 2);
         assert_eq!(out.waited, t.short, "everyone believed up replied");
+    }
+
+    #[test]
+    fn no_tail_once_every_site_has_answered() {
+        let net = Net::new(3);
+        let mut beliefs = beliefs_of(&[&[0, 1], &[2]]);
+        let t0 = net.now();
+        let out = merge_protocol(&net, SiteId(0), &mut beliefs, MergeTimeouts::default());
+        assert_eq!(out.replies, out.polls);
+        assert_eq!(out.waited, Ticks::ZERO, "no poll is outstanding");
+        assert!(net.now() - t0 < MergeTimeouts::default().short);
     }
 
     #[test]

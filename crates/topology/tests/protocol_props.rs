@@ -2,13 +2,15 @@
 //! protocol always reaches consensus matching the physical components,
 //! from *any* initial belief state (§5.4: "this state can be reached from
 //! any initial condition"); the merge protocol always declares exactly
-//! the reachable set.
+//! the reachable set; and running only the protocols each component's
+//! event calls for ends where running both always does.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use locus_net::Net;
 use locus_topology::merge::{merge_protocol, MergeTimeouts};
 use locus_topology::partition::partition_all;
+use locus_topology::reconfig::establish_partitions;
 use locus_types::SiteId;
 use proptest::prelude::*;
 
@@ -42,8 +44,93 @@ fn arb_groups() -> impl Strategy<Value = Vec<Vec<SiteId>>> {
     })
 }
 
+/// A topology: a split into groups, then cut links, then crashed sites.
+#[derive(Clone, Debug)]
+struct Topology {
+    groups: Vec<Vec<SiteId>>,
+    cuts: Vec<(u32, u32)>,
+    crashed: BTreeSet<u32>,
+}
+
+fn arb_topology() -> impl Strategy<Value = Topology> {
+    (
+        arb_groups(),
+        proptest::collection::vec((0..N, 0..N), 0..4usize),
+        proptest::collection::btree_set(0..N, 0..3usize),
+    )
+        .prop_map(|(groups, cuts, crashed)| Topology {
+            groups,
+            cuts,
+            crashed,
+        })
+}
+
+fn apply(net: &Net, t: &Topology) {
+    net.heal();
+    net.partition(&t.groups);
+    for &(a, b) in &t.cuts {
+        net.cut_link(SiteId(a), SiteId(b));
+    }
+    for i in 0..N {
+        if t.crashed.contains(&i) {
+            net.crash(SiteId(i));
+        } else {
+            net.revive(SiteId(i));
+        }
+    }
+}
+
+/// Both protocols in every component, whatever changed: the partition
+/// protocol everywhere, then the merge protocol from each outcome's
+/// lowest site not yet absorbed.
+fn both_protocols(
+    net: &Net,
+    beliefs: &mut BTreeMap<SiteId, BTreeSet<SiteId>>,
+) -> Vec<BTreeSet<SiteId>> {
+    let mut declared: Vec<BTreeSet<SiteId>> = Vec::new();
+    for o in partition_all(net, beliefs) {
+        let initiator = *o.members.first().expect("non-empty");
+        if !declared.iter().any(|d| d.contains(&initiator)) {
+            declared
+                .push(merge_protocol(net, initiator, beliefs, MergeTimeouts::default()).members);
+        }
+    }
+    declared
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn selected_protocols_end_where_both_do(
+        earlier in arb_topology(),
+        now in arb_topology(),
+        heal in any::<bool>(),
+    ) {
+        // The partition sets the earlier topology left behind.
+        let all: BTreeSet<SiteId> = (0..N).map(SiteId).collect();
+        let mut left: BTreeMap<_, _> = (0..N).map(|i| (SiteId(i), all.clone())).collect();
+        let net = Net::new(N as usize);
+        apply(&net, &earlier);
+        both_protocols(&net, &mut left);
+        // The same new topology on two networks: a heal drops every split
+        // and cut but keeps the crashes.
+        let now = if heal {
+            Topology { groups: Vec::new(), cuts: Vec::new(), ..now }
+        } else {
+            now
+        };
+        let (both_net, selected_net) = (Net::new(N as usize), Net::new(N as usize));
+        apply(&both_net, &now);
+        apply(&selected_net, &now);
+        let mut both_sets = left.clone();
+        let both = both_protocols(&both_net, &mut both_sets);
+        let mut selected_sets = left;
+        let selected =
+            establish_partitions(&selected_net, &mut selected_sets, MergeTimeouts::default());
+        prop_assert_eq!(&selected.partitions, &both);
+        prop_assert_eq!(&selected_sets, &both_sets);
+    }
 
     #[test]
     fn partition_protocol_reaches_component_consensus(

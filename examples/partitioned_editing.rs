@@ -27,9 +27,10 @@ fn main() {
     cluster.partition(&[vec![SiteId(0), SiteId(3)], vec![SiteId(1), SiteId(2)]]);
     let r = cluster.reconfigure().expect("reconfigure");
     println!(
-        "partition protocol found {} partitions ({} polls)",
+        "partition protocol found {} partitions ({} partition polls, {} merge polls)",
         r.partitions.len(),
-        r.partition_polls
+        r.partition_polls,
+        r.merge_polls
     );
 
     // Both sides keep editing — availability over blocking (§4.1).
@@ -55,6 +56,12 @@ fn main() {
     println!("--- the network heals; merge + recovery run ---");
     cluster.heal();
     let r = cluster.reconfigure().expect("merge");
+    println!(
+        "merge protocol declared {} partition ({} partition polls, {} merge polls)",
+        r.partitions.len(),
+        r.partition_polls,
+        r.merge_polls
+    );
     for (fg, rr) in &r.recovery {
         println!(
             "filegroup {fg}: {} actions, {} conflicts",

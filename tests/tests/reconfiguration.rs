@@ -3,6 +3,8 @@
 //! re-selected, and the recovery procedure reconciles divergence — all
 //! through the public [`Cluster`] API.
 
+use std::collections::BTreeSet;
+
 use locus::{Cluster, Errno, ExitStatus, FileOutcome, OpenMode, ProcError, Signal, SiteId};
 
 fn s(i: u32) -> SiteId {
@@ -289,6 +291,54 @@ fn reconfiguration_is_idempotent_when_nothing_changed() {
     assert_eq!(r2.partitions.len(), 1);
     let actions: usize = r2.recovery.iter().map(|(_, rr)| rr.actions()).sum();
     assert_eq!(actions, 0);
+}
+
+#[test]
+fn each_event_runs_only_its_protocol() {
+    // A lost site calls for the partition protocol (§5.4), an arrived
+    // one for the merge protocol (§5.5), both for both, and no change
+    // for neither; every live site ends with its component as its
+    // partition set whichever ran.
+    let c = cluster();
+    let step = |what: &str, partition: bool, merge: bool| {
+        c.net().reset_stats();
+        let r = c.reconfigure().unwrap();
+        assert_eq!(
+            r.partition_polls > 0,
+            partition,
+            "{what}: partition protocol"
+        );
+        assert_eq!(r.merge_polls > 0, merge, "{what}: merge protocol");
+        let components: Vec<BTreeSet<SiteId>> = c
+            .net()
+            .partitions()
+            .into_iter()
+            .map(|p| p.into_iter().collect())
+            .collect();
+        assert_eq!(r.partitions, components, "{what}");
+        for comp in &components {
+            for &site in comp {
+                assert_eq!(&c.partition_set(site), comp, "{what}: site {site:?}");
+            }
+        }
+        c.net().stats().service("topology").sends
+    };
+    c.partition(&[vec![s(0), s(1)], vec![s(2), s(3)]]);
+    step("split", true, false);
+    c.heal();
+    step("heal", false, true);
+    c.crash(s(3));
+    step("crash", true, false);
+    c.revive(s(3));
+    step("revive", false, true);
+    // Site 1 crashes while {0,1} | {2,3} is split; the heal then both
+    // loses a site and finds two.
+    c.partition(&[vec![s(0), s(1)], vec![s(2), s(3)]]);
+    step("split again", true, false);
+    c.crash(s(1));
+    c.heal();
+    step("crash during split, then heal", true, true);
+    assert_eq!(step("no change", false, false), 0, "no topology traffic");
 }
 
 #[test]

@@ -166,11 +166,18 @@ fn reconfiguration_report_is_informative() {
     c.partition(&[vec![s(0), s(1)], vec![s(2), s(3)]]);
     let r = c.reconfigure().unwrap();
     assert_eq!(r.partitions.len(), 2);
+    // A split loses sites and finds none: only the partition protocol.
     assert!(r.partition_polls > 0);
-    assert!(r.merge_polls > 0);
+    assert_eq!(r.merge_polls, 0);
     assert!(!r.css_assignments.is_empty());
     // The {2,3} partition has no root container: exactly one CSS
     // assignment (for the {0,1} side).
     assert_eq!(r.css_assignments.len(), 1);
     assert_eq!(r.css_assignments[0].1, s(0));
+    // A heal finds sites and loses none: only the merge protocol.
+    c.heal();
+    let r = c.reconfigure().unwrap();
+    assert_eq!(r.partitions.len(), 1);
+    assert!(r.merge_polls > 0);
+    assert_eq!(r.partition_polls, 0);
 }
