@@ -12,25 +12,28 @@ use locus::{OpenMode, SiteId, VvOrder};
 use locus_bench::{standard_cluster, timed, BenchReport, RunTotals};
 use locus_fs::ops::namei;
 use locus_storage::PAGE_SIZE;
-use locus_types::MachineType;
+use locus_types::{MachineType, Ticks};
 
 fn main() {
     let mut report = BenchReport::new("e10");
     let mut totals = RunTotals::new();
     println!("E10: commit-to-replica propagation (pull, §2.3.6)\n");
     println!(
-        "{:<14} {:>12} {:>12} {:>12} {:>12}",
-        "file size", "commit", "propagate", "pull msgs", "stale window"
+        "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "file size", "write", "commit", "queue wait", "propagate", "pull msgs", "stale window"
     );
     for pages in [1usize, 4, 16, 64] {
         let cluster = standard_cluster(3, &[0, 1]);
         let p = cluster.login(SiteId(0), 1).expect("login");
         let body = vec![0xABu8; pages * PAGE_SIZE];
         let fd = cluster.creat(p, "/big").expect("creat");
-        cluster.write(p, fd, &body).expect("write");
+        // Delayed writes: the pages queue on the disk, and the commit
+        // waits for them before the inode switch.
+        let (_, t_write) = timed(&cluster, || cluster.write(p, fd, &body).expect("write"));
 
         // Commit at the local storage site: returns before replication.
         let (_, t_commit) = timed(&cluster, || cluster.close(p, fd).expect("close commits"));
+        let queued = Ticks::micros(cluster.net().stats().wait_micros(SiteId(0)));
         let gfid = {
             let ctx = locus_fs::ProcFsCtx::new(
                 cluster.fs().kernel(SiteId(0)).mount.root().unwrap(),
@@ -59,14 +62,17 @@ fn main() {
         assert_eq!(i0.vv.compare(&i1.vv), VvOrder::Equal, "replica converged");
 
         println!(
-            "{:<14} {:>12} {:>12} {:>12} {:>12}",
+            "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
             format!("{} KiB", pages),
+            t_write.to_string(),
             t_commit.to_string(),
+            queued.to_string(),
             t_prop.to_string(),
             pulls,
             if stale { "observed" } else { "none" },
         );
         report
+            .int(&format!("pages{pages}.write_us"), t_write.as_micros())
             .int(&format!("pages{pages}.commit_us"), t_commit.as_micros())
             .int(&format!("pages{pages}.propagate_us"), t_prop.as_micros())
             .int(&format!("pages{pages}.pull_msgs"), pulls);

@@ -164,8 +164,17 @@ pub enum EpochOutcome {
 }
 
 /// Runs one op against a cluster view (the global cluster on the serial
-/// path, a private shard on the parallel path).
+/// path, a private shard on the parallel path). The op ends once every
+/// site it kept busy is idle again (detached one-ways, delayed writes,
+/// readahead): a shard's site timelines then never depend on how long
+/// another shard's ops took, so both engines see the same queues.
 fn exec_op(fsc: &FsCluster, procs: &ProcMgr, op: &EpochOp) -> SysResult<EpochOutcome> {
+    let out = exec_op_inner(fsc, procs, op);
+    fsc.net().wait_idle();
+    out
+}
+
+fn exec_op_inner(fsc: &FsCluster, procs: &ProcMgr, op: &EpochOp) -> SysResult<EpochOutcome> {
     match op {
         EpochOp::OpenReadClose { pid, path, len } => {
             let fd = procs.popen(fsc, *pid, path, OpenMode::Read)?;
@@ -402,6 +411,8 @@ impl Cluster {
         if ops.is_empty() {
             return Vec::new();
         }
+        // Shards fork from idle timelines (see `exec_op`).
+        self.net().wait_idle();
         self.fsc.set_epoch_stamp(Some(self.net().now()));
         let out = self.run_epoch_inner(ops);
         self.fsc.set_epoch_stamp(None);

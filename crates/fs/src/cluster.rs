@@ -401,8 +401,10 @@ impl FsCluster {
 
     /// One-way message with only low-level acknowledgement (the write
     /// protocol and commit notifications, §2.3.5–2.3.6): one message, no
-    /// reply message, delivered and handled immediately. A dropped send
-    /// never reached the handler, so it is always safe to retry.
+    /// reply message. The handler runs at delivery on the destination's
+    /// timelines while the sender moves on ([`RpcEngine::one_way`]). A
+    /// dropped send never reached the handler, so it is always safe to
+    /// retry.
     pub(crate) fn one_way(&self, from: SiteId, to: SiteId, msg: FsMsg) -> SysResult<FsReply> {
         let engine = RpcEngine::new(self.retry.get());
         match engine.one_way(&self.net, from, to, msg, |m| self.dispatch(to, from, m)) {
@@ -669,6 +671,11 @@ impl FsCluster {
                 }
             }
             if !moved {
+                // Settled means idle: every detached one-way and delayed
+                // write has finished, so nothing carries over to the next
+                // operation or epoch.
+                self.net.wait_idle();
+                debug_assert!(self.net.is_idle(), "settle left a site busy");
                 return;
             }
         }

@@ -531,13 +531,24 @@ impl FsKernel {
     }
 
     /// Drains the disk time accumulated on the local container of `fg`
-    /// and charges it to this site. Every handler that touches the disk
-    /// ends with this, so the meter reads zero between handlers and a
-    /// page's 25 ms lands on the operation and the site that caused it.
+    /// and charges it to this site's disk, waiting for it. Every handler
+    /// that touches the disk ends with this or [`FsKernel::queue_io`], so
+    /// the meter reads zero between handlers and a page's 25 ms lands on
+    /// the site that caused it.
     pub(crate) fn charge_io(&mut self, net: &Net, fg: FilegroupId) {
         let io = self.take_io(fg);
         if io > Ticks::ZERO {
-            net.charge_cpu_at(self.site, io);
+            net.charge_disk_at(self.site, io);
+        }
+    }
+
+    /// Like [`FsKernel::charge_io`], but without waiting: a delayed write
+    /// into a shadow session. The disk is busy for it all the same, and
+    /// [`FsKernel::commit_session`] waits for it.
+    pub(crate) fn queue_io(&mut self, net: &Net, fg: FilegroupId) {
+        let io = self.take_io(fg);
+        if io > Ticks::ZERO {
+            net.queue_disk_at(self.site, io);
         }
     }
 
@@ -557,6 +568,9 @@ impl FsKernel {
     /// equals the committed page in the pack), the name/attribute entries
     /// of the superseded version go, `known_latest` learns the vector,
     /// and the disk time is charged here, to the site that did the I/O.
+    /// The switch waits for the site's disk to drain: the session's
+    /// delayed page writes are on disk before the inode points at them
+    /// (§2.3.6).
     pub(crate) fn commit_session(
         &mut self,
         net: &Net,
@@ -564,6 +578,7 @@ impl FsKernel {
         sess: ShadowSession,
         vv: VersionVector,
     ) -> SysResult<InodeInfo> {
+        net.drain_disk(self.site);
         let pack = self.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
         let pid = pack.id();
         let committed = sess.commit(pack, vv);

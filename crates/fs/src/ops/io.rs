@@ -1,7 +1,7 @@
 //! Page read/write protocols, pipes and devices (§2.3.3, §2.3.5, §2.4.2).
 
 use locus_storage::PAGE_SIZE;
-use locus_types::{Errno, FilegroupId, Gfid, PackId, SiteId, SysResult};
+use locus_types::{Errno, FilegroupId, Gfid, PackId, SiteId, SysResult, Ticks};
 
 use crate::cluster::FsCluster;
 use crate::cost;
@@ -86,13 +86,20 @@ pub fn get_page(
         let data = cached_local_page(&mut k, us, gfid, lpn)?;
         let io = k.take_io(gfid.fg);
         // Local one-page readahead for sequential access: asynchronous,
-        // so its disk time is not the reader's.
+        // so the reader does not wait for its disk time, but the disk is
+        // busy with it from the moment the demanded page is in.
         if lpn + 1 < npages {
             let _ = cached_local_page(&mut k, us, gfid, lpn + 1);
-            let _ = k.take_io(gfid.fg);
         }
+        let ahead = k.take_io(gfid.fg);
         drop(k);
-        fsc.net().charge_cpu_at(us, io + cost::PAGE_SERVICE_CPU);
+        if io > Ticks::ZERO {
+            fsc.net().charge_disk_at(us, io);
+        }
+        if ahead > Ticks::ZERO {
+            fsc.net().queue_disk_at(us, ahead);
+        }
+        fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
         return Ok(data);
     }
 
@@ -181,8 +188,18 @@ pub(crate) fn handle_read_page(
         (data, io, vv_total)
     };
     note_read(fsc, ss, gfid, vv_total);
-    fsc.net().charge_cpu_at(ss, io + cost::PAGE_SERVICE_CPU);
+    serve_page(fsc, ss, io, cost::PAGE_SERVICE_CPU);
     Ok(FsReply::Page { data })
+}
+
+/// Charges a page service at `site`: the disk transfer `io` a miss
+/// needed, queued behind whatever the disk is still doing, then `cpu` on
+/// the processor.
+fn serve_page(fsc: &FsCluster, site: SiteId, io: Ticks, cpu: Ticks) {
+    if io > Ticks::ZERO {
+        fsc.net().charge_disk_at(site, io);
+    }
+    fsc.net().charge_cpu_at(site, cpu);
 }
 
 /// Emits the `read.page` observability note the trace auditor matches
@@ -270,7 +287,7 @@ pub(crate) fn handle_read_pages(
     count: usize,
 ) -> SysResult<FsReply> {
     let mut pages = Vec::with_capacity(count.max(1));
-    let mut io = locus_types::Ticks::ZERO;
+    let mut io = Ticks::ZERO;
     let vv_total;
     {
         let mut k = fsc.kernel(ss);
@@ -287,14 +304,19 @@ pub(crate) fn handle_read_pages(
         vv_total = k.local_info(gfid).map(|i| i.vv.total()).unwrap_or(0);
     }
     note_read(fsc, ss, gfid, vv_total);
-    fsc.net()
-        .charge_cpu_at(ss, io + cost::PAGE_SERVICE_CPU.scaled(pages.len() as u64));
+    serve_page(
+        fsc,
+        ss,
+        io,
+        cost::PAGE_SERVICE_CPU.scaled(pages.len() as u64),
+    );
     Ok(FsReply::Pages { pages })
 }
 
 /// Writes one page into `writer`'s open modification session at the SS
-/// ([`FsKernel::take_session`]), then charges the disk time of the
-/// shadow-block write to the SS.
+/// ([`FsKernel::take_session`]), then queues the disk time of the
+/// shadow-block write on the SS's disk: a delayed write, which the
+/// commit waits for ([`FsKernel::commit_session`]).
 pub(crate) fn local_write_page(
     fsc: &FsCluster,
     k: &mut FsKernel,
@@ -320,7 +342,7 @@ pub(crate) fn local_write_page(
         r
     };
     k.sessions.insert(gfid, sess);
-    k.charge_io(fsc.net(), gfid.fg);
+    k.queue_io(fsc.net(), gfid.fg);
     r
 }
 

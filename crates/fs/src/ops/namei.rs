@@ -130,7 +130,7 @@ pub(crate) fn truncate_local(
     let r = sess.truncate_pages(pack, npages);
     sess.set_size(new_size);
     k.sessions.insert(gfid, sess);
-    k.charge_io(fsc.net(), gfid.fg);
+    k.queue_io(fsc.net(), gfid.fg);
     r
 }
 

@@ -6,6 +6,7 @@
 use locus_fs::directory::Directory;
 use locus_fs::ops::{fd, namei};
 use locus_fs::{FsCluster, FsClusterBuilder, ProcFsCtx};
+use locus_net::{ObsEvent, SendOutcome};
 use locus_storage::PAGE_SIZE;
 use locus_types::{FileType, Gfid, MachineType, OpenMode, Perms, SiteId, Ticks};
 
@@ -292,4 +293,98 @@ fn committed_and_pulled_pages_are_served_from_the_buffers_that_held_them() {
             "{site} re-read pages it had just pulled"
         );
     }
+}
+
+/// Page writes are delayed writes (§2.3.5): a remote writer waits for the
+/// wire, not for the storage site's disk, and the commit (§2.3.6) waits
+/// for every page to be on disk before the inode switch. So the commit
+/// reply comes no earlier than the first page's arrival plus one disk
+/// write per page, while the writes themselves return sooner than that.
+#[test]
+fn remote_commit_waits_for_the_delayed_page_writes() {
+    let disk = Ticks::millis(25);
+    for pages in [1usize, 4, 16] {
+        let fsc = cluster();
+        let c = ctx(&fsc, DISKLESS);
+        let f = fd::creat(
+            &fsc,
+            DISKLESS,
+            &c,
+            "/f",
+            FileType::Untyped,
+            Perms::FILE_DEFAULT,
+        )
+        .unwrap();
+        fsc.net().set_observing(true);
+        let t0 = fsc.net().now();
+        fd::write(&fsc, DISKLESS, f, &body(9, pages * PAGE_SIZE)).unwrap();
+        let wrote = fsc.net().now() - t0;
+        fd::close(&fsc, DISKLESS, f).unwrap();
+        let events = fsc.net().take_obs_events();
+        let first_page = events
+            .iter()
+            .find_map(|e| match e {
+                ObsEvent::OneWay {
+                    at,
+                    kind,
+                    from,
+                    outcome,
+                    ..
+                } if kind == "WRITE page"
+                    && *from == DISKLESS
+                    && *outcome == SendOutcome::Delivered =>
+                {
+                    Some(*at)
+                }
+                _ => None,
+            })
+            .expect("a page crossed the wire");
+        let commit_reply = events
+            .iter()
+            .find_map(|e| match e {
+                ObsEvent::Reply { at, kind, to, .. }
+                    if kind == "COMMIT resp" && *to == DISKLESS =>
+                {
+                    Some(*at)
+                }
+                _ => None,
+            })
+            .expect("the commit was answered");
+        let on_disk = first_page + disk.scaled(pages as u64);
+        assert!(
+            commit_reply >= on_disk,
+            "{pages} pages: commit answered at {commit_reply}, pages on disk at {on_disk}"
+        );
+        assert!(
+            wrote < disk.scaled(pages as u64),
+            "{pages} pages: the writer waited {wrote} for the storage site's disk"
+        );
+        assert_eq!(read_file(&fsc, DISKLESS, "/f"), body(9, pages * PAGE_SIZE));
+    }
+}
+
+/// `settle` returns with every site's CPU and disk idle, even when the
+/// only work left is delayed writes into a session that is still open.
+#[test]
+fn settle_waits_for_every_site_to_go_idle() {
+    let fsc = cluster();
+    let c = ctx(&fsc, DISKLESS);
+    let f = fd::creat(
+        &fsc,
+        DISKLESS,
+        &c,
+        "/f",
+        FileType::Untyped,
+        Perms::FILE_DEFAULT,
+    )
+    .unwrap();
+    fd::write(&fsc, DISKLESS, f, &body(4, 4 * PAGE_SIZE)).unwrap();
+    assert!(!fsc.net().is_idle(), "the storage site is still writing");
+    let t0 = fsc.net().now();
+    fsc.settle();
+    assert!(fsc.net().is_idle());
+    assert!(fsc.net().now() > t0, "settle waited for the disk");
+    fd::close(&fsc, DISKLESS, f).unwrap();
+    fsc.settle();
+    assert!(fsc.net().is_idle());
 }

@@ -37,11 +37,11 @@ impl VirtualClock {
         self.now = now;
     }
 
-    /// Moves the clock back to the fork instant of an overlap, so the
-    /// next leg starts where the first one did. [`crate::Net::overlap`]
-    /// is the only caller: nothing else may move the clock backwards.
+    /// Moves the clock back to the instant a leg forked at
+    /// ([`crate::Net::fork`]: an overlap leg, a one-way's handler). That is
+    /// the only caller: nothing else may move the clock backwards.
     pub(crate) fn rewind(&mut self, fork: Ticks) {
-        debug_assert!(fork <= self.now, "an overlap leg rewinds to its fork");
+        debug_assert!(fork <= self.now, "a leg rewinds to its fork");
         self.now = fork;
     }
 }

@@ -157,14 +157,44 @@ struct Inner {
     obs: Observer,
     faults: FaultInjector,
     health: HealthMonitor,
-    /// Per-site service timeline: when each site's CPU and disk are next
-    /// free. Never later than the clock outside an overlap.
-    free_at: Vec<Ticks>,
-    /// Nesting depth of [`Net::overlap`] calls in progress.
-    overlaps: u32,
+    /// Per-site service timelines: when each site's CPU and disk are
+    /// next free, indexed by [`Resource`]. Neither ever moves backwards;
+    /// either may run ahead of the clock while a detached one-way or a
+    /// delayed write is still being served.
+    free_at: Vec<[Ticks; 2]>,
+}
+
+/// A site resource with a service timeline of its own: one thing is
+/// served at a time on each, and the two run side by side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Resource {
+    /// The site's processor: kernel and message-handling work.
+    Cpu,
+    /// The site's disk: page transfers to and from the pack.
+    Disk,
 }
 
 impl Inner {
+    /// Books `cost` of service on `site`'s `res` timeline for work that
+    /// arrives now: service starts once the timeline is free, the wait
+    /// goes to the queue-wait table and the service to the busy table.
+    /// Returns the instant the service ends; the clock does not move.
+    fn book(&mut self, site: SiteId, res: Resource, cost: Ticks) -> Ticks {
+        let now = self.clock.now();
+        let free = &mut self.free_at[site.index()][res as usize];
+        let start = now.max(*free);
+        let end = start + cost;
+        debug_assert!(
+            start >= *free,
+            "{site} {res:?} service starts before its timeline is free"
+        );
+        debug_assert!(end >= *free, "{site} {res:?} timeline moves backwards");
+        *free = end;
+        self.stats.record_wait(site, (start - now).as_micros());
+        self.stats.record_busy(site, cost.as_micros());
+        end
+    }
+
     /// Records a health transition as an observability note (quarantine
     /// windows are what the trace auditor's isolation invariants replay).
     fn note_health(&mut self, ev: Option<HealthEvent>) {
@@ -225,8 +255,7 @@ impl Net {
                 obs: Observer::new(),
                 faults: FaultInjector::inert(),
                 health: HealthMonitor::new(),
-                free_at: vec![Ticks::ZERO; n],
-                overlaps: 0,
+                free_at: vec![[Ticks::ZERO; 2]; n],
             }),
         }
     }
@@ -495,21 +524,85 @@ impl Net {
     /// the scale sweep and the CSS placement policy read to find hot
     /// sites.
     ///
-    /// Service starts once the site is free: a site serves one thing at a
-    /// time even while [`Net::overlap`] legs run side by side. Outside an
-    /// overlap every site is free by `now`, so this is a plain advance.
+    /// Service starts once the site's CPU is free: a site serves one
+    /// thing at a time, whether the work before it was an
+    /// [`Net::overlap`] leg or a one-way message its sender has stopped
+    /// waiting for. The caller resumes when the service ends; the wait,
+    /// if any, is recorded in the queue-wait table.
     pub fn charge_cpu_at(&self, site: SiteId, cost: Ticks) {
+        self.serve(site, Resource::Cpu, cost);
+    }
+
+    /// [`Net::charge_cpu_at`] for the site's disk: a transfer the caller
+    /// waits for (a read miss, a commit's own I/O). It queues behind every
+    /// transfer booked before it, delayed writes included.
+    pub fn charge_disk_at(&self, site: SiteId, cost: Ticks) {
+        self.serve(site, Resource::Disk, cost);
+    }
+
+    /// Books `cost` on the site's disk without waiting for it: a delayed
+    /// write or an asynchronous readahead. The disk is busy for it all
+    /// the same, so whatever needs the disk next queues behind it.
+    pub fn queue_disk_at(&self, site: SiteId, cost: Ticks) {
+        self.inner.borrow_mut().book(site, Resource::Disk, cost);
+    }
+
+    /// Waits until every transfer booked on `site`'s disk has finished:
+    /// the §2.3.6 ordering point, where the pages of a shadow session must
+    /// be on disk before the inode points at them. The wait counts as
+    /// queue wait.
+    pub fn drain_disk(&self, site: SiteId) {
         let mut g = self.inner.borrow_mut();
         let now = g.clock.now();
-        let free = g.free_at[site.index()];
-        debug_assert!(
-            g.overlaps > 0 || free <= now,
-            "{site} is busy past the clock outside an overlap"
-        );
-        let end = now.max(free) + cost;
+        let free = g.free_at[site.index()][Resource::Disk as usize];
+        if free > now {
+            g.stats.record_wait(site, (free - now).as_micros());
+            g.clock.advance(free - now);
+        }
+    }
+
+    fn serve(&self, site: SiteId, res: Resource, cost: Ticks) {
+        let mut g = self.inner.borrow_mut();
+        let end = g.book(site, res, cost);
+        let now = g.clock.now();
         g.clock.advance(end - now);
-        g.free_at[site.index()] = end;
-        g.stats.record_busy(site, cost.as_micros());
+    }
+
+    /// Waits until every site's CPU and disk are free: the clock moves to
+    /// the end of the last service still running anywhere.
+    pub fn wait_idle(&self) {
+        let mut g = self.inner.borrow_mut();
+        let now = g.clock.now();
+        let last = g.free_at.iter().flatten().fold(now, |a, &b| a.max(b));
+        g.clock.advance(last - now);
+    }
+
+    /// When `site` is next free on `res`: at or before `now` when idle.
+    #[cfg(test)]
+    fn free_at(&self, site: SiteId, res: Resource) -> Ticks {
+        self.inner.borrow().free_at[site.index()][res as usize]
+    }
+
+    /// Whether every site's CPU and disk are free by `now`.
+    pub fn is_idle(&self) -> bool {
+        let g = self.inner.borrow();
+        let now = g.clock.now();
+        g.free_at.iter().flatten().all(|&t| t <= now)
+    }
+
+    /// Runs `leg` forked at the current instant and returns its result
+    /// with the instant it ended, leaving the clock back at the fork.
+    /// Whatever the leg served stays booked on the sites' timelines. The
+    /// fork is where the clock moves backwards: [`Net::overlap`] joins at
+    /// its latest leg, and a one-way message joins at the fork, so its
+    /// sender resumes at delivery while the destination keeps serving.
+    pub(crate) fn fork<T>(&self, leg: impl FnOnce() -> T) -> (T, Ticks) {
+        let fork = self.now();
+        let out = leg();
+        let mut g = self.inner.borrow_mut();
+        let end = g.clock.now();
+        g.clock.rewind(fork);
+        (out, end)
     }
 
     /// Runs `leg` once per item as work at different sites proceeding side
@@ -519,28 +612,22 @@ impl Net {
     /// random draw is what a serial loop would produce; only the clock
     /// differs. A site's service inside a leg still waits for that site
     /// to be free ([`Net::charge_cpu_at`]), so legs that share a site
-    /// serialise there. Results come back in item order. This is the only
-    /// code that moves the clock backwards.
+    /// serialise there. Results come back in item order.
     pub fn overlap<I: IntoIterator, T>(
         &self,
         items: I,
         mut leg: impl FnMut(I::Item) -> T,
     ) -> Vec<T> {
-        let fork = self.now();
-        let mut join = fork;
-        self.inner.borrow_mut().overlaps += 1;
+        let mut join = self.now();
         let out = items
             .into_iter()
             .map(|item| {
-                self.inner.borrow_mut().clock.rewind(fork);
-                let r = leg(item);
-                join = join.max(self.now());
+                let (r, end) = self.fork(|| leg(item));
+                join = join.max(end);
                 r
             })
             .collect();
-        let mut g = self.inner.borrow_mut();
-        g.overlaps -= 1;
-        g.clock.set(join);
+        self.inner.borrow_mut().clock.set(join);
         out
     }
 
@@ -753,7 +840,6 @@ impl Net {
                 faults: g.faults.split_sites(sites),
                 health: g.health.split_sites(sites),
                 free_at: g.free_at.clone(),
-                overlaps: 0,
             }),
         }
     }
@@ -790,7 +876,7 @@ impl Net {
             circuits: CircuitTable,
             faults: FaultInjector,
             health: HealthMonitor,
-            free_at: Vec<Ticks>,
+            free_at: Vec<[Ticks; 2]>,
             remap: std::collections::BTreeMap<u64, u64>,
         }
         let mut parts: Vec<ShardParts> = shards
@@ -834,7 +920,9 @@ impl Net {
             g.faults.absorb(p.faults);
             g.health.absorb(p.health);
             for (free, shard) in g.free_at.iter_mut().zip(p.free_at) {
-                *free = (*free).max(shard);
+                for (free, shard) in free.iter_mut().zip(shard) {
+                    *free = (*free).max(shard);
+                }
             }
         }
     }
@@ -1175,6 +1263,53 @@ mod tests {
         let t1 = net.now();
         net.charge_cpu_at(SiteId(0), Ticks::millis(1));
         assert_eq!(net.now() - t1, Ticks::millis(1));
+    }
+
+    #[test]
+    fn a_read_miss_queues_behind_delayed_writes() {
+        let net = Net::new(2);
+        let ms = Ticks::millis;
+        let site = SiteId(1);
+        let t0 = net.now();
+        net.queue_disk_at(site, ms(25));
+        net.queue_disk_at(site, ms(25));
+        assert_eq!(net.now(), t0, "delayed writes keep no one waiting");
+        assert_eq!(net.free_at(site, Resource::Disk), t0 + ms(50));
+        // The CPU timeline is a separate queue.
+        net.charge_cpu_at(site, ms(2));
+        assert_eq!(net.now(), t0 + ms(2));
+        net.charge_disk_at(site, ms(25));
+        assert_eq!(net.now(), t0 + ms(75), "the read starts after both writes");
+        assert_eq!(
+            net.stats().wait_micros(site),
+            ms(25 + 48).as_micros(),
+            "the second write queued behind the first, the read behind both"
+        );
+        assert_eq!(net.stats().busy_micros(site), ms(77).as_micros());
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    fn drain_and_wait_idle_leave_the_sites_free() {
+        let net = Net::new(3);
+        let ms = Ticks::millis;
+        let t0 = net.now();
+        net.queue_disk_at(SiteId(1), ms(25));
+        net.fork(|| net.charge_cpu_at(SiteId(2), ms(40)));
+        assert_eq!(net.now(), t0, "a forked leg leaves the clock at the fork");
+        net.drain_disk(SiteId(1));
+        assert_eq!(net.now(), t0 + ms(25), "the drain waits for site 1's disk");
+        assert!(!net.is_idle(), "site 2 is still serving");
+        net.wait_idle();
+        assert_eq!(net.now(), t0 + ms(40));
+        assert!(net.is_idle());
+        for s in 0..3 {
+            for res in [Resource::Cpu, Resource::Disk] {
+                assert!(net.free_at(SiteId(s), res) <= net.now());
+            }
+        }
+        net.wait_idle();
+        assert_eq!(net.now(), t0 + ms(40), "an idle network waits for nothing");
     }
 
     #[test]

@@ -265,6 +265,13 @@ impl RpcEngine {
     /// message is retried within the policy, then `serve` handles it
     /// once at the destination; no reply message crosses the wire.
     ///
+    /// The sender does not wait for the handler: it resumes at the
+    /// delivery instant, while `serve` runs as a leg forked there
+    /// (`Net::fork`, shared with [`Net::overlap`]) and its service stays
+    /// booked on the destination's timelines. The handler's result still
+    /// comes back to the caller (a shortcut for the low-level
+    /// acknowledgement, DESIGN.md §6).
+    ///
     /// A send abandoned after retry exhaustion is recorded as a one-way
     /// *loss* in the statistics — notifications silently missing their
     /// destination are exactly what partition recovery reconciles, and
@@ -309,7 +316,7 @@ impl RpcEngine {
         let mut reopens = 0u32;
         loop {
             match net.send_as(M::SERVICE, span, Leg::OneWay, from, to, kind, msg.wire_bytes()) {
-                Ok(()) => return Ok(serve(msg)),
+                Ok(()) => return Ok(net.fork(|| serve(msg)).0),
                 Err(NetError::CircuitClosed) => {
                     if reopens >= self.policy.max_reopens {
                         net.note_one_way_loss(M::SERVICE, span, kind);
@@ -338,7 +345,7 @@ impl RpcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, FaultSpec};
+    use crate::{FaultPlan, FaultSpec, Resource};
     use locus_types::Ticks;
 
     /// A minimal test protocol.
@@ -689,6 +696,57 @@ mod tests {
             "legs retried different numbers of times: {drops:?}"
         );
         assert!(fan_time < serial_time, "{fan_time} vs {serial_time}");
+    }
+
+    #[test]
+    fn one_way_sender_resumes_at_delivery_while_the_handler_runs_on() {
+        let net = Net::new(2);
+        let engine = RpcEngine::new(RetryPolicy::default());
+        let (from, to) = (SiteId(0), SiteId(1));
+        let service = Ticks::millis(7);
+        let t0 = net.now();
+        let out = engine.one_way(&net, from, to, TestMsg::Transition, |_| {
+            net.charge_cpu_at(to, service);
+            5u32
+        });
+        assert_eq!(out, Ok(5), "the handler's result still comes back");
+        let delivered = t0 + net.latency().message_cost(64);
+        assert_eq!(net.now(), delivered, "the sender waits for delivery only");
+        assert_eq!(net.free_at(to, Resource::Cpu), delivered + service);
+        assert!(!net.is_idle(), "the destination is still serving");
+        assert_eq!(net.stats().busy_micros(to), service.as_micros());
+
+        // A request reaching the busy site is served once it is free.
+        let reply = engine.rpc(&net, from, to, TestMsg::Query, |_: &Ticks| 32, |_| {
+            let arrived = net.now();
+            net.charge_cpu_at(to, Ticks::millis(1));
+            arrived
+        });
+        let arrived = reply.expect("rpc");
+        assert!(arrived < delivered + service, "it arrived while the site was busy");
+        assert_eq!(
+            net.stats().wait_micros(to),
+            (delivered + service - arrived).as_micros(),
+            "and queued for the rest of the one-way's service"
+        );
+        assert_eq!(
+            net.now(),
+            delivered + service + Ticks::millis(1) + net.latency().message_cost(32)
+        );
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    fn local_one_way_is_a_procedure_call() {
+        let net = Net::new(2);
+        let engine = RpcEngine::new(RetryPolicy::default());
+        let t0 = net.now();
+        engine
+            .one_way(&net, SiteId(1), SiteId(1), TestMsg::Transition, |_| {
+                net.charge_cpu_at(SiteId(1), Ticks::millis(3))
+            })
+            .expect("local one-way");
+        assert_eq!(net.now() - t0, Ticks::millis(3), "the caller ran the handler");
     }
 
     #[test]

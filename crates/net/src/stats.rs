@@ -80,6 +80,7 @@ pub struct NetStats {
     services: BTreeMap<&'static str, ServiceStats>,
     links: BTreeMap<(SiteId, SiteId), LinkStats>,
     site_busy: BTreeMap<SiteId, u64>,
+    site_wait: BTreeMap<SiteId, u64>,
     gauges: BTreeMap<String, u64>,
     /// Circuits closed by partition changes or crashes.
     pub circuits_closed: u64,
@@ -130,6 +131,21 @@ impl NetStats {
     /// Iterates the per-site busy table in site order.
     pub fn site_busy(&self) -> impl Iterator<Item = (SiteId, u64)> + '_ {
         self.site_busy.iter().map(|(&s, &us)| (s, us))
+    }
+
+    /// Attributes `micros` of queue wait to `site`: the time a service
+    /// arriving there waited for the site's CPU or disk to come free
+    /// ([`crate::Net::charge_cpu_at`]). A service that found its timeline
+    /// free waited nothing and adds no row.
+    pub(crate) fn record_wait(&mut self, site: SiteId, micros: u64) {
+        if micros > 0 {
+            *self.site_wait.entry(site).or_insert(0) += micros;
+        }
+    }
+
+    /// Virtual micros services at `site` spent queued for its CPU or disk.
+    pub fn wait_micros(&self, site: SiteId) -> u64 {
+        self.site_wait.get(&site).copied().unwrap_or(0)
     }
 
     /// Sets a named gauge (last-write-wins instantaneous value, e.g. a
@@ -288,6 +304,9 @@ impl NetStats {
         }
         for (site, micros) in other.site_busy {
             self.record_busy(site, micros);
+        }
+        for (site, micros) in other.site_wait {
+            self.record_wait(site, micros);
         }
         for (k, row) in other.services {
             let into = self.service_mut(k);
