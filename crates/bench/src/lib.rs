@@ -115,25 +115,3 @@ pub fn export_and_audit_trace(
     (path, events)
 }
 
-/// Everything the determinism contract covers at one traced sweep point:
-/// the event stream, the latency histograms, the statistics and the
-/// final virtual time. Two engines running the same schedule must
-/// produce equal fingerprints.
-pub type Fingerprint = (
-    Vec<locus_net::ObsEvent>,
-    std::collections::BTreeMap<(String, String), locus_net::Histogram>,
-    locus_net::NetStats,
-    Ticks,
-);
-
-/// Exports and audits the cluster's trace ([`export_and_audit_trace`])
-/// and returns its [`Fingerprint`].
-pub fn audited_fingerprint(cluster: &Cluster, name: &str) -> Fingerprint {
-    let (_, events) = export_and_audit_trace(cluster, name);
-    (
-        events,
-        cluster.net().obs_histograms(),
-        cluster.net().stats(),
-        cluster.net().now(),
-    )
-}

@@ -94,16 +94,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Selects the simulation engine explicitly, overriding the
-    /// `LOCUS_ENGINE` environment variable (sequential when neither is
-    /// given). Both engines produce byte-identical traces, histograms and
-    /// statistics; parallel-epoch only changes wall-clock scheduling of
-    /// [`Cluster::run_epoch`] batches.
-    pub fn engine(mut self, engine: locus_net::EngineKind) -> Self {
-        self.inner = self.inner.engine(engine);
-        self
-    }
-
     /// Builds the cluster.
     pub fn build(self) -> Cluster {
         let fsc = self.inner.build();

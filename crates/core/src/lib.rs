@@ -43,7 +43,7 @@ pub mod reconfig;
 
 pub use cluster::{Cluster, ClusterBuilder};
 pub use engine::{EpochOp, EpochOutcome};
-pub use locus_net::{engine_from_env, EngineKind};
+pub use locus_net::EngineKind;
 pub use locus_fs::proto::InodeInfo;
 pub use locus_recovery::{FileOutcome, RecoveryReport};
 pub use locus_topology::{FailureAction, ResourceSituation};

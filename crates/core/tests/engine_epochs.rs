@@ -1,31 +1,32 @@
-//! Cross-engine equivalence of the parallel-epoch driver.
-//!
-//! The contract under test: for the same batch sequence, the sequential
-//! and parallel-epoch engines produce **byte-identical** traces,
-//! observability event streams, histograms, statistics and virtual
-//! clocks — the parallel engine may only change wall-clock scheduling.
+//! The `run_epoch` batch driver: each op inline, in submission order,
+//! with a wait for idle after each, then `settle`.
 
-use locus::{Cluster, EngineKind, EpochOp, EpochOutcome, SiteId};
+use locus::{Cluster, EngineKind, EpochOp, EpochOutcome, FileType, Perms, Pid, SiteId, SysResult};
+use locus_fs::ops::namei;
 use locus_net::obs;
 
-/// Sites in the epoch-parallel layout. Each site has a dedicated
-/// filegroup whose only container (and hence CSS) is the site itself, so
-/// relative reads inside it have single-site footprints and every site
-/// forms its own shard group.
+/// Sites in the layout. Each site but 0 has a filegroup of its own,
+/// mounted at `/d{s}`; `d1` is replicated at sites 1 and 2, so a write
+/// there notifies a second storage site and leaves a pull for `settle`.
 const SITES: usize = 6;
 
-fn sharded_cluster(engine: EngineKind) -> (Cluster, Vec<locus::Pid>) {
+fn sharded_cluster() -> (Cluster, Vec<Pid>) {
     let mut b = Cluster::builder().vax_sites(SITES).filegroup("root", &[0]);
-    for s in 1..SITES as u32 {
+    b = b.filegroup_mounted("d1", &[1, 2], "/d1");
+    for s in 2..SITES as u32 {
         b = b.filegroup_mounted(&format!("d{s}"), &[s], &format!("/d{s}"));
     }
-    let cluster = b.engine(engine).build();
+    let cluster = b.build();
     let mut pids = Vec::new();
     for s in 0..SITES as u32 {
         let pid = cluster.login(SiteId(s), 100).unwrap();
         if s > 0 {
             cluster
-                .write_file(pid, &format!("/d{s}/data"), format!("payload of site {s}").as_bytes())
+                .write_file(
+                    pid,
+                    &format!("/d{s}/data"),
+                    format!("payload of site {s}").as_bytes(),
+                )
                 .unwrap();
             cluster.chdir(pid, &format!("/d{s}")).unwrap();
         }
@@ -37,103 +38,9 @@ fn sharded_cluster(engine: EngineKind) -> (Cluster, Vec<locus::Pid>) {
     (cluster, pids)
 }
 
-/// Mixed batches: relative reads (disjoint single-site footprints, fan
-/// out in parallel) and absolute stats (root-filegroup footprints overlap
-/// on every op, run serially). Several epochs deep so the merged clock
-/// feeds the next epoch.
-fn run_workload(cluster: &Cluster, pids: &[locus::Pid]) -> Vec<Vec<Result<EpochOutcome, locus::Errno>>> {
-    let mut all = Vec::new();
-    for round in 0..4u32 {
-        let reads: Vec<EpochOp> = (1..SITES as u32)
-            .map(|s| EpochOp::OpenReadClose {
-                pid: pids[s as usize],
-                path: "data".into(),
-                len: 1 << 12,
-            })
-            .collect();
-        all.push(cluster.run_epoch(&reads));
-        if round % 2 == 1 {
-            let stats: Vec<EpochOp> = (1..SITES as u32)
-                .map(|s| EpochOp::Stat {
-                    pid: pids[0],
-                    path: format!("/d{s}/data"),
-                })
-                .collect();
-            all.push(cluster.run_epoch(&stats));
-        }
-    }
-    all
-}
-
-/// Drains the obs stream and returns the `(reason, batch_len)` of every
-/// `settle.serial` demotion note in it.
-fn serial_reasons(cluster: &Cluster) -> Vec<(String, u64)> {
-    cluster
-        .net()
-        .take_obs_events()
-        .into_iter()
-        .filter_map(|e| match e {
-            obs::ObsEvent::Note { key, label, value, .. } if key == "settle.serial" => {
-                Some((label, value))
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-struct Fingerprint {
-    outcomes: Vec<Vec<Result<EpochOutcome, locus::Errno>>>,
-    obs_jsonl: String,
-    hists: String,
-    stats: String,
-    now: locus::Ticks,
-    parallel_epochs: u64,
-}
-
-fn fingerprint(engine: EngineKind) -> Fingerprint {
-    let (cluster, pids) = sharded_cluster(engine);
-    let outcomes = run_workload(&cluster, &pids);
-    let events = cluster.net().take_obs_events();
-    let report = obs::audit(&events);
-    assert!(report.is_clean(), "{} engine: {}", engine, report.summary());
-    Fingerprint {
-        outcomes,
-        obs_jsonl: obs::export_jsonl(&events),
-        hists: format!("{:?}", cluster.net().obs_histograms()),
-        stats: format!("{:?}", cluster.net().stats()),
-        now: cluster.net().now(),
-        parallel_epochs: cluster.fs().parallel_epochs(),
-    }
-}
-
-#[test]
-fn parallel_epochs_match_sequential_byte_for_byte() {
-    let seq = fingerprint(EngineKind::Sequential);
-    let par = fingerprint(EngineKind::ParallelEpoch);
-    assert_eq!(seq.parallel_epochs, 0, "sequential engine must never fork");
-    assert!(
-        par.parallel_epochs >= 4,
-        "the read batches must engage the parallel path (got {} forked epochs)",
-        par.parallel_epochs
-    );
-    assert_eq!(seq.outcomes, par.outcomes);
-    assert_eq!(seq.now, par.now, "virtual clocks diverged");
-    assert_eq!(seq.obs_jsonl, par.obs_jsonl, "obs event streams diverged");
-    assert_eq!(seq.hists, par.hists, "histograms diverged");
-    assert_eq!(seq.stats, par.stats, "statistics diverged");
-    // The stat batches collapse to one merged group (every footprint
-    // holds site 0): a batch-intrinsic demotion, so *both* engines must
-    // carry the `settle.serial` note — it is part of the identical
-    // streams compared above.
-    assert!(
-        seq.obs_jsonl.contains("settle.serial") && seq.obs_jsonl.contains("single-group"),
-        "single-group demotions must be named in the obs stream"
-    );
-}
-
 #[test]
 fn epoch_results_hold_the_right_bytes() {
-    let (cluster, pids) = sharded_cluster(EngineKind::ParallelEpoch);
+    let (cluster, pids) = sharded_cluster();
     let reads: Vec<EpochOp> = (1..SITES as u32)
         .map(|s| EpochOp::OpenReadClose {
             pid: pids[s as usize],
@@ -161,185 +68,154 @@ fn epoch_results_hold_the_right_bytes() {
     }
 }
 
-#[test]
-fn hazard_paths_and_faults_serialize_the_batch() {
-    let (cluster, pids) = sharded_cluster(EngineKind::ParallelEpoch);
-    // Multi-component relative path: a footprint hazard — the whole
-    // batch must run serially (and still return correct results).
-    cluster.chdir(pids[1], "/").unwrap();
-    let ops = vec![
-        EpochOp::OpenReadClose {
-            pid: pids[1],
-            path: "d1/data".into(),
-            len: 64,
-        },
-        EpochOp::OpenReadClose {
-            pid: pids[2],
-            path: "data".into(),
-            len: 64,
-        },
-    ];
-    let out = cluster.run_epoch(&ops);
-    assert_eq!(cluster.fs().parallel_epochs(), 0, "hazard must serialize");
-    assert!(out.iter().all(|r| r.is_ok()));
-    assert_eq!(
-        serial_reasons(&cluster),
-        vec![("hazard-path".to_string(), 2)],
-        "a hazard demotion must be named in the obs stream"
-    );
-    // Scheduled fault events confine absolute-time actions to barriers:
-    // with any unfired, the engine serializes too.
-    let plan = locus_net::FaultPlan::new(7).schedule(
-        locus::Ticks::secs(10_000),
-        locus_net::FaultAction::Crash(SiteId(4)),
-    );
-    cluster.net().install_faults(plan);
-    let reads = vec![
-        EpochOp::OpenReadClose {
-            pid: pids[2],
-            path: "data".into(),
-            len: 64,
-        },
+/// Reads, writes, creates and unlinks across filegroups, in an order
+/// where later ops see earlier ones: a read of a file written earlier in
+/// the batch, an unlink of a file created earlier in the batch.
+fn mixed_batch(pids: &[Pid]) -> Vec<EpochOp> {
+    vec![
         EpochOp::OpenReadClose {
             pid: pids[3],
             path: "data".into(),
-            len: 64,
+            len: 1 << 12,
         },
-    ];
-    let out = cluster.run_epoch(&reads);
-    assert_eq!(
-        cluster.fs().parallel_epochs(),
-        0,
-        "unfired fault schedule must serialize"
-    );
-    assert!(out.iter().all(|r| r.is_ok()));
-    assert_eq!(
-        serial_reasons(&cluster),
-        vec![("unfired-fault".to_string(), 2)],
-        "an unfired-fault demotion must be named in the obs stream"
-    );
-}
-
-/// Regression: the old footprint heuristic bounded every relative path by
-/// the cwd's filegroup alone. From a root-filegroup cwd, a component that
-/// names a mount point resolves *into the child filegroup* — whose CSS
-/// and storage sites the declared footprint never mentioned — so under
-/// the parallel engine the op escaped its shard and hit a moved-out
-/// kernel slot (a panic). Mount-boundary walks must demote to hazard
-/// instead.
-#[test]
-fn mount_boundary_walks_demote_to_hazard() {
-    let (cluster, pids) = sharded_cluster(EngineKind::ParallelEpoch);
-    // pids[0]'s cwd is `/` (root filegroup, site 0). "d3" crosses into
-    // filegroup d3 at site 3; the second op keeps site 4 busy in its own
-    // shard so the old heuristic really did fork ({0} and {4} looked
-    // disjoint).
-    let ops = vec![
-        EpochOp::Stat {
-            pid: pids[0],
-            path: "d3".into(),
-        },
-        EpochOp::OpenReadClose {
-            pid: pids[4],
-            path: "data".into(),
-            len: 64,
-        },
-    ];
-    let out = cluster.run_epoch(&ops);
-    assert_eq!(
-        cluster.fs().parallel_epochs(),
-        0,
-        "a mount-crossing relative walk must serialize"
-    );
-    assert!(matches!(out[0], Ok(EpochOutcome::Stat(_))));
-    assert!(matches!(out[1], Ok(EpochOutcome::Read(_))));
-    assert_eq!(
-        serial_reasons(&cluster),
-        vec![("hazard-path".to_string(), 2)],
-        "the mount-boundary demotion must be named in the obs stream"
-    );
-}
-
-/// Mutating ops engage the parallel path too: per-site writes to
-/// disjoint filegroups fork one shard per filegroup (observable through
-/// the `parallel_epochs` counter), and two writers to the *same*
-/// filegroup are forced into one shard — the CSS-owned single-writer
-/// discipline.
-#[test]
-fn write_epochs_fork_and_single_writer_groups_hold() {
-    let (cluster, pids) = sharded_cluster(EngineKind::ParallelEpoch);
-    let writes: Vec<EpochOp> = (1..SITES as u32)
-        .map(|s| EpochOp::WriteFile {
-            pid: pids[s as usize],
-            path: "fresh".into(),
-            data: format!("written at site {s}").into_bytes(),
-        })
-        .collect();
-    let out = cluster.run_epoch(&writes);
-    assert_eq!(
-        cluster.fs().parallel_epochs(),
-        1,
-        "disjoint-filegroup writes must fork"
-    );
-    for (s, r) in (1..SITES as u32).zip(out) {
-        match r.unwrap() {
-            EpochOutcome::Wrote(n) => {
-                assert_eq!(n, format!("written at site {s}").len());
-            }
-            other => panic!("expected a write count, got {other:?}"),
-        }
-    }
-    // Two mutating ops on filegroup d1 (different composites, same
-    // filegroup) plus an unrelated read: the writers share a group, the
-    // read forks — still a parallel epoch, now with exactly two shards.
-    let mixed = vec![
-        EpochOp::Create {
+        EpochOp::WriteFile {
             pid: pids[1],
+            path: "fresh".into(),
+            data: b"written in the batch".to_vec(),
+        },
+        EpochOp::Create {
+            pid: pids[4],
             path: "a".into(),
         },
         EpochOp::Mkdir {
-            pid: pids[1],
-            path: "subdir".into(),
+            pid: pids[5],
+            path: "sub".into(),
         },
         EpochOp::OpenReadClose {
-            pid: pids[3],
-            path: "data".into(),
+            pid: pids[0],
+            path: "/d1/fresh".into(),
+            len: 1 << 12,
+        },
+        EpochOp::Stat {
+            pid: pids[2],
+            path: "/d4/a".into(),
+        },
+        EpochOp::Unlink {
+            pid: pids[4],
+            path: "a".into(),
+        },
+        EpochOp::OpenReadClose {
+            pid: pids[4],
+            path: "a".into(),
             len: 64,
         },
-    ];
-    let out = cluster.run_epoch(&mixed);
-    assert_eq!(
-        cluster.fs().parallel_epochs(),
-        2,
-        "same-filegroup writers must still fork against the unrelated read"
-    );
-    assert!(matches!(out[0], Ok(EpochOutcome::Created(_))));
-    assert!(matches!(out[1], Ok(EpochOutcome::Created(_))));
-    assert!(matches!(out[2], Ok(EpochOutcome::Read(_))));
-    // And the files really exist afterwards, with the committed bytes.
-    let check = vec![EpochOp::OpenReadClose {
-        pid: pids[2],
-        path: "fresh".into(),
-        len: 1 << 12,
-    }];
-    match cluster.run_epoch(&check).remove(0).unwrap() {
-        EpochOutcome::Read(bytes) => assert_eq!(bytes, b"written at site 2"),
-        other => panic!("expected read bytes, got {other:?}"),
-    }
-    let gone = vec![EpochOp::Unlink {
-        pid: pids[1],
-        path: "a".into(),
-    }];
-    assert!(matches!(
-        cluster.run_epoch(&gone).remove(0),
-        Ok(EpochOutcome::Unlinked)
-    ));
+    ]
 }
 
+/// Issues one op through the cluster's system calls.
+fn issue(cluster: &Cluster, op: &EpochOp) -> SysResult<EpochOutcome> {
+    match op {
+        EpochOp::OpenReadClose { pid, path, len } => {
+            let fd = cluster.open(*pid, path, locus::OpenMode::Read)?;
+            let read = cluster.read(*pid, fd, *len);
+            let closed = cluster.close(*pid, fd);
+            let data = read?;
+            closed?;
+            Ok(EpochOutcome::Read(data))
+        }
+        EpochOp::Stat { pid, path } => Ok(EpochOutcome::Stat(cluster.stat(*pid, path)?)),
+        EpochOp::WriteFile { pid, path, data } => {
+            let fd = cluster.creat(*pid, path)?;
+            let wrote = cluster.write(*pid, fd, data);
+            let closed = cluster.close(*pid, fd);
+            let n = wrote?;
+            closed?;
+            Ok(EpochOutcome::Wrote(n))
+        }
+        EpochOp::Create { pid, path } => {
+            let p = cluster.procs().get(*pid)?;
+            let gfid = namei::create(
+                cluster.fs(),
+                p.site,
+                &p.ctx,
+                path,
+                FileType::Untyped,
+                Perms::FILE_DEFAULT,
+            )?;
+            Ok(EpochOutcome::Created(gfid))
+        }
+        EpochOp::Mkdir { pid, path } => Ok(EpochOutcome::Created(cluster.mkdir(*pid, path)?)),
+        EpochOp::Unlink { pid, path } => {
+            cluster.unlink(*pid, path)?;
+            Ok(EpochOutcome::Unlinked)
+        }
+    }
+}
+
+/// Everything a run leaves behind that a reader could compare.
+struct Fingerprint {
+    outcomes: Vec<SysResult<EpochOutcome>>,
+    obs_jsonl: String,
+    hists: String,
+    stats: String,
+    now: locus::Ticks,
+}
+
+fn fingerprint(cluster: &Cluster, outcomes: Vec<SysResult<EpochOutcome>>) -> Fingerprint {
+    let events = cluster.net().take_obs_events();
+    let report = obs::audit(&events);
+    assert!(report.is_clean(), "{}", report.summary());
+    Fingerprint {
+        outcomes,
+        obs_jsonl: obs::export_jsonl(&events),
+        hists: format!("{:?}", cluster.net().obs_histograms()),
+        stats: format!("{:?}", cluster.net().stats()),
+        now: cluster.net().now(),
+    }
+}
+
+/// The contract: a batch returns the same results, event stream,
+/// statistics and clock as issuing its ops one by one, waiting for idle
+/// after each, then calling `settle()`. The engine selector the
+/// benchmark's layer probe still sets changes nothing.
 #[test]
-fn engine_selection_flows_from_builder_and_env() {
-    let (cluster, _) = sharded_cluster(EngineKind::ParallelEpoch);
-    assert_eq!(cluster.fs().engine(), EngineKind::ParallelEpoch);
-    let (cluster, _) = sharded_cluster(EngineKind::Sequential);
+fn run_epoch_matches_ops_issued_one_by_one() {
+    let (cluster, pids) = sharded_cluster();
+    cluster.fs().set_engine(EngineKind::ParallelEpoch);
     assert_eq!(cluster.fs().engine(), EngineKind::Sequential);
+    let outcomes = cluster.run_epoch(&mixed_batch(&pids));
+    let batched = fingerprint(&cluster, outcomes);
+
+    let (cluster, pids) = sharded_cluster();
+    let outcomes = mixed_batch(&pids)
+        .iter()
+        .map(|op| {
+            let out = issue(&cluster, op);
+            cluster.net().wait_idle();
+            out
+        })
+        .collect();
+    cluster.settle();
+    let one_by_one = fingerprint(&cluster, outcomes);
+
+    assert_eq!(batched.outcomes, one_by_one.outcomes);
+    assert_eq!(batched.now, one_by_one.now, "virtual clocks diverged");
+    assert_eq!(
+        batched.obs_jsonl, one_by_one.obs_jsonl,
+        "event streams diverged"
+    );
+    assert_eq!(batched.hists, one_by_one.hists, "histograms diverged");
+    assert_eq!(batched.stats, one_by_one.stats, "statistics diverged");
+
+    // The batch did what it says: the write is readable from another
+    // site, and the file created then unlinked is gone.
+    let o = &batched.outcomes;
+    assert!(matches!(o[1], Ok(EpochOutcome::Wrote(20))), "{:?}", o[1]);
+    assert_eq!(
+        o[4],
+        Ok(EpochOutcome::Read(b"written in the batch".to_vec()))
+    );
+    assert!(matches!(o[5], Ok(EpochOutcome::Stat(_))), "{:?}", o[5]);
+    assert_eq!(o[6], Ok(EpochOutcome::Unlinked));
+    assert_eq!(o[7], Err(locus::Errno::Enoent));
 }

@@ -1,6 +1,6 @@
 //! Filesystem image and cluster construction (`mkfs` for the simulation).
 
-use locus_net::{EngineKind, LatencyModel, Net, RetryPolicy};
+use locus_net::{LatencyModel, Net, RetryPolicy};
 use locus_storage::{DiskInode, Pack, Superblock};
 use locus_types::{FileType, FilegroupId, Gfid, Ino, MachineType, PackId, Perms, SiteId};
 
@@ -43,7 +43,6 @@ pub struct FsClusterBuilder {
     io_policy: IoPolicy,
     name_cache: bool,
     name_leases: bool,
-    engine: Option<EngineKind>,
 }
 
 impl Default for FsClusterBuilder {
@@ -65,7 +64,6 @@ impl FsClusterBuilder {
             io_policy: IoPolicy::paper_faithful(),
             name_cache: false,
             name_leases: false,
-            engine: None,
         }
     }
 
@@ -176,15 +174,6 @@ impl FsClusterBuilder {
     /// callbacks from every invalidation path.
     pub fn name_leases(mut self, on: bool) -> Self {
         self.name_leases = on;
-        self
-    }
-
-    /// Selects the simulation engine explicitly, overriding the
-    /// `LOCUS_ENGINE` environment variable (which is otherwise the
-    /// default; sequential when neither is given). Both engines produce
-    /// byte-identical traces, histograms and statistics.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -323,19 +312,6 @@ impl FsClusterBuilder {
             }
         }
         let fsc = FsCluster::from_parts(net, kernels);
-        let mount_names = self
-            .fgs
-            .iter()
-            .enumerate()
-            .filter_map(|(fgi, spec)| {
-                let path = spec.mount_at.as_deref()?;
-                Some((
-                    path.strip_prefix('/').expect("validated above").to_owned(),
-                    FilegroupId(fgi as u32),
-                ))
-            })
-            .collect();
-        fsc.set_mount_names(mount_names);
         fsc.set_retry_policy(self.retry);
         fsc.set_io_policy(self.io_policy);
         fsc.coherence.set(match (self.name_leases, self.name_cache) {
@@ -343,9 +319,6 @@ impl FsClusterBuilder {
             (false, true) => Coherence::Validate,
             (false, false) => Coherence::Off,
         });
-        if let Some(engine) = self.engine {
-            fsc.set_engine(engine);
-        }
         fsc
     }
 }

@@ -10,17 +10,18 @@
 //! caller's kernel state is quiescent while the serving site's handler
 //! runs, and the reply resumes the system call.
 //!
-//! Commit notifications and update propagation are instead *asynchronous*:
-//! they are queued as posts and drained by [`FsCluster::settle`], which
-//! plays the role of the paper's background kernel process servicing the
-//! propagation queue (§2.3.6). Tests can observe the staleness window
-//! between a commit and the corresponding `settle`.
+//! Commit notifications are instead one-way messages whose handlers run
+//! detached on the destination's timelines, and update propagation is
+//! *asynchronous*: each notified site queues a pull that
+//! [`FsCluster::settle`] drains, playing the role of the paper's
+//! background kernel process servicing the propagation queue (§2.3.6).
+//! Tests can observe the staleness window between a commit and the
+//! corresponding `settle`.
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use locus_net::{EngineKind, Net, PostStamp, RetryPolicy, RpcEngine};
-use locus_types::{Errno, FilegroupId, SiteId, SysResult, Ticks};
+use locus_net::{EngineKind, Net, RetryPolicy, RpcEngine};
+use locus_types::{Errno, SiteId, SysResult};
 
 use crate::kernel::FsKernel;
 use crate::ops;
@@ -93,197 +94,42 @@ pub enum Coherence {
     Lease,
 }
 
-/// One stamped asynchronous message buffered on the site-sharded run
-/// queues. The stamp — (post time, source site, per-source sequence
-/// number) — is assigned at [`FsCluster::post`] time and defines the
-/// delivery order at the next settle epoch ([`PostStamp`]).
-#[derive(Debug)]
-pub(crate) struct Posted {
-    pub(crate) at: Ticks,
-    pub(crate) from: SiteId,
-    pub(crate) to: SiteId,
-    pub(crate) seq: u64,
-    pub(crate) msg: FsMsg,
-}
-
-impl Posted {
-    fn stamp(&self) -> PostStamp {
-        PostStamp {
-            at: self.at,
-            from: self.from,
-            seq: self.seq,
-        }
-    }
-}
-
-/// Site-sharded run queues for asynchronous messages: one shard per
-/// destination site, plus the per-source sequence counters that complete
-/// the delivery stamp. Shards let a parallel epoch buffer its posts
-/// privately and merge them at the barrier by sorting on the stamp — the
-/// same sort the sequential engine applies, so both deliver identically.
-#[derive(Debug)]
-pub(crate) struct RunQueues {
-    shards: Vec<VecDeque<Posted>>,
-    seq: Vec<u64>,
-}
-
-impl RunQueues {
-    fn new(n: usize) -> Self {
-        RunQueues {
-            shards: (0..n).map(|_| VecDeque::new()).collect(),
-            seq: vec![0; n],
-        }
-    }
-
-    fn post(&mut self, at: Ticks, from: SiteId, to: SiteId, msg: FsMsg) {
-        let seq = self.seq[from.index()];
-        self.seq[from.index()] += 1;
-        self.shards[to.index()].push_back(Posted {
-            at,
-            from,
-            to,
-            seq,
-            msg,
-        });
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(VecDeque::len).sum()
-    }
-
-    /// Takes every post buffered so far, sorted by the engine's delivery
-    /// stamp. Posts made *during* delivery re-enter the shards and land
-    /// in the next epoch.
-    fn drain_epoch(&mut self) -> Vec<Posted> {
-        let mut batch: Vec<Posted> = self.shards.iter_mut().flat_map(std::mem::take).collect();
-        batch.sort_by_key(|p| p.stamp());
-        batch
-    }
-
-    /// Every buffered post in stamp order (for diagnostics).
-    fn sorted_refs(&self) -> Vec<&Posted> {
-        let mut all: Vec<&Posted> = self.shards.iter().flatten().collect();
-        all.sort_by_key(|p| p.stamp());
-        all
-    }
-}
-
 /// The distributed filesystem: one kernel per site plus the network.
-///
-/// Kernels sit behind `Option` so a parallel epoch can *move* a site
-/// group's kernels into a shard cluster ([`FsCluster::fork_shard`]) and
-/// back; touching a kernel outside its shard's footprint is a grouping
-/// bug and panics loudly.
 pub struct FsCluster {
     pub(crate) net: Net,
-    pub(crate) kernels: Vec<RefCell<Option<FsKernel>>>,
-    pub(crate) queues: RefCell<RunQueues>,
+    pub(crate) kernels: Vec<RefCell<FsKernel>>,
     pub(crate) next_shared: Cell<u64>,
     pub(crate) mail_seq: Cell<u32>,
     pub(crate) retry: Cell<RetryPolicy>,
     pub(crate) io_policy: Cell<IoPolicy>,
     pub(crate) coherence: Cell<Coherence>,
-    pub(crate) engine: Cell<EngineKind>,
-    pub(crate) epoch: Cell<u64>,
-    pub(crate) mount_names: RefCell<BTreeMap<String, FilegroupId>>,
-    pub(crate) parallel_epochs: Cell<u64>,
-    pub(crate) epoch_stamp: Cell<Option<Ticks>>,
 }
 
 impl FsCluster {
     /// Assembles a cluster from prepared kernels (use
     /// [`crate::build::FsClusterBuilder`] rather than calling this
-    /// directly). The engine defaults to the `LOCUS_ENGINE` environment
-    /// variable, falling back to sequential.
+    /// directly).
     pub fn from_parts(net: Net, kernels: Vec<FsKernel>) -> Self {
-        let n = kernels.len();
         FsCluster {
             net,
-            kernels: kernels.into_iter().map(|k| RefCell::new(Some(k))).collect(),
-            queues: RefCell::new(RunQueues::new(n)),
+            kernels: kernels.into_iter().map(RefCell::new).collect(),
             next_shared: Cell::new(1),
             mail_seq: Cell::new(1),
             retry: Cell::new(RetryPolicy::default()),
             io_policy: Cell::new(IoPolicy::paper_faithful()),
             coherence: Cell::new(Coherence::Off),
-            engine: Cell::new(locus_net::engine_from_env().unwrap_or_default()),
-            epoch: Cell::new(0),
-            mount_names: RefCell::new(BTreeMap::new()),
-            parallel_epochs: Cell::new(0),
-            epoch_stamp: Cell::new(None),
         }
     }
 
-    /// How many epoch batches actually forked shards onto threads. A
-    /// diagnostic counter (deliberately outside the trace/stats surface,
-    /// which must stay byte-identical across engines): tests use it to
-    /// prove the parallel path engaged rather than silently serializing.
-    pub fn parallel_epochs(&self) -> u64 {
-        self.parallel_epochs.get()
-    }
-
-    /// Counts one shard-forked epoch (the epoch driver calls this).
-    pub fn note_parallel_epoch(&self) {
-        self.parallel_epochs.set(self.parallel_epochs.get() + 1);
-    }
-
-    /// Marks the cluster as inside (`Some`) or outside (`None`) one
-    /// `run_epoch`-style batch, pinning the epoch's entry time. While
-    /// set, commit fan-out buffers on the run queues instead of
-    /// delivering synchronously (`FsCluster::notify`) and inode mtimes
-    /// stamp at the pinned boundary ([`FsCluster::stamp_now`]) — both are
-    /// required for mutating epoch batches to produce identical bytes on
-    /// the sequential and parallel engines, whose mid-epoch clocks
-    /// legitimately differ.
-    pub fn set_epoch_stamp(&self, at: Option<Ticks>) {
-        self.epoch_stamp.set(at);
-    }
-
-    /// Whether an epoch batch is in flight ([`FsCluster::set_epoch_stamp`]).
-    pub fn in_epoch(&self) -> bool {
-        self.epoch_stamp.get().is_some()
-    }
-
-    /// The time to stamp into committed inodes: the epoch boundary while
-    /// a batch is in flight (engine-independent), the live clock
-    /// otherwise.
-    pub fn stamp_now(&self) -> Ticks {
-        self.epoch_stamp.get().unwrap_or_else(|| self.net.now())
-    }
-
-    /// Records the root-directory component name under which each mounted
-    /// filegroup lives (the builder supplies this). The parallel-epoch
-    /// engine's footprint analysis consults the map so it can bound an
-    /// absolute path's filegroup set without resolving the path. Renaming
-    /// a mount-point stub directory at run time is outside the footprint
-    /// heuristic's contract; such workloads must use the sequential
-    /// engine.
-    pub fn set_mount_names(&self, names: BTreeMap<String, FilegroupId>) {
-        *self.mount_names.borrow_mut() = names;
-    }
-
-    /// The filegroup mounted under the root-directory component `name`,
-    /// if any.
-    pub fn mounted_fg(&self, name: &str) -> Option<FilegroupId> {
-        self.mount_names.borrow().get(name).copied()
-    }
-
-    /// The simulation engine driving this cluster.
+    /// Always [`EngineKind::Sequential`]: there is one engine. Kept only
+    /// for the benchmark's layer probe until it stops asking.
     pub fn engine(&self) -> EngineKind {
-        self.engine.get()
+        EngineKind::Sequential
     }
 
-    /// Selects the simulation engine. Both engines produce byte-identical
-    /// traces; parallel-epoch only changes wall-clock scheduling.
-    pub fn set_engine(&self, engine: EngineKind) {
-        self.engine.set(engine);
-    }
-
-    /// How many settle epochs have run (each delivery round of
-    /// [`FsCluster::settle`] is one epoch).
-    pub fn settle_epoch(&self) -> u64 {
-        self.epoch.get()
-    }
+    /// Ignores `engine`: there is one engine. Kept only for the
+    /// benchmark's layer probe until it stops selecting one.
+    pub fn set_engine(&self, _engine: EngineKind) {}
 
     /// The retry/backoff policy the rpc layer applies under message loss.
     pub fn retry_policy(&self) -> RetryPolicy {
@@ -328,14 +174,9 @@ impl FsCluster {
     ///
     /// Panics if the kernel is already borrowed — which would indicate a
     /// re-entrant message cycle, a protocol bug this simulation is
-    /// designed to surface loudly — or if the kernel was moved into a
-    /// parallel-epoch shard that does not cover `site` (an operation
-    /// escaped its declared footprint).
+    /// designed to surface loudly.
     pub fn kernel(&self, site: SiteId) -> RefMut<'_, FsKernel> {
-        RefMut::map(self.kernels[site.index()].borrow_mut(), |k| {
-            k.as_mut()
-                .expect("kernel accessed outside its epoch shard footprint")
-        })
+        self.kernels[site.index()].borrow_mut()
     }
 
     /// Runs `f` with the kernel of `site` borrowed.
@@ -413,22 +254,13 @@ impl FsCluster {
         }
     }
 
-    /// Delivers a deferred notification. Outside an epoch batch this is
-    /// the paper-faithful synchronous one-way (§2.3.6); inside one the
-    /// message buffers on the run queues instead, crossing the epoch
-    /// barrier and delivering at the next [`settle`](Self::settle) in
-    /// stamp order. Buffering is what lets a parallel shard commit
-    /// without touching kernels outside its footprint (a reader holding
-    /// a stale buffer may live on any site), and the stamp re-basing at
-    /// absorb time makes the delivery schedule engine-independent.
+    /// Sends a notification (a commit notice, an invalidation) as a
+    /// paper-faithful one-way (§2.3.6): the handler runs detached on the
+    /// destination's timelines and the sender moves on. Delivery
+    /// failures surface as dropped notifications, exactly like a
+    /// partition race; recovery handles it.
     pub fn notify(&self, from: SiteId, to: SiteId, msg: FsMsg) {
-        if self.in_epoch() {
-            self.post(from, to, msg);
-        } else {
-            // Delivery failures surface as dropped notifications, exactly
-            // like a partition race; recovery handles it.
-            let _ = self.one_way(from, to, msg);
-        }
+        let _ = self.one_way(from, to, msg);
     }
 
     /// Recalls every outstanding coherence lease on `gfid` from the lease
@@ -437,18 +269,13 @@ impl FsCluster {
     /// puller). A no-op when leases are off or no lease is outstanding —
     /// the leases-off wire image is untouched.
     ///
-    /// Outside an epoch batch the recalls are one fan-out round of
-    /// reliable rpcs whose replies are the acknowledgements, so every
-    /// holder has dropped its lease before the committing operation's
-    /// `commit.end`, at the cost of one overlapped round; an unreachable
-    /// holder is revoked unilaterally (its own §5.6 cleanup demotes the
-    /// cache when the partition change is processed). Inside an epoch the
-    /// recalls buffer on the site-sharded run queues and cross the
-    /// barrier in [`PostStamp`] order, keeping the parallel engine
-    /// byte-identical; the holders are part of the committing op's
-    /// mutating footprint, so the shard owns their queues. Either way a
-    /// recall that never reaches its holder is remembered at the CSS and
-    /// re-sent at its next §5.6 cleanup.
+    /// The recalls are one fan-out round of reliable rpcs whose replies
+    /// are the acknowledgements, so every holder has dropped its lease
+    /// before the committing operation's `commit.end`, at the cost of one
+    /// overlapped round. An unreachable holder is revoked unilaterally
+    /// (its own §5.6 cleanup demotes the cache when the partition change
+    /// is processed), and the recall that never reached it is remembered
+    /// at the CSS and re-sent at its next §5.6 cleanup.
     pub(crate) fn recall_leases(&self, trigger: SiteId, css: SiteId, gfid: locus_types::Gfid) {
         if self.coherence() != Coherence::Lease {
             return;
@@ -457,7 +284,7 @@ impl FsCluster {
         if holders.is_empty() {
             return;
         }
-        if trigger != css && !self.in_epoch() {
+        if trigger != css {
             // The committing SS synchronously nudges the CSS to break the
             // leases; one control message models the trigger. The recalls
             // below run even when it is lost: skipping them would leave
@@ -467,12 +294,6 @@ impl FsCluster {
         // Grants never target the CSS itself (a local probe is a
         // procedure call); a row naming it is vestigial.
         let holders: Vec<SiteId> = holders.into_iter().filter(|&h| h != css).collect();
-        if self.in_epoch() {
-            for holder in holders {
-                self.post(css, holder, FsMsg::LeaseRecall { gfid });
-            }
-            return;
-        }
         self.send_recalls(css, gfid, &holders);
     }
 
@@ -534,129 +355,40 @@ impl FsCluster {
         out
     }
 
-    /// Queues an asynchronous post on the site-sharded run queues,
-    /// stamped with the current virtual time and the source site's next
-    /// sequence number; the next [`settle`](Self::settle) epoch delivers
-    /// all buffered posts in stamp order. Posts to sites that become
-    /// unreachable are silently dropped — partition recovery reconciles
-    /// later (§4). This is the single stamping choke point: every
-    /// deferred notification must enter through it so the engines agree
-    /// on the delivery order.
-    pub fn post(&self, from: SiteId, to: SiteId, msg: FsMsg) {
-        let at = self.net.now();
-        self.queues.borrow_mut().post(at, from, to, msg);
-    }
-
-    /// Snapshot of the per-source post sequence counters. The epoch
-    /// driver records one snapshot per op boundary (mirroring
-    /// [`Net::op_mark`]): a post whose source-seq falls between two
-    /// snapshots was made during that op, which is what lets
-    /// [`FsCluster::absorb_shard_rebased`] shift its stamp by the same
-    /// amount as the op's trace segment.
-    pub fn post_seqs(&self) -> Vec<u64> {
-        self.queues.borrow().seq.clone()
-    }
-
-    /// Describes the current background-work state: pending-queue length
-    /// and head message kinds, plus every nonempty per-site propagation
-    /// queue. This is the panic payload when [`FsCluster::settle`] fails
-    /// to quiesce, so a livelock is diagnosable from the message alone.
+    /// Describes the current background-work state: every nonempty
+    /// per-site propagation queue with its head request. This is the
+    /// panic payload when [`FsCluster::settle`] fails to quiesce, so a
+    /// livelock is diagnosable from the message alone.
     pub fn settle_diagnostics(&self) -> String {
-        let queues = self.queues.borrow();
-        let sorted = queues.sorted_refs();
-        let mut out = format!(
-            "engine {}, epoch {}; pending queue: {} message(s)",
-            self.engine.get(),
-            self.epoch.get(),
-            sorted.len()
-        );
-        let kinds: Vec<String> = sorted
-            .iter()
-            .rev()
-            .take(8)
-            .map(|p| format!("{} -> {} {}", p.from, p.to, p.msg.kind()))
+        let stuck: Vec<String> = self
+            .sites()
+            .filter_map(|site| {
+                let k = self.kernel(site);
+                let head = k.prop_queue.front()?;
+                Some(format!(
+                    "{site} prop_queue depth {} (head: {:?} from {})",
+                    k.prop_queue_len(),
+                    head.gfid,
+                    head.source
+                ))
+            })
             .collect();
-        if !kinds.is_empty() {
-            out.push_str(&format!(
-                "; newest first: [{}]{}",
-                kinds.join(", "),
-                if sorted.len() > kinds.len() { ", …" } else { "" }
-            ));
+        if stuck.is_empty() {
+            "all prop_queues empty".to_owned()
+        } else {
+            stuck.join("; ")
         }
-        let mut any_prop = false;
-        for site in self.sites() {
-            let k = self.kernel(site);
-            let depth = k.prop_queue_len();
-            if depth > 0 {
-                any_prop = true;
-                let head = k
-                    .prop_queue
-                    .front()
-                    .map(|r| format!("{:?} from {}", r.gfid, r.source))
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "; {site} prop_queue depth {depth} (head: {head})"
-                ));
-            }
-        }
-        if !any_prop {
-            out.push_str("; all prop_queues empty");
-        }
-        out
     }
 
-    /// Drains all background work until quiescent, in virtual-time
-    /// epochs. Each epoch snapshots every buffered post and delivers the
-    /// batch in the engine's documented stamp order — (post time, source
-    /// site, per-source sequence number) — then drains the per-site
-    /// propagation queues in site order. Posts produced during an epoch
-    /// are buffered for the next one. Both engines run this exact loop,
-    /// which is why the delivery schedule (and hence the trace) is
-    /// engine-independent; under observation each epoch is wrapped in a
-    /// `settle.epoch` span whose `settle.deliver` notes the trace
-    /// auditor's invariant 10 checks against the same order.
+    /// Drains all background work until quiescent: the per-site
+    /// propagation queues in site order, round after round (a pull may
+    /// queue further pulls), then waits for every site to go idle.
     pub fn settle(&self) {
-        // Epoch budget scales with the cluster: a broadcast storm at n
-        // sites legitimately needs O(n) epochs to quiesce.
+        // The round budget scales with the cluster: a propagation storm
+        // at n sites legitimately needs O(n) rounds to quiesce.
         let max_rounds = 4_096 + 64 * self.site_count();
         for _ in 0..max_rounds {
             let mut moved = false;
-            let batch = self.queues.borrow_mut().drain_epoch();
-            if !batch.is_empty() {
-                moved = true;
-                self.epoch.set(self.epoch.get() + 1);
-                let span = if self.net.observing() {
-                    self.net.obs_span_open("fs", "settle.epoch", SiteId(0))
-                } else {
-                    0
-                };
-                for p in batch {
-                    self.net.obs_note(
-                        p.to,
-                        "settle.deliver",
-                        format_args!("{}->{}@{}", p.from, p.to, p.at.as_micros()),
-                        p.seq,
-                    );
-                    // A recall that cannot be delivered is remembered at
-                    // the CSS like an abandoned acknowledged one.
-                    let recall = match p.msg {
-                        FsMsg::LeaseRecall { gfid } => Some(gfid),
-                        _ => None,
-                    };
-                    // Other delivery failures surface as dropped
-                    // notifications, exactly like a partition race;
-                    // recovery handles it.
-                    let delivered = self.net.reachable(p.from, p.to)
-                        && p.from != p.to
-                        && self.one_way(p.from, p.to, p.msg).is_ok();
-                    if let (false, Some(gfid)) = (delivered, recall) {
-                        self.kernel(p.from).note_abandoned_recall(gfid, p.to);
-                    }
-                }
-                if span != 0 {
-                    self.net.obs_span_close(span, "ok");
-                }
-            }
             for site in self.sites() {
                 loop {
                     let req = {
@@ -673,7 +405,7 @@ impl FsCluster {
             if !moved {
                 // Settled means idle: every detached one-way and delayed
                 // write has finished, so nothing carries over to the next
-                // operation or epoch.
+                // operation.
                 self.net.wait_idle();
                 debug_assert!(self.net.is_idle(), "settle left a site busy");
                 return;
@@ -682,8 +414,7 @@ impl FsCluster {
         // Unreachable in practice; a livelock here would be a protocol
         // bug — report the stuck state so it is diagnosable.
         panic!(
-            "settle ({} engine) did not quiesce after {max_rounds} epochs: {}",
-            self.engine.get(),
+            "settle did not quiesce after {max_rounds} rounds: {}",
             self.settle_diagnostics()
         );
     }
@@ -691,126 +422,7 @@ impl FsCluster {
     /// Whether any background work is pending (tests use this to observe
     /// the propagation window).
     pub fn has_pending_background_work(&self) -> bool {
-        if self.queues.borrow().len() > 0 {
-            return true;
-        }
         self.sites().any(|s| self.kernel(s).prop_queue_len() > 0)
-    }
-
-    /// Forks a shard cluster for one parallel-epoch site group: the
-    /// member sites' kernels *move* into the shard (any other site's
-    /// kernel slot is empty and panics on access), the network forks via
-    /// [`Net::fork_shard`], the run queues start empty with the sequence
-    /// counters copied, and the shared-descriptor / mailbox counters are
-    /// copied and asserted unchanged at absorb time (epoch op sets that
-    /// would allocate them are executed serially instead).
-    pub fn fork_shard(&self, sites: &BTreeSet<SiteId>) -> FsCluster {
-        let n = self.site_count();
-        let kernels: Vec<RefCell<Option<FsKernel>>> = (0..n)
-            .map(|i| {
-                let site = SiteId(i as u32);
-                RefCell::new(if sites.contains(&site) {
-                    Some(
-                        self.kernels[i]
-                            .borrow_mut()
-                            .take()
-                            .expect("site already moved into another epoch shard"),
-                    )
-                } else {
-                    None
-                })
-            })
-            .collect();
-        let mut queues = RunQueues::new(n);
-        queues.seq.copy_from_slice(&self.queues.borrow().seq);
-        FsCluster {
-            net: self.net.fork_shard(sites),
-            kernels,
-            queues: RefCell::new(queues),
-            next_shared: Cell::new(self.next_shared.get()),
-            mail_seq: Cell::new(self.mail_seq.get()),
-            retry: Cell::new(self.retry.get()),
-            io_policy: Cell::new(self.io_policy.get()),
-            coherence: Cell::new(self.coherence.get()),
-            engine: Cell::new(self.engine.get()),
-            epoch: Cell::new(self.epoch.get()),
-            mount_names: RefCell::new(self.mount_names.borrow().clone()),
-            parallel_epochs: Cell::new(0),
-            epoch_stamp: Cell::new(self.epoch_stamp.get()),
-        }
-    }
-
-    /// Re-absorbs a shard cluster at the epoch barrier: kernels move
-    /// back, shard posts (stamps intact) append onto the global run
-    /// queues, and member sites' sequence counters are adopted. Returns
-    /// the shard's network for the caller to merge via
-    /// [`Net::absorb_shards`] in global submission order. Single-segment
-    /// callers (tests, whole-shard work with no interleaving to hide)
-    /// use this directly; the epoch driver uses
-    /// [`FsCluster::absorb_shard_rebased`] so post stamps land on the
-    /// merged clock.
-    pub fn absorb_shard(&self, shard: FsCluster) -> Net {
-        self.absorb_shard_rebased(shard, &[], &[])
-    }
-
-    /// [`FsCluster::absorb_shard`] with per-op stamp re-basing.
-    /// `seq_marks[j]` is the [`FsCluster::post_seqs`] snapshot at the
-    /// j-th op boundary (ops + 1 entries) and `shifts[j]` is the shift
-    /// [`Net::absorb_shards`] applies to op j's trace segment: a post
-    /// whose source-seq falls in segment j was made during op j on the
-    /// shard-local clock, so adding the same shift reproduces the stamp
-    /// the sequential engine would have assigned — the merged delivery
-    /// order is then engine-independent. With empty slices, stamps pass
-    /// through untouched.
-    pub fn absorb_shard_rebased(
-        &self,
-        shard: FsCluster,
-        seq_marks: &[Vec<u64>],
-        shifts: &[Ticks],
-    ) -> Net {
-        assert_eq!(
-            shard.next_shared.get(),
-            self.next_shared.get(),
-            "an epoch shard allocated a shared descriptor; such ops must run serially"
-        );
-        assert_eq!(
-            shard.mail_seq.get(),
-            self.mail_seq.get(),
-            "an epoch shard allocated a mailbox sequence; such ops must run serially"
-        );
-        let mut members = Vec::new();
-        for (i, slot) in shard.kernels.iter().enumerate() {
-            if let Some(k) = slot.borrow_mut().take() {
-                members.push(i);
-                let prev = self.kernels[i].borrow_mut().replace(k);
-                assert!(
-                    prev.is_none(),
-                    "absorbed a kernel into an occupied slot (overlapping shards)"
-                );
-            }
-        }
-        let mut shard_queues = shard.queues.into_inner();
-        let mut g = self.queues.borrow_mut();
-        for &i in &members {
-            g.seq[i] = shard_queues.seq[i];
-        }
-        for q in shard_queues.shards.iter_mut() {
-            for mut p in std::mem::take(q) {
-                assert!(
-                    members.contains(&p.from.index()),
-                    "an epoch shard posted on behalf of a site outside its footprint"
-                );
-                if !shifts.is_empty() {
-                    let f = p.from.index();
-                    let j = (0..shifts.len())
-                        .find(|&j| p.seq >= seq_marks[j][f] && p.seq < seq_marks[j + 1][f])
-                        .expect("a shard post falls outside every op segment");
-                    p.at += shifts[j];
-                }
-                g.shards[p.to.index()].push_back(p);
-            }
-        }
-        shard.net
     }
 
     /// Central message dispatch: the serving site's kernel runs the
@@ -940,32 +552,26 @@ mod tests {
 
     /// Regression: the "settle did not quiesce" panic used to carry no
     /// state at all. The diagnostics must name the queue depths and the
-    /// stuck message kinds.
+    /// stuck requests.
     #[test]
     fn settle_diagnostics_report_queues_and_kinds() {
         let fsc = cluster();
         let quiet = fsc.settle_diagnostics();
-        assert!(quiet.contains("pending queue: 0 message(s)"), "{quiet}");
         assert!(quiet.contains("all prop_queues empty"), "{quiet}");
 
         let gfid = Gfid::new(FilegroupId(1), locus_types::Ino(7));
-        fsc.post(SiteId(0), SiteId(1), FsMsg::Invalidate { gfid });
-        fsc.post(SiteId(0), SiteId(2), FsMsg::PullOpen { gfid });
         fsc.kernel(SiteId(2)).enqueue_propagation(PropReq {
             gfid,
             source: SiteId(0),
             pages: None,
         });
+        assert!(fsc.has_pending_background_work());
         let stuck = fsc.settle_diagnostics();
-        assert!(stuck.contains("pending queue: 2 message(s)"), "{stuck}");
-        assert!(stuck.contains("PULL open"), "newest kind named: {stuck}");
         assert!(stuck.contains("S2 prop_queue depth 1"), "{stuck}");
         assert!(stuck.contains("from S0"), "propagation source named: {stuck}");
 
         fsc.settle();
         assert!(!fsc.has_pending_background_work());
-        assert!(fsc
-            .settle_diagnostics()
-            .contains("pending queue: 0 message(s)"));
+        assert!(fsc.settle_diagnostics().contains("all prop_queues empty"));
     }
 }

@@ -257,9 +257,7 @@ impl FsKernel {
             .unwrap_or_default()
     }
 
-    /// Every site holding a lease on any file of `fg`, in site order —
-    /// the committing filegroup's recall fan-out joins the mutating
-    /// footprint through this set.
+    /// Every site holding a lease on any file of `fg`, in site order.
     pub fn lease_holder_sites_for(&self, fg: FilegroupId) -> BTreeSet<SiteId> {
         self.lease_holders
             .iter()

@@ -49,7 +49,7 @@
 //! — and replaying a seed remains byte-identical.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use locus_storage::CacheStats;
 use locus_types::{FileType, FilegroupId, Gfid, Ino, VersionVector};
@@ -69,7 +69,7 @@ struct CachedDir {
     /// only reads the entries, so a validated hit hands out another
     /// reference instead of re-deriving (deep-copying) the dentry state;
     /// the copy is paid once, at fill time.
-    dir: Arc<Directory>,
+    dir: Rc<Directory>,
     /// File types of previously looked-up children. Valid exactly as
     /// long as the directory version is: a type can only change if the
     /// inode is freed and reused, which removes the directory entry
@@ -172,11 +172,11 @@ impl NameAttrCache {
         &mut self,
         gfid: Gfid,
         latest: &VersionVector,
-    ) -> Option<(Arc<Directory>, InodeInfo)> {
+    ) -> Option<(Rc<Directory>, InodeInfo)> {
         match self.dirs.get(&gfid) {
             Some(e) if e.vv == *latest => {
                 self.dentry_hits += 1;
-                Some((Arc::clone(&e.dir), e.info.clone()))
+                Some((Rc::clone(&e.dir), e.info.clone()))
             }
             Some(_) => {
                 self.dentry_misses += 1;
@@ -194,7 +194,7 @@ impl NameAttrCache {
     /// Caches a directory's parsed contents under the version they were
     /// read at. The fill is the one place dentry state is materialized
     /// by copy, and the counter proves it.
-    pub fn insert_dir(&mut self, gfid: Gfid, info: InodeInfo, dir: Arc<Directory>) {
+    pub fn insert_dir(&mut self, gfid: Gfid, info: InodeInfo, dir: Rc<Directory>) {
         self.dir_deep_copies += 1;
         self.dirs.insert(
             gfid,
@@ -205,18 +205,6 @@ impl NameAttrCache {
                 types: HashMap::new(),
             },
         );
-    }
-
-    /// Message-free, non-counting peek at the cached contents of `dir`,
-    /// whatever version they were read at. The parallel-epoch footprint
-    /// walk uses this to follow dentries across mount points without
-    /// perturbing the hit/miss counters or revalidating against the CSS
-    /// (either would cost messages and diverge the engines' traces). A
-    /// stale entry is safe for that purpose: mount-point stubs are
-    /// immutable, so staleness can change which same-filegroup inode a
-    /// name appears to reach but never whether the step crosses a mount.
-    pub fn peek_dir(&self, gfid: Gfid) -> Option<Arc<Directory>> {
-        self.dirs.get(&gfid).map(|e| Arc::clone(&e.dir))
     }
 
     /// The remembered file type of a child of `dir`, valid while the
@@ -263,7 +251,7 @@ impl NameAttrCache {
 
     /// Serves the cached directory contents under a live lease (see
     /// [`NameAttrCache::attr_under_lease`]).
-    pub fn dir_under_lease(&mut self, gfid: Gfid) -> Option<(Arc<Directory>, InodeInfo)> {
+    pub fn dir_under_lease(&mut self, gfid: Gfid) -> Option<(Rc<Directory>, InodeInfo)> {
         if !self.leases.contains(&gfid) {
             return None;
         }
@@ -271,7 +259,7 @@ impl NameAttrCache {
             Some(e) => {
                 self.dentry_hits += 1;
                 self.lease_hits += 1;
-                Some((Arc::clone(&e.dir), e.info.clone()))
+                Some((Rc::clone(&e.dir), e.info.clone()))
             }
             None => None,
         }
@@ -395,7 +383,7 @@ mod tests {
     fn dir_entry_serves_until_version_moves() {
         let mut c = NameAttrCache::new();
         let d = gfid(1);
-        c.insert_dir(d, info(vv(1)), Arc::new(Directory::new()));
+        c.insert_dir(d, info(vv(1)), Rc::new(Directory::new()));
         assert!(c.dir_fresh(d, &vv(1)).is_some(), "current entry served");
         assert!(c.dir_fresh(d, &vv(2)).is_none(), "newer CSS version rejected");
         assert!(
@@ -414,7 +402,7 @@ mod tests {
     fn child_types_die_with_the_directory_entry() {
         let mut c = NameAttrCache::new();
         let d = gfid(1);
-        c.insert_dir(d, info(vv(1)), Arc::new(Directory::new()));
+        c.insert_dir(d, info(vv(1)), Rc::new(Directory::new()));
         c.remember_child_type(d, Ino(9), FileType::HiddenDirectory);
         assert_eq!(c.child_type(d, Ino(9)), Some(FileType::HiddenDirectory));
         assert!(c.dir_fresh(d, &vv(2)).is_none()); // drops the stale entry
@@ -445,7 +433,7 @@ mod tests {
         c.grant_lease(f);
         assert!(c.lease_held(f));
         assert!(c.attr_under_lease(f).is_some(), "leased entry served");
-        c.insert_dir(f, info(vv(1)), Arc::new(Directory::new()));
+        c.insert_dir(f, info(vv(1)), Rc::new(Directory::new()));
         assert!(c.dir_under_lease(f).is_some(), "leased dir served");
         c.recall_lease(f);
         assert!(!c.lease_held(f));
@@ -471,7 +459,7 @@ mod tests {
     fn demote_keeps_entries_and_drops_marks_and_tags() {
         let mut c = NameAttrCache::new();
         let (d, f) = (gfid(1), gfid(4));
-        c.insert_dir(d, info(vv(1)), Arc::new(Directory::new()));
+        c.insert_dir(d, info(vv(1)), Rc::new(Directory::new()));
         c.remember_child_type(d, Ino(9), FileType::HiddenDirectory);
         c.grant_lease(d);
         assert!(!c.pages_fresh(f, &info(vv(1))), "first open tags");
@@ -521,7 +509,7 @@ mod tests {
         // what only the other partition holds.
         let mut c = NameAttrCache::new();
         let d = gfid(1);
-        c.insert_dir(d, info(vv(2)), Arc::new(Directory::new()));
+        c.insert_dir(d, info(vv(2)), Rc::new(Directory::new()));
         c.insert_attr(d, info(vv(2)));
         assert!(c.attr_fresh(d, &vv(1)).is_none(), "newer attrs not served");
         assert!(c.dir_fresh(d, &vv(1)).is_none(), "newer contents not served");
@@ -531,7 +519,7 @@ mod tests {
     #[test]
     fn invalidate_counts_dropped_entries() {
         let mut c = NameAttrCache::new();
-        c.insert_dir(gfid(1), info(vv(1)), Arc::new(Directory::new()));
+        c.insert_dir(gfid(1), info(vv(1)), Rc::new(Directory::new()));
         c.insert_attr(gfid(1), info(vv(1)));
         c.insert_attr(gfid(2), info(vv(1)));
         assert_eq!(c.entries(), 3);

@@ -98,9 +98,7 @@ pub(crate) fn handle_commit(
     if fsc.net().quarantined(ss) {
         return Err(Errno::Esitedown);
     }
-    // Inside an epoch batch the mtime stamps at the epoch boundary
-    // (engine-independent); outside one, at the live clock.
-    let now = fsc.stamp_now();
+    let now = fsc.net().now();
     let (info, pages, inode_only, containers, css, readers, origin, vv_total) = {
         let mut k = fsc.kernel(ss);
         let css = k.mount.css_of(gfid.fg)?;
@@ -176,8 +174,7 @@ pub(crate) fn handle_commit(
     // "As part of the commit operation, the SS sends messages to all the
     // other SS's of that file as well as the CSS" (§2.3.6). The
     // notifications are one-way messages sent as part of the commit
-    // (buffered to cross the barrier when an epoch batch is in flight —
-    // [`FsCluster::notify`]); the *data* propagation they trigger is
+    // ([`FsCluster::notify`]); the *data* propagation they trigger is
     // background pull work, drained by `settle`. A notification lost to
     // a partition is recovered at merge.
     let notify = || FsMsg::CommitNotify {

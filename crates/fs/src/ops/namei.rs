@@ -28,7 +28,7 @@
 //! first validation, and until it recalls the lease the holder serves
 //! cached dentries and attributes locally with zero messages.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use locus_storage::PAGE_SIZE;
 use locus_types::{Errno, FileType, Gfid, Ino, OpenMode, Perms, SiteId, SysResult, VersionVector};
@@ -330,7 +330,7 @@ fn dir_for_search(
     us: SiteId,
     gfid: Gfid,
     check: impl Fn(&InodeInfo) -> SysResult<()>,
-) -> SysResult<(Arc<Directory>, InodeInfo)> {
+) -> SysResult<(Rc<Directory>, InodeInfo)> {
     let tier = coherence_for(fsc, us, gfid);
     let caching = tier != Coherence::Off;
     if caching {
@@ -361,11 +361,11 @@ fn dir_for_search(
     }
     let bytes = read_all_via(fsc, us, &t);
     close_ticket(fsc, us, &t)?;
-    let dir = Arc::new(Directory::parse(&bytes?)?);
+    let dir = Rc::new(Directory::parse(&bytes?)?);
     if caching {
         fsc.with_kernel(us, |k| {
             k.name_cache.insert_attr(gfid, t.info.clone());
-            k.name_cache.insert_dir(gfid, t.info.clone(), Arc::clone(&dir));
+            k.name_cache.insert_dir(gfid, t.info.clone(), Rc::clone(&dir));
         });
     }
     Ok((dir, t.info))
@@ -642,9 +642,7 @@ pub(crate) fn handle_create_at(
     replicas: Vec<u32>,
 ) -> SysResult<FsReply> {
     fsc.net().charge_cpu_at(at, cost::CONTROL_CPU);
-    // Epoch batches stamp at the boundary so creation mtimes are
-    // engine-independent (shard-local clocks diverge mid-epoch).
-    let now = fsc.stamp_now();
+    let now = fsc.net().now();
     let mut k = fsc.kernel(at);
     let pack = k
         .packs

@@ -26,23 +26,15 @@
 //!   side flushes its own marks, and after heal + settle every site
 //!   reconverges with no stale serve in between.
 //!
-//! Every seed runs its schedule **three times**: twice on the sequential
-//! engine (replay determinism) and once on the parallel-epoch engine —
-//! all three observations (event stream, latency histograms,
-//! statistics) must be byte-identical. The recall
-//! transport branches on epoch state, not engine choice, and this is the
-//! standing proof. Each sequential schedule also ends with an
-//! epoch-stamped write, so the *post* flavour of the recall (buffered,
-//! delivered at the barrier in `PostStamp` order) is exercised under
-//! both engines, not just the RPC flavour.
+//! Every seed runs its schedule **twice** (replay determinism): both
+//! observations (event stream, latency histograms, statistics) must be
+//! byte-identical.
 
 use std::collections::BTreeSet;
 
 use locus_fs::ops::cleanup::cleanup_site;
 use locus_fs::{css_handoff, probation_probe, FsCluster, FsClusterBuilder};
-use locus_net::{
-    EngineKind, FaultPlan, FaultSpec, HealthPolicy, RetryPolicy, SimRng, SiteHealth,
-};
+use locus_net::{FaultPlan, FaultSpec, HealthPolicy, RetryPolicy, SimRng, SiteHealth};
 use locus_testkit::{
     finish, replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
 };
@@ -65,7 +57,7 @@ const VICTIM: SiteId = SiteId(4);
 /// The file every schedule fights over.
 const LEASED: VersionedFile = VersionedFile::new("/leased");
 
-fn build_cluster(engine: EngineKind) -> FsCluster {
+fn build_cluster() -> FsCluster {
     FsClusterBuilder::new()
         .vax_sites(N_SITES as usize)
         .filegroup("root", &CONTAINERS)
@@ -75,7 +67,6 @@ fn build_cluster(engine: EngineKind) -> FsCluster {
             ..RetryPolicy::default()
         })
         .name_leases(true)
-        .engine(engine)
         .build()
 }
 
@@ -99,35 +90,6 @@ fn seed_and_warm(fsc: &FsCluster, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The epoch-flavoured tail every sequential family ends with: one write
-/// committed under an epoch stamp, whose recalls are *posted* and cross
-/// the barrier in `PostStamp` order instead of riding the RPC plane.
-/// After `settle`, every reader must observe the epoch write.
-fn epoch_recall_tail(
-    fsc: &FsCluster,
-    seed: u64,
-    next_version: &mut u32,
-) -> Result<u32, String> {
-    let v = *next_version;
-    *next_version += 1;
-    fsc.set_epoch_stamp(Some(fsc.net().now()));
-    let wrote = LEASED.write(fsc, WRITER, v);
-    fsc.set_epoch_stamp(None);
-    wrote.map_err(|e| format!("seed {seed}: epoch-stamped write v{v} failed: {e:?}"))?;
-    fsc.settle();
-    for r in READERS {
-        let got = LEASED.read(fsc, SiteId(r))
-            .map_err(|e| format!("seed {seed}: post-epoch read at S{r} failed: {e:?}"))?;
-        if got != v {
-            return Err(format!(
-                "seed {seed}: post-epoch read at S{r} saw v{got}, expected v{v} \
-                 (a barrier-crossing recall was lost)"
-            ));
-        }
-    }
-    Ok(v)
-}
-
 fn family_rng(family: u64, seed: u64) -> SimRng {
     SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (family << 56))
 }
@@ -144,8 +106,8 @@ fn all_sites() -> BTreeSet<SiteId> {
 /// idempotent RPCs, so a dropped recall is retried until acked (or the
 /// holder revoked); after every *completed* write, no read anywhere may
 /// return an older version.
-fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<Observation, String> {
-    let fsc = build_cluster(engine);
+fn run_recall_loss(seed: u64) -> Result<Observation, String> {
+    let fsc = build_cluster();
     let net = fsc.net();
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
@@ -184,15 +146,13 @@ fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<Observation, String>
     }
 
     net.clear_faults();
-    confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
     let s = fsc.cache_stats();
     if s.lease_recalls == 0 {
         return Err(format!("seed {seed}: the write workload never recalled a lease"));
     }
-    // Delivered recalls are acked on the RPC plane; the epoch tail's
-    // posted recalls have no ack by design, and duplicates may count a
-    // delivery twice at the holder — so require *some* acked RPC
+    // Delivered recalls are acked on the RPC plane, but duplicates may
+    // count a delivery twice at the holder — so require *some* acked
     // recalls rather than an exact balance.
     if s.lease_recall_acks == 0 {
         return Err(format!(
@@ -211,8 +171,8 @@ fn run_recall_loss(seed: u64, engine: EngineKind) -> Result<Observation, String>
 /// The diskless holder crashes across the write window, so recalls to it
 /// fail and the CSS revokes it unreachable. On rejoin, the holder's §5.6
 /// cleanup flushes its stale marks before it serves anything.
-fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<Observation, String> {
-    let fsc = build_cluster(engine);
+fn run_midrecall_crash(seed: u64) -> Result<Observation, String> {
+    let fsc = build_cluster();
     let net = fsc.net();
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
@@ -256,7 +216,6 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<Observation, Str
         ));
     }
 
-    confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
     LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
     finish(net, seed, &["lease.grant"])
@@ -271,8 +230,8 @@ fn run_midrecall_crash(seed: u64, engine: EngineKind) -> Result<Observation, Str
 /// immediately, even though the undelivered recall left its stale marks
 /// in place — and probation readmission revokes everything it held,
 /// page tags included.
-fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<Observation, String> {
-    let fsc = build_cluster(engine);
+fn run_quarantine_revoke(seed: u64) -> Result<Observation, String> {
+    let fsc = build_cluster();
     let net = fsc.net();
     net.enable_health(HealthPolicy::default());
     net.set_observing(true);
@@ -355,7 +314,6 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<Observation, S
         ));
     }
 
-    confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
     LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
     finish(net, seed, &["health.quarantine", "health.readmit", "lease.grant"])
@@ -368,8 +326,8 @@ fn run_quarantine_revoke(seed: u64, engine: EngineKind) -> Result<Observation, S
 /// `css_handoff` moves the lease table with the version/lock state under
 /// one epoch; the new CSS's first recall reaches holders the *old* CSS
 /// granted to, racing reads and message drops the whole way.
-fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<Observation, String> {
-    let fsc = build_cluster(engine);
+fn run_handoff_transfer(seed: u64) -> Result<Observation, String> {
+    let fsc = build_cluster();
     let net = fsc.net();
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
@@ -432,7 +390,6 @@ fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<Observation, St
     }
 
     net.clear_faults();
-    confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
     LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
     finish(net, seed, &["css.claim", "lease.grant"])
@@ -446,8 +403,8 @@ fn run_handoff_transfer(seed: u64, engine: EngineKind) -> Result<Observation, St
 /// run the §5.6 cleanup — the CSS purges the departed holder's rows, the
 /// holder flushes its own marks — so the isolated side can never serve a
 /// stale warm hit, and after heal + settle everything reconverges.
-fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<Observation, String> {
-    let fsc = build_cluster(engine);
+fn run_partition_merge(seed: u64) -> Result<Observation, String> {
+    let fsc = build_cluster();
     let net = fsc.net();
     net.set_observing(true);
     seed_and_warm(&fsc, seed)?;
@@ -499,65 +456,47 @@ fn run_partition_merge(seed: u64, engine: EngineKind) -> Result<Observation, Str
     }
 
     net.heal();
-    confirmed = confirmed.max(epoch_recall_tail(&fsc, seed, &mut next_version)?);
     fsc.settle();
     LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
     finish(net, seed, &["lease.grant"])
 }
 
 // ---------------------------------------------------------------------
-// Harness.
+// The suites.
 // ---------------------------------------------------------------------
-
-/// Replay + dual-engine check: two sequential runs and one
-/// parallel-epoch run of the same seed must observe identical
-/// observability streams, histograms and statistics.
-fn identical_across_engines(
-    seed: u64,
-    run: impl Fn(u64, EngineKind) -> Result<Observation, String>,
-) -> Result<(), String> {
-    let a = replays_identically(seed, |seed| run(seed, EngineKind::Sequential))?;
-    let p = run(seed, EngineKind::ParallelEpoch)?;
-    if a != p {
-        return Err(format!(
-            "seed {seed}: parallel-epoch run diverged from the sequential trace"
-        ));
-    }
-    Ok(())
-}
 
 #[test]
 fn recall_loss_retries_preserve_coherence() {
     run_schedules_parallel(&seed_set(0x1EA5_E001, 32), |seed| {
-        identical_across_engines(seed, run_recall_loss)
+        replays_identically(seed, run_recall_loss)
     });
 }
 
 #[test]
 fn midrecall_crash_revokes_and_rejoins_clean() {
     run_schedules_parallel(&seed_set(0x1EA5_E002, 24), |seed| {
-        identical_across_engines(seed, run_midrecall_crash)
+        replays_identically(seed, run_midrecall_crash)
     });
 }
 
 #[test]
 fn quarantine_revokes_and_readmission_revalidates() {
     run_schedules_parallel(&seed_set(0x1EA5_E003, 24), |seed| {
-        identical_across_engines(seed, run_quarantine_revoke)
+        replays_identically(seed, run_quarantine_revoke)
     });
 }
 
 #[test]
 fn handoff_transfers_the_lease_table() {
     run_schedules_parallel(&seed_set(0x1EA5_E004, 24), |seed| {
-        identical_across_engines(seed, run_handoff_transfer)
+        replays_identically(seed, run_handoff_transfer)
     });
 }
 
 #[test]
 fn partition_merge_revokes_both_sides() {
     run_schedules_parallel(&seed_set(0x1EA5_E005, 24), |seed| {
-        identical_across_engines(seed, run_partition_merge)
+        replays_identically(seed, run_partition_merge)
     });
 }
 
@@ -567,7 +506,7 @@ fn partition_merge_revokes_both_sides() {
 /// serve stale attributes (auditor invariant 11).
 #[test]
 fn lost_lease_break_still_recalls_every_holder() {
-    let fsc = build_cluster(EngineKind::Sequential);
+    let fsc = build_cluster();
     let net = fsc.net();
     net.set_observing(true);
     seed_and_warm(&fsc, 0).unwrap();

@@ -83,25 +83,6 @@ impl CircuitTable {
     pub fn open_count(&self) -> usize {
         self.open.len()
     }
-
-    /// Splits off the circuits fully inside a site-shard: pairs with both
-    /// endpoints in `sites` (open and abort marks alike) move to the
-    /// returned table. A shard only ever touches pairs inside its
-    /// footprint, so pairs straddling the boundary stay with the parent.
-    pub fn split_sites(&mut self, sites: &BTreeSet<SiteId>) -> CircuitTable {
-        let inside = |&(a, b): &(SiteId, SiteId)| sites.contains(&a) && sites.contains(&b);
-        let open: BTreeSet<_> = self.open.iter().copied().filter(inside).collect();
-        let aborted: BTreeSet<_> = self.aborted.iter().copied().filter(inside).collect();
-        self.open.retain(|p| !inside(p));
-        self.aborted.retain(|p| !inside(p));
-        CircuitTable { open, aborted }
-    }
-
-    /// Re-absorbs a shard's circuits after an epoch barrier.
-    pub fn absorb(&mut self, shard: CircuitTable) {
-        self.open.extend(shard.open);
-        self.aborted.extend(shard.aborted);
-    }
 }
 
 #[cfg(test)]

@@ -28,12 +28,11 @@ impl VirtualClock {
         self.now += span;
     }
 
-    /// Sets the clock to `now` at an epoch barrier. The parallel engine
-    /// lets shards advance private clocks from a common epoch start and
-    /// re-bases the global clock to the merged end time; the merge rule
-    /// only ever moves the clock forward, which this asserts.
+    /// Sets the clock to `now`, which must not be in the past: the join
+    /// of overlapped legs ([`crate::Net::overlap`]) moves the clock
+    /// forward to the latest leg's end.
     pub fn set(&mut self, now: Ticks) {
-        assert!(now >= self.now, "epoch merge tried to move the clock backwards");
+        assert!(now >= self.now, "tried to move the clock backwards");
         self.now = now;
     }
 

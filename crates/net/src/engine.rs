@@ -1,117 +1,28 @@
-//! The simulation-engine abstraction: sequential vs. parallel-epoch
-//! execution over the shared virtual clock.
+//! The engine selector that survives the single engine.
 //!
-//! Both engines produce **byte-identical** traces, histograms and
-//! statistics for the same workload; the parallel engine only changes
-//! how wall-clock time is spent. The contract:
-//!
-//! * **Epochs.** The cluster runs in virtual-time epochs. Within an
-//!   epoch, disjoint site groups (computed from operation footprints)
-//!   execute concurrently, each on a private shard of the network state
-//!   forked by [`crate::Net::fork_shard`] — per-site kernels, circuits,
-//!   health rows and fault-RNG streams move into the shard, so shard
-//!   execution is ordinary single-threaded simulation.
-//! * **Barrier merge.** At the epoch barrier the shards are absorbed
-//!   back ([`crate::Net::absorb_shards`]): per-operation event segments
-//!   are re-based onto the global clock in submission order, and
-//!   cross-site messages produced during the epoch are buffered per
-//!   (source, destination) and delivered in the *next* epoch in the
-//!   total order defined by [`PostStamp`] — (virtual time, source site,
-//!   per-source sequence number).
-//! * **Determinism.** Shard execution is duration-pure (nothing a shard
-//!   does depends on the absolute clock value, only on elapsed spans),
-//!   per-site RNG streams are independent of interleaving
-//!   ([`crate::fault::site_stream_seed`]), and the merge order is a
-//!   function of the stamps alone — so the parallel engine replays the
-//!   sequential engine's byte stream exactly.
+//! The simulation has one engine: every operation runs inline, in
+//! submission order, on the shared virtual clock. [`EngineKind`] remains
+//! only because the wall-clock benchmark's layer probe still names both
+//! variants (`benchmark/src/bin/lprobe.rs`); it selects nothing, and goes
+//! when the probe stops naming it.
 
-use locus_types::{SiteId, Ticks};
-
-/// Which simulation engine drives a cluster.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Which simulation engine drives a cluster. Kept only for the
+/// benchmark's layer probe until it stops naming it: every cluster runs
+/// the sequential engine whatever is selected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One thread, operations executed inline in submission order (the
-    /// original engine).
-    #[default]
+    /// One thread, operations executed inline in submission order.
     Sequential,
-    /// Site-sharded run queues: disjoint site groups execute one
-    /// virtual-time epoch concurrently and merge deterministically at
-    /// the epoch barrier.
+    /// Accepted for compatibility; runs exactly as [`EngineKind::Sequential`].
     ParallelEpoch,
 }
 
 impl EngineKind {
-    /// Stable display name (used by settle diagnostics and benches).
+    /// Stable display name.
     pub fn as_str(self) -> &'static str {
         match self {
             EngineKind::Sequential => "sequential",
             EngineKind::ParallelEpoch => "parallel",
         }
-    }
-
-    /// Parses an engine name as accepted by the `LOCUS_ENGINE`
-    /// environment variable.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Some(EngineKind::Sequential),
-            "parallel" | "parallel-epoch" | "par" => Some(EngineKind::ParallelEpoch),
-            _ => None,
-        }
-    }
-}
-
-impl core::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The engine selected by the `LOCUS_ENGINE` environment variable, if
-/// set and well-formed. Builders consult this as the default, so CI can
-/// run whole suites under the parallel engine without code changes; an
-/// explicit `engine(...)` builder call always wins.
-pub fn engine_from_env() -> Option<EngineKind> {
-    std::env::var("LOCUS_ENGINE").ok().and_then(|v| EngineKind::parse(&v))
-}
-
-/// The delivery stamp of one cross-epoch message: messages buffered on
-/// the site-sharded run queues during epoch *t* are delivered in epoch
-/// *t + 1* sorted by this stamp — virtual post time first, then source
-/// site, then the source's sequence number. The derived lexicographic
-/// [`Ord`] *is* the engine's documented merge rule (audited offline as
-/// trace invariant 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PostStamp {
-    /// Virtual time at which the message was posted.
-    pub at: Ticks,
-    /// Posting (source) site.
-    pub from: SiteId,
-    /// Position in the source site's post sequence.
-    pub seq: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_accepts_both_engines_and_rejects_noise() {
-        assert_eq!(EngineKind::parse("sequential"), Some(EngineKind::Sequential));
-        assert_eq!(EngineKind::parse("Parallel"), Some(EngineKind::ParallelEpoch));
-        assert_eq!(EngineKind::parse(" parallel-epoch "), Some(EngineKind::ParallelEpoch));
-        assert_eq!(EngineKind::parse("turbo"), None);
-        assert_eq!(EngineKind::parse(""), None);
-    }
-
-    #[test]
-    fn post_stamps_order_by_time_then_site_then_seq() {
-        let s = |us, site, seq| PostStamp {
-            at: Ticks::micros(us),
-            from: SiteId(site),
-            seq,
-        };
-        let mut v = vec![s(5, 0, 1), s(3, 2, 0), s(3, 1, 7), s(3, 1, 2)];
-        v.sort();
-        assert_eq!(v, vec![s(3, 1, 2), s(3, 1, 7), s(3, 2, 0), s(5, 0, 1)]);
     }
 }

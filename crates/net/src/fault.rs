@@ -14,10 +14,9 @@
 //! byte-identical behaviour — statistics, traces and all. That guarantee
 //! is what makes the chaos harness in `locus-fs` debuggable: a failing
 //! schedule is re-run from its seed alone. Sharding the stream by source
-//! site (rather than one global stream in total send order) is what lets
-//! the parallel-epoch engine run disjoint site groups concurrently
-//! without perturbing each other's rolls; the derivation rule is
-//! documented on [`site_stream_seed`].
+//! site (rather than one global stream in total send order) keeps one
+//! site's rolls independent of every other site's traffic; the
+//! derivation rule is documented on [`site_stream_seed`].
 
 use std::collections::BTreeMap;
 
@@ -350,14 +349,13 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The seed of one source site's RNG stream.
 ///
-/// **Derivation rule** (documented because cross-engine byte-identity
-/// depends on it): site `s` draws its fault rolls from
+/// **Derivation rule** (documented because every pinned chaos
+/// fingerprint depends on it): site `s` draws its fault rolls from
 /// `SimRng::seed_from_u64(plan_seed ^ GOLDEN · (s + 1))` where `GOLDEN =
 /// 0x9E37_79B9_7F4A_7C15`, the same odd multiplier `seed_from_u64`
 /// itself uses. Each site's stream depends only on the plan seed and the
 /// site id — never on other sites' traffic — so any interleaving of
-/// sends from different sites consumes the same rolls per site, which is
-/// exactly the property the parallel-epoch engine's shards rely on.
+/// sends from different sites consumes the same rolls per site.
 pub fn site_stream_seed(plan_seed: u64, site: SiteId) -> u64 {
     plan_seed ^ GOLDEN.wrapping_mul(u64::from(site.0) + 1)
 }
@@ -386,45 +384,6 @@ impl FaultInjector {
             streams: BTreeMap::new(),
             cursor: 0,
         }
-    }
-
-    /// Whether scheduled topology events are still pending. The parallel
-    /// engine refuses to run an epoch concurrently while any are unfired:
-    /// a scheduled crash reads the absolute clock, which shards advance
-    /// independently.
-    pub(crate) fn has_unfired_events(&self) -> bool {
-        self.cursor < self.plan.schedule.len()
-    }
-
-    /// Splits off an injector for a site-shard: the shard takes ownership
-    /// of the member sites' RNG streams (parent keeps the rest), shares
-    /// the plan, and carries the schedule cursor for due-event checks.
-    pub(crate) fn split_sites(&mut self, sites: &std::collections::BTreeSet<SiteId>) -> Self {
-        let mut streams = BTreeMap::new();
-        for &s in sites {
-            if let Some(rng) = self.streams.remove(&s) {
-                streams.insert(s, rng);
-            }
-        }
-        FaultInjector {
-            plan: self.plan.clone(),
-            streams,
-            cursor: self.cursor,
-        }
-    }
-
-    /// Re-absorbs a shard's streams after an epoch barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard fired scheduled events (the engine must have
-    /// serialized such epochs).
-    pub(crate) fn absorb(&mut self, shard: FaultInjector) {
-        assert_eq!(
-            shard.cursor, self.cursor,
-            "shard fired scheduled fault events during a parallel epoch"
-        );
-        self.streams.extend(shard.streams);
     }
 
     /// The stream of one source site, created on demand.
@@ -654,8 +613,7 @@ mod tests {
     #[test]
     fn per_site_streams_are_independent_of_interleaving() {
         // The same per-site send sequence must consume the same rolls no
-        // matter how sends from different sites interleave — the property
-        // the parallel-epoch shards rely on.
+        // matter how sends from different sites interleave.
         let spec = FaultSpec::drop_rate(0.4);
         let plan = || FaultPlan::new(11).default_spec(spec);
         let mut a = FaultInjector::new(plan());
@@ -672,27 +630,6 @@ mod tests {
         }
         assert_eq!(&va[..16], &v0[..]);
         assert_eq!(&va[16..], &v1[..]);
-    }
-
-    #[test]
-    fn split_and_absorb_preserve_streams() {
-        let plan = FaultPlan::new(7).default_spec(FaultSpec::drop_rate(0.5));
-        let mut whole = FaultInjector::new(plan.clone());
-        let reference: Vec<Verdict> =
-            (0..24).map(|_| whole.judge(SiteId(1), SiteId(0), "x")).collect();
-
-        let mut parent = FaultInjector::new(plan);
-        let first: Vec<Verdict> =
-            (0..8).map(|_| parent.judge(SiteId(1), SiteId(0), "x")).collect();
-        let sites: std::collections::BTreeSet<SiteId> = [SiteId(1)].into();
-        let mut shard = parent.split_sites(&sites);
-        let mid: Vec<Verdict> =
-            (0..8).map(|_| shard.judge(SiteId(1), SiteId(0), "x")).collect();
-        parent.absorb(shard);
-        let last: Vec<Verdict> =
-            (0..8).map(|_| parent.judge(SiteId(1), SiteId(0), "x")).collect();
-        let replay: Vec<Verdict> = first.into_iter().chain(mid).chain(last).collect();
-        assert_eq!(replay, reference, "split/absorb must not perturb a stream");
     }
 
     #[test]

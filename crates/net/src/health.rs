@@ -125,47 +125,6 @@ impl HealthMonitor {
         };
     }
 
-    /// Splits off the accounting of a site-shard: per-site scores, states
-    /// and probe runs of the member sites, plus the EWMA rows of directed
-    /// links with both endpoints inside. The monitor is duration-pure (it
-    /// never reads the absolute clock or an RNG), so shard-local scoring
-    /// merges back exactly.
-    pub fn split_sites(&mut self, sites: &std::collections::BTreeSet<SiteId>) -> HealthMonitor {
-        let mut shard = HealthMonitor {
-            enabled: self.enabled,
-            policy: self.policy,
-            ..HealthMonitor::default()
-        };
-        for &s in sites {
-            if let Some(v) = self.scores.remove(&s) {
-                shard.scores.insert(s, v);
-            }
-            if let Some(v) = self.states.remove(&s) {
-                shard.states.insert(s, v);
-            }
-            if let Some(v) = self.probes.remove(&s) {
-                shard.probes.insert(s, v);
-            }
-        }
-        let inside = |&(a, b): &(SiteId, SiteId)| sites.contains(&a) && sites.contains(&b);
-        shard.links = self
-            .links
-            .iter()
-            .filter(|(k, _)| inside(k))
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        self.links.retain(|k, _| !inside(k));
-        shard
-    }
-
-    /// Re-absorbs a shard's accounting after an epoch barrier.
-    pub fn absorb(&mut self, shard: HealthMonitor) {
-        self.scores.extend(shard.scores);
-        self.states.extend(shard.states);
-        self.probes.extend(shard.probes);
-        self.links.extend(shard.links);
-    }
-
     /// The policy in force.
     pub fn policy(&self) -> HealthPolicy {
         self.policy

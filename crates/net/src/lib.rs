@@ -41,7 +41,7 @@ use locus_types::{SiteId, Ticks};
 
 pub use circuit::CircuitTable;
 pub use clock::VirtualClock;
-pub use engine::{engine_from_env, EngineKind, PostStamp};
+pub use engine::EngineKind;
 pub use fault::{
     site_stream_seed, FaultAction, FaultPlan, FaultSpec, GraySpec, RetryPolicy, ScheduledFault,
     SimRng,
@@ -120,17 +120,6 @@ impl std::error::Error for NetError {}
 /// ```
 pub struct Net {
     inner: RefCell<Inner>,
-}
-
-/// A snapshot of a shard's clock and event-buffer positions at an
-/// operation boundary ([`Net::op_mark`]). Consecutive marks let the
-/// epoch barrier slice one operation's events out of the shard buffers
-/// and re-base them onto the merged clock.
-#[derive(Clone, Copy, Debug)]
-pub struct OpMark {
-    /// Virtual time at the boundary.
-    pub now: Ticks,
-    obs_len: usize,
 }
 
 /// Which leg of the one kernel-to-kernel message discipline (§2.3.2) a
@@ -806,125 +795,6 @@ impl Net {
     /// Number of currently open virtual circuits.
     pub fn open_circuits(&self) -> usize {
         self.inner.borrow().circuits.open_count()
-    }
-
-    /// Whether the installed fault plan still has scheduled events that
-    /// have not fired. Scheduled faults act on absolute virtual time, so
-    /// the parallel engine must run epochs serially until the schedule is
-    /// exhausted — a shard must never fire one.
-    pub fn has_unfired_fault_events(&self) -> bool {
-        self.inner.borrow().faults.has_unfired_events()
-    }
-
-    /// Forks a private network shard for one parallel-epoch site group
-    /// ([`engine`]): the topology is snapshotted, the clock starts at the
-    /// global `now`, circuits / health rows / fault-RNG streams belonging
-    /// to `sites` *move* into the shard, and the shard records into fresh
-    /// observer/stats buffers that [`Net::absorb_shards`] merges
-    /// back deterministically. The caller must guarantee the group's
-    /// operations only touch `sites` and that no scheduled fault events
-    /// remain unfired (the engine serializes such epochs).
-    pub fn fork_shard(&self, sites: &std::collections::BTreeSet<SiteId>) -> Net {
-        let mut g = self.inner.borrow_mut();
-        g.apply_due_faults();
-        let mut clock = VirtualClock::new();
-        clock.set(g.clock.now());
-        Net {
-            inner: RefCell::new(Inner {
-                topology: g.topology.clone(),
-                circuits: g.circuits.split_sites(sites),
-                clock,
-                latency: g.latency,
-                stats: NetStats::new(),
-                obs: g.obs.fork_shard(),
-                faults: g.faults.split_sites(sites),
-                health: g.health.split_sites(sites),
-                free_at: g.free_at.clone(),
-            }),
-        }
-    }
-
-    /// Snapshots the clock and event-buffer position at an operation
-    /// boundary inside a shard. Consecutive marks delimit one operation's
-    /// segment; the epoch barrier re-bases segments onto the merged clock
-    /// in submission order, which is what makes the parallel engine's
-    /// byte stream identical to the sequential engine's.
-    pub fn op_mark(&self) -> OpMark {
-        let g = self.inner.borrow();
-        OpMark {
-            now: g.clock.now(),
-            obs_len: g.obs.len(),
-        }
-    }
-
-    /// Merges epoch shards back at the barrier. `order` lists
-    /// (shard index, local op index) pairs in global submission order;
-    /// each shard's `marks` must hold one [`Net::op_mark`] per op
-    /// boundary (ops + 1 entries). Per-op event segments are appended
-    /// with their times shifted onto the merged clock and observer span
-    /// ids renumbered in first-appearance order; the global clock ends at
-    /// the sum of all op durations; statistics, histograms, circuits,
-    /// health rows and fault streams are folded back in shard order.
-    /// Panics if a shard overflowed the event cap mid-epoch (the merged
-    /// stream could otherwise silently lose interior events).
-    pub fn absorb_shards(&self, shards: Vec<(Net, Vec<OpMark>)>, order: &[(usize, usize)]) {
-        struct ShardParts {
-            marks: Vec<OpMark>,
-            obs_events: Vec<ObsEvent>,
-            obs_hists: std::collections::BTreeMap<(String, String), Histogram>,
-            stats: NetStats,
-            circuits: CircuitTable,
-            faults: FaultInjector,
-            health: HealthMonitor,
-            free_at: Vec<[Ticks; 2]>,
-            remap: std::collections::BTreeMap<u64, u64>,
-        }
-        let mut parts: Vec<ShardParts> = shards
-            .into_iter()
-            .map(|(net, marks)| {
-                let inner = net.inner.into_inner();
-                let (obs_events, obs_truncated, obs_hists) = inner.obs.into_shard_parts();
-                assert_eq!(
-                    obs_truncated, 0,
-                    "a shard observer overflowed OBS_CAP mid-epoch; shrink the epoch"
-                );
-                ShardParts {
-                    marks,
-                    obs_events,
-                    obs_hists,
-                    stats: inner.stats,
-                    circuits: inner.circuits,
-                    faults: inner.faults,
-                    health: inner.health,
-                    free_at: inner.free_at,
-                    remap: std::collections::BTreeMap::new(),
-                }
-            })
-            .collect();
-        let mut g = self.inner.borrow_mut();
-        let mut now = g.clock.now();
-        for &(s, j) in order {
-            let p = &mut parts[s];
-            let (m0, m1) = (p.marks[j], p.marks[j + 1]);
-            assert!(now >= m0.now, "epoch merge would rewind an op segment");
-            let shift = now - m0.now;
-            g.obs
-                .absorb_segment(&p.obs_events[m0.obs_len..m1.obs_len], shift, &mut p.remap);
-            now += m1.now - m0.now;
-        }
-        g.clock.set(now);
-        for p in parts {
-            g.stats.merge_from(p.stats);
-            g.obs.merge_hists(p.obs_hists);
-            g.circuits.absorb(p.circuits);
-            g.faults.absorb(p.faults);
-            g.health.absorb(p.health);
-            for (free, shard) in g.free_at.iter_mut().zip(p.free_at) {
-                for (free, shard) in free.iter_mut().zip(shard) {
-                    *free = (*free).max(shard);
-                }
-            }
-        }
     }
 
     /// Enables the passive gray-failure health monitor with `policy`,

@@ -287,8 +287,8 @@ impl Histogram {
 
     /// Folds another histogram in bucket-wise. Recording the same samples
     /// split across two histograms and merging gives the histogram of the
-    /// union, so the epoch barrier can combine per-shard latency data
-    /// without replaying the samples.
+    /// union, so latency data from separate runs combines without
+    /// replaying the samples.
     pub fn merge_from(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -466,8 +466,7 @@ impl Observer {
         self.hists.clone()
     }
 
-    /// Number of buffered events. The epoch merge slices per-operation
-    /// segments out of shard buffers by index, so op marks snapshot this.
+    /// Number of buffered events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -475,169 +474,6 @@ impl Observer {
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Forks a fresh observer for a parallel-epoch shard: same enabled
-    /// flag, empty buffers, span ids allocated locally (they are
-    /// renumbered into the parent's id space at absorb time). Panics if
-    /// any span is open — an epoch may only fork at a quiescent point.
-    pub fn fork_shard(&self) -> Observer {
-        assert!(
-            self.stack.is_empty() && self.open.is_empty(),
-            "epoch fork with observation spans still open"
-        );
-        Observer {
-            enabled: self.enabled,
-            ..Observer::default()
-        }
-    }
-
-    /// Dismantles a shard observer at the epoch barrier into
-    /// (events, truncation count, histograms). Panics if the shard left
-    /// a span open — every operation must complete within its epoch.
-    pub fn into_shard_parts(self) -> (Vec<ObsEvent>, u64, BTreeMap<(String, String), Histogram>) {
-        assert!(
-            self.stack.is_empty() && self.open.is_empty(),
-            "epoch barrier reached with observation spans still open in a shard"
-        );
-        (self.events, self.truncated, self.hists)
-    }
-
-    /// Absorbs one per-operation segment of a shard's event buffer:
-    /// every timestamp is shifted by `shift` onto the merged clock, and
-    /// span ids are renumbered into this observer's id space through
-    /// `remap` (one map per shard, shared across that shard's segments,
-    /// populated in first-appearance order). Events re-enter through the
-    /// capped push path, so [`OBS_CAP`] truncation counts exactly as a
-    /// sequential run's would.
-    pub fn absorb_segment(
-        &mut self,
-        events: &[ObsEvent],
-        shift: Ticks,
-        remap: &mut BTreeMap<u64, u64>,
-    ) {
-        let map = |remap: &BTreeMap<u64, u64>, id: u64| -> u64 {
-            if id == 0 {
-                0
-            } else {
-                *remap
-                    .get(&id)
-                    .expect("shard event references a span the shard never opened")
-            }
-        };
-        for ev in events {
-            let ev = match ev {
-                ObsEvent::SpanOpen {
-                    id,
-                    parent,
-                    service,
-                    op,
-                    site,
-                    at,
-                } => {
-                    self.next_span += 1;
-                    let new_id = self.next_span;
-                    let new_parent = map(remap, *parent);
-                    remap.insert(*id, new_id);
-                    ObsEvent::SpanOpen {
-                        id: new_id,
-                        parent: new_parent,
-                        service: service.clone(),
-                        op: op.clone(),
-                        site: *site,
-                        at: *at + shift,
-                    }
-                }
-                ObsEvent::SpanClose { id, outcome, at } => ObsEvent::SpanClose {
-                    id: map(remap, *id),
-                    outcome: outcome.clone(),
-                    at: *at + shift,
-                },
-                ObsEvent::Request {
-                    span,
-                    at,
-                    from,
-                    to,
-                    kind,
-                    reply_kind,
-                    bytes,
-                    idempotent,
-                    outcome,
-                } => ObsEvent::Request {
-                    span: map(remap, *span),
-                    at: *at + shift,
-                    from: *from,
-                    to: *to,
-                    kind: kind.clone(),
-                    reply_kind: reply_kind.clone(),
-                    bytes: *bytes,
-                    idempotent: *idempotent,
-                    outcome: *outcome,
-                },
-                ObsEvent::Reply {
-                    span,
-                    at,
-                    from,
-                    to,
-                    kind,
-                    bytes,
-                    outcome,
-                } => ObsEvent::Reply {
-                    span: map(remap, *span),
-                    at: *at + shift,
-                    from: *from,
-                    to: *to,
-                    kind: kind.clone(),
-                    bytes: *bytes,
-                    outcome: *outcome,
-                },
-                ObsEvent::OneWay {
-                    span,
-                    at,
-                    from,
-                    to,
-                    kind,
-                    bytes,
-                    outcome,
-                } => ObsEvent::OneWay {
-                    span: map(remap, *span),
-                    at: *at + shift,
-                    from: *from,
-                    to: *to,
-                    kind: kind.clone(),
-                    bytes: *bytes,
-                    outcome: *outcome,
-                },
-                ObsEvent::OneWayLoss { span, at, kind } => ObsEvent::OneWayLoss {
-                    span: map(remap, *span),
-                    at: *at + shift,
-                    kind: kind.clone(),
-                },
-                ObsEvent::Note {
-                    span,
-                    at,
-                    site,
-                    key,
-                    label,
-                    value,
-                } => ObsEvent::Note {
-                    span: map(remap, *span),
-                    at: *at + shift,
-                    site: *site,
-                    key: key.clone(),
-                    label: label.clone(),
-                    value: *value,
-                },
-            };
-            self.push_event(ev);
-        }
-    }
-
-    /// Folds a shard's per-(service, op) histograms into this observer's.
-    pub fn merge_hists(&mut self, other: BTreeMap<(String, String), Histogram>) {
-        for (key, h) in other {
-            self.hists.entry(key).or_default().merge_from(&h);
-        }
     }
 
     /// Per-(service, op) latency summary rows, sorted by service then op.
@@ -1193,20 +1029,8 @@ struct SpanAudit {
 ///    are never closer than [`CSS_CLAIM_COOLDOWN`] on the virtual clock:
 ///    the handoff mechanism's rate limit holds even against flapping
 ///    placement policies (no handoff storms).
-/// 10. **Epoch merge order** — `settle.deliver` annotations inside one
-///     `settle.epoch` span are strictly increasing in (post time, source
-///     site, per-source sequence number): the site-sharded run queues
-///     delivered the epoch's buffered messages in the simulation engine's
-///     documented total order ([`crate::engine::PostStamp`]). The label
-///     carries `"{from}->{to}@{post time in µs}"` and the value carries
-///     the sequence number; a `settle.deliver` outside a `settle.epoch`
-///     span, or with a malformed label, is itself a violation. Two
-///     properties hold across the whole stream, not just within a span:
-///     per-source sequence numbers never repeat (a duplicate `(source,
-///     seq)` means a post was delivered twice), and within one (source,
-///     dest) queue seqs only grow (the run queues are FIFO per ordered
-///     site pair — a shard merge that reordered them would surface
-///     here even if each span looked internally consistent).
+/// 10. *Retired.* It checked the delivery order of the parallel
+///     engine's cross-epoch run queues, which no longer exist.
 /// 11. **Lease coherence** — after a `lease.recall` note targeting a
 ///     (site, file) pair, no `namecache.hit` note is emitted at that site
 ///     for that file until a `lease.grant` note re-arms it: a recalled
@@ -1232,15 +1056,6 @@ pub fn audit(events: &[ObsEvent]) -> AuditReport {
     let mut css_claim_at: BTreeMap<String, Ticks> = BTreeMap::new();
     // Sites currently inside a quarantine window.
     let mut quarantined: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    // settle.epoch span id -> stamp of the newest delivery it reported.
-    let mut settle_last: BTreeMap<u64, (u64, u32, u64)> = BTreeMap::new();
-    // Every (source, seq) ever delivered: per-source seqs never repeat,
-    // in any span.
-    let mut settle_seen: std::collections::BTreeSet<(u32, u64)> =
-        std::collections::BTreeSet::new();
-    // (source, dest) -> newest seq delivered on that queue (FIFO per
-    // ordered site pair, across spans).
-    let mut settle_fifo: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     // (site, file label) pairs whose coherence lease was recalled and not
     // re-granted: a namecache.hit there is a stale serve.
     let mut lease_recalled: std::collections::BTreeSet<(u32, String)> =
@@ -1397,12 +1212,12 @@ pub fn audit(events: &[ObsEvent]) -> AuditReport {
                 }
             }
             ObsEvent::Note {
-                span,
                 at,
                 site,
                 key,
                 label,
                 value,
+                ..
             } => {
                 report.notes += 1;
                 // The guards carry the bookkeeping (insert/remove) so it
@@ -1459,62 +1274,6 @@ pub fn audit(events: &[ObsEvent]) -> AuditReport {
                     }
                     "health.readmit" => {
                         quarantined.remove(&site.0);
-                    }
-                    "settle.deliver" => {
-                        // Label "{from}->{to}@{post µs}", value = seq.
-                        let stamp = (|| {
-                            let (rest, at_s) = label.rsplit_once('@')?;
-                            let (from_s, to_s) = rest.split_once("->")?;
-                            let from: u32 = from_s.strip_prefix('S')?.parse().ok()?;
-                            let to: u32 = to_s.strip_prefix('S')?.parse().ok()?;
-                            let at_us: u64 = at_s.parse().ok()?;
-                            Some((at_us, from, to, *value))
-                        })();
-                        if open_spans.get(span).map(String::as_str) != Some("settle.epoch") {
-                            report.violations.push(format!(
-                                "t={}: settle.deliver `{label}` outside a \
-                                 settle.epoch span",
-                                at
-                            ));
-                        }
-                        match stamp {
-                            None => report.violations.push(format!(
-                                "t={}: malformed settle.deliver label `{label}`",
-                                at
-                            )),
-                            Some((at_us, from, to, seq)) => {
-                                let stamp = (at_us, from, seq);
-                                if let Some(&prev) = settle_last.get(span) {
-                                    if stamp <= prev {
-                                        report.violations.push(format!(
-                                            "t={}: settle.deliver `{label}` seq {value} \
-                                             contradicts the epoch merge order (previous \
-                                             delivery posted t={}us by S{} seq {})",
-                                            at, prev.0, prev.1, prev.2
-                                        ));
-                                    }
-                                }
-                                settle_last.insert(*span, stamp);
-                                if !settle_seen.insert((from, seq)) {
-                                    report.violations.push(format!(
-                                        "t={}: settle.deliver `{label}` repeats source \
-                                         seq {seq} of S{from} (a post delivered twice)",
-                                        at
-                                    ));
-                                }
-                                if let Some(&prev_seq) = settle_fifo.get(&(from, to)) {
-                                    if seq <= prev_seq {
-                                        report.violations.push(format!(
-                                            "t={}: settle.deliver `{label}` seq {seq} \
-                                             breaks FIFO order on the S{from}->S{to} \
-                                             queue (seq {prev_seq} already delivered)",
-                                            at
-                                        ));
-                                    }
-                                }
-                                settle_fifo.insert((from, to), seq);
-                            }
-                        }
                     }
                     "lease.recall" => {
                         lease_recalled.insert((site.0, label.clone()));
@@ -2113,138 +1872,6 @@ mod tests {
         assert!(!report.is_clean());
     }
 
-    fn settle_note(span: u64, at_us: u64, label: &str, seq: u64) -> ObsEvent {
-        ObsEvent::Note {
-            span,
-            at: Ticks::micros(at_us),
-            site: SiteId(0),
-            key: "settle.deliver".into(),
-            label: label.into(),
-            value: seq,
-        }
-    }
-
-    fn settle_span(evs: Vec<ObsEvent>) -> Vec<ObsEvent> {
-        let mut all = vec![ObsEvent::SpanOpen {
-            id: 7,
-            parent: 0,
-            service: "fs".into(),
-            op: "settle.epoch".into(),
-            site: SiteId(0),
-            at: Ticks::micros(10),
-        }];
-        all.extend(evs);
-        all.push(ObsEvent::SpanClose {
-            id: 7,
-            outcome: "ok".into(),
-            at: Ticks::micros(20),
-        });
-        all
-    }
-
-    #[test]
-    fn audit_accepts_ordered_epoch_deliveries() {
-        let evs = settle_span(vec![
-            settle_note(7, 11, "S0->S2@5", 0),
-            settle_note(7, 12, "S0->S1@5", 1),
-            settle_note(7, 13, "S3->S1@5", 0),
-            settle_note(7, 14, "S1->S0@9", 4),
-        ]);
-        let report = audit(&evs);
-        assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    /// Invariant 10 rejection self-test: a delivery whose (post time,
-    /// source, seq) stamp does not exceed its predecessor's contradicts
-    /// the engine's documented epoch merge order.
-    #[test]
-    fn audit_rejects_out_of_order_epoch_deliveries() {
-        let evs = settle_span(vec![
-            settle_note(7, 11, "S2->S0@9", 0),
-            settle_note(7, 12, "S1->S0@9", 0),
-        ]);
-        let report = audit(&evs);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("contradicts the epoch merge order")));
-
-        let evs = settle_span(vec![
-            settle_note(7, 11, "S1->S0@9", 3),
-            settle_note(7, 12, "S1->S2@9", 3),
-        ]);
-        assert!(!audit(&evs).is_clean(), "equal stamps are not increasing");
-    }
-
-    #[test]
-    fn audit_rejects_stray_or_malformed_settle_deliveries() {
-        let report = audit(&[settle_note(0, 5, "S1->S0@9", 0)]);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("outside a settle.epoch span")));
-
-        let report = audit(&settle_span(vec![settle_note(7, 11, "nonsense", 0)]));
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("malformed settle.deliver label")));
-    }
-
-    /// Invariant 10 cross-span rejection self-test: one post delivered
-    /// twice — the same (source, seq) in two different, individually
-    /// well-ordered `settle.epoch` spans.
-    #[test]
-    fn audit_rejects_duplicate_source_seqs_across_spans() {
-        let mut evs = settle_span(vec![settle_note(7, 11, "S1->S0@9", 3)]);
-        evs.extend([
-            ObsEvent::SpanOpen {
-                id: 8,
-                parent: 0,
-                service: "fs".into(),
-                op: "settle.epoch".into(),
-                site: SiteId(0),
-                at: Ticks::micros(30),
-            },
-            settle_note(8, 31, "S1->S0@25", 3),
-            ObsEvent::SpanClose {
-                id: 8,
-                outcome: "ok".into(),
-                at: Ticks::micros(40),
-            },
-        ]);
-        let report = audit(&evs);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("repeats source seq")),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    /// Invariant 10 per-queue rejection self-test: (post time, source,
-    /// seq) strictly increases — the span-local merge-order check is
-    /// satisfied — yet the S1->S0 queue delivers seq 5 before seq 3, a
-    /// FIFO inversion only the cross-delivery queue check can see.
-    #[test]
-    fn audit_rejects_fifo_inversion_within_a_queue() {
-        let evs = settle_span(vec![
-            settle_note(7, 11, "S1->S0@9", 5),
-            settle_note(7, 12, "S1->S0@10", 3),
-        ]);
-        let report = audit(&evs);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("breaks FIFO order")),
-            "{:?}",
-            report.violations
-        );
-    }
-
     #[test]
     fn histogram_merge_matches_union_of_samples() {
         let (mut a, mut b, mut whole) = (Histogram::new(), Histogram::new(), Histogram::new());
@@ -2258,64 +1885,6 @@ mod tests {
         }
         a.merge_from(&b);
         assert_eq!(a, whole);
-    }
-
-    /// The shard absorb path must renumber span ids into the parent's
-    /// space (parents included) and shift every timestamp, so a merged
-    /// stream is indistinguishable from one the parent recorded itself.
-    #[test]
-    fn absorb_segment_renumbers_spans_and_shifts_time() {
-        let mut parent = Observer::new();
-        parent.set_enabled(true);
-        // Parent has already used ids 1 and 2.
-        let a = parent.span_open(Ticks::micros(1), "fs", "open", SiteId(0));
-        let b = parent.span_open(Ticks::micros(2), "fs", "OPEN req", SiteId(0));
-        parent.span_close(Ticks::micros(3), b, "ok");
-        parent.span_close(Ticks::micros(4), a, "ok");
-
-        let mut shard = parent.fork_shard();
-        assert!(shard.enabled());
-        let outer = shard.span_open(Ticks::micros(4), "fs", "read", SiteId(1));
-        let inner = shard.span_open(Ticks::micros(5), "fs", "READ req", SiteId(1));
-        shard.note(Ticks::micros(6), SiteId(1), "read.page", "1:2", 1);
-        shard.span_close(Ticks::micros(7), inner, "ok");
-        shard.span_close(Ticks::micros(9), outer, "ok");
-        assert_eq!((outer, inner), (1, 2), "shard ids are local");
-
-        let (events, truncated, hists) = shard.into_shard_parts();
-        assert_eq!(truncated, 0);
-        let mut remap = BTreeMap::new();
-        parent.absorb_segment(&events, Ticks::micros(100), &mut remap);
-        parent.merge_hists(hists);
-
-        let merged = parent.take_events();
-        match &merged[4] {
-            ObsEvent::SpanOpen { id, parent: p, at, .. } => {
-                assert_eq!((*id, *p), (3, 0), "renumbered past the parent's ids");
-                assert_eq!(*at, Ticks::micros(104), "shifted");
-            }
-            other => panic!("expected SpanOpen, got {other:?}"),
-        }
-        match &merged[5] {
-            ObsEvent::SpanOpen { id, parent: p, .. } => assert_eq!((*id, *p), (4, 3)),
-            other => panic!("expected SpanOpen, got {other:?}"),
-        }
-        match &merged[6] {
-            ObsEvent::Note { span, at, .. } => {
-                assert_eq!(*span, 4);
-                assert_eq!(*at, Ticks::micros(106));
-            }
-            other => panic!("expected Note, got {other:?}"),
-        }
-        match &merged[7] {
-            ObsEvent::SpanClose { id, .. } => assert_eq!(*id, 4),
-            other => panic!("expected SpanClose, got {other:?}"),
-        }
-        // A fresh span in the parent continues the renumbered sequence.
-        let next = parent.span_open(Ticks::micros(200), "fs", "stat", SiteId(0));
-        assert_eq!(next, 5);
-        // Shard histogram data merged under the same (service, op) keys.
-        assert!(audit(&merged).is_clean());
     }
 
     #[test]

@@ -287,48 +287,6 @@ impl NetStats {
         delta.values().sum()
     }
 
-    /// Folds a shard's counters into this table at an epoch barrier.
-    /// Every table is additive; gauges are last-write-wins (shards touch
-    /// disjoint gauge keys, and epoch ops set none today).
-    pub fn merge_from(&mut self, other: NetStats) {
-        for (k, row) in other.kinds {
-            let into = self.kind_mut(k);
-            into.sends += row.sends;
-            into.bytes += row.bytes;
-            into.fails += row.fails;
-            into.drops += row.drops;
-            into.dups += row.dups;
-            into.delays += row.delays;
-            into.retries += row.retries;
-            into.losses += row.losses;
-        }
-        for (site, micros) in other.site_busy {
-            self.record_busy(site, micros);
-        }
-        for (site, micros) in other.site_wait {
-            self.record_wait(site, micros);
-        }
-        for (k, row) in other.services {
-            let into = self.service_mut(k);
-            into.sends += row.sends;
-            into.bytes += row.bytes;
-            into.retries += row.retries;
-            into.drops += row.drops;
-            into.losses += row.losses;
-        }
-        for ((from, to), row) in other.links {
-            let into = self.link_mut(from, to);
-            into.sends += row.sends;
-            into.bytes += row.bytes;
-            into.drops += row.drops;
-            into.fails += row.fails;
-            into.slowed += row.slowed;
-            into.blocked += row.blocked;
-        }
-        self.gauges.extend(other.gauges);
-        self.circuits_closed += other.circuits_closed;
-    }
-
     /// Per-directed-link drop difference against an earlier snapshot
     /// (see [`NetStats::delta_drops`] for why deltas, not totals).
     pub fn delta_link_drops(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {

@@ -103,48 +103,6 @@ impl ProcMgr {
         Ok(self.get(pid)?.site)
     }
 
-    /// Moves the processes executing on `sites` into a shard manager for
-    /// one parallel epoch.  The shard inherits the pid allocator cursor so
-    /// its view matches the parent's, but epoch ops must never allocate
-    /// pids: [`ProcMgr::absorb`] asserts the cursor is unchanged.
-    pub fn split_sites(&self, sites: &std::collections::BTreeSet<SiteId>) -> ProcMgr {
-        let mut g = self.inner.borrow_mut();
-        let moved: Vec<Pid> = g
-            .procs
-            .values()
-            .filter(|p| sites.contains(&p.site))
-            .map(|p| p.pid)
-            .collect();
-        let mut procs = BTreeMap::new();
-        for pid in moved {
-            let p = g.procs.remove(&pid).expect("pid listed but not present");
-            procs.insert(pid, p);
-        }
-        ProcMgr {
-            inner: RefCell::new(Inner {
-                procs,
-                next_pid: g.next_pid,
-            }),
-        }
-    }
-
-    /// Returns a shard's processes after a parallel epoch.
-    pub fn absorb(&self, shard: ProcMgr) {
-        let shard = shard.inner.into_inner();
-        let mut g = self.inner.borrow_mut();
-        assert_eq!(
-            shard.next_pid, g.next_pid,
-            "an epoch shard allocated a pid; spawning ops must run serially"
-        );
-        for (pid, p) in shard.procs {
-            let prev = g.procs.insert(pid, p);
-            assert!(
-                prev.is_none(),
-                "absorbed a process into an occupied pid slot (overlapping shards)"
-            );
-        }
-    }
-
     /// Sets the advice list controlling where new images execute ("that
     /// information, currently a structured advice list, can be set
     /// dynamically", §3.1).
