@@ -3,15 +3,17 @@
 //! Compares freshly-written reports against the checked-in baselines in
 //! `crates/bench/baselines/`. The simulator is deterministic, so message
 //! counts and virtual times are exactly reproducible, and the one check
-//! is exact equality: every baseline key must be present in the measured
-//! report and every numeric key must match its baseline bit for bit. The
+//! is exact equality, both ways: every baseline key must be present in
+//! the measured report, every numeric key of the report must be in the
+//! baseline, and every numeric key must match its baseline bit for bit. The
 //! benches run with the gray-failure health monitor enabled, so a pass
 //! also proves health tracking is free on the healthy path.
 //!
 //! **Wall-clock keys are presence-only.** Keys containing `_wall_` or
 //! ending in `_speedup` measure host scheduling, not the simulation —
 //! they differ run to run — so only their *presence* in the measured
-//! report is checked, never their value.
+//! report is checked, never their value, and a report may carry one its
+//! baseline lacks.
 //!
 //! Run with `cargo run -p locus-bench --bin bench_guard -- [names...]`
 //! (default: `e1 e3 e4 e5 e6 e7 e8 e10 e11 e12 e13 e16`). Reads measured reports from
@@ -79,6 +81,11 @@ fn compare(
         };
         if got != base {
             problems.push(format!("{name}: {key} diverged: {got} != baseline {base}"));
+        }
+    }
+    for (key, got) in measured {
+        if got.is_some() && !is_wall_clock(key) && !baseline.contains_key(key) {
+            problems.push(format!("{name}: key {key} missing from baseline"));
         }
     }
     problems
@@ -178,6 +185,17 @@ mod tests {
         let problems = compare("e15", &baseline, &measured);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("e15_wall_ms missing"));
+    }
+
+    /// The check runs both ways: a numeric key the report carries and the
+    /// baseline lacks fails, unless it is a wall-clock key.
+    #[test]
+    fn report_keys_missing_from_the_baseline_fail() {
+        let baseline = report(&[("open_msgs", 6.0)]);
+        let measured = report(&[("open_msgs", 6.0), ("seq_msgs", 22.0), ("e15_wall_ms", 9.0)]);
+        let problems = compare("e3", &baseline, &measured);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("seq_msgs missing from baseline"));
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! ack only), general open = 4, general close = 4, commit notification
 //! fan-out = containers − 1.
 //!
-//! A second section compares a 64-page sequential remote read under the
-//! paper-faithful per-page protocol against the batched `READV` protocol
-//! with adaptive readahead (the paper's counts are unchanged by default;
-//! batching is opt-in).
+//! A second section measures a 64-page sequential remote read under the
+//! per-page protocol with its one-page readahead: two messages per page.
 //!
 //! A third section is **E9** (§3.2): "in the worst case, performance is
 //! limited by the speed at which the tokens … can be flipped back and
@@ -21,19 +19,17 @@
 use locus::{Cluster, OpenMode, Signal, SiteId, Ticks};
 use locus_bench::{standard_cluster, BenchReport};
 use locus_fs::ops::{commit, io, namei, open};
-use locus_fs::IoPolicy;
 use locus_types::MachineType;
 
 /// A diskless site reads a freshly-seeded 64-page file sequentially and
 /// cold from the one container; returns (messages, virtual elapsed, hit
-/// ratio) for the read itself — the open/close protocol costs the same
-/// either way and is measured separately above.
-fn seq_read_64(policy: IoPolicy) -> (u64, Ticks, f64) {
+/// ratio) for the read itself — the open/close protocol is measured
+/// separately above.
+fn seq_read_64() -> (u64, Ticks, f64) {
     const NPAGES: usize = 64;
     let cluster = Cluster::builder()
         .vax_sites(2)
         .filegroup("root", &[0])
-        .io_policy(policy)
         .build();
     let data: Vec<u8> = (0..NPAGES * 1024).map(|i| (i % 251) as u8).collect();
     let writer = cluster.login(SiteId(0), 1).expect("login");
@@ -46,7 +42,7 @@ fn seq_read_64(policy: IoPolicy) -> (u64, Ticks, f64) {
     );
     let f = locus_fs::ops::fd::open(cluster.fs(), us, &ctx, "/big", OpenMode::Read).expect("open");
     // A cold read, made cold here: the storage site's buffers still hold
-    // the 64 pages it has just written, and the point of the comparison
+    // the 64 pages it has just written, and the point of the measurement
     // is a sequential read that pays the disk as well as the wire.
     let gfid = namei::resolve(cluster.fs(), us, &ctx, "/big").expect("resolve");
     cluster
@@ -57,7 +53,7 @@ fn seq_read_64(policy: IoPolicy) -> (u64, Ticks, f64) {
     let got = locus_fs::ops::fd::read(cluster.fs(), us, f, data.len()).expect("sequential read");
     let elapsed = cluster.net().now() - t0;
     let msgs = cluster.net().stats().total_sends();
-    assert_eq!(got, data, "batched and unbatched reads must agree");
+    assert_eq!(got, data, "the sequential read must return the file");
     locus_fs::ops::fd::close(cluster.fs(), us, f).expect("close");
     (msgs, elapsed, cluster.fs().cache_stats().hit_ratio())
 }
@@ -214,12 +210,9 @@ fn main() {
         cluster.fs().cache_stats().hit_ratio()
     );
 
-    // Batched transfer: the same 64-page sequential remote read costs 2
-    // messages per page under §2.3.3, but one round trip per adaptive
-    // readahead window under READV (1, 2, 4, 8, 8, ... pages).
-    let (un_msgs, un_elapsed, un_hits) = seq_read_64(IoPolicy::paper_faithful());
-    let (b_msgs, b_elapsed, b_hits) = seq_read_64(IoPolicy::batched());
-    let msg_ratio = un_msgs as f64 / b_msgs as f64;
+    // A 64-page sequential remote read costs 2 messages per page under
+    // §2.3.3.
+    let (un_msgs, un_elapsed, un_hits) = seq_read_64();
     println!("\n64-page sequential remote read (read only; open/close measured above):");
     println!(
         "{:<34} {:>9} {:>12} {:>6}",
@@ -232,24 +225,9 @@ fn main() {
         un_elapsed.as_micros(),
         100.0 * un_hits
     );
-    println!(
-        "{:<34} {:>9} {:>12} {:>6.1}",
-        "batched READV (adaptive window)",
-        b_msgs,
-        b_elapsed.as_micros(),
-        100.0 * b_hits
-    );
-    println!("message reduction: {msg_ratio:.1}x (claim: >= 4x)");
-    assert!(
-        msg_ratio >= 4.0,
-        "batched read must cut messages at least 4x (got {msg_ratio:.2})"
-    );
     report
         .int("seq64_unbatched_msgs", un_msgs)
-        .elapsed("seq64_unbatched_us", un_elapsed)
-        .int("seq64_batched_msgs", b_msgs)
-        .elapsed("seq64_batched_us", b_elapsed)
-        .float("seq64_msg_ratio", msg_ratio);
+        .elapsed("seq64_unbatched_us", un_elapsed);
 
     let (trace, _) = locus_bench::export_and_audit_trace(&cluster, "e3");
     println!("wrote {}", trace.display());

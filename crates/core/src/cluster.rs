@@ -73,13 +73,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the page-transfer policy (paper-faithful per-page
-    /// protocols by default).
-    pub fn io_policy(mut self, policy: locus_fs::IoPolicy) -> Self {
-        self.inner = self.inner.io_policy(policy);
-        self
-    }
-
     /// Enables the using-site name/attribute cache (off by default).
     pub fn name_cache(mut self, on: bool) -> Self {
         self.inner = self.inner.name_cache(on);

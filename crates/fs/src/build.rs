@@ -4,7 +4,7 @@ use locus_net::{LatencyModel, Net, RetryPolicy};
 use locus_storage::{DiskInode, Pack, Superblock};
 use locus_types::{FileType, FilegroupId, Gfid, Ino, MachineType, PackId, Perms, SiteId};
 
-use crate::cluster::{Coherence, FsCluster, IoPolicy};
+use crate::cluster::{Coherence, FsCluster};
 use crate::directory::Directory;
 use crate::kernel::FsKernel;
 use crate::mount::{MountInfo, MountTable};
@@ -40,7 +40,6 @@ pub struct FsClusterBuilder {
     inos_per_fg: u32,
     latency: LatencyModel,
     retry: RetryPolicy,
-    io_policy: IoPolicy,
     name_cache: bool,
     name_leases: bool,
 }
@@ -61,7 +60,6 @@ impl FsClusterBuilder {
             inos_per_fg: 4096,
             latency: LatencyModel::ethernet_1983(),
             retry: RetryPolicy::default(),
-            io_policy: IoPolicy::paper_faithful(),
             name_cache: false,
             name_leases: false,
         }
@@ -149,14 +147,6 @@ impl FsClusterBuilder {
     /// up when running under heavy injected loss).
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Overrides the page-transfer policy (paper-faithful per-page
-    /// protocols by default; [`IoPolicy::batched`] enables batched
-    /// transfers, adaptive readahead and write-behind).
-    pub fn io_policy(mut self, policy: IoPolicy) -> Self {
-        self.io_policy = policy;
         self
     }
 
@@ -313,7 +303,6 @@ impl FsClusterBuilder {
         }
         let fsc = FsCluster::from_parts(net, kernels);
         fsc.set_retry_policy(self.retry);
-        fsc.set_io_policy(self.io_policy);
         fsc.coherence.set(match (self.name_leases, self.name_cache) {
             (true, _) => Coherence::Lease,
             (false, true) => Coherence::Validate,

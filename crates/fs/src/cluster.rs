@@ -27,57 +27,6 @@ use crate::kernel::FsKernel;
 use crate::ops;
 use crate::proto::{FsMsg, FsReply};
 
-/// Page-transfer policy: how the US moves file pages to and from a remote
-/// SS.
-///
-/// The default reproduces the paper exactly — one two-message exchange per
-/// page with a fixed one-page readahead (§2.3.3) and a synchronous one-way
-/// message per written page (§2.3.5). [`IoPolicy::batched`] turns on the
-/// batched-transfer extension: multi-page `READV`/`WRITEV` messages, an
-/// adaptive readahead window that doubles on detected sequential access,
-/// and a US-side write-behind buffer flushed at window boundaries, on
-/// seek and at commit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IoPolicy {
-    /// Fetch read windows with `ReadPages` instead of per-page RPCs.
-    pub(crate) batched_reads: bool,
-    /// Cap on the adaptive readahead window, in pages.
-    pub(crate) max_read_window: usize,
-    /// Coalesce consecutive written pages in a US buffer and flush them
-    /// in batched `WritePages` messages.
-    pub(crate) write_behind: bool,
-    /// Flush the write-behind buffer when it reaches this many pages.
-    pub(crate) max_write_batch: usize,
-}
-
-impl IoPolicy {
-    /// The per-page protocols exactly as the paper describes them.
-    pub const fn paper_faithful() -> Self {
-        IoPolicy {
-            batched_reads: false,
-            max_read_window: 1,
-            write_behind: false,
-            max_write_batch: 1,
-        }
-    }
-
-    /// Batched transfers with an 8-page window cap in both directions.
-    pub const fn batched() -> Self {
-        IoPolicy {
-            batched_reads: true,
-            max_read_window: 8,
-            write_behind: true,
-            max_write_batch: 8,
-        }
-    }
-}
-
-impl Default for IoPolicy {
-    fn default() -> Self {
-        IoPolicy::paper_faithful()
-    }
-}
-
 /// How the using-site name/attribute cache ([`crate::namecache`]) is kept
 /// coherent. Each tier includes the one before it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +50,6 @@ pub struct FsCluster {
     pub(crate) next_shared: Cell<u64>,
     pub(crate) mail_seq: Cell<u32>,
     pub(crate) retry: Cell<RetryPolicy>,
-    pub(crate) io_policy: Cell<IoPolicy>,
     pub(crate) coherence: Cell<Coherence>,
 }
 
@@ -116,7 +64,6 @@ impl FsCluster {
             next_shared: Cell::new(1),
             mail_seq: Cell::new(1),
             retry: Cell::new(RetryPolicy::default()),
-            io_policy: Cell::new(IoPolicy::paper_faithful()),
             coherence: Cell::new(Coherence::Off),
         }
     }
@@ -139,17 +86,6 @@ impl FsCluster {
     /// Replaces the rpc retry/backoff policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         self.retry.set(policy);
-    }
-
-    /// The page-transfer policy in effect (paper-faithful per-page
-    /// protocols by default).
-    pub fn io_policy(&self) -> IoPolicy {
-        self.io_policy.get()
-    }
-
-    /// Replaces the page-transfer policy.
-    pub fn set_io_policy(&self, policy: IoPolicy) {
-        self.io_policy.set(policy);
     }
 
     /// The name/attribute cache's coherence mode, fixed by the builder
@@ -444,15 +380,6 @@ impl FsCluster {
             FsMsg::ReadPage { gfid, lpn, .. } => {
                 ops::io::handle_read_page(self, at, from, gfid, lpn)
             }
-            FsMsg::ReadPages {
-                gfid, first, count, ..
-            } => ops::io::handle_read_pages(self, at, from, gfid, first, count),
-            FsMsg::WritePages {
-                gfid,
-                first,
-                pages,
-                new_size,
-            } => ops::io::handle_write_pages(self, at, from, gfid, first, &pages, new_size),
             FsMsg::WritePage {
                 gfid,
                 lpn,

@@ -30,46 +30,6 @@ pub enum FdKind {
     Device,
 }
 
-/// Adaptive readahead state of one descriptor (used in batched I/O mode,
-/// [`crate::cluster::IoPolicy::batched`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReadAhead {
-    /// Byte offset the next read would start at if access is sequential.
-    /// `u64::MAX` means no read has completed yet.
-    pub next: u64,
-    /// Current readahead window in pages: doubles on each remote fetch
-    /// during sequential access (up to the policy cap) and resets to one
-    /// page on a seek.
-    pub window: usize,
-}
-
-impl Default for ReadAhead {
-    fn default() -> Self {
-        ReadAhead {
-            next: u64::MAX,
-            window: 1,
-        }
-    }
-}
-
-/// US-side write-behind buffer of one file: consecutive whole dirty pages
-/// awaiting a batched `WritePages` flush to the SS. Nothing here is
-/// visible to any other site until the flush lands in the SS's shadow
-/// session, and nothing in the session is visible until commit (§2.3.4) —
-/// buffering therefore never weakens commit atomicity, it only defers the
-/// wire transfer.
-#[derive(Clone, Debug)]
-pub struct WriteBehind {
-    /// Destination storage site.
-    pub ss: SiteId,
-    /// Logical page number of `pages[0]`.
-    pub first: usize,
-    /// Buffered pages, consecutive from `first`.
-    pub pages: Vec<Vec<u8>>,
-    /// File size after applying the buffered pages.
-    pub new_size: u64,
-}
-
 /// US-side mirror of what this site has changed in a file's open
 /// modification session at a *remote* SS: the image of every page it sent
 /// and the lowest page count it truncated to. Nothing here is visible to
@@ -123,8 +83,6 @@ pub struct OpenFile {
     /// Error latched by the cleanup procedure ("set error in local file
     /// descriptor", §5.6); subsequent operations return it.
     pub error: Option<locus_types::Errno>,
-    /// Adaptive readahead state (batched I/O mode only).
-    pub ra: ReadAhead,
 }
 
 /// Home-site record of a shared descriptor group: who currently holds the
@@ -187,8 +145,6 @@ pub struct FsKernel {
     /// newer version drops the stale buffers. Public so recovery can
     /// demote it alongside [`FsKernel::retain_latest`].
     pub name_cache: crate::namecache::NameAttrCache,
-    /// Per-file write-behind buffers (batched I/O mode only).
-    pub(crate) write_behind: HashMap<Gfid, WriteBehind>,
     /// Per-file images of the pages sent to a remote SS's open session.
     pub(crate) staged: HashMap<Gfid, Staged>,
     /// Cumulative synchronization requests this site served *as CSS*,
@@ -233,7 +189,6 @@ impl FsKernel {
             prop_queue: VecDeque::new(),
             latest: HashMap::new(),
             name_cache: crate::namecache::NameAttrCache::new(),
-            write_behind: HashMap::new(),
             staged: HashMap::new(),
             css_served: BTreeMap::new(),
             css_claims: 0,
@@ -492,6 +447,12 @@ impl FsKernel {
         self.fds.len()
     }
 
+    /// Number of open modification sessions this site serves as SS
+    /// (tests assert no leaks).
+    pub fn open_session_count(&self) -> usize {
+        self.sessions.len()
+    }
+
     /// Number of live incore structures (tests assert deallocation).
     pub fn incore_count(&self) -> usize {
         self.incore.len()
@@ -702,7 +663,6 @@ mod tests {
             shared_home: SiteId(0),
             wrote: false,
             error: None,
-            ra: ReadAhead::default(),
         });
         assert!(fd >= 3);
         assert_eq!(k.fd(fd).unwrap().gfid, gfid);

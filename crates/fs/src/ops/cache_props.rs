@@ -12,14 +12,14 @@
 //! * every network-keyed cache entry at every site equals the page a
 //!   container stored for the version the entry is tagged with;
 //! * every read returned the reference model's bytes, and an aborted
-//!   session left nothing staged, buffered or cached.
+//!   session left nothing staged or cached.
 
 use locus_storage::PAGE_SIZE;
 use locus_types::{FileType, Gfid, MachineType, OpenMode, Perms, SiteId, Ticks, VersionVector};
 use proptest::prelude::*;
 
 use crate::build::FsClusterBuilder;
-use crate::cluster::{FsCluster, IoPolicy};
+use crate::cluster::FsCluster;
 use crate::ops::io::{cached_local_page, net_cache_pack};
 use crate::ops::{fd, namei};
 use crate::proto::{Fd, MetaUpdate, ProcFsCtx};
@@ -105,11 +105,10 @@ fn ctx(fsc: &FsCluster, site: SiteId) -> ProcFsCtx {
 }
 
 impl Harness {
-    fn new(policy: IoPolicy, leases: bool) -> Self {
+    fn new(leases: bool) -> Self {
         let fsc = FsClusterBuilder::new()
             .vax_sites(4)
             .filegroup("root", &[0, 1, 2])
-            .io_policy(policy)
             .name_leases(leases)
             .build();
         let gfid = Self::create(&fsc);
@@ -213,10 +212,6 @@ impl Harness {
                     self.working = self.committed.clone();
                     let k = self.fsc.kernel(WRITER);
                     prop_assert!(!k.staged.contains_key(&self.gfid), "abort left a stage");
-                    prop_assert!(
-                        !k.write_behind.contains_key(&self.gfid),
-                        "abort left write-behind pages"
-                    );
                 }
             }
             Step::Chmod => {
@@ -383,8 +378,8 @@ impl Harness {
     }
 }
 
-fn run(policy: IoPolicy, leases: bool, steps: &[Step]) -> Result<(), TestCaseError> {
-    let mut h = Harness::new(policy, leases);
+fn run(leases: bool, steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut h = Harness::new(leases);
     h.audit()?;
     for (i, step) in steps.iter().enumerate() {
         h.apply(step)
@@ -408,13 +403,13 @@ proptest! {
     fn cache_is_transparent_under_the_paper_protocols(
         steps in proptest::collection::vec(arb_step(), 1..28),
     ) {
-        run(IoPolicy::paper_faithful(), false, &steps)?;
+        run(false, &steps)?;
     }
 
     #[test]
-    fn cache_is_transparent_under_batched_io_and_leases(
+    fn cache_is_transparent_under_leases(
         steps in proptest::collection::vec(arb_step(), 1..28),
     ) {
-        run(IoPolicy::batched(), true, &steps)?;
+        run(true, &steps)?;
     }
 }

@@ -30,9 +30,6 @@ fn commit_at_inner(
     meta: Option<MetaUpdate>,
 ) -> SysResult<InodeInfo> {
     fsc.net().charge_cpu_at(us, cost::SYSCALL_CPU);
-    // Commit is a write-behind flush point: every buffered page must be in
-    // the SS's shadow session before the session is committed.
-    io::flush_write_behind(fsc, us, gfid)?;
     // The page images this site sent into the session leave the staging
     // area here, so a failed commit drops them with the `?` below.
     let staged = fsc.kernel(us).staged.remove(&gfid).unwrap_or_default();
@@ -441,51 +438,17 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
         _ => (0..npages).collect(),
     };
 
-    // Under the batched I/O policy, consecutive runs of the page list are
-    // pulled with multi-page `ReadPages` exchanges; the paper-faithful
-    // default keeps the per-page protocol.
-    let policy = fsc.io_policy();
     let mut failed = false;
-    let mut i = 0usize;
-    while i < page_list.len() {
-        let start = page_list[i];
-        let mut run = 1usize;
-        while policy.batched_reads
-            && run < policy.max_read_window
-            && i + run < page_list.len()
-            && page_list[i + run] == start + run
-        {
-            run += 1;
-        }
-        let pulled: Option<Vec<Vec<u8>>> = if run == 1 {
-            match fsc.rpc(
-                site,
-                req.source,
-                FsMsg::ReadPage {
-                    gfid,
-                    lpn: start,
-                    guess: 0,
-                },
-            ) {
-                Ok(FsReply::Page { data }) => Some(vec![data]),
-                _ => None,
-            }
-        } else {
-            match fsc.rpc(
-                site,
-                req.source,
-                FsMsg::ReadPages {
-                    gfid,
-                    first: start,
-                    count: run,
-                    guess: 0,
-                },
-            ) {
-                Ok(FsReply::Pages { pages }) if pages.len() == run => Some(pages),
-                _ => None,
-            }
-        };
-        let Some(pages) = pulled else {
+    for &lpn in &page_list {
+        let Ok(FsReply::Page { data }) = fsc.rpc(
+            site,
+            req.source,
+            FsMsg::ReadPage {
+                gfid,
+                lpn,
+                guess: 0,
+            },
+        ) else {
             failed = true;
             break;
         };
@@ -494,15 +457,10 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
         // "When each page arrives, the buffer that contains it is
         // renamed and sent out to secondary storage" — straight
         // into the shadow session, no user-space copy.
-        if pages
-            .iter()
-            .enumerate()
-            .any(|(j, data)| sess.write_page(pack, start + j, data).is_err())
-        {
+        if sess.write_page(pack, lpn, &data).is_err() {
             failed = true;
             break;
         }
-        i += run;
     }
 
     let mut k = fsc.kernel(site);

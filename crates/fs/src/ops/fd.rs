@@ -15,8 +15,8 @@ use locus_types::{Errno, FileType, Gfid, OpenMode, Perms, SiteId, SysResult};
 use crate::cluster::FsCluster;
 use crate::cost;
 use crate::device::{DeviceOp, DeviceReply};
-use crate::kernel::{FdKind, OpenFile, ReadAhead, SharedHome};
-use crate::ops::io::{device_call, get_page, get_page_batched, pipe_call, put_page_range};
+use crate::kernel::{FdKind, OpenFile, SharedHome};
+use crate::ops::io::{device_call, get_page, pipe_call, put_page_range};
 use crate::ops::namei::{create, resolve, truncate_session_to};
 use crate::ops::open::{close_ticket, open_gfid};
 use crate::ops::{commit, OpenTicket};
@@ -59,7 +59,6 @@ pub fn open_fd_gfid(fsc: &FsCluster, site: SiteId, gfid: Gfid, mode: OpenMode) -
         shared_home: site,
         wrote: false,
         error: None,
-        ra: ReadAhead::default(),
     };
     Ok(fsc.kernel(site).alloc_fd(of))
 }
@@ -150,15 +149,6 @@ fn read_inner(fsc: &FsCluster, site: SiteId, fd: Fd, n: usize) -> SysResult<Vec<
             if offset >= size {
                 return Ok(Vec::new());
             }
-            let policy = fsc.io_policy();
-            // Adaptive readahead (batched mode): sequential access keeps
-            // the window accumulated so far; a seek resets it to one page.
-            let mut window = 1usize;
-            if policy.batched_reads {
-                let k = fsc.kernel(site);
-                let ra = k.fd(fd)?.ra;
-                window = if offset == ra.next { ra.window } else { 1 };
-            }
             let end = (offset + n as u64).min(size);
             let npages = (size as usize).div_ceil(PAGE_SIZE);
             let mut out = Vec::with_capacity((end - offset) as usize);
@@ -168,39 +158,17 @@ fn read_inner(fsc: &FsCluster, site: SiteId, fd: Fd, n: usize) -> SysResult<Vec<
                 let lpn = (pos / PAGE_SIZE as u64) as usize;
                 let in_off = (pos % PAGE_SIZE as u64) as usize;
                 let take = ((PAGE_SIZE - in_off) as u64).min(end - pos) as usize;
-                let page = if policy.batched_reads {
-                    let (page, fetched) =
-                        match get_page_batched(fsc, site, gfid, ss, lpn, window, npages) {
-                            Ok(r) => r,
-                            Err(Errno::Esitedown) => {
-                                // A mid-batch SS crash: re-run the open
-                                // protocol and retry the remaining window
-                                // against a surviving replica.
-                                ss = reselect_ss(fsc, site, fd, gfid, ss)?;
-                                get_page_batched(fsc, site, gfid, ss, lpn, window, npages)?
-                            }
-                            Err(e) => return Err(e),
-                        };
-                    if fetched > 0 {
-                        // A transfer really crossed the network: the run
-                        // is sequential, so double the window up to the
-                        // policy cap.
-                        window = (window * 2).min(policy.max_read_window);
+                let page = match get_page(fsc, site, gfid, ss, lpn, npages) {
+                    Ok(p) => p,
+                    Err(Errno::Esitedown) => {
+                        // The SS dropped out mid-read: degrade gracefully
+                        // by re-running the open protocol to select
+                        // another reachable storage site for the
+                        // remaining pages, instead of failing the read.
+                        ss = reselect_ss(fsc, site, fd, gfid, ss)?;
+                        get_page(fsc, site, gfid, ss, lpn, npages)?
                     }
-                    page
-                } else {
-                    match get_page(fsc, site, gfid, ss, lpn, npages) {
-                        Ok(p) => p,
-                        Err(Errno::Esitedown) => {
-                            // The SS dropped out mid-read: degrade gracefully
-                            // by re-running the open protocol to select
-                            // another reachable storage site for the
-                            // remaining pages, instead of failing the read.
-                            ss = reselect_ss(fsc, site, fd, gfid, ss)?;
-                            get_page(fsc, site, gfid, ss, lpn, npages)?
-                        }
-                        Err(e) => return Err(e),
-                    }
+                    Err(e) => return Err(e),
                 };
                 out.extend_from_slice(&page[in_off..in_off + take]);
                 pos += take as u64;
@@ -208,9 +176,6 @@ fn read_inner(fsc: &FsCluster, site: SiteId, fd: Fd, n: usize) -> SysResult<Vec<
             let mut k = fsc.kernel(site);
             let of = k.fd_mut(fd)?;
             of.offset = end;
-            if policy.batched_reads {
-                of.ra = crate::kernel::ReadAhead { next: end, window };
-            }
             Ok(out)
         }
     }
@@ -291,13 +256,10 @@ fn write_inner(fsc: &FsCluster, site: SiteId, fd: Fd, data: &[u8]) -> SysResult<
     }
 }
 
-/// Repositions the descriptor offset. A seek is a write-behind window
-/// boundary: pending buffered pages flush to the SS first.
+/// Repositions the descriptor offset.
 pub fn lseek(fsc: &FsCluster, site: SiteId, fd: Fd, pos: u64) -> SysResult<u64> {
     fsc.net().charge_cpu_at(site, cost::SYSCALL_CPU);
     ensure_token(fsc, site, fd)?;
-    let gfid = fsc.kernel(site).fd(fd)?.gfid;
-    crate::ops::io::flush_write_behind(fsc, site, gfid)?;
     let mut k = fsc.kernel(site);
     k.fd_mut(fd)?.offset = pos;
     Ok(pos)
@@ -329,7 +291,7 @@ pub fn abort_fd(fsc: &FsCluster, site: SiteId, fd: Fd) -> SysResult<()> {
         let of = k.fd(fd)?;
         (of.gfid, of.ss)
     };
-    // `abort_at` drops the buffered-but-unsent pages with the session.
+    // `abort_at` drops the staged page images with the session.
     commit::abort_at(fsc, site, gfid, ss)?;
     let mut k = fsc.kernel(site);
     // "Back to the previous commit point" includes the size the aborted
@@ -445,7 +407,6 @@ pub fn clone_fd_to(fsc: &FsCluster, from: SiteId, fd: Fd, to: SiteId) -> SysResu
                 shared_home: src.shared_home,
                 wrote: false,
                 error: None,
-                ra: ReadAhead::default(),
             };
             Ok(fsc.kernel(to).alloc_fd(of))
         }

@@ -6,7 +6,7 @@ use locus_types::{Errno, FilegroupId, Gfid, PackId, SiteId, SysResult, Ticks};
 use crate::cluster::FsCluster;
 use crate::cost;
 use crate::device::{DeviceOp, DeviceReply};
-use crate::kernel::{FsKernel, WriteBehind};
+use crate::kernel::FsKernel;
 use crate::pipe::{PipeOp, PipeReply};
 use crate::proto::{FsMsg, FsReply};
 
@@ -78,9 +78,6 @@ pub fn get_page(
     lpn: usize,
     npages: usize,
 ) -> SysResult<Vec<u8>> {
-    // Read-your-writes: pages parked in a write-behind buffer must reach
-    // the SS's shadow session before any page of the file is fetched.
-    flush_write_behind(fsc, us, gfid)?;
     if ss == us {
         let mut k = fsc.kernel(us);
         let data = cached_local_page(&mut k, us, gfid, lpn)?;
@@ -187,130 +184,16 @@ pub(crate) fn handle_read_page(
         let vv_total = k.local_info(gfid).map(|i| i.vv.total()).unwrap_or(0);
         (data, io, vv_total)
     };
-    note_read(fsc, ss, gfid, vv_total);
-    serve_page(fsc, ss, io, cost::PAGE_SERVICE_CPU);
-    Ok(FsReply::Page { data })
-}
-
-/// Charges a page service at `site`: the disk transfer `io` a miss
-/// needed, queued behind whatever the disk is still doing, then `cpu` on
-/// the processor.
-fn serve_page(fsc: &FsCluster, site: SiteId, io: Ticks, cpu: Ticks) {
-    if io > Ticks::ZERO {
-        fsc.net().charge_disk_at(site, io);
-    }
-    fsc.net().charge_cpu_at(site, cpu);
-}
-
-/// Emits the `read.page` observability note the trace auditor matches
-/// against `commit.begin`/`commit.end` brackets: a served page must never
-/// carry the version currently being installed.
-fn note_read(fsc: &FsCluster, ss: SiteId, gfid: Gfid, vv_total: u64) {
+    // The trace auditor matches this note against `commit.begin`/
+    // `commit.end` brackets: a served page must never carry the version
+    // currently being installed.
     fsc.net().obs_note(ss, "read.page", gfid, vv_total);
-}
-
-/// Fetches one logical page for a US with a *batched* readahead window
-/// (the batched-transfer extension of the §2.3.3 read protocol): up to
-/// `window` consecutive uncached pages move in a single `ReadPages` /
-/// multi-page-reply exchange, amortizing the per-message fixed latency.
-///
-/// Returns the requested page plus the number of pages actually fetched
-/// over the network (`0` on a cache hit) so the caller can grow its
-/// adaptive window only when a transfer really happened.
-pub fn get_page_batched(
-    fsc: &FsCluster,
-    us: SiteId,
-    gfid: Gfid,
-    ss: SiteId,
-    lpn: usize,
-    window: usize,
-    npages: usize,
-) -> SysResult<(Vec<u8>, usize)> {
-    if ss == us {
-        return get_page(fsc, us, gfid, ss, lpn, npages).map(|d| (d, 0));
+    // A miss's disk transfer queues behind whatever the disk is still doing.
+    if io > Ticks::ZERO {
+        fsc.net().charge_disk_at(ss, io);
     }
-    flush_write_behind(fsc, us, gfid)?;
-    if let Some(data) = buffered_remote_page(fsc, us, gfid, lpn) {
-        return Ok((data, 0));
-    }
-    // Extend the request over consecutive pages still missing from the
-    // cache (probing with `contains` so the lookahead does not perturb
-    // the hit/miss accounting).
-    let count = {
-        let k = fsc.kernel(us);
-        let mut count = 1usize;
-        while count < window
-            && lpn + count < npages
-            && !k
-                .cache
-                .contains(&(net_cache_pack(gfid.fg), gfid.ino, lpn + count))
-        {
-            count += 1;
-        }
-        count
-    };
-    fsc.net().charge_cpu_at(us, cost::REMOTE_SETUP_CPU);
-    let reply = fsc.rpc(
-        us,
-        ss,
-        FsMsg::ReadPages {
-            gfid,
-            first: lpn,
-            count,
-            guess: 0,
-        },
-    )?;
-    let FsReply::Pages { pages } = reply else {
-        return Err(Errno::Eio);
-    };
-    if pages.is_empty() {
-        return Err(Errno::Eio);
-    }
-    let fetched = pages.len();
-    let mut k = fsc.kernel(us);
-    for (i, page) in pages.iter().enumerate() {
-        cache_fetched(&mut k, gfid, lpn + i, page.clone());
-    }
-    drop(k);
-    Ok((pages.into_iter().next().expect("checked non-empty"), fetched))
-}
-
-/// SS-side batched read handler: serves up to `count` consecutive pages
-/// in one reply. The window is clamped at the first unreadable page (past
-/// EOF) — the first page's error, if any, is the request's error.
-pub(crate) fn handle_read_pages(
-    fsc: &FsCluster,
-    ss: SiteId,
-    from: SiteId,
-    gfid: Gfid,
-    first: usize,
-    count: usize,
-) -> SysResult<FsReply> {
-    let mut pages = Vec::with_capacity(count.max(1));
-    let mut io = Ticks::ZERO;
-    let vv_total;
-    {
-        let mut k = fsc.kernel(ss);
-        for i in 0..count.max(1) {
-            match cached_local_page(&mut k, from, gfid, first + i) {
-                Ok(data) => {
-                    io += k.take_io(gfid.fg);
-                    pages.push(data);
-                }
-                Err(e) if pages.is_empty() => return Err(e),
-                Err(_) => break,
-            }
-        }
-        vv_total = k.local_info(gfid).map(|i| i.vv.total()).unwrap_or(0);
-    }
-    note_read(fsc, ss, gfid, vv_total);
-    serve_page(
-        fsc,
-        ss,
-        io,
-        cost::PAGE_SERVICE_CPU.scaled(pages.len() as u64),
-    );
-    Ok(FsReply::Pages { pages })
+    fsc.net().charge_cpu_at(ss, cost::PAGE_SERVICE_CPU);
+    Ok(FsReply::Page { data })
 }
 
 /// Writes one page into `writer`'s open modification session at the SS
@@ -362,128 +245,19 @@ pub(crate) fn handle_write_page(
     Ok(FsReply::Ok)
 }
 
-/// SS-side batched write handler: lands a run of consecutive pages in the
-/// file's shadow session in one message (the batched-transfer extension
-/// of §2.3.5). Atomicity is untouched — the pages live in the session
-/// until commit, exactly as with per-page writes.
-pub(crate) fn handle_write_pages(
-    fsc: &FsCluster,
-    ss: SiteId,
-    from: SiteId,
-    gfid: Gfid,
-    first: usize,
-    pages: &[Vec<u8>],
-    new_size: u64,
-) -> SysResult<FsReply> {
-    fsc.net()
-        .charge_cpu_at(ss, cost::PAGE_SERVICE_CPU.scaled(pages.len().max(1) as u64));
-    let mut k = fsc.kernel(ss);
-    for (i, page) in pages.iter().enumerate() {
-        local_write_page(fsc, &mut k, from, gfid, first + i, page, new_size)?;
-    }
-    Ok(FsReply::Ok)
-}
-
-/// Stages copies of page images that have landed in `gfid`'s session at
+/// Stages a copy of a page image that has landed in `gfid`'s session at
 /// its remote SS ([`Staged`](crate::kernel::Staged)). Called only after
 /// the send succeeded, so the stage holds exactly the pages the session
 /// holds.
-fn stage_sent(fsc: &FsCluster, us: SiteId, gfid: Gfid, first: usize, images: Vec<Vec<u8>>) {
+fn stage_sent(fsc: &FsCluster, us: SiteId, gfid: Gfid, lpn: usize, image: Vec<u8>) {
     let mut k = fsc.kernel(us);
-    k.staged
-        .entry(gfid)
-        .or_default()
-        .pages
-        .extend((first..).zip(images));
+    k.staged.entry(gfid).or_default().pages.insert(lpn, image);
 }
 
-/// Flushes `gfid`'s write-behind buffer (if any) to its SS as one batched
-/// `WritePages` message. A no-op when nothing is buffered.
-pub(crate) fn flush_write_behind(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<()> {
-    let Some(wb) = fsc.kernel(us).write_behind.remove(&gfid) else {
-        return Ok(());
-    };
-    let images = wb.pages.clone();
-    fsc.one_way(
-        us,
-        wb.ss,
-        FsMsg::WritePages {
-            gfid,
-            first: wb.first,
-            pages: wb.pages,
-            new_size: wb.new_size,
-        },
-    )?;
-    stage_sent(fsc, us, gfid, wb.first, images);
-    Ok(())
-}
-
-/// Drops what the US buffered for `gfid`'s open session — the unsent
-/// write-behind pages and the staged images of the sent ones — when the
-/// session ends without a commit.
+/// Drops what the US staged for `gfid`'s open session — the images of
+/// the pages it sent — when the session ends without a commit.
 pub(crate) fn discard_session_buffers(fsc: &FsCluster, us: SiteId, gfid: Gfid) {
-    let mut k = fsc.kernel(us);
-    k.write_behind.remove(&gfid);
-    k.staged.remove(&gfid);
-}
-
-/// Parks one whole dirty page in the US write-behind buffer, flushing at
-/// window boundaries: a full buffer, a different destination SS, or a
-/// non-consecutive page (an implicit seek) all force the pending run out
-/// first.
-fn buffer_page(
-    fsc: &FsCluster,
-    us: SiteId,
-    gfid: Gfid,
-    ss: SiteId,
-    lpn: usize,
-    page: Vec<u8>,
-    new_size: u64,
-) -> SysResult<()> {
-    let max_batch = fsc.io_policy().max_write_batch;
-    enum After {
-        Kept,
-        Full,
-        Restart(Vec<u8>),
-    }
-    let after = {
-        let mut k = fsc.kernel(us);
-        match k.write_behind.get_mut(&gfid) {
-            Some(w) if w.ss == ss && lpn >= w.first && lpn < w.first + w.pages.len() => {
-                // Rewrite of a still-buffered page: coalesce in place.
-                w.pages[lpn - w.first] = page;
-                w.new_size = w.new_size.max(new_size);
-                After::Kept
-            }
-            Some(w) if w.ss == ss && lpn == w.first + w.pages.len() => {
-                w.pages.push(page);
-                w.new_size = w.new_size.max(new_size);
-                if w.pages.len() >= max_batch {
-                    After::Full
-                } else {
-                    After::Kept
-                }
-            }
-            _ => After::Restart(page),
-        }
-    };
-    match after {
-        After::Kept => Ok(()),
-        After::Full => flush_write_behind(fsc, us, gfid),
-        After::Restart(page) => {
-            flush_write_behind(fsc, us, gfid)?;
-            fsc.kernel(us).write_behind.insert(
-                gfid,
-                WriteBehind {
-                    ss,
-                    first: lpn,
-                    pages: vec![page],
-                    new_size,
-                },
-            );
-            Ok(())
-        }
-    }
+    fsc.kernel(us).staged.remove(&gfid);
 }
 
 /// US-side page write: whole-page changes need no read; partial changes
@@ -497,8 +271,6 @@ pub fn put_page_range(
     bytes: &[u8],
     old_size: u64,
 ) -> SysResult<u64> {
-    let policy = fsc.io_policy();
-    let buffering = policy.write_behind && ss != us;
     let mut written = 0usize;
     let end = offset + bytes.len() as u64;
     let mut pos = offset;
@@ -508,22 +280,8 @@ pub fn put_page_range(
         let in_off = (pos - page_start) as usize;
         let take = (PAGE_SIZE - in_off).min((end - pos) as usize);
         let whole = in_off == 0 && take == PAGE_SIZE;
-        // A partial modification of a page still sitting in the
-        // write-behind buffer coalesces against the buffered image — no
-        // wire traffic at all.
-        let buffered_base = if whole {
-            None
-        } else {
-            let k = fsc.kernel(us);
-            k.write_behind.get(&gfid).and_then(|w| {
-                (w.ss == ss && lpn >= w.first && lpn < w.first + w.pages.len())
-                    .then(|| w.pages[lpn - w.first].clone())
-            })
-        };
         let mut page = if whole {
             vec![0u8; PAGE_SIZE]
-        } else if let Some(base) = buffered_base {
-            base
         } else if page_start < old_size {
             // "If the modification does not include the entire page, the
             // old page is read from the SS using the read protocol."
@@ -539,8 +297,6 @@ pub fn put_page_range(
             local_write_page(fsc, &mut k, us, gfid, lpn, &page, new_size)?;
             drop(k);
             fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
-        } else if buffering {
-            buffer_page(fsc, us, gfid, ss, lpn, page, new_size)?;
         } else {
             let image = page.clone();
             fsc.one_way(
@@ -553,7 +309,7 @@ pub fn put_page_range(
                     new_size,
                 },
             )?;
-            stage_sent(fsc, us, gfid, lpn, vec![image]);
+            stage_sent(fsc, us, gfid, lpn, image);
         }
         written += take;
         pos += take as u64;

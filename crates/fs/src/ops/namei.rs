@@ -88,9 +88,6 @@ pub(crate) fn truncate_session_to(
     t: &OpenTicket,
     new_size: u64,
 ) -> SysResult<()> {
-    // Buffered write-behind pages must land in the session before the
-    // truncate, or the control write would reorder ahead of them.
-    crate::ops::io::flush_write_behind(fsc, us, t.gfid)?;
     let npages = (new_size as usize).div_ceil(PAGE_SIZE);
     if us == t.ss {
         truncate_local(fsc, us, t.gfid, npages, new_size)

@@ -461,7 +461,6 @@ pub(crate) fn handle_ss_close(
 mod tests {
     use super::*;
     use crate::build::FsClusterBuilder;
-    use crate::cluster::IoPolicy;
     use crate::ops::fd;
     use crate::ops::io::net_cache_pack;
     use crate::proto::ProcFsCtx;
@@ -483,16 +482,15 @@ mod tests {
             .count()
     }
 
-    /// A batch of pages fetched under one version must be dropped *in
-    /// full* when a later open observes a newer version vector — the
-    /// page-valid check (§3.2 fn 1) applies to every page of the batch,
-    /// not just the pages the new commit touched.
+    /// Pages fetched under one version must be dropped *in full* when a
+    /// later open observes a newer version vector — the page-valid check
+    /// (§3.2 fn 1) applies to every cached page of the file, not just the
+    /// pages the new commit touched.
     #[test]
-    fn batched_pages_fully_invalidated_by_newer_open() {
+    fn cached_pages_fully_invalidated_by_newer_open() {
         let fsc = FsClusterBuilder::new()
             .vax_sites(2)
             .filegroup("root", &[0])
-            .io_policy(IoPolicy::batched())
             .build();
         let w = SiteId(0);
         let us = SiteId(1);
@@ -505,39 +503,39 @@ mod tests {
         fd::write(&fsc, w, f, &v1).expect("write v1");
         fd::close(&fsc, w, f).expect("close v1");
 
-        // The diskless US reads the whole file through batched fetches,
-        // leaving the batch in its network page cache.
+        // The diskless US reads the whole file, page by page with one-page
+        // readahead, leaving every page in its network page cache.
         let uctx = ProcFsCtx::new(fsc.kernel(us).mount.root().unwrap(), MachineType::Vax);
         let gfid = crate::ops::namei::resolve(&fsc, us, &uctx, "/data").expect("resolve");
-        let f = fd::open(&fsc, us, &uctx, "/data", OpenMode::Read).expect("open for batch read");
+        let f = fd::open(&fsc, us, &uctx, "/data", OpenMode::Read).expect("open for read");
         assert_eq!(fd::read(&fsc, us, f, NPAGES * PAGE_SIZE).expect("read v1"), v1);
         fd::close(&fsc, us, f).expect("close read");
         assert_eq!(
             cached_pages(&fsc, us, gfid, NPAGES),
             NPAGES,
-            "the batched read should have cached the whole file"
+            "the read should have cached the whole file"
         );
 
         // A concurrent commit rewrites only page 0: pages 1..4 of the
-        // cached batch are now stale even though their bytes never moved.
+        // cached file are now stale even though their bytes never moved.
         let f = fd::open(&fsc, w, &wctx, "/data", OpenMode::Write).expect("reopen for write");
         fd::write(&fsc, w, f, &content(2, 1)).expect("write v2 page 0");
         fd::close(&fsc, w, f).expect("commit v2");
 
         // The next open at the US sees the newer version vector and must
-        // drop the entire batch before serving anything.
+        // drop every cached page before serving anything.
         let f = fd::open(&fsc, us, &uctx, "/data", OpenMode::Read).expect("reopen for read");
         assert_eq!(
             cached_pages(&fsc, us, gfid, NPAGES),
             0,
-            "stale pages of the old batch survived the page-valid check"
+            "stale pages of the old version survived the page-valid check"
         );
         let mut expect = v1.clone();
         expect[..PAGE_SIZE].copy_from_slice(&content(2, 1));
         assert_eq!(
             fd::read(&fsc, us, f, NPAGES * PAGE_SIZE).expect("read v2"),
             expect,
-            "read served stale batched pages"
+            "read served stale cached pages"
         );
         fd::close(&fsc, us, f).expect("close");
     }

@@ -148,21 +148,6 @@ pub enum FsMsg {
         /// Incore-slot guess (performance hint only).
         guess: u32,
     },
-    /// US → SS: read a window of consecutive logical pages in one message
-    /// exchange. The batched extension of the §2.3.3 read protocol: the
-    /// paper's "problem-oriented" protocols minimize message count, and a
-    /// sequential reader amortizes the fixed per-message cost over the
-    /// whole window.
-    ReadPages {
-        /// Target file.
-        gfid: Gfid,
-        /// First logical page of the window.
-        first: usize,
-        /// Number of consecutive pages requested.
-        count: usize,
-        /// Incore-slot guess (performance hint only).
-        guess: u32,
-    },
     /// US → SS: write one logical page (one-way; only low-level
     /// acknowledgement, §2.3.5).
     WritePage {
@@ -173,20 +158,6 @@ pub enum FsMsg {
         /// Page image.
         data: Vec<u8>,
         /// New file size if the write extends the file.
-        new_size: u64,
-    },
-    /// US → SS: write a run of consecutive logical pages in one one-way
-    /// message (the write-behind flush). Like [`FsMsg::WritePage`] the
-    /// pages land in the open shadow session, so §2.3.4 atomicity is
-    /// untouched — nothing becomes visible until commit.
-    WritePages {
-        /// Target file.
-        gfid: Gfid,
-        /// First logical page of the run.
-        first: usize,
-        /// Page images for `first, first+1, …`.
-        pages: Vec<Vec<u8>>,
-        /// New file size if the run extends the file.
         new_size: u64,
     },
     /// US → SS: commit the open modification session (§2.3.6).
@@ -426,12 +397,6 @@ pub enum FsReply {
         /// The page image.
         data: Vec<u8>,
     },
-    /// Reply to [`FsMsg::ReadPages`]: the window (possibly shortened at
-    /// end of file), in one message.
-    Pages {
-        /// Page images for `first, first+1, …`.
-        pages: Vec<Vec<u8>>,
-    },
     /// Reply to [`FsMsg::Commit`]: the committed inode information.
     Committed {
         /// Post-commit inode information.
@@ -514,9 +479,7 @@ impl FsMsg {
             FsMsg::OpenReq { .. } => "OPEN req",
             FsMsg::SsPoll { .. } => "SS poll",
             FsMsg::ReadPage { .. } => "READ req",
-            FsMsg::ReadPages { .. } => "READV req",
             FsMsg::WritePage { .. } => "WRITE page",
-            FsMsg::WritePages { .. } => "WRITEV pages",
             FsMsg::Commit { .. } => "COMMIT req",
             FsMsg::AbortChanges { .. } => "ABORT req",
             FsMsg::Close { .. } => "CLOSE req",
@@ -545,9 +508,7 @@ impl FsMsg {
             FsMsg::OpenReq { .. } => "OPEN resp",
             FsMsg::SsPoll { .. } => "SS poll resp",
             FsMsg::ReadPage { .. } => "READ resp",
-            FsMsg::ReadPages { .. } => "READV resp",
             FsMsg::WritePage { .. } => "WRITE ack",
-            FsMsg::WritePages { .. } => "WRITEV ack",
             FsMsg::Commit { .. } => "COMMIT resp",
             FsMsg::AbortChanges { .. } => "ABORT resp",
             FsMsg::Close { .. } => "CLOSE resp",
@@ -574,9 +535,6 @@ impl FsMsg {
     pub fn wire_bytes(&self) -> usize {
         match self {
             FsMsg::WritePage { data, .. } => crate::cost::CONTROL_MSG_BYTES + data.len(),
-            FsMsg::WritePages { pages, .. } => {
-                crate::cost::CONTROL_MSG_BYTES + pages.iter().map(Vec::len).sum::<usize>()
-            }
             FsMsg::ReconfigRegister { .. } => RECONFIG_REGISTER_BYTES,
             _ => crate::cost::CONTROL_MSG_BYTES,
         }
@@ -595,7 +553,6 @@ impl FsMsg {
             FsMsg::OpenReq { .. }
                 | FsMsg::SsPoll { .. }
                 | FsMsg::ReadPage { .. }
-                | FsMsg::ReadPages { .. }
                 | FsMsg::PullOpen { .. }
                 | FsMsg::AbortChanges { .. }
                 | FsMsg::Invalidate { .. }
@@ -636,9 +593,6 @@ impl FsReply {
     pub fn wire_bytes(&self) -> usize {
         match self {
             FsReply::Page { data } => crate::cost::CONTROL_MSG_BYTES + data.len(),
-            FsReply::Pages { pages } => {
-                crate::cost::CONTROL_MSG_BYTES + pages.iter().map(Vec::len).sum::<usize>()
-            }
             FsReply::HandoffState {
                 latest,
                 locks,

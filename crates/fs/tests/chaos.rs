@@ -21,7 +21,7 @@
 //! traces are identical: the whole fault pipeline is deterministic in the
 //! seed.
 
-use locus_fs::{FsCluster, FsClusterBuilder, IoPolicy};
+use locus_fs::{FsCluster, FsClusterBuilder};
 use locus_net::{FaultPlan, FaultSpec, ObsEvent, RetryPolicy, SimRng};
 use locus_testkit::{
     finish, proptest_seed_set, replays_identically, run_schedules_parallel, Observation,
@@ -87,18 +87,17 @@ fn open_guard(fsc: &FsCluster, us: SiteId) -> bool {
     net.reachable(us, WRITER) && CONTAINERS.iter().any(|&c| net.reachable(WRITER, SiteId(c)))
 }
 
-/// Runs one complete seeded schedule under the paper-faithful per-page
-/// protocols; returns the event stream, latency histograms and statistics on
-/// success, or a description of the violated invariant.
+/// Runs one complete seeded schedule; returns the event stream, latency
+/// histograms and statistics on success, or a description of the violated
+/// invariant.
 fn run_schedule(seed: u64) -> Result<Observation, String> {
-    run_schedule_with(seed, IoPolicy::paper_faithful(), 0)
+    run_schedule_with(seed, 0)
 }
 
-/// Runs one complete seeded schedule under the given page-transfer
-/// policy, with `pad` extra payload bytes (multi-page versions stress
-/// batched reads, readahead windows and write-behind flushes under the
-/// same fault plans).
-fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Observation, String> {
+/// Runs one complete seeded schedule with `pad` extra payload bytes
+/// (multi-page versions stress the per-page reads, their readahead and the
+/// per-page writes under the same fault plans).
+fn run_schedule_with(seed: u64, pad: usize) -> Result<Observation, String> {
     let fsc = FsClusterBuilder::new()
         .vax_sites(N_SITES as usize)
         .filegroup("root", &CONTAINERS)
@@ -112,7 +111,6 @@ fn run_schedule_with(seed: u64, policy: IoPolicy, pad: usize) -> Result<Observat
             base_backoff: Ticks::millis(1),
             ..RetryPolicy::default()
         })
-        .io_policy(policy)
         // The name cache must survive the full fault model without ever
         // serving a stale resolution or breaking replay determinism.
         .name_cache(true)
@@ -217,19 +215,20 @@ fn chaos_schedules_preserve_invariants() {
     run_schedules_parallel(&seeds, run_schedule);
 }
 
-/// The same availability and durability invariants must hold with batched
-/// transfers, adaptive readahead and write-behind turned on — under the
-/// very same fault plans, now dropping/duplicating/delaying multi-page
-/// `READV`/`WRITEV` messages too. Multi-page payloads make every version
-/// span several pages, so batch replies really carry windows.
+/// The same availability and durability invariants must hold when every
+/// version spans several pages — under the very same fault plans, now
+/// dropping/duplicating/delaying each page's `READ`/`WRITE` messages, the
+/// readahead and the page-by-page propagation pulls.
 #[test]
-fn batched_chaos_schedules_preserve_invariants() {
+fn multipage_chaos_schedules_preserve_invariants() {
+    // The label keeps the test's former name, so its seed list is the one
+    // it has always run.
     let seeds = proptest_seed_set(
         concat!(module_path!(), "::batched_chaos_schedules_preserve_invariants"),
         64,
     );
     let pad = 2 * locus_storage::PAGE_SIZE + 400;
-    run_schedules_parallel(&seeds, |seed| run_schedule_with(seed, IoPolicy::batched(), pad));
+    run_schedules_parallel(&seeds, |seed| run_schedule_with(seed, pad));
 }
 
 #[test]
@@ -243,14 +242,14 @@ fn identical_seed_gives_identical_trace() {
     }
 }
 
-/// Identical seed ⇒ byte-identical protocol trace in batched mode too,
-/// with fault plans hitting the batched message kinds.
+/// Identical seed ⇒ byte-identical protocol trace with multi-page
+/// versions too, with fault plans hitting every page message.
 #[test]
-fn batched_identical_seed_gives_identical_trace() {
+fn multipage_identical_seed_gives_identical_trace() {
     let pad = 2 * locus_storage::PAGE_SIZE + 400;
     for seed in [3u64, 1983, 0xFEED_FACE] {
-        replays_identically(seed, |seed| run_schedule_with(seed, IoPolicy::batched(), pad))
-            .unwrap_or_else(|e| panic!("batched: {e}"));
+        replays_identically(seed, |seed| run_schedule_with(seed, pad))
+            .unwrap_or_else(|e| panic!("multipage: {e}"));
     }
 }
 

@@ -52,7 +52,7 @@ pub struct InventoryRow {
 }
 
 /// What a container answers an [`RecMsg::Inventory`] with: one multi-row
-/// reply, as `FsReply::Pages` is.
+/// reply.
 #[derive(Clone, Debug, Default)]
 pub struct InventoryReply {
     /// The answering pack's index (its version-vector update origin).

@@ -144,8 +144,7 @@ impl BufferCache {
     }
 
     /// Whether a page is cached, without touching recency or the hit/miss
-    /// counters (the batched read path probes ahead with this so the
-    /// probes don't perturb the accounted hit ratio).
+    /// counters, so a probe does not perturb the accounted hit ratio.
     pub fn contains(&self, key: &PageKey) -> bool {
         self.map.contains_key(key)
     }

@@ -175,8 +175,8 @@ pub fn ctx(fsc: &FsCluster, site: SiteId) -> ProcFsCtx {
 pub struct VersionedFile {
     /// Absolute path of the file.
     pub path: &'static str,
-    /// Extra payload bytes per version (multi-page payloads exercise the
-    /// batched protocols).
+    /// Extra payload bytes per version (multi-page payloads exercise
+    /// readahead and per-page transfers).
     pub pad: usize,
 }
 

@@ -15,8 +15,6 @@
 //! * [`reconfig`] — which of the two protocols each connected component
 //!   runs, read from the failure or arrival its partition sets reveal;
 //! * [`cleanup`] — the §5.6 failure-action tables as typed rules;
-//! * [`sync`] — the stage-ordered synchronization scheme of §5.7 that
-//!   avoids ACKs and circular waits;
 //! * [`css`] — synchronization-site selection for the new partition
 //!   ("the system must select, for each filegroup it supports, a new
 //!   synchronization site", §5.6);
@@ -38,7 +36,6 @@ pub mod partition;
 pub mod proto;
 pub mod reconfig;
 pub mod shard;
-pub mod sync;
 
 pub use cleanup::{failure_action, FailureAction, ResourceSituation};
 pub use css::{select_css, select_css_excluding};
@@ -47,4 +44,3 @@ pub use merge::{merge_protocol, MergeOutcome, MergeTimeouts};
 pub use partition::{partition_protocol, PartitionOutcome};
 pub use proto::TopoMsg;
 pub use reconfig::{establish_partitions, Established};
-pub use sync::{may_wait_for, ProtocolStage};

@@ -181,3 +181,84 @@ fn reconfiguration_report_is_informative() {
     assert!(r.merge_polls > 0);
     assert_eq!(r.partition_polls, 0);
 }
+
+/// A propagation pull that loses contact with its source half-way leaves
+/// the replica's copy coherent but out of date (§2.3.6): the old version,
+/// no open session, and every shadow block it took given back. The next
+/// reconfiguration brings it up to date.
+#[test]
+fn a_failed_pull_leaves_the_old_version_whole() {
+    use locus_net::{FaultPlan, FaultSpec, RetryPolicy};
+
+    const PAGES: usize = 4;
+    let version = |v: u8| -> Vec<u8> {
+        (0..PAGES * locus_storage::PAGE_SIZE)
+            .map(|i| v.wrapping_add((i / locus_storage::PAGE_SIZE) as u8))
+            .collect()
+    };
+    let (source, replica) = (s(0), s(1));
+    let c = cluster();
+    let p = c.login(source, 1).unwrap();
+    let v1 = version(1);
+    c.write_file(p, "/f", &v1).unwrap();
+    c.settle();
+    let gfid = c.resolve(p, "/f").unwrap();
+    let held = |c: &Cluster| {
+        c.fs().with_kernel(replica, |k| {
+            let vv = k.local_info(gfid).expect("replica inode").vv;
+            let pack = k.pack_of(gfid.fg).expect("replica pack");
+            let bytes = pack.read_all(gfid.ino).expect("replica pages");
+            pack.take_io_cost();
+            (bytes, vv)
+        })
+    };
+    let (bytes, v1_vv) = held(&c);
+    assert!(bytes == v1);
+
+    // v2 commits at the source; the replica is told and queues its pull.
+    let v2 = version(2);
+    c.write_file(p, "/f", &v2).unwrap();
+    assert!(c.fs().with_kernel(replica, |k| k.pull_queued(gfid)));
+    let free_before = c.fs().with_kernel(replica, |k| {
+        k.pack_of_ref(gfid.fg).expect("replica pack").free_blocks()
+    });
+
+    // The replica's page requests to the source are lost at random and
+    // nothing retries. Under this plan's seed the first three pages land
+    // in the pull's shadow session and the fourth request is lost, so
+    // the abort has shadow blocks to give back.
+    c.fs().set_retry_policy(RetryPolicy::none());
+    c.net().reset_stats();
+    c.net()
+        .install_faults(FaultPlan::new(33).kind_spec("READ req", FaultSpec::drop_rate(0.5)));
+    c.settle();
+    let st = c.net().stats();
+    assert_eq!(st.sends("PULL open"), 1, "the pull ran");
+    assert_eq!(
+        (st.sends("READ req"), st.drops("READ req")),
+        (3, 1),
+        "the pull fails after three pages"
+    );
+    let (bytes, vv) = held(&c);
+    assert!(bytes == v1, "the replica serves v1's pages");
+    assert_eq!(vv, v1_vv, "the replica serves v1's version vector");
+    c.fs().with_kernel(replica, |k| {
+        assert_eq!(k.open_session_count(), 0, "no session is left open");
+        assert_eq!(
+            k.pack_of_ref(gfid.fg).expect("replica pack").free_blocks(),
+            free_before,
+            "the aborted pull gave back its shadow blocks"
+        );
+    });
+
+    c.net().clear_faults();
+    c.reconfigure().unwrap();
+    c.settle();
+    let (bytes, vv) = held(&c);
+    assert!(bytes == v2, "the replica serves v2's pages");
+    let source_vv = c
+        .fs()
+        .with_kernel(source, |k| k.local_info(gfid).expect("source inode").vv);
+    assert_eq!(vv, source_vv);
+    assert_ne!(vv, v1_vv);
+}
