@@ -216,11 +216,10 @@ fn main() {
         stats.dir_deep_copies, stats.dentry_misses,
         "cache hits must not re-derive directory dentry state"
     );
-    // This bench runs the pull-validation cache only; the lease gauges
+    // This bench runs the pull-validation cache only; the lease counters
     // document that no coherence leases are taken in this mode (E16
-    // measures the leased warm path). Stdout + trace gauges only — the
-    // pinned report keys predate leases and must not change.
-    cached.fs().publish_lease_gauges();
+    // measures the leased warm path). Stdout only — the pinned report
+    // keys predate leases and must not change.
     println!(
         "leases: {} grants, {} lease-served hits, {} recalls ({} acks), {} revokes",
         stats.lease_grants,

@@ -18,8 +18,8 @@
 //! * aggregate throughput: total opens divided by the busiest site's
 //!   consumed CPU time, i.e. opens per *bottleneck* second — the honest
 //!   scale metric, since the bottleneck site is what saturates first;
-//! * per-site CSS request-queue depth (the `css.depth.*` gauges the
-//!   placement driver publishes) and cumulative handoffs.
+//! * per-site CSS request-queue depth (the site load of the placement
+//!   driver's last report) and cumulative handoffs.
 //!
 //! The knee of the sharded curve — the smallest site count whose
 //! throughput is within 90% of the sweep's peak — lands in the report
@@ -30,9 +30,11 @@
 //! `cargo run --release -p locus-bench --bin e13_scale_sweep`. Writes
 //! `BENCH_e13.json` and `TRACE_e13.jsonl` (honours `$BENCH_OUT_DIR`).
 
+use std::collections::BTreeMap;
+
 use locus::{Cluster, OpenMode, Pid, SiteId};
 use locus_bench::BenchReport;
-use locus_fs::PlacementPolicy;
+use locus_fs::{PlacementPolicy, PlacementReport};
 use locus_topology::PlacementConfig;
 
 /// Open/read/close rounds per site in the measured window.
@@ -117,8 +119,10 @@ struct RunStats {
     /// Opens per second of the busiest site's CPU time.
     tput: f64,
     migrations: u64,
-    /// Deepest per-site CSS queue (served requests in the last sampling
-    /// window), from the driver's `css.depth.*` gauges.
+    /// Per-site CSS queue depth: served requests in the last sampling
+    /// window, from the driver's last report.
+    depth: BTreeMap<SiteId, u64>,
+    /// The deepest of those queues.
     depth_max: u64,
     depth_site: Option<SiteId>,
 }
@@ -127,6 +131,7 @@ struct RunStats {
 /// step after every round.
 fn run(cluster: &Cluster, pids: &[Pid]) -> RunStats {
     cluster.net().reset_stats();
+    let mut last = PlacementReport::default();
     for r in 0..ROUNDS {
         for (i, &pid) in pids.iter().enumerate() {
             let fd = cluster
@@ -139,13 +144,14 @@ fn run(cluster: &Cluster, pids: &[Pid]) -> RunStats {
                 cluster.stat(pid, "/").expect("stat shared root");
             }
         }
-        cluster.balance_css();
+        last = cluster.balance_css();
     }
     cluster.settle();
     let stats = cluster.net().stats();
     let ops = pids.len() as u64 * ROUNDS;
+    let depth = last.site_load;
     let (depth_site, depth_max) = (0..pids.len() as u32)
-        .map(|s| (SiteId(s), stats.gauge(&format!("css.depth.{}", SiteId(s)))))
+        .map(|s| (SiteId(s), depth.get(&SiteId(s)).copied().unwrap_or(0)))
         .max_by_key(|&(s, d)| (d, std::cmp::Reverse(s)))
         .map(|(s, d)| (Some(s), d))
         .unwrap_or((None, 0));
@@ -153,6 +159,7 @@ fn run(cluster: &Cluster, pids: &[Pid]) -> RunStats {
         msgs_per_op: stats.total_sends() as f64 / ops as f64,
         tput: ops as f64 * 1e6 / stats.max_busy_micros().max(1) as f64,
         migrations: cluster.placement_migrations(),
+        depth,
         depth_max,
         depth_site,
     }
@@ -160,14 +167,14 @@ fn run(cluster: &Cluster, pids: &[Pid]) -> RunStats {
 
 /// Prints the per-site synchronization picture: the five busiest sites
 /// by CSS queue depth, with their consumed CPU time.
-fn depth_table(cluster: &Cluster, sites: u32) {
+fn depth_table(cluster: &Cluster, sites: u32, depth: &BTreeMap<SiteId, u64>) {
     let stats = cluster.net().stats();
     let mut rows: Vec<(SiteId, u64, u64)> = (0..sites)
         .map(|s| {
             let site = SiteId(s);
             (
                 site,
-                stats.gauge(&format!("css.depth.{site}")),
+                depth.get(&site).copied().unwrap_or(0),
                 stats.busy_micros(site),
             )
         })
@@ -224,7 +231,7 @@ fn main() {
                 h.migrations,
                 h.depth_max,
                 h.depth_site.map(|s| s.to_string()).unwrap_or_default());
-            depth_table(&sharded, sites);
+            depth_table(&sharded, sites, &h.depth);
             println!();
             locus_bench::export_and_audit_trace(&sharded, "e13");
             println!();

@@ -33,9 +33,9 @@
 //!   site demoted the filegroup and pays one `VV check` round trip per
 //!   component (`s64_split_moved_resolve_msgs`).
 //!
-//! The 64-site point exports `TRACE_e16.jsonl` with the `lease.*`
-//! gauges and runs the offline auditor over it, so invariant 11 (no
-//! stale hit after a recall) is checked against a real schedule.
+//! The 64-site point exports `TRACE_e16.jsonl` and runs the offline
+//! auditor over it, so invariant 11 (no stale hit after a recall) is
+//! checked against a real schedule.
 //!
 //! Run with `cargo run --release -p locus-bench --bin e16_lease_coherence`.
 //! Writes `BENCH_e16.json` and `TRACE_e16.jsonl` (honours
@@ -349,7 +349,6 @@ fn main() {
                 .int("s64_split_kept_resolve_msgs", kept)
                 .int("s64_split_moved_resolve_msgs", moved);
             let s = leased.fs().cache_stats();
-            leased.fs().publish_lease_gauges();
             println!(
                 "\n  64-site lease counters: {} grants, {} lease-served hits, {} recalls ({} acks), {} revokes",
                 s.lease_grants, s.lease_hits, s.lease_recalls, s.lease_recall_acks, s.lease_revokes

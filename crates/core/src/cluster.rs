@@ -183,10 +183,9 @@ impl Cluster {
         *self.placement.borrow_mut() = Some(PlacementDriver::new(policy));
     }
 
-    /// Runs one placement step: sample per-site synchronization load,
-    /// publish the `css.depth.*`/`css.handoffs` gauges, and migrate CSS
-    /// roles per the placement policy. A no-op report when placement was
-    /// never enabled.
+    /// Runs one placement step: sample per-site synchronization load and
+    /// migrate CSS roles per the placement policy. A no-op report when
+    /// placement was never enabled.
     pub fn balance_css(&self) -> PlacementReport {
         match self.placement.borrow_mut().as_mut() {
             Some(d) => d.step(&self.fsc),

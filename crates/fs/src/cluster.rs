@@ -134,25 +134,6 @@ impl FsCluster {
         total
     }
 
-    /// Publishes the cluster-wide lease counters as `lease.*` stats
-    /// gauges and, when a trace is recording, as mirror notes in the
-    /// JSONL export. The keys are plural — `lease.grants`, never
-    /// `lease.grant` — so the mirrors cannot collide with the per-event
-    /// notes the trace auditor's lease invariant consumes.
-    pub fn publish_lease_gauges(&self) {
-        let s = self.cache_stats();
-        for (key, value) in [
-            ("lease.grants", s.lease_grants),
-            ("lease.hits", s.lease_hits),
-            ("lease.recalls", s.lease_recalls),
-            ("lease.recall_acks", s.lease_recall_acks),
-            ("lease.revokes", s.lease_revokes),
-        ] {
-            self.net.set_stat_gauge(key, value);
-            self.net.obs_note(SiteId(0), key, "cluster", value);
-        }
-    }
-
     /// Synchronous remote procedure call (§2.3.2): request message, remote
     /// handler, reply message, driven by the shared
     /// [`RpcEngine`](locus_net::RpcEngine) under the cluster's
@@ -266,29 +247,6 @@ impl FsCluster {
         if is_css {
             self.recall_leases(site, site, gfid);
         }
-    }
-
-    /// Runs `f` as one observed syscall-level operation: opens an
-    /// observability span for service `"fs"` around it and closes it
-    /// with the outcome (`"ok"` or the errno name). A no-op wrapper
-    /// while observation is off.
-    pub(crate) fn with_span<T>(
-        &self,
-        op: &str,
-        site: SiteId,
-        f: impl FnOnce() -> SysResult<T>,
-    ) -> SysResult<T> {
-        if !self.net.observing() {
-            return f();
-        }
-        let span = self.net.obs_span_open("fs", op, site);
-        let out = f();
-        let outcome = match &out {
-            Ok(_) => "ok".to_owned(),
-            Err(e) => format!("{e:?}"),
-        };
-        self.net.obs_span_close(span, &outcome);
-        out
     }
 
     /// Describes the current background-work state: every nonempty
@@ -426,10 +384,7 @@ impl FsCluster {
                 // An Invalidate landing at the file's CSS breaks any
                 // outstanding leases too (recovery rewrites copies behind
                 // every cache's back).
-                let is_css = self.kernel(at).mount.css_of(gfid.fg) == Ok(at);
-                if is_css {
-                    self.recall_leases(at, at, gfid);
-                }
+                self.recall_if_css(at, gfid);
                 Ok(FsReply::Ok)
             }
             FsMsg::VvCheck { gfid } => ops::namei::handle_vv_check(self, at, from, gfid),

@@ -86,7 +86,9 @@ pub struct HandoffReport {
 /// `Err(Etxtbsy)` if the claim lost a race (the role is live at a site
 /// this claimant's stale table did not know about; the table is healed).
 pub fn css_handoff(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult<HandoffReport> {
-    fsc.with_span("css_handoff", new_css, || handoff_inner(fsc, fg, new_css))
+    fsc.net().span("fs", "css_handoff", new_css, || {
+        handoff_inner(fsc, fg, new_css)
+    })
 }
 
 fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult<HandoffReport> {

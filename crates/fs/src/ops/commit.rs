@@ -19,7 +19,9 @@ pub fn commit_at(
     ss: SiteId,
     meta: Option<MetaUpdate>,
 ) -> SysResult<InodeInfo> {
-    fsc.with_span("commit", us, || commit_at_inner(fsc, us, gfid, ss, meta))
+    fsc.net().span("fs", "commit", us, || {
+        commit_at_inner(fsc, us, gfid, ss, meta)
+    })
 }
 
 fn commit_at_inner(
@@ -65,7 +67,7 @@ fn commit_at_inner(
 /// Discards uncommitted changes of `gfid` at `ss` ("undo any changes back
 /// to the previous commit point").
 pub fn abort_at(fsc: &FsCluster, us: SiteId, gfid: Gfid, ss: SiteId) -> SysResult<()> {
-    fsc.with_span("abort", us, || {
+    fsc.net().span("fs", "abort", us, || {
         fsc.net().charge_cpu_at(us, cost::SYSCALL_CPU);
         io::discard_session_buffers(fsc, us, gfid);
         if ss == us {

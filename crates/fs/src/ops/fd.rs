@@ -111,7 +111,8 @@ fn ticket_of(fsc: &FsCluster, site: SiteId, fd: Fd) -> SysResult<OpenTicket> {
 
 /// Reads up to `n` bytes at the descriptor's offset.
 pub fn read(fsc: &FsCluster, site: SiteId, fd: Fd, n: usize) -> SysResult<Vec<u8>> {
-    fsc.with_span("read", site, || read_inner(fsc, site, fd, n))
+    fsc.net()
+        .span("fs", "read", site, || read_inner(fsc, site, fd, n))
 }
 
 fn read_inner(fsc: &FsCluster, site: SiteId, fd: Fd, n: usize) -> SysResult<Vec<u8>> {
@@ -205,7 +206,8 @@ fn reselect_ss(
 
 /// Writes `data` at the descriptor's offset.
 pub fn write(fsc: &FsCluster, site: SiteId, fd: Fd, data: &[u8]) -> SysResult<usize> {
-    fsc.with_span("write", site, || write_inner(fsc, site, fd, data))
+    fsc.net()
+        .span("fs", "write", site, || write_inner(fsc, site, fd, data))
 }
 
 fn write_inner(fsc: &FsCluster, site: SiteId, fd: Fd, data: &[u8]) -> SysResult<usize> {

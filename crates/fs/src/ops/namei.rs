@@ -399,7 +399,8 @@ fn split_parent(path: &str) -> SysResult<(&str, &str)> {
 
 /// Resolves a pathname to a global file identifier (§2.3.4).
 pub fn resolve(fsc: &FsCluster, us: SiteId, ctx: &ProcFsCtx, path: &str) -> SysResult<Gfid> {
-    fsc.with_span("resolve", us, || resolve_inner(fsc, us, ctx, path))
+    fsc.net()
+        .span("fs", "resolve", us, || resolve_inner(fsc, us, ctx, path))
 }
 
 fn resolve_inner(fsc: &FsCluster, us: SiteId, ctx: &ProcFsCtx, path: &str) -> SysResult<Gfid> {

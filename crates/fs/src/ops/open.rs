@@ -24,7 +24,8 @@ use crate::proto::{FsMsg, FsReply, InodeInfo};
 /// Opens `gfid` from site `us` in the given mode, running the full
 /// distributed open protocol.
 pub fn open_gfid(fsc: &FsCluster, us: SiteId, gfid: Gfid, mode: OpenMode) -> SysResult<OpenTicket> {
-    fsc.with_span("open", us, || open_gfid_inner(fsc, us, gfid, mode))
+    fsc.net()
+        .span("fs", "open", us, || open_gfid_inner(fsc, us, gfid, mode))
 }
 
 fn open_gfid_inner(
@@ -336,7 +337,8 @@ pub(crate) fn handle_ss_poll(
 
 /// Closes an open obtained from [`open_gfid`].
 pub fn close_ticket(fsc: &FsCluster, us: SiteId, t: &OpenTicket) -> SysResult<()> {
-    fsc.with_span("close", us, || close_ticket_inner(fsc, us, t))
+    fsc.net()
+        .span("fs", "close", us, || close_ticket_inner(fsc, us, t))
 }
 
 fn close_ticket_inner(fsc: &FsCluster, us: SiteId, t: &OpenTicket) -> SysResult<()> {

@@ -1,13 +1,12 @@
 //! Adaptive CSS placement: sample → decide → migrate.
 //!
-//! With the namespace sharded across many filegroups
-//! ([`locus_topology::ShardMap`]), the synchronization load of the
-//! cluster is as balanced as the CSS roles are. This module is the
-//! stateful driver that keeps them balanced *live*: each
-//! [`PlacementDriver::step`] samples every filegroup's served-request
-//! count since the last step (the CSS request-queue depth proxy),
-//! attributes it to the site currently holding the role, consults the
-//! health monitor, and asks the pure policy
+//! With the namespace sharded across many filegroups, the
+//! synchronization load of the cluster is as balanced as the CSS roles
+//! are. This module is the stateful driver that keeps them balanced
+//! *live*: each [`PlacementDriver::step`] samples every filegroup's
+//! served-request count since the last step (the CSS request-queue
+//! depth proxy), attributes it to the site currently holding the role,
+//! consults the health monitor, and asks the pure policy
 //! ([`locus_topology::select_placement`]) whether any role should move.
 //! Warranted moves are performed with [`crate::css_handoff`].
 //!
@@ -118,10 +117,9 @@ impl PlacementDriver {
             && fsc.net().site_health(site) == SiteHealth::Healthy
     }
 
-    /// One sample → decide → migrate round. Also publishes the per-site
-    /// queue-depth gauges and cumulative handoff count into
-    /// [`locus_net::NetStats`] so benchmarks and JSONL traces can table
-    /// them.
+    /// One sample → decide → migrate round. The report carries the
+    /// per-site load picture; each loaded site also gets a `css.depth`
+    /// note in the trace.
     pub fn step(&mut self, fsc: &FsCluster) -> PlacementReport {
         let mut report = PlacementReport::default();
 
@@ -157,9 +155,7 @@ impl PlacementDriver {
             report.site_load.entry(site).or_insert(0);
         }
 
-        // Publish the depth gauges and the cumulative handoff counter.
         for (&site, &load) in &report.site_load {
-            fsc.net().set_stat_gauge(&format!("css.depth.{site}"), load);
             if load > 0 {
                 fsc.net().obs_note(site, "css.depth", site, load);
             }
@@ -230,10 +226,6 @@ impl PlacementDriver {
                 Err(_) => {} // target died mid-decision; next step retries
             }
         }
-        // Publish the cumulative handoff counter, moves of this step
-        // included.
-        let claims: u64 = fsc.sites().map(|s| fsc.kernel(s).css_claims).sum();
-        fsc.net().set_stat_gauge("css.handoffs", claims);
         report
     }
 }
@@ -303,13 +295,9 @@ mod tests {
             r.migrated.iter().all(|(_, from, _)| *from == SiteId(0)),
             "moves evacuate the hot site"
         );
-        let depth0 = fsc.net().stats().gauge("css.depth.S0");
-        assert!(depth0 > 0, "queue-depth gauge published");
-        assert_eq!(
-            fsc.net().stats().gauge("css.handoffs"),
-            driver.migrations,
-            "cumulative handoff gauge matches the driver"
-        );
+        assert!(r.site_load[&SiteId(0)] > 0, "the report carries the depth");
+        let claims: u64 = fsc.sites().map(|s| fsc.kernel(s).css_claims).sum();
+        assert_eq!(claims, driver.migrations, "every move is one CSS claim");
         // The moved role still serves: re-open through the new CSS.
         churn(&fsc, SiteId(1), "/s1/f2", 1);
     }

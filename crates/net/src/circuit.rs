@@ -65,11 +65,9 @@ impl CircuitTable {
         self.aborted.remove(&key(a, b))
     }
 
-    /// Closes every circuit involving `site`; returns how many closed.
-    pub fn close_involving(&mut self, site: SiteId) -> u64 {
-        let before = self.open.len();
+    /// Closes every circuit involving `site`.
+    pub fn close_involving(&mut self, site: SiteId) {
         self.open.retain(|&(a, b)| a != site && b != site);
-        (before - self.open.len()) as u64
     }
 
     /// Visits every open circuit.
@@ -104,8 +102,8 @@ mod tests {
         t.ensure_open(SiteId(0), SiteId(1));
         t.ensure_open(SiteId(0), SiteId(2));
         t.ensure_open(SiteId(1), SiteId(2));
-        assert_eq!(t.close_involving(SiteId(0)), 2);
-        assert_eq!(t.open_count(), 1);
+        t.close_involving(SiteId(0));
+        assert_eq!(t.open_count(), 1, "both circuits of site 0 closed");
         assert!(t.is_open(SiteId(1), SiteId(2)));
     }
 

@@ -148,18 +148,6 @@ impl HealthMonitor {
         )
     }
 
-    /// Snapshot of every site with non-default state or score.
-    pub fn snapshot(&self) -> Vec<(SiteId, SiteHealth, u32)> {
-        let mut sites: Vec<SiteId> = self.scores.keys().copied().collect();
-        sites.extend(self.states.keys().copied());
-        sites.sort_unstable();
-        sites.dedup();
-        sites
-            .into_iter()
-            .map(|s| (s, self.state(s), self.score(s)))
-            .collect()
-    }
-
     /// Feeds one clean delivery on `from -> to` that cost `cost`,
     /// crediting `blame` (the remote conversation partner). Returns a
     /// transition if probation completed.
@@ -389,16 +377,5 @@ mod tests {
         assert!(m.begin_probation(gray));
         m.observe_success(SiteId(0), gray, gray, Ticks::micros(100));
         assert_eq!(m.state(gray), SiteHealth::Probation, "count restarted");
-    }
-
-    #[test]
-    fn snapshot_lists_scored_sites_in_order() {
-        let mut m = enabled();
-        m.observe_fault(SiteId(2));
-        m.observe_fault(SiteId(0));
-        let snap = m.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, SiteId(0));
-        assert_eq!(snap[1].0, SiteId(2));
     }
 }

@@ -37,7 +37,7 @@ pub mod topology;
 use std::cell::RefCell;
 use std::fmt::Display;
 
-use locus_types::{SiteId, Ticks};
+use locus_types::{SiteId, SysResult, Ticks};
 
 pub use circuit::CircuitTable;
 pub use clock::VirtualClock;
@@ -53,7 +53,7 @@ pub use obs::{
     OpStat, SendOutcome, CSS_CLAIM_COOLDOWN,
 };
 pub use rpc::{RpcEngine, RpcError, WireMsg, MAX_CONSECUTIVE_REOPENS};
-pub use stats::{KindStats, LinkStats, NetStats, ServiceStats};
+pub use stats::{KindStats, NetStats, ServiceStats};
 pub use topology::Topology;
 
 use fault::{FaultInjector, Verdict};
@@ -209,15 +209,12 @@ impl Inner {
             match action {
                 FaultAction::Crash(site) => {
                     self.topology.set_up(site, false);
-                    self.stats.circuits_closed += self.circuits.close_involving(site);
+                    self.circuits.close_involving(site);
                 }
                 FaultAction::Revive(site) => self.topology.set_up(site, true),
                 FaultAction::LinkDown(a, b) => {
                     self.topology.set_link(a, b, false);
-                    if self.circuits.is_open(a, b) {
-                        self.circuits.close_pair(a, b);
-                        self.stats.circuits_closed += 1;
-                    }
+                    self.circuits.close_pair(a, b);
                 }
                 FaultAction::LinkUp(a, b) => self.topology.set_link(a, b, true),
             }
@@ -316,13 +313,11 @@ impl Net {
         let blame = if is_reply { from } else { to };
         if !g.topology.can_communicate(from, to) {
             g.circuits.close_pair(from, to);
-            g.stats.kind_mut(kind).fails += 1;
-            g.stats.link_mut(from, to).fails += 1;
+            g.stats.kind_mut(kind, service).fails += 1;
             return Err(NetError::Unreachable);
         }
         if g.circuits.take_abort(from, to) {
-            g.stats.kind_mut(kind).fails += 1;
-            g.stats.link_mut(from, to).fails += 1;
+            g.stats.kind_mut(kind, service).fails += 1;
             // A reopen notice is a flap signal: it means the previous
             // conversation on this pair died mid-flight.
             let ev = g.health.observe_fault(blame);
@@ -337,7 +332,6 @@ impl Net {
             // direction (asymmetric reachability) — unless the circuit
             // already aborted before the message reached the wire.
             if gs.blocked && verdict != Verdict::CircuitAbort {
-                g.stats.link_mut(from, to).blocked += 1;
                 verdict = Verdict::Drop;
             }
         }
@@ -346,9 +340,7 @@ impl Net {
             // wire (§5.1): no transmission latency, the pair's circuit is
             // torn down, and the sender observes the closure locally.
             g.circuits.close_pair(from, to);
-            g.stats.circuits_closed += 1;
-            g.stats.kind_mut(kind).fails += 1;
-            g.stats.link_mut(from, to).fails += 1;
+            g.stats.kind_mut(kind, service).fails += 1;
             let ev = g.health.observe_fault(blame);
             g.note_health(ev);
             return Err(NetError::CircuitClosed);
@@ -356,7 +348,7 @@ impl Net {
         // The message reaches the wire in every remaining verdict: the
         // sender pays transmission latency whether or not delivery happens.
         let mut cost = g.latency.message_cost(bytes);
-        let row = g.stats.kind_mut(kind);
+        let row = g.stats.kind_mut(kind, service);
         if let Verdict::Delay(extra) = verdict {
             cost += extra;
             row.delays += 1;
@@ -373,32 +365,18 @@ impl Net {
         if let Some(gs) = gray {
             if gs.is_slow() {
                 cost = gs.inflate(cost);
-                g.stats.link_mut(from, to).slowed += 1;
             }
         }
         g.clock.advance(cost);
         if verdict == Verdict::Drop {
-            g.stats.link_mut(from, to).drops += 1;
-            if let Some(s) = service {
-                g.stats.service_mut(s).drops += 1;
-            }
             let ev = g.health.observe_fault(blame);
             g.note_health(ev);
             return if is_reply {
                 g.circuits.abort_pair(from, to);
-                g.stats.circuits_closed += 1;
                 Err(NetError::ReplyLost)
             } else {
                 Err(NetError::Dropped)
             };
-        }
-        let link = g.stats.link_mut(from, to);
-        link.sends += 1;
-        link.bytes += bytes as u64;
-        if let Some(s) = service {
-            let row = g.stats.service_mut(s);
-            row.sends += 1;
-            row.bytes += bytes as u64;
         }
         let ev = g.health.observe_success(from, to, blame, cost);
         g.note_health(ev);
@@ -478,8 +456,7 @@ impl Net {
     /// re-issued RPC), attributed to `service`.
     pub(crate) fn note_retry(&self, service: &'static str, kind: &'static str) {
         let mut g = self.inner.borrow_mut();
-        g.stats.kind_mut(kind).retries += 1;
-        g.stats.service_mut(service).retries += 1;
+        g.stats.kind_mut(kind, Some(service)).retries += 1;
     }
 
     /// Records a one-way notification of `kind` abandoned after retry
@@ -488,8 +465,7 @@ impl Net {
     /// carried, §4).
     pub(crate) fn note_one_way_loss(&self, service: &'static str, span: u64, kind: &'static str) {
         let mut g = self.inner.borrow_mut();
-        g.stats.kind_mut(kind).losses += 1;
-        g.stats.service_mut(service).losses += 1;
+        g.stats.kind_mut(kind, Some(service)).losses += 1;
         if g.obs.enabled() {
             let at = g.clock.now();
             g.obs.record(ObsEvent::OneWayLoss {
@@ -620,12 +596,6 @@ impl Net {
         out
     }
 
-    /// Sets a named stats gauge (e.g. a sampled CSS request-queue depth);
-    /// see [`NetStats::set_gauge`].
-    pub fn set_stat_gauge(&self, key: &str, value: u64) {
-        self.inner.borrow_mut().stats.set_gauge(key, value);
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Ticks {
         self.inner.borrow().clock.now()
@@ -675,7 +645,6 @@ impl Net {
         });
         for (a, b) in to_close {
             g.circuits.close_pair(a, b);
-            g.stats.circuits_closed += 1;
         }
     }
 
@@ -691,7 +660,6 @@ impl Net {
         let mut g = self.inner.borrow_mut();
         g.topology.set_link(a, b, false);
         g.circuits.close_pair(a, b);
-        g.stats.circuits_closed += 1;
     }
 
     /// Restores the link between two sites.
@@ -703,8 +671,7 @@ impl Net {
     pub fn crash(&self, site: SiteId) {
         let mut g = self.inner.borrow_mut();
         g.topology.set_up(site, false);
-        let closed = g.circuits.close_involving(site);
-        g.stats.circuits_closed += closed;
+        g.circuits.close_involving(site);
     }
 
     /// Brings a crashed site back up (with its previous links intact).
@@ -747,6 +714,29 @@ impl Net {
         let mut g = self.inner.borrow_mut();
         let now = g.clock.now();
         g.obs.span_close(now, span, outcome);
+    }
+
+    /// Runs `f` as one observed operation `service/op` on behalf of
+    /// `site`: opens a span around it and closes it with the outcome
+    /// (`"ok"` or the errno name). A plain call while observation is off.
+    pub fn span<T>(
+        &self,
+        service: &str,
+        op: &str,
+        site: SiteId,
+        f: impl FnOnce() -> SysResult<T>,
+    ) -> SysResult<T> {
+        if !self.observing() {
+            return f();
+        }
+        let span = self.obs_span_open(service, op, site);
+        let out = f();
+        let outcome = match &out {
+            Ok(_) => "ok".to_owned(),
+            Err(e) => format!("{e:?}"),
+        };
+        self.obs_span_close(span, &outcome);
+        out
     }
 
     /// Records a protocol annotation (e.g. `commit.begin`), attached to
@@ -1014,9 +1004,9 @@ mod tests {
             slow > fast,
             "gray direction {slow:?} must cost more than clean reverse {fast:?}"
         );
-        let stats = net.stats();
-        assert_eq!(stats.link(SiteId(0), SiteId(1)).slowed, 1);
-        assert_eq!(stats.link(SiteId(1), SiteId(0)).slowed, 0);
+        assert_eq!(fast, net.latency().message_cost(64), "reverse is clean");
+        let row = net.stats().kind("x");
+        assert_eq!((row.sends, row.drops), (2, 0), "slow, not lossy");
     }
 
     #[test]
@@ -1026,11 +1016,10 @@ mod tests {
         let net = Net::new(2);
         net.install_faults(FaultPlan::new(0).block_direction(SiteId(0), SiteId(1)));
         assert_eq!(net.send(SiteId(0), SiteId(1), "x", 8), Err(NetError::Dropped));
-        assert!(net.send(SiteId(1), SiteId(0), "x", 8).is_ok());
+        assert!(net.send(SiteId(1), SiteId(0), "y", 8).is_ok());
         let stats = net.stats();
-        assert_eq!(stats.link(SiteId(0), SiteId(1)).blocked, 1);
-        assert_eq!(stats.link(SiteId(1), SiteId(0)).blocked, 0);
-        assert_eq!(stats.link(SiteId(1), SiteId(0)).sends, 1);
+        assert_eq!((stats.drops("x"), stats.sends("x")), (1, 0));
+        assert_eq!((stats.drops("y"), stats.sends("y")), (0, 1));
     }
 
     #[test]
@@ -1090,7 +1079,8 @@ mod tests {
             net.send(SiteId(0), SiteId(1), "x", 8),
             Err(NetError::CircuitClosed)
         );
-        assert_eq!(net.stats().link(SiteId(0), SiteId(1)).fails, 1);
+        assert_eq!(net.stats().failures("x"), 1);
+        assert_eq!(net.stats().sends("x"), 0);
         assert!(net.health_score(SiteId(1)) > 0, "flap blamed on the flapper");
     }
 

@@ -1036,8 +1036,8 @@ struct SpanAudit {
 ///     for that file until a `lease.grant` note re-arms it: a recalled
 ///     holder must never keep serving the cached entry. The lease notes
 ///     and the hit notes share the file-id label, so the check is a plain
-///     set membership; the plural gauge mirrors (`lease.recalls` etc.)
-///     use different keys and never land here.
+///     set membership. Only these singular keys arm the check; a plural
+///     key such as `lease.recalls`, which no code emits, is ignored.
 pub fn audit(events: &[ObsEvent]) -> AuditReport {
     let mut report = AuditReport {
         events: events.len() as u64,
@@ -1650,8 +1650,8 @@ mod tests {
             "got: {:?}",
             report.violations
         );
-        // The plural gauge keys exported by the bench harness never arm
-        // or trip the invariant.
+        // Only the singular keys arm the invariant: plural keys, which no
+        // code emits, neither arm nor trip it.
         let gauges = vec![
             note(1, 1, "lease.recall", "0:7", 0),
             note(2, 0, "lease.grants", "cluster", 5),

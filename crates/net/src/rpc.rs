@@ -43,8 +43,9 @@ pub const MAX_CONSECUTIVE_REOPENS: u32 = 16;
 /// message); the engine clones the message once per delivery attempt so
 /// re-issued RPCs serve the identical request.
 pub trait WireMsg: Clone {
-    /// The originating service, tagged onto every send for the
-    /// per-service tables in [`crate::NetStats`] (e.g. `"fs"`, `"proc"`).
+    /// The originating service (e.g. `"fs"`, `"proc"`), tagged onto the
+    /// kind rows the engine writes; [`crate::NetStats::service`] sums
+    /// them.
     const SERVICE: &'static str;
 
     /// The request's kind label in statistics and events.
@@ -345,7 +346,7 @@ impl RpcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, FaultSpec, Resource};
+    use crate::{FaultPlan, FaultSpec, KindStats, ObsEvent, Resource, SendOutcome};
     use locus_types::Ticks;
 
     /// A minimal test protocol.
@@ -654,6 +655,7 @@ mod tests {
     fn fan_out_sends_what_a_serial_loop_sends() {
         let run = |fan: bool| {
             let net = Net::new(6);
+            net.set_observing(true);
             net.install_faults(FaultPlan::new(21).default_spec(FaultSpec::drop_rate(0.3)));
             let engine = RpcEngine::new(RetryPolicy {
                 max_attempts: 16,
@@ -678,22 +680,29 @@ mod tests {
                     })
                     .collect()
             };
-            (out, net.stats(), net.now() - t0)
+            (out, net.stats(), net.now() - t0, net.take_obs_events())
         };
-        let (fan, fan_stats, fan_time) = run(true);
-        let (serial, serial_stats, serial_time) = run(false);
+        let (fan, fan_stats, fan_time, events) = run(true);
+        let (serial, serial_stats, serial_time, _) = run(false);
         assert_eq!(fan, (1..6).map(Ok).collect::<Vec<_>>(), "destination order");
         assert_eq!(fan, serial);
         assert_eq!(fan_stats, serial_stats, "the same sends, drops and retries");
-        let drops: std::collections::BTreeSet<u64> = (1..6)
-            .map(|d| {
-                let (to, back) = (SiteId(d), SiteId(0));
-                fan_stats.link(back, to).drops + fan_stats.link(to, back).drops
-            })
-            .collect();
+        // Failed attempts per destination: its lost requests and replies.
+        let mut failed = [0u64; 6];
+        for ev in &events {
+            let (d, outcome) = match ev {
+                ObsEvent::Request { to, outcome, .. } => (to, outcome),
+                ObsEvent::Reply { from, outcome, .. } => (from, outcome),
+                _ => continue,
+            };
+            if *outcome != SendOutcome::Delivered {
+                failed[d.index()] += 1;
+            }
+        }
+        let failed: std::collections::BTreeSet<u64> = failed[1..].iter().copied().collect();
         assert!(
-            drops.len() > 1,
-            "legs retried different numbers of times: {drops:?}"
+            failed.len() > 1,
+            "legs retried different numbers of times: {failed:?}"
         );
         assert!(fan_time < serial_time, "{fan_time} vs {serial_time}");
     }
@@ -765,5 +774,75 @@ mod tests {
             engine.policy().max_attempts as u64,
             "every attempt was dropped and attributed to the service"
         );
+    }
+
+    /// A second protocol, so two services share one network.
+    #[derive(Clone, Copy, Debug)]
+    struct OtherMsg;
+
+    impl WireMsg for OtherMsg {
+        const SERVICE: &'static str = "other";
+        fn kind(&self) -> &'static str {
+            "OTHER ping"
+        }
+        fn reply_kind(&self) -> &'static str {
+            "OTHER ping resp"
+        }
+        fn wire_bytes(&self) -> usize {
+            48
+        }
+        fn idempotent(&self) -> bool {
+            true
+        }
+    }
+
+    /// The per-service table is the kind table regrouped: under loss,
+    /// each service's sends, bytes, retries, drops and losses are the
+    /// sums over the kinds its engine sent, and a raw send's kind joins
+    /// no service.
+    #[test]
+    fn service_rows_sum_the_kind_rows_their_engine_sent() {
+        let net = Net::new(5);
+        net.install_faults(FaultPlan::new(8).default_spec(FaultSpec::drop_rate(0.4)));
+        let engine = RpcEngine::new(RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        });
+        let dests: Vec<SiteId> = (1..5).map(SiteId).collect();
+        for _ in 0..4 {
+            let query = TestMsg::Query;
+            engine.fan_out(&net, SiteId(0), &dests, query, |_: &u32| 32, |_, _| 1u32);
+            engine.fan_out(&net, SiteId(0), &dests, OtherMsg, |_: &u32| 16, |_, _| 2u32);
+            for &to in &dests {
+                let _ = engine.one_way(&net, SiteId(0), to, TestMsg::Transition, |_| ());
+                let _ = engine.one_way(&net, SiteId(0), to, OtherMsg, |_| ());
+                let _ = net.send(to, SiteId(0), "RAW x", 8);
+            }
+        }
+        let st = net.stats();
+        let test_kinds = ["TEST query", "TEST query resp", "TEST transition"];
+        let kinds = [
+            ("test", &test_kinds[..]),
+            ("other", &["OTHER ping", "OTHER ping resp"][..]),
+        ];
+        for (service, service_kinds) in kinds {
+            let rows: Vec<KindStats> = service_kinds.iter().map(|k| st.kind(k)).collect();
+            let sum = |f: fn(&KindStats) -> u64| rows.iter().map(f).sum::<u64>();
+            let row = st.service(service);
+            assert_eq!(row.sends, sum(|k| k.sends), "{service} sends");
+            assert_eq!(row.bytes, sum(|k| k.bytes), "{service} bytes");
+            assert_eq!(row.retries, sum(|k| k.retries), "{service} retries");
+            assert_eq!(row.drops, sum(|k| k.drops), "{service} drops");
+            assert_eq!(row.losses, sum(|k| k.losses), "{service} losses");
+            assert!(rows.iter().all(|k| k.service == Some(service)));
+            assert!(row.retries * row.drops * row.losses > 0, "lossy: {row:?}");
+        }
+        let raw = st.kind("RAW x");
+        assert_eq!(raw.service, None);
+        assert!(raw.sends > 0 && raw.drops > 0);
+        let names: Vec<&str> = st.services().map(|(s, _)| s).collect();
+        assert_eq!(names, ["other", "test"]);
+        let serviced: u64 = st.services().map(|(_, row)| row.sends).sum();
+        assert_eq!(serviced + raw.sends, st.total_sends());
     }
 }

@@ -9,34 +9,9 @@ use std::collections::BTreeMap;
 
 use locus_types::SiteId;
 
-/// One row of the per-directed-link accounting table.
-///
-/// The per-service and per-kind tables aggregate both directions of a
-/// link, which is exactly wrong for *gray* faults: a one-directional
-/// slow link or block hits `A -> B` while `B -> A` stays clean. These
-/// counters are keyed by ordered `(from, to)` so the health monitor and
-/// the chaos suites can attribute a gray fault to the direction that
-/// actually suffered it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Successful sends in this direction.
-    pub sends: u64,
-    /// Bytes carried by those sends.
-    pub bytes: u64,
-    /// Injected drops of messages in this direction.
-    pub drops: u64,
-    /// Failed sends (unreachable destination or circuit abort).
-    pub fails: u64,
-    /// Sends whose latency was inflated by a gray slow link.
-    pub slowed: u64,
-    /// Sends silently lost to a gray one-directional block.
-    pub blocked: u64,
-}
-
-/// One row of the per-service wire-accounting table: every message the
-/// [`crate::rpc::RpcEngine`] moves is tagged with its originating service
-/// (`"fs"`, `"proc"`, `"topology"`, `"recovery"`), so each subsystem's
-/// share of the wire is directly reportable.
+/// One service's share of the wire (`"fs"`, `"proc"`, `"topology"`,
+/// `"recovery"`): the sum of the kind rows that service's
+/// [`crate::rpc::RpcEngine`] sent ([`KindStats::service`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Successful request and reply sends attributed to the service.
@@ -49,6 +24,16 @@ pub struct ServiceStats {
     pub drops: u64,
     /// One-way notifications abandoned after retry exhaustion.
     pub losses: u64,
+}
+
+impl ServiceStats {
+    fn add(&mut self, k: &KindStats) {
+        self.sends += k.sends;
+        self.bytes += k.bytes;
+        self.retries += k.retries;
+        self.drops += k.drops;
+        self.losses += k.losses;
+    }
 }
 
 /// One row of the per-message-kind table: everything the send path
@@ -71,19 +56,18 @@ pub struct KindStats {
     pub retries: u64,
     /// One-way notifications abandoned after retry exhaustion.
     pub losses: u64,
+    /// The service whose engine sends this kind; `None` for a kind only
+    /// ever sent raw ([`crate::Net::send`]). A kind belongs to one
+    /// service.
+    pub service: Option<&'static str>,
 }
 
 /// Counters of sends, bytes and failures, keyed by message kind label.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     kinds: BTreeMap<&'static str, KindStats>,
-    services: BTreeMap<&'static str, ServiceStats>,
-    links: BTreeMap<(SiteId, SiteId), LinkStats>,
     site_busy: BTreeMap<SiteId, u64>,
     site_wait: BTreeMap<SiteId, u64>,
-    gauges: BTreeMap<String, u64>,
-    /// Circuits closed by partition changes or crashes.
-    pub circuits_closed: u64,
 }
 
 impl NetStats {
@@ -92,20 +76,23 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// The mutable row of one message kind (created zeroed on first use).
-    pub(crate) fn kind_mut(&mut self, kind: &'static str) -> &mut KindStats {
-        self.kinds.entry(kind).or_default()
-    }
-
-    /// The mutable row of one service (created zeroed on first use).
-    pub(crate) fn service_mut(&mut self, service: &'static str) -> &mut ServiceStats {
-        self.services.entry(service).or_default()
-    }
-
-    /// The mutable row of the directed link `from -> to` (created zeroed
-    /// on first use).
-    pub(crate) fn link_mut(&mut self, from: SiteId, to: SiteId) -> &mut LinkStats {
-        self.links.entry((from, to)).or_default()
+    /// The mutable row of one message kind (created zeroed on first use),
+    /// tagged with `service` when an engine sends it.
+    pub(crate) fn kind_mut(
+        &mut self,
+        kind: &'static str,
+        service: Option<&'static str>,
+    ) -> &mut KindStats {
+        let row = self.kinds.entry(kind).or_default();
+        if service.is_some() {
+            debug_assert!(
+                row.service.is_none() || row.service == service,
+                "kind {kind:?} sent by both {:?} and {service:?}",
+                row.service
+            );
+            row.service = service;
+        }
+        row
     }
 
     /// Attributes `micros` of virtual CPU time to `site`. The simulation
@@ -148,22 +135,6 @@ impl NetStats {
         self.site_wait.get(&site).copied().unwrap_or(0)
     }
 
-    /// Sets a named gauge (last-write-wins instantaneous value, e.g. a
-    /// CSS request-queue depth sampled by the placement driver).
-    pub fn set_gauge(&mut self, key: &str, value: u64) {
-        self.gauges.insert(key.to_string(), value);
-    }
-
-    /// The current value of a named gauge (zero if never set).
-    pub fn gauge(&self, key: &str) -> u64 {
-        self.gauges.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterates the gauge table sorted by key.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// The accounting row of one message kind (zeros if never seen).
     pub fn kind(&self, kind: &str) -> KindStats {
         self.kinds.get(kind).copied().unwrap_or_default()
@@ -204,24 +175,27 @@ impl NetStats {
         self.kinds.values().map(|k| k.losses).sum()
     }
 
-    /// The accounting row of one service (zeros if it never sent).
+    /// The accounting row of one service: its kind rows summed (zeros if
+    /// it never sent).
     pub fn service(&self, service: &str) -> ServiceStats {
-        self.services.get(service).copied().unwrap_or_default()
+        let mut row = ServiceStats::default();
+        for k in self.kinds.values().filter(|k| k.service == Some(service)) {
+            row.add(k);
+        }
+        row
     }
 
-    /// Iterates the per-service table sorted by service name.
+    /// Iterates the services that counted anything, sorted by name.
     pub fn services(&self) -> impl Iterator<Item = (&'static str, ServiceStats)> + '_ {
-        self.services.iter().map(|(&s, &row)| (s, row))
-    }
-
-    /// The accounting row of one directed link (zeros if never used).
-    pub fn link(&self, from: SiteId, to: SiteId) -> LinkStats {
-        self.links.get(&(from, to)).copied().unwrap_or_default()
-    }
-
-    /// Iterates the per-directed-link table in key order.
-    pub fn links(&self) -> impl Iterator<Item = ((SiteId, SiteId), LinkStats)> + '_ {
-        self.links.iter().map(|(&k, &row)| (k, row))
+        let mut table: BTreeMap<&'static str, ServiceStats> = BTreeMap::new();
+        for k in self.kinds.values() {
+            if let Some(s) = k.service {
+                table.entry(s).or_default().add(k);
+            }
+        }
+        table
+            .into_iter()
+            .filter(|(_, row)| *row != ServiceStats::default())
     }
 
     /// Total injected drops across all kinds.
@@ -287,29 +261,12 @@ impl NetStats {
         delta.values().sum()
     }
 
-    /// Per-directed-link drop difference against an earlier snapshot
-    /// (see [`NetStats::delta_drops`] for why deltas, not totals).
-    pub fn delta_link_drops(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {
-        Self::diff(&self.links, &earlier.links, |l| l.drops)
-    }
-
-    /// Per-directed-link slow-inflation difference against an earlier
-    /// snapshot.
-    pub fn delta_link_slowed(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {
-        Self::diff(&self.links, &earlier.links, |l| l.slowed)
-    }
-
-    /// Per-directed-link block difference against an earlier snapshot.
-    pub fn delta_link_blocked(&self, earlier: &NetStats) -> BTreeMap<(SiteId, SiteId), u64> {
-        Self::diff(&self.links, &earlier.links, |l| l.blocked)
-    }
-
     /// The rows whose `field` grew since `earlier`, with the growth.
-    fn diff<K: Ord + Copy, R>(
-        now: &BTreeMap<K, R>,
-        earlier: &BTreeMap<K, R>,
-        field: impl Fn(&R) -> u64,
-    ) -> BTreeMap<K, u64> {
+    fn diff(
+        now: &BTreeMap<&'static str, KindStats>,
+        earlier: &BTreeMap<&'static str, KindStats>,
+        field: impl Fn(&KindStats) -> u64,
+    ) -> BTreeMap<&'static str, u64> {
         let mut out = BTreeMap::new();
         for (&k, row) in now {
             let d = field(row) - earlier.get(&k).map(&field).unwrap_or(0);
@@ -326,7 +283,7 @@ mod tests {
     use super::*;
 
     fn sent(s: &mut NetStats, kind: &'static str, bytes: u64) {
-        let row = s.kind_mut(kind);
+        let row = s.kind_mut(kind, None);
         row.sends += 1;
         row.bytes += bytes;
     }
@@ -337,7 +294,7 @@ mod tests {
         sent(&mut s, "READ req", 32);
         sent(&mut s, "READ req", 32);
         sent(&mut s, "READ resp", 4096);
-        s.kind_mut("OPEN req").fails += 1;
+        s.kind_mut("OPEN req", None).fails += 1;
         assert_eq!(s.sends("READ req"), 2);
         assert_eq!(s.bytes("READ resp"), 4096);
         assert_eq!(s.failures("OPEN req"), 1);
@@ -348,11 +305,11 @@ mod tests {
     #[test]
     fn fault_counters_accumulate() {
         let mut s = NetStats::new();
-        s.kind_mut("OPEN req").drops += 1;
-        s.kind_mut("OPEN req").drops += 1;
-        s.kind_mut("READ resp").dups += 1;
-        s.kind_mut("SS poll").delays += 1;
-        s.kind_mut("OPEN req").retries += 1;
+        s.kind_mut("OPEN req", None).drops += 1;
+        s.kind_mut("OPEN req", None).drops += 1;
+        s.kind_mut("READ resp", None).dups += 1;
+        s.kind_mut("SS poll", None).delays += 1;
+        s.kind_mut("OPEN req", None).retries += 1;
         assert_eq!(s.drops("OPEN req"), 2);
         assert_eq!(s.total_drops(), 2);
         assert_eq!(s.total_duplicates(), 1);
@@ -364,12 +321,19 @@ mod tests {
     #[test]
     fn service_table_accumulates_per_service() {
         let mut s = NetStats::new();
-        s.service_mut("fs").sends += 2;
-        s.service_mut("fs").bytes += 1088;
-        s.service_mut("fs").retries += 1;
-        s.service_mut("proc").drops += 1;
-        s.service_mut("proc").losses += 1;
-        s.kind_mut("EXIT notify").losses += 1;
+        let fs = Some("fs");
+        s.kind_mut("OPEN req", fs).sends += 1;
+        s.kind_mut("OPEN req", fs).bytes += 64;
+        s.kind_mut("OPEN resp", fs).sends += 1;
+        s.kind_mut("OPEN resp", fs).bytes += 1024;
+        s.kind_mut("OPEN req", fs).retries += 1;
+        s.kind_mut("OPEN req", fs).fails += 1;
+        s.kind_mut("EXIT notify", Some("proc")).drops += 1;
+        s.kind_mut("EXIT notify", Some("proc")).losses += 1;
+        // A failure alone counts toward no service field.
+        s.kind_mut("SS poll", Some("topology")).fails += 1;
+        // A raw send's kind joins no service.
+        s.kind_mut("x", None).sends += 1;
         assert_eq!(s.service("fs").sends, 2);
         assert_eq!(s.service("fs").bytes, 1088);
         assert_eq!(s.service("fs").retries, 1);
@@ -378,8 +342,22 @@ mod tests {
         assert_eq!(s.service("topology"), ServiceStats::default());
         assert_eq!(s.one_way_losses("EXIT notify"), 1);
         assert_eq!(s.total_one_way_losses(), 1);
+        assert_eq!(s.kind("x").service, None);
+        // Touching a tagged row untagged keeps its service.
+        s.kind_mut("OPEN req", None).sends += 1;
+        assert_eq!(s.service("fs").sends, 3);
         let names: Vec<&str> = s.services().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["fs", "proc"]);
+    }
+
+    /// The per-service table is a regrouping of the kind rows, so a kind
+    /// must belong to one service only.
+    #[test]
+    #[should_panic(expected = "sent by both")]
+    fn a_kind_tagged_by_two_services_panics() {
+        let mut s = NetStats::new();
+        s.kind_mut("OPEN req", Some("fs")).sends += 1;
+        s.kind_mut("OPEN req", Some("proc")).sends += 1;
     }
 
     #[test]
@@ -395,54 +373,10 @@ mod tests {
         assert_eq!(d.len(), 2);
     }
 
-    /// Regression: gray faults are one-directional, and the per-service
-    /// and per-kind tables aggregate both directions of a link. The
-    /// directed-link table must keep `A -> B` separate from `B -> A`.
-    #[test]
-    fn link_table_attributes_directions_separately() {
-        let mut s = NetStats::new();
-        let (a, b) = (SiteId(0), SiteId(1));
-        s.link_mut(a, b).sends += 1;
-        s.link_mut(a, b).bytes += 64;
-        s.link_mut(b, a).sends += 1;
-        s.link_mut(a, b).drops += 1;
-        s.link_mut(a, b).blocked += 1;
-        s.link_mut(b, a).slowed += 1;
-        s.link_mut(b, a).fails += 1;
-        assert_eq!(s.link(a, b).sends, 1);
-        assert_eq!(s.link(a, b).bytes, 64);
-        assert_eq!(s.link(a, b).drops, 1);
-        assert_eq!(s.link(a, b).blocked, 1);
-        assert_eq!(s.link(a, b).slowed, 0, "the slow fault hit b -> a");
-        assert_eq!(s.link(b, a).slowed, 1);
-        assert_eq!(s.link(b, a).fails, 1);
-        assert_eq!(s.link(b, a).drops, 0, "the drop hit a -> b");
-        assert_eq!(s.link(SiteId(2), a), LinkStats::default());
-        assert_eq!(s.links().count(), 2);
-    }
-
-    #[test]
-    fn link_deltas_exclude_earlier_faults() {
-        let mut s = NetStats::new();
-        let (a, b) = (SiteId(0), SiteId(1));
-        s.link_mut(a, b).drops += 1;
-        s.link_mut(a, b).slowed += 1;
-        let snap = s.clone();
-        s.link_mut(a, b).drops += 1;
-        s.link_mut(b, a).slowed += 1;
-        s.link_mut(b, a).blocked += 1;
-        let drops = s.delta_link_drops(&snap);
-        assert_eq!(drops.get(&(a, b)), Some(&1), "only the new drop");
-        let slowed = s.delta_link_slowed(&snap);
-        assert_eq!(slowed.get(&(a, b)), None, "setup inflation excluded");
-        assert_eq!(slowed.get(&(b, a)), Some(&1));
-        assert_eq!(s.delta_link_blocked(&snap).get(&(b, a)), Some(&1));
-    }
-
     /// The busy table keys by site so a sweep can find the bottleneck
-    /// site; gauges are last-write-wins instantaneous values.
+    /// site.
     #[test]
-    fn busy_table_and_gauges() {
+    fn busy_table() {
         let mut s = NetStats::new();
         s.record_busy(SiteId(0), 200);
         s.record_busy(SiteId(0), 400);
@@ -453,12 +387,6 @@ mod tests {
         assert_eq!(s.max_busy_micros(), 600);
         let rows: Vec<(SiteId, u64)> = s.site_busy().collect();
         assert_eq!(rows, vec![(SiteId(0), 600), (SiteId(3), 200)]);
-        s.set_gauge("css.depth.fg1", 5);
-        s.set_gauge("css.depth.fg1", 2);
-        assert_eq!(s.gauge("css.depth.fg1"), 2, "gauges overwrite");
-        assert_eq!(s.gauge("css.depth.fg2"), 0);
-        let gauges: Vec<(&str, u64)> = s.gauges().collect();
-        assert_eq!(gauges, vec![("css.depth.fg1", 2)]);
     }
 
     /// Regression: per-operation drop/retry figures used to be computed
@@ -468,13 +396,13 @@ mod tests {
     fn drop_and_retry_deltas_exclude_earlier_faults() {
         let mut s = NetStats::new();
         // Setup traffic suffers faults too.
-        s.kind_mut("OPEN req").drops += 1;
-        s.kind_mut("OPEN req").retries += 1;
+        s.kind_mut("OPEN req", None).drops += 1;
+        s.kind_mut("OPEN req", None).retries += 1;
         let snap = s.clone();
         // The measured operation.
-        s.kind_mut("PTN poll").drops += 1;
-        s.kind_mut("PTN poll").drops += 1;
-        s.kind_mut("PTN poll").retries += 1;
+        s.kind_mut("PTN poll", None).drops += 1;
+        s.kind_mut("PTN poll", None).drops += 1;
+        s.kind_mut("PTN poll", None).retries += 1;
         let drops = s.delta_drops(&snap);
         let retries = s.delta_retries(&snap);
         assert_eq!(drops.get("PTN poll"), Some(&2));

@@ -123,7 +123,8 @@ impl ProcMgr {
     /// process site" (§3.1).
     pub fn fork(&self, fsc: &FsCluster, parent: Pid, to: Option<SiteId>) -> SysResult<Pid> {
         let at = self.site_of(parent).unwrap_or(SiteId(0));
-        proc_span(fsc, "fork", at, || self.fork_inner(fsc, parent, to))
+        fsc.net()
+            .span("proc", "fork", at, || self.fork_inner(fsc, parent, to))
     }
 
     fn fork_inner(&self, fsc: &FsCluster, parent: Pid, to: Option<SiteId>) -> SysResult<Pid> {
@@ -433,7 +434,7 @@ impl ProcMgr {
     /// has identical semantics (§2.4.2, §3.2).
     pub fn kill(&self, fsc: &FsCluster, from: Pid, target: Pid, sig: Signal) -> SysResult<()> {
         let from_site = self.site_of(from)?;
-        proc_span(fsc, "kill", from_site, || {
+        fsc.net().span("proc", "kill", from_site, || {
             self.kill_inner(fsc, from_site, target, sig)
         })
     }
@@ -475,7 +476,7 @@ impl ProcMgr {
     /// Normal exit.
     pub fn exit(&self, fsc: &FsCluster, pid: Pid, code: i32) -> SysResult<()> {
         let at = self.site_of(pid).unwrap_or(SiteId(0));
-        proc_span(fsc, "exit", at, || {
+        fsc.net().span("proc", "exit", at, || {
             self.exit_with(fsc, pid, ExitStatus::Exited(code))
         })
     }
@@ -630,28 +631,6 @@ impl ProcMgr {
         }
         notified
     }
-}
-
-/// Runs `f` as one observed process-management operation: opens an
-/// observability span for service `"proc"` around it and closes it with
-/// the outcome. A no-op wrapper while observation is off.
-fn proc_span<T>(
-    fsc: &FsCluster,
-    op: &str,
-    site: SiteId,
-    f: impl FnOnce() -> SysResult<T>,
-) -> SysResult<T> {
-    if !fsc.net().observing() {
-        return f();
-    }
-    let span = fsc.net().obs_span_open("proc", op, site);
-    let out = f();
-    let outcome = match &out {
-        Ok(_) => "ok".to_owned(),
-        Err(e) => format!("{e:?}"),
-    };
-    fsc.net().obs_span_close(span, &outcome);
-    out
 }
 
 #[cfg(test)]

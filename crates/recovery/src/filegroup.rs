@@ -249,26 +249,6 @@ fn overwrite_copy(
     })
 }
 
-/// Runs `f` inside a `recovery/<op>` span; untraced runs open none.
-fn spanned<T>(
-    fsc: &FsCluster,
-    op: &str,
-    site: SiteId,
-    f: impl FnOnce() -> SysResult<T>,
-) -> SysResult<T> {
-    if !fsc.net().observing() {
-        return f();
-    }
-    let span = fsc.net().obs_span_open("recovery", op, site);
-    let out = f();
-    let outcome = match &out {
-        Ok(_) => "ok".to_owned(),
-        Err(e) => format!("{e:?}"),
-    };
-    fsc.net().obs_span_close(span, &outcome);
-    out
-}
-
 /// Reconciles a single file across the partition coordinated by
 /// `coordinator` — also the paper's *demand recovery* entry point ("a
 /// particular directory can be reconciled out of order to allow access to
@@ -311,7 +291,7 @@ fn reconcile_one(
     report: &mut RecoveryReport,
     managers: &MergeManagers,
 ) -> SysResult<FileOutcome> {
-    spanned(fsc, "reconcile", coordinator, || {
+    fsc.net().span("recovery", "reconcile", coordinator, || {
         reconcile_file_inner(fsc, coordinator, gfid, inv, report, managers)
     })
 }
@@ -643,7 +623,7 @@ pub fn reconcile_filegroup_with(
     fg: FilegroupId,
     managers: &MergeManagers,
 ) -> SysResult<RecoveryReport> {
-    spanned(fsc, "filegroup", coordinator, || {
+    fsc.net().span("recovery", "filegroup", coordinator, || {
         reconcile_filegroup_inner(fsc, coordinator, fg, managers)
     })
 }
@@ -656,7 +636,9 @@ fn reconcile_filegroup_inner(
 ) -> SysResult<RecoveryReport> {
     let mut report = RecoveryReport::default();
     let inventory = || Inventory::take(fsc, coordinator, fg, None);
-    let mut inv = spanned(fsc, "inventory", coordinator, inventory)?;
+    let mut inv = fsc
+        .net()
+        .span("recovery", "inventory", coordinator, inventory)?;
 
     // Notified-version tables may carry pre-partition hearsay; recovery
     // keeps only the versions some copy in the partition holds. Cached
@@ -682,7 +664,7 @@ fn reconcile_filegroup_inner(
     // file states).
     let all: Vec<Ino> = inv.rows.keys().copied().collect();
     for (pass, dirs) in [("files", false), ("directories", true)] {
-        spanned(fsc, pass, coordinator, || {
+        fsc.net().span("recovery", pass, coordinator, || {
             for &ino in &all {
                 if inv.is_dir(ino) != dirs {
                     continue;

@@ -10,16 +10,15 @@
 //!   single communications failure never splits the network into three or
 //!   more pieces (§5.4);
 //! * [`merge`] — the merge protocol: an asynchronous poll of every site
-//!   with the paper's **two-level adaptive timeout**, plus the
-//!   active-site arbitration pseudocode of §5.5;
+//!   with the paper's **two-level adaptive timeout** (§5.5);
 //! * [`reconfig`] — which of the two protocols each connected component
 //!   runs, read from the failure or arrival its partition sets reveal;
 //! * [`cleanup`] — the §5.6 failure-action tables as typed rules;
 //! * [`css`] — synchronization-site selection for the new partition
 //!   ("the system must select, for each filegroup it supports, a new
 //!   synchronization site", §5.6);
-//! * [`shard`] — namespace sharding across filegroups and the pure
-//!   load/health mathematics behind adaptive CSS placement.
+//! * [`shard`] — the pure load/health mathematics behind adaptive CSS
+//!   placement across namespace shards.
 //!
 //! The protocols here are deliberately independent of the filesystem: they
 //! operate on [`locus_net::Net`] reachability and produce decisions the
@@ -39,7 +38,7 @@ pub mod shard;
 
 pub use cleanup::{failure_action, FailureAction, ResourceSituation};
 pub use css::{select_css, select_css_excluding};
-pub use shard::{select_placement, Candidate, PlacementConfig, ShardMap};
+pub use shard::{select_placement, Candidate, PlacementConfig};
 pub use merge::{merge_protocol, MergeOutcome, MergeTimeouts};
 pub use partition::{partition_protocol, PartitionOutcome};
 pub use proto::TopoMsg;

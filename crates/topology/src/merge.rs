@@ -146,43 +146,6 @@ fn merge_protocol_inner(
     }
 }
 
-/// The §5.5 arbitration run by a *polled* site deciding whether to join an
-/// initiator's merge. `merging` says whether this site is itself running a
-/// merge, `actsite` is the active site it currently defers to, `locsite`
-/// is this site and `fsite` the foreign initiator. Returns the new active
-/// site if the site accepts, or `None` to decline.
-///
-/// This is a direct transliteration of the paper's pseudocode:
-///
-/// ```text
-/// IF ready to merge THEN
-///   IF merging AND actsite == locsite THEN
-///     IF fsite < locsite THEN actsite := fsite; halt active merge;
-///     ELSE decline to merge FI
-///   ELSE actsite := fsite; FI
-/// ELSE decline to merge FI
-/// ```
-pub fn merge_arbitration(
-    ready: bool,
-    merging: bool,
-    actsite: SiteId,
-    locsite: SiteId,
-    fsite: SiteId,
-) -> Option<SiteId> {
-    if !ready {
-        return None;
-    }
-    if merging && actsite == locsite {
-        if fsite < locsite {
-            Some(fsite) // halt our own merge, defer to the lower site
-        } else {
-            None // decline: we keep running our own merge
-        }
-    } else {
-        Some(fsite)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,29 +227,5 @@ mod tests {
         let mut beliefs = beliefs_of(&[&[0, 1], &[2, 3]]);
         let out = merge_protocol(&net, SiteId(0), &mut beliefs, MergeTimeouts::default());
         assert_eq!(out.members.len(), 4, "drops were retried, not treated as down");
-    }
-
-    #[test]
-    fn arbitration_matches_the_paper_pseudocode() {
-        let loc = SiteId(5);
-        // Not ready: decline.
-        assert_eq!(merge_arbitration(false, false, loc, loc, SiteId(1)), None);
-        // Idle and ready: accept any initiator.
-        assert_eq!(
-            merge_arbitration(true, false, loc, loc, SiteId(9)),
-            Some(SiteId(9))
-        );
-        // Actively merging ourselves: lower site wins, we halt.
-        assert_eq!(
-            merge_arbitration(true, true, loc, loc, SiteId(1)),
-            Some(SiteId(1))
-        );
-        // Actively merging ourselves: higher site is declined.
-        assert_eq!(merge_arbitration(true, true, loc, loc, SiteId(9)), None);
-        // Merging but deferring to someone else already: accept.
-        assert_eq!(
-            merge_arbitration(true, true, SiteId(2), loc, SiteId(9)),
-            Some(SiteId(9))
-        );
     }
 }

@@ -5,8 +5,8 @@
 //! matter how many sites the cluster has. The scalable layout *shards*
 //! the namespace across many filegroups — the mount mechanism already
 //! glues an arbitrary forest of filegroups into one tree (§2.1), so
-//! sharding needs no new protocol, only a deterministic map from names
-//! to shards and a policy for spreading the shard CSS roles over sites.
+//! sharding needs no new protocol, only a policy for spreading the shard
+//! CSS roles over sites.
 //!
 //! Everything in this module is pure arithmetic: no clocks, no I/O, no
 //! randomness. The stateful driver that samples live queue depths and
@@ -15,46 +15,6 @@
 //! byte-identically.
 
 use locus_types::SiteId;
-
-/// Deterministic map from a flat key space onto `shards` filegroup
-/// shards, round-robin. Names hash with FNV-1a so the map is stable
-/// across processes and runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardMap {
-    shards: u32,
-}
-
-impl ShardMap {
-    /// A map over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: u32) -> Self {
-        assert!(shards > 0, "a shard map needs at least one shard");
-        ShardMap { shards }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// The shard of a numeric key (round-robin).
-    pub fn shard_of_key(&self, key: u64) -> u32 {
-        (key % u64::from(self.shards)) as u32
-    }
-
-    /// The shard of a name (FNV-1a, stable across runs).
-    pub fn shard_of_name(&self, name: &str) -> u32 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.shard_of_key(h)
-    }
-}
 
 /// One CSS candidate as the placement policy sees it: the site, the
 /// synchronization load it would carry holding the role (served-request
@@ -152,26 +112,6 @@ mod tests {
             load,
             healthy,
         }
-    }
-
-    #[test]
-    fn shard_map_is_deterministic_and_total() {
-        let m = ShardMap::new(7);
-        for k in 0..100 {
-            assert!(m.shard_of_key(k) < 7);
-            assert_eq!(m.shard_of_key(k), m.shard_of_key(k));
-        }
-        assert_eq!(m.shard_of_name("usr"), m.shard_of_name("usr"));
-        assert!(m.shard_of_name("usr") < 7);
-        // Round-robin keys spread perfectly.
-        assert_eq!(m.shard_of_key(0), 0);
-        assert_eq!(m.shard_of_key(8), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_is_a_config_error() {
-        ShardMap::new(0);
     }
 
     #[test]
