@@ -88,17 +88,14 @@ pub fn export_and_audit_trace(
     cluster: &Cluster,
     name: &str,
 ) -> (std::path::PathBuf, Vec<locus_net::ObsEvent>) {
-    let stats = cluster.net().op_stats();
+    let truncated = cluster.net().obs_truncated();
+    let events = cluster.net().take_obs_events();
+    let stats = locus_net::op_stats(&events);
     if !stats.is_empty() {
         println!("\nper-operation virtual-time latency:");
         print!("{}", locus_net::render_op_stats(&stats));
     }
-    assert_eq!(
-        cluster.net().obs_truncated(),
-        0,
-        "observer overflowed; the trace is a prefix"
-    );
-    let events = cluster.net().take_obs_events();
+    assert_eq!(truncated, 0, "observer overflowed; the trace is a prefix");
     let jsonl = locus_net::export_jsonl(&events);
     let path = out_dir().join(format!("TRACE_{name}.jsonl"));
     std::fs::write(&path, &jsonl)

@@ -29,7 +29,6 @@ use locus_types::{Errno, FilegroupId, Gfid, PackId, SiteId, SysResult};
 
 use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
-use crate::kernel::PropReq;
 use crate::proto::{FsMsg, FsReply, MetaUpdate};
 
 /// How many consecutive [`FsReply::NotCss`] redirects a using site
@@ -212,19 +211,7 @@ fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult
         // is exactly how its unique state is drained; quarantine only
         // bars it from serving client opens and acknowledging commits.
         for gfid in behind {
-            let req = fsc
-                .kernel(new_css)
-                .prop_queue
-                .iter()
-                .find(|r| r.gfid == gfid)
-                .cloned()
-                .unwrap_or(PropReq {
-                    gfid,
-                    source: old_css,
-                    pages: None,
-                });
-            if crate::ops::commit::propagate_pull(fsc, new_css, &req).is_ok() {
-                fsc.with_kernel(new_css, |k| k.prop_queue.retain(|r| r.gfid != gfid));
+            if crate::ops::commit::pull_on_demand(fsc, new_css, gfid, Some(old_css)) {
                 report.caught_up += 1;
             }
         }

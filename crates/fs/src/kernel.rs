@@ -1,7 +1,7 @@
 //! The per-site filesystem kernel: packs, incore inodes, buffer cache,
 //! open-file table, shadow sessions and the propagation queue.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{hash_map::Entry, BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use locus_net::Net;
 use locus_storage::{BufferCache, Pack, ShadowSession};
@@ -120,13 +120,13 @@ pub struct FsKernel {
     pub(crate) packs: HashMap<PackId, Pack>,
     pub(crate) incore: HashMap<Gfid, Incore>,
     pub(crate) cache: BufferCache,
-    pub(crate) sessions: HashMap<Gfid, ShadowSession>,
-    /// The using site each open session belongs to. Shadow pages are
-    /// visible only to their writer: any other reader — a propagation
-    /// pull, a third-party open — must see the last committed version, or
-    /// an orphaned session (its writer's close lost to the network) would
-    /// serve uncommitted pages under committed metadata.
-    pub(crate) session_writer: HashMap<Gfid, SiteId>,
+    /// The open modification sessions this site serves as SS, each with
+    /// the using site it belongs to. Shadow pages are visible only to
+    /// their writer: any other reader — a propagation pull, a third-party
+    /// open — must see the last committed version, or an orphaned session
+    /// (its writer's close lost to the network) would serve uncommitted
+    /// pages under committed metadata.
+    sessions: HashMap<Gfid, (SiteId, ShadowSession)>,
     pub(crate) fds: HashMap<Fd, OpenFile>,
     next_fd: Fd,
     pub(crate) shared_home: HashMap<SharedFdId, SharedHome>,
@@ -179,7 +179,6 @@ impl FsKernel {
             incore: HashMap::new(),
             cache: BufferCache::new(256),
             sessions: HashMap::new(),
-            session_writer: HashMap::new(),
             fds: HashMap::new(),
             next_fd: 3, // 0-2 conventionally reserved
             shared_home: HashMap::new(),
@@ -551,33 +550,57 @@ impl FsKernel {
         Ok(info)
     }
 
+    /// The using site whose modification session on `gfid` is open here.
+    pub(crate) fn writer_of(&self, gfid: Gfid) -> Option<SiteId> {
+        self.sessions.get(&gfid).map(|&(writer, _)| writer)
+    }
+
+    /// The files with a modification session open here.
+    pub(crate) fn session_files(&self) -> Vec<Gfid> {
+        self.sessions.keys().copied().collect()
+    }
+
     /// Discards the open modification session of `gfid`, if any, leaving
     /// the committed version (and therefore the buffer cache) as it was.
     /// Releasing shadow blocks costs no disk time, and the writes that
     /// filled them were charged as they happened.
     pub(crate) fn abort_session(&mut self, gfid: Gfid) -> SysResult<()> {
-        self.session_writer.remove(&gfid);
-        let Some(sess) = self.sessions.remove(&gfid) else {
+        let Some((_, sess)) = self.sessions.remove(&gfid) else {
             return Ok(());
         };
         sess.abort(self.pack_of(gfid.fg).ok_or(Errno::Enocopy)?)
     }
 
-    /// Takes `writer`'s open modification session on `gfid` out of the
-    /// table, beginning one on first touch; the caller puts it back. A
-    /// leftover session from a *different* writer is dead — the
-    /// single-writer policy means that writer's close or abort was lost
-    /// in transit — and is discarded before the new session begins.
-    pub(crate) fn take_session(&mut self, writer: SiteId, gfid: Gfid) -> SysResult<ShadowSession> {
-        if self.session_writer.get(&gfid) != Some(&writer) {
+    /// Takes the open modification session of `gfid` out of the table
+    /// for its commit, whoever its writer.
+    pub(crate) fn take_session(&mut self, gfid: Gfid) -> Option<ShadowSession> {
+        self.sessions.remove(&gfid).map(|(_, sess)| sess)
+    }
+
+    /// `writer`'s open modification session on `gfid`, with the file's
+    /// pack, beginning the session on first touch. The session is borrowed
+    /// in place, so it stays in the table whatever the caller does with
+    /// it. A leftover session from a *different* writer is dead — the
+    /// single-writer policy means that writer's close or abort was lost in
+    /// transit — and is discarded before the new session begins.
+    pub(crate) fn session_mut(
+        &mut self,
+        writer: SiteId,
+        gfid: Gfid,
+    ) -> SysResult<(&mut ShadowSession, &mut Pack)> {
+        if self.writer_of(gfid) != Some(writer) {
             self.abort_session(gfid)?;
         }
-        let sess = match self.sessions.remove(&gfid) {
-            Some(sess) => sess,
-            None => ShadowSession::begin(self.pack_of(gfid.fg).ok_or(Errno::Enocopy)?, gfid.ino)?,
+        let pack = self
+            .packs
+            .values_mut()
+            .find(|p| p.id().fg == gfid.fg)
+            .ok_or(Errno::Enocopy)?;
+        let (_, sess) = match self.sessions.entry(gfid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert((writer, ShadowSession::begin(pack, gfid.ino)?)),
         };
-        self.session_writer.insert(gfid, writer);
-        Ok(sess)
+        Ok((sess, pack))
     }
 
     /// Device registry access for examples/tests (attach input, inspect
@@ -681,6 +704,46 @@ mod tests {
         k.incore_get(gfid).unwrap().opens_here = 0;
         k.maybe_release_incore(gfid);
         assert_eq!(k.incore_count(), 0, "idle structure released");
+    }
+
+    #[test]
+    fn a_failed_page_write_keeps_the_session_and_its_abort_frees_every_block() {
+        let fsc = crate::build::FsClusterBuilder::new()
+            .vax_sites(2)
+            .filegroup("root", &[0])
+            .blocks_per_pack(6)
+            .build();
+        let (ss, writer) = (SiteId(0), SiteId(1));
+        let mut k = fsc.kernel(ss);
+        let fg = FilegroupId(0);
+        let pack = k.pack_of(fg).expect("site 0 stores the filegroup");
+        let ino = pack.alloc_ino().unwrap();
+        let inode = locus_storage::DiskInode::new(FileType::Untyped, Perms::FILE_DEFAULT, 0);
+        pack.install_inode(ino, inode);
+        let free_before = pack.free_blocks();
+        assert!(
+            free_before < locus_storage::NDIRECT,
+            "fills up in the direct range"
+        );
+        let gfid = Gfid::new(fg, ino);
+        let page = vec![7u8; locus_storage::PAGE_SIZE];
+        let write = |k: &mut FsKernel, lpn: usize| {
+            let size = ((lpn + 1) * page.len()) as u64;
+            crate::ops::io::local_write_page(&fsc, k, writer, gfid, lpn, &page, size)
+        };
+        for lpn in 0..free_before {
+            write(&mut k, lpn).expect("a free block per page");
+        }
+        assert_eq!(write(&mut k, free_before), Err(Errno::Enospc));
+        assert_eq!(
+            k.writer_of(gfid),
+            Some(writer),
+            "the session stays checked in"
+        );
+        assert_eq!(k.open_session_count(), 1);
+        k.abort_session(gfid).unwrap();
+        assert_eq!(k.open_session_count(), 0);
+        assert_eq!(k.pack_of(fg).unwrap().free_blocks(), free_before);
     }
 
     #[test]

@@ -127,9 +127,8 @@ pub fn cleanup_site(
         // this site is the CSS; if the CSS itself departed, abort any
         // session with no surviving serving writer conservatively.
         let orphan_sessions: Vec<Gfid> = k
-            .sessions
-            .keys()
-            .copied()
+            .session_files()
+            .into_iter()
             .filter(|g| {
                 let css = k.mount.css_of(g.fg).ok();
                 css.map(|c| !alive.contains(&c)).unwrap_or(false)
@@ -141,7 +140,7 @@ pub fn cleanup_site(
     }
     for (ss, gfid) in sessions_to_abort {
         if ss == site {
-            if let Ok(()) = abort_local_session(fsc, site, gfid) {
+            if let Ok(()) = fsc.kernel(site).abort_session(gfid) {
                 report.sessions_aborted += 1;
             }
         } else if alive.contains(&ss)
@@ -218,16 +217,6 @@ pub fn cleanup_site(
     report
 }
 
-fn abort_local_session(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> Result<(), Errno> {
-    let mut k = fsc.kernel(site);
-    k.session_writer.remove(&gfid);
-    if let Some(sess) = k.sessions.remove(&gfid) {
-        let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-        sess.abort(pack)?;
-    }
-    Ok(())
-}
-
 /// Aborts every open modification session at `site`, §5.6-style: called
 /// when the site rejoins after an isolation window during which no
 /// writer's close or abort could reach it. Commits are refused at a
@@ -236,18 +225,10 @@ fn abort_local_session(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> Result<(), 
 /// number of sessions dropped.
 pub(crate) fn sweep_local_sessions(fsc: &FsCluster, site: SiteId) -> usize {
     let mut k = fsc.kernel(site);
-    let gfids: Vec<Gfid> = k.sessions.keys().copied().collect();
-    let mut swept = 0;
-    for gfid in gfids {
-        k.session_writer.remove(&gfid);
-        let sess = k.sessions.remove(&gfid).expect("just listed");
-        if let Some(pack) = k.pack_of(gfid.fg) {
-            if sess.abort(pack).is_ok() {
-                swept += 1;
-            }
-        }
-    }
-    swept
+    k.session_files()
+        .into_iter()
+        .filter(|&gfid| k.abort_session(gfid).is_ok())
+        .count()
 }
 
 /// Lock-table reconstruction at a (new) CSS: every partition member

@@ -102,8 +102,7 @@ pub(crate) fn handle_commit(
         let mut k = fsc.kernel(ss);
         let css = k.mount.css_of(gfid.fg)?;
         let containers = k.mount.get(gfid.fg)?.containers.clone();
-        k.session_writer.remove(&gfid);
-        let mut sess = match k.sessions.remove(&gfid) {
+        let mut sess = match k.take_session(gfid) {
             Some(s) => s,
             None => {
                 // An inode-only commit (chmod/chown/delete) with no data
@@ -337,6 +336,36 @@ pub(crate) fn handle_pull_open(fsc: &FsCluster, at: SiteId, gfid: Gfid) -> SysRe
         return Err(Errno::Enocopy);
     }
     Ok(FsReply::PullInfo { info })
+}
+
+/// Runs the propagation of `gfid` queued at `site` now, instead of when
+/// the queue drains, and drops the queued request once the pull succeeds.
+/// With nothing queued it pulls from `fallback`, if there is one. Returns
+/// whether a pull ran and succeeded.
+pub(crate) fn pull_on_demand(
+    fsc: &FsCluster,
+    site: SiteId,
+    gfid: Gfid,
+    fallback: Option<SiteId>,
+) -> bool {
+    let queued = fsc
+        .kernel(site)
+        .prop_queue
+        .iter()
+        .find(|r| r.gfid == gfid)
+        .cloned();
+    let fallback = fallback.map(|source| PropReq {
+        gfid,
+        source,
+        pages: None,
+    });
+    let pulled = queued
+        .or(fallback)
+        .is_some_and(|req| propagate_pull(fsc, site, &req).is_ok());
+    if pulled {
+        fsc.with_kernel(site, |k| k.prop_queue.retain(|r| r.gfid != gfid));
+    }
+    pulled
 }
 
 /// The propagation kernel process: pulls a newer version of `gfid` from

@@ -21,7 +21,7 @@ pub(crate) fn net_cache_pack(fg: FilegroupId) -> PackId {
 /// Everyone else (propagation pulls, other opens) reads the committed
 /// version: an orphaned session must never leak uncommitted pages.
 fn serves_session(k: &FsKernel, requester: SiteId, gfid: Gfid) -> bool {
-    k.sessions.contains_key(&gfid) && k.session_writer.get(&gfid) == Some(&requester)
+    k.writer_of(gfid) == Some(requester)
 }
 
 /// Reads one page at a site that stores the file, serving the writer's
@@ -33,11 +33,8 @@ pub(crate) fn local_read_page(
     lpn: usize,
 ) -> SysResult<Vec<u8>> {
     if serves_session(k, requester, gfid) {
-        let sess = k.sessions.remove(&gfid).expect("checked above");
-        let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-        let r = sess.read_page(pack, lpn);
-        k.sessions.insert(gfid, sess);
-        return r;
+        let (sess, pack) = k.session_mut(requester, gfid)?;
+        return sess.read_page(pack, lpn);
     }
     let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
     pack.read_page(gfid.ino, lpn)
@@ -197,7 +194,7 @@ pub(crate) fn handle_read_page(
 }
 
 /// Writes one page into `writer`'s open modification session at the SS
-/// ([`FsKernel::take_session`]), then queues the disk time of the
+/// ([`FsKernel::session_mut`]), then queues the disk time of the
 /// shadow-block write on the SS's disk: a delayed write, which the
 /// commit waits for ([`FsKernel::commit_session`]).
 pub(crate) fn local_write_page(
@@ -209,8 +206,7 @@ pub(crate) fn local_write_page(
     data: &[u8],
     new_size: u64,
 ) -> SysResult<()> {
-    let mut sess = k.take_session(writer, gfid)?;
-    let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
+    let (sess, pack) = k.session_mut(writer, gfid)?;
     let r = if lpn == usize::MAX {
         // Truncate control write: shrink to exactly `new_size` bytes.
         let npages = (new_size as usize).div_ceil(PAGE_SIZE);
@@ -224,7 +220,6 @@ pub(crate) fn local_write_page(
         }
         r
     };
-    k.sessions.insert(gfid, sess);
     k.queue_io(fsc.net(), gfid.fg);
     r
 }

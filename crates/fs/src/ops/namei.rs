@@ -122,11 +122,9 @@ pub(crate) fn truncate_local(
     new_size: u64,
 ) -> SysResult<()> {
     let mut k = fsc.kernel(ss);
-    let mut sess = k.take_session(ss, gfid)?;
-    let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
+    let (sess, pack) = k.session_mut(ss, gfid)?;
     let r = sess.truncate_pages(pack, npages);
     sess.set_size(new_size);
-    k.sessions.insert(gfid, sess);
     k.queue_io(fsc.net(), gfid.fg);
     r
 }

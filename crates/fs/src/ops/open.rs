@@ -266,29 +266,19 @@ pub(crate) fn handle_css_open(
     // CSS drains it on demand — recovery pulls *from* a quarantined site
     // are allowed, quarantine only bars it from serving client opens —
     // and then offers its own, now-current replica as the SS.
-    if !fsc.net().quarantined(css) {
-        let pending = {
+    if !fsc.net().quarantined(css) && crate::ops::commit::pull_on_demand(fsc, css, gfid, None) {
+        let current = {
             let k = fsc.kernel(css);
-            k.prop_queue.iter().find(|r| r.gfid == gfid).cloned()
+            k.local_info(gfid)
+                .filter(|i| !i.deleted && k.stores_data(gfid) && i.vv.covers(&latest))
         };
-        if let Some(req) = pending {
-            if crate::ops::commit::propagate_pull(fsc, css, &req).is_ok() {
-                fsc.with_kernel(css, |k| k.prop_queue.retain(|r| r.gfid != gfid));
-                let current = {
-                    let k = fsc.kernel(css);
-                    k.local_info(gfid).filter(|i| {
-                        !i.deleted && k.stores_data(gfid) && i.vv.covers(&latest)
-                    })
-                };
-                if let Some(info) = current {
-                    register_open(fsc, css, gfid, us, css, mode, &info)?;
-                    if us != css {
-                        let mut k = fsc.kernel(css);
-                        k.incore_mut(gfid, info.clone()).serving.insert(us);
-                    }
-                    return Ok(FsReply::Opened { ss: css, info });
-                }
+        if let Some(info) = current {
+            register_open(fsc, css, gfid, us, css, mode, &info)?;
+            if us != css {
+                let mut k = fsc.kernel(css);
+                k.incore_mut(gfid, info.clone()).serving.insert(us);
             }
+            return Ok(FsReply::Opened { ss: css, info });
         }
     }
     Err(Errno::Enocopy)
@@ -421,7 +411,7 @@ fn ss_side_close(
         // never arrived (a lost write ack left pages the US never
         // confirmed). Closing without committing discards them.
         let mut k = fsc.kernel(ss);
-        if k.session_writer.get(&gfid) == Some(&us) {
+        if k.writer_of(gfid) == Some(us) {
             let _ = k.abort_session(gfid);
         }
     }

@@ -24,7 +24,7 @@
 //! A second family races commits, opens and name-cache probes against
 //! `css_handoff` / `replica_add` / `replica_remove` with message drops
 //! *and* a gray link active. Every seed of both families runs twice and
-//! must produce byte-identical protocol traces and latency histograms:
+//! must produce byte-identical protocol traces and statistics:
 //! reconfiguration never breaks replay determinism.
 
 use locus_fs::{

@@ -27,7 +27,7 @@
 //!   reconverges with no stale serve in between.
 //!
 //! Every seed runs its schedule **twice** (replay determinism): both
-//! observations (event stream, latency histograms, statistics) must be
+//! observations (event stream, statistics) must be
 //! byte-identical.
 
 use std::collections::BTreeSet;

@@ -4,7 +4,7 @@
 //! Three schedule families over a sharded namespace (two shard
 //! filegroups mounted under a shared root), each across 64+ seeds with
 //! every seed run **twice** — both runs must produce byte-identical
-//! protocol traces and latency histograms, because the placement driver
+//! protocol traces and statistics, because the placement driver
 //! samples only kernel counters and the virtual clock:
 //!
 //! * **Migration under load.** A shard's CSS goes gray mid-workload;

@@ -167,7 +167,7 @@ impl GraySpec {
 /// A topology change scheduled against the virtual clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Site crashes (volatile state lost, circuits close).
+    /// Site crashes: nothing reaches it until it revives.
     Crash(SiteId),
     /// Crashed site comes back up.
     Revive(SiteId),

@@ -9,8 +9,9 @@
 //!   high-level protocols assume that if A talks to B and B to C then A
 //!   talks to C; the low-level machinery guarantees it) — reachability is
 //!   computed over connected components of live links;
-//! * **virtual circuits** that deliver in order and are closed by partition
-//!   changes, aborting ongoing activity (§5.1);
+//! * **virtual circuits** whose failure mid-conversation (a lost reply)
+//!   leaves a closed-circuit notice the pair's next send observes, aborting
+//!   the ongoing activity (§5.1);
 //! * a **virtual clock** and a latency model calibrated to a 1983 Ethernet,
 //!   so experiment harnesses can report simulated elapsed time;
 //! * per-message-type **statistics** and one **event stream**
@@ -49,8 +50,8 @@ pub use fault::{
 pub use health::{HealthEvent, HealthMonitor, HealthPolicy, SiteHealth};
 pub use latency::LatencyModel;
 pub use obs::{
-    audit, export_jsonl, parse_jsonl, render_op_stats, AuditReport, Histogram, ObsEvent, Observer,
-    OpStat, SendOutcome, CSS_CLAIM_COOLDOWN,
+    audit, export_jsonl, op_stats, parse_jsonl, render_op_stats, AuditReport, Histogram, ObsEvent,
+    Observer, OpStat, SendOutcome, CSS_CLAIM_COOLDOWN,
 };
 pub use rpc::{RpcEngine, RpcError, WireMsg, MAX_CONSECUTIVE_REOPENS};
 pub use stats::{KindStats, NetStats, ServiceStats};
@@ -207,15 +208,9 @@ impl Inner {
         let now = self.clock.now();
         for action in self.faults.due_events(now) {
             match action {
-                FaultAction::Crash(site) => {
-                    self.topology.set_up(site, false);
-                    self.circuits.close_involving(site);
-                }
+                FaultAction::Crash(site) => self.topology.set_up(site, false),
                 FaultAction::Revive(site) => self.topology.set_up(site, true),
-                FaultAction::LinkDown(a, b) => {
-                    self.topology.set_link(a, b, false);
-                    self.circuits.close_pair(a, b);
-                }
+                FaultAction::LinkDown(a, b) => self.topology.set_link(a, b, false),
                 FaultAction::LinkUp(a, b) => self.topology.set_link(a, b, true),
             }
         }
@@ -267,8 +262,7 @@ impl Net {
     ///
     /// On success the virtual clock advances by the message latency and
     /// the per-kind statistics are updated. A failed send (unreachable
-    /// destination) closes any circuit between the pair and is counted
-    /// separately; timeout accounting is the caller's policy. Under an
+    /// destination) is counted separately; timeout accounting is the caller's policy. Under an
     /// installed [`FaultPlan`] the message may also be dropped
     /// ([`NetError::Dropped`] — safe to retry), duplicated, or delayed.
     ///
@@ -312,7 +306,6 @@ impl Net {
         // the site a waiting requester would accuse of the silence.
         let blame = if is_reply { from } else { to };
         if !g.topology.can_communicate(from, to) {
-            g.circuits.close_pair(from, to);
             g.stats.kind_mut(kind, service).fails += 1;
             return Err(NetError::Unreachable);
         }
@@ -324,7 +317,6 @@ impl Net {
             g.note_health(ev);
             return Err(NetError::CircuitClosed);
         }
-        g.circuits.ensure_open(from, to);
         let mut verdict = g.faults.judge(from, to, kind);
         let gray = g.faults.gray_for(from, to);
         if let Some(gs) = gray {
@@ -337,9 +329,8 @@ impl Net {
         }
         if verdict == Verdict::CircuitAbort {
             // The virtual circuit fails before the message reaches the
-            // wire (§5.1): no transmission latency, the pair's circuit is
-            // torn down, and the sender observes the closure locally.
-            g.circuits.close_pair(from, to);
+            // wire (§5.1): no transmission latency, and the sender observes
+            // the closure locally.
             g.stats.kind_mut(kind, service).fails += 1;
             let ev = g.health.observe_fault(blame);
             g.note_health(ev);
@@ -632,20 +623,10 @@ impl Net {
     }
 
     /// Splits the network into the given groups: links inside a group are
-    /// restored, links across groups are cut. Circuits across groups close.
+    /// restored, links across groups are cut, and a send across groups
+    /// fails with [`NetError::Unreachable`].
     pub fn partition(&self, groups: &[Vec<SiteId>]) {
-        let mut g = self.inner.borrow_mut();
-        g.topology.set_partition(groups);
-        let topo = &g.topology;
-        let mut to_close = Vec::new();
-        g.circuits.for_each_open(|a, b| {
-            if !topo.can_communicate(a, b) {
-                to_close.push((a, b));
-            }
-        });
-        for (a, b) in to_close {
-            g.circuits.close_pair(a, b);
-        }
+        self.inner.borrow_mut().topology.set_partition(groups);
     }
 
     /// Restores full connectivity among all live sites.
@@ -653,13 +634,10 @@ impl Net {
         self.inner.borrow_mut().topology.heal();
     }
 
-    /// Cuts the single link between two sites (circuits between them close).
-    /// Note reachability is transitive, so the pair may still communicate
-    /// through a third site.
+    /// Cuts the single link between two sites. Note reachability is
+    /// transitive, so the pair may still communicate through a third site.
     pub fn cut_link(&self, a: SiteId, b: SiteId) {
-        let mut g = self.inner.borrow_mut();
-        g.topology.set_link(a, b, false);
-        g.circuits.close_pair(a, b);
+        self.inner.borrow_mut().topology.set_link(a, b, false);
     }
 
     /// Restores the link between two sites.
@@ -667,11 +645,9 @@ impl Net {
         self.inner.borrow_mut().topology.set_link(a, b, true);
     }
 
-    /// Crashes a site: all its circuits close and nothing reaches it.
+    /// Crashes a site: nothing reaches it until it revives.
     pub fn crash(&self, site: SiteId) {
-        let mut g = self.inner.borrow_mut();
-        g.topology.set_up(site, false);
-        g.circuits.close_involving(site);
+        self.inner.borrow_mut().topology.set_up(site, false);
     }
 
     /// Brings a crashed site back up (with its previous links intact).
@@ -708,8 +684,7 @@ impl Net {
         g.obs.span_open(now, service, op, site)
     }
 
-    /// Closes an observability span with an outcome label, feeding its
-    /// virtual-time duration into the per-(service, op) histogram.
+    /// Closes an observability span with an outcome label.
     pub fn obs_span_close(&self, span: u64, outcome: &str) {
         let mut g = self.inner.borrow_mut();
         let now = g.clock.now();
@@ -747,7 +722,7 @@ impl Net {
         g.obs.note(now, site, key, label, value);
     }
 
-    /// Drains the recorded observability events (histograms persist).
+    /// Drains the recorded observability events.
     pub fn take_obs_events(&self) -> Vec<ObsEvent> {
         self.inner.borrow_mut().obs.take_events()
     }
@@ -756,16 +731,6 @@ impl Net {
     /// the last [`Net::take_obs_events`].
     pub fn obs_truncated(&self) -> u64 {
         self.inner.borrow().obs.truncated()
-    }
-
-    /// Snapshot of the per-(service, op) virtual-time latency histograms.
-    pub fn obs_histograms(&self) -> std::collections::BTreeMap<(String, String), Histogram> {
-        self.inner.borrow().obs.histograms()
-    }
-
-    /// Per-(service, op) latency summary rows (count, p50, p95, max).
-    pub fn op_stats(&self) -> Vec<OpStat> {
-        self.inner.borrow().obs.op_stats()
     }
 
     /// The latency model in force.
@@ -780,11 +745,6 @@ impl Net {
         let mut g = self.inner.borrow_mut();
         g.clock.advance(span);
         g.apply_due_faults();
-    }
-
-    /// Number of currently open virtual circuits.
-    pub fn open_circuits(&self) -> usize {
-        self.inner.borrow().circuits.open_count()
     }
 
     /// Enables the passive gray-failure health monitor with `policy`,
@@ -891,13 +851,26 @@ mod tests {
 
     #[test]
     fn failed_send_closes_circuit_and_is_counted() {
+        // A crash or a cut link changes only reachability: the sender sees
+        // `Unreachable` across it, and success again once it is undone.
         let net = Net::new(2);
         net.send(SiteId(0), SiteId(1), "x", 1).unwrap();
-        assert_eq!(net.open_circuits(), 1);
         net.crash(SiteId(1));
-        assert_eq!(net.open_circuits(), 0);
-        assert!(net.send(SiteId(0), SiteId(1), "x", 1).is_err());
+        assert_eq!(
+            net.send(SiteId(0), SiteId(1), "x", 1),
+            Err(NetError::Unreachable)
+        );
         assert_eq!(net.stats().failures("x"), 1);
+        net.revive(SiteId(1));
+        assert!(net.send(SiteId(0), SiteId(1), "x", 1).is_ok());
+        net.cut_link(SiteId(1), SiteId(0));
+        assert_eq!(
+            net.send(SiteId(1), SiteId(0), "x", 1),
+            Err(NetError::Unreachable)
+        );
+        net.restore_link(SiteId(0), SiteId(1));
+        assert!(net.send(SiteId(1), SiteId(0), "x", 1).is_ok());
+        assert_eq!(net.stats().failures("x"), 2);
     }
 
     #[test]
@@ -918,8 +891,8 @@ mod tests {
         assert_eq!(net.stats().drops("x"), 1);
         assert_eq!(net.stats().sends("x"), 0);
         assert!(net.now() > t0, "a dropped message still reached the wire");
-        // A dropped *request* leaves the circuit open for a retry.
-        assert_eq!(net.open_circuits(), 1);
+        // A dropped *request* leaves no closed-circuit notice: the retry
+        // goes through.
         net.clear_faults();
         assert!(net.send(SiteId(0), SiteId(1), "x", 8).is_ok());
     }
@@ -931,22 +904,20 @@ mod tests {
         // circuit closes and the next send between the pair is refused.
         let net = Net::new(2);
         net.send(SiteId(0), SiteId(1), "OPEN req", 8).unwrap();
-        assert_eq!(net.open_circuits(), 1);
         net.install_faults(FaultPlan::new(1).default_spec(FaultSpec::drop_rate(1.0)));
         assert_eq!(
             net.send_as("test", 0, Leg::Reply, SiteId(1), SiteId(0), "OPEN resp", 8),
             Err(NetError::ReplyLost)
         );
-        assert_eq!(net.open_circuits(), 0, "reply loss closed the circuit");
         net.clear_faults();
         assert_eq!(
             net.send(SiteId(0), SiteId(1), "OPEN req", 8),
             Err(NetError::CircuitClosed),
             "the caller observes the abort"
         );
-        // After the abort is observed, a fresh circuit opens normally.
+        // The notice is observed exactly once; the next send goes through.
         assert!(net.send(SiteId(0), SiteId(1), "OPEN req", 8).is_ok());
-        assert_eq!(net.open_circuits(), 1);
+        assert_eq!(net.stats().failures("OPEN req"), 1);
     }
 
     #[test]
@@ -979,10 +950,15 @@ mod tests {
             at + Ticks::millis(1),
         ));
         net.charge_timeout(Ticks::micros(5));
-        assert_eq!(net.open_circuits(), 0, "flap closed the circuit");
         assert!(!net.reachable(SiteId(0), SiteId(1)));
+        assert_eq!(
+            net.send(SiteId(0), SiteId(1), "x", 8),
+            Err(NetError::Unreachable),
+            "the flap cut the link"
+        );
         net.charge_timeout(Ticks::millis(2));
         assert!(net.reachable(SiteId(0), SiteId(1)), "link restored");
+        assert!(net.send(SiteId(0), SiteId(1), "x", 8).is_ok());
     }
 
     #[test]
@@ -1031,7 +1007,13 @@ mod tests {
             net.send_as("test", 0, Leg::Reply, SiteId(1), SiteId(0), "resp", 8),
             Err(NetError::ReplyLost)
         );
-        assert_eq!(net.open_circuits(), 0);
+        net.clear_faults();
+        assert_eq!(
+            net.send(SiteId(0), SiteId(1), "req", 8),
+            Err(NetError::CircuitClosed),
+            "the requester observes the abort once"
+        );
+        assert!(net.send(SiteId(0), SiteId(1), "req", 8).is_ok());
     }
 
     #[test]

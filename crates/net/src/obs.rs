@@ -17,9 +17,10 @@
 //!   partition-poll, …) opens a span; every RPC the [`crate::RpcEngine`]
 //!   issues on its behalf opens a nested child span. Spans carry the
 //!   originating service, the operation label, the site, and an outcome.
-//! * **Histograms.** Closing a span feeds its virtual-time duration into
-//!   a per-(service, op) log₂ latency [`Histogram`], so p50/p95/max over
-//!   [`Ticks`] sit right next to the message counters.
+//! * **Histograms.** [`op_stats`] pairs each span's open and close events
+//!   and feeds its virtual-time duration into a per-(service, op) log₂
+//!   latency [`Histogram`], so p50/p95/max over [`Ticks`] sit right next
+//!   to the message counters.
 //! * **JSONL export.** [`export_jsonl`] writes the event stream one flat
 //!   JSON object per line (hand-rolled, like the bench report writer —
 //!   no dependencies); [`parse_jsonl`] reads it back losslessly.
@@ -285,18 +286,6 @@ impl Histogram {
         self.count
     }
 
-    /// Folds another histogram in bucket-wise. Recording the same samples
-    /// split across two histograms and merging gives the histogram of the
-    /// union, so latency data from separate runs combines without
-    /// replaying the samples.
-    pub fn merge_from(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
     /// The exact maximum recorded duration.
     pub fn max(&self) -> Ticks {
         self.max
@@ -324,14 +313,6 @@ impl Histogram {
     }
 }
 
-/// An open span the observer is still tracking.
-#[derive(Clone, Debug)]
-struct OpenSpan {
-    service: String,
-    op: String,
-    opened: Ticks,
-}
-
 /// The span recorder living inside [`crate::Net`]; disabled by default.
 ///
 /// All methods are no-ops while disabled, and [`Observer::span_open`]
@@ -341,11 +322,10 @@ struct OpenSpan {
 pub struct Observer {
     enabled: bool,
     next_span: u64,
+    /// The open spans, innermost last.
     stack: Vec<u64>,
-    open: BTreeMap<u64, OpenSpan>,
     events: Vec<ObsEvent>,
     truncated: u64,
-    hists: BTreeMap<(String, String), Histogram>,
 }
 
 impl Observer {
@@ -381,14 +361,6 @@ impl Observer {
         let id = self.next_span;
         let parent = self.stack.last().copied().unwrap_or(0);
         self.stack.push(id);
-        self.open.insert(
-            id,
-            OpenSpan {
-                service: service.to_owned(),
-                op: op.to_owned(),
-                opened: now,
-            },
-        );
         self.push_event(ObsEvent::SpanOpen {
             id,
             parent,
@@ -400,22 +372,12 @@ impl Observer {
         id
     }
 
-    /// Closes a span, feeding its duration into the per-(service, op)
-    /// histogram. Id 0 and unknown ids are ignored.
+    /// Closes a span. Id 0 and ids that are not open are ignored.
     pub fn span_close(&mut self, now: Ticks, id: u64, outcome: &str) {
-        if id == 0 {
-            return;
-        }
-        let Some(span) = self.open.remove(&id) else {
+        let Some(pos) = self.stack.iter().rposition(|&s| s == id) else {
             return;
         };
-        if let Some(pos) = self.stack.iter().rposition(|&s| s == id) {
-            self.stack.remove(pos);
-        }
-        self.hists
-            .entry((span.service, span.op))
-            .or_default()
-            .record(now - span.opened);
+        self.stack.remove(pos);
         self.push_event(ObsEvent::SpanClose {
             id,
             outcome: outcome.to_owned(),
@@ -448,8 +410,7 @@ impl Observer {
         });
     }
 
-    /// Drains the recorded events (resetting the truncation counter);
-    /// histograms persist.
+    /// Drains the recorded events (resetting the truncation counter).
     pub fn take_events(&mut self) -> Vec<ObsEvent> {
         self.truncated = 0;
         std::mem::take(&mut self.events)
@@ -459,36 +420,6 @@ impl Observer {
     /// [`Observer::take_events`].
     pub fn truncated(&self) -> u64 {
         self.truncated
-    }
-
-    /// Snapshot of the per-(service, op) latency histograms.
-    pub fn histograms(&self) -> BTreeMap<(String, String), Histogram> {
-        self.hists.clone()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Per-(service, op) latency summary rows, sorted by service then op.
-    pub fn op_stats(&self) -> Vec<OpStat> {
-        self.hists
-            .iter()
-            .map(|((service, op), h)| OpStat {
-                service: service.clone(),
-                op: op.clone(),
-                count: h.count(),
-                p50: h.quantile(0.50),
-                p95: h.quantile(0.95),
-                max: h.max(),
-            })
-            .collect()
     }
 }
 
@@ -507,6 +438,46 @@ pub struct OpStat {
     pub p95: Ticks,
     /// Exact maximum virtual-time latency.
     pub max: Ticks,
+}
+
+/// Per-(service, op) latency summary rows of an event stream, sorted by
+/// service then op. Each [`ObsEvent::SpanClose`] is paired by id with its
+/// [`ObsEvent::SpanOpen`], whatever the order of closes, and the span's
+/// virtual-time duration feeds that operation's [`Histogram`]. A close
+/// with no open before it is ignored.
+pub fn op_stats(events: &[ObsEvent]) -> Vec<OpStat> {
+    let mut open: BTreeMap<u64, (&str, &str, Ticks)> = BTreeMap::new();
+    let mut hists: BTreeMap<(&str, &str), Histogram> = BTreeMap::new();
+    for ev in events {
+        match ev {
+            ObsEvent::SpanOpen {
+                id,
+                service,
+                op,
+                at,
+                ..
+            } => {
+                open.insert(*id, (service, op, *at));
+            }
+            ObsEvent::SpanClose { id, at, .. } => {
+                if let Some((service, op, opened)) = open.remove(id) {
+                    hists.entry((service, op)).or_default().record(*at - opened);
+                }
+            }
+            _ => {}
+        }
+    }
+    hists
+        .into_iter()
+        .map(|((service, op), h)| OpStat {
+            service: service.to_owned(),
+            op: op.to_owned(),
+            count: h.count(),
+            p50: h.quantile(0.50),
+            p95: h.quantile(0.95),
+            max: h.max(),
+        })
+        .collect()
 }
 
 /// Renders the per-operation latency table next to the message-count
@@ -996,6 +967,28 @@ struct SpanAudit {
     ow_losses: u64,
 }
 
+/// Counts one closed-circuit send outcome in span `span`'s burst and
+/// reports a burst past the reopen budget (invariant 3 of [`audit`]);
+/// `what` names the send in the violation.
+fn count_closed_circuit(
+    report: &mut AuditReport,
+    sa: &mut SpanAudit,
+    span: u64,
+    at: Ticks,
+    what: &str,
+) {
+    sa.cc_burst += 1;
+    report.max_reopen_burst = report.max_reopen_burst.max(sa.cc_burst);
+    if sa.cc_burst > crate::MAX_CONSECUTIVE_REOPENS as u64 + 1 {
+        report.violations.push(format!(
+            "t={at}: span {span} exceeded the reopen budget on {what}: {} consecutive \
+             closed-circuit sends (bound {} reopens)",
+            sa.cc_burst,
+            crate::MAX_CONSECUTIVE_REOPENS
+        ));
+    }
+}
+
 /// Replays an exported event stream and checks the protocol invariants
 /// the engine and the shadow-page commit protocol promise:
 ///
@@ -1115,18 +1108,8 @@ pub fn audit(events: &[ObsEvent]) -> AuditReport {
                 }
                 match outcome {
                     SendOutcome::CircuitClosed => {
-                        sa.cc_burst += 1;
-                        report.max_reopen_burst = report.max_reopen_burst.max(sa.cc_burst);
-                        if sa.cc_burst > crate::MAX_CONSECUTIVE_REOPENS as u64 + 1 {
-                            report.violations.push(format!(
-                                "t={}: span {span} exceeded the reopen budget on \
-                                 `{kind}`: {} consecutive closed-circuit sends \
-                                 (bound {} reopens)",
-                                at,
-                                sa.cc_burst,
-                                crate::MAX_CONSECUTIVE_REOPENS
-                            ));
-                        }
+                        let what = format!("`{kind}`");
+                        count_closed_circuit(&mut report, sa, *span, *at, &what);
                     }
                     SendOutcome::Delivered => {
                         sa.cc_burst = 0;
@@ -1183,18 +1166,7 @@ pub fn audit(events: &[ObsEvent]) -> AuditReport {
                         sa.ow_delivered += 1;
                     }
                     SendOutcome::CircuitClosed => {
-                        sa.cc_burst += 1;
-                        report.max_reopen_burst = report.max_reopen_burst.max(sa.cc_burst);
-                        if sa.cc_burst > crate::MAX_CONSECUTIVE_REOPENS as u64 + 1 {
-                            report.violations.push(format!(
-                                "t={}: span {span} exceeded the reopen budget on a \
-                                 one-way send: {} consecutive closed-circuit sends \
-                                 (bound {} reopens)",
-                                at,
-                                sa.cc_burst,
-                                crate::MAX_CONSECUTIVE_REOPENS
-                            ));
-                        }
+                        count_closed_circuit(&mut report, sa, *span, *at, "a one-way send");
                     }
                     _ => {}
                 }
@@ -1377,7 +1349,7 @@ mod tests {
             ObsEvent::Note { span, .. } => assert_eq!(*span, inner),
             other => panic!("expected Note, got {other:?}"),
         }
-        let stats = o.op_stats();
+        let stats = op_stats(&evs);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].op, "OPEN req");
         assert_eq!(stats[0].count, 1);
@@ -1873,18 +1845,56 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_union_of_samples() {
-        let (mut a, mut b, mut whole) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for us in [0u64, 3, 90, 1500] {
-            a.record(Ticks::micros(us));
-            whole.record(Ticks::micros(us));
-        }
-        for us in [7u64, 90, 40_000] {
-            b.record(Ticks::micros(us));
-            whole.record(Ticks::micros(us));
-        }
-        a.merge_from(&b);
-        assert_eq!(a, whole);
+    fn op_stats_pairs_closes_with_opens_by_id() {
+        let open = |id: u64, parent: u64, service: &str, op: &str, at: u64| ObsEvent::SpanOpen {
+            id,
+            parent,
+            service: service.into(),
+            op: op.into(),
+            site: SiteId(0),
+            at: Ticks::micros(at),
+        };
+        let close = |id: u64, at: u64| ObsEvent::SpanClose {
+            id,
+            outcome: "ok".into(),
+            at: Ticks::micros(at),
+        };
+        let evs = vec![
+            open(1, 0, "fs", "open", 0),
+            open(2, 1, "fs", "read", 10),
+            open(3, 2, "fs", "read", 12),
+            // The outer read closes before the read nested in it.
+            close(2, 20),
+            note(15, 0, "read.page", "1:2", 1),
+            close(3, 112),
+            close(1, 1000),
+            // No open: a close past the stream's start, and a second close.
+            close(9, 1100),
+            close(3, 1200),
+            open(4, 0, "fs", "read", 2000),
+            open(5, 0, "proc", "fork", 2001),
+            close(4, 2003),
+            close(5, 2001),
+        ];
+        let row = |service: &str, op: &str, count, p50, p95, max| OpStat {
+            service: service.into(),
+            op: op.into(),
+            count,
+            p50: Ticks::micros(p50),
+            p95: Ticks::micros(p95),
+            max: Ticks::micros(max),
+        };
+        // fs/read samples 10, 100 and 3 µs fall in buckets 4, 7 and 2
+        // (upper edges 15, 127, 3): rank 2 of 3 is 15, rank 3 is 127.
+        assert_eq!(
+            op_stats(&evs),
+            vec![
+                row("fs", "open", 1, 1023, 1023, 1000),
+                row("fs", "read", 3, 15, 127, 100),
+                row("proc", "fork", 1, 0, 0, 0),
+            ]
+        );
+        assert!(op_stats(&evs[3..9]).is_empty(), "closes without opens");
     }
 
     #[test]

@@ -564,13 +564,14 @@ mod tests {
         engine
             .one_way(&net, SiteId(0), SiteId(1), TestMsg::Transition, |_| ())
             .expect("one-way");
-        let report = crate::obs::audit(&net.take_obs_events());
+        let events = net.take_obs_events();
+        let report = crate::obs::audit(&events);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert_eq!(report.spans, 2);
         assert_eq!(report.requests, 1);
         assert_eq!(report.replies, 1);
         assert_eq!(report.one_ways, 1);
-        let stats = net.op_stats();
+        let stats = crate::obs::op_stats(&events);
         assert!(stats
             .iter()
             .any(|s| s.service == "test" && s.op == "TEST query" && s.count == 1));

@@ -18,13 +18,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use locus_fs::ops::fd;
 use locus_fs::{FsCluster, ProcFsCtx};
-use locus_net::{Histogram, Net, NetStats, ObsEvent};
+use locus_net::{Net, NetStats, ObsEvent};
 use locus_types::{FileType, MachineType, OpenMode, Perms, SiteId, SysResult};
 use proptest::prelude::*;
 use proptest::{runtime, TestRng};
@@ -97,15 +96,11 @@ pub fn proptest_seed_set(test_name: &str, cases: u32) -> Vec<u64> {
         .collect()
 }
 
-/// What a clean schedule run yields: the event stream, the
-/// per-(service, op) virtual-time latency histograms and the network
-/// statistics, all of which must be byte-identical across identical-seed
-/// replays (and across engines).
-pub type Observation = (
-    Vec<ObsEvent>,
-    BTreeMap<(String, String), Histogram>,
-    NetStats,
-);
+/// What a clean schedule run yields: the event stream and the network
+/// statistics, both of which must be byte-identical across identical-seed
+/// replays. The per-operation latency histograms are a function of the
+/// event stream ([`locus_net::op_stats`]), so they agree whenever it does.
+pub type Observation = (Vec<ObsEvent>, NetStats);
 
 /// Common tail of every schedule. The trace must be complete (a
 /// truncated one would make the determinism comparisons and the audit
@@ -142,7 +137,7 @@ pub fn finish(net: &Net, seed: u64, required_notes: &[&str]) -> Result<Observati
             audit.violations
         ));
     }
-    Ok((events, net.obs_histograms(), net.stats()))
+    Ok((events, net.stats()))
 }
 
 /// Runs `run(seed)` twice and requires byte-identical observations,
@@ -152,11 +147,7 @@ pub fn replays_identically(
     run: impl Fn(u64) -> Result<Observation, String>,
 ) -> Result<Observation, String> {
     let (a, b) = (run(seed)?, run(seed)?);
-    for (what, same) in [
-        ("traces", a.0 == b.0),
-        ("latency histograms", a.1 == b.1),
-        ("statistics", a.2 == b.2),
-    ] {
+    for (what, same) in [("traces", a.0 == b.0), ("statistics", a.1 == b.1)] {
         if !same {
             return Err(format!("seed {seed}: {what} diverged between identical runs"));
         }
