@@ -35,12 +35,7 @@ fn commit_at_inner(
     // The page images this site sent into the session leave the staging
     // area here, so a failed commit drops them with the `?` below.
     let staged = fsc.kernel(us).staged.remove(&gfid).unwrap_or_default();
-    let reply = if ss == us {
-        handle_commit(fsc, ss, gfid, meta)?
-    } else {
-        fsc.rpc(us, ss, FsMsg::Commit { gfid, meta })?
-    };
-    let FsReply::Committed { info } = reply else {
+    let FsReply::Committed { info } = fsc.rpc(us, ss, FsMsg::Commit { gfid, meta })? else {
         return Err(Errno::Eio);
     };
     let mut k = fsc.kernel(us);
@@ -70,11 +65,7 @@ pub fn abort_at(fsc: &FsCluster, us: SiteId, gfid: Gfid, ss: SiteId) -> SysResul
     fsc.net().span("fs", "abort", us, || {
         fsc.net().charge_cpu_at(us, cost::SYSCALL_CPU);
         io::discard_session_buffers(fsc, us, gfid);
-        if ss == us {
-            handle_abort(fsc, ss, gfid)?;
-        } else {
-            fsc.rpc(us, ss, FsMsg::AbortChanges { gfid })?;
-        }
+        fsc.rpc(us, ss, FsMsg::AbortChanges { gfid })?;
         Ok(())
     })
 }

@@ -320,12 +320,7 @@ pub(crate) fn pipe_call(
     gfid: Gfid,
     op: PipeOp,
 ) -> SysResult<PipeReply> {
-    let reply = if site == home {
-        handle_pipe_op(fsc, home, gfid, op)?
-    } else {
-        fsc.rpc(site, home, FsMsg::PipeOp { gfid, op })?
-    };
-    match reply {
+    match fsc.rpc(site, home, FsMsg::PipeOp { gfid, op })? {
         FsReply::Pipe(r) => Ok(r),
         _ => Err(Errno::Eio),
     }
@@ -352,12 +347,7 @@ pub(crate) fn device_call(
     gfid: Gfid,
     op: DeviceOp,
 ) -> SysResult<DeviceReply> {
-    let reply = if site == home {
-        handle_device_op(fsc, home, gfid, op)?
-    } else {
-        fsc.rpc(site, home, FsMsg::DeviceOp { gfid, op })?
-    };
-    match reply {
+    match fsc.rpc(site, home, FsMsg::DeviceOp { gfid, op })? {
         FsReply::Device(r) => Ok(r),
         _ => Err(Errno::Eio),
     }

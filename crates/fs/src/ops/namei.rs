@@ -245,12 +245,7 @@ fn css_known_latest(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<Versio
     let mut css = fsc.kernel(us).mount.css_of(gfid.fg)?;
     let mut redirects = 0;
     loop {
-        let reply = if css == us {
-            handle_vv_check(fsc, css, us, gfid)?
-        } else {
-            fsc.rpc(us, css, FsMsg::VvCheck { gfid })?
-        };
-        match reply {
+        match fsc.rpc(us, css, FsMsg::VvCheck { gfid })? {
             FsReply::VvKnown { vv, lease } => {
                 if lease {
                     fsc.with_kernel(us, |k| k.name_cache.grant_lease(gfid));
@@ -548,36 +543,20 @@ pub fn create(
             .site_of_pack(creator_pack)
             .ok_or(Errno::Enocopy)?
     };
-    let (ino, info) = if creator_site == us {
-        match handle_create_at(
-            fsc,
-            us,
-            dirg.fg,
-            creator_pack,
+    let (ino, info) = match fsc.rpc(
+        us,
+        creator_site,
+        FsMsg::CreateAt {
+            fg: dirg.fg,
+            pack_idx: creator_pack,
             ftype,
             perms,
-            ctx.uid,
-            replicas.clone(),
-        )? {
-            FsReply::Created { ino, info } => (ino, info),
-            _ => return Err(Errno::Eio),
-        }
-    } else {
-        match fsc.rpc(
-            us,
-            creator_site,
-            FsMsg::CreateAt {
-                fg: dirg.fg,
-                pack_idx: creator_pack,
-                ftype,
-                perms,
-                owner: ctx.uid,
-                replicas: replicas.clone(),
-            },
-        )? {
-            FsReply::Created { ino, info } => (ino, info),
-            _ => return Err(Errno::Eio),
-        }
+            owner: ctx.uid,
+            replicas: replicas.clone(),
+        },
+    )? {
+        FsReply::Created { ino, info } => (ino, info),
+        _ => return Err(Errno::Eio),
     };
     let gfid = Gfid::new(dirg.fg, ino);
 

@@ -81,20 +81,16 @@ fn open_gfid_inner(
     let reply = {
         let mut redirects = 0;
         loop {
-            let r = if css == us {
-                handle_css_open(fsc, css, gfid, mode, us_vv.clone(), us)?
-            } else {
-                fsc.rpc(
+            let r = fsc.rpc(
+                us,
+                css,
+                FsMsg::OpenReq {
+                    gfid,
+                    mode,
+                    us_vv: us_vv.clone(),
                     us,
-                    css,
-                    FsMsg::OpenReq {
-                        gfid,
-                        mode,
-                        us_vv: us_vv.clone(),
-                        us,
-                    },
-                )?
-            };
+                },
+            )?;
             let FsReply::NotCss { epoch, new_css } = r else {
                 break r;
             };
@@ -417,13 +413,9 @@ fn ss_side_close(
     }
     let css = fsc.kernel(ss).mount.css_of(gfid.fg)?;
     if !unsync {
-        if css == ss {
-            let _ = handle_ss_close(fsc, css, gfid, us, write);
-        } else {
-            // The CSS may have dropped out of the partition; the cleanup
-            // procedure rebuilds its lock table (§5.6).
-            let _ = fsc.rpc(ss, css, FsMsg::SsClose { gfid, us, write });
-        }
+        // The CSS may have dropped out of the partition; the cleanup
+        // procedure rebuilds its lock table (§5.6).
+        let _ = fsc.rpc(ss, css, FsMsg::SsClose { gfid, us, write });
     }
     fsc.with_kernel(ss, |k| k.maybe_release_incore(gfid));
     Ok(())

@@ -53,7 +53,6 @@ fn plan_for(seed: u64) -> (FaultPlan, Vec<Ticks>) {
         duplicate: rng.gen_f64() * 0.10,
         delay_prob: rng.gen_f64() * 0.20,
         delay: Ticks::micros(rng.gen_range(20u64..200)),
-        circuit_abort: 0.0,
     };
     let mut plan = FaultPlan::new(seed).default_spec(spec);
     let mut events = Vec::new();

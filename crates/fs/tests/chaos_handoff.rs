@@ -220,7 +220,6 @@ fn run_reconfig_race_schedule(seed: u64) -> Result<Observation, String> {
         duplicate: wl.gen_f64() * 0.05,
         delay_prob: wl.gen_f64() * 0.15,
         delay: Ticks::micros(wl.gen_range(20u64..150)),
-        circuit_abort: 0.0,
     };
     let gray_from = SiteId(CONTAINERS[wl.gen_range(0usize..CONTAINERS.len())]);
     let plan = FaultPlan::new(seed)

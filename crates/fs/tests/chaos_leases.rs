@@ -118,7 +118,6 @@ fn run_recall_loss(seed: u64) -> Result<Observation, String> {
         duplicate: rng.gen_f64() * 0.10,
         delay_prob: rng.gen_f64() * 0.20,
         delay: Ticks::micros(rng.gen_range(20u64..200)),
-        circuit_abort: 0.0,
     };
     net.install_faults(FaultPlan::new(seed).default_spec(spec));
 
@@ -338,7 +337,6 @@ fn run_handoff_transfer(seed: u64) -> Result<Observation, String> {
         duplicate: rng.gen_f64() * 0.05,
         delay_prob: rng.gen_f64() * 0.15,
         delay: Ticks::micros(rng.gen_range(20u64..150)),
-        circuit_abort: 0.0,
     };
     net.install_faults(FaultPlan::new(seed).default_spec(spec));
 

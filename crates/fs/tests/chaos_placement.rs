@@ -231,7 +231,6 @@ fn run_notcss_race_schedule(seed: u64) -> Result<Observation, String> {
         duplicate: wl.gen_f64() * 0.05,
         delay_prob: wl.gen_f64() * 0.15,
         delay: Ticks::micros(wl.gen_range(20u64..150)),
-        circuit_abort: 0.0,
     };
     net.install_faults(FaultPlan::new(seed).default_spec(spec));
 

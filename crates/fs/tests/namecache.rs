@@ -218,7 +218,6 @@ fn run_hidden_rewrite_schedule(seed: u64) -> Result<(), String> {
         duplicate: rng.gen_f64() * 0.10,
         delay_prob: rng.gen_f64() * 0.20,
         delay: Ticks::micros(rng.gen_range(20u64..200)),
-        circuit_abort: 0.0,
     };
     fsc.net().install_faults(FaultPlan::new(seed).default_spec(spec));
 

@@ -5,8 +5,11 @@
 //! control or any other underlying mechanism" is provided by the network
 //! (§2.3.3 fn), and "timeouts drive the reconfiguration protocols"
 //! (§5.5). This module supplies the unreliability: a seeded pseudo-random
-//! plan of message drops, duplicates and delays, transient link flaps and
-//! crash/revive events keyed to the virtual clock.
+//! plan of message drops, duplicates and delays, one-directional slow
+//! links, and transient link flaps and crash/revive events keyed to the
+//! virtual clock. A protocol meets a virtual circuit only through a lost
+//! reply: the closed-circuit notice it leaves is the network's business
+//! ([`crate::circuit`]), not the injector's.
 //!
 //! Everything is deterministic: each **source site** owns one [`SimRng`]
 //! stream (an xorshift64*), consumed in that site's send order, so the
@@ -96,11 +99,6 @@ pub struct FaultSpec {
     pub delay_prob: f64,
     /// Extra latency charged when a delay fires.
     pub delay: Ticks,
-    /// Probability the virtual circuit to the destination fails at the
-    /// moment of the send: the circuit closes and the sender observes
-    /// [`crate::NetError::CircuitClosed`] without the message reaching
-    /// the wire (§5.1 mid-conversation circuit failure).
-    pub circuit_abort: f64,
 }
 
 impl FaultSpec {
@@ -117,10 +115,10 @@ impl FaultSpec {
 ///
 /// Unlike the probabilistic [`FaultSpec`], a gray spec is a stable
 /// property of a direction: every message sent `from -> to` is slowed
-/// (latency inflation, not a cut) or silently blocked while the opposite
-/// direction keeps working. This is the failure mode partition detection
-/// cannot see — the link is "up", it is just *wrong* — and what the
-/// health monitor ([`crate::health`]) exists to catch.
+/// (latency inflation, not a cut) while the opposite direction keeps its
+/// speed. This is the failure mode partition detection cannot see — the
+/// link is "up", it is just *slow* — and what the health monitor
+/// ([`crate::health`]) exists to catch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraySpec {
     /// Multiplies the base transmission latency (0 and 1 both mean
@@ -128,9 +126,6 @@ pub struct GraySpec {
     pub slow_factor: u32,
     /// Extra latency added after the multiplication.
     pub slow_extra: Ticks,
-    /// Every message in this direction is silently lost (asymmetric
-    /// reachability: A reaches B but B's messages to A vanish).
-    pub blocked: bool,
 }
 
 impl GraySpec {
@@ -140,15 +135,6 @@ impl GraySpec {
         GraySpec {
             slow_factor: factor,
             slow_extra: extra,
-            blocked: false,
-        }
-    }
-
-    /// A one-directional block: the direction delivers nothing.
-    pub fn one_way_block() -> Self {
-        GraySpec {
-            blocked: true,
-            ..Default::default()
         }
     }
 
@@ -213,9 +199,6 @@ pub struct FaultPlan {
     /// Gray behaviour keyed by **ordered** `(from, to)` — a gray fault
     /// is one-directional by definition.
     per_gray: BTreeMap<(SiteId, SiteId), GraySpec>,
-    /// Per-site flap probability: any message touching the site fails
-    /// with a mid-conversation circuit abort at this rate.
-    flap: BTreeMap<SiteId, f64>,
     schedule: Vec<ScheduledFault>,
 }
 
@@ -260,41 +243,18 @@ impl FaultPlan {
         self
     }
 
-    /// Installs a gray spec for the **directed** link `from -> to`; the
-    /// opposite direction is unaffected.
-    pub fn gray_link(mut self, from: SiteId, to: SiteId, spec: GraySpec) -> Self {
-        self.per_gray.insert((from, to), spec);
-        self
-    }
-
-    /// Convenience: one-directional slow link — every `from -> to`
-    /// message's latency is multiplied by `factor` then `extra` is added.
-    pub fn slow_link(self, from: SiteId, to: SiteId, factor: u32, extra: Ticks) -> Self {
-        self.gray_link(from, to, GraySpec::slow(factor, extra))
-    }
-
-    /// Convenience: asymmetric reachability — `from -> to` delivers
-    /// nothing while `to -> from` keeps working.
-    pub fn block_direction(self, from: SiteId, to: SiteId) -> Self {
-        self.gray_link(from, to, GraySpec::one_way_block())
-    }
-
-    /// Marks a site as probabilistically *flapping*: every message to or
-    /// from it suffers a mid-conversation circuit abort with probability
-    /// `p` (per message, rolled on the plan's deterministic RNG stream).
-    pub fn flap_site(mut self, site: SiteId, p: f64) -> Self {
-        self.flap.insert(site, p);
+    /// One-directional slow link: every `from -> to` message's latency
+    /// is multiplied by `factor` then `extra` is added; the opposite
+    /// direction is unaffected.
+    pub fn slow_link(mut self, from: SiteId, to: SiteId, factor: u32, extra: Ticks) -> Self {
+        self.per_gray
+            .insert((from, to), GraySpec::slow(factor, extra));
         self
     }
 
     /// The gray spec in force for the directed link `from -> to`, if any.
     pub fn gray_for(&self, from: SiteId, to: SiteId) -> Option<GraySpec> {
         self.per_gray.get(&(from, to)).copied()
-    }
-
-    /// The flap probability of one site (0.0 if not flapping).
-    pub fn flap_for(&self, site: SiteId) -> f64 {
-        self.flap.get(&site).copied().unwrap_or(0.0)
     }
 
     /// Schedules a raw fault action.
@@ -339,9 +299,6 @@ pub(crate) enum Verdict {
     Delay(Ticks),
     /// Lost in transit.
     Drop,
-    /// The virtual circuit to the destination fails before transmission;
-    /// the sender observes `CircuitClosed` (§5.1).
-    CircuitAbort,
 }
 
 /// The golden-ratio multiplier shared with [`SimRng::seed_from_u64`].
@@ -413,40 +370,12 @@ impl FaultInjector {
     /// probabilities are zero.
     pub(crate) fn judge(&mut self, from: SiteId, to: SiteId, kind: &str) -> Verdict {
         let spec = self.plan.spec_for(from, to, kind);
-        // Combined probability that either endpoint flaps on this message.
-        let flap_p = {
-            let (pf, pt) = (self.plan.flap_for(from), self.plan.flap_for(to));
-            1.0 - (1.0 - pf) * (1.0 - pt)
-        };
-        let spec_active = spec.drop != 0.0
-            || spec.duplicate != 0.0
-            || spec.delay_prob != 0.0
-            || spec.circuit_abort != 0.0;
-        if !spec_active && flap_p == 0.0 {
+        if spec.drop == 0.0 && spec.duplicate == 0.0 && spec.delay_prob == 0.0 {
             return Verdict::Deliver;
         }
         let rng = self.stream(from);
-        let (d, dup, del) = if spec_active {
-            (rng.gen_f64(), rng.gen_f64(), rng.gen_f64())
-        } else {
-            (1.0, 1.0, 1.0)
-        };
-        // The abort roll is consumed only when the spec can abort, and
-        // after the original three rolls, so plans without circuit aborts
-        // reproduce the exact RNG stream (and traces) of earlier versions.
-        let abort = if spec.circuit_abort > 0.0 {
-            rng.gen_f64()
-        } else {
-            1.0
-        };
-        // The flap roll follows the same stream-preserving discipline:
-        // consumed only when a flapping site is involved, and after every
-        // pre-existing roll, so plans without flapping sites reproduce
-        // the exact RNG stream of earlier versions.
-        let flap = if flap_p > 0.0 { rng.gen_f64() } else { 1.0 };
-        if abort < spec.circuit_abort || flap < flap_p {
-            Verdict::CircuitAbort
-        } else if d < spec.drop {
+        let (d, dup, del) = (rng.gen_f64(), rng.gen_f64(), rng.gen_f64());
+        if d < spec.drop {
             Verdict::Drop
         } else if dup < spec.duplicate {
             Verdict::Duplicate
@@ -479,12 +408,6 @@ pub struct RetryPolicy {
     pub base_backoff: Ticks,
     /// Backoff multiplier per subsequent attempt.
     pub multiplier: u32,
-    /// Upper bound on *consecutive* closed-circuit reopen-retries within
-    /// one engine call (reopening spends no attempt, so a flapping
-    /// circuit needs its own bound). Defaults to
-    /// [`MAX_CONSECUTIVE_REOPENS`](crate::MAX_CONSECUTIVE_REOPENS); chaos
-    /// suites tighten or loosen it per scenario.
-    pub max_reopens: u32,
 }
 
 impl Default for RetryPolicy {
@@ -495,20 +418,17 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             base_backoff: Ticks::millis(2),
             multiplier: 2,
-            max_reopens: crate::rpc::MAX_CONSECUTIVE_REOPENS,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (the reopen bound keeps its default —
-    /// a reopen is not a retry).
+    /// A policy that never retries.
     pub fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             base_backoff: Ticks::ZERO,
             multiplier: 1,
-            max_reopens: crate::rpc::MAX_CONSECUTIVE_REOPENS,
         }
     }
 
@@ -589,18 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn circuit_abort_rate_one_always_aborts() {
-        let plan = FaultPlan::new(3).default_spec(FaultSpec {
-            circuit_abort: 1.0,
-            ..Default::default()
-        });
-        let mut inj = FaultInjector::new(plan);
-        for _ in 0..10 {
-            assert_eq!(inj.judge(SiteId(0), SiteId(1), "x"), Verdict::CircuitAbort);
-        }
-    }
-
-    #[test]
     fn inert_injector_consumes_no_randomness() {
         let mut a = FaultInjector::inert();
         assert_eq!(a.judge(SiteId(0), SiteId(1), "x"), Verdict::Deliver);
@@ -634,44 +542,23 @@ mod tests {
 
     #[test]
     fn gray_specs_are_directional() {
-        let plan = FaultPlan::new(0)
-            .slow_link(SiteId(0), SiteId(1), 4, Ticks::micros(50))
-            .block_direction(SiteId(2), SiteId(3));
+        let plan = FaultPlan::new(0).slow_link(SiteId(0), SiteId(1), 4, Ticks::micros(50));
         let slow = plan.gray_for(SiteId(0), SiteId(1)).expect("installed");
-        assert!(slow.is_slow() && !slow.blocked);
+        assert!(slow.is_slow());
         assert_eq!(slow.inflate(Ticks::micros(100)), Ticks::micros(450));
         assert_eq!(plan.gray_for(SiteId(1), SiteId(0)), None, "one-way");
-        assert!(plan.gray_for(SiteId(2), SiteId(3)).expect("blocked").blocked);
-        assert_eq!(plan.gray_for(SiteId(3), SiteId(2)), None, "one-way");
     }
 
     #[test]
-    fn flap_rate_one_always_aborts() {
-        let plan = FaultPlan::new(3).flap_site(SiteId(1), 1.0);
-        let mut inj = FaultInjector::new(plan);
-        for _ in 0..10 {
-            assert_eq!(inj.judge(SiteId(0), SiteId(1), "x"), Verdict::CircuitAbort);
-            assert_eq!(inj.judge(SiteId(1), SiteId(0), "x"), Verdict::CircuitAbort);
-        }
-        assert_eq!(
-            inj.judge(SiteId(0), SiteId(2), "x"),
-            Verdict::Deliver,
-            "messages not touching the flapping site are untouched"
-        );
-    }
-
-    #[test]
-    fn flap_roll_preserves_the_stream_of_flapless_plans() {
-        // A plan with probabilistic specs but no flapping sites must
-        // consume the exact per-site RNG stream (three rolls per judged
-        // message, no circuit aborts), with the stream seeded by the
-        // documented derivation rule.
+    fn judge_rolls_three_times_per_judged_message() {
+        // An active spec consumes exactly three rolls of the per-site RNG
+        // stream per judged message (drop, duplicate, delay), with the
+        // stream seeded by the documented derivation rule.
         let spec = FaultSpec {
             drop: 0.3,
             duplicate: 0.1,
             delay_prob: 0.2,
             delay: Ticks::micros(10),
-            ..Default::default()
         };
         let mut inj = FaultInjector::new(FaultPlan::new(77).default_spec(spec));
         let mut reference = SimRng::seed_from_u64(site_stream_seed(77, SiteId(0)));
@@ -693,23 +580,6 @@ mod tests {
                 Verdict::Deliver
             };
             assert_eq!(*verdicts.last().unwrap(), expect);
-        }
-    }
-
-    #[test]
-    fn flap_only_plans_roll_once_per_message() {
-        // With no probabilistic spec active, a flap-involved message
-        // consumes exactly one roll.
-        let mut inj = FaultInjector::new(FaultPlan::new(5).flap_site(SiteId(1), 0.5));
-        let mut reference = SimRng::seed_from_u64(site_stream_seed(5, SiteId(0)));
-        for _ in 0..32 {
-            let v = inj.judge(SiteId(0), SiteId(1), "x");
-            let expect = if reference.gen_f64() < 0.5 {
-                Verdict::CircuitAbort
-            } else {
-                Verdict::Deliver
-            };
-            assert_eq!(v, expect);
         }
     }
 

@@ -2,12 +2,12 @@
 //!
 //! Partition detection (§5.4) answers a binary question — can two sites
 //! talk at all? A *gray* site answers it wrongly: its links are up but
-//! slow, lossy in one direction, or flapping, so every poll succeeds
-//! (eventually) while real work degrades. Following the DIR Net's
-//! fault-treatment pipeline, this module scores per-site health from the
-//! signals the send path already produces — drops, circuit
-//! aborts/reopens, and latency drift against a per-directed-link running
-//! average — and drives a three-stage state machine:
+//! slow or lossy, so every poll succeeds (eventually) while real work
+//! degrades. Following the DIR Net's fault-treatment pipeline, this
+//! module scores per-site health from the signals the send path already
+//! produces — drops, the closed-circuit notices lost replies leave, and
+//! latency drift against a per-directed-link running average — and
+//! drives a three-stage state machine:
 //!
 //! * **detect** — penalties accumulate per blamed site; crossing the
 //!   suspect threshold marks it [`SiteHealth::Suspect`], crossing the
@@ -51,7 +51,7 @@ pub struct HealthPolicy {
     pub suspect_score: u32,
     /// Score at which a site is quarantined.
     pub quarantine_score: u32,
-    /// Penalty per hard fault signal (drop, circuit abort, reopen).
+    /// Penalty per hard fault signal (a drop, a closed-circuit notice).
     pub fault_penalty: u32,
     /// Penalty per latency-drift signal.
     pub slow_penalty: u32,
@@ -182,9 +182,9 @@ impl HealthMonitor {
         self.reward(blame)
     }
 
-    /// Feeds one hard fault signal (drop, circuit abort, consecutive
-    /// reopen) blamed on `blame`. Returns a transition if the site
-    /// crossed into quarantine.
+    /// Feeds one hard fault signal (a drop, a closed-circuit notice)
+    /// blamed on `blame`. Returns a transition if the site crossed into
+    /// quarantine.
     pub fn observe_fault(&mut self, blame: SiteId) -> Option<HealthEvent> {
         if !self.enabled {
             return None;

@@ -53,7 +53,7 @@ pub use obs::{
     audit, export_jsonl, op_stats, parse_jsonl, render_op_stats, AuditReport, Histogram, ObsEvent,
     Observer, OpStat, SendOutcome, CSS_CLAIM_COOLDOWN,
 };
-pub use rpc::{RpcEngine, RpcError, WireMsg, MAX_CONSECUTIVE_REOPENS};
+pub use rpc::{RpcEngine, RpcError, WireMsg};
 pub use stats::{KindStats, NetStats, ServiceStats};
 pub use topology::Topology;
 
@@ -311,33 +311,15 @@ impl Net {
         }
         if g.circuits.take_abort(from, to) {
             g.stats.kind_mut(kind, service).fails += 1;
-            // A reopen notice is a flap signal: it means the previous
+            // A closed-circuit notice is a fault signal: the previous
             // conversation on this pair died mid-flight.
             let ev = g.health.observe_fault(blame);
             g.note_health(ev);
             return Err(NetError::CircuitClosed);
         }
-        let mut verdict = g.faults.judge(from, to, kind);
-        let gray = g.faults.gray_for(from, to);
-        if let Some(gs) = gray {
-            // A one-directional block silently loses everything in this
-            // direction (asymmetric reachability) — unless the circuit
-            // already aborted before the message reached the wire.
-            if gs.blocked && verdict != Verdict::CircuitAbort {
-                verdict = Verdict::Drop;
-            }
-        }
-        if verdict == Verdict::CircuitAbort {
-            // The virtual circuit fails before the message reaches the
-            // wire (§5.1): no transmission latency, and the sender observes
-            // the closure locally.
-            g.stats.kind_mut(kind, service).fails += 1;
-            let ev = g.health.observe_fault(blame);
-            g.note_health(ev);
-            return Err(NetError::CircuitClosed);
-        }
-        // The message reaches the wire in every remaining verdict: the
-        // sender pays transmission latency whether or not delivery happens.
+        let verdict = g.faults.judge(from, to, kind);
+        // The message reaches the wire in every verdict: the sender pays
+        // transmission latency whether or not delivery happens.
         let mut cost = g.latency.message_cost(bytes);
         let row = g.stats.kind_mut(kind, service);
         if let Verdict::Delay(extra) = verdict {
@@ -353,7 +335,7 @@ impl Net {
                 row.dups += 1;
             }
         }
-        if let Some(gs) = gray {
+        if let Some(gs) = g.faults.gray_for(from, to) {
             if gs.is_slow() {
                 cost = gs.inflate(cost);
             }
@@ -986,23 +968,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_direction_drops_while_reverse_delivers() {
-        // Asymmetric reachability: 0→1 silently loses everything, 1→0 is
-        // untouched — the case the §5.1 transitive topology cannot express.
-        let net = Net::new(2);
-        net.install_faults(FaultPlan::new(0).block_direction(SiteId(0), SiteId(1)));
-        assert_eq!(net.send(SiteId(0), SiteId(1), "x", 8), Err(NetError::Dropped));
-        assert!(net.send(SiteId(1), SiteId(0), "y", 8).is_ok());
-        let stats = net.stats();
-        assert_eq!((stats.drops("x"), stats.sends("x")), (1, 0));
-        assert_eq!((stats.drops("y"), stats.sends("y")), (0, 1));
-    }
-
-    #[test]
     fn blocked_reply_direction_aborts_the_circuit() {
         let net = Net::new(2);
         net.send(SiteId(0), SiteId(1), "req", 8).unwrap();
-        net.install_faults(FaultPlan::new(0).block_direction(SiteId(1), SiteId(0)));
+        net.install_faults(FaultPlan::new(0).kind_spec("resp", FaultSpec::drop_rate(1.0)));
         assert_eq!(
             net.send_as("test", 0, Leg::Reply, SiteId(1), SiteId(0), "resp", 8),
             Err(NetError::ReplyLost)
@@ -1021,7 +990,7 @@ mod tests {
         let net = Net::new(3);
         net.enable_health(HealthPolicy::default());
         let gray = SiteId(2);
-        net.install_faults(FaultPlan::new(0).block_direction(SiteId(0), gray));
+        net.install_faults(FaultPlan::new(0).link_spec(SiteId(0), gray, FaultSpec::drop_rate(1.0)));
         let policy = HealthPolicy::default();
         let need = policy.quarantine_score.div_ceil(policy.fault_penalty);
         for _ in 0..need {
@@ -1050,20 +1019,6 @@ mod tests {
         }
         assert!(!net.quarantined(SiteId(1)));
         assert_eq!(net.health_score(SiteId(1)), 0);
-    }
-
-    #[test]
-    fn flapping_site_aborts_circuits_probabilistically() {
-        let net = Net::new(2);
-        net.enable_health(HealthPolicy::default());
-        net.install_faults(FaultPlan::new(42).flap_site(SiteId(1), 1.0));
-        assert_eq!(
-            net.send(SiteId(0), SiteId(1), "x", 8),
-            Err(NetError::CircuitClosed)
-        );
-        assert_eq!(net.stats().failures("x"), 1);
-        assert_eq!(net.stats().sends("x"), 0);
-        assert!(net.health_score(SiteId(1)) > 0, "flap blamed on the flapper");
     }
 
     #[test]
@@ -1163,7 +1118,6 @@ mod tests {
                 duplicate: 0.1,
                 delay_prob: 0.2,
                 delay: Ticks::micros(150),
-                circuit_abort: 0.0,
             }));
             for i in 0..40u32 {
                 let _ = net.send(SiteId(i % 3), SiteId((i + 1) % 3), "x", 16 + i as usize);

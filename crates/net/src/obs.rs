@@ -27,9 +27,8 @@
 //! * **The trace auditor.** [`audit`] replays an event stream offline and
 //!   checks the protocol invariants the engine is supposed to maintain:
 //!   every reply matches an outstanding request; an RPC is re-issued
-//!   after reply loss only if the message is idempotent; consecutive
-//!   circuit reopens per send stay within
-//!   [`MAX_CONSECUTIVE_REOPENS`](crate::MAX_CONSECUTIVE_REOPENS); a
+//!   after reply loss only if the message is idempotent; a closed-circuit
+//!   notice is observed once and the reopened send goes through; a
 //!   shadow-page commit never interleaves with a read of the committing
 //!   version; every one-way send is either delivered or accounted as
 //!   exactly one loss.
@@ -910,7 +909,7 @@ pub struct AuditReport {
     /// Protocol annotations.
     pub notes: u64,
     /// The longest burst of consecutive closed-circuit send outcomes
-    /// observed in any span (a burst of *n* implies *n − 1* reopens).
+    /// observed in any span (at most 1 in a clean trace).
     pub max_reopen_burst: u64,
     /// One-way losses recorded.
     pub one_way_losses: u64,
@@ -979,12 +978,11 @@ fn count_closed_circuit(
 ) {
     sa.cc_burst += 1;
     report.max_reopen_burst = report.max_reopen_burst.max(sa.cc_burst);
-    if sa.cc_burst > crate::MAX_CONSECUTIVE_REOPENS as u64 + 1 {
+    if sa.cc_burst > 1 {
         report.violations.push(format!(
             "t={at}: span {span} exceeded the reopen budget on {what}: {} consecutive \
-             closed-circuit sends (bound {} reopens)",
-            sa.cc_burst,
-            crate::MAX_CONSECUTIVE_REOPENS
+             closed-circuit sends (bound 1)",
+            sa.cc_burst
         ));
     }
 }
@@ -997,11 +995,9 @@ fn count_closed_circuit(
 ///    every delivered request is eventually answered.
 /// 2. **Idempotent re-issue** — after a failed reply, further request
 ///    attempts in the same span are only legal for idempotent messages.
-/// 3. **Bounded reopens** — consecutive closed-circuit outcomes in one
-///    span never exceed
-///    [`MAX_CONSECUTIVE_REOPENS`](crate::MAX_CONSECUTIVE_REOPENS) + 1
-///    (*n* consecutive closures imply *n − 1* reopens, and the engine
-///    resets its reopen budget only when a send reaches the wire).
+/// 3. **Bounded reopens** — a span meets at most one closed-circuit
+///    outcome between two deliveries: the send that observes a lost
+///    reply's notice consumes it, so the reopened send reaches the wire.
 /// 4. **Commit atomicity** — `commit.begin` / `commit.end` annotations
 ///    for one object never nest, always pair, and no `read.page` of that
 ///    object serves the committing (or a newer) version in between
@@ -1644,7 +1640,7 @@ mod tests {
             site: SiteId(0),
             at: Ticks::ZERO,
         }];
-        for i in 0..(crate::MAX_CONSECUTIVE_REOPENS as u64 + 2) {
+        for i in 0..2 {
             evs.push(ObsEvent::Request {
                 span: 1,
                 at: Ticks::micros(i),
@@ -1659,7 +1655,7 @@ mod tests {
         }
         evs.push(ObsEvent::SpanClose {
             id: 1,
-            outcome: "circuit-flapping".into(),
+            outcome: "unreachable".into(),
             at: Ticks::micros(99),
         });
         let report = audit(&evs);

@@ -21,21 +21,12 @@
 //!   re-issued only if the message is [idempotent](WireMsg::idempotent);
 //! * a `CircuitClosed` notice left by a previous lost reply is local
 //!   knowledge, not a wire transmission — reopening spends no attempt,
-//!   but consecutive reopenings are bounded by
-//!   [`MAX_CONSECUTIVE_REOPENS`] so a flapping circuit cannot spin the
-//!   sender forever.
+//!   and the send that observed the notice consumed it, so the reopened
+//!   send goes through to the wire.
 
 use locus_types::{SiteId, Ticks};
 
 use crate::{Leg, Net, NetError, RetryPolicy};
-
-/// Default upper bound on *consecutive* `CircuitClosed` reopen-retries
-/// within one engine call (the default for [`RetryPolicy::max_reopens`]).
-/// Reopening spends no [`RetryPolicy`] attempt (the notice is local
-/// knowledge, §5.1), so without a bound a circuit that fails on every
-/// reopen — a flapping link — would spin the sender forever. The counter
-/// resets whenever a send actually reaches the wire.
-pub const MAX_CONSECUTIVE_REOPENS: u32 = 16;
 
 /// A typed wire protocol message a subsystem hands to the [`RpcEngine`].
 ///
@@ -76,9 +67,6 @@ pub enum RpcError {
     /// The reply was lost and the request is not idempotent (or attempts
     /// ran out re-issuing it): the conversation is ambiguous (§5.1).
     ReplyLost,
-    /// The circuit failed on [`MAX_CONSECUTIVE_REOPENS`] consecutive
-    /// reopen attempts — a flapping link, not a lossy one.
-    CircuitFlapping,
 }
 
 impl RpcError {
@@ -89,7 +77,6 @@ impl RpcError {
             RpcError::Unreachable => "unreachable",
             RpcError::RetriesExhausted => "retries-exhausted",
             RpcError::ReplyLost => "reply-lost",
-            RpcError::CircuitFlapping => "circuit-flapping",
         }
     }
 }
@@ -100,7 +87,6 @@ impl core::fmt::Display for RpcError {
             RpcError::Unreachable => "destination unreachable",
             RpcError::RetriesExhausted => "request retries exhausted",
             RpcError::ReplyLost => "reply lost mid-conversation",
-            RpcError::CircuitFlapping => "virtual circuit flapping",
         };
         f.write_str(s)
     }
@@ -177,23 +163,18 @@ impl RpcEngine {
         let kind = msg.kind();
         let reply_kind = msg.reply_kind();
         let mut attempt = 0u32;
-        let mut reopens = 0u32;
         loop {
             let leg = Leg::Request {
                 reply_kind,
                 idempotent: msg.idempotent(),
             };
             match net.send_as(M::SERVICE, span, leg, from, to, kind, msg.wire_bytes()) {
-                Ok(()) => reopens = 0,
+                Ok(()) => {}
                 Err(NetError::CircuitClosed) => {
                     // The closed-circuit notice left by a lost reply (§5.1)
-                    // is local knowledge, not a wire transmission:
-                    // acknowledge it and reopen immediately, without
-                    // spending an attempt — but never unboundedly.
-                    if reopens >= self.policy.max_reopens {
-                        return Err(RpcError::CircuitFlapping);
-                    }
-                    reopens += 1;
+                    // is local knowledge, not a wire transmission: the send
+                    // that observed it consumed it, so reopen at once
+                    // without spending an attempt.
                     net.note_retry(M::SERVICE, kind);
                     continue;
                 }
@@ -211,8 +192,8 @@ impl RpcEngine {
             // the partition changed while the handler ran, the reply is
             // lost.
             let bytes = reply_bytes(&result);
-            // A reply dropped on the wire and a circuit aborted before
-            // the reply reached the wire look identical to the waiting
+            // A reply dropped on the wire and a reply refused by a notice
+            // the handler's own traffic left look identical to the waiting
             // requester: the request was served, the answer never came.
             match net.send_as(M::SERVICE, span, Leg::Reply, to, from, reply_kind, bytes) {
                 Ok(()) => return Ok(result),
@@ -314,18 +295,11 @@ impl RpcEngine {
     ) -> Result<R, RpcError> {
         let kind = msg.kind();
         let mut attempt = 0u32;
-        let mut reopens = 0u32;
         loop {
             match net.send_as(M::SERVICE, span, Leg::OneWay, from, to, kind, msg.wire_bytes()) {
                 Ok(()) => return Ok(net.fork(|| serve(msg)).0),
-                Err(NetError::CircuitClosed) => {
-                    if reopens >= self.policy.max_reopens {
-                        net.note_one_way_loss(M::SERVICE, span, kind);
-                        return Err(RpcError::CircuitFlapping);
-                    }
-                    reopens += 1;
-                    net.note_retry(M::SERVICE, kind);
-                }
+                // The send consumed the notice: reopen at once.
+                Err(NetError::CircuitClosed) => net.note_retry(M::SERVICE, kind),
                 Err(e) if e.is_transient() && attempt + 1 < self.policy.max_attempts => {
                     net.charge_timeout(self.policy.backoff(attempt));
                     net.note_retry(M::SERVICE, kind);
@@ -485,75 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn flapping_circuit_rpc_is_bounded() {
-        // Regression test for the once-unbounded CircuitClosed fast path:
-        // a circuit that fails on *every* reopen (injected circuit aborts
-        // with probability 1) must terminate with an error, not spin.
-        let net = Net::new(2);
-        net.install_faults(FaultPlan::new(5).default_spec(FaultSpec {
-            circuit_abort: 1.0,
-            ..Default::default()
-        }));
-        let engine = RpcEngine::new(RetryPolicy::default());
-        let out = engine.rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &()| 8, |_| ());
-        assert_eq!(out, Err(RpcError::CircuitFlapping));
-        let st = net.stats();
-        assert_eq!(
-            st.retries("TEST query"),
-            MAX_CONSECUTIVE_REOPENS as u64,
-            "every reopen attempt was counted, then the engine gave up"
-        );
-        assert_eq!(st.sends("TEST query"), 0, "nothing ever reached the wire");
-    }
-
-    #[test]
-    fn flapping_circuit_one_way_is_bounded_and_counted_lost() {
-        let net = Net::new(2);
-        net.install_faults(FaultPlan::new(5).default_spec(FaultSpec {
-            circuit_abort: 1.0,
-            ..Default::default()
-        }));
-        let engine = RpcEngine::new(RetryPolicy::default());
-        let mut served = false;
-        let out = engine.one_way(&net, SiteId(0), SiteId(1), TestMsg::Query, |_| served = true);
-        assert_eq!(out, Err(RpcError::CircuitFlapping));
-        assert!(!served);
-        let st = net.stats();
-        assert_eq!(st.one_way_losses("TEST query"), 1);
-        assert_eq!(st.service("test").losses, 1);
-    }
-
-    #[test]
-    fn reopen_counter_resets_once_a_send_reaches_the_wire() {
-        // An intermittent abort (well under the bound per burst) must not
-        // accumulate across successful sends into a spurious
-        // CircuitFlapping: 40 rpcs at abort probability 0.4 see far more
-        // than MAX_CONSECUTIVE_REOPENS aborts in total, yet all succeed.
-        let net = Net::new(2);
-        net.install_faults(FaultPlan::new(9).default_spec(FaultSpec {
-            circuit_abort: 0.4,
-            ..Default::default()
-        }));
-        // A generous attempt budget: reply-side aborts consume attempts,
-        // and this test is about the reopen counter, not attempt
-        // exhaustion.
-        let engine = RpcEngine::new(RetryPolicy {
-            max_attempts: 16,
-            base_backoff: Ticks::millis(1),
-            ..RetryPolicy::default()
-        });
-        for _ in 0..40 {
-            engine
-                .rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &()| 8, |_| ())
-                .expect("intermittent aborts are ridden out");
-        }
-        assert!(
-            net.stats().retries("TEST query") > MAX_CONSECUTIVE_REOPENS as u64,
-            "the total reopen count exceeded the per-burst bound"
-        );
-    }
-
-    #[test]
     fn engine_calls_emit_auditable_spans_and_feed_histograms() {
         let net = Net::new(2);
         net.set_observing(true);
@@ -596,9 +501,9 @@ mod tests {
 
     #[test]
     fn engine_traffic_under_heavy_faults_audits_clean() {
-        // Drops, duplicates, delays, circuit aborts and lost replies all
-        // mixed: whatever the engine actually did must satisfy the
-        // audited invariants (losses recorded, reopens bounded,
+        // Drops, duplicates, delays and lost replies all mixed: whatever
+        // the engine actually did must satisfy the audited invariants
+        // (losses recorded, each closed-circuit notice seen once,
         // re-issue only when idempotent, replies matched).
         let net = Net::new(3);
         net.set_observing(true);
@@ -607,7 +512,6 @@ mod tests {
             duplicate: 0.1,
             delay_prob: 0.15,
             delay: Ticks::micros(80),
-            circuit_abort: 0.1,
         }));
         let engine = RpcEngine::new(RetryPolicy {
             max_attempts: 8,
@@ -627,6 +531,7 @@ mod tests {
         let report = crate::obs::audit(&net.take_obs_events());
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.requests > 0 && report.one_ways > 0);
+        assert_eq!(report.max_reopen_burst, 1, "a lost reply's notice was met");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct KindStats {
     pub sends: u64,
     /// Bytes carried by those sends.
     pub bytes: u64,
-    /// Failed sends (unreachable destination or circuit abort).
+    /// Failed sends (unreachable destination or a closed-circuit notice).
     pub fails: u64,
     /// Messages lost to an injected drop.
     pub drops: u64,

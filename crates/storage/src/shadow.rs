@@ -97,7 +97,8 @@ impl ShadowSession {
     }
 
     /// Writes one logical page. The first write to a page allocates a
-    /// shadow block; later writes to the same page reuse it in place.
+    /// shadow block; later writes to the same page reuse it in place. A
+    /// write that fails (`Enospc`) leaves the session as it was.
     pub fn write_page(&mut self, pack: &mut Pack, lpn: usize, bytes: &[u8]) -> SysResult<()> {
         if lpn >= NDIRECT + NINDIRECT {
             return Err(Errno::Einval);
@@ -109,22 +110,28 @@ impl ShadowSession {
             *old = buf;
             return Ok(());
         }
+        let old = self.lookup(pack, lpn)?;
         let new = pack.dev_mut().alloc(content)?;
-        if let Some(old) = self.lookup(pack, lpn)? {
-            self.free_on_commit.push(old);
+        if let Err(e) = self.map(pack, lpn, Some(new)) {
+            pack.dev_mut().free(new)?;
+            return Err(e);
         }
-        self.map(pack, lpn, Some(new))?;
+        self.free_on_commit.extend(old);
         self.shadowed.insert(lpn, (new, buf));
         Ok(())
     }
 
-    /// Unmaps every page at or beyond `npages` (shrinking truncate).
+    /// Unmaps every page at or beyond `npages` (shrinking truncate). A
+    /// truncate that fails (`Enospc`) leaves the session as it was.
     pub fn truncate_pages(&mut self, pack: &mut Pack, npages: usize) -> SysResult<()> {
         let mapped = self.work.pages.mapped_pages(pack.dev_mut())?;
-        for (lpn, bno) in mapped {
+        // Last page first: only the first indirect-range unmap can fail
+        // (it clones the indirect block), and then nothing is unmapped yet.
+        for (lpn, bno) in mapped.into_iter().rev() {
             if lpn < npages {
                 continue;
             }
+            self.map(pack, lpn, None)?;
             self.truncated_to = self.truncated_to.min(npages);
             if self.shadowed.remove(&lpn).is_some() {
                 // A block born in this session dies in it.
@@ -132,7 +139,6 @@ impl ShadowSession {
             } else {
                 self.free_on_commit.push(bno);
             }
-            self.map(pack, lpn, None)?;
         }
         Ok(())
     }
@@ -266,7 +272,8 @@ impl ShadowSession {
     }
 
     /// Shadow-aware mapping update: the committed inode's indirect block
-    /// is never modified; the first indirect-range update clones it.
+    /// is never modified; the first indirect-range update clones it, and
+    /// the old one is released at commit only once the clone exists.
     fn map(&mut self, pack: &mut Pack, lpn: usize, bno: Option<BlockNo>) -> SysResult<()> {
         if lpn < NDIRECT {
             self.work.pages.direct[lpn] = bno;
@@ -277,22 +284,21 @@ impl ShadowSession {
             return Err(Errno::Einval);
         }
         if !self.indirect_shadowed {
-            let table = match self.work.pages.indirect {
+            let old_ib = self.work.pages.indirect;
+            let table = match old_ib {
                 None => {
                     if bno.is_none() {
                         return Ok(());
                     }
                     vec![None; NINDIRECT]
                 }
-                Some(old_ib) => {
-                    self.free_on_commit.push(old_ib);
-                    match pack.dev_mut().read(old_ib)? {
-                        BlockContent::Index(t) => t,
-                        BlockContent::Data(_) => return Err(Errno::Eio),
-                    }
-                }
+                Some(old_ib) => match pack.dev_mut().read(old_ib)? {
+                    BlockContent::Index(t) => t,
+                    BlockContent::Data(_) => return Err(Errno::Eio),
+                },
             };
             let new_ib = pack.dev_mut().alloc(BlockContent::Index(table))?;
+            self.free_on_commit.extend(old_ib);
             self.work.pages.indirect = Some(new_ib);
             self.indirect_shadowed = true;
         }
@@ -313,7 +319,11 @@ mod tests {
     use locus_types::{FileType, FilegroupId, PackId, Perms};
 
     fn pack_with_file(data: &[u8]) -> (Pack, Ino) {
-        let mut p = Pack::new(PackId::new(FilegroupId(0), 0), 1..40, 256);
+        pack_of(256, data)
+    }
+
+    fn pack_of(nblocks: u32, data: &[u8]) -> (Pack, Ino) {
+        let mut p = Pack::new(PackId::new(FilegroupId(0), 0), 1..40, nblocks);
         let ino = p.alloc_ino().unwrap();
         p.install_inode(
             ino,
@@ -508,6 +518,54 @@ mod tests {
         assert_eq!(all.len(), n * PAGE_SIZE);
         assert_eq!(all[NDIRECT * PAGE_SIZE], NDIRECT as u8);
         p.fsck().unwrap();
+    }
+
+    #[test]
+    fn a_write_that_runs_out_of_blocks_leaks_none() {
+        // Every block but one holds a direct page; the first indirect-range
+        // page gets its data block but not the indirect block.
+        let (mut p, ino) = pack_of(NDIRECT as u32 + 1, b"");
+        let free_before = p.free_blocks();
+        let mut s = ShadowSession::begin(&p, ino).unwrap();
+        for lpn in 0..NDIRECT {
+            s.write_page(&mut p, lpn, b"page").unwrap();
+        }
+        assert_eq!(s.write_page(&mut p, NDIRECT, b"tail"), Err(Errno::Enospc));
+        assert_eq!(s.modified_pages(), (0..NDIRECT).collect::<Vec<_>>());
+        s.abort(&mut p).unwrap();
+        assert_eq!(p.free_blocks(), free_before, "the data block went back");
+        p.fsck().unwrap();
+    }
+
+    #[test]
+    fn a_write_that_runs_out_of_blocks_changes_no_commit() {
+        // One block is free: the shadow data page takes it, the shadow
+        // indirect block finds none. The commit after the failed write
+        // must free neither the old page nor the old indirect block.
+        let file: Vec<u8> = (0..=NDIRECT)
+            .flat_map(|lpn| vec![lpn as u8; PAGE_SIZE])
+            .collect();
+        let (mut p, ino) = pack_of(NDIRECT as u32 + 3, &file);
+        assert_eq!(p.free_blocks(), 1);
+        let mut s = ShadowSession::begin(&p, ino).unwrap();
+        assert_eq!(s.write_page(&mut p, NDIRECT, b"tail"), Err(Errno::Enospc));
+        assert!(s.modified_pages().is_empty());
+        let vv = s.working().vv.clone();
+        s.commit(&mut p, vv).unwrap();
+        p.fsck().unwrap();
+        assert_eq!(p.read_all(ino).unwrap(), file);
+        assert_eq!(p.free_blocks(), 1);
+
+        // With no block free, a truncate cannot clone the indirect block
+        // to unmap its page, and the commit after it keeps every page.
+        let (mut p, ino) = pack_of(NDIRECT as u32 + 2, &file);
+        let mut s = ShadowSession::begin(&p, ino).unwrap();
+        assert_eq!(s.truncate_pages(&mut p, 5), Err(Errno::Enospc));
+        assert!(!s.cut_pages());
+        let vv = s.working().vv.clone();
+        s.commit(&mut p, vv).unwrap();
+        p.fsck().unwrap();
+        assert_eq!(p.read_all(ino).unwrap(), file);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub const POLL_RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 8,
     base_backoff: Ticks::millis(2),
     multiplier: 2,
-    max_reopens: locus_net::MAX_CONSECUTIVE_REOPENS,
 };
 
 /// One reconfiguration message.

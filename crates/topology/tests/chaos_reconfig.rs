@@ -50,7 +50,6 @@ fn plan_for(seed: u64) -> (FaultPlan, SiteId) {
         duplicate: rng.gen_f64() * 0.10,
         delay_prob: rng.gen_f64() * 0.20,
         delay: Ticks::micros(rng.gen_range(20u64..200)),
-        circuit_abort: 0.0,
     };
     let victim = SiteId(rng.gen_range(1u32..N_SITES));
     let at = Ticks::micros(rng.gen_range(100u64..4_000));
