@@ -1,14 +1,14 @@
-//! **Table 1 (§5.6)** — the cleanup-procedure failure actions, both as
-//! the paper prints them and as *live* fault injections whose observed
-//! behaviour is checked against each row.
+//! **Table 1 (§5.6)** — the cleanup-procedure failure actions,
+//! regenerated under the paper's three headings from *live* fault
+//! injections, each row checked against the action the paper prints.
 //!
 //! Run with `cargo run -p locus-bench --bin tab1_failure_actions`; exits
-//! non-zero if any row's observed behaviour disagrees with the table.
+//! non-zero if any row's observed behaviour disagrees with the paper's
+//! action.
 
 use std::process::ExitCode;
 
 use locus::{Cluster, Errno, OpenMode, ProcError, Signal, SiteId, TxnState};
-use locus_topology::cleanup::render_tables;
 
 fn s(i: u32) -> SiteId {
     SiteId(i)
@@ -29,11 +29,9 @@ fn main() -> ExitCode {
         failed += u32::from(!pass);
     };
 
-    println!("The §5.6 tables as specified:\n");
-    println!("{}", render_tables());
+    println!("Table 1 (§5.6) failure actions, one live fault injection per row:\n");
 
-    println!("Live fault injection, one scenario per row:\n");
-
+    println!("Local Resource in Use Remotely");
     // --- Local file open for update remotely → discard + abort ---
     {
         let c = cluster();
@@ -69,6 +67,7 @@ fn main() -> ExitCode {
         );
     }
 
+    println!("\nRemote Resource in Use Locally");
     // --- Remote file open for update locally → error in descriptor ---
     {
         let c = Cluster::builder()
@@ -106,6 +105,7 @@ fn main() -> ExitCode {
         );
     }
 
+    println!("\nInteracting Processes");
     // --- Remote fork/exec, remote site fails → error to caller ---
     {
         let c = cluster();

@@ -1,8 +1,9 @@
-//! The two figure binaries print byte-identical output to the files
-//! checked in under `tests/golden/` (captured from `fig1_syscall_trace`
-//! and `fig2_open_protocol`): the simulation is deterministic, so any
-//! difference is a change in message order, size, virtual time or
-//! rendering.
+//! The two figure binaries and the Table 1 binary print byte-identical
+//! output to the files checked in under `tests/golden/` (captured from
+//! `fig1_syscall_trace`, `fig2_open_protocol` and `tab1_failure_actions`):
+//! the simulation is deterministic, so any difference is a change in
+//! message order, size, virtual time or rendering — or, for Table 1, a
+//! row dropped, renamed or moved to another heading.
 
 use std::process::Command;
 
@@ -42,5 +43,13 @@ fn fig2_open_protocol_matches_golden() {
     assert_stdout_matches(
         env!("CARGO_BIN_EXE_fig2_open_protocol"),
         include_str!("golden/fig2_open_protocol.txt"),
+    );
+}
+
+#[test]
+fn tab1_failure_actions_matches_golden() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_tab1_failure_actions"),
+        include_str!("golden/tab1_failure_actions.txt"),
     );
 }

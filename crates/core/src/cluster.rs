@@ -12,7 +12,6 @@ use locus_fs::proto::Fd;
 use locus_fs::{FsCluster, PlacementDriver, PlacementPolicy, PlacementReport};
 use locus_net::{LatencyModel, Net};
 use locus_proc::{ExitStatus, ProcError, ProcMgr, Signal};
-use locus_topology::MergeTimeouts;
 use locus_txn::{TxnId, TxnMgr};
 use locus_types::{Errno, FileType, Gfid, MachineType, OpenMode, Perms, Pid, SiteId, SysResult};
 
@@ -99,7 +98,6 @@ impl ClusterBuilder {
             txns: TxnMgr::new(),
             beliefs: RefCell::new(beliefs),
             prev_up: RefCell::new(all),
-            merge_timeouts: MergeTimeouts::default(),
             placement: RefCell::new(None),
         }
     }
@@ -115,8 +113,6 @@ pub struct Cluster {
     pub(crate) beliefs: RefCell<BTreeMap<SiteId, BTreeSet<SiteId>>>,
     /// Sites that were up before the last reconfiguration.
     pub(crate) prev_up: RefCell<BTreeSet<SiteId>>,
-    /// Merge-protocol timeout policy (§5.5).
-    pub merge_timeouts: MergeTimeouts,
     /// Adaptive CSS placement driver, when enabled.
     pub(crate) placement: RefCell<Option<PlacementDriver>>,
 }

@@ -46,7 +46,6 @@ pub use engine::{EpochOp, EpochOutcome};
 pub use locus_net::EngineKind;
 pub use locus_fs::proto::InodeInfo;
 pub use locus_recovery::{FileOutcome, RecoveryReport};
-pub use locus_topology::{FailureAction, ResourceSituation};
 pub use locus_types::{
     Errno, FileType, FilegroupId, Gfid, Ino, MachineType, OpenMode, Perms, Pid, SiteId, SysResult,
     Ticks, VersionVector, VvOrder,

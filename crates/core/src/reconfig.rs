@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use locus_fs::ops::cleanup::{cleanup_site, rebuild_css_state, CleanupReport};
 use locus_recovery::{reconcile_filegroup, RecoveryReport};
-use locus_topology::{establish_partitions, select_css_excluding};
+use locus_topology::{establish_partitions, select_css_excluding, MergeTimeouts};
 use locus_types::{FilegroupId, SiteId, SysResult};
 
 use crate::cluster::Cluster;
@@ -66,7 +66,7 @@ impl Cluster {
         // where one arrived; a component with neither keeps its partition.
         let established = {
             let mut beliefs = self.beliefs.borrow_mut();
-            establish_partitions(net, &mut beliefs, self.merge_timeouts)
+            establish_partitions(net, &mut beliefs, MergeTimeouts::default())
         };
         report.partition_polls = established.partition_polls;
         report.merge_polls = established.merge_polls;
@@ -124,16 +124,13 @@ impl Cluster {
                             }
                         }
                     }
+                    // The epoch is above every member's, so each member
+                    // adopts it; the claim time stamped with it lets the
+                    // placement driver's per-filegroup cooldown cover
+                    // reconfiguration-assigned roles too.
                     let now = net.now();
                     for &site in partition {
-                        if let Ok(m) = self.fsc.kernel(site).mount.get_mut(*fg) {
-                            m.css = css;
-                            m.css_epoch = epoch;
-                            // Stamped so the placement driver's per-
-                            // filegroup cooldown covers reconfiguration-
-                            // assigned roles too.
-                            m.css_claimed_at = Some(now);
-                        }
+                        self.fsc.kernel(site).mount.adopt_css(*fg, css, epoch, now);
                     }
                     report.css_assignments.push((*fg, css));
                 }

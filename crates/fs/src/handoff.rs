@@ -1,10 +1,10 @@
-//! Live replica and CSS reconfiguration.
+//! Live CSS reconfiguration.
 //!
 //! The paper's reconfiguration (§5.4–5.6) is partition-driven: the whole
 //! partition stops, agrees on membership, and reassigns synchronization
 //! sites. This module adds the *live* counterpart for gray failures —
 //! sites that are up but degraded, which the partition protocol never
-//! evicts. Three operations, none of which needs a stop-the-world poll:
+//! evicts. Two operations, neither of which needs a stop-the-world poll:
 //!
 //! * [`css_handoff`] — epoch-numbered transfer of the synchronization
 //!   role for one filegroup. The new CSS pulls the old CSS's drained
@@ -13,34 +13,22 @@
 //!   fans out one-way [`FsMsg::CssUpdate`]s. Requests racing the
 //!   handoff are answered with typed [`FsReply::NotCss`] redirects and
 //!   retried by the using site against the new CSS.
-//! * [`replica_add`] / [`replica_remove`] — online container
-//!   addition/removal on a mounted filegroup. The new pack is formatted
-//!   with a disjoint inode-allocation slice, registered in the
-//!   replicated mount table, and brought up to date by the ordinary
-//!   commit-notification → pull machinery (§2.3.6): extending the root
-//!   directory's replica set *is* a commit, so propagation needs no new
-//!   protocol.
 //! * [`probation_probe`] — drives a quarantined site through the health
 //!   monitor's probation: idempotent probe RPCs until the monitor
 //!   readmits the site or gives up.
 
 use locus_net::CSS_CLAIM_COOLDOWN;
-use locus_types::{Errno, FilegroupId, Gfid, PackId, SiteId, SysResult};
+use locus_types::{Errno, FilegroupId, Gfid, SiteId, SysResult};
 
 use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
-use crate::proto::{FsMsg, FsReply, MetaUpdate};
+use crate::proto::{FsMsg, FsReply};
 
 /// How many consecutive [`FsReply::NotCss`] redirects a using site
 /// follows before giving up. Two covers a handoff completing mid-open
 /// plus one more racing it; an assignment cycle beyond that indicates
 /// inconsistent mount state and surfaces as `Esitedown`.
 pub const MAX_CSS_REDIRECTS: u32 = 3;
-
-/// Inode numbers reserved for each container added after build time.
-/// Build-time packs partition the configured inode space among
-/// themselves; late arrivals allocate from fresh slices above it.
-const LATE_PACK_INO_SLICE: u32 = 1024;
 
 /// What one live CSS handoff did.
 #[derive(Clone, Debug)]
@@ -312,132 +300,6 @@ pub(crate) fn handle_css_update(
     Ok(FsReply::Ok)
 }
 
-/// Adds a container for `fg` at `site`, live. Formats a pack with a
-/// fresh inode-allocation slice, registers it in every site's replicated
-/// mount table (the same direct table maintenance the reconfiguration
-/// protocol performs), and commits an extension of the root directory's
-/// replica set so the ordinary notification → pull machinery populates
-/// the new copy. Data converges at the next [`FsCluster::settle`].
-pub fn replica_add(fsc: &FsCluster, fg: FilegroupId, site: SiteId) -> SysResult<()> {
-    fsc.net().charge_cpu_at(site, cost::SYSCALL_CPU);
-    if !fsc.net().is_up(site) || fsc.net().quarantined(site) {
-        return Err(Errno::Esitedown);
-    }
-    let (root, idx, css, hosts) = {
-        let k = fsc.kernel(site);
-        let m = k.mount.get(fg)?;
-        if m.pack_at(site).is_some() {
-            return Err(Errno::Eexist);
-        }
-        let idx = m
-            .containers
-            .iter()
-            .map(|(p, _)| p.idx)
-            .max()
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let hosts: Vec<SiteId> = m.containers.iter().map(|(_, s)| *s).collect();
-        (m.root(), idx, m.css, hosts)
-    };
-    // A disjoint inode-allocation slice above every existing pack's range
-    // — placeholder-free creates at the new container can never collide
-    // with numbers handed out elsewhere (§2.3.7).
-    let ino_base = hosts
-        .iter()
-        .filter_map(|&s| {
-            fsc.kernel(s)
-                .pack_of_ref(fg)
-                .map(|p| p.superblock().ino_range.end)
-        })
-        .max()
-        .unwrap_or(0)
-        .max(LATE_PACK_INO_SLICE * idx);
-    let pack = locus_storage::Pack::new(
-        PackId::new(fg, idx),
-        ino_base..ino_base + LATE_PACK_INO_SLICE,
-        8192,
-    );
-    fsc.with_kernel(site, |k| k.attach_pack(pack));
-    for s in fsc.sites() {
-        fsc.with_kernel(s, |k| {
-            if let Ok(m) = k.mount.get_mut(fg) {
-                if m.pack_at(site).is_none() {
-                    m.containers.push((PackId::new(fg, idx), site));
-                }
-            }
-        });
-    }
-    // Extending the root directory's replica set is an ordinary commit:
-    // the notification installs the root at the new container and queues
-    // the data pull. New files placed under the root can then land here.
-    let root_info = fsc.kernel(css).local_info(root).ok_or(Errno::Enocopy)?;
-    let mut replicas = root_info.replicas.clone();
-    if !replicas.contains(&idx) {
-        replicas.push(idx);
-        crate::ops::namei::set_meta(
-            fsc,
-            css,
-            root,
-            MetaUpdate {
-                replicas: Some(replicas),
-                ..Default::default()
-            },
-        )?;
-    }
-    Ok(())
-}
-
-/// Removes the container for `fg` hosted at `site`, live. Refuses to
-/// remove the current CSS (`Etxtbsy` — hand the role off first) or the
-/// last container (`Enocopy`). The pack is detached and the root
-/// directory's replica set shrinks through an ordinary commit.
-pub fn replica_remove(fsc: &FsCluster, fg: FilegroupId, site: SiteId) -> SysResult<()> {
-    fsc.net().charge_cpu_at(site, cost::SYSCALL_CPU);
-    let (root, idx, css) = {
-        let k = fsc.kernel(site);
-        let m = k.mount.get(fg)?;
-        let Some(pack) = m.pack_at(site) else {
-            return Err(Errno::Enoent);
-        };
-        if m.css == site {
-            return Err(Errno::Etxtbsy);
-        }
-        if m.containers.len() <= 1 {
-            return Err(Errno::Enocopy);
-        }
-        (m.root(), pack.idx, m.css)
-    };
-    let root_info = fsc.kernel(css).local_info(root).ok_or(Errno::Enocopy)?;
-    let replicas: Vec<u32> = root_info
-        .replicas
-        .iter()
-        .copied()
-        .filter(|&i| i != idx)
-        .collect();
-    if replicas != root_info.replicas {
-        crate::ops::namei::set_meta(
-            fsc,
-            css,
-            root,
-            MetaUpdate {
-                replicas: Some(replicas),
-                ..Default::default()
-            },
-        )?;
-    }
-    for s in fsc.sites() {
-        fsc.with_kernel(s, |k| {
-            if let Ok(m) = k.mount.get_mut(fg) {
-                m.containers.retain(|(_, host)| *host != site);
-            }
-        });
-    }
-    fsc.with_kernel(site, |k| {
-        k.detach_pack(PackId::new(fg, idx));
-    });
-    Ok(())
-}
-
 /// Drives a quarantined `site` through probation: opens the probation
 /// window on the health monitor, then issues idempotent probe RPCs from
 /// `from` until the monitor readmits the site or `budget` probes have
@@ -508,7 +370,7 @@ fn readmit(fsc: &FsCluster, site: SiteId) -> bool {
 mod tests {
     use super::*;
     use crate::build::FsClusterBuilder;
-    use crate::ops::{fd, namei};
+    use crate::ops::fd;
     use crate::proto::ProcFsCtx;
     use locus_types::{FileType, MachineType, OpenMode, Perms};
 
@@ -635,85 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn replica_add_attaches_and_populates_a_new_container() {
-        let fsc = cluster(&[0, 1], 1);
-        write_file(&fsc, SiteId(0), "/f", b"seed data");
-        fsc.settle();
-        assert!(fsc.kernel(SiteId(2)).pack_of_ref(FG).is_none());
-
-        replica_add(&fsc, FG, SiteId(2)).unwrap();
-        fsc.settle();
-        for s in fsc.sites() {
-            assert_eq!(
-                fsc.kernel(s).mount.get(FG).unwrap().containers.len(),
-                3,
-                "site {s} sees the new container"
-            );
-        }
-        let root = fsc.kernel(SiteId(2)).mount.root().unwrap();
-        {
-            let k = fsc.kernel(SiteId(2));
-            let pack = k.pack_of_ref(FG).expect("pack attached");
-            // The new pack's inode slice is disjoint from the built-in
-            // packs' partitioned space.
-            assert!(pack.superblock().ino_range.start >= LATE_PACK_INO_SLICE);
-            assert!(k.stores_data(root), "root directory replicated over");
-        }
-        assert_eq!(replica_add(&fsc, FG, SiteId(2)), Err(Errno::Eexist));
-
-        // Files created after the addition can place data on the new pack;
-        // existing files join it by committing an extended replica set.
-        let g = namei::resolve(&fsc, SiteId(0), &ctx(&fsc, SiteId(0)), "/f").unwrap();
-        let mut replicas = fsc.kernel(SiteId(0)).local_info(g).unwrap().replicas;
-        replicas.push(2);
-        namei::set_meta(
-            &fsc,
-            SiteId(0),
-            g,
-            MetaUpdate {
-                replicas: Some(replicas),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        fsc.settle();
-        assert!(
-            fsc.kernel(SiteId(2)).stores_data(g),
-            "extended replica set pulled the data"
-        );
-    }
-
-    #[test]
-    fn replica_remove_detaches_and_guards_last_copy_and_css() {
-        let fsc = cluster(&[0, 1, 2], 0);
-        write_file(&fsc, SiteId(0), "/f", b"x");
-        fsc.settle();
-        assert_eq!(replica_remove(&fsc, FG, SiteId(0)), Err(Errno::Etxtbsy));
-
-        replica_remove(&fsc, FG, SiteId(2)).unwrap();
-        fsc.settle();
-        assert!(fsc.kernel(SiteId(2)).pack_of_ref(FG).is_none());
-        for s in fsc.sites() {
-            assert_eq!(fsc.kernel(s).mount.get(FG).unwrap().containers.len(), 2);
-        }
-        assert_eq!(replica_remove(&fsc, FG, SiteId(2)), Err(Errno::Enoent));
-
-        replica_remove(&fsc, FG, SiteId(1)).unwrap();
-        fsc.settle();
-        // The CSS's copy is the last one left; removing it is refused
-        // twice over (role holder, then sole container).
-        assert_eq!(replica_remove(&fsc, FG, SiteId(0)), Err(Errno::Etxtbsy));
-        css_handoff(&fsc, FG, SiteId(0)).unwrap(); // no-op, role already here
-        let c = ctx(&fsc, SiteId(1));
-        let f = fd::open(&fsc, SiteId(1), &c, "/f", OpenMode::Read).unwrap();
-        fd::close(&fsc, SiteId(1), f).unwrap();
-    }
-
-    #[test]
     fn handoff_refuses_a_quarantined_or_down_successor() {
         let fsc = cluster(&[0, 1], 1);
         fsc.net().crash(SiteId(1));
         assert_eq!(css_handoff(&fsc, FG, SiteId(1)).err(), Some(Errno::Esitedown));
-        assert_eq!(replica_add(&fsc, FG, SiteId(1)), Err(Errno::Esitedown));
     }
 }

@@ -338,14 +338,6 @@ impl FsKernel {
         self.packs.insert(pack.id(), pack);
     }
 
-    /// Detaches a physical container (live replica removal). Returns the
-    /// pack, if this site hosted it. The buffers go with it: a pack-keyed
-    /// cache entry stands for a page *of that pack*.
-    pub fn detach_pack(&mut self, id: PackId) -> Option<Pack> {
-        self.cache.clear();
-        self.packs.remove(&id)
-    }
-
     /// Notified most-current version vectors recorded for files of `fg` —
     /// the "knows what the most current version of the file is" state a
     /// CSS hands to its successor.

@@ -46,7 +46,7 @@ pub mod proto;
 pub use build::FsClusterBuilder;
 pub use cluster::{Coherence, FsCluster};
 pub use directory::{DirEntry, Directory};
-pub use handoff::{css_handoff, probation_probe, replica_add, replica_remove, HandoffReport};
+pub use handoff::{css_handoff, probation_probe, HandoffReport};
 pub use kernel::FsKernel;
 pub use mount::{MountInfo, MountTable};
 pub use placement::{PlacementDriver, PlacementPolicy, PlacementReport};

@@ -1,5 +1,4 @@
-//! Gray-failure chaos: live CSS handoff and replica reconfiguration under
-//! one-directional slow links.
+//! Gray-failure chaos: live CSS handoff under one-directional slow links.
 //!
 //! The schedules here exercise the full robustness loop the health monitor
 //! and the handoff protocol promise together:
@@ -22,14 +21,12 @@
 //!   writes lost, none duplicated, byte-exact content everywhere.
 //!
 //! A second family races commits, opens and name-cache probes against
-//! `css_handoff` / `replica_add` / `replica_remove` with message drops
-//! *and* a gray link active. Every seed of both families runs twice and
-//! must produce byte-identical protocol traces and statistics:
-//! reconfiguration never breaks replay determinism.
+//! `css_handoff` to a random container with message drops *and* a gray
+//! link active. Every seed of both families runs twice and must produce
+//! byte-identical protocol traces and statistics: reconfiguration never
+//! breaks replay determinism.
 
-use locus_fs::{
-    css_handoff, probation_probe, replica_add, replica_remove, FsCluster, FsClusterBuilder,
-};
+use locus_fs::{css_handoff, probation_probe, FsCluster, FsClusterBuilder};
 use locus_net::{FaultPlan, FaultSpec, HealthPolicy, RetryPolicy, SimRng, SiteHealth};
 use locus_testkit::{
     finish, replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
@@ -38,8 +35,8 @@ use locus_types::{FilegroupId, SiteId, Ticks};
 
 /// Sites holding a container of the root filegroup.
 const CONTAINERS: [u32; 3] = [0, 1, 2];
-/// Total sites: three containers, a diskless writer, a spare site that
-/// the racing schedules turn into a late-added container.
+/// Total sites: three containers, a diskless writer, and a spare site
+/// that reads in the racing schedules and probes a quarantined writer.
 const N_SITES: u32 = 5;
 /// The root filegroup.
 const FG: FilegroupId = FilegroupId(0);
@@ -202,10 +199,10 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<Observation, String> {
 }
 
 /// Racing schedule: commits, reads and name-cache probes interleave with
-/// CSS handoffs, live replica addition/removal and probabilistic message
-/// loss on top of a gray link. Checks the same durability window plus a
-/// clean audit; per-operation failures are tolerated (drops can defeat
-/// any finite retry budget) but committed data may never be lost.
+/// CSS handoffs and probabilistic message loss on top of a gray link.
+/// Checks the same durability window plus a clean audit; per-operation
+/// failures are tolerated (drops can defeat any finite retry budget) but
+/// committed data may never be lost.
 fn run_reconfig_race_schedule(seed: u64) -> Result<Observation, String> {
     let fsc = build_cluster();
     let net = fsc.net();
@@ -249,16 +246,11 @@ fn run_reconfig_race_schedule(seed: u64) -> Result<Observation, String> {
                     ));
                 }
             }
-        } else if roll < 85 {
-            // Move the synchronization role to a random original
-            // container; refusals (target gray, messages lost) are part
-            // of the chaos.
+        } else {
+            // Move the synchronization role to a random container;
+            // refusals (target gray, messages lost) are part of the chaos.
             let target = SiteId(CONTAINERS[wl.gen_range(0usize..CONTAINERS.len())]);
             let _ = css_handoff(&fsc, FG, target);
-        } else if roll < 93 {
-            let _ = replica_add(&fsc, FG, SiteId(4));
-        } else {
-            let _ = replica_remove(&fsc, FG, SiteId(4));
         }
     }
 
@@ -295,9 +287,9 @@ fn gray_handoff_schedules_recover_and_replay_identically() {
     });
 }
 
-/// Reconfiguration races (handoff + replica add/remove vs. the live
-/// workload under loss and a gray link) preserve the durability window
-/// and replay determinism across every seed.
+/// Reconfiguration races (handoffs vs. the live workload under loss and a
+/// gray link) preserve the durability window and replay determinism
+/// across every seed.
 #[test]
 fn reconfig_races_preserve_durability_and_determinism() {
     run_schedules_parallel(&seed_set(0x00DD_C0DE, 48), |seed| {

@@ -9,25 +9,25 @@
 
 use locus_types::Ticks;
 
-/// Per-message cost model: `fixed + bytes / bytes_per_tick`.
+/// Per-message cost model: `fixed + bytes × micros_per_byte`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Fixed per-message cost: protocol processing at both ends plus
     /// propagation. This is what a layered protocol stack inflates.
     pub fixed: Ticks,
-    /// Wire throughput in bytes per tick (bytes per microsecond).
-    pub bytes_per_tick: u64,
+    /// Wire time per payload byte, in microseconds.
+    pub micros_per_byte: u64,
 }
 
 impl LatencyModel {
-    /// Calibrated to the paper's testbed: 10 Mbit/s Ethernet (1.25
-    /// bytes/us) with a ~1 ms specialized-protocol processing cost per
+    /// Calibrated to the paper's testbed: 10 Mbit/s Ethernet, rounded to
+    /// 1 µs a byte, with a ~1 ms specialized-protocol processing cost per
     /// message (consistent with [GOLD 83]-era kernel path lengths on a
     /// VAX-11/750).
     pub const fn ethernet_1983() -> Self {
         LatencyModel {
             fixed: Ticks::micros(1_000),
-            bytes_per_tick: 1,
+            micros_per_byte: 1,
         }
     }
 
@@ -37,27 +37,13 @@ impl LatencyModel {
     pub const fn layered_stack() -> Self {
         LatencyModel {
             fixed: Ticks::micros(5_000),
-            bytes_per_tick: 1,
-        }
-    }
-
-    /// A 1 Mbit ring, the original PDP-11 development network.
-    pub const fn ring_1mbit() -> Self {
-        LatencyModel {
-            fixed: Ticks::micros(1_500),
-            bytes_per_tick: 8, // one byte per 8 us
+            micros_per_byte: 1,
         }
     }
 
     /// Cost of one message carrying `bytes` of payload.
     pub fn message_cost(&self, bytes: usize) -> Ticks {
-        let wire = if self.bytes_per_tick <= 1 {
-            // One or fewer bytes per tick: multiply.
-            Ticks::micros(bytes as u64 * self.bytes_per_tick.max(1))
-        } else {
-            Ticks::micros(bytes as u64 * self.bytes_per_tick)
-        };
-        self.fixed + wire
+        self.fixed + Ticks::micros(bytes as u64 * self.micros_per_byte)
     }
 }
 
@@ -85,12 +71,5 @@ mod tests {
         let fast = LatencyModel::ethernet_1983();
         let slow = LatencyModel::layered_stack();
         assert!(slow.message_cost(64) > fast.message_cost(64));
-    }
-
-    #[test]
-    fn ring_is_slower_per_byte() {
-        let ring = LatencyModel::ring_1mbit();
-        let ether = LatencyModel::ethernet_1983();
-        assert!(ring.message_cost(4096) > ether.message_cost(4096));
     }
 }

@@ -13,7 +13,6 @@
 //!   with the paper's **two-level adaptive timeout** (§5.5);
 //! * [`reconfig`] — which of the two protocols each connected component
 //!   runs, read from the failure or arrival its partition sets reveal;
-//! * [`cleanup`] — the §5.6 failure-action tables as typed rules;
 //! * [`css`] — synchronization-site selection for the new partition
 //!   ("the system must select, for each filegroup it supports, a new
 //!   synchronization site", §5.6);
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cleanup;
 pub mod css;
 pub mod merge;
 pub mod partition;
@@ -36,7 +34,6 @@ pub mod proto;
 pub mod reconfig;
 pub mod shard;
 
-pub use cleanup::{failure_action, FailureAction, ResourceSituation};
 pub use css::{select_css, select_css_excluding};
 pub use shard::{select_placement, Candidate, PlacementConfig};
 pub use merge::{merge_protocol, MergeOutcome, MergeTimeouts};
