@@ -46,8 +46,8 @@ fn parse_flat_json(text: &str) -> BTreeMap<String, Option<f64>> {
 }
 
 fn load(path: &Path) -> Result<BTreeMap<String, Option<f64>>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let parsed = parse_flat_json(&text);
     if parsed.is_empty() {
         return Err(format!("{} holds no key/value pairs", path.display()));
@@ -129,7 +129,10 @@ fn main() -> ExitCode {
         problems.extend(check(name, &measured_dir, &baseline_dir));
     }
     if problems.is_empty() {
-        println!("bench_guard: {} report(s) identical to baseline", names.len());
+        println!(
+            "bench_guard: {} report(s) identical to baseline",
+            names.len()
+        );
         ExitCode::SUCCESS
     } else {
         for p in &problems {
@@ -144,7 +147,10 @@ mod tests {
     use super::*;
 
     fn report(pairs: &[(&str, f64)]) -> BTreeMap<String, Option<f64>> {
-        pairs.iter().map(|(k, v)| (k.to_string(), Some(*v))).collect()
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), Some(*v)))
+            .collect()
     }
 
     /// A wall-clock key whose measured value differs wildly from the

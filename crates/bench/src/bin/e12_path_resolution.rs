@@ -40,7 +40,9 @@ fn build(name_cache: bool) -> Cluster {
     // Same standing proof as `standard_cluster`: the health monitor
     // observes every message this bench counts, and bench_guard holds
     // the counts to baseline — gray-failure tracking costs nothing.
-    cluster.net().enable_health(locus_net::HealthPolicy::default());
+    cluster
+        .net()
+        .enable_health(locus_net::HealthPolicy::default());
     let p = cluster.login(SiteId(0), 1).expect("login");
     cluster.mkdir(p, "/a").expect("mkdir /a");
     cluster.mkdir(p, "/a/b").expect("mkdir /a/b");
@@ -108,7 +110,10 @@ fn audit_cached_resolves(events: &[ObsEvent]) -> usize {
     let mut op: HashMap<u64, String> = HashMap::new();
     for e in events {
         if let ObsEvent::SpanOpen {
-            id, parent: p, op: o, ..
+            id,
+            parent: p,
+            op: o,
+            ..
         } = e
         {
             parent.insert(*id, *p);
@@ -185,8 +190,14 @@ fn main() {
 
     let resolve_ratio = un_resolve as f64 / c_resolve as f64;
     let stat_ratio = un_stat as f64 / c_stat as f64;
-    println!("{:<40} {:>9} {:>9}", "operation (messages per call)", "uncached", "cached");
-    println!("{:<40} {:>9} {:>9}", "resolve 4-deep path", un_resolve, c_resolve);
+    println!(
+        "{:<40} {:>9} {:>9}",
+        "operation (messages per call)", "uncached", "cached"
+    );
+    println!(
+        "{:<40} {:>9} {:>9}",
+        "resolve 4-deep path", un_resolve, c_resolve
+    );
     println!("{:<40} {:>9} {:>9}", "stat leaf by gfid", un_stat, c_stat);
     println!("\nresolve message reduction: {resolve_ratio:.1}x (claim: >= 3x)");
     println!("stat message reduction:    {stat_ratio:.1}x");
@@ -228,7 +239,10 @@ fn main() {
         stats.lease_recall_acks,
         stats.lease_revokes
     );
-    assert_eq!(stats.lease_grants, 0, "VvCheck-only mode must not grant leases");
+    assert_eq!(
+        stats.lease_grants, 0,
+        "VvCheck-only mode must not grant leases"
+    );
 
     let reconf_resolve = measure_after_reconfiguration(&build(true));
     println!(
@@ -266,7 +280,9 @@ fn main() {
     println!("trace check: {served} resolve spans served purely by VV checks");
     println!("wrote {}", trace.display());
 
-    println!("\npaper: §2.3.4 pathname searching; cache coherence via §2.3.1 CSS version knowledge.");
+    println!(
+        "\npaper: §2.3.4 pathname searching; cache coherence via §2.3.1 CSS version knowledge."
+    );
     let path = report.write();
     println!("wrote {}", path.display());
 }

@@ -80,7 +80,9 @@ fn build(sites: u32, sharded: bool) -> Cluster {
         }
     }
     let cluster = b.build();
-    cluster.net().enable_health(locus_net::HealthPolicy::default());
+    cluster
+        .net()
+        .enable_health(locus_net::HealthPolicy::default());
     cluster.enable_placement(PlacementPolicy {
         config: PlacementConfig {
             hysteresis_pct: 25,
@@ -227,10 +229,12 @@ fn main() {
         );
         if sites == 64 {
             ratio_at_64 = Some(ratio);
-            println!("\n  busiest sites at 64, sharded ({} CSS migrations; deepest queue {} at {}):",
+            println!(
+                "\n  busiest sites at 64, sharded ({} CSS migrations; deepest queue {} at {}):",
                 h.migrations,
                 h.depth_max,
-                h.depth_site.map(|s| s.to_string()).unwrap_or_default());
+                h.depth_site.map(|s| s.to_string()).unwrap_or_default()
+            );
             depth_table(&sharded, sites, &h.depth);
             println!();
             locus_bench::export_and_audit_trace(&sharded, "e13");

@@ -64,7 +64,9 @@ fn build(sites: u32, leases: bool) -> Cluster {
         b.name_cache(true)
     };
     let cluster = b.build();
-    cluster.net().enable_health(locus_net::HealthPolicy::default());
+    cluster
+        .net()
+        .enable_health(locus_net::HealthPolicy::default());
     let p = cluster.login(SiteId(0), 1).expect("login");
     cluster.mkdir(p, "/a").expect("mkdir /a");
     cluster.mkdir(p, "/a/b").expect("mkdir /a/b");
@@ -114,7 +116,11 @@ fn measure_us(cluster: &Cluster) -> Measured {
     cluster.net().reset_stats();
     for _ in 0..REPEATS {
         let info = namei::stat_gfid(cluster.fs(), us, gfid).expect("warm stat");
-        assert_eq!(info.size, SEED.len() as u64, "stat observes the seeded size");
+        assert_eq!(
+            info.size,
+            SEED.len() as u64,
+            "stat observes the seeded size"
+        );
     }
     let stat_warm = cluster.net().stats().total_sends() / REPEATS;
     Measured {
@@ -178,7 +184,11 @@ fn fanout(cluster: &Cluster, sites: u32, gfid: Gfid) -> Fanout {
     let probe = SiteId(sites - 1);
     cluster.net().reset_stats();
     let info = namei::stat_gfid(cluster.fs(), probe, gfid).expect("post-recall stat");
-    assert_eq!(info.size, REWRITE.len() as u64, "recall exposes the new size");
+    assert_eq!(
+        info.size,
+        REWRITE.len() as u64,
+        "recall exposes the new size"
+    );
     assert!(
         cluster.net().stats().total_sends() > 0,
         "the first post-recall stat must re-validate at the CSS"
@@ -287,7 +297,10 @@ fn main() {
         );
 
         // The headline claims, pinned exactly at every scale.
-        assert_eq!(base.resolve_warm, 8, "VvCheck warm 4-deep resolve costs 8 msgs");
+        assert_eq!(
+            base.resolve_warm, 8,
+            "VvCheck warm 4-deep resolve costs 8 msgs"
+        );
         assert_eq!(base.stat_warm, 2, "VvCheck warm stat costs 2 msgs");
         assert_eq!(m.resolve_warm, 0, "leased warm resolve costs 0 msgs");
         assert_eq!(m.stat_warm, 0, "leased warm stat costs 0 msgs");
@@ -308,7 +321,8 @@ fn main() {
         // At scale: a full warm round is free, and one write recalls
         // exactly the holders (request + ack each).
         assert_eq!(
-            f.warm_round_msgs, 0,
+            f.warm_round_msgs,
+            0,
             "a leased warm stat round across {} sites must be message-free",
             sites - 1
         );
@@ -325,7 +339,10 @@ fn main() {
             .int(&format!("s{sites}_lease_resolve_msgs"), m.resolve_warm)
             .int(&format!("s{sites}_vvcheck_stat_msgs"), base.stat_warm)
             .int(&format!("s{sites}_lease_stat_msgs"), m.stat_warm)
-            .int(&format!("s{sites}_first_touch_resolve_msgs"), m.resolve_cold)
+            .int(
+                &format!("s{sites}_first_touch_resolve_msgs"),
+                m.resolve_cold,
+            )
             .int(&format!("s{sites}_first_touch_stat_msgs"), m.stat_cold)
             .int(&format!("s{sites}_warm_round_msgs"), f.warm_round_msgs)
             .int(&format!("s{sites}_recall_fanout_msgs"), f.recall_msgs)
@@ -343,7 +360,10 @@ fn main() {
                  {moved} ({checks} VV checks) where it moved"
             );
             assert_eq!(kept, 0, "a kept filegroup keeps its leases across a split");
-            assert_eq!(checks, 4, "a moved filegroup costs one VV check per component");
+            assert_eq!(
+                checks, 4,
+                "a moved filegroup costs one VV check per component"
+            );
             assert_eq!(moved, 2 * checks, "probes and replies only");
             report
                 .int("s64_split_kept_resolve_msgs", kept)

@@ -74,7 +74,9 @@ fn token_flips(report: &mut BenchReport) {
     let fd = cluster.open(parent, "/tok", OpenMode::Read).expect("open");
     let child = cluster.fork(parent, Some(SiteId(2))).expect("remote fork");
 
-    println!("\nE9: offset-token messages over 16 reads of a shared descriptor (home S0, child S2):");
+    println!(
+        "\nE9: offset-token messages over 16 reads of a shared descriptor (home S0, child S2):"
+    );
     println!(
         "{:<34} {:>9} {:>9} {:>9}",
         "access pattern", "flips", "requests", "wire"
@@ -109,7 +111,11 @@ fn token_flips(report: &mut BenchReport) {
     };
     let alternating: Vec<_> = (0..8).flat_map(|_| [parent, child]).collect();
     let batched: Vec<_> = [[parent; 8], [child; 8]].concat();
-    measure("pingpong", "strictly alternating (worst case)", &alternating);
+    measure(
+        "pingpong",
+        "strictly alternating (worst case)",
+        &alternating,
+    );
     measure("batched", "8 + 8 batched (common case)", &batched);
 }
 
@@ -256,13 +262,19 @@ fn main() {
         "{:<34} {:>9} {:>9}",
         "fork: address-space pages", fork_pages, 16
     );
-    println!("{:<34} {:>9} {:>9}", "fork: completion (resp)", fork_resp, 1);
+    println!(
+        "{:<34} {:>9} {:>9}",
+        "fork: completion (resp)", fork_resp, 1
+    );
     cluster.net().reset_stats();
     cluster
         .kill(parent, child, Signal::Sigint)
         .expect("remote signal");
     let signal_msgs = cluster.net().stats().sends("SIGNAL");
-    println!("{:<34} {:>9} {:>9}", "signal across machines", signal_msgs, 1);
+    println!(
+        "{:<34} {:>9} {:>9}",
+        "signal across machines", signal_msgs, 1
+    );
     report
         .int("fork_req_msgs", fork_req)
         .int("fork_page_msgs", fork_pages)
@@ -284,10 +296,7 @@ fn main() {
     cluster.settle();
     let child = cluster.fork(p, Some(SiteId(1))).expect("fork");
     cluster.kill(p, child, Signal::Sigkill).expect("kill");
-    cluster.partition(&[
-        vec![SiteId(0), SiteId(1)],
-        vec![SiteId(2), SiteId(3)],
-    ]);
+    cluster.partition(&[vec![SiteId(0), SiteId(1)], vec![SiteId(2), SiteId(3)]]);
     cluster.reconfigure().expect("split reconfig");
     cluster.heal();
     cluster.reconfigure().expect("merge reconfig");

@@ -89,7 +89,10 @@ fn main() {
                 count(&out, FileOutcome::ConflictMarked)
             )
         );
-        report.int("one_side_propagated", count(&out, FileOutcome::Propagated) as u64);
+        report.int(
+            "one_side_propagated",
+            count(&out, FileOutcome::Propagated) as u64,
+        );
         totals.absorb(&c);
     }
     // 2. Update in both partitions (untyped file).
@@ -224,7 +227,10 @@ fn main() {
             )
         );
         report
-            .int("mailboxes_merged", count(&out, FileOutcome::MailboxMerged) as u64)
+            .int(
+                "mailboxes_merged",
+                count(&out, FileOutcome::MailboxMerged) as u64,
+            )
             .int("mail_messages", msgs.len() as u64);
         totals.absorb(&c);
     }

@@ -141,7 +141,9 @@ fn main() {
     println!("a single communications failure should not result in the network");
     println!("breaking into three or more parts\" — one partition in every");
     println!("single-link-cut row above; polls grow linearly with N.");
-    report.int("msgs_total", msgs).int("virtual_elapsed_us", virtual_us);
+    report
+        .int("msgs_total", msgs)
+        .int("virtual_elapsed_us", virtual_us);
     let path = report.write();
     println!("wrote {}", path.display());
 }

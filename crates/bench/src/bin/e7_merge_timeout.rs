@@ -148,12 +148,10 @@ fn main() {
             n as usize,
             "a lossy link must not shrink the merge"
         );
-        report
-            .int(&format!("n{n}.lossy_retries"), retries)
-            .int(
-                &format!("n{n}.lossy_msgs"),
-                NetStats::delta_total(&st.delta_sends(&snap)),
-            );
+        report.int(&format!("n{n}.lossy_retries"), retries).int(
+            &format!("n{n}.lossy_msgs"),
+            NetStats::delta_total(&st.delta_sends(&snap)),
+        );
         virtual_us += net.now().as_micros();
     }
     println!();

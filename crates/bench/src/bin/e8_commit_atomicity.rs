@@ -88,12 +88,21 @@ fn shadow_ablation(report: &mut BenchReport) {
     );
     for (name, label, lpns, rmw, want_per_page) in [
         ("overwrite", "whole-file overwrite", &all, false, 0),
-        ("scattered", "scattered small updates", &every_other, true, 1),
+        (
+            "scattered",
+            "scattered small updates",
+            &every_other,
+            true,
+            1,
+        ),
     ] {
         let (old_reads, disk) = ablation_session(lpns, rmw);
         let touched = lpns.len() as u64;
         let reads = old_reads.as_micros() / read_cost;
-        println!("{label:<34} {touched:>8} {reads:>15} {:>11}", disk.to_string());
+        println!(
+            "{label:<34} {touched:>8} {reads:>15} {:>11}",
+            disk.to_string()
+        );
         assert_eq!(
             reads,
             want_per_page * touched,

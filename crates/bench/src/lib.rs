@@ -52,7 +52,9 @@ pub fn standard_cluster(nsites: usize, containers: &[u32]) -> Cluster {
         .vax_sites(nsites)
         .filegroup("root", containers)
         .build();
-    cluster.net().enable_health(locus_net::HealthPolicy::default());
+    cluster
+        .net()
+        .enable_health(locus_net::HealthPolicy::default());
     cluster
 }
 
@@ -111,4 +113,3 @@ pub fn export_and_audit_trace(
     );
     (path, events)
 }
-

@@ -118,7 +118,10 @@ impl BenchReport {
     pub fn cache(&mut self, prefix: &str, stats: CacheStats) -> &mut Self {
         self.int(&format!("{prefix}.cache_hits"), stats.hits);
         self.int(&format!("{prefix}.cache_misses"), stats.misses);
-        self.int(&format!("{prefix}.cache_invalidations"), stats.invalidations);
+        self.int(
+            &format!("{prefix}.cache_invalidations"),
+            stats.invalidations,
+        );
         self.float(&format!("{prefix}.cache_hit_ratio"), stats.hit_ratio());
         self
     }
@@ -167,7 +170,10 @@ mod tests {
         let mut r = BenchReport::new("t");
         r.int("a", 3).float("b", 0.5).str("c", "x\"y");
         let json = r.render();
-        assert_eq!(json, "{\n  \"a\": 3,\n  \"b\": 0.5000,\n  \"c\": \"x\\\"y\"\n}\n");
+        assert_eq!(
+            json,
+            "{\n  \"a\": 3,\n  \"b\": 0.5000,\n  \"c\": \"x\\\"y\"\n}\n"
+        );
     }
 
     #[test]

@@ -368,7 +368,10 @@ pub mod collection {
 
     /// Vectors of `element` values with length in `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into().0 }
+        VecStrategy {
+            element,
+            size: size.into().0,
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -391,7 +394,10 @@ pub mod collection {
     where
         S::Value: Ord,
     {
-        BTreeSetStrategy { element, size: size.into().0 }
+        BTreeSetStrategy {
+            element,
+            size: size.into().0,
+        }
     }
 
     impl<S: Strategy> Strategy for BTreeSetStrategy<S>
@@ -422,7 +428,11 @@ pub mod collection {
     where
         K::Value: Ord,
     {
-        BTreeMapStrategy { key, value, size: size.into().0 }
+        BTreeMapStrategy {
+            key,
+            value,
+            size: size.into().0,
+        }
     }
 
     impl<K: Strategy, V: Strategy> Strategy for BTreeMapStrategy<K, V>
@@ -598,7 +608,9 @@ macro_rules! prop_assert_ne {
         if a == b {
             return Err($crate::TestCaseError(format!(
                 "assertion failed: {} != {} (both {:?})",
-                stringify!($a), stringify!($b), a
+                stringify!($a),
+                stringify!($b),
+                a
             )));
         }
     }};

@@ -43,8 +43,8 @@ pub mod reconfig;
 
 pub use cluster::{Cluster, ClusterBuilder};
 pub use engine::{EpochOp, EpochOutcome};
-pub use locus_net::EngineKind;
 pub use locus_fs::proto::InodeInfo;
+pub use locus_net::EngineKind;
 pub use locus_recovery::{FileOutcome, RecoveryReport};
 pub use locus_types::{
     Errno, FileType, FilegroupId, Gfid, Ino, MachineType, OpenMode, Perms, Pid, SiteId, SysResult,

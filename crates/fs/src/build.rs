@@ -303,11 +303,12 @@ impl FsClusterBuilder {
         }
         let fsc = FsCluster::from_parts(net, kernels);
         fsc.set_retry_policy(self.retry);
-        fsc.coherence.set(match (self.name_leases, self.name_cache) {
-            (true, _) => Coherence::Lease,
-            (false, true) => Coherence::Validate,
-            (false, false) => Coherence::Off,
-        });
+        fsc.coherence
+            .set(match (self.name_leases, self.name_cache) {
+                (true, _) => Coherence::Lease,
+                (false, true) => Coherence::Validate,
+                (false, false) => Coherence::Off,
+            });
         fsc
     }
 }

@@ -450,7 +450,10 @@ mod tests {
         assert!(fsc.has_pending_background_work());
         let stuck = fsc.settle_diagnostics();
         assert!(stuck.contains("S2 prop_queue depth 1"), "{stuck}");
-        assert!(stuck.contains("from S0"), "propagation source named: {stuck}");
+        assert!(
+            stuck.contains("from S0"),
+            "propagation source named: {stuck}"
+        );
 
         fsc.settle();
         assert!(!fsc.has_pending_background_work());

@@ -122,15 +122,7 @@ fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult
     // is retried by the engine. An unreachable old CSS degrades to a
     // cold claim — the role must move *especially* when the old holder
     // is failing.
-    let reply = fsc.rpc(
-        new_css,
-        old_css,
-        FsMsg::CssHandoff {
-            fg,
-            epoch,
-            new_css,
-        },
-    );
+    let reply = fsc.rpc(new_css, old_css, FsMsg::CssHandoff { fg, epoch, new_css });
     match &reply {
         // The old CSS refused: its assignment is younger than the claim
         // cooldown. Surface the refusal instead of claiming cold — a cold
@@ -146,9 +138,7 @@ fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult
         }) => {
             let (cur_epoch, cur_css) = (*cur_epoch, *cur_css);
             let now = fsc.net().now();
-            fsc.with_kernel(new_css, |k| {
-                k.mount.adopt_css(fg, cur_css, cur_epoch, now)
-            });
+            fsc.with_kernel(new_css, |k| k.mount.adopt_css(fg, cur_css, cur_epoch, now));
             return Err(Errno::Etxtbsy);
         }
         _ => {}
@@ -217,7 +207,10 @@ fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult
         if site == new_css {
             continue;
         }
-        if fsc.one_way(new_css, site, FsMsg::CssUpdate { fg, epoch, new_css }).is_ok() {
+        if fsc
+            .one_way(new_css, site, FsMsg::CssUpdate { fg, epoch, new_css })
+            .is_ok()
+        {
             report.sites_notified += 1;
         }
     }
@@ -263,10 +256,8 @@ pub(crate) fn handle_css_handoff(
         .map(|(g, vv)| (g, vv.clone()))
         .collect();
     latest.sort_by_key(|(g, _)| *g);
-    let mut locks: Vec<(Gfid, crate::incore::CssState)> = k
-        .css_locks_for(fg)
-        .map(|(g, cs)| (g, cs.clone()))
-        .collect();
+    let mut locks: Vec<(Gfid, crate::incore::CssState)> =
+        k.css_locks_for(fg).map(|(g, cs)| (g, cs.clone())).collect();
     locks.sort_by_key(|(g, _)| *g);
     let mut leases = k.snapshot_leases_for(fg);
     leases.sort_by_key(|(g, _)| *g);
@@ -500,6 +491,9 @@ mod tests {
     fn handoff_refuses_a_quarantined_or_down_successor() {
         let fsc = cluster(&[0, 1], 1);
         fsc.net().crash(SiteId(1));
-        assert_eq!(css_handoff(&fsc, FG, SiteId(1)).err(), Some(Errno::Esitedown));
+        assert_eq!(
+            css_handoff(&fsc, FG, SiteId(1)).err(),
+            Some(Errno::Esitedown)
+        );
     }
 }

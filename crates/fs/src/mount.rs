@@ -178,7 +178,10 @@ mod tests {
         assert!(t.adopt_css(FilegroupId(0), SiteId(1), 4, t2));
         assert_eq!(t.css_of(FilegroupId(0)).unwrap(), SiteId(1));
         assert_eq!(t.get(FilegroupId(0)).unwrap().css_claimed_at, Some(t2));
-        assert!(!t.adopt_css(FilegroupId(9), SiteId(1), 99, t2), "unknown fg");
+        assert!(
+            !t.adopt_css(FilegroupId(9), SiteId(1), 99, t2),
+            "unknown fg"
+        );
     }
 
     #[test]

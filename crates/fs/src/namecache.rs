@@ -385,7 +385,10 @@ mod tests {
         let d = gfid(1);
         c.insert_dir(d, info(vv(1)), Rc::new(Directory::new()));
         assert!(c.dir_fresh(d, &vv(1)).is_some(), "current entry served");
-        assert!(c.dir_fresh(d, &vv(2)).is_none(), "newer CSS version rejected");
+        assert!(
+            c.dir_fresh(d, &vv(2)).is_none(),
+            "newer CSS version rejected"
+        );
         assert!(
             c.dir_fresh(d, &vv(1)).is_none(),
             "stale entry was dropped, not resurrected"
@@ -429,7 +432,10 @@ mod tests {
         let mut c = NameAttrCache::new();
         let f = gfid(3);
         c.insert_attr(f, info(vv(1)));
-        assert!(c.attr_under_lease(f).is_none(), "no lease, no short-circuit");
+        assert!(
+            c.attr_under_lease(f).is_none(),
+            "no lease, no short-circuit"
+        );
         c.grant_lease(f);
         assert!(c.lease_held(f));
         assert!(c.attr_under_lease(f).is_some(), "leased entry served");
@@ -470,13 +476,19 @@ mod tests {
         assert_eq!(c.entries(), 2, "entries survive a demotion");
         assert_eq!(c.child_type(d, Ino(9)), Some(FileType::HiddenDirectory));
         assert_eq!(c.leases_held(), 0, "every mark is revoked");
-        assert!(c.dir_under_lease(d).is_none(), "no lease-served hit after demote");
+        assert!(
+            c.dir_under_lease(d).is_none(),
+            "no lease-served hit after demote"
+        );
         assert!(c.page_tag(f).is_none(), "every page tag is dropped");
         assert!(
             !c.pages_fresh(f, &info(vv(1))),
             "a dropped tag forces a refetch even at the same version"
         );
-        assert!(c.dir_fresh(d, &vv(1)).is_some(), "a VV check at the same version serves it");
+        assert!(
+            c.dir_fresh(d, &vv(1)).is_some(),
+            "a VV check at the same version serves it"
+        );
 
         let mut s = CacheStats::default();
         c.merge_stats(&mut s);
@@ -495,7 +507,10 @@ mod tests {
         }
         c.demote_fg(FilegroupId(0));
         assert!(!c.lease_held(gfid(1)) && c.page_tag(gfid(1)).is_none());
-        assert!(c.lease_held(other) && c.page_tag(other).is_some(), "fg 1 kept");
+        assert!(
+            c.lease_held(other) && c.page_tag(other).is_some(),
+            "fg 1 kept"
+        );
         assert_eq!(c.entries(), 2, "entries survive");
         let mut s = CacheStats::default();
         c.merge_stats(&mut s);
@@ -512,7 +527,10 @@ mod tests {
         c.insert_dir(d, info(vv(2)), Rc::new(Directory::new()));
         c.insert_attr(d, info(vv(2)));
         assert!(c.attr_fresh(d, &vv(1)).is_none(), "newer attrs not served");
-        assert!(c.dir_fresh(d, &vv(1)).is_none(), "newer contents not served");
+        assert!(
+            c.dir_fresh(d, &vv(1)).is_none(),
+            "newer contents not served"
+        );
         assert!(c.dir_fresh(d, &vv(2)).is_none(), "and dropped on the spot");
     }
 

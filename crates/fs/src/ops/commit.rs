@@ -149,7 +149,9 @@ pub(crate) fn handle_commit(
             .incore_get(gfid)
             .map(|inc| inc.serving.iter().copied().collect())
             .unwrap_or_default();
-        (info, pages, inode_only, containers, css, readers, origin, vv_total)
+        (
+            info, pages, inode_only, containers, css, readers, origin, vv_total,
+        )
     };
 
     // Outstanding name leases are broken inside the commit critical

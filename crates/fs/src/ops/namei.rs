@@ -194,17 +194,20 @@ pub fn stat_gfid(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<InodeInfo
         if tier == Coherence::Lease {
             let hit = fsc.with_kernel(us, |k| k.name_cache.attr_under_lease(gfid));
             if let Some(info) = hit {
-                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
+                fsc.net()
+                    .obs_note(us, "namecache.hit", gfid, info.vv.total());
                 return Ok(info);
             }
         }
         if let Ok(latest) = css_known_latest(fsc, us, gfid) {
             let hit = fsc.with_kernel(us, |k| k.name_cache.attr_fresh(gfid, &latest));
             if let Some(info) = hit {
-                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
+                fsc.net()
+                    .obs_note(us, "namecache.hit", gfid, info.vv.total());
                 return Ok(info);
             }
-            fsc.net().obs_note(us, "namecache.miss", gfid, latest.total());
+            fsc.net()
+                .obs_note(us, "namecache.miss", gfid, latest.total());
         }
     }
     let t = open_gfid(fsc, us, gfid, OpenMode::InternalUnsyncRead)?;
@@ -329,7 +332,8 @@ fn dir_for_search(
         if tier == Coherence::Lease {
             let hit = fsc.with_kernel(us, |k| k.name_cache.dir_under_lease(gfid));
             if let Some((dir, info)) = hit {
-                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
+                fsc.net()
+                    .obs_note(us, "namecache.hit", gfid, info.vv.total());
                 check(&info)?;
                 return Ok((dir, info));
             }
@@ -337,11 +341,13 @@ fn dir_for_search(
         if let Ok(latest) = css_known_latest(fsc, us, gfid) {
             let hit = fsc.with_kernel(us, |k| k.name_cache.dir_fresh(gfid, &latest));
             if let Some((dir, info)) = hit {
-                fsc.net().obs_note(us, "namecache.hit", gfid, info.vv.total());
+                fsc.net()
+                    .obs_note(us, "namecache.hit", gfid, info.vv.total());
                 check(&info)?;
                 return Ok((dir, info));
             }
-            fsc.net().obs_note(us, "namecache.miss", gfid, latest.total());
+            fsc.net()
+                .obs_note(us, "namecache.miss", gfid, latest.total());
         }
     }
     let t = open_gfid(fsc, us, gfid, OpenMode::InternalUnsyncRead)?;
@@ -355,7 +361,8 @@ fn dir_for_search(
     if caching {
         fsc.with_kernel(us, |k| {
             k.name_cache.insert_attr(gfid, t.info.clone());
-            k.name_cache.insert_dir(gfid, t.info.clone(), Rc::clone(&dir));
+            k.name_cache
+                .insert_dir(gfid, t.info.clone(), Rc::clone(&dir));
         });
     }
     Ok((dir, t.info))

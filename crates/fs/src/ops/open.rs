@@ -482,8 +482,15 @@ mod tests {
 
         let wctx = ProcFsCtx::new(fsc.kernel(w).mount.root().unwrap(), MachineType::Vax);
         let v1 = content(1, NPAGES);
-        let f = fd::creat(&fsc, w, &wctx, "/data", FileType::Untyped, Perms::FILE_DEFAULT)
-            .expect("creat");
+        let f = fd::creat(
+            &fsc,
+            w,
+            &wctx,
+            "/data",
+            FileType::Untyped,
+            Perms::FILE_DEFAULT,
+        )
+        .expect("creat");
         fd::write(&fsc, w, f, &v1).expect("write v1");
         fd::close(&fsc, w, f).expect("close v1");
 
@@ -492,7 +499,10 @@ mod tests {
         let uctx = ProcFsCtx::new(fsc.kernel(us).mount.root().unwrap(), MachineType::Vax);
         let gfid = crate::ops::namei::resolve(&fsc, us, &uctx, "/data").expect("resolve");
         let f = fd::open(&fsc, us, &uctx, "/data", OpenMode::Read).expect("open for read");
-        assert_eq!(fd::read(&fsc, us, f, NPAGES * PAGE_SIZE).expect("read v1"), v1);
+        assert_eq!(
+            fd::read(&fsc, us, f, NPAGES * PAGE_SIZE).expect("read v1"),
+            v1
+        );
         fd::close(&fsc, us, f).expect("close read");
         assert_eq!(
             cached_pages(&fsc, us, gfid, NPAGES),

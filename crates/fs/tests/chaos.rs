@@ -41,7 +41,10 @@ const STEPS: u32 = 14;
 /// The file every schedule fights over, each version padded with `pad`
 /// extra bytes.
 fn chaos_file(pad: usize) -> VersionedFile {
-    VersionedFile { path: "/chaos", pad }
+    VersionedFile {
+        path: "/chaos",
+        pad,
+    }
 }
 
 /// A seed-derived fault plan plus the times its scheduled topology
@@ -223,7 +226,10 @@ fn multipage_chaos_schedules_preserve_invariants() {
     // The label keeps the test's former name, so its seed list is the one
     // it has always run.
     let seeds = proptest_seed_set(
-        concat!(module_path!(), "::batched_chaos_schedules_preserve_invariants"),
+        concat!(
+            module_path!(),
+            "::batched_chaos_schedules_preserve_invariants"
+        ),
         64,
     );
     let pad = 2 * locus_storage::PAGE_SIZE + 400;
@@ -233,8 +239,7 @@ fn multipage_chaos_schedules_preserve_invariants() {
 #[test]
 fn identical_seed_gives_identical_trace() {
     for seed in [3u64, 1983, 0xFEED_FACE] {
-        let (events, _) =
-            replays_identically(seed, run_schedule).unwrap_or_else(|e| panic!("{e}"));
+        let (events, _) = replays_identically(seed, run_schedule).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             !locus_net::op_stats(&events).is_empty(),
             "seed {seed}: the schedule must feed the op histograms"

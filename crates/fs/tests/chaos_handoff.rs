@@ -162,7 +162,8 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<Observation, String> {
             .map_err(|e| format!("seed {seed}: post-handoff write v{v} failed: {e:?}"))?;
         confirmed = v;
         let us = if wl.gen_bool(0.5) { WRITER } else { SiteId(4) };
-        let r = GRAY.read(&fsc, us)
+        let r = GRAY
+            .read(&fsc, us)
             .map_err(|e| format!("seed {seed}: post-handoff read at {us:?} failed: {e:?}"))?;
         if r != confirmed {
             return Err(format!(
@@ -194,7 +195,12 @@ fn run_gray_handoff_schedule(seed: u64) -> Result<Observation, String> {
     finish(
         net,
         seed,
-        &["health.quarantine", "css.claim", "health.probation", "health.readmit"],
+        &[
+            "health.quarantine",
+            "css.claim",
+            "health.probation",
+            "health.readmit",
+        ],
     )
 }
 
@@ -219,9 +225,10 @@ fn run_reconfig_race_schedule(seed: u64) -> Result<Observation, String> {
         delay: Ticks::micros(wl.gen_range(20u64..150)),
     };
     let gray_from = SiteId(CONTAINERS[wl.gen_range(0usize..CONTAINERS.len())]);
-    let plan = FaultPlan::new(seed)
-        .default_spec(spec)
-        .slow_link(gray_from, WRITER, 8, Ticks::millis(2));
+    let plan =
+        FaultPlan::new(seed)
+            .default_spec(spec)
+            .slow_link(gray_from, WRITER, 8, Ticks::millis(2));
     net.install_faults(plan);
 
     let mut next_version = 1u32;

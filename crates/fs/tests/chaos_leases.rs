@@ -77,10 +77,13 @@ fn seed_and_warm(fsc: &FsCluster, seed: u64) -> Result<(), String> {
     fsc.settle();
     for r in READERS {
         for _ in 0..2 {
-            let v = LEASED.read(fsc, SiteId(r))
+            let v = LEASED
+                .read(fsc, SiteId(r))
                 .map_err(|e| format!("seed {seed}: warm read at S{r} failed: {e:?}"))?;
             if v != 0 {
-                return Err(format!("seed {seed}: warm read at S{r} saw v{v}, expected v0"));
+                return Err(format!(
+                    "seed {seed}: warm read at S{r} saw v{v}, expected v0"
+                ));
             }
         }
     }
@@ -148,7 +151,9 @@ fn run_recall_loss(seed: u64) -> Result<Observation, String> {
     fsc.settle();
     let s = fsc.cache_stats();
     if s.lease_recalls == 0 {
-        return Err(format!("seed {seed}: the write workload never recalled a lease"));
+        return Err(format!(
+            "seed {seed}: the write workload never recalled a lease"
+        ));
     }
     // Delivered recalls are acked on the RPC plane, but duplicates may
     // count a delivery twice at the holder — so require *some* acked
@@ -187,7 +192,8 @@ fn run_midrecall_crash(seed: u64) -> Result<Observation, String> {
     for _ in 0..rng.gen_range(1u32..3) {
         let v = next_version;
         next_version += 1;
-        LEASED.write(&fsc, WRITER, v)
+        LEASED
+            .write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: write v{v} with crashed holder failed: {e:?}"))?;
         confirmed = v;
     }
@@ -207,7 +213,8 @@ fn run_midrecall_crash(seed: u64) -> Result<Observation, String> {
             "seed {seed}: §5.6 cleanup left stale lease marks at the rejoined holder"
         ));
     }
-    let got = LEASED.read(&fsc, VICTIM)
+    let got = LEASED
+        .read(&fsc, VICTIM)
         .map_err(|e| format!("seed {seed}: post-rejoin read failed: {e:?}"))?;
     if got < confirmed {
         return Err(format!(
@@ -240,9 +247,11 @@ fn run_quarantine_revoke(seed: u64) -> Result<Observation, String> {
     // recall burns its whole retry budget against the holder, each
     // timeout blamed on it — quarantine trips from the recall traffic
     // itself, and the CSS revokes the row unilaterally.
-    net.install_faults(
-        FaultPlan::new(seed).link_spec(SiteId(0), VICTIM, FaultSpec::drop_rate(1.0)),
-    );
+    net.install_faults(FaultPlan::new(seed).link_spec(
+        SiteId(0),
+        VICTIM,
+        FaultSpec::drop_rate(1.0),
+    ));
     let mut next_version = 1u32;
     let mut confirmed = 0u32;
     let mut steps = 0u32;
@@ -250,7 +259,8 @@ fn run_quarantine_revoke(seed: u64) -> Result<Observation, String> {
         steps += 1;
         let v = next_version;
         next_version += 1;
-        LEASED.write(&fsc, WRITER, v)
+        LEASED
+            .write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: write v{v} against a dark holder failed: {e:?}"))?;
         confirmed = v;
     }
@@ -289,7 +299,9 @@ fn run_quarantine_revoke(seed: u64) -> Result<Observation, String> {
     let readmitted = probation_probe(&fsc, WRITER, VICTIM, FG, 32)
         .map_err(|e| format!("seed {seed}: probation probe failed: {e:?}"))?;
     if !readmitted {
-        return Err(format!("seed {seed}: probation did not readmit the healed holder"));
+        return Err(format!(
+            "seed {seed}: probation did not readmit the healed holder"
+        ));
     }
     if net.site_health(VICTIM) != SiteHealth::Healthy {
         return Err(format!(
@@ -304,7 +316,8 @@ fn run_quarantine_revoke(seed: u64) -> Result<Observation, String> {
             "seed {seed}: readmission left lease marks at the probationer"
         ));
     }
-    let got = LEASED.read(&fsc, VICTIM)
+    let got = LEASED
+        .read(&fsc, VICTIM)
         .map_err(|e| format!("seed {seed}: post-readmit read failed: {e:?}"))?;
     if got < confirmed {
         return Err(format!(
@@ -315,7 +328,11 @@ fn run_quarantine_revoke(seed: u64) -> Result<Observation, String> {
 
     fsc.settle();
     LEASED.check_convergence(&fsc, seed, confirmed, next_version)?;
-    finish(net, seed, &["health.quarantine", "health.readmit", "lease.grant"])
+    finish(
+        net,
+        seed,
+        &["health.quarantine", "health.readmit", "lease.grant"],
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -437,7 +454,8 @@ fn run_partition_merge(seed: u64) -> Result<Observation, String> {
     for _ in 0..3 {
         let v = next_version;
         next_version += 1;
-        LEASED.write(&fsc, WRITER, v)
+        LEASED
+            .write(&fsc, WRITER, v)
             .map_err(|e| format!("seed {seed}: majority write v{v} failed: {e:?}"))?;
         confirmed = v;
         if rng.gen_bool(0.5) {
@@ -511,10 +529,20 @@ fn lost_lease_break_still_recalls_every_holder() {
     net.reset_stats();
     net.install_faults(FaultPlan::new(7).kind_spec("LEASE break", FaultSpec::drop_rate(1.0)));
     // Site 1 stores a copy, so it serves its own write: SS = 1, CSS = 0.
-    LEASED.write(&fsc, SiteId(1), 1).expect("commit at a non-CSS storage site");
+    LEASED
+        .write(&fsc, SiteId(1), 1)
+        .expect("commit at a non-CSS storage site");
     let st = net.stats();
-    assert_eq!(st.sends("LEASE break"), 0, "every break attempt was dropped");
-    assert_eq!(st.one_way_losses("LEASE break"), 1, "and counted lost, once");
+    assert_eq!(
+        st.sends("LEASE break"),
+        0,
+        "every break attempt was dropped"
+    );
+    assert_eq!(
+        st.one_way_losses("LEASE break"),
+        1,
+        "and counted lost, once"
+    );
     assert!(st.sends("LEASE recall") > 0, "the recalls ran regardless");
     net.clear_faults();
     fsc.settle();

@@ -93,7 +93,10 @@ fn warm_remote_resolution_cuts_messages_at_least_3x() {
     );
     let cs = cached.cache_stats();
     assert!(cs.dentry_hits > 0, "warm passes must hit the dentry cache");
-    assert_eq!(cs.name_invalidations, 0, "nothing changed, nothing invalidated");
+    assert_eq!(
+        cs.name_invalidations, 0,
+        "nothing changed, nothing invalidated"
+    );
 }
 
 /// Satellite regression: a remote site's cached attributes must not
@@ -153,7 +156,10 @@ fn hidden_directories_and_dotdot_resolve_through_the_cache() {
     let warm = namei::resolve(&fsc, s(1), &pdp, "/bin/who").unwrap();
     assert_eq!(cold, warm);
     let fdn = fd::open(&fsc, s(1), &pdp, "/bin/who", OpenMode::Read).unwrap();
-    assert_eq!(fd::read(&fsc, s(1), fdn, 64).unwrap(), b"PDP-11 LOAD MODULE");
+    assert_eq!(
+        fd::read(&fsc, s(1), fdn, 64).unwrap(),
+        b"PDP-11 LOAD MODULE"
+    );
     fd::close(&fsc, s(1), fdn).unwrap();
     // A VAX context picks the other entry from the same cached directory.
     let other = namei::resolve(&fsc, s(1), &vax, "/bin/who").unwrap();
@@ -219,7 +225,8 @@ fn run_hidden_rewrite_schedule(seed: u64) -> Result<(), String> {
         delay_prob: rng.gen_f64() * 0.20,
         delay: Ticks::micros(rng.gen_range(20u64..200)),
     };
-    fsc.net().install_faults(FaultPlan::new(seed).default_spec(spec));
+    fsc.net()
+        .install_faults(FaultPlan::new(seed).default_spec(spec));
 
     let pdp = ProcFsCtx::new(fsc.kernel(s(1)).mount.root().unwrap(), MachineType::Pdp11);
     let mut ok_reads = 0u32;
@@ -312,7 +319,10 @@ fn cached_names_revalidate_through_the_new_css_after_handoff() {
             _ => None,
         })
         .collect();
-    assert!(!probe_targets.is_empty(), "warm resolution still revalidates");
+    assert!(
+        !probe_targets.is_empty(),
+        "warm resolution still revalidates"
+    );
     assert!(
         probe_targets.iter().all(|&to| to == s(1)),
         "every revalidation probe must target the new CSS"
@@ -391,7 +401,10 @@ fn a_pull_of_an_already_recalled_version_recalls_nothing() {
     // Site 1 commits its own copy: the CSS (site 0) is notified, recalls
     // the lease, and queues a pull of the new version.
     write_str(&fsc, s(1), "/f", b"three");
-    assert!(fsc.kernel(s(0)).pull_queued(gfid), "the CSS's copy is stale");
+    assert!(
+        fsc.kernel(s(0)).pull_queued(gfid),
+        "the CSS's copy is stale"
+    );
     // The holder re-validates while the pull is pending: a new lease at
     // the new version.
     assert_eq!(namei::stat_gfid(&fsc, s(2), gfid).unwrap().size, 5);

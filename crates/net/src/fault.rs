@@ -527,7 +527,9 @@ mod tests {
         let mut a = FaultInjector::new(plan());
         let mut b = FaultInjector::new(plan());
         // a: all of site 0's sends, then all of site 1's.
-        let mut va: Vec<Verdict> = (0..16).map(|_| a.judge(SiteId(0), SiteId(2), "x")).collect();
+        let mut va: Vec<Verdict> = (0..16)
+            .map(|_| a.judge(SiteId(0), SiteId(2), "x"))
+            .collect();
         va.extend((0..16).map(|_| a.judge(SiteId(1), SiteId(2), "x")));
         // b: the same sends, alternating.
         let mut v0 = Vec::new();

@@ -347,7 +347,10 @@ mod tests {
             m.observe_fault(gray);
         }
         assert!(m.quarantined(gray));
-        assert!(!m.begin_probation(SiteId(0)), "healthy sites have no probation");
+        assert!(
+            !m.begin_probation(SiteId(0)),
+            "healthy sites have no probation"
+        );
         assert!(m.begin_probation(gray));
         assert_eq!(m.state(gray), SiteHealth::Probation);
         assert!(m.quarantined(gray), "probation is still isolation");

@@ -869,7 +869,10 @@ mod tests {
         let net = Net::new(2);
         net.install_faults(FaultPlan::new(7).default_spec(FaultSpec::drop_rate(1.0)));
         let t0 = net.now();
-        assert_eq!(net.send(SiteId(0), SiteId(1), "x", 8), Err(NetError::Dropped));
+        assert_eq!(
+            net.send(SiteId(0), SiteId(1), "x", 8),
+            Err(NetError::Dropped)
+        );
         assert_eq!(net.stats().drops("x"), 1);
         assert_eq!(net.stats().sends("x"), 0);
         assert!(net.now() > t0, "a dropped message still reached the wire");

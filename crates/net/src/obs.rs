@@ -1200,10 +1200,9 @@ pub fn audit(events: &[ObsEvent]) -> AuditReport {
                             ));
                         }
                         if open_commits.insert(label.clone(), *value).is_some() {
-                            report.violations.push(format!(
-                                "t={}: nested commit.begin for `{label}`",
-                                at
-                            ));
+                            report
+                                .violations
+                                .push(format!("t={}: nested commit.begin for `{label}`", at));
                         }
                     }
                     "commit.end" if open_commits.remove(label).is_none() => {
@@ -1328,7 +1327,11 @@ mod tests {
     #[test]
     fn observer_nests_spans_and_feeds_histograms() {
         let mut o = Observer::new();
-        assert_eq!(o.span_open(Ticks::ZERO, "fs", "open", SiteId(0)), 0, "disabled");
+        assert_eq!(
+            o.span_open(Ticks::ZERO, "fs", "open", SiteId(0)),
+            0,
+            "disabled"
+        );
         o.set_enabled(true);
         let outer = o.span_open(Ticks::micros(10), "fs", "open", SiteId(0));
         let inner = o.span_open(Ticks::micros(12), "fs", "OPEN req", SiteId(0));

@@ -296,7 +296,15 @@ impl RpcEngine {
         let kind = msg.kind();
         let mut attempt = 0u32;
         loop {
-            match net.send_as(M::SERVICE, span, Leg::OneWay, from, to, kind, msg.wire_bytes()) {
+            match net.send_as(
+                M::SERVICE,
+                span,
+                Leg::OneWay,
+                from,
+                to,
+                kind,
+                msg.wire_bytes(),
+            ) {
                 Ok(()) => return Ok(net.fork(|| serve(msg)).0),
                 // The send consumed the notice: reopen at once.
                 Err(NetError::CircuitClosed) => net.note_retry(M::SERVICE, kind),
@@ -357,7 +365,14 @@ mod tests {
         let net = Net::new(2);
         let engine = RpcEngine::new(RetryPolicy::default());
         let out = engine
-            .rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &u32| 32, |_| 7u32)
+            .rpc(
+                &net,
+                SiteId(0),
+                SiteId(1),
+                TestMsg::Query,
+                |_: &u32| 32,
+                |_| 7u32,
+            )
             .expect("clean rpc");
         assert_eq!(out, 7);
         let st = net.stats();
@@ -372,7 +387,14 @@ mod tests {
         let net = Net::new(2);
         let engine = RpcEngine::new(RetryPolicy::default());
         let out = engine
-            .rpc(&net, SiteId(1), SiteId(1), TestMsg::Query, |_: &u32| 32, |_| 9u32)
+            .rpc(
+                &net,
+                SiteId(1),
+                SiteId(1),
+                TestMsg::Query,
+                |_: &u32| 32,
+                |_| 9u32,
+            )
             .expect("local call");
         assert_eq!(out, 9);
         assert_eq!(net.stats().total_sends(), 0, "no network traffic");
@@ -389,7 +411,14 @@ mod tests {
         let mut served = 0u32;
         let t0 = net.now();
         engine
-            .rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &()| 8, |_| served += 1)
+            .rpc(
+                &net,
+                SiteId(0),
+                SiteId(1),
+                TestMsg::Query,
+                |_: &()| 8,
+                |_| served += 1,
+            )
             .expect("retries ride out drops");
         assert_eq!(served, 1, "the handler ran exactly once");
         let st = net.stats();
@@ -411,9 +440,16 @@ mod tests {
             ..RetryPolicy::default()
         });
         let mut served = 0u32;
-        let out = engine.rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &()| 8, |_| {
-            served += 1;
-        });
+        let out = engine.rpc(
+            &net,
+            SiteId(0),
+            SiteId(1),
+            TestMsg::Query,
+            |_: &()| 8,
+            |_| {
+                served += 1;
+            },
+        );
         assert!(out.is_ok(), "idempotent request was re-issued to success");
         assert!(served >= 1);
         assert_eq!(
@@ -443,8 +479,18 @@ mod tests {
         assert_eq!(served, 1, "the ambiguity: the handler did run");
         // The §5.1 abort mark is left for the pair's next conversation.
         net.clear_faults();
-        let next = engine.rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &()| 8, |_| ());
-        assert!(next.is_ok(), "the next call reopens the circuit and proceeds");
+        let next = engine.rpc(
+            &net,
+            SiteId(0),
+            SiteId(1),
+            TestMsg::Query,
+            |_: &()| 8,
+            |_| (),
+        );
+        assert!(
+            next.is_ok(),
+            "the next call reopens the circuit and proceeds"
+        );
         assert!(net.stats().retries("TEST query") >= 1, "reopen was counted");
     }
 
@@ -453,7 +499,14 @@ mod tests {
         let net = Net::new(2);
         net.crash(SiteId(1));
         let engine = RpcEngine::new(RetryPolicy::default());
-        let out = engine.rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &()| 8, |_| ());
+        let out = engine.rpc(
+            &net,
+            SiteId(0),
+            SiteId(1),
+            TestMsg::Query,
+            |_: &()| 8,
+            |_| (),
+        );
         assert_eq!(out, Err(RpcError::Unreachable));
         assert_eq!(net.stats().retries("TEST query"), 0);
     }
@@ -464,7 +517,14 @@ mod tests {
         net.set_observing(true);
         let engine = RpcEngine::new(RetryPolicy::default());
         engine
-            .rpc(&net, SiteId(0), SiteId(1), TestMsg::Query, |_: &u32| 32, |_| 7u32)
+            .rpc(
+                &net,
+                SiteId(0),
+                SiteId(1),
+                TestMsg::Query,
+                |_: &u32| 32,
+                |_| 7u32,
+            )
             .expect("rpc");
         engine
             .one_way(&net, SiteId(0), SiteId(1), TestMsg::Transition, |_| ())
@@ -491,12 +551,22 @@ mod tests {
         net.set_observing(true);
         let engine = RpcEngine::new(RetryPolicy::default());
         engine
-            .rpc(&net, SiteId(1), SiteId(1), TestMsg::Query, |_: &u32| 32, |_| 1u32)
+            .rpc(
+                &net,
+                SiteId(1),
+                SiteId(1),
+                TestMsg::Query,
+                |_: &u32| 32,
+                |_| 1u32,
+            )
             .expect("local call");
         engine
             .one_way(&net, SiteId(1), SiteId(1), TestMsg::Transition, |_| ())
             .expect("local one-way");
-        assert!(net.take_obs_events().is_empty(), "§2.3.3: no traffic, no spans");
+        assert!(
+            net.take_obs_events().is_empty(),
+            "§2.3.3: no traffic, no spans"
+        );
     }
 
     #[test]
@@ -632,13 +702,23 @@ mod tests {
         assert_eq!(net.stats().busy_micros(to), service.as_micros());
 
         // A request reaching the busy site is served once it is free.
-        let reply = engine.rpc(&net, from, to, TestMsg::Query, |_: &Ticks| 32, |_| {
-            let arrived = net.now();
-            net.charge_cpu_at(to, Ticks::millis(1));
-            arrived
-        });
+        let reply = engine.rpc(
+            &net,
+            from,
+            to,
+            TestMsg::Query,
+            |_: &Ticks| 32,
+            |_| {
+                let arrived = net.now();
+                net.charge_cpu_at(to, Ticks::millis(1));
+                arrived
+            },
+        );
         let arrived = reply.expect("rpc");
-        assert!(arrived < delivered + service, "it arrived while the site was busy");
+        assert!(
+            arrived < delivered + service,
+            "it arrived while the site was busy"
+        );
         assert_eq!(
             net.stats().wait_micros(to),
             (delivered + service - arrived).as_micros(),
@@ -661,7 +741,11 @@ mod tests {
                 net.charge_cpu_at(SiteId(1), Ticks::millis(3))
             })
             .expect("local one-way");
-        assert_eq!(net.now() - t0, Ticks::millis(3), "the caller ran the handler");
+        assert_eq!(
+            net.now() - t0,
+            Ticks::millis(3),
+            "the caller ran the handler"
+        );
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod process;
 pub mod proto;
 
 pub use mgr::ProcMgr;
-pub use proto::ProcMsg;
 pub use process::{ExitStatus, ProcError, ProcState, Process, Signal};
+pub use proto::ProcMsg;

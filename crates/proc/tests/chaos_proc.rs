@@ -139,9 +139,8 @@ fn chaos_schedules_preserve_fork_invariants() {
 #[test]
 fn remote_fork_survives_an_injected_request_drop() {
     let (fsc, pm) = cluster();
-    fsc.net().install_faults(
-        FaultPlan::new(21).kind_spec("FORK req", FaultSpec::drop_rate(0.6)),
-    );
+    fsc.net()
+        .install_faults(FaultPlan::new(21).kind_spec("FORK req", FaultSpec::drop_rate(0.6)));
     let parent = pm.spawn_init(&fsc, HOME, 1).expect("spawn_init");
     let child = pm
         .fork(&fsc, parent, Some(SiteId(2)))
@@ -158,7 +157,10 @@ fn remote_fork_survives_an_injected_request_drop() {
     );
     assert_eq!(st.sends("FORK req"), 1, "exactly one request got through");
     assert_eq!(st.sends("PROC page"), 16, "the image still crossed intact");
-    assert!(st.service("proc").retries > 0, "retries tagged to the service");
+    assert!(
+        st.service("proc").retries > 0,
+        "retries tagged to the service"
+    );
 }
 
 /// A remote EXIT notify abandoned after retry exhaustion is no longer
@@ -169,9 +171,8 @@ fn lost_exit_notify_is_counted_not_silent() {
     let (fsc, pm) = cluster();
     let parent = pm.spawn_init(&fsc, HOME, 1).expect("spawn_init");
     let child = pm.fork(&fsc, parent, Some(SiteId(1))).expect("fork");
-    fsc.net().install_faults(
-        FaultPlan::new(3).kind_spec("EXIT notify", FaultSpec::drop_rate(1.0)),
-    );
+    fsc.net()
+        .install_faults(FaultPlan::new(3).kind_spec("EXIT notify", FaultSpec::drop_rate(1.0)));
     pm.exit(&fsc, child, 0).expect("exit");
     let st = fsc.net().stats();
     assert_eq!(st.sends("EXIT notify"), 0, "every attempt was dropped");

@@ -229,9 +229,17 @@ mod tests {
         d.free(3).unwrap();
         assert_eq!(d.free_blocks(), 6);
         let got: Vec<BlockNo> = (0..4).map(|_| d.alloc(z()).unwrap()).collect();
-        assert_eq!(got, [3, 1, 4, 5], "last freed first, then above the high-water mark");
+        assert_eq!(
+            got,
+            [3, 1, 4, 5],
+            "last freed first, then above the high-water mark"
+        );
         assert!(!d.is_allocated(6));
-        assert_eq!(d.free(7), Err(Errno::Eio), "never-used block is not allocated");
+        assert_eq!(
+            d.free(7),
+            Err(Errno::Eio),
+            "never-used block is not allocated"
+        );
     }
 
     #[test]

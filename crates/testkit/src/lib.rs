@@ -78,7 +78,9 @@ pub fn run_schedules_parallel<T>(
 
 /// `n` seeds spread from `base` by the golden-ratio multiplier.
 pub fn seed_set(base: u64, n: u64) -> Vec<u64> {
-    (0..n).map(|i| base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+    (0..n)
+        .map(|i| base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect()
 }
 
 /// The seeds a `proptest!` block named `test_name` with `cases` cases
@@ -128,7 +130,9 @@ pub fn finish(net: &Net, seed: u64, required_notes: &[&str]) -> Result<Observati
     let parsed = locus_net::parse_jsonl(&locus_net::export_jsonl(&events))
         .map_err(|e| format!("seed {seed}: exported trace failed to parse: {e}"))?;
     if parsed != events {
-        return Err(format!("seed {seed}: JSONL export/parse did not round-trip"));
+        return Err(format!(
+            "seed {seed}: JSONL export/parse did not round-trip"
+        ));
     }
     let audit = locus_net::audit(&events);
     if !audit.is_clean() {
@@ -149,7 +153,9 @@ pub fn replays_identically(
     let (a, b) = (run(seed)?, run(seed)?);
     for (what, same) in [("traces", a.0 == b.0), ("statistics", a.1 == b.1)] {
         if !same {
-            return Err(format!("seed {seed}: {what} diverged between identical runs"));
+            return Err(format!(
+                "seed {seed}: {what} diverged between identical runs"
+            ));
         }
     }
     Ok(a)
@@ -308,7 +314,10 @@ mod tests {
         let seeds = seed_set(7, 33);
         let ran: Vec<AtomicUsize> = seeds.iter().map(|_| AtomicUsize::new(0)).collect();
         run_schedules_parallel(&seeds, |seed| {
-            let i = seeds.iter().position(|&s| s == seed).expect("a listed seed");
+            let i = seeds
+                .iter()
+                .position(|&s| s == seed)
+                .expect("a listed seed");
             ran[i].fetch_add(1, Ordering::Relaxed);
             Ok(())
         });
@@ -321,6 +330,9 @@ mod tests {
         net.set_observing(true);
         net.obs_note(SiteId(0), "css.claim", "fg0", 1);
         let err = finish(&net, 5, &["css.claim", "health.readmit"]).unwrap_err();
-        assert!(err.contains("seed 5") && err.contains("health.readmit"), "{err}");
+        assert!(
+            err.contains("seed 5") && err.contains("health.readmit"),
+            "{err}"
+        );
     }
 }

@@ -226,6 +226,10 @@ mod tests {
         net.install_faults(FaultPlan::new(11).default_spec(FaultSpec::drop_rate(0.25)));
         let mut beliefs = beliefs_of(&[&[0, 1], &[2, 3]]);
         let out = merge_protocol(&net, SiteId(0), &mut beliefs, MergeTimeouts::default());
-        assert_eq!(out.members.len(), 4, "drops were retried, not treated as down");
+        assert_eq!(
+            out.members.len(),
+            4,
+            "drops were retried, not treated as down"
+        );
     }
 }

@@ -224,8 +224,15 @@ mod tests {
         net.install_faults(FaultPlan::new(7).default_spec(FaultSpec::drop_rate(0.25)));
         let mut beliefs = full_beliefs(5);
         let out = partition_protocol(&net, SiteId(0), &mut beliefs);
-        assert_eq!(out.members.len(), 5, "drops were retried, not treated as down");
-        assert!(net.stats().total_retries() > 0, "losses were in fact injected");
+        assert_eq!(
+            out.members.len(),
+            5,
+            "drops were retried, not treated as down"
+        );
+        assert!(
+            net.stats().total_retries() > 0,
+            "losses were in fact injected"
+        );
     }
 
     #[test]

@@ -71,7 +71,9 @@ fn run_schedule(seed: u64) -> Result<Observation, String> {
 
     let out = partition_protocol(&net, ACTIVE, &mut beliefs);
     if !out.members.contains(&ACTIVE) {
-        return Err(format!("active site fell out of its own partition: {out:?}"));
+        return Err(format!(
+            "active site fell out of its own partition: {out:?}"
+        ));
     }
     // Consensus criterion (§5.4): Pα = Pβ for every pair of members.
     for m in &out.members {
@@ -112,7 +114,10 @@ fn run_schedule(seed: u64) -> Result<Observation, String> {
 #[test]
 fn chaos_schedules_preserve_reconfig_consensus() {
     let seeds = proptest_seed_set(
-        concat!(module_path!(), "::chaos_schedules_preserve_reconfig_consensus"),
+        concat!(
+            module_path!(),
+            "::chaos_schedules_preserve_reconfig_consensus"
+        ),
         128,
     );
     run_schedules_parallel(&seeds, run_schedule);
@@ -127,9 +132,7 @@ fn mid_poll_crash_excludes_the_victim_and_keeps_consensus() {
     let victim = SiteId(3);
     // No message faults — the only disturbance is the crash, timed after
     // the first poll exchanges have advanced the clock.
-    net.install_faults(
-        FaultPlan::new(1).crash_window(victim, Ticks::micros(300), Ticks::secs(10)),
-    );
+    net.install_faults(FaultPlan::new(1).crash_window(victim, Ticks::micros(300), Ticks::secs(10)));
     let mut beliefs = full_beliefs();
     let out = partition_protocol(&net, ACTIVE, &mut beliefs);
     assert!(
@@ -163,7 +166,9 @@ fn reconfig_trace_is_deterministic() {
     assert_eq!(ta, tb, "protocol traces diverged between identical runs");
     assert_eq!(sa, sb, "statistics diverged between identical runs");
     assert!(
-        locus_net::op_stats(&ta).iter().any(|s| s.service == "topology"),
+        locus_net::op_stats(&ta)
+            .iter()
+            .any(|s| s.service == "topology"),
         "topology ops observed"
     );
 }

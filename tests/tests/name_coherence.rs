@@ -94,8 +94,14 @@ fn divergent_renames_never_resolve_stale_after_merge() {
     }
     // Both divergently-created names survived the merge (inferred-insert
     // semantics: each side inserted a new name into the directory).
-    assert!(entries.iter().any(|e| e == "fa"), "merge dropped fa: {entries:?}");
-    assert!(entries.iter().any(|e| e == "fb"), "merge dropped fb: {entries:?}");
+    assert!(
+        entries.iter().any(|e| e == "fa"),
+        "merge dropped fa: {entries:?}"
+    );
+    assert!(
+        entries.iter().any(|e| e == "fb"),
+        "merge dropped fb: {entries:?}"
+    );
 }
 
 /// Conflict marking at a merge leaves the version vector alone, so a
@@ -159,7 +165,10 @@ fn split_never_serves_a_directory_newer_than_its_partition() {
             truth,
             "leases={leases}: site 3 disagrees with its partition's CSS"
         );
-        assert!(!truth.iter().any(|n| n == "x"), "the lagging copy has no /x");
+        assert!(
+            !truth.iter().any(|n| n == "x"),
+            "the lagging copy has no /x"
+        );
     }
 }
 
@@ -186,13 +195,20 @@ fn a_kept_lease_never_outlives_a_version_its_partition_lost() {
         c.partition(&[vec![s(0), s(2)], vec![s(1), s(3)]]);
         c.reconfigure().unwrap();
         let truth = c.readdir(p0, "/").unwrap();
-        assert!(!truth.iter().any(|n| n == "x"), "the lagging copy has no /x");
+        assert!(
+            !truth.iter().any(|n| n == "x"),
+            "the lagging copy has no /x"
+        );
         assert_eq!(
             c.readdir(p2, "/").unwrap(),
             truth,
             "leases={leases}: site 2 disagrees with its partition's CSS"
         );
-        assert_eq!(c.stat(p2, "/x").unwrap_err(), Errno::Enoent, "leases={leases}");
+        assert_eq!(
+            c.stat(p2, "/x").unwrap_err(),
+            Errno::Enoent,
+            "leases={leases}"
+        );
     }
 }
 
