@@ -136,7 +136,7 @@ impl BenchReport {
     }
 
     /// Renders the JSON document.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             let comma = if i + 1 == self.fields.len() { "" } else { "," };

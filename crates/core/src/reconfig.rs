@@ -52,7 +52,7 @@ impl Cluster {
                 .filter(|&s| net.is_up(s))
                 .collect();
             for &dead in prev.difference(&now_up) {
-                self.procs.handle_site_failure(&self.fsc, dead);
+                self.procs.handle_site_failure(dead);
             }
             std::mem::replace(&mut *prev, now_up)
         };

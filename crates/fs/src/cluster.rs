@@ -57,7 +57,7 @@ impl FsCluster {
     /// Assembles a cluster from prepared kernels (use
     /// [`crate::build::FsClusterBuilder`] rather than calling this
     /// directly).
-    pub fn from_parts(net: Net, kernels: Vec<FsKernel>) -> Self {
+    pub(crate) fn from_parts(net: Net, kernels: Vec<FsKernel>) -> Self {
         FsCluster {
             net,
             kernels: kernels.into_iter().map(RefCell::new).collect(),
@@ -206,7 +206,7 @@ impl FsCluster {
             // leases; one control message models the trigger. The recalls
             // below run even when it is lost: skipping them would leave
             // live leases behind a commit.
-            let _ = self.one_way(trigger, css, FsMsg::LeaseBreak { gfid });
+            self.notify(trigger, css, FsMsg::LeaseBreak { gfid });
         }
         // Grants never target the CSS itself (a local probe is a
         // procedure call); a row naming it is vestigial.
@@ -253,7 +253,7 @@ impl FsCluster {
     /// per-site propagation queue with its head request. This is the
     /// panic payload when [`FsCluster::settle`] fails to quiesce, so a
     /// livelock is diagnosable from the message alone.
-    pub fn settle_diagnostics(&self) -> String {
+    pub(crate) fn settle_diagnostics(&self) -> String {
         let stuck: Vec<String> = self
             .sites()
             .filter_map(|site| {

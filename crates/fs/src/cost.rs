@@ -15,16 +15,16 @@ pub const SYSCALL_CPU: Ticks = Ticks::micros(200);
 pub const PAGE_SERVICE_CPU: Ticks = Ticks::micros(2_000);
 
 /// Extra request setup/teardown at the using site for a remote operation.
-pub const REMOTE_SETUP_CPU: Ticks = Ticks::micros(500);
+pub(crate) const REMOTE_SETUP_CPU: Ticks = Ticks::micros(500);
 
 /// Directory entry scan cost per page searched.
 pub const DIR_SCAN_CPU: Ticks = Ticks::micros(300);
 
 /// Processing an open/close/commit control message at a serving site.
-pub const CONTROL_CPU: Ticks = Ticks::micros(400);
+pub(crate) const CONTROL_CPU: Ticks = Ticks::micros(400);
 
 /// Approximate on-the-wire size of a control (non-data) message.
-pub const CONTROL_MSG_BYTES: usize = 64;
+pub(crate) const CONTROL_MSG_BYTES: usize = 64;
 
 /// Approximate size of an inode-information reply.
-pub const INODE_MSG_BYTES: usize = 160;
+pub(crate) const INODE_MSG_BYTES: usize = 160;

@@ -54,12 +54,6 @@ impl DeviceState {
         }
     }
 
-    /// Queues input the next read will observe (tests/examples type at
-    /// the console this way).
-    pub fn push_input(&mut self, bytes: &[u8]) {
-        self.input.extend(bytes);
-    }
-
     /// Everything written to the device so far.
     pub fn output(&self) -> &[u8] {
         &self.output
@@ -107,7 +101,7 @@ mod tests {
         d.apply(DeviceOp::Write(b"hello ".to_vec()));
         d.apply(DeviceOp::Write(b"world".to_vec()));
         assert_eq!(d.output(), b"hello world");
-        d.push_input(b"typed");
+        d.input.extend(b"typed");
         assert_eq!(
             d.apply(DeviceOp::Read(3)),
             DeviceReply::Data(b"typ".to_vec())

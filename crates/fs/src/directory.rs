@@ -14,7 +14,7 @@
 use locus_types::{Errno, Ino, SysResult};
 
 /// Longest permitted entry name.
-pub const NAME_MAX: usize = 255;
+pub(crate) const NAME_MAX: usize = 255;
 
 /// One directory record.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 //!   state (most-current version vectors and the live lock table) in one
 //!   idempotent RPC, claims the role under a strictly larger epoch, and
 //!   fans out one-way [`FsMsg::CssUpdate`]s. Requests racing the
-//!   handoff are answered with typed [`FsReply::NotCss`] redirects and
+//!   handoff are answered with typed `FsReply::NotCss` redirects and
 //!   retried by the using site against the new CSS.
 //! * [`probation_probe`] — drives a quarantined site through the health
 //!   monitor's probation: idempotent probe RPCs until the monitor
@@ -28,15 +28,13 @@ use crate::proto::{FsMsg, FsReply};
 /// follows before giving up. Two covers a handoff completing mid-open
 /// plus one more racing it; an assignment cycle beyond that indicates
 /// inconsistent mount state and surfaces as `Esitedown`.
-pub const MAX_CSS_REDIRECTS: u32 = 3;
+pub(crate) const MAX_CSS_REDIRECTS: u32 = 3;
 
 /// What one live CSS handoff did.
 #[derive(Clone, Debug)]
 pub struct HandoffReport {
     /// The filegroup whose synchronization role moved.
     pub fg: FilegroupId,
-    /// The site that held the role before.
-    pub old_css: SiteId,
     /// The site holding it now.
     pub new_css: SiteId,
     /// The epoch of the new assignment (strictly larger than any prior
@@ -48,17 +46,17 @@ pub struct HandoffReport {
     /// `known_latest`, and retried opens rebuild the lock table.
     pub state_transferred: bool,
     /// Most-current version vector entries received from the old CSS.
-    pub latest_entries: usize,
+    pub(crate) latest_entries: usize,
     /// Live lock-table entries received from the old CSS.
-    pub locks_transferred: usize,
+    pub(crate) locks_transferred: usize,
     /// (file, holder) coherence-lease pairs received from the old CSS
     /// (always 0 when name leases are disabled).
     pub leases_transferred: usize,
     /// Sites that received the one-way CSS update.
-    pub sites_notified: usize,
+    pub(crate) sites_notified: usize,
     /// Files the new CSS pulled current versions of during the takeover
     /// (its own replica was behind the transferred `latest` entries).
-    pub caught_up: usize,
+    pub(crate) caught_up: usize,
 }
 
 /// Transfers the CSS role for `fg` to `new_css`, live. Driven *by* the
@@ -93,7 +91,6 @@ fn handoff_inner(fsc: &FsCluster, fg: FilegroupId, new_css: SiteId) -> SysResult
     };
     let mut report = HandoffReport {
         fg,
-        old_css,
         new_css,
         epoch,
         state_transferred: false,
@@ -394,7 +391,7 @@ mod tests {
         assert!(old_latest > 0, "old CSS accumulated known-latest state");
 
         let report = css_handoff(&fsc, FG, SiteId(1)).unwrap();
-        assert_eq!(report.old_css, SiteId(0));
+        assert_eq!(report.new_css, SiteId(1));
         assert_eq!(report.epoch, 1);
         assert!(report.state_transferred);
         assert_eq!(report.latest_entries, old_latest);

@@ -1,7 +1,7 @@
 //! Incore inode structures and role-specific open state.
 //!
 //! "If the inode information is not already in an incore inode structure,
-//! a structure is allocated" (§2.3.3). One [`Incore`] per
+//! a structure is allocated" (§2.3.3). One `Incore` per
 //! `<filegroup, inode>` per site carries the state for whichever of the
 //! three logical roles (US, SS, CSS) this site is playing for the file —
 //! "since there are three possible independent roles a given site can
@@ -21,14 +21,14 @@ use crate::proto::InodeInfo;
 /// single open for modification, the site where that modification is
 /// ongoing would be kept incore at the CSS" (§2.3.3).
 #[derive(Clone, Debug, Default)]
-pub struct CssState {
+pub(crate) struct CssState {
     /// Site with the open-for-modification, if any (single-writer policy).
     pub writer: Option<SiteId>,
     /// Reader USs and their open counts.
     pub readers: BTreeMap<SiteId, u32>,
     /// The SS serving each US ("the CSS must know all the sites currently
     /// serving as storage sites", §2.3.3).
-    pub ss_of: BTreeMap<SiteId, SiteId>,
+    pub(crate) ss_of: BTreeMap<SiteId, SiteId>,
 }
 
 impl CssState {
@@ -50,7 +50,7 @@ impl CssState {
     }
 
     /// Deregisters a close.
-    pub fn deregister(&mut self, us: SiteId, write: bool) {
+    pub(crate) fn deregister(&mut self, us: SiteId, write: bool) {
         if write {
             if self.writer == Some(us) {
                 self.writer = None;
@@ -67,13 +67,13 @@ impl CssState {
     }
 
     /// Whether any opens remain registered.
-    pub fn in_use(&self) -> bool {
+    pub(crate) fn in_use(&self) -> bool {
         self.writer.is_some() || !self.readers.is_empty()
     }
 
     /// Drops all state belonging to sites outside `alive` — the lock-table
     /// cleanup run when the partition changes (§5.6).
-    pub fn retain_sites(&mut self, alive: &BTreeSet<SiteId>) {
+    pub(crate) fn retain_sites(&mut self, alive: &BTreeSet<SiteId>) {
         if let Some(w) = self.writer {
             if !alive.contains(&w) {
                 self.writer = None;
@@ -87,12 +87,12 @@ impl CssState {
 
 /// The incore inode of one file at one site.
 #[derive(Clone, Debug)]
-pub struct Incore {
+pub(crate) struct Incore {
     /// Latest known disk-inode information (possibly filled from a CSS
     /// response rather than local disk, §2.3.3).
     pub info: InodeInfo,
     /// US role: number of opens issued from this site.
-    pub opens_here: u32,
+    pub(crate) opens_here: u32,
     /// US role: the storage site serving this site's opens.
     pub ss: Option<SiteId>,
     /// US role: whether one of the local opens is a modification.
@@ -126,7 +126,7 @@ impl Incore {
     }
 
     /// The CSS state, allocating it on first use.
-    pub fn css_mut(&mut self) -> &mut CssState {
+    pub(crate) fn css_mut(&mut self) -> &mut CssState {
         self.css.get_or_insert_with(CssState::default)
     }
 }

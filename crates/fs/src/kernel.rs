@@ -39,7 +39,7 @@ pub enum FdKind {
 /// `READ req`. Abort, a failed commit, the last close and §5.6 cleanup
 /// simply drop it.
 #[derive(Clone, Debug)]
-pub struct Staged {
+pub(crate) struct Staged {
     /// Page images sent to the SS, by logical page number.
     pub pages: BTreeMap<usize, Vec<u8>>,
     /// Lowest page count the session was truncated to (`usize::MAX` if
@@ -77,7 +77,7 @@ pub struct OpenFile {
     /// fork (§3.1 fn 1).
     pub shared: Option<SharedFdId>,
     /// Home site of the shared group (where the token state lives).
-    pub shared_home: SiteId,
+    pub(crate) shared_home: SiteId,
     /// Whether any write has been issued (close must commit).
     pub wrote: bool,
     /// Error latched by the cleanup procedure ("set error in local file
@@ -88,7 +88,7 @@ pub struct OpenFile {
 /// Home-site record of a shared descriptor group: who currently holds the
 /// offset token, and the offset as of the last surrender.
 #[derive(Clone, Debug)]
-pub struct SharedHome {
+pub(crate) struct SharedHome {
     /// Current token holder.
     pub holder: SiteId,
     /// Offset last synchronized at the home site.
@@ -99,7 +99,7 @@ pub struct SharedHome {
 /// by the kernel at each site and a kernel process services the queue",
 /// §2.3.6).
 #[derive(Clone, Debug)]
-pub struct PropReq {
+pub(crate) struct PropReq {
     /// File to bring up to date.
     pub gfid: Gfid,
     /// Site that holds the latest version.
@@ -153,7 +153,7 @@ pub struct FsKernel {
     /// signal; a site that stops being CSS simply stops accumulating.
     pub(crate) css_served: BTreeMap<FilegroupId, u64>,
     /// Cumulative CSS-role claims this site performed via live handoff.
-    pub css_claims: u64,
+    pub(crate) css_claims: u64,
     /// CSS-role coherence-lease table: which sites hold a name/attribute
     /// lease on each file this site synchronizes (name-lease mode). Every
     /// invalidation path drains the file's row and recalls the holders;
@@ -198,13 +198,13 @@ impl FsKernel {
 
     /// Records `holder` as holding a coherence lease on `gfid` (CSS
     /// role). Re-granting to a site already in the row is a no-op.
-    pub fn record_lease(&mut self, gfid: Gfid, holder: SiteId) {
+    pub(crate) fn record_lease(&mut self, gfid: Gfid, holder: SiteId) {
         self.lease_holders.entry(gfid).or_default().insert(holder);
     }
 
     /// Drains and returns every lease holder of `gfid`, in site order —
     /// the recall fan-out set of one invalidation.
-    pub fn take_lease_holders(&mut self, gfid: Gfid) -> Vec<SiteId> {
+    pub(crate) fn take_lease_holders(&mut self, gfid: Gfid) -> Vec<SiteId> {
         self.lease_holders
             .remove(&gfid)
             .map(|s| s.into_iter().collect())
@@ -226,7 +226,7 @@ impl FsKernel {
     /// same snapshot; the ex-CSS drops its rows when it adopts the
     /// successor's [`crate::proto::FsMsg::CssUpdate`]
     /// ([`FsKernel::retain_lease_rows`]).
-    pub fn snapshot_leases_for(&self, fg: FilegroupId) -> Vec<(Gfid, Vec<SiteId>)> {
+    pub(crate) fn snapshot_leases_for(&self, fg: FilegroupId) -> Vec<(Gfid, Vec<SiteId>)> {
         self.lease_holders
             .iter()
             .filter(|(g, _)| g.fg == fg)
@@ -235,7 +235,7 @@ impl FsKernel {
     }
 
     /// Adopts a drained lease table from a predecessor CSS.
-    pub fn adopt_leases(&mut self, leases: Vec<(Gfid, Vec<SiteId>)>) {
+    pub(crate) fn adopt_leases(&mut self, leases: Vec<(Gfid, Vec<SiteId>)>) {
         for (gfid, holders) in leases {
             let row = self.lease_holders.entry(gfid).or_default();
             row.extend(holders);
@@ -247,7 +247,7 @@ impl FsKernel {
     /// stay here, and of holders that left the partition), of a
     /// quarantined site's readmission, and the ex-CSS's side of a
     /// completed handoff. Returns how many leases were dropped.
-    pub fn retain_lease_rows(&mut self, keep: impl Fn(Gfid, SiteId) -> bool) -> u64 {
+    pub(crate) fn retain_lease_rows(&mut self, keep: impl Fn(Gfid, SiteId) -> bool) -> u64 {
         let mut dropped = 0;
         self.lease_holders.retain(|&gfid, holders| {
             let before = holders.len();
@@ -272,12 +272,12 @@ impl FsKernel {
 
     /// Counts one synchronization request served by this site in its CSS
     /// role for `fg`.
-    pub fn note_css_request(&mut self, fg: FilegroupId) {
+    pub(crate) fn note_css_request(&mut self, fg: FilegroupId) {
         *self.css_served.entry(fg).or_insert(0) += 1;
     }
 
     /// Cumulative CSS-served request count for `fg`.
-    pub fn css_served(&self, fg: FilegroupId) -> u64 {
+    pub(crate) fn css_served(&self, fg: FilegroupId) -> u64 {
         self.css_served.get(&fg).copied().unwrap_or(0)
     }
 
@@ -334,14 +334,14 @@ impl FsKernel {
     }
 
     /// Attaches a physical container to this site.
-    pub fn attach_pack(&mut self, pack: Pack) {
+    pub(crate) fn attach_pack(&mut self, pack: Pack) {
         self.packs.insert(pack.id(), pack);
     }
 
     /// Notified most-current version vectors recorded for files of `fg` —
     /// the "knows what the most current version of the file is" state a
     /// CSS hands to its successor.
-    pub fn latest_entries_for(
+    pub(crate) fn latest_entries_for(
         &self,
         fg: FilegroupId,
     ) -> impl Iterator<Item = (Gfid, &locus_types::VersionVector)> + '_ {
@@ -353,7 +353,7 @@ impl FsKernel {
 
     /// Live CSS lock-table entries for files of `fg` (§2.3.3 incore
     /// synchronization state), for handoff to a successor CSS.
-    pub fn css_locks_for(
+    pub(crate) fn css_locks_for(
         &self,
         fg: FilegroupId,
     ) -> impl Iterator<Item = (Gfid, &crate::incore::CssState)> + '_ {
@@ -391,18 +391,18 @@ impl FsKernel {
 
     /// The incore structure for `gfid`, allocating one around `info` if
     /// absent (§2.3.3).
-    pub fn incore_mut(&mut self, gfid: Gfid, info: InodeInfo) -> &mut Incore {
+    pub(crate) fn incore_mut(&mut self, gfid: Gfid, info: InodeInfo) -> &mut Incore {
         self.incore.entry(gfid).or_insert_with(|| Incore::new(info))
     }
 
     /// The existing incore structure, if allocated.
-    pub fn incore_get(&mut self, gfid: Gfid) -> Option<&mut Incore> {
+    pub(crate) fn incore_get(&mut self, gfid: Gfid) -> Option<&mut Incore> {
         self.incore.get_mut(&gfid)
     }
 
     /// Releases the incore structure if no role still needs it ("so they
     /// can deallocate incore inode structures", §2.3.3).
-    pub fn maybe_release_incore(&mut self, gfid: Gfid) {
+    pub(crate) fn maybe_release_incore(&mut self, gfid: Gfid) {
         if let Some(inc) = self.incore.get(&gfid) {
             if inc.idle() {
                 self.incore.remove(&gfid);
@@ -411,7 +411,7 @@ impl FsKernel {
     }
 
     /// Allocates a descriptor.
-    pub fn alloc_fd(&mut self, of: OpenFile) -> Fd {
+    pub(crate) fn alloc_fd(&mut self, of: OpenFile) -> Fd {
         let fd = self.next_fd;
         self.next_fd += 1;
         self.fds.insert(fd, of);
@@ -424,12 +424,12 @@ impl FsKernel {
     }
 
     /// Mutable descriptor lookup.
-    pub fn fd_mut(&mut self, fd: Fd) -> SysResult<&mut OpenFile> {
+    pub(crate) fn fd_mut(&mut self, fd: Fd) -> SysResult<&mut OpenFile> {
         self.fds.get_mut(&fd).ok_or(Errno::Ebadf)
     }
 
     /// Removes a descriptor.
-    pub fn take_fd(&mut self, fd: Fd) -> SysResult<OpenFile> {
+    pub(crate) fn take_fd(&mut self, fd: Fd) -> SysResult<OpenFile> {
         self.fds.remove(&fd).ok_or(Errno::Ebadf)
     }
 
@@ -459,7 +459,7 @@ impl FsKernel {
     /// source's *latest* version, so it must fetch every page any of the
     /// commits it covers changed — the union of their page lists, and
     /// all pages as soon as one of them does not know its list.
-    pub fn enqueue_propagation(&mut self, req: PropReq) {
+    pub(crate) fn enqueue_propagation(&mut self, req: PropReq) {
         let pending = self
             .prop_queue
             .iter_mut()
@@ -614,7 +614,7 @@ impl FsKernel {
 
     /// Full cache counters: buffer-cache pages plus the name/attribute
     /// cache, merged into one [`locus_storage::CacheStats`].
-    pub fn cache_full_stats(&self) -> locus_storage::CacheStats {
+    pub(crate) fn cache_full_stats(&self) -> locus_storage::CacheStats {
         let mut s = self.cache.full_stats();
         self.name_cache.merge_stats(&mut s);
         s

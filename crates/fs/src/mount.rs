@@ -18,10 +18,10 @@ pub struct MountInfo {
     /// The filegroup.
     pub fg: FilegroupId,
     /// Root inode of the filegroup's subtree (conventionally 1).
-    pub root_ino: Ino,
+    pub(crate) root_ino: Ino,
     /// Where this filegroup is mounted in the naming tree (`None` for the
     /// root filegroup).
-    pub mounted_on: Option<Gfid>,
+    pub(crate) mounted_on: Option<Gfid>,
     /// Every physical container of the filegroup and the site hosting it.
     pub containers: Vec<(PackId, SiteId)>,
     /// The current synchronization site for this filegroup, as seen by
@@ -39,12 +39,12 @@ pub struct MountInfo {
     /// The handoff path refuses a *new* claim inside
     /// [`locus_net::CSS_CLAIM_COOLDOWN`] of this instant, which is what
     /// bounds handoff storms and upholds trace-audit invariant 9.
-    pub css_claimed_at: Option<Ticks>,
+    pub(crate) css_claimed_at: Option<Ticks>,
 }
 
 impl MountInfo {
     /// The site hosting pack `idx`, if that pack exists.
-    pub fn site_of_pack(&self, idx: u32) -> Option<SiteId> {
+    pub(crate) fn site_of_pack(&self, idx: u32) -> Option<SiteId> {
         self.containers
             .iter()
             .find(|(p, _)| p.idx == idx)
@@ -52,7 +52,7 @@ impl MountInfo {
     }
 
     /// The pack hosted at `site`, if any.
-    pub fn pack_at(&self, site: SiteId) -> Option<PackId> {
+    pub(crate) fn pack_at(&self, site: SiteId) -> Option<PackId> {
         self.containers
             .iter()
             .find(|(_, s)| *s == site)
@@ -110,7 +110,7 @@ impl MountTable {
     /// If a filegroup is mounted on `dir`, its root; otherwise `dir`
     /// unchanged. Pathname searching calls this on every resolved
     /// component to cross filegroup boundaries (§2.3.4).
-    pub fn cross_mount_point(&self, dir: Gfid) -> Gfid {
+    pub(crate) fn cross_mount_point(&self, dir: Gfid) -> Gfid {
         match self.mounts_on.get(&dir) {
             Some(fg) => self.groups[fg].root(),
             None => dir,

@@ -21,7 +21,7 @@
 //!   explicit `Invalidate` messages all drop the file's entries;
 //! * **demote on reconfiguration** — §5.6 cleanup and recovery call
 //!   [`NameAttrCache::demote_fg`] per filegroup, readmission after
-//!   quarantine calls [`NameAttrCache::demote`] on everything: the
+//!   quarantine calls `NameAttrCache::demote` on everything: the
 //!   demoted lease marks and page-valid tags go, the entries stay, and
 //!   each is served again only after a `VvCheck` against the CSS of the
 //!   *new* partition. Cleanup demotes only the filegroups a site does not
@@ -118,7 +118,7 @@ impl NameAttrCache {
     /// cached pages were fetched under exactly the version now being
     /// opened. Always re-tags the entry with the opened version and
     /// refreshes the attribute copy — the open reply is authoritative.
-    pub fn pages_fresh(&mut self, gfid: Gfid, info: &InodeInfo) -> bool {
+    pub(crate) fn pages_fresh(&mut self, gfid: Gfid, info: &InodeInfo) -> bool {
         let fresh = self.page_tag(gfid) == Some(&info.vv);
         if fresh {
             self.attr_hits += 1;
@@ -132,7 +132,7 @@ impl NameAttrCache {
 
     /// The version this site's network-fetched pages of `gfid` are valid
     /// for, if any are vouched for at all.
-    pub fn page_tag(&self, gfid: Gfid) -> Option<&VersionVector> {
+    pub(crate) fn page_tag(&self, gfid: Gfid) -> Option<&VersionVector> {
         self.page_tags.get(&gfid)
     }
 
@@ -140,13 +140,13 @@ impl NameAttrCache {
     /// exactly `vv`. Only two callers may: the page-valid check above
     /// (after dropping whatever failed it) and the using site's commit,
     /// which has just brought the pages to the committed version.
-    pub fn tag_pages(&mut self, gfid: Gfid, vv: VersionVector) {
+    pub(crate) fn tag_pages(&mut self, gfid: Gfid, vv: VersionVector) {
         self.page_tags.insert(gfid, vv);
     }
 
     /// Serves the cached attributes if they are exactly `latest` (the
     /// version the CSS vouched for).
-    pub fn attr_fresh(&mut self, gfid: Gfid, latest: &VersionVector) -> Option<InodeInfo> {
+    pub(crate) fn attr_fresh(&mut self, gfid: Gfid, latest: &VersionVector) -> Option<InodeInfo> {
         match self.attrs.get(&gfid) {
             Some(info) if info.vv == *latest => {
                 self.attr_hits += 1;
@@ -161,14 +161,14 @@ impl NameAttrCache {
 
     /// Upserts attributes learned from a stat or a directory read,
     /// leaving the page-valid tag alone.
-    pub fn insert_attr(&mut self, gfid: Gfid, info: InodeInfo) {
+    pub(crate) fn insert_attr(&mut self, gfid: Gfid, info: InodeInfo) {
         self.attrs.insert(gfid, info);
     }
 
     /// Serves the cached directory contents and inode info if they are
     /// exactly `latest`. A stale entry is dropped on the spot (counted as
     /// an invalidation) so a subsequent fill starts clean.
-    pub fn dir_fresh(
+    pub(crate) fn dir_fresh(
         &mut self,
         gfid: Gfid,
         latest: &VersionVector,
@@ -194,7 +194,7 @@ impl NameAttrCache {
     /// Caches a directory's parsed contents under the version they were
     /// read at. The fill is the one place dentry state is materialized
     /// by copy, and the counter proves it.
-    pub fn insert_dir(&mut self, gfid: Gfid, info: InodeInfo, dir: Rc<Directory>) {
+    pub(crate) fn insert_dir(&mut self, gfid: Gfid, info: InodeInfo, dir: Rc<Directory>) {
         self.dir_deep_copies += 1;
         self.dirs.insert(
             gfid,
@@ -210,7 +210,7 @@ impl NameAttrCache {
     /// The remembered file type of a child of `dir`, valid while the
     /// directory entry is (type changes require an ino free + reuse,
     /// which edits the directory and bumps its version vector).
-    pub fn child_type(&self, dir: Gfid, child: Ino) -> Option<FileType> {
+    pub(crate) fn child_type(&self, dir: Gfid, child: Ino) -> Option<FileType> {
         self.dirs
             .get(&dir)
             .and_then(|e| e.types.get(&child).copied())
@@ -218,7 +218,7 @@ impl NameAttrCache {
 
     /// Records a child's file type against the current directory entry
     /// (a no-op when the directory is not cached).
-    pub fn remember_child_type(&mut self, dir: Gfid, child: Ino, ftype: FileType) {
+    pub(crate) fn remember_child_type(&mut self, dir: Gfid, child: Ino, ftype: FileType) {
         if let Some(e) = self.dirs.get_mut(&dir) {
             e.types.insert(child, ftype);
         }
@@ -226,20 +226,15 @@ impl NameAttrCache {
 
     /// Marks `gfid` as held under a CSS-granted coherence lease (the
     /// grant rode back on a `VvKnown` reply).
-    pub fn grant_lease(&mut self, gfid: Gfid) {
+    pub(crate) fn grant_lease(&mut self, gfid: Gfid) {
         self.leases.insert(gfid);
         self.lease_grants += 1;
-    }
-
-    /// Whether this site holds a live lease on `gfid`.
-    pub fn lease_held(&self, gfid: Gfid) -> bool {
-        self.leases.contains(&gfid)
     }
 
     /// Serves the cached attributes under a live lease — no version check
     /// and no wire traffic; the CSS promised to recall before the entry
     /// could go stale. `None` when no lease or no entry is held.
-    pub fn attr_under_lease(&mut self, gfid: Gfid) -> Option<InodeInfo> {
+    pub(crate) fn attr_under_lease(&mut self, gfid: Gfid) -> Option<InodeInfo> {
         if !self.leases.contains(&gfid) {
             return None;
         }
@@ -251,7 +246,7 @@ impl NameAttrCache {
 
     /// Serves the cached directory contents under a live lease (see
     /// [`NameAttrCache::attr_under_lease`]).
-    pub fn dir_under_lease(&mut self, gfid: Gfid) -> Option<(Rc<Directory>, InodeInfo)> {
+    pub(crate) fn dir_under_lease(&mut self, gfid: Gfid) -> Option<(Rc<Directory>, InodeInfo)> {
         if !self.leases.contains(&gfid) {
             return None;
         }
@@ -268,21 +263,21 @@ impl NameAttrCache {
     /// Processes an inbound `LeaseRecall`: drops the lease mark and every
     /// entry it covered. Counted whether or not a lease was actually held
     /// — a duplicated recall still crossed the wire.
-    pub fn recall_lease(&mut self, gfid: Gfid) {
+    pub(crate) fn recall_lease(&mut self, gfid: Gfid) {
         self.leases.remove(&gfid);
         self.invalidate(gfid);
         self.lease_recalls += 1;
     }
 
     /// Counts one recall acknowledgement received (CSS side).
-    pub fn count_recall_ack(&mut self) {
+    pub(crate) fn count_recall_ack(&mut self) {
         self.lease_recall_acks += 1;
     }
 
     /// Counts `n` leases revoked unilaterally — dropped from a lease
     /// table without a recall round trip (unreachable holder, §5.6
     /// cleanup, quarantine, readmission).
-    pub fn count_revokes(&mut self, n: u64) {
+    pub(crate) fn count_revokes(&mut self, n: u64) {
         self.lease_revokes += n;
     }
 
@@ -292,13 +287,13 @@ impl NameAttrCache {
     /// directory's remembered child types — stay. Nothing kept is served
     /// until a `VvCheck` against the CSS the site now answers to reports
     /// exactly its version; in lease mode that probe re-grants the lease.
-    pub fn demote(&mut self) {
+    pub(crate) fn demote(&mut self) {
         self.lease_revokes += self.leases.len() as u64;
         self.leases.clear();
         self.page_tags.clear();
     }
 
-    /// [`NameAttrCache::demote`] restricted to the files of `fg`: the
+    /// `NameAttrCache::demote` restricted to the files of `fg`: the
     /// reconfiguration step for a filegroup whose CSS moved, or whose CSS
     /// this site was not partitioned with. Marks and tags of every other
     /// filegroup stay.
@@ -313,7 +308,7 @@ impl NameAttrCache {
     /// propagation, and explicit invalidation all land here. Any lease
     /// mark dies with the entries — a lease never vouches for state the
     /// holder no longer caches.
-    pub fn invalidate(&mut self, gfid: Gfid) {
+    pub(crate) fn invalidate(&mut self, gfid: Gfid) {
         self.leases.remove(&gfid);
         self.invalidations += u64::from(self.dirs.remove(&gfid).is_some());
         self.invalidations += u64::from(self.attrs.remove(&gfid).is_some());
@@ -332,7 +327,7 @@ impl NameAttrCache {
     }
 
     /// Folds the counters into a merged [`CacheStats`].
-    pub fn merge_stats(&self, s: &mut CacheStats) {
+    pub(crate) fn merge_stats(&self, s: &mut CacheStats) {
         s.dentry_hits += self.dentry_hits;
         s.dentry_misses += self.dentry_misses;
         s.attr_hits += self.attr_hits;
@@ -437,12 +432,12 @@ mod tests {
             "no lease, no short-circuit"
         );
         c.grant_lease(f);
-        assert!(c.lease_held(f));
+        assert!(c.leases.contains(&f));
         assert!(c.attr_under_lease(f).is_some(), "leased entry served");
         c.insert_dir(f, info(vv(1)), Rc::new(Directory::new()));
         assert!(c.dir_under_lease(f).is_some(), "leased dir served");
         c.recall_lease(f);
-        assert!(!c.lease_held(f));
+        assert!(!c.leases.contains(&f));
         assert!(c.attr_under_lease(f).is_none(), "recall dropped the entry");
         let mut s = CacheStats::default();
         c.merge_stats(&mut s);
@@ -457,7 +452,7 @@ mod tests {
         c.insert_attr(gfid(1), info(vv(1)));
         c.grant_lease(gfid(1));
         c.invalidate(gfid(1));
-        assert!(!c.lease_held(gfid(1)), "invalidate kills the mark");
+        assert!(!c.leases.contains(&gfid(1)), "invalidate kills the mark");
         assert_eq!(c.leases_held(), 0);
     }
 
@@ -506,9 +501,9 @@ mod tests {
             c.tag_pages(g, vv(1));
         }
         c.demote_fg(FilegroupId(0));
-        assert!(!c.lease_held(gfid(1)) && c.page_tag(gfid(1)).is_none());
+        assert!(!c.leases.contains(&gfid(1)) && c.page_tag(gfid(1)).is_none());
         assert!(
-            c.lease_held(other) && c.page_tag(other).is_some(),
+            c.leases.contains(&other) && c.page_tag(other).is_some(),
             "fg 1 kept"
         );
         assert_eq!(c.entries(), 2, "entries survive");

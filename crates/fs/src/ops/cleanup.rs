@@ -38,10 +38,6 @@ pub struct CleanupReport {
     pub fds_errored: usize,
     /// Local read descriptors transparently reopened at another copy.
     pub fds_reopened: usize,
-    /// Read descriptors whose reopen found no available copy.
-    pub fds_lost: usize,
-    /// Shared-descriptor tokens reclaimed by their home site.
-    pub tokens_reclaimed: usize,
 }
 
 /// Runs the §5.6 cleanup at `site`, given the set of sites remaining in
@@ -195,7 +191,6 @@ pub fn cleanup_site(
                     if let Ok(of) = k.fd_mut(fd) {
                         of.error = Some(Errno::Enocopy);
                     }
-                    report.fds_lost += 1;
                 }
             }
         }
@@ -205,9 +200,8 @@ pub fn cleanup_site(
     {
         let mut k = fsc.kernel(site);
         for sh in k.shared_home.values_mut() {
-            if !alive.contains(&sh.holder) && sh.holder != site {
+            if !alive.contains(&sh.holder) {
                 sh.holder = site;
-                report.tokens_reclaimed += 1;
             }
         }
         // Drop queued pulls whose source departed; the recovery procedure

@@ -61,7 +61,7 @@ fn commit_at_inner(
 
 /// Discards uncommitted changes of `gfid` at `ss` ("undo any changes back
 /// to the previous commit point").
-pub fn abort_at(fsc: &FsCluster, us: SiteId, gfid: Gfid, ss: SiteId) -> SysResult<()> {
+pub(crate) fn abort_at(fsc: &FsCluster, us: SiteId, gfid: Gfid, ss: SiteId) -> SysResult<()> {
     fsc.net().span("fs", "abort", us, || {
         fsc.net().charge_cpu_at(us, cost::SYSCALL_CPU);
         io::discard_session_buffers(fsc, us, gfid);

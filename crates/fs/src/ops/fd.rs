@@ -37,7 +37,12 @@ pub fn open(
 }
 
 /// Opens a file by identifier and returns a descriptor.
-pub fn open_fd_gfid(fsc: &FsCluster, site: SiteId, gfid: Gfid, mode: OpenMode) -> SysResult<Fd> {
+pub(crate) fn open_fd_gfid(
+    fsc: &FsCluster,
+    site: SiteId,
+    gfid: Gfid,
+    mode: OpenMode,
+) -> SysResult<Fd> {
     let t = open_gfid(fsc, site, gfid, mode)?;
     let kind = match t.info.ftype {
         FileType::Pipe => {

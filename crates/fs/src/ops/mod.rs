@@ -36,10 +36,10 @@ pub struct OpenTicket {
     pub write: bool,
     /// Whether this was a purely local unsynchronized directory open that
     /// bypassed the CSS (§2.3.4).
-    pub bypass: bool,
+    pub(crate) bypass: bool,
     /// Whether this open skipped global locking (internal unsynchronized
     /// read).
-    pub unsync: bool,
+    pub(crate) unsync: bool,
     /// Inode information at open time.
     pub info: InodeInfo,
 }

@@ -585,11 +585,11 @@ pub fn create(
         info: info.clone(),
     };
     if css != creator_site {
-        let _ = fsc.one_way(creator_site, css, notify());
+        fsc.notify(creator_site, css, notify());
     }
     for (_, site) in containers {
         if site != creator_site && site != css {
-            let _ = fsc.one_way(creator_site, site, notify());
+            fsc.notify(creator_site, site, notify());
         }
     }
 

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 /// Capacity of a pipe buffer, as in historical Unix.
-pub const PIPE_BUF: usize = 4096;
+pub(crate) const PIPE_BUF: usize = 4096;
 
 /// Operations on a pipe, executed at the pipe's storage site.
 #[derive(Clone, Debug)]
@@ -27,7 +27,7 @@ pub enum PipeOp {
 
 /// Replies to [`PipeOp`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PipeReply {
+pub(crate) enum PipeReply {
     /// Attach/detach acknowledged.
     Done,
     /// Data read; empty with `eof == false` means "would block" (no data
@@ -50,18 +50,13 @@ pub enum PipeReply {
 
 /// The storage-site state of one named pipe.
 #[derive(Debug, Default)]
-pub struct PipeState {
+pub(crate) struct PipeState {
     buf: VecDeque<u8>,
     readers: u32,
     writers: u32,
 }
 
 impl PipeState {
-    /// A fresh pipe with no attachments.
-    pub fn new() -> Self {
-        PipeState::default()
-    }
-
     /// Executes one operation.
     pub fn apply(&mut self, op: PipeOp) -> PipeReply {
         match op {
@@ -98,11 +93,6 @@ impl PipeState {
             }
         }
     }
-
-    /// Bytes currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +101,7 @@ mod tests {
 
     #[test]
     fn write_then_read_fifo_order() {
-        let mut p = PipeState::new();
+        let mut p = PipeState::default();
         p.apply(PipeOp::Attach(true));
         p.apply(PipeOp::Attach(false));
         assert_eq!(
@@ -136,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_read_blocks_until_writers_gone() {
-        let mut p = PipeState::new();
+        let mut p = PipeState::default();
         p.apply(PipeOp::Attach(true));
         p.apply(PipeOp::Attach(false));
         assert_eq!(
@@ -160,14 +150,14 @@ mod tests {
 
     #[test]
     fn write_without_readers_breaks() {
-        let mut p = PipeState::new();
+        let mut p = PipeState::default();
         p.apply(PipeOp::Attach(false));
         assert_eq!(p.apply(PipeOp::Write(b"x".to_vec())), PipeReply::Broken);
     }
 
     #[test]
     fn buffer_capacity_is_enforced() {
-        let mut p = PipeState::new();
+        let mut p = PipeState::default();
         p.apply(PipeOp::Attach(true));
         p.apply(PipeOp::Attach(false));
         let big = vec![0u8; PIPE_BUF + 100];
@@ -175,6 +165,6 @@ mod tests {
             p.apply(PipeOp::Write(big)),
             PipeReply::Wrote { accepted: PIPE_BUF }
         );
-        assert_eq!(p.buffered(), PIPE_BUF);
+        assert_eq!(p.buf.len(), PIPE_BUF);
     }
 }

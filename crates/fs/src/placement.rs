@@ -66,7 +66,7 @@ impl Default for PlacementPolicy {
 #[derive(Clone, Debug, Default)]
 pub struct PlacementReport {
     /// Roles moved this step: `(filegroup, from, to)`.
-    pub migrated: Vec<(FilegroupId, SiteId, SiteId)>,
+    pub(crate) migrated: Vec<(FilegroupId, SiteId, SiteId)>,
     /// Moves the handoff layer refused (`Eagain` cooldown, `Etxtbsy`
     /// lost race) — expected under contention, never fatal.
     pub refused: u64,

@@ -13,7 +13,7 @@ pub type Fd = u32;
 
 /// Identifier of a file-descriptor group shared across sites after a
 /// remote fork (§3.2 fn 1).
-pub type SharedFdId = u64;
+pub(crate) type SharedFdId = u64;
 
 /// The slice of disk-inode information shipped in open/commit replies
 /// ("all the disk inode information (eg. file size, ownership,
@@ -316,7 +316,7 @@ pub enum FsMsg {
     },
     /// New CSS → old CSS: epoch-numbered synchronization-role transfer.
     /// The old CSS stops answering as CSS (racing requests get
-    /// [`FsReply::NotCss`] redirects), records the new assignment, and
+    /// `FsReply::NotCss` redirects), records the new assignment, and
     /// replies with its drained synchronization state — the most current
     /// version vectors it knows and the live lock table for the
     /// filegroup. The reply is computed from a snapshot the old CSS
@@ -376,7 +376,7 @@ impl MetaUpdate {
 
 /// Replies of the fs wire protocol.
 #[derive(Clone, Debug)]
-pub enum FsReply {
+pub(crate) enum FsReply {
     /// Reply to [`FsMsg::OpenReq`].
     Opened {
         /// The storage site selected by the CSS.

@@ -16,7 +16,7 @@ use locus_types::SiteId;
 
 /// The pending closed-circuit notices, keyed by unordered site pair.
 #[derive(Debug, Default)]
-pub struct CircuitTable {
+pub(crate) struct CircuitTable {
     /// Pairs whose circuit failed mid-conversation (e.g. a lost reply);
     /// the next send between such a pair is refused with `CircuitClosed`
     /// so the ongoing activity observes the abort (§5.1).
@@ -39,12 +39,12 @@ impl CircuitTable {
 
     /// Closes the circuit between the pair *mid-conversation*: the next
     /// send attempt between them observes `CircuitClosed`.
-    pub fn abort_pair(&mut self, a: SiteId, b: SiteId) {
+    pub(crate) fn abort_pair(&mut self, a: SiteId, b: SiteId) {
         self.aborted.insert(key(a, b));
     }
 
     /// Consumes the pair's abort mark, returning whether one was set.
-    pub fn take_abort(&mut self, a: SiteId, b: SiteId) -> bool {
+    pub(crate) fn take_abort(&mut self, a: SiteId, b: SiteId) -> bool {
         self.aborted.remove(&key(a, b))
     }
 }

@@ -8,7 +8,7 @@ use locus_types::Ticks;
 /// transfer or kernel CPU burst advances the clock by its modelled cost,
 /// so elapsed virtual time of an operation is `now() - start`.
 #[derive(Debug, Default)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     now: Ticks,
 }
 
@@ -24,7 +24,7 @@ impl VirtualClock {
     }
 
     /// Advances the clock by `span`.
-    pub fn advance(&mut self, span: Ticks) {
+    pub(crate) fn advance(&mut self, span: Ticks) {
         self.now += span;
     }
 

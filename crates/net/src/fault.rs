@@ -19,7 +19,7 @@
 //! schedule is re-run from its seed alone. Sharding the stream by source
 //! site (rather than one global stream in total send order) keeps one
 //! site's rolls independent of every other site's traffic; the
-//! derivation rule is documented on [`site_stream_seed`].
+//! derivation rule is documented on `site_stream_seed`.
 
 use std::collections::BTreeMap;
 
@@ -120,12 +120,12 @@ impl FaultSpec {
 /// link is "up", it is just *slow* — and what the health monitor
 /// ([`crate::health`]) exists to catch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GraySpec {
+pub(crate) struct GraySpec {
     /// Multiplies the base transmission latency (0 and 1 both mean
     /// "unchanged").
-    pub slow_factor: u32,
+    pub(crate) slow_factor: u32,
     /// Extra latency added after the multiplication.
-    pub slow_extra: Ticks,
+    pub(crate) slow_extra: Ticks,
 }
 
 impl GraySpec {
@@ -139,12 +139,12 @@ impl GraySpec {
     }
 
     /// Whether the spec inflates latency.
-    pub fn is_slow(&self) -> bool {
+    pub(crate) fn is_slow(&self) -> bool {
         self.slow_factor > 1 || self.slow_extra > Ticks::ZERO
     }
 
     /// Applies the inflation to a base transmission cost.
-    pub fn inflate(&self, base: Ticks) -> Ticks {
+    pub(crate) fn inflate(&self, base: Ticks) -> Ticks {
         let mult = self.slow_factor.max(1) as u64;
         Ticks::micros(base.as_micros().saturating_mul(mult)) + self.slow_extra
     }
@@ -165,11 +165,11 @@ pub enum FaultAction {
 
 /// One scheduled fault event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduledFault {
+pub(crate) struct ScheduledFault {
     /// Virtual time at or after which the action fires.
     pub at: Ticks,
     /// What happens.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
 }
 
 /// A complete, seeded fault-injection plan.
@@ -253,7 +253,7 @@ impl FaultPlan {
     }
 
     /// The gray spec in force for the directed link `from -> to`, if any.
-    pub fn gray_for(&self, from: SiteId, to: SiteId) -> Option<GraySpec> {
+    pub(crate) fn gray_for(&self, from: SiteId, to: SiteId) -> Option<GraySpec> {
         self.per_gray.get(&(from, to)).copied()
     }
 
@@ -313,7 +313,7 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// itself uses. Each site's stream depends only on the plan seed and the
 /// site id — never on other sites' traffic — so any interleaving of
 /// sends from different sites consumes the same rolls per site.
-pub fn site_stream_seed(plan_seed: u64, site: SiteId) -> u64 {
+pub(crate) fn site_stream_seed(plan_seed: u64, site: SiteId) -> u64 {
     plan_seed ^ GOLDEN.wrapping_mul(u64::from(site.0) + 1)
 }
 
@@ -434,7 +434,7 @@ impl RetryPolicy {
 
     /// The backoff charged after failed attempt number `attempt`
     /// (0-based).
-    pub fn backoff(&self, attempt: u32) -> Ticks {
+    pub(crate) fn backoff(&self, attempt: u32) -> Ticks {
         let mut t = self.base_backoff;
         for _ in 0..attempt {
             t = Ticks::micros(t.as_micros().saturating_mul(self.multiplier as u64));

@@ -15,7 +15,7 @@
 //! * **isolate** — a quarantined site stays reachable (this is not a
 //!   partition) but higher layers exclude it from CSS eligibility and
 //!   replica reads via [`crate::Net::quarantined`];
-//! * **recover** — an explicit probation ([`HealthMonitor::begin_probation`])
+//! * **recover** — an explicit probation (`HealthMonitor::begin_probation`)
 //!   readmits the site only after a run of consecutive successful probes;
 //!   any failure during probation re-quarantines it.
 //!
@@ -84,7 +84,7 @@ impl Default for HealthPolicy {
 /// A state transition worth surfacing (the [`crate::Net`] turns these
 /// into `health.quarantine` / `health.readmit` observability notes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthEvent {
+pub(crate) enum HealthEvent {
     /// The site crossed the quarantine threshold at the given score.
     Quarantined(SiteId, u32),
     /// Probation completed; the site is healthy again.
@@ -100,7 +100,7 @@ struct LinkHealth {
 
 /// Per-site health accounting fed by the send path.
 #[derive(Clone, Debug, Default)]
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     enabled: bool,
     policy: HealthPolicy,
     scores: BTreeMap<SiteId, u32>,
@@ -117,17 +117,12 @@ impl HealthMonitor {
     }
 
     /// Enables the monitor under `policy` (resetting all accounting).
-    pub fn enable(&mut self, policy: HealthPolicy) {
+    pub(crate) fn enable(&mut self, policy: HealthPolicy) {
         *self = HealthMonitor {
             enabled: true,
             policy,
             ..HealthMonitor::default()
         };
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> HealthPolicy {
-        self.policy
     }
 
     /// The health state of one site.
@@ -151,7 +146,7 @@ impl HealthMonitor {
     /// Feeds one clean delivery on `from -> to` that cost `cost`,
     /// crediting `blame` (the remote conversation partner). Returns a
     /// transition if probation completed.
-    pub fn observe_success(
+    pub(crate) fn observe_success(
         &mut self,
         from: SiteId,
         to: SiteId,
@@ -185,7 +180,7 @@ impl HealthMonitor {
     /// Feeds one hard fault signal (a drop, a closed-circuit notice)
     /// blamed on `blame`. Returns a transition if the site crossed into
     /// quarantine.
-    pub fn observe_fault(&mut self, blame: SiteId) -> Option<HealthEvent> {
+    pub(crate) fn observe_fault(&mut self, blame: SiteId) -> Option<HealthEvent> {
         if !self.enabled {
             return None;
         }

@@ -16,7 +16,7 @@ pub struct LatencyModel {
     /// propagation. This is what a layered protocol stack inflates.
     pub fixed: Ticks,
     /// Wire time per payload byte, in microseconds.
-    pub micros_per_byte: u64,
+    pub(crate) micros_per_byte: u64,
 }
 
 impl LatencyModel {

@@ -40,24 +40,23 @@ use std::fmt::Display;
 
 use locus_types::{SiteId, SysResult, Ticks};
 
-pub use circuit::CircuitTable;
-pub use clock::VirtualClock;
 pub use engine::EngineKind;
-pub use fault::{
-    site_stream_seed, FaultAction, FaultPlan, FaultSpec, GraySpec, RetryPolicy, ScheduledFault,
-    SimRng,
-};
-pub use health::{HealthEvent, HealthMonitor, HealthPolicy, SiteHealth};
+pub use fault::{FaultAction, FaultPlan, FaultSpec, RetryPolicy, SimRng};
+pub use health::{HealthPolicy, SiteHealth};
 pub use latency::LatencyModel;
 pub use obs::{
-    audit, export_jsonl, op_stats, parse_jsonl, render_op_stats, AuditReport, Histogram, ObsEvent,
-    Observer, OpStat, SendOutcome, CSS_CLAIM_COOLDOWN,
+    audit, export_jsonl, op_stats, parse_jsonl, render_op_stats, AuditReport, ObsEvent, OpStat,
+    SendOutcome, CSS_CLAIM_COOLDOWN,
 };
 pub use rpc::{RpcEngine, RpcError, WireMsg};
 pub use stats::{KindStats, NetStats, ServiceStats};
 pub use topology::Topology;
 
+use circuit::CircuitTable;
+use clock::VirtualClock;
 use fault::{FaultInjector, Verdict};
+use health::{HealthEvent, HealthMonitor};
+use obs::Observer;
 
 /// Errors surfaced by the network layer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,7 +82,7 @@ pub enum NetError {
 impl NetError {
     /// Whether resending the same message can succeed without help from
     /// a reconfiguration step (transient fault, not a topology change).
-    pub fn is_transient(self) -> bool {
+    pub(crate) fn is_transient(self) -> bool {
         matches!(
             self,
             NetError::Dropped | NetError::ReplyLost | NetError::CircuitClosed
@@ -589,14 +588,6 @@ impl Net {
         g.topology.is_up(site)
     }
 
-    /// All sites currently in `site`'s partition (including itself), in
-    /// site order. Empty if the site is down.
-    pub fn partition_of(&self, site: SiteId) -> Vec<SiteId> {
-        let mut g = self.inner.borrow_mut();
-        g.apply_due_faults();
-        g.topology.partition_of(site)
-    }
-
     /// The current partitions (connected components of live sites).
     pub fn partitions(&self) -> Vec<Vec<SiteId>> {
         let mut g = self.inner.borrow_mut();
@@ -653,7 +644,7 @@ impl Net {
     }
 
     /// Whether span observation is enabled.
-    pub fn observing(&self) -> bool {
+    pub(crate) fn observing(&self) -> bool {
         self.inner.borrow().obs.enabled()
     }
 
@@ -825,8 +816,7 @@ mod tests {
         let net = Net::new(3);
         net.crash(SiteId(2));
         assert!(!net.reachable(SiteId(0), SiteId(2)));
-        assert_eq!(net.partition_of(SiteId(0)), vec![SiteId(0), SiteId(1)]);
-        assert!(net.partition_of(SiteId(2)).is_empty());
+        assert_eq!(net.partitions(), vec![vec![SiteId(0), SiteId(1)]]);
         net.revive(SiteId(2));
         assert!(net.reachable(SiteId(0), SiteId(2)));
     }
@@ -842,7 +832,7 @@ mod tests {
             net.send(SiteId(0), SiteId(1), "x", 1),
             Err(NetError::Unreachable)
         );
-        assert_eq!(net.stats().failures("x"), 1);
+        assert_eq!(net.stats().kind("x").fails, 1);
         net.revive(SiteId(1));
         assert!(net.send(SiteId(0), SiteId(1), "x", 1).is_ok());
         net.cut_link(SiteId(1), SiteId(0));
@@ -852,7 +842,7 @@ mod tests {
         );
         net.restore_link(SiteId(0), SiteId(1));
         assert!(net.send(SiteId(1), SiteId(0), "x", 1).is_ok());
-        assert_eq!(net.stats().failures("x"), 2);
+        assert_eq!(net.stats().kind("x").fails, 2);
     }
 
     #[test]
@@ -902,7 +892,7 @@ mod tests {
         );
         // The notice is observed exactly once; the next send goes through.
         assert!(net.send(SiteId(0), SiteId(1), "OPEN req", 8).is_ok());
-        assert_eq!(net.stats().failures("OPEN req"), 1);
+        assert_eq!(net.stats().kind("OPEN req").fails, 1);
     }
 
     #[test]
@@ -1128,7 +1118,7 @@ mod tests {
             (net.stats(), net.now())
         };
         let (stats, now) = run();
-        assert!(stats.total_drops() > 0 && stats.total_duplicates() > 0);
+        assert!(stats.kind("x").drops > 0 && stats.kind("x").dups > 0);
         assert_eq!((stats, now), run());
     }
 }

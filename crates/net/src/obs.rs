@@ -19,7 +19,7 @@
 //!   originating service, the operation label, the site, and an outcome.
 //! * **Histograms.** [`op_stats`] pairs each span's open and close events
 //!   and feeds its virtual-time duration into a per-(service, op) log₂
-//!   latency [`Histogram`], so p50/p95/max over [`Ticks`] sit right next
+//!   latency `Histogram`, so p50/p95/max over [`Ticks`] sit right next
 //!   to the message counters.
 //! * **JSONL export.** [`export_jsonl`] writes the event stream one flat
 //!   JSON object per line (hand-rolled, like the bench report writer —
@@ -43,11 +43,11 @@ use crate::NetError;
 /// Retained observability events are capped so a forgotten enabled
 /// observer cannot grow without bound; the overflow is counted in
 /// [`Observer::truncated`] rather than silently discarded.
-pub const OBS_CAP: usize = 1 << 20;
+pub(crate) const OBS_CAP: usize = 1 << 20;
 
 /// Number of log₂ buckets in a latency [`Histogram`] (covers durations
 /// up to 2³⁹ µs ≈ 6 days of virtual time, far beyond any schedule).
-pub const HIST_BUCKETS: usize = 40;
+pub(crate) const HIST_BUCKETS: usize = 40;
 
 /// How one wire transmission attempt ended, as seen by the sender.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,7 +111,7 @@ impl SendOutcome {
     }
 }
 
-/// One structured observability event. Span ids are per-[`Observer`]
+/// One structured observability event. Span ids are per-`Observer`
 /// and start at 1; id 0 means "no enclosing span".
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ObsEvent {
@@ -245,7 +245,7 @@ impl ObsEvent {
 /// of the bucket the quantile falls in — deliberately coarse, exactly
 /// reproducible.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [u64; HIST_BUCKETS],
     count: u64,
     max: Ticks,
@@ -262,13 +262,8 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// Records one duration sample.
-    pub fn record(&mut self, d: Ticks) {
+    pub(crate) fn record(&mut self, d: Ticks) {
         let us = d.as_micros();
         let idx = if us == 0 {
             0
@@ -292,7 +287,7 @@ impl Histogram {
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper edge of the bucket
     /// it falls in; [`Ticks::ZERO`] when empty.
-    pub fn quantile(&self, q: f64) -> Ticks {
+    pub(crate) fn quantile(&self, q: f64) -> Ticks {
         if self.count == 0 {
             return Ticks::ZERO;
         }
@@ -318,7 +313,7 @@ impl Histogram {
 /// returns the sentinel id 0 that every other method ignores — callers
 /// never need to branch on whether observation is on.
 #[derive(Debug, Default)]
-pub struct Observer {
+pub(crate) struct Observer {
     enabled: bool,
     next_span: u64,
     /// The open spans, innermost last.
@@ -334,12 +329,12 @@ impl Observer {
     }
 
     /// Enables or disables recording.
-    pub fn set_enabled(&mut self, on: bool) {
+    pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }
 
     /// Whether recording is enabled.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
@@ -352,7 +347,7 @@ impl Observer {
     }
 
     /// Opens a span and returns its id (0 while disabled).
-    pub fn span_open(&mut self, now: Ticks, service: &str, op: &str, site: SiteId) -> u64 {
+    pub(crate) fn span_open(&mut self, now: Ticks, service: &str, op: &str, site: SiteId) -> u64 {
         if !self.enabled {
             return 0;
         }
@@ -372,7 +367,7 @@ impl Observer {
     }
 
     /// Closes a span. Id 0 and ids that are not open are ignored.
-    pub fn span_close(&mut self, now: Ticks, id: u64, outcome: &str) {
+    pub(crate) fn span_close(&mut self, now: Ticks, id: u64, outcome: &str) {
         let Some(pos) = self.stack.iter().rposition(|&s| s == id) else {
             return;
         };
@@ -386,7 +381,7 @@ impl Observer {
 
     /// Records one wire event the send path built (a request, reply or
     /// one-way attempt, or a one-way loss); a no-op while disabled.
-    pub fn record(&mut self, ev: ObsEvent) {
+    pub(crate) fn record(&mut self, ev: ObsEvent) {
         if self.enabled {
             self.push_event(ev);
         }
@@ -410,7 +405,7 @@ impl Observer {
     }
 
     /// Drains the recorded events (resetting the truncation counter).
-    pub fn take_events(&mut self) -> Vec<ObsEvent> {
+    pub(crate) fn take_events(&mut self) -> Vec<ObsEvent> {
         self.truncated = 0;
         std::mem::take(&mut self.events)
     }
@@ -434,7 +429,7 @@ pub struct OpStat {
     /// Median virtual-time latency (bucket upper edge).
     pub p50: Ticks,
     /// 95th-percentile virtual-time latency (bucket upper edge).
-    pub p95: Ticks,
+    pub(crate) p95: Ticks,
     /// Exact maximum virtual-time latency.
     pub max: Ticks,
 }
@@ -442,7 +437,7 @@ pub struct OpStat {
 /// Per-(service, op) latency summary rows of an event stream, sorted by
 /// service then op. Each [`ObsEvent::SpanClose`] is paired by id with its
 /// [`ObsEvent::SpanOpen`], whatever the order of closes, and the span's
-/// virtual-time duration feeds that operation's [`Histogram`]. A close
+/// virtual-time duration feeds that operation's `Histogram`. A close
 /// with no open before it is ignored.
 pub fn op_stats(events: &[ObsEvent]) -> Vec<OpStat> {
     let mut open: BTreeMap<u64, (&str, &str, Ticks)> = BTreeMap::new();
@@ -905,12 +900,12 @@ pub struct AuditReport {
     /// Reply transmission attempts.
     pub replies: u64,
     /// One-way transmission attempts.
-    pub one_ways: u64,
+    pub(crate) one_ways: u64,
     /// Protocol annotations.
     pub notes: u64,
     /// The longest burst of consecutive closed-circuit send outcomes
     /// observed in any span (at most 1 in a clean trace).
-    pub max_reopen_burst: u64,
+    pub(crate) max_reopen_burst: u64,
     /// One-way losses recorded.
     pub one_way_losses: u64,
     /// Every invariant violation found, in replay order.
@@ -1298,7 +1293,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for us in [0u64, 1, 1, 3, 100, 1000] {
             h.record(Ticks::micros(us));
         }
@@ -1308,13 +1303,13 @@ mod tests {
         // in bucket 1 (upper edge 1), 3 in bucket 2 (upper edge 3).
         assert_eq!(h.quantile(0.5), Ticks::micros(1));
         assert_eq!(h.quantile(1.0), Ticks::micros(1023));
-        assert_eq!(Histogram::new().quantile(0.5), Ticks::ZERO);
+        assert_eq!(Histogram::default().quantile(0.5), Ticks::ZERO);
     }
 
     #[test]
     fn histograms_with_identical_samples_are_equal() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
         for us in [5u64, 90, 700, 700, 12_000] {
             a.record(Ticks::micros(us));
             b.record(Ticks::micros(us));

@@ -757,7 +757,7 @@ mod tests {
         assert_eq!(out, Err(RpcError::RetriesExhausted));
         let st = net.stats();
         assert_eq!(st.one_way_losses("TEST query"), 1);
-        assert_eq!(st.total_one_way_losses(), 1);
+        assert_eq!(st.kind("TEST query").losses, 1);
         assert_eq!(st.service("test").losses, 1);
         assert_eq!(
             st.service("test").drops,

@@ -49,9 +49,9 @@ pub struct KindStats {
     /// Messages lost to an injected drop.
     pub drops: u64,
     /// Injected wire-level duplicate deliveries.
-    pub dups: u64,
+    pub(crate) dups: u64,
     /// Injected delivery delays.
-    pub delays: u64,
+    pub(crate) delays: u64,
     /// Retries (resends provoked by a fault).
     pub retries: u64,
     /// One-way notifications abandoned after retry exhaustion.
@@ -100,7 +100,7 @@ impl NetStats {
     /// elapsed time cannot distinguish a balanced cluster from one whose
     /// whole load funnels through a single synchronization site; this
     /// table records where the cycles were actually spent.
-    pub fn record_busy(&mut self, site: SiteId, micros: u64) {
+    pub(crate) fn record_busy(&mut self, site: SiteId, micros: u64) {
         *self.site_busy.entry(site).or_insert(0) += micros;
     }
 
@@ -113,11 +113,6 @@ impl NetStats {
     /// bounds the cluster's aggregate throughput under an open loop.
     pub fn max_busy_micros(&self) -> u64 {
         self.site_busy.values().copied().max().unwrap_or(0)
-    }
-
-    /// Iterates the per-site busy table in site order.
-    pub fn site_busy(&self) -> impl Iterator<Item = (SiteId, u64)> + '_ {
-        self.site_busy.iter().map(|(&s, &us)| (s, us))
     }
 
     /// Attributes `micros` of queue wait to `site`: the time a service
@@ -145,11 +140,6 @@ impl NetStats {
         self.kind(kind).sends
     }
 
-    /// Failed sends of `kind`.
-    pub fn failures(&self, kind: &str) -> u64 {
-        self.kind(kind).fails
-    }
-
     /// Bytes carried by successful sends of `kind`.
     pub fn bytes(&self, kind: &str) -> u64 {
         self.kind(kind).bytes
@@ -168,11 +158,6 @@ impl NetStats {
     /// Abandoned one-way sends of `kind`.
     pub fn one_way_losses(&self, kind: &str) -> u64 {
         self.kind(kind).losses
-    }
-
-    /// Total abandoned one-way sends across all kinds.
-    pub fn total_one_way_losses(&self) -> u64 {
-        self.kinds.values().map(|k| k.losses).sum()
     }
 
     /// The accounting row of one service: its kind rows summed (zeros if
@@ -196,21 +181,6 @@ impl NetStats {
         table
             .into_iter()
             .filter(|(_, row)| *row != ServiceStats::default())
-    }
-
-    /// Total injected drops across all kinds.
-    pub fn total_drops(&self) -> u64 {
-        self.kinds.values().map(|k| k.drops).sum()
-    }
-
-    /// Total injected duplicates across all kinds.
-    pub fn total_duplicates(&self) -> u64 {
-        self.kinds.values().map(|k| k.dups).sum()
-    }
-
-    /// Total injected delays across all kinds.
-    pub fn total_delays(&self) -> u64 {
-        self.kinds.values().map(|k| k.delays).sum()
     }
 
     /// Total retries across all kinds.
@@ -297,7 +267,7 @@ mod tests {
         s.kind_mut("OPEN req", None).fails += 1;
         assert_eq!(s.sends("READ req"), 2);
         assert_eq!(s.bytes("READ resp"), 4096);
-        assert_eq!(s.failures("OPEN req"), 1);
+        assert_eq!(s.kind("OPEN req").fails, 1);
         assert_eq!(s.total_sends(), 3);
         assert_eq!(s.total_bytes(), 4160);
     }
@@ -311,9 +281,8 @@ mod tests {
         s.kind_mut("SS poll", None).delays += 1;
         s.kind_mut("OPEN req", None).retries += 1;
         assert_eq!(s.drops("OPEN req"), 2);
-        assert_eq!(s.total_drops(), 2);
-        assert_eq!(s.total_duplicates(), 1);
-        assert_eq!(s.total_delays(), 1);
+        assert_eq!(s.kind("READ resp").dups, 1);
+        assert_eq!(s.kind("SS poll").delays, 1);
         assert_eq!(s.retries("OPEN req"), 1);
         assert_eq!(s.total_retries(), 1);
     }
@@ -341,7 +310,7 @@ mod tests {
         assert_eq!(s.service("proc").losses, 1);
         assert_eq!(s.service("topology"), ServiceStats::default());
         assert_eq!(s.one_way_losses("EXIT notify"), 1);
-        assert_eq!(s.total_one_way_losses(), 1);
+        assert_eq!(s.kind("OPEN req").losses, 0);
         assert_eq!(s.kind("x").service, None);
         // Touching a tagged row untagged keeps its service.
         s.kind_mut("OPEN req", None).sends += 1;
@@ -385,7 +354,7 @@ mod tests {
         assert_eq!(s.busy_micros(SiteId(3)), 200);
         assert_eq!(s.busy_micros(SiteId(7)), 0);
         assert_eq!(s.max_busy_micros(), 600);
-        let rows: Vec<(SiteId, u64)> = s.site_busy().collect();
+        let rows: Vec<(SiteId, u64)> = s.site_busy.into_iter().collect();
         assert_eq!(rows, vec![(SiteId(0), 600), (SiteId(3), 200)]);
     }
 
@@ -411,7 +380,7 @@ mod tests {
         assert_eq!(NetStats::delta_total(&drops), 2);
         assert_eq!(NetStats::delta_total(&retries), 1);
         assert!(
-            s.total_drops() > NetStats::delta_total(&drops),
+            s.drops("OPEN req") + s.drops("PTN poll") > NetStats::delta_total(&drops),
             "the totals really do overcount the operation"
         );
     }

@@ -44,7 +44,7 @@ impl Topology {
     }
 
     /// Sets the physical link between two sites.
-    pub fn set_link(&mut self, a: SiteId, b: SiteId, connected: bool) {
+    pub(crate) fn set_link(&mut self, a: SiteId, b: SiteId, connected: bool) {
         let (i, j) = (a.index(), b.index());
         if i < self.links.len() && j < self.links.len() && i != j {
             self.links[i][j] = connected;
@@ -65,7 +65,7 @@ impl Topology {
     /// Cuts the network into the given groups: intra-group links restored,
     /// inter-group links cut. Sites not mentioned keep their links to each
     /// other but lose links to all mentioned sites outside their group.
-    pub fn set_partition(&mut self, groups: &[Vec<SiteId>]) {
+    pub(crate) fn set_partition(&mut self, groups: &[Vec<SiteId>]) {
         let n = self.site_count();
         let mut group_of = vec![usize::MAX; n];
         for (gi, group) in groups.iter().enumerate() {
@@ -88,20 +88,11 @@ impl Topology {
     /// connected component of the live-link graph (transitivity). A site
     /// always communicates with itself while it is up (local service is a
     /// procedure call, §2.3.3) and never while down.
-    pub fn can_communicate(&self, a: SiteId, b: SiteId) -> bool {
+    pub(crate) fn can_communicate(&self, a: SiteId, b: SiteId) -> bool {
         if !self.is_up(a) || !self.is_up(b) {
             return false;
         }
         a == b || self.component_of(a).contains(&b)
-    }
-
-    /// All live sites reachable from `s` (including `s`), in site order.
-    /// Empty if `s` is down.
-    pub fn partition_of(&self, s: SiteId) -> Vec<SiteId> {
-        if !self.is_up(s) {
-            return Vec::new();
-        }
-        self.component_of(s)
     }
 
     /// The connected components of live sites, each sorted, ordered by
@@ -198,8 +189,7 @@ mod tests {
     fn partition_of_down_site_is_empty() {
         let mut t = Topology::new(2);
         t.set_up(s(0), false);
-        assert!(t.partition_of(s(0)).is_empty());
-        assert_eq!(t.partition_of(s(1)), vec![s(1)]);
+        assert_eq!(t.components(), vec![vec![s(1)]]);
     }
 
     #[test]

@@ -35,4 +35,3 @@ pub mod proto;
 
 pub use mgr::ProcMgr;
 pub use process::{ExitStatus, ProcError, ProcState, Process, Signal};
-pub use proto::ProcMsg;

@@ -547,7 +547,8 @@ impl ProcMgr {
     /// site with a child there gets an error signal and err-info; children
     /// of parents on the failed site are notified likewise; processes *on*
     /// the failed site become zombies with [`ExitStatus::SiteFailed`].
-    pub fn handle_site_failure(&self, fsc: &FsCluster, failed: SiteId) -> usize {
+    /// Each notice is local to a survivor, so none crosses the network.
+    pub fn handle_site_failure(&self, failed: SiteId) -> usize {
         let mut affected = 0;
         let pids: Vec<Pid> = self.inner.borrow().procs.keys().copied().collect();
         for pid in pids {
@@ -590,7 +591,6 @@ impl ProcMgr {
                 }
             }
         }
-        let _ = fsc; // message costs for notifications are local to survivors
         affected
     }
 
@@ -691,7 +691,7 @@ mod tests {
         let child = pm.fork(&fsc, parent, Some(SiteId(1))).unwrap();
         let grandchild = pm.fork(&fsc, child, Some(SiteId(2))).unwrap();
         fsc.net().crash(SiteId(1)); // kills `child`'s site
-        pm.handle_site_failure(&fsc, SiteId(1));
+        pm.handle_site_failure(SiteId(1));
         // Parent sees the child error.
         assert_eq!(
             pm.take_err_info(parent).unwrap(),

@@ -101,7 +101,7 @@ pub struct Process {
 
 impl Process {
     /// Next process-level descriptor number.
-    pub fn next_fd_no(&self) -> u32 {
+    pub(crate) fn next_fd_no(&self) -> u32 {
         self.fds.keys().max().map(|m| m + 1).unwrap_or(3)
     }
 

@@ -14,7 +14,7 @@ pub const CTRL_BYTES: usize = 96;
 
 /// One process-management message (§3.1–3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProcMsg {
+pub(crate) enum ProcMsg {
     /// Allocate a process body at the destination for `fork` (§3.1); the
     /// address-space pages follow as [`ProcMsg::ProcPage`] messages.
     ForkReq,

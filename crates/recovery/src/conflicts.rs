@@ -16,7 +16,7 @@ use locus_types::{Errno, FileType, Gfid, Perms, SiteId, SysResult};
 
 /// Marks one copy of `gfid` as conflicted so normal opens fail with
 /// `ECONFLICT`.
-pub fn mark_conflict(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<()> {
+pub(crate) fn mark_conflict(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<()> {
     let mut k = fsc.kernel(site);
     let Some(pack) = k.pack_of(gfid.fg) else {
         return Ok(());
@@ -42,7 +42,7 @@ pub fn mark_conflict(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<()>
 /// of a given file that is in conflict, describing the problem", §4.6).
 /// Failures are swallowed: recovery must proceed even if the mail spool
 /// is itself unavailable.
-pub fn notify_owner(fsc: &FsCluster, site: SiteId, owner: u32, body: &str) {
+pub(crate) fn notify_owner(fsc: &FsCluster, site: SiteId, owner: u32, body: &str) {
     let _ = namei::deliver_mail(fsc, site, owner, body);
 }
 

@@ -265,7 +265,7 @@ pub fn reconcile_file(
 /// [`reconcile_file`] with a registry of type-specific recovery/merge
 /// managers (§4.1): a concurrent update to a managed type is offered to
 /// the manager before being declared an unresolvable conflict.
-pub fn reconcile_file_with(
+pub(crate) fn reconcile_file_with(
     fsc: &FsCluster,
     coordinator: SiteId,
     gfid: Gfid,

@@ -26,7 +26,7 @@
 //!
 //! Recovery runs "as a privileged application program" (§5.3), outside
 //! the synchronized open path. What each copy looks like it learns from
-//! one bulk inventory reply per container ([`proto::InventoryReply`]);
+//! one bulk inventory reply per container (`proto::InventoryReply`);
 //! file *content* it still reads and installs by reaching directly into
 //! the containers, charging a propagate message on the shared network.
 
@@ -41,9 +41,6 @@ pub mod managers;
 pub mod proto;
 pub mod report;
 
-pub use filegroup::{
-    reconcile_file, reconcile_file_with, reconcile_filegroup, reconcile_filegroup_with,
-};
+pub use filegroup::{reconcile_file, reconcile_filegroup, reconcile_filegroup_with};
 pub use managers::MergeManagers;
-pub use proto::RecMsg;
 pub use report::{FileOutcome, RecoveryReport};

@@ -21,7 +21,7 @@ use locus_types::FileType;
 
 /// A registered merge manager: given every divergent version's content,
 /// produce the reconciled content, or decline.
-pub type MergeFn = Box<dyn Fn(&[Vec<u8>]) -> Option<Vec<u8>>>;
+pub(crate) type MergeFn = Box<dyn Fn(&[Vec<u8>]) -> Option<Vec<u8>>>;
 
 /// The registry of per-type recovery/merge managers.
 #[derive(Default)]
@@ -57,7 +57,7 @@ impl MergeManagers {
     }
 
     /// Whether a manager exists for the type.
-    pub fn handles(&self, ftype: FileType) -> bool {
+    pub(crate) fn handles(&self, ftype: FileType) -> bool {
         self.by_type.contains_key(&ftype)
     }
 }

@@ -13,7 +13,7 @@ use locus_types::{FilegroupId, Ino, VersionVector};
 
 /// Wire size charged per recovery control message, and the fixed header
 /// of an inventory reply.
-pub const RECOVERY_MSG_BYTES: usize = 192;
+pub(crate) const RECOVERY_MSG_BYTES: usize = 192;
 
 /// Wire size of one inventory row before its version vector: inode
 /// number, type, permissions, owner, size, link count, mtime, the
@@ -22,7 +22,7 @@ pub const INVENTORY_ENTRY_BYTES: usize = 48;
 
 /// One recovery message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecMsg {
+pub(crate) enum RecMsg {
     /// Ask a container site for its pack's inode table of `fg` — every
     /// inode, or just `only` for demand recovery; the reply is an
     /// [`InventoryReply`] (§4.2).
@@ -38,7 +38,7 @@ pub enum RecMsg {
 
 /// One inode of a container's inventory.
 #[derive(Clone, Debug)]
-pub struct InventoryRow {
+pub(crate) struct InventoryRow {
     /// The inode.
     pub ino: Ino,
     /// Its state in the answering pack.
@@ -54,7 +54,7 @@ pub struct InventoryRow {
 /// What a container answers an [`RecMsg::Inventory`] with: one multi-row
 /// reply.
 #[derive(Clone, Debug, Default)]
-pub struct InventoryReply {
+pub(crate) struct InventoryReply {
     /// The answering pack's index (its version-vector update origin).
     pub origin: u32,
     /// One row per inode, in inode order.

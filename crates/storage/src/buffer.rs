@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use locus_types::{Ino, PackId};
 
 /// Cache key: one logical page of one file copy.
-pub type PageKey = (PackId, Ino, usize);
+pub(crate) type PageKey = (PackId, Ino, usize);
 
 /// Cumulative cache counters.
 ///

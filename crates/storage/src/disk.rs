@@ -11,7 +11,7 @@ use locus_types::{Errno, SysResult, Ticks};
 pub const PAGE_SIZE: usize = 1024;
 
 /// A physical block number within one device.
-pub type BlockNo = u32;
+pub(crate) type BlockNo = u32;
 
 /// Contents of one allocated block.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,7 +24,8 @@ pub enum BlockContent {
 
 impl BlockContent {
     /// A zero-filled data block.
-    pub fn zeroed() -> Self {
+    #[cfg(test)]
+    pub(crate) fn zeroed() -> Self {
         BlockContent::Data(vec![0u8; PAGE_SIZE].into_boxed_slice())
     }
 
@@ -34,7 +35,7 @@ impl BlockContent {
     ///
     /// Panics if `bytes` exceeds [`PAGE_SIZE`]; callers slice page-sized
     /// chunks before writing.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= PAGE_SIZE, "page overflow");
         let mut buf = vec![0u8; PAGE_SIZE];
         buf[..bytes.len()].copy_from_slice(bytes);
@@ -106,7 +107,7 @@ impl BlockDevice {
 
     /// Allocates a block and writes `content` to it: the most recently
     /// freed block if there is one, else the lowest never-used block.
-    pub fn alloc(&mut self, content: BlockContent) -> SysResult<BlockNo> {
+    pub(crate) fn alloc(&mut self, content: BlockContent) -> SysResult<BlockNo> {
         let bno = match self.free.pop() {
             Some(bno) => {
                 self.blocks[bno as usize] = Some(content);
@@ -158,7 +159,7 @@ impl BlockDevice {
     }
 
     /// Whether the block is currently allocated.
-    pub fn is_allocated(&self, bno: BlockNo) -> bool {
+    pub(crate) fn is_allocated(&self, bno: BlockNo) -> bool {
         self.blocks
             .get(bno as usize)
             .map(|b| b.is_some())
@@ -168,11 +169,6 @@ impl BlockDevice {
     /// Drains the accumulated I/O cost meter.
     pub fn take_io_cost(&mut self) -> Ticks {
         std::mem::take(&mut self.io_cost)
-    }
-
-    /// Lifetime `(reads, writes)` counters.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 
     fn charge_read(&mut self) {
@@ -264,7 +260,7 @@ mod tests {
         let cost = d.take_io_cost();
         assert_eq!(cost, Ticks::millis(50)); // one write + one read
         assert_eq!(d.take_io_cost(), Ticks::ZERO);
-        assert_eq!(d.io_counts(), (1, 1));
+        assert_eq!((d.reads, d.writes), (1, 1));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::disk::{BlockContent, BlockDevice, BlockNo, PAGE_SIZE};
 pub const NDIRECT: usize = 10;
 
 /// Entries in one indirect block.
-pub const NINDIRECT: usize = PAGE_SIZE / 4;
+pub(crate) const NINDIRECT: usize = PAGE_SIZE / 4;
 
 /// The per-file map from logical page number to physical block.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -22,7 +22,7 @@ pub struct PageTable {
     /// Direct block pointers.
     pub direct: [Option<BlockNo>; NDIRECT],
     /// One single-indirect block holding further pointers.
-    pub indirect: Option<BlockNo>,
+    pub(crate) indirect: Option<BlockNo>,
 }
 
 impl PageTable {
@@ -86,7 +86,7 @@ impl PageTable {
     }
 
     /// All mapped `(lpn, block)` pairs.
-    pub fn mapped_pages(&self, dev: &mut BlockDevice) -> SysResult<Vec<(usize, BlockNo)>> {
+    pub(crate) fn mapped_pages(&self, dev: &mut BlockDevice) -> SysResult<Vec<(usize, BlockNo)>> {
         let mut out = Vec::new();
         for (lpn, slot) in self.direct.iter().enumerate() {
             if let Some(b) = slot {

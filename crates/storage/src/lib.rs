@@ -25,7 +25,7 @@ pub mod shadow;
 pub mod superblock;
 
 pub use buffer::{BufferCache, CacheStats};
-pub use disk::{BlockContent, BlockDevice, BlockNo, DiskParams, PAGE_SIZE};
+pub use disk::{BlockContent, BlockDevice, DiskParams, PAGE_SIZE};
 pub use inode::{DiskInode, PageTable, NDIRECT};
 pub use pack::Pack;
 pub use shadow::{Committed, ShadowSession};

@@ -40,27 +40,11 @@ impl Pack {
         self.sb.pack.idx
     }
 
-    /// The superblock.
-    pub fn superblock(&self) -> &Superblock {
-        &self.sb
-    }
-
     /// Allocates an inode number from this pack's private slice (§2.3.7).
     pub fn alloc_ino(&mut self) -> SysResult<Ino> {
         let n = *self.free_inos.iter().next().ok_or(Errno::Enospc)?;
         self.free_inos.remove(&n);
         Ok(Ino(n))
-    }
-
-    /// Returns an inode number to the free pool; only numbers in this
-    /// pack's slice may be recycled here ("the inode can be reallocated by
-    /// the site which has control of that inode", §2.3.7).
-    pub fn release_ino(&mut self, ino: Ino) -> SysResult<()> {
-        if !self.sb.ino_range.contains(&ino.0) {
-            return Err(Errno::Eperm);
-        }
-        self.free_inos.insert(ino.0);
-        Ok(())
     }
 
     /// Installs an inode under a caller-chosen number — used when a create
@@ -112,22 +96,6 @@ impl Pack {
             out.extend_from_slice(&page[..take]);
         }
         Ok(out)
-    }
-
-    /// Removes the inode and frees all its blocks — the final reap after
-    /// every storage site has seen a delete, or the removal of a stale
-    /// replica. Does not recycle the inode number (see
-    /// [`release_ino`](Self::release_ino)).
-    pub fn drop_inode(&mut self, ino: Ino) -> SysResult<()> {
-        let inode = self.itable.remove(&ino).ok_or(Errno::Enoent)?;
-        let mapped = inode.pages.mapped_pages(&mut self.dev)?;
-        for (_, bno) in mapped {
-            self.dev.free(bno)?;
-        }
-        if let Some(ib) = inode.pages.indirect {
-            self.dev.free(ib)?;
-        }
-        Ok(())
     }
 
     /// Drains accumulated disk I/O cost.
@@ -219,13 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn release_rejects_foreign_ino() {
-        let mut p = Pack::new(PackId::new(FilegroupId(0), 1), 50..60, 64);
-        assert_eq!(p.release_ino(Ino(3)), Err(Errno::Eperm));
-        assert!(p.release_ino(Ino(55)).is_ok());
-    }
-
-    #[test]
     fn write_all_read_all_roundtrip() {
         let mut p = pack();
         let ino = p.alloc_ino().unwrap();
@@ -264,21 +225,6 @@ mod tests {
             DiskInode::new(FileType::Untyped, Perms::FILE_DEFAULT, 0),
         );
         assert_eq!(p.read_page(ino, 3).unwrap(), vec![0u8; PAGE_SIZE]);
-    }
-
-    #[test]
-    fn drop_inode_frees_everything() {
-        let mut p = pack();
-        let ino = p.alloc_ino().unwrap();
-        p.install_inode(
-            ino,
-            DiskInode::new(FileType::Untyped, Perms::FILE_DEFAULT, 0),
-        );
-        let before = p.free_blocks();
-        p.write_all(ino, &vec![1u8; 12 * PAGE_SIZE]).unwrap(); // uses indirect
-        p.drop_inode(ino).unwrap();
-        assert_eq!(p.free_blocks(), before);
-        assert!(!p.stores(ino));
     }
 
     #[test]

@@ -14,10 +14,10 @@ pub struct Superblock {
     /// Which pack this is.
     pub pack: PackId,
     /// The inode numbers this pack may allocate.
-    pub ino_range: Range<u32>,
+    pub(crate) ino_range: Range<u32>,
     /// Monotonic count of commits performed at this pack; the origin slot
     /// bumped in version vectors is the pack index.
-    pub commit_seq: u64,
+    pub(crate) commit_seq: u64,
 }
 
 impl Superblock {

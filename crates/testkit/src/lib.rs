@@ -193,7 +193,7 @@ impl VersionedFile {
 
     /// Parses a version back out, checking byte-exactness against
     /// [`Self::payload`] — any corruption or tearing fails the parse.
-    pub fn version_of(&self, data: &[u8]) -> Option<u32> {
+    pub(crate) fn version_of(&self, data: &[u8]) -> Option<u32> {
         let s = std::str::from_utf8(data).ok()?;
         let (num, _) = s.strip_prefix('v')?.split_once(':')?;
         let v: u32 = num.parse().ok()?;

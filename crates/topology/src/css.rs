@@ -12,17 +12,20 @@ use locus_types::SiteId;
 /// hosting one of the filegroup's containers (the deterministic choice
 /// every member computes identically). `None` if no container is in the
 /// partition — the filegroup is inaccessible there.
-pub fn select_css(partition: &BTreeSet<SiteId>, container_sites: &[SiteId]) -> Option<SiteId> {
+pub(crate) fn select_css(
+    partition: &BTreeSet<SiteId>,
+    container_sites: &[SiteId],
+) -> Option<SiteId> {
     partition
         .iter()
         .copied()
         .find(|s| container_sites.contains(s))
 }
 
-/// Like [`select_css`], but prefers container members outside `excluded`
+/// Like `select_css`, but prefers container members outside `excluded`
 /// (the gray-failure quarantine list): the lowest-numbered non-excluded
 /// container member wins. If *every* container member in the partition is
-/// excluded, the choice falls back to the plain [`select_css`] answer —
+/// excluded, the choice falls back to the plain `select_css` answer —
 /// the filegroup stays served by a degraded site rather than going dark,
 /// availability over isolation.
 pub fn select_css_excluding(

@@ -34,9 +34,8 @@ pub mod proto;
 pub mod reconfig;
 pub mod shard;
 
-pub use css::{select_css, select_css_excluding};
+pub use css::select_css_excluding;
 pub use merge::{merge_protocol, MergeOutcome, MergeTimeouts};
 pub use partition::{partition_protocol, PartitionOutcome};
-pub use proto::TopoMsg;
 pub use reconfig::{establish_partitions, Established};
 pub use shard::{select_placement, Candidate, PlacementConfig};

@@ -10,17 +10,17 @@ use locus_net::{RetryPolicy, WireMsg};
 use locus_types::Ticks;
 
 /// Bytes per partition-protocol message.
-pub const PARTITION_MSG_BYTES: usize = 128;
+pub(crate) const PARTITION_MSG_BYTES: usize = 128;
 
 /// Bytes per merge-protocol message.
-pub const MERGE_MSG_BYTES: usize = 160;
+pub(crate) const MERGE_MSG_BYTES: usize = 160;
 
 /// The retry policy the reconfiguration polls run under. More generous
 /// than the cluster default: a poll mistaken for a departed site shrinks
 /// the partition (§5.4's "single communications failure" rule), so the
 /// protocols spend extra attempts before giving up. Clean runs consume
 /// exactly one attempt, leaving message counts unchanged.
-pub const POLL_RETRY: RetryPolicy = RetryPolicy {
+pub(crate) const POLL_RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 8,
     base_backoff: Ticks::millis(2),
     multiplier: 2,
@@ -28,7 +28,7 @@ pub const POLL_RETRY: RetryPolicy = RetryPolicy {
 
 /// One reconfiguration message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopoMsg {
+pub(crate) enum TopoMsg {
     /// Partition-protocol poll; the reply carries the polled site's
     /// partition set P_pollsite (§5.4).
     PartitionPoll,

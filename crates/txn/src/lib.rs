@@ -26,5 +26,4 @@ pub mod locks;
 pub mod mgr;
 pub mod proto;
 
-pub use locks::LockTable;
 pub use mgr::{TxnId, TxnMgr, TxnState};

@@ -19,7 +19,7 @@ impl core::fmt::Display for TxnId {
 /// transaction may take a lock if every current holder is one of its
 /// ancestors; committing a subtransaction passes its locks to the parent.
 #[derive(Debug, Default)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     held: BTreeMap<Gfid, BTreeSet<TxnId>>,
 }
 
@@ -50,7 +50,7 @@ impl LockTable {
     }
 
     /// Passes all of `child`'s locks to `parent` (subtransaction commit).
-    pub fn pass_to_parent(&mut self, child: TxnId, parent: TxnId) {
+    pub(crate) fn pass_to_parent(&mut self, child: TxnId, parent: TxnId) {
         for holders in self.held.values_mut() {
             if holders.remove(&child) {
                 holders.insert(parent);
@@ -60,7 +60,7 @@ impl LockTable {
     }
 
     /// Releases every lock held by `tid` (abort, or top-level commit).
-    pub fn release_all(&mut self, tid: TxnId) {
+    pub(crate) fn release_all(&mut self, tid: TxnId) {
         for holders in self.held.values_mut() {
             holders.remove(&tid);
         }

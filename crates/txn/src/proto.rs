@@ -11,7 +11,7 @@ pub const CTRL_BYTES: usize = 80;
 
 /// One transaction-control message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxnMsg {
+pub(crate) enum TxnMsg {
     /// Parent site → subtransaction site: begin a subtransaction there;
     /// the reply acknowledges it.
     Begin,

@@ -104,15 +104,6 @@ impl Errno {
             Errno::Enotxn => "ENOTXN",
         }
     }
-
-    /// Whether this error is one of the distribution-specific failures
-    /// LOCUS adds on top of plain Unix (§3.3).
-    pub const fn is_distribution_error(self) -> bool {
-        matches!(
-            self,
-            Errno::Esitedown | Errno::Enocopy | Errno::Econflict | Errno::Eabort
-        )
-    }
 }
 
 impl fmt::Display for Errno {
@@ -131,13 +122,5 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Errno::Enoent.to_string(), "ENOENT");
         assert_eq!(Errno::Esitedown.name(), "ESITEDOWN");
-    }
-
-    #[test]
-    fn distribution_errors_are_flagged() {
-        assert!(Errno::Esitedown.is_distribution_error());
-        assert!(Errno::Enocopy.is_distribution_error());
-        assert!(!Errno::Enoent.is_distribution_error());
-        assert!(!Errno::Eio.is_distribution_error());
     }
 }

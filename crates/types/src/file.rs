@@ -94,16 +94,6 @@ impl Perms {
     /// `rwxr-xr-x`, the usual default for directories and load modules.
     pub const DIR_DEFAULT: Perms = Perms(0o755);
 
-    /// Whether the owner may read.
-    pub const fn owner_read(self) -> bool {
-        self.0 & 0o400 != 0
-    }
-
-    /// Whether the owner may write.
-    pub const fn owner_write(self) -> bool {
-        self.0 & 0o200 != 0
-    }
-
     /// Whether the owner may execute / search.
     pub const fn owner_exec(self) -> bool {
         self.0 & 0o100 != 0
@@ -149,7 +139,7 @@ mod tests {
     #[test]
     fn perm_bits() {
         let p = Perms::FILE_DEFAULT;
-        assert!(p.owner_read() && p.owner_write() && !p.owner_exec());
+        assert!(!p.owner_exec());
         assert_eq!(p.to_string(), "0644");
     }
 }

@@ -36,11 +36,6 @@ impl Ticks {
         self.0
     }
 
-    /// The span as (truncated) milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Saturating subtraction.
     pub const fn saturating_sub(self, rhs: Ticks) -> Ticks {
         Ticks(self.0.saturating_sub(rhs.0))
@@ -91,7 +86,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Ticks::millis(2).as_micros(), 2_000);
-        assert_eq!(Ticks::secs(1).as_millis(), 1_000);
+        assert_eq!(Ticks::secs(1).as_micros(), 1_000_000);
         assert_eq!(Ticks::micros(7).0, 7);
     }
 
