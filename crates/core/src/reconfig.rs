@@ -24,7 +24,9 @@ pub struct ReconfigReport {
     pub cleanup: Vec<(SiteId, CleanupReport)>,
     /// CSS assignments per filegroup per partition.
     pub css_assignments: Vec<(FilegroupId, SiteId)>,
-    /// Lock-table entries re-registered at new CSSs.
+    /// Lock-table re-registrations delivered to new CSSs (one-way
+    /// `RECONFIG register` messages; a delivered one the CSS could not
+    /// enter is counted too).
     pub locks_rebuilt: usize,
     /// Parent/child partition-split notifications delivered.
     pub procs_notified: usize,

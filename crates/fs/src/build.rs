@@ -1,7 +1,7 @@
 //! Filesystem image and cluster construction (`mkfs` for the simulation).
 
 use locus_net::{LatencyModel, Net, RetryPolicy};
-use locus_storage::{DiskInode, Pack, Superblock};
+use locus_storage::{DiskInode, Pack};
 use locus_types::{FileType, FilegroupId, Gfid, Ino, MachineType, PackId, Perms, SiteId};
 
 use crate::cluster::{Coherence, FsCluster};
@@ -192,7 +192,7 @@ impl FsClusterBuilder {
             let mut fg_packs = Vec::new();
             for (idx, &site) in spec.containers.iter().enumerate() {
                 assert!(site.index() < nsites, "container site out of range");
-                let range = Superblock::partition_ino_space(self.inos_per_fg, npacks, idx as u32);
+                let range = Pack::partition_ino_space(self.inos_per_fg, npacks, idx as u32);
                 fg_packs.push(Pack::new(
                     PackId::new(fg, idx as u32),
                     range,

@@ -160,15 +160,19 @@ impl FsCluster {
     /// One-way message with only low-level acknowledgement (the write
     /// protocol and commit notifications, §2.3.5–2.3.6): one message, no
     /// reply message. The handler runs at delivery on the destination's
-    /// timelines while the sender moves on ([`RpcEngine::one_way`]). A
+    /// timelines while the sender moves on ([`RpcEngine::one_way`]). `Ok`
+    /// means delivered, `Esitedown` not delivered; the handler's outcome
+    /// does not come back (a failed page write fails the commit instead,
+    /// [`ShadowSession::commit`](locus_storage::ShadowSession::commit)). A
     /// dropped send never reached the handler, so it is always safe to
     /// retry.
-    pub(crate) fn one_way(&self, from: SiteId, to: SiteId, msg: FsMsg) -> SysResult<FsReply> {
+    pub(crate) fn one_way(&self, from: SiteId, to: SiteId, msg: FsMsg) -> SysResult<()> {
         let engine = RpcEngine::new(self.retry.get());
-        match engine.one_way(&self.net, from, to, msg, |m| self.dispatch(to, from, m)) {
-            Ok(result) => result,
-            Err(_) => Err(Errno::Esitedown),
-        }
+        engine
+            .one_way(&self.net, from, to, msg, |m| {
+                let _ = self.dispatch(to, from, m);
+            })
+            .map_err(|_| Errno::Esitedown)
     }
 
     /// Sends a notification (a commit notice, an invalidation) as a

@@ -52,7 +52,7 @@ pub struct HandoffReport {
     /// (file, holder) coherence-lease pairs received from the old CSS
     /// (always 0 when name leases are disabled).
     pub leases_transferred: usize,
-    /// Sites that received the one-way CSS update.
+    /// Sites the one-way CSS update was delivered to.
     pub(crate) sites_notified: usize,
     /// Files the new CSS pulled current versions of during the takeover
     /// (its own replica was behind the transferred `latest` entries).

@@ -95,8 +95,6 @@ pub(crate) struct Incore {
     pub(crate) opens_here: u32,
     /// US role: the storage site serving this site's opens.
     pub ss: Option<SiteId>,
-    /// US role: whether one of the local opens is a modification.
-    pub writing: bool,
     /// SS role: the USs this site is currently serving ("the SS must keep
     /// track, for each file, of all the USs that it is currently serving",
     /// §2.3.3).
@@ -112,7 +110,6 @@ impl Incore {
             info,
             opens_here: 0,
             ss: None,
-            writing: false,
             serving: BTreeSet::new(),
             css: None,
         }

@@ -719,23 +719,31 @@ mod tests {
         );
         let gfid = Gfid::new(fg, ino);
         let page = vec![7u8; locus_storage::PAGE_SIZE];
-        let write = |k: &mut FsKernel, lpn: usize| {
-            let size = ((lpn + 1) * page.len()) as u64;
-            crate::ops::io::local_write_page(&fsc, k, writer, gfid, lpn, &page, size)
-        };
-        for lpn in 0..free_before {
-            write(&mut k, lpn).expect("a free block per page");
+        // Both ends of the session: an explicit abort, and a commit, which
+        // the failed write turns into an abort.
+        for commit in [false, true] {
+            for lpn in 0..=free_before {
+                let size = ((lpn + 1) * page.len()) as u64;
+                crate::ops::io::local_write_page(&fsc, &mut k, writer, gfid, lpn, &page, size);
+            }
+            assert_eq!(
+                k.writer_of(gfid),
+                Some(writer),
+                "the session stays checked in"
+            );
+            assert_eq!(k.open_session_count(), 1);
+            if commit {
+                let sess = k.take_session(gfid).unwrap();
+                let vv = sess.working().vv.clone();
+                let r = k.commit_session(fsc.net(), gfid, sess, vv);
+                assert_eq!(r.err(), Some(Errno::Enospc), "the commit reports it");
+                assert_eq!(k.local_info(gfid).unwrap().size, 0, "old version kept");
+            } else {
+                k.abort_session(gfid).unwrap();
+            }
+            assert_eq!(k.open_session_count(), 0);
+            assert_eq!(k.pack_of(fg).unwrap().free_blocks(), free_before);
         }
-        assert_eq!(write(&mut k, free_before), Err(Errno::Enospc));
-        assert_eq!(
-            k.writer_of(gfid),
-            Some(writer),
-            "the session stays checked in"
-        );
-        assert_eq!(k.open_session_count(), 1);
-        k.abort_session(gfid).unwrap();
-        assert_eq!(k.open_session_count(), 0);
-        assert_eq!(k.pack_of(fg).unwrap().free_blocks(), free_before);
     }
 
     #[test]

@@ -228,7 +228,8 @@ pub(crate) fn sweep_local_sessions(fsc: &FsCluster, site: SiteId) -> usize {
 /// Lock-table reconstruction at a (new) CSS: every partition member
 /// re-registers its open synchronized files ("that site must reconstruct
 /// the lock table for all open files from the information remaining in
-/// the partition", §5.6). Returns the number of re-registrations.
+/// the partition", §5.6). Returns the number of re-registrations
+/// delivered.
 pub fn rebuild_css_state(fsc: &FsCluster, partition: &BTreeSet<SiteId>) -> usize {
     let mut registered = 0;
     let members: Vec<SiteId> = partition.iter().copied().collect();

@@ -279,10 +279,7 @@ pub(crate) fn handle_commit_notify(
                     // Metadata-only change, or a copy that stores no data:
                     // fold the inode information in directly.
                     let mut sess = ShadowSession::begin(pack, gfid.ino)?;
-                    sess.set_perms(info.perms);
-                    sess.set_owner(info.owner);
-                    sess.set_nlink(info.nlink);
-                    sess.set_replicas(info.replicas.clone());
+                    info.copy_meta_to(&mut sess);
                     sess.set_mtime(info.mtime);
                     if !has_data {
                         sess.set_size(info.size);
@@ -442,10 +439,7 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
         if metadata_only {
             let mut sess = ShadowSession::begin(pack, gfid.ino)?;
             sess.set_size(info.size);
-            sess.set_perms(info.perms);
-            sess.set_owner(info.owner);
-            sess.set_nlink(info.nlink);
-            sess.set_replicas(info.replicas.clone());
+            info.copy_meta_to(&mut sess);
             sess.set_mtime(info.mtime);
             k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
             drop(k);
@@ -497,10 +491,7 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
     }
     sess.truncate_pages(pack, npages)?;
     sess.set_size(info.size);
-    sess.set_perms(info.perms);
-    sess.set_owner(info.owner);
-    sess.set_nlink(info.nlink);
-    sess.set_replicas(info.replicas.clone());
+    info.copy_meta_to(&mut sess);
     sess.set_mtime(info.mtime);
     sess.set_data_here(true);
     // The pulled buffers go from the wire into the shadow session and

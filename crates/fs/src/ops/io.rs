@@ -196,7 +196,13 @@ pub(crate) fn handle_read_page(
 /// Writes one page into `writer`'s open modification session at the SS
 /// ([`FsKernel::session_mut`]), then queues the disk time of the
 /// shadow-block write on the SS's disk: a delayed write, which the
-/// commit waits for ([`FsKernel::commit_session`]).
+/// commit waits for ([`FsKernel::commit_session`]). `lpn == usize::MAX`
+/// is the truncate control write: shrink to exactly `new_size` bytes.
+///
+/// Nothing comes back to the writer (§2.3.5 acknowledges a write at low
+/// level only): a failed write or truncate marks the session, whose
+/// commit then fails. A write that finds no session to open (no pack,
+/// no inode) is dropped, and the commit meets the same error opening it.
 pub(crate) fn local_write_page(
     fsc: &FsCluster,
     k: &mut FsKernel,
@@ -205,23 +211,17 @@ pub(crate) fn local_write_page(
     lpn: usize,
     data: &[u8],
     new_size: u64,
-) -> SysResult<()> {
-    let (sess, pack) = k.session_mut(writer, gfid)?;
-    let r = if lpn == usize::MAX {
-        // Truncate control write: shrink to exactly `new_size` bytes.
-        let npages = (new_size as usize).div_ceil(PAGE_SIZE);
-        let r = sess.truncate_pages(pack, npages);
-        sess.set_size(new_size);
-        r
-    } else {
-        let r = sess.write_page(pack, lpn, data);
-        if r.is_ok() && new_size > sess.working().size {
-            sess.set_size(new_size);
-        }
-        r
+) {
+    let Ok((sess, pack)) = k.session_mut(writer, gfid) else {
+        return;
     };
+    if lpn == usize::MAX {
+        let _ = sess.truncate_pages(pack, (new_size as usize).div_ceil(PAGE_SIZE));
+        sess.set_size(new_size);
+    } else if sess.write_page(pack, lpn, data).is_ok() && new_size > sess.working().size {
+        sess.set_size(new_size);
+    }
     k.queue_io(fsc.net(), gfid.fg);
-    r
 }
 
 /// SS-side write handler (the one-message write protocol of §2.3.5).
@@ -235,15 +235,15 @@ pub(crate) fn handle_write_page(
     new_size: u64,
 ) -> SysResult<FsReply> {
     fsc.net().charge_cpu_at(ss, cost::PAGE_SERVICE_CPU);
-    let mut k = fsc.kernel(ss);
-    local_write_page(fsc, &mut k, from, gfid, lpn, data, new_size)?;
+    local_write_page(fsc, &mut fsc.kernel(ss), from, gfid, lpn, data, new_size);
     Ok(FsReply::Ok)
 }
 
 /// Stages a copy of a page image that has landed in `gfid`'s session at
 /// its remote SS ([`Staged`](crate::kernel::Staged)). Called only after
-/// the send succeeded, so the stage holds exactly the pages the session
-/// holds.
+/// the send was delivered, so the stage holds exactly the pages the
+/// session holds, unless a write or truncate failed there: then the
+/// session cannot commit, and `commit_at` drops the stage before asking.
 fn stage_sent(fsc: &FsCluster, us: SiteId, gfid: Gfid, lpn: usize, image: Vec<u8>) {
     let mut k = fsc.kernel(us);
     k.staged.entry(gfid).or_default().pages.insert(lpn, image);
@@ -288,9 +288,7 @@ pub fn put_page_range(
         page[in_off..in_off + take].copy_from_slice(&bytes[written..written + take]);
         let new_size = (pos + take as u64).max(old_size);
         if ss == us {
-            let mut k = fsc.kernel(us);
-            local_write_page(fsc, &mut k, us, gfid, lpn, &page, new_size)?;
-            drop(k);
+            local_write_page(fsc, &mut fsc.kernel(us), us, gfid, lpn, &page, new_size);
             fsc.net().charge_cpu_at(us, cost::PAGE_SERVICE_CPU);
         } else {
             let image = page.clone();

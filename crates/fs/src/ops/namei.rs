@@ -37,7 +37,7 @@ use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
 use crate::directory::Directory;
 use crate::mailbox::Mailbox;
-use crate::ops::io::{get_page, put_page_range};
+use crate::ops::io::{get_page, local_write_page, put_page_range};
 use crate::ops::open::{close_ticket, open_gfid};
 use crate::ops::{commit, OpenTicket};
 use crate::proto::{FsMsg, FsReply, InodeInfo, MetaUpdate, ProcFsCtx};
@@ -82,6 +82,7 @@ pub fn write_file_internal(fsc: &FsCluster, us: SiteId, gfid: Gfid, bytes: &[u8]
 }
 
 /// Shrinks the open modification session to exactly `new_size` bytes.
+/// Like a page write, a truncate that fails at the SS fails the commit.
 pub(crate) fn truncate_session_to(
     fsc: &FsCluster,
     us: SiteId,
@@ -90,7 +91,8 @@ pub(crate) fn truncate_session_to(
 ) -> SysResult<()> {
     let npages = (new_size as usize).div_ceil(PAGE_SIZE);
     if us == t.ss {
-        truncate_local(fsc, us, t.gfid, npages, new_size)
+        let mut k = fsc.kernel(us);
+        local_write_page(fsc, &mut k, us, t.gfid, usize::MAX, &[], new_size);
     } else {
         // Reuse the write protocol with a zero-length sentinel: model the
         // truncate as a one-message control write.
@@ -109,24 +111,8 @@ pub(crate) fn truncate_session_to(
         let stage = k.staged.entry(t.gfid).or_default();
         stage.pages.split_off(&npages);
         stage.npages = stage.npages.min(npages);
-        Ok(())
     }
-}
-
-/// SS-local truncate of an open session.
-pub(crate) fn truncate_local(
-    fsc: &FsCluster,
-    ss: SiteId,
-    gfid: Gfid,
-    npages: usize,
-    new_size: u64,
-) -> SysResult<()> {
-    let mut k = fsc.kernel(ss);
-    let (sess, pack) = k.session_mut(ss, gfid)?;
-    let r = sess.truncate_pages(pack, npages);
-    sess.set_size(new_size);
-    k.queue_io(fsc.net(), gfid.fg);
-    r
+    Ok(())
 }
 
 /// Runs a read-modify-write update on a directory file, preserving the

@@ -130,9 +130,6 @@ fn open_gfid_inner(
     inc.info = info.clone();
     inc.opens_here += 1;
     inc.ss = Some(ss);
-    if mode.is_write() {
-        inc.writing = true;
-    }
     Ok(OpenTicket {
         gfid,
         ss,
@@ -333,9 +330,6 @@ fn close_ticket_inner(fsc: &FsCluster, us: SiteId, t: &OpenTicket) -> SysResult<
         let mut k = fsc.kernel(us);
         let inc = k.incore_get(t.gfid).ok_or(Errno::Ebadf)?;
         inc.opens_here = inc.opens_here.saturating_sub(1);
-        if t.write {
-            inc.writing = false;
-        }
         let last = inc.opens_here == 0;
         if last {
             inc.ss = None;

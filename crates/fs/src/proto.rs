@@ -63,6 +63,16 @@ impl InodeInfo {
         d.data_here = data_here;
         d
     }
+
+    /// Copies the permissions, owner, link count and replica list into
+    /// `sess`'s working inode. Each caller sets the other fields (size,
+    /// mtime, data-here, conflict) its own way.
+    pub fn copy_meta_to(&self, sess: &mut locus_storage::ShadowSession) {
+        sess.set_perms(self.perms);
+        sess.set_owner(self.owner);
+        sess.set_nlink(self.nlink);
+        sess.set_replicas(self.replicas.clone());
+    }
 }
 
 impl From<&locus_storage::DiskInode> for InodeInfo {

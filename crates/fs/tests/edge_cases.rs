@@ -504,3 +504,95 @@ fn lost_reconfig_register_registers_nothing() {
     );
     fd::close(&fsc, s(2), held).unwrap();
 }
+
+fn read_path(fsc: &FsCluster, site: SiteId, path: &str) -> Vec<u8> {
+    let c = ctx(fsc, site);
+    let f = fd::open(fsc, site, &c, path, OpenMode::Read).unwrap();
+    let data = fd::read(fsc, site, f, 1 << 20).unwrap();
+    fd::close(fsc, site, f).unwrap();
+    data
+}
+
+/// A page write gets a low-level acknowledgement only (§2.3.5), and the
+/// commit reply answers the session (§2.3.6): a write into a full pack
+/// succeeds, and the close that commits it fails with `ENOSPC`. Every
+/// site, the writer included, still reads the old version, and the
+/// session's shadow blocks are free again. Site 0 stores a copy and is
+/// its own SS; diskless site 2 writes to a remote SS.
+#[test]
+fn a_write_into_a_full_pack_fails_its_commit_with_a_local_or_remote_ss() {
+    for writer in [s(0), s(2)] {
+        let fsc = FsClusterBuilder::new()
+            .vax_sites(3)
+            .filegroup("root", &[0, 1])
+            .blocks_per_pack(64)
+            .build();
+        let c = ctx(&fsc, writer);
+        let old = b"the old version".to_vec();
+        let f = fd::creat(
+            &fsc,
+            writer,
+            &c,
+            "/f",
+            FileType::Untyped,
+            Perms::FILE_DEFAULT,
+        )
+        .unwrap();
+        fd::write(&fsc, writer, f, &old).unwrap();
+        fd::close(&fsc, writer, f).unwrap();
+        fsc.settle();
+
+        let f = fd::open(&fsc, writer, &c, "/f", OpenMode::Write).unwrap();
+        let (fg, ss) = {
+            let k = fsc.kernel(writer);
+            let of = k.fd(f).unwrap();
+            (of.gfid.fg, of.ss)
+        };
+        assert_eq!(ss == writer, writer == s(0), "local SS only at site 0");
+        let free = || fsc.kernel(ss).pack_of_ref(fg).unwrap().free_blocks();
+        let free_before = free();
+        let big = vec![9u8; (free_before + 1) * PAGE_SIZE];
+        assert_eq!(fd::write(&fsc, writer, f, &big), Ok(big.len()));
+        assert_eq!(fd::close(&fsc, writer, f), Err(Errno::Enospc));
+        fsc.settle();
+        assert_eq!(free(), free_before, "writer {writer}: shadow blocks freed");
+        for site in [s(0), s(1), s(2)] {
+            assert_eq!(
+                read_path(&fsc, site, "/f"),
+                old,
+                "writer {writer}, reader {site}"
+            );
+        }
+    }
+}
+
+/// Delivery is still a one-way's answer: a page write whose message is
+/// lost fails the `write` with `ESITEDOWN`, so no commit goes around the
+/// missing page.
+#[test]
+fn a_lost_page_write_fails_the_write() {
+    use locus_net::{FaultPlan, FaultSpec};
+
+    let fsc = cluster();
+    let c = ctx(&fsc, s(2));
+    let old = b"the old version".to_vec();
+    let f = fd::creat(&fsc, s(2), &c, "/f", FileType::Untyped, Perms::FILE_DEFAULT).unwrap();
+    fd::write(&fsc, s(2), f, &old).unwrap();
+    fd::close(&fsc, s(2), f).unwrap();
+    fsc.settle();
+
+    let f = fd::open(&fsc, s(2), &c, "/f", OpenMode::Write).unwrap();
+    fsc.net()
+        .install_faults(FaultPlan::new(1).kind_spec("WRITE page", FaultSpec::drop_rate(1.0)));
+    assert_eq!(
+        fd::write(&fsc, s(2), f, &[5u8; PAGE_SIZE]),
+        Err(Errno::Esitedown)
+    );
+    assert_eq!(fsc.net().stats().one_way_losses("WRITE page"), 1);
+    fsc.net().clear_faults();
+    fd::close(&fsc, s(2), f).unwrap();
+    fsc.settle();
+    for site in [s(0), s(1), s(2)] {
+        assert_eq!(read_path(&fsc, site, "/f"), old, "reader {site}");
+    }
+}

@@ -250,24 +250,25 @@ impl RpcEngine {
     /// The sender does not wait for the handler: it resumes at the
     /// delivery instant, while `serve` runs as a leg forked there
     /// (`Net::fork`, shared with [`Net::overlap`]) and its service stays
-    /// booked on the destination's timelines. The handler's result still
-    /// comes back to the caller (a shortcut for the low-level
-    /// acknowledgement, DESIGN.md §6).
+    /// booked on the destination's timelines. `Ok` says only that the
+    /// message was delivered: a one-way answers nothing, so a handler's
+    /// outcome reaches the sender only in a later reply message.
     ///
     /// A send abandoned after retry exhaustion is recorded as a one-way
     /// *loss* in the statistics — notifications silently missing their
     /// destination are exactly what partition recovery reconciles, and
     /// the accounting makes the silence visible.
-    pub fn one_way<M: WireMsg, R>(
+    pub fn one_way<M: WireMsg>(
         &self,
         net: &Net,
         from: SiteId,
         to: SiteId,
         msg: M,
-        serve: impl FnOnce(M) -> R,
-    ) -> Result<R, RpcError> {
+        serve: impl FnOnce(M),
+    ) -> Result<(), RpcError> {
         if from == to {
-            return Ok(serve(msg));
+            serve(msg);
+            return Ok(());
         }
         // One span per one-way call, so "delivered exactly once, or
         // counted lost exactly once" is auditable per call rather than
@@ -284,15 +285,15 @@ impl RpcEngine {
         out
     }
 
-    fn one_way_remote<M: WireMsg, R>(
+    fn one_way_remote<M: WireMsg>(
         &self,
         net: &Net,
         span: u64,
         from: SiteId,
         to: SiteId,
         msg: M,
-        serve: impl FnOnce(M) -> R,
-    ) -> Result<R, RpcError> {
+        serve: impl FnOnce(M),
+    ) -> Result<(), RpcError> {
         let kind = msg.kind();
         let mut attempt = 0u32;
         loop {
@@ -305,7 +306,10 @@ impl RpcEngine {
                 kind,
                 msg.wire_bytes(),
             ) {
-                Ok(()) => return Ok(net.fork(|| serve(msg)).0),
+                Ok(()) => {
+                    net.fork(|| serve(msg));
+                    return Ok(());
+                }
                 // The send consumed the notice: reopen at once.
                 Err(NetError::CircuitClosed) => net.note_retry(M::SERVICE, kind),
                 Err(e) if e.is_transient() && attempt + 1 < self.policy.max_attempts => {
@@ -692,9 +696,8 @@ mod tests {
         let t0 = net.now();
         let out = engine.one_way(&net, from, to, TestMsg::Transition, |_| {
             net.charge_cpu_at(to, service);
-            5u32
         });
-        assert_eq!(out, Ok(5), "the handler's result still comes back");
+        assert_eq!(out, Ok(()), "delivered, and nothing more comes back");
         let delivered = t0 + net.latency().message_cost(64);
         assert_eq!(net.now(), delivered, "the sender waits for delivery only");
         assert_eq!(net.free_at(to, Resource::Cpu), delivered + service);

@@ -224,10 +224,7 @@ fn overwrite_copy(
         sess.set_size(bytes.len() as u64);
         sess.set_data_here(true);
     }
-    sess.set_perms(template.perms);
-    sess.set_owner(template.owner);
-    sess.set_nlink(template.nlink);
-    sess.set_replicas(template.replicas.clone());
+    template.copy_meta_to(&mut sess);
     sess.set_conflict(false);
     sess.commit(pack, vv.clone())?;
     // Recovery runs as the merge procedure, not as a system call of any

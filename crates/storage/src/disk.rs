@@ -82,8 +82,6 @@ pub struct BlockDevice {
     nblocks: u32,
     params: DiskParams,
     io_cost: Ticks,
-    reads: u64,
-    writes: u64,
 }
 
 impl BlockDevice {
@@ -95,8 +93,6 @@ impl BlockDevice {
             nblocks,
             params,
             io_cost: Ticks::ZERO,
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -172,12 +168,10 @@ impl BlockDevice {
     }
 
     fn charge_read(&mut self) {
-        self.reads += 1;
         self.io_cost += self.params.read_cost;
     }
 
     fn charge_write(&mut self) {
-        self.writes += 1;
         self.io_cost += self.params.write_cost;
     }
 }
@@ -260,7 +254,6 @@ mod tests {
         let cost = d.take_io_cost();
         assert_eq!(cost, Ticks::millis(50)); // one write + one read
         assert_eq!(d.take_io_cost(), Ticks::ZERO);
-        assert_eq!((d.reads, d.writes), (1, 1));
     }
 
     #[test]

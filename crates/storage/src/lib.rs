@@ -22,11 +22,9 @@ pub mod disk;
 pub mod inode;
 pub mod pack;
 pub mod shadow;
-pub mod superblock;
 
 pub use buffer::{BufferCache, CacheStats};
 pub use disk::{BlockContent, BlockDevice, DiskParams, PAGE_SIZE};
 pub use inode::{DiskInode, PageTable, NDIRECT};
 pub use pack::Pack;
 pub use shadow::{Committed, ShadowSession};
-pub use superblock::Superblock;

@@ -1,18 +1,18 @@
 //! Packs: physical containers of a logical filegroup.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use locus_types::{Errno, Ino, PackId, SysResult, Ticks};
 
 use crate::disk::{BlockDevice, DiskParams, PAGE_SIZE};
 use crate::inode::DiskInode;
-use crate::superblock::Superblock;
 
 /// One physical container: a slice of the filegroup's inode space, an
 /// inode table, and a block device holding the stored files' pages.
 #[derive(Debug)]
 pub struct Pack {
-    sb: Superblock,
+    id: PackId,
     dev: BlockDevice,
     itable: BTreeMap<Ino, DiskInode>,
     free_inos: BTreeSet<u32>,
@@ -20,24 +20,39 @@ pub struct Pack {
 
 impl Pack {
     /// Creates an empty pack with `nblocks` of storage.
-    pub fn new(pack: PackId, ino_range: core::ops::Range<u32>, nblocks: u32) -> Self {
-        let free_inos = ino_range.clone().collect();
+    pub fn new(pack: PackId, ino_range: Range<u32>, nblocks: u32) -> Self {
         Pack {
-            sb: Superblock::new(pack, ino_range),
+            id: pack,
             dev: BlockDevice::new(nblocks, DiskParams::default()),
             itable: BTreeMap::new(),
-            free_inos,
+            free_inos: ino_range.collect(),
         }
+    }
+
+    /// Splits an inode space of `total` inodes evenly across `npacks`
+    /// packs, giving pack `idx` its slice: "the entire inode space of a
+    /// filegroup is partitioned so that each physical container for the
+    /// filegroup has a collection of inode numbers that it can allocate"
+    /// (§2.3.7). Inode 0 is never allocated (reserved, as in Unix); inode
+    /// 1 is the conventional root directory and always belongs to pack
+    /// 0's slice.
+    pub fn partition_ino_space(total: u32, npacks: u32, idx: u32) -> Range<u32> {
+        debug_assert!(idx < npacks);
+        let usable = total - 1; // ino 0 reserved
+        let per = usable / npacks;
+        let lo = 1 + idx * per;
+        let hi = if idx == npacks - 1 { total } else { lo + per };
+        lo..hi
     }
 
     /// This pack's identifier.
     pub fn id(&self) -> PackId {
-        self.sb.pack
+        self.id
     }
 
     /// The pack index used as version-vector update origin.
     pub fn origin(&self) -> u32 {
-        self.sb.pack.idx
+        self.id.idx
     }
 
     /// Allocates an inode number from this pack's private slice (§2.3.7).
@@ -118,12 +133,6 @@ impl Pack {
         &mut self.itable
     }
 
-    /// Bumps and returns the commit sequence number.
-    pub(crate) fn next_commit_seq(&mut self) -> u64 {
-        self.sb.commit_seq += 1;
-        self.sb.commit_seq
-    }
-
     /// Writes `data` as the complete contents of `ino` in one shadow
     /// commit, leaving the version vector untouched (caller manages it).
     /// Convenience for tests and image building.
@@ -174,6 +183,30 @@ mod tests {
 
     fn pack() -> Pack {
         Pack::new(PackId::new(FilegroupId(0), 0), 1..50, 256)
+    }
+
+    #[test]
+    fn ino_space_partition_is_disjoint_and_covering() {
+        let total = 100;
+        let npacks = 3;
+        let mut seen = vec![false; total as usize];
+        for idx in 0..npacks {
+            for i in Pack::partition_ino_space(total, npacks, idx) {
+                assert!(!seen[i as usize], "ino {i} allocated to two packs");
+                seen[i as usize] = true;
+            }
+        }
+        assert!(!seen[0], "ino 0 must stay reserved");
+        assert!(
+            seen[1..].iter().all(|&s| s),
+            "every ino must be allocatable"
+        );
+    }
+
+    #[test]
+    fn root_ino_belongs_to_pack_zero() {
+        let r = Pack::partition_ino_space(64, 4, 0);
+        assert!(r.contains(&1));
     }
 
     #[test]

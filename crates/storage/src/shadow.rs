@@ -40,6 +40,10 @@ pub struct ShadowSession {
     free_on_commit: Vec<BlockNo>,
     /// Whether the indirect block has been shadowed.
     indirect_shadowed: bool,
+    /// The first error a page write or truncate of this session met. A
+    /// session that lost a change cannot commit: its commit aborts and
+    /// returns this error, the reply a write's sender gets (§2.3.5–2.3.6).
+    failed: Option<Errno>,
 }
 
 /// What a commit changed in the pack's page contents — what a buffer
@@ -67,6 +71,7 @@ impl ShadowSession {
             truncated_to: usize::MAX,
             free_on_commit: Vec::new(),
             indirect_shadowed: false,
+            failed: None,
         })
     }
 
@@ -98,8 +103,14 @@ impl ShadowSession {
 
     /// Writes one logical page. The first write to a page allocates a
     /// shadow block; later writes to the same page reuse it in place. A
-    /// write that fails (`Enospc`) leaves the session as it was.
+    /// write that fails (`Enospc`) leaves the session's pages as they
+    /// were, and the session can no longer commit.
     pub fn write_page(&mut self, pack: &mut Pack, lpn: usize, bytes: &[u8]) -> SysResult<()> {
+        let r = self.try_write_page(pack, lpn, bytes);
+        self.note(r)
+    }
+
+    fn try_write_page(&mut self, pack: &mut Pack, lpn: usize, bytes: &[u8]) -> SysResult<()> {
         if lpn >= NDIRECT + NINDIRECT {
             return Err(Errno::Einval);
         }
@@ -122,8 +133,14 @@ impl ShadowSession {
     }
 
     /// Unmaps every page at or beyond `npages` (shrinking truncate). A
-    /// truncate that fails (`Enospc`) leaves the session as it was.
+    /// truncate that fails (`Enospc`) leaves the session's pages as they
+    /// were, and the session can no longer commit.
     pub fn truncate_pages(&mut self, pack: &mut Pack, npages: usize) -> SysResult<()> {
+        let r = self.try_truncate_pages(pack, npages);
+        self.note(r)
+    }
+
+    fn try_truncate_pages(&mut self, pack: &mut Pack, npages: usize) -> SysResult<()> {
         let mapped = self.work.pages.mapped_pages(pack.dev_mut())?;
         // Last page first: only the first indirect-range unmap can fail
         // (it clones the indirect block), and then nothing is unmapped yet.
@@ -141,6 +158,14 @@ impl ShadowSession {
             }
         }
         Ok(())
+    }
+
+    /// Remembers the first failure among this session's changes.
+    fn note(&mut self, r: SysResult<()>) -> SysResult<()> {
+        if let Err(e) = r {
+            self.failed.get_or_insert(e);
+        }
+        r
     }
 
     /// Sets the working file size.
@@ -216,8 +241,14 @@ impl ShadowSession {
     /// Atomically installs the working inode with `new_vv` as the file's
     /// version vector, releasing replaced blocks. This is the single
     /// atomic step of §2.3.6. Hands back the buffers of the pages it
-    /// installed (see [`Committed`]).
+    /// installed (see [`Committed`]). A session whose page write or
+    /// truncate failed is aborted instead, and its first error returned:
+    /// the file stays at its previous version.
     pub fn commit(mut self, pack: &mut Pack, new_vv: VersionVector) -> SysResult<Committed> {
+        if let Some(e) = self.failed {
+            self.abort(pack)?;
+            return Err(e);
+        }
         self.work.vv = new_vv;
         let committed = if self.work.deleted {
             // The shadow blocks are mapped, so they are freed with
@@ -248,7 +279,6 @@ impl ShadowSession {
             pack.dev_mut().free(bno)?;
         }
         pack.itable_mut().insert(self.ino, self.work);
-        pack.next_commit_seq();
         Ok(committed)
     }
 
@@ -541,7 +571,8 @@ mod tests {
     fn a_write_that_runs_out_of_blocks_changes_no_commit() {
         // One block is free: the shadow data page takes it, the shadow
         // indirect block finds none. The commit after the failed write
-        // must free neither the old page nor the old indirect block.
+        // fails with it, and frees neither the old page nor the old
+        // indirect block.
         let file: Vec<u8> = (0..=NDIRECT)
             .flat_map(|lpn| vec![lpn as u8; PAGE_SIZE])
             .collect();
@@ -551,19 +582,20 @@ mod tests {
         assert_eq!(s.write_page(&mut p, NDIRECT, b"tail"), Err(Errno::Enospc));
         assert!(s.modified_pages().is_empty());
         let vv = s.working().vv.clone();
-        s.commit(&mut p, vv).unwrap();
+        assert_eq!(s.commit(&mut p, vv).err(), Some(Errno::Enospc));
         p.fsck().unwrap();
         assert_eq!(p.read_all(ino).unwrap(), file);
         assert_eq!(p.free_blocks(), 1);
 
         // With no block free, a truncate cannot clone the indirect block
-        // to unmap its page, and the commit after it keeps every page.
+        // to unmap its page, and the commit after it fails and keeps
+        // every page.
         let (mut p, ino) = pack_of(NDIRECT as u32 + 2, &file);
         let mut s = ShadowSession::begin(&p, ino).unwrap();
         assert_eq!(s.truncate_pages(&mut p, 5), Err(Errno::Enospc));
         assert!(!s.cut_pages());
         let vv = s.working().vv.clone();
-        s.commit(&mut p, vv).unwrap();
+        assert_eq!(s.commit(&mut p, vv).err(), Some(Errno::Enospc));
         p.fsck().unwrap();
         assert_eq!(p.read_all(ino).unwrap(), file);
     }
