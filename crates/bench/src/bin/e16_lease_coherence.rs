@@ -18,7 +18,8 @@
 //! * warm 4-deep resolve and warm leaf stat, VvCheck-only vs leased
 //!   (claims: 8 → 0 and 2 → 0 messages per call);
 //! * the first-touch cost: the probe that grants the lease must cost
-//!   exactly what the pull-validation probe already cost;
+//!   exactly what the pull-validation probe already cost; the resolve
+//!   leases the directories and the first stat the leaf;
 //! * the recall fan-out: every other site takes leases on the same
 //!   path, one write commits at the storage site, and the recall
 //!   round (2 messages per holder) must reach and ack every holder —
@@ -310,13 +311,17 @@ fn main() {
             m.resolve_cold, base.resolve_cold,
             "lease grant must add no messages to the cold fill"
         );
-        // The resolve's leaf interrogation already granted the attr
-        // lease, so even the *first* stat is free — pull validation
-        // pays its 2-message probe here.
-        assert_eq!(base.stat_cold, 2, "VvCheck first stat still probes");
+        // A search interrogates no inode (each entry carries its file's
+        // type), so the first stat is the first touch of the leaf's
+        // attributes in both modes: a probe that misses, then the
+        // open/close pair. With leases on, that probe takes the leaf's
+        // lease. Resolve and stat together cost less than the resolve
+        // alone did when it stat-ed every component (56 messages).
+        assert_eq!(base.stat_cold, 6, "VvCheck first stat still probes");
+        assert_eq!(m.stat_cold, 6, "the first stat takes the leaf's lease");
         assert_eq!(
-            m.stat_cold, 0,
-            "the resolve pass leases the leaf, so the first stat is free"
+            m.resolve_cold, 32,
+            "the cold fill opens, reads and closes 4 directories, after a probe each"
         );
         // At scale: a full warm round is free, and one write recalls
         // exactly the holders (request + ack each).

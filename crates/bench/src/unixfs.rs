@@ -40,8 +40,8 @@ impl UnixFs {
             DiskInode::new(FileType::Directory, Perms::DIR_DEFAULT, 0),
         );
         let mut d = Directory::new();
-        d.insert(".", root).expect("fresh");
-        d.insert("..", root).expect("fresh");
+        d.insert(".", root, FileType::Directory).expect("fresh");
+        d.insert("..", root, FileType::Directory).expect("fresh");
         pack.write_all(root, &d.serialize()).expect("mkfs");
         pack.take_io_cost();
         UnixFs {
@@ -89,7 +89,7 @@ impl UnixFs {
         );
         let bytes = self.pack.read_all(self.root)?;
         let mut d = Directory::parse(&bytes)?;
-        d.insert(name, ino)?;
+        d.insert(name, ino, FileType::Untyped)?;
         self.pack.write_all(self.root, &d.serialize())?;
         let io = self.pack.take_io_cost();
         self.charge(io);

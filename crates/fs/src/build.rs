@@ -211,8 +211,10 @@ impl FsClusterBuilder {
         let mut root_dirs: Vec<Directory> = Vec::new();
         for fgp in &mut packs {
             let mut d = Directory::new();
-            d.insert(".", Ino(1)).expect("fresh directory");
-            d.insert("..", Ino(1)).expect("fresh directory");
+            d.insert(".", Ino(1), FileType::Directory)
+                .expect("fresh directory");
+            d.insert("..", Ino(1), FileType::Directory)
+                .expect("fresh directory");
             root_dirs.push(d);
             for pack in fgp.iter_mut() {
                 let mut inode = DiskInode::new(FileType::Directory, Perms::DIR_DEFAULT, 0);
@@ -240,7 +242,7 @@ impl FsClusterBuilder {
                 pack.install_inode(stub_ino, inode);
             }
             root_dirs[0]
-                .insert(name, stub_ino)
+                .insert(name, stub_ino, FileType::Directory)
                 .unwrap_or_else(|_| panic!("duplicate mount point {path}"));
             mount_points[fgi] = Some(Gfid::new(FilegroupId(0), stub_ino));
         }

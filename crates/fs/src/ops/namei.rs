@@ -153,14 +153,17 @@ pub fn readdir(
     path: &str,
 ) -> SysResult<Vec<(String, Ino)>> {
     let gfid = resolve(fsc, us, ctx, path)?;
-    let (d, _) = dir_for_search(fsc, us, gfid, |info| {
-        if info.ftype.is_directory_like() {
-            Ok(())
-        } else {
-            Err(Errno::Enotdir)
-        }
-    })?;
+    let (d, _) = dir_for_search(fsc, us, gfid, require_dir)?;
     Ok(d.live().map(|e| (e.name.clone(), e.ino)).collect())
+}
+
+/// The type check of a directory read for its entries.
+fn require_dir(info: &InodeInfo) -> SysResult<()> {
+    if info.ftype.is_directory_like() {
+        Ok(())
+    } else {
+        Err(Errno::Enotdir)
+    }
 }
 
 /// Stats a file by path.
@@ -354,23 +357,6 @@ fn dir_for_search(
     Ok((dir, t.info))
 }
 
-/// The file type of `child`, looked up in `dir`: remembered alongside the
-/// cached directory when possible (a type change requires freeing the
-/// inode, which removes the entry and bumps the directory version first),
-/// a full [`stat_gfid`] otherwise.
-fn child_type(fsc: &FsCluster, us: SiteId, dir: Gfid, child: Gfid) -> SysResult<FileType> {
-    if fsc.coherence() != Coherence::Off {
-        if let Some(t) = fsc.kernel(us).name_cache.child_type(dir, child.ino) {
-            return Ok(t);
-        }
-    }
-    let info = stat_gfid(fsc, us, child)?;
-    fsc.with_kernel(us, |k| {
-        k.name_cache.remember_child_type(dir, child.ino, info.ftype);
-    });
-    Ok(info.ftype)
-}
-
 /// Splits a path into its parent directory path and final component.
 fn split_parent(path: &str) -> SysResult<(&str, &str)> {
     let trimmed = path.trim_end_matches('/');
@@ -432,11 +418,12 @@ fn resolve_inner(fsc: &FsCluster, us: SiteId, ctx: &ProcFsCtx, path: &str) -> Sy
             }
             Ok(())
         })?;
-        let ino = dir.lookup(name).ok_or(Errno::Enoent)?;
+        let (ino, ftype) = dir.lookup_typed(name).ok_or(Errno::Enoent)?;
         let mut next = Gfid::new(cur.fg, ino);
 
-        // Hidden-directory indirection (§2.4.1).
-        if !escape && child_type(fsc, us, cur, next)? == FileType::HiddenDirectory {
+        // Hidden-directory indirection (§2.4.1): the entry's record says
+        // what it names, so the search interrogates no inode.
+        if !escape && ftype == FileType::HiddenDirectory {
             next = resolve_hidden(fsc, us, ctx, next)?;
         }
         trail.push(cur);
@@ -580,7 +567,7 @@ pub fn create(
     }
 
     // Insert the name; undo the create if the name already exists.
-    if let Err(e) = dir_update(fsc, us, dirg, |d| d.insert(name, ino)) {
+    if let Err(e) = dir_update(fsc, us, dirg, |d| d.insert(name, ino, ftype)) {
         let _ = unlink_gfid(fsc, us, gfid);
         return Err(e);
     }
@@ -588,8 +575,8 @@ pub fn create(
     // A new directory needs its `.` and `..` entries.
     if ftype.is_directory_like() {
         dir_update(fsc, us, gfid, |d| {
-            d.insert(".", ino)?;
-            d.insert("..", dirg.ino)
+            d.insert(".", ino, ftype)?;
+            d.insert("..", dirg.ino, parent.ftype)
         })?;
     }
     Ok(gfid)
@@ -708,7 +695,7 @@ pub fn link(
     if dirg.fg != target.fg {
         return Err(Errno::Exdev);
     }
-    dir_update(fsc, us, dirg, |d| d.insert(name, target.ino))?;
+    dir_update(fsc, us, dirg, |d| d.insert(name, target.ino, info.ftype))?;
     set_meta(
         fsc,
         us,
@@ -720,10 +707,11 @@ pub fn link(
     )
 }
 
-/// Renames within one filegroup. The destination must not exist.
+/// Renames within one filegroup. The destination must not exist. The
+/// source entry is read from its directory, so the record moves as it
+/// is: inode number and file type, a hidden directory included.
 pub fn rename(fsc: &FsCluster, us: SiteId, ctx: &ProcFsCtx, from: &str, to: &str) -> SysResult<()> {
     fsc.net().charge_cpu_at(us, cost::SYSCALL_CPU);
-    let target = resolve(fsc, us, ctx, from)?;
     let (from_parent, from_name) = split_parent(from)?;
     let (to_parent, to_name) = split_parent(to)?;
     let from_dir = resolve(fsc, us, ctx, from_parent)?;
@@ -734,7 +722,9 @@ pub fn rename(fsc: &FsCluster, us: SiteId, ctx: &ProcFsCtx, from: &str, to: &str
     if from_dir == to_dir {
         return dir_update(fsc, us, from_dir, |d| d.rename(from_name, to_name));
     }
-    dir_update(fsc, us, to_dir, |d| d.insert(to_name, target.ino))?;
+    let (dir, _) = dir_for_search(fsc, us, from_dir, require_dir)?;
+    let (ino, ftype) = dir.lookup_typed(from_name).ok_or(Errno::Enoent)?;
+    dir_update(fsc, us, to_dir, |d| d.insert(to_name, ino, ftype))?;
     dir_update(fsc, us, from_dir, |d| {
         d.remove(from_name)?;
         Ok(())

@@ -33,10 +33,11 @@
 use std::collections::BTreeSet;
 
 use locus_fs::ops::cleanup::cleanup_site;
+use locus_fs::ops::namei;
 use locus_fs::{css_handoff, probation_probe, FsCluster, FsClusterBuilder};
 use locus_net::{FaultPlan, FaultSpec, HealthPolicy, RetryPolicy, SimRng, SiteHealth};
 use locus_testkit::{
-    finish, replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
+    ctx, finish, replays_identically, run_schedules_parallel, seed_set, Observation, VersionedFile,
 };
 use locus_types::{FilegroupId, SiteId, Ticks};
 
@@ -72,10 +73,14 @@ fn build_cluster() -> FsCluster {
 
 /// Seeds `/leased` at version 0 on a pristine network, then warms every
 /// reader through two passes so each holds dentry and attribute leases.
+/// A read's pathname search leases the directories; the `stat` leases
+/// the file itself (a search interrogates no inode).
 fn seed_and_warm(fsc: &FsCluster, seed: u64) -> Result<(), String> {
     LEASED.create(fsc, WRITER, seed)?;
     fsc.settle();
     for r in READERS {
+        namei::stat(fsc, SiteId(r), &ctx(fsc, SiteId(r)), LEASED.path)
+            .map_err(|e| format!("seed {seed}: warm stat at S{r} failed: {e:?}"))?;
         for _ in 0..2 {
             let v = LEASED
                 .read(fsc, SiteId(r))

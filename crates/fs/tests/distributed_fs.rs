@@ -452,6 +452,33 @@ fn hidden_directories_select_by_machine_type() {
     let entries = namei::readdir(&fsc, s(0), &vax_ctx, "/bin/who@").unwrap();
     let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
     assert!(names.contains(&"vax") && names.contains(&"45"));
+
+    // A rename into another directory moves the hidden directory's own
+    // record, type included, so each context still selects its module
+    // under the new name.
+    namei::create(
+        &fsc,
+        s(0),
+        &c0,
+        "/usr",
+        FileType::Directory,
+        Perms::DIR_DEFAULT,
+    )
+    .unwrap();
+    namei::rename(&fsc, s(0), &c0, "/bin/who", "/usr/who").unwrap();
+    fsc.settle();
+    for (site, c, module) in [
+        (s(0), &vax_ctx, &b"VAX LOAD MODULE"[..]),
+        (s(1), &pdp_ctx, &b"PDP-11 LOAD MODULE"[..]),
+    ] {
+        let f = fd::open(&fsc, site, c, "/usr/who", OpenMode::Read).unwrap();
+        assert_eq!(fd::read(&fsc, site, f, 64).unwrap(), module);
+        fd::close(&fsc, site, f).unwrap();
+    }
+    assert_eq!(
+        namei::resolve(&fsc, s(0), &vax_ctx, "/bin/who").unwrap_err(),
+        Errno::Enoent
+    );
 }
 
 #[test]

@@ -85,7 +85,7 @@ impl NetStats {
     ) -> &mut KindStats {
         let row = self.kinds.entry(kind).or_default();
         if service.is_some() {
-            debug_assert!(
+            assert!(
                 row.service.is_none() || row.service == service,
                 "kind {kind:?} sent by both {:?} and {service:?}",
                 row.service

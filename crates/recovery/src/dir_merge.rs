@@ -21,8 +21,10 @@
 //! Rules b and d interrogate the *file* inode; the file-level pass of
 //! [`crate::filegroup`] runs first and resolves delete-versus-modify, so
 //! this function receives a `file_alive` oracle reflecting that outcome.
-//! Link handling falls out naturally: entries are `(name, ino)` records,
-//! so one inode reachable under several names merges per-record.
+//! Link handling falls out naturally: entries are `(name, ino, type)`
+//! records, so one inode reachable under several names merges per-record,
+//! and every entry the merge writes, a conflict rename included, keeps
+//! the type its record carried.
 
 use locus_fs::directory::{DirEntry, Directory};
 use locus_types::Ino;
@@ -76,9 +78,14 @@ pub fn merge_directories(
                 if !file_alive(*ino) {
                     continue;
                 }
+                let ftype = recs
+                    .iter()
+                    .find(|r| r.ino == *ino)
+                    .expect("a live record binds it")
+                    .ftype;
                 let new = format!("{name}@{}", ino.0);
                 merged
-                    .insert(&new, *ino)
+                    .insert(&new, *ino, ftype)
                     .expect("renamed entries are unique");
                 new_names.push((new, *ino));
             }
@@ -90,13 +97,14 @@ pub fn merge_directories(
         // name binds different inodes and only one is live (deleted in
         // one partition, recreated under the same name in the other),
         // the live binding is the one the merged directory carries.
-        let live_ino = recs.iter().find(|r| !r.removed).map(|r| r.ino);
+        let live = recs.iter().find(|r| !r.removed);
         // Tombstone-only records with disagreeing inodes (both partitions
         // deleted different files of this name) keep the smallest inode
         // deterministically — the binding is dead either way.
-        let Some(ino) = live_ino.or_else(|| recs.iter().map(|r| r.ino).min()) else {
+        let Some(rec) = live.or_else(|| recs.iter().min_by_key(|r| r.ino)) else {
             continue;
         };
+        let (ino, ftype) = (rec.ino, rec.ftype);
         // 2a/2c keep a live entry while the file is alive; 2b/2d let the
         // delete win unless the file survived reconciliation (modified
         // since the delete). A name that is a tombstone in every copy
@@ -105,11 +113,13 @@ pub fn merge_directories(
         // interrogated for every name, live record or not: the oracle's
         // inventory traffic is part of what a merge costs.
         let alive = file_alive(ino);
-        if live_ino.is_some() && alive {
-            merged.insert(&name, ino).expect("names are unique here");
+        if live.is_some() && alive {
+            merged
+                .insert(&name, ino, ftype)
+                .expect("names are unique here");
         } else {
             // Keep the tombstone so later merges still see the delete.
-            merged.insert(&name, ino).expect("unique");
+            merged.insert(&name, ino, ftype).expect("unique");
             merged.remove(&name).expect("just inserted");
         }
     }
@@ -120,11 +130,12 @@ pub fn merge_directories(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locus_types::FileType;
 
     fn dir(entries: &[(&str, u32, bool)]) -> Directory {
         let mut d = Directory::new();
         for &(name, ino, removed) in entries {
-            d.insert(name, Ino(ino)).unwrap();
+            d.insert(name, Ino(ino), FileType::Untyped).unwrap();
             if removed {
                 d.remove(name).unwrap();
             }
@@ -187,6 +198,29 @@ mod tests {
         assert_eq!(r.renames.len(), 1);
         assert_eq!(r.renames[0].0, "x");
         assert_eq!(r.renames[0].1.len(), 2);
+    }
+
+    #[test]
+    fn conflict_rename_keeps_each_entry_type() {
+        // Each partition created a different `who`: one a hidden
+        // directory, one a plain file. The renamed entries keep their
+        // types, so a search still finds the hidden directory by its
+        // record alone.
+        let mut a = Directory::new();
+        a.insert("who", Ino(10), FileType::HiddenDirectory).unwrap();
+        let mut b = Directory::new();
+        b.insert("who", Ino(20), FileType::Untyped).unwrap();
+        let r = merge_directories(&[a, b], |_| true);
+        assert_eq!(
+            r.merged.lookup_typed("who@10"),
+            Some((Ino(10), FileType::HiddenDirectory))
+        );
+        assert_eq!(
+            r.merged.lookup_typed("who@20"),
+            Some((Ino(20), FileType::Untyped))
+        );
+        let again = merge_directories(&[r.merged.clone(), r.merged.clone()], |_| true);
+        assert_eq!(again.merged, r.merged, "and a re-merge keeps them");
     }
 
     #[test]

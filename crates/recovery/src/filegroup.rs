@@ -9,7 +9,9 @@ use locus_fs::proto::{FsMsg, InodeInfo};
 use locus_fs::FsCluster;
 use locus_net::RpcEngine;
 use locus_storage::{Pack, ShadowSession, PAGE_SIZE};
-use locus_types::{Errno, FileType, FilegroupId, Gfid, Ino, SiteId, SysResult, VersionVector};
+use locus_types::{
+    Errno, FileType, FilegroupId, Gfid, Ino, SiteId, SysResult, VersionVector, VvOrder,
+};
 
 use crate::conflicts::{mark_conflict, notify_owner};
 use crate::dir_merge::merge_directories;
@@ -101,10 +103,15 @@ impl Inventory {
             .is_some_and(|c| c.info.ftype.is_directory_like())
     }
 
-    /// Whether any known copy of `ino` is live (not deleted) — the
-    /// "interrogate the inode" oracle for directory-merge rules b/d.
+    /// Whether a current copy of `ino` is live (not deleted) — the
+    /// "interrogate the inode" oracle for directory-merge rules b/d. A
+    /// copy some other copy dominates is stale: a delete that dominates
+    /// it wins, however live the stale copy still looks.
     fn alive(&self, ino: Ino) -> bool {
-        self.copies(ino).iter().any(|c| !c.info.deleted)
+        let copies = self.copies(ino);
+        copies
+            .iter()
+            .any(|c| !c.info.deleted && is_maximal(c, copies))
     }
 
     /// Owner of a file, defaulting to root when unknown.
@@ -122,6 +129,14 @@ impl Inventory {
             }
         }
     }
+}
+
+/// Whether no copy in `copies` dominates `c` under the version-vector
+/// order.
+fn is_maximal(c: &CopyView, copies: &[CopyView]) -> bool {
+    copies
+        .iter()
+        .all(|o| o.info.vv.compare(&c.info.vv) != VvOrder::Dominates)
 }
 
 /// One inventory row: the inode's state in `pack` and whether the data
@@ -216,11 +231,15 @@ fn overwrite_copy(
     }
     if let (false, Some(bytes), true) = (deleted, bytes, is_replica) {
         let npages = bytes.len().div_ceil(PAGE_SIZE);
+        // A failed write or truncate fails the commit below, which
+        // aborts the session and frees its blocks.
         for lpn in 0..npages {
             let chunk = &bytes[lpn * PAGE_SIZE..((lpn + 1) * PAGE_SIZE).min(bytes.len())];
-            sess.write_page(pack, lpn, chunk)?;
+            if sess.write_page(pack, lpn, chunk).is_err() {
+                break;
+            }
         }
-        sess.truncate_pages(pack, npages)?;
+        let _ = sess.truncate_pages(pack, npages);
         sess.set_size(bytes.len() as u64);
         sess.set_data_here(true);
     }
@@ -344,14 +363,7 @@ fn reconcile_file_inner(
     };
 
     // Find the maximal versions under the version-vector order.
-    let maximal: Vec<&CopyView> = copies
-        .iter()
-        .filter(|c| {
-            copies
-                .iter()
-                .all(|o| !(o.info.vv.compare(&c.info.vv) == locus_types::VvOrder::Dominates))
-        })
-        .collect();
+    let maximal: Vec<&CopyView> = copies.iter().filter(|c| is_maximal(c, &copies)).collect();
     let distinct: Vec<&CopyView> = {
         let mut seen: Vec<&CopyView> = Vec::new();
         for c in &maximal {
@@ -435,7 +447,9 @@ fn reconcile_file_inner(
                             .collect()
                     });
                     if others.iter().any(|d| d.lookup(&rec.name).is_some()) {
-                        corrected.insert(&rec.name, rec.ino).expect("name free");
+                        corrected
+                            .insert(&rec.name, rec.ino, rec.ftype)
+                            .expect("name free");
                         changed = true;
                     }
                 }

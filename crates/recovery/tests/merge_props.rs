@@ -7,14 +7,23 @@ use locus_fs::directory::Directory;
 use locus_fs::mailbox::Mailbox;
 use locus_recovery::dir_merge::merge_directories;
 use locus_recovery::mail_merge::merge_mailboxes;
-use locus_types::Ino;
+use locus_types::{FileType, Ino};
 use proptest::prelude::*;
+
+/// The type of each inode: one per inode, as in a filegroup.
+fn ftype_of(ino: Ino) -> FileType {
+    [
+        FileType::Untyped,
+        FileType::Directory,
+        FileType::HiddenDirectory,
+    ][ino.0 as usize % 3]
+}
 
 fn arb_dir() -> impl Strategy<Value = Directory> {
     proptest::collection::vec(("[a-f]{1,3}", 1u32..8, any::<bool>()), 0..8).prop_map(|ops| {
         let mut d = Directory::new();
         for (name, ino, removed) in ops {
-            let _ = d.insert(&name, Ino(ino));
+            let _ = d.insert(&name, Ino(ino), ftype_of(Ino(ino)));
             if removed {
                 let _ = d.remove(&name);
             }
@@ -72,6 +81,14 @@ proptest! {
                         .any(|m| m.ino == e.ino && m.name.starts_with(e.name.as_str()));
                 prop_assert!(survives, "live entry {}->{} lost", e.name, e.ino);
             }
+        }
+    }
+
+    #[test]
+    fn dir_merge_keeps_every_entry_type(a in arb_dir(), b in arb_dir()) {
+        let out = merge_directories(&[a, b], alive);
+        for e in out.merged.records() {
+            prop_assert_eq!(e.ftype, ftype_of(e.ino), "{} lost its type", e.name);
         }
     }
 

@@ -196,12 +196,26 @@ fn delete_in_one_partition_propagates() {
     fsc.settle();
     let report = merge_and_recover(&fsc);
     assert_eq!(report.conflict_count(), 0);
+    fsc.settle();
+    // §4.4 rule 2b: the delete dominates the other partition's stale
+    // live copy, so the name stays removed — it is neither listed nor
+    // found, and may be created afresh.
     for site in [s(0), s(1), s(2)] {
         let c = ctx(&fsc, site);
         assert_eq!(
             namei::resolve(&fsc, site, &c, "/dead").unwrap_err(),
             Errno::Enoent
         );
+        let names = namei::readdir(&fsc, site, &c, "/").unwrap();
+        assert!(
+            names.iter().all(|(n, _)| n != "dead"),
+            "the deleted name is listed at {site}: {names:?}"
+        );
+    }
+    write_str(&fsc, s(1), "/dead", b"reborn");
+    fsc.settle();
+    for site in [s(0), s(1), s(2)] {
+        assert_eq!(read_str(&fsc, site, "/dead"), b"reborn");
     }
 }
 

@@ -135,15 +135,19 @@ impl Pack {
 
     /// Writes `data` as the complete contents of `ino` in one shadow
     /// commit, leaving the version vector untouched (caller manages it).
-    /// Convenience for tests and image building.
+    /// Convenience for tests and image building. A write that fails
+    /// (`Enospc`) ends the loop; the commit then aborts the session,
+    /// freeing every block it took, and returns that error.
     pub fn write_all(&mut self, ino: Ino, data: &[u8]) -> SysResult<()> {
         let mut sess = crate::shadow::ShadowSession::begin(self, ino)?;
         let npages = data.len().div_ceil(PAGE_SIZE);
         for lpn in 0..npages {
             let chunk = &data[lpn * PAGE_SIZE..((lpn + 1) * PAGE_SIZE).min(data.len())];
-            sess.write_page(self, lpn, chunk)?;
+            if sess.write_page(self, lpn, chunk).is_err() {
+                break;
+            }
         }
-        sess.truncate_pages(self, npages)?;
+        let _ = sess.truncate_pages(self, npages);
         sess.set_size(data.len() as u64);
         let vv = sess.working().vv.clone();
         sess.commit(self, vv)?;
@@ -246,6 +250,24 @@ mod tests {
         p.write_all(ino, b"tiny").unwrap();
         assert!(p.free_blocks() > free_after_big);
         assert_eq!(p.read_all(ino).unwrap(), b"tiny");
+        p.fsck().unwrap();
+    }
+
+    #[test]
+    fn a_write_all_that_runs_out_of_space_frees_every_block() {
+        let mut p = Pack::new(PackId::new(FilegroupId(0), 0), 1..50, 12);
+        let ino = p.alloc_ino().unwrap();
+        p.install_inode(
+            ino,
+            DiskInode::new(FileType::Untyped, Perms::FILE_DEFAULT, 0),
+        );
+        assert_eq!(p.free_blocks(), 12);
+        assert_eq!(
+            p.write_all(ino, &vec![7u8; 20 * PAGE_SIZE]),
+            Err(Errno::Enospc)
+        );
+        assert_eq!(p.free_blocks(), 12, "the aborted session leaks no block");
+        assert_eq!(p.read_all(ino).unwrap(), b"", "the file is as it was");
         p.fsck().unwrap();
     }
 

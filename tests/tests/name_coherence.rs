@@ -212,12 +212,15 @@ fn a_kept_lease_never_outlives_a_version_its_partition_lost() {
     }
 }
 
-/// With no namespace change, a warm diskless site's resolve after each
-/// reconfiguration costs nothing where the filegroup's CSS stayed (leases
-/// on: the marks survive) and one `VV check` round trip per component
-/// where it moved — the entries survived either way — and no open or
-/// page read. Site 3 is partitioned with the CSS, site 0, throughout;
-/// site 2 answers to site 1 while split and was not with site 0 then.
+/// With no namespace change, a warm diskless site's resolve and the
+/// stat of what it found after each reconfiguration cost nothing where
+/// the filegroup's CSS stayed (leases on: the marks survive) and one
+/// `VV check` round trip per directory searched, plus one for the file's
+/// attributes, where it moved — the entries survived either way — and no open or page read.
+/// The search itself interrogates no inode: the directory entries carry
+/// their files' types. Site 3 is partitioned with the CSS, site 0,
+/// throughout; site 2 answers to site 1 while split and was not with
+/// site 0 then.
 #[test]
 fn warm_cache_survives_split_and_heal() {
     for leases in [false, true] {
@@ -230,6 +233,9 @@ fn warm_cache_survives_split_and_heal() {
         c.settle();
         let leaf = c.resolve(p3, "/a/b/f").unwrap();
         assert_eq!(c.resolve(p2, "/a/b/f").unwrap(), leaf);
+        for pid in [p3, p2] {
+            assert_eq!(c.stat(pid, "/a/b/f").unwrap().size, 4);
+        }
 
         let split = || c.partition(&[vec![s(0), s(3)], vec![s(1), s(2)]]);
         for topology_change in [&split as &dyn Fn(), &|| c.heal()] {
@@ -242,19 +248,23 @@ fn warm_cache_survives_split_and_heal() {
             assert_eq!(holders.into_iter().collect::<Vec<_>>(), kept);
             assert_eq!(c.fs().kernel(s(2)).name_cache.leases_held(), 0);
             for (pid, site, stayed) in [(p3, s(3), true), (p2, s(2), false)] {
+                let probed = !(leases && stayed);
                 c.net().reset_stats();
                 assert_eq!(c.resolve(pid, "/a/b/f").unwrap(), leaf);
                 let st = c.net().stats();
-                let probes = if leases && stayed { 0 } else { 3 };
+                let probes = if probed { 3 } else { 0 };
                 assert_eq!(st.sends("VV check"), probes, "leases={leases} {site}");
                 assert_eq!(st.total_sends(), 2 * probes, "leases={leases} {site}");
-                // In lease mode the probes hold the directories' leases
-                // now; kept marks also cover the leaf's attributes.
-                let held = match (leases, stayed) {
-                    (false, _) => 0,
-                    (true, true) => 4,
-                    (true, false) => 3,
-                };
+                c.net().reset_stats();
+                let info = locus_fs::ops::namei::stat_gfid(c.fs(), site, leaf).unwrap();
+                assert_eq!(info.size, 4);
+                let st = c.net().stats();
+                let probes = if probed { 1 } else { 0 };
+                assert_eq!(st.sends("VV check"), probes, "leases={leases} {site}");
+                assert_eq!(st.total_sends(), 2 * probes, "leases={leases} {site}");
+                // In lease mode the probes hold the directories' and the
+                // file's leases now; kept marks cover the same four.
+                let held = if leases { 4 } else { 0 };
                 assert_eq!(c.fs().kernel(site).name_cache.leases_held(), held);
             }
         }
