@@ -384,11 +384,8 @@ impl FsCluster {
                 ops::namei::handle_create_at(self, at, fg, pack_idx, ftype, perms, owner, replicas)
             }
             FsMsg::Invalidate { gfid } => {
+                // The commit that sent it has already recalled the leases.
                 self.kernel(at).invalidate_caches_for(gfid);
-                // An Invalidate landing at the file's CSS breaks any
-                // outstanding leases too (recovery rewrites copies behind
-                // every cache's back).
-                self.recall_if_css(at, gfid);
                 Ok(FsReply::Ok)
             }
             FsMsg::VvCheck { gfid } => ops::namei::handle_vv_check(self, at, from, gfid),

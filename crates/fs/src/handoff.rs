@@ -24,11 +24,34 @@ use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
 use crate::proto::{FsMsg, FsReply};
 
-/// How many consecutive [`FsReply::NotCss`] redirects a using site
-/// follows before giving up. Two covers a handoff completing mid-open
-/// plus one more racing it; an assignment cycle beyond that indicates
-/// inconsistent mount state and surfaces as `Esitedown`.
-pub(crate) const MAX_CSS_REDIRECTS: u32 = 3;
+/// Sends `msg()` from `us` to the CSS of `fg` and returns its reply,
+/// following [`FsReply::NotCss`] redirects: a request that raced a live
+/// handoff adopts the newer assignment and is sent again to the new CSS.
+/// Three redirects cover a handoff completing mid-request plus more
+/// racing it; an assignment cycle beyond that indicates inconsistent
+/// mount state and surfaces as `Esitedown`.
+pub(crate) fn css_rpc(
+    fsc: &FsCluster,
+    us: SiteId,
+    fg: FilegroupId,
+    msg: impl Fn() -> FsMsg,
+) -> SysResult<FsReply> {
+    let mut css = fsc.kernel(us).mount.css_of(fg)?;
+    let mut redirects = 0;
+    loop {
+        let reply = fsc.rpc(us, css, msg())?;
+        let FsReply::NotCss { epoch, new_css } = reply else {
+            return Ok(reply);
+        };
+        redirects += 1;
+        if redirects > 3 || new_css == css {
+            return Err(Errno::Esitedown);
+        }
+        let now = fsc.net().now();
+        fsc.with_kernel(us, |k| k.mount.adopt_css(fg, new_css, epoch, now));
+        css = new_css;
+    }
+}
 
 /// What one live CSS handoff did.
 #[derive(Clone, Debug)]

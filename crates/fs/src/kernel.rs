@@ -621,8 +621,9 @@ impl FsKernel {
     }
 
     /// Drops every cached page of `gfid`, local and network-fetched,
-    /// plus its name/attribute entries. Recovery calls this after
-    /// rewriting copies behind the cache's back.
+    /// plus its name/attribute entries: a version installed outside the
+    /// using-site protocol (a recovery install, a §5.6 cleanup) leaves
+    /// nothing cached of the one it replaced.
     pub fn invalidate_caches_for(&mut self, gfid: Gfid) {
         self.name_cache.invalidate(gfid);
         if let Some(p) = self.pack_of(gfid.fg) {

@@ -1,7 +1,7 @@
 //! Atomic commit, abort, commit notification and pull propagation
 //! (§2.3.6).
 
-use locus_storage::ShadowSession;
+use locus_storage::{ShadowSession, PAGE_SIZE};
 use locus_types::{Errno, Gfid, SiteId, SysResult, VersionVector};
 
 use crate::cluster::FsCluster;
@@ -112,11 +112,8 @@ pub(crate) fn handle_commit(
             if let Some(n) = m.nlink {
                 sess.set_nlink(n);
             }
-            if let Some(r) = &m.replicas {
-                sess.set_replicas(r.clone());
-            }
             if m.delete {
-                sess.mark_deleted();
+                sess.set_deleted(true);
             }
         }
         sess.set_mtime(now);
@@ -268,16 +265,11 @@ pub(crate) fn handle_commit_notify(
                     && local.vv.iter().all(|(o, _)| vv.get(o) > 0);
                 if enqueue {
                     // The pageless copy above: nothing to fold in.
-                } else if info.deleted {
-                    // "As those sites discover that the new version is a
-                    // delete, they also release their pages" (§2.3.7).
-                    let mut sess = ShadowSession::begin(pack, gfid.ino)?;
-                    sess.mark_deleted();
-                    sess.set_nlink(info.nlink);
-                    fold_in = Some(sess);
-                } else if !has_data || (inode_only && is_immediate_predecessor) {
-                    // Metadata-only change, or a copy that stores no data:
-                    // fold the inode information in directly.
+                } else if info.deleted || !has_data || (inode_only && is_immediate_predecessor) {
+                    // A delete ("as those sites discover that the new
+                    // version is a delete, they also release their pages",
+                    // §2.3.7), a metadata-only change, or a copy that
+                    // stores no data: fold the inode information in.
                     let mut sess = ShadowSession::begin(pack, gfid.ino)?;
                     info.copy_meta_to(&mut sess);
                     sess.set_mtime(info.mtime);
@@ -314,6 +306,113 @@ pub(crate) fn handle_commit_notify(
         fsc.recall_leases(at, at, gfid);
     }
     Ok(FsReply::Ok)
+}
+
+/// Reads the whole copy of `gfid` stored at `source` for the merge
+/// procedure running at `at` (§4). A copy elsewhere comes over the wire
+/// as a propagation pull fetches it: `PULL open`, then one `READ req` per
+/// page. The site's own copy is read in place, and that read is charged
+/// no disk time: the merge procedure reads every directory it checks.
+pub fn fetch_copy(fsc: &FsCluster, at: SiteId, source: SiteId, gfid: Gfid) -> SysResult<Vec<u8>> {
+    if source == at {
+        let mut k = fsc.kernel(at);
+        let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
+        let bytes = pack.read_all(gfid.ino);
+        pack.take_io_cost();
+        return bytes;
+    }
+    let info = pull_open(fsc, at, source, gfid)?;
+    let pages = (0..info.page_count()).map(|lpn| pull_page(fsc, at, source, gfid, lpn));
+    let mut bytes = pages.collect::<SysResult<Vec<_>>>()?.concat();
+    bytes.truncate(info.size as usize);
+    Ok(bytes)
+}
+
+/// The `PULL open` round trip from `at`: the latest version of `gfid` at
+/// `source`.
+fn pull_open(fsc: &FsCluster, at: SiteId, source: SiteId, gfid: Gfid) -> SysResult<InodeInfo> {
+    match fsc.rpc(at, source, FsMsg::PullOpen { gfid })? {
+        FsReply::PullInfo { info } => Ok(info),
+        _ => Err(Errno::Eio),
+    }
+}
+
+/// One `READ req` round trip from `at`: page `lpn` of `gfid` at `source`.
+fn pull_page(
+    fsc: &FsCluster,
+    at: SiteId,
+    source: SiteId,
+    gfid: Gfid,
+    lpn: usize,
+) -> SysResult<Vec<u8>> {
+    let guess = 0;
+    match fsc.rpc(at, source, FsMsg::ReadPage { gfid, lpn, guess })? {
+        FsReply::Page { data } => Ok(data),
+        _ => Err(Errno::Eio),
+    }
+}
+
+/// Installs a version the merge procedure reconciled (§4.3) at this
+/// site's container: `bytes` (none for a tombstone) as version `vv`, with
+/// `info`'s inode information, by an ordinary shadow-page commit that
+/// pays its disk time. Returns the installed inode information.
+pub fn install_version(
+    fsc: &FsCluster,
+    at: SiteId,
+    gfid: Gfid,
+    bytes: Option<&[u8]>,
+    info: &InodeInfo,
+    vv: &VersionVector,
+) -> SysResult<InodeInfo> {
+    let mut k = fsc.kernel(at);
+    let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
+    if pack.inode(gfid.ino).is_none() {
+        pack.install_inode(gfid.ino, info.to_disk_inode(false));
+    }
+    let is_replica = info.replicas.contains(&pack.origin());
+    let mut sess = ShadowSession::begin(pack, gfid.ino)?;
+    info.copy_meta_to(&mut sess);
+    if let Some(bytes) = bytes {
+        sess.set_size(bytes.len() as u64);
+        if is_replica {
+            // A failed write or truncate fails the commit below, which
+            // aborts the session and frees its blocks.
+            let npages = bytes.len().div_ceil(PAGE_SIZE);
+            for (lpn, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
+                if sess.write_page(pack, lpn, chunk).is_err() {
+                    break;
+                }
+            }
+            let _ = sess.truncate_pages(pack, npages);
+            sess.set_data_here(true);
+        }
+    }
+    // Pages fetched from other sites under the superseded version go too.
+    k.invalidate_caches_for(gfid);
+    let info = k.commit_session(fsc.net(), gfid, sess, vv.clone())?;
+    drop(k);
+    fsc.recall_if_css(at, gfid);
+    Ok(info)
+}
+
+/// Sets or clears the §4.6 conflict mark on this site's own copy of
+/// `gfid`. The version vector stays as it is: a mark is no new version,
+/// so it never propagates, and each container marks its own copy.
+pub fn set_conflict_mark(fsc: &FsCluster, at: SiteId, gfid: Gfid, conflict: bool) -> SysResult<()> {
+    let mut k = fsc.kernel(at);
+    let Some(pack) = k.pack_of(gfid.fg) else {
+        return Ok(());
+    };
+    let Some(vv) = pack.inode(gfid.ino).map(|i| i.vv.clone()) else {
+        return Ok(());
+    };
+    let mut sess = ShadowSession::begin(pack, gfid.ino)?;
+    sess.set_conflict(conflict);
+    k.commit_session(fsc.net(), gfid, sess, vv)?;
+    drop(k);
+    // The flag changed behind the CSS's lease table, as a commit does.
+    fsc.recall_if_css(at, gfid);
+    Ok(())
 }
 
 /// Propagation-source handler: an internal open of the latest version for
@@ -371,11 +470,8 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
     // What this site knew before the pull: at the CSS, the notification
     // of that version already recalled every lease granted before it.
     let known = fsc.kernel(site).known_latest(req.gfid);
-    let reply = fsc.rpc(site, req.source, FsMsg::PullOpen { gfid: req.gfid })?;
-    let FsReply::PullInfo { info } = reply else {
-        return Err(Errno::Eio);
-    };
     let gfid = req.gfid;
+    let info = pull_open(fsc, site, req.source, gfid)?;
     // Breaks the leases on the file once the pulled version is in — but
     // only if it is news: installing the version the CSS already vouched
     // for changes nothing a holder could have cached (recall once per
@@ -393,46 +489,28 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
         if let Some(local) = k.local_info(gfid) {
             // A data replica whose copy is *pageless* must pull even when
             // its recorded version is current: a first-sight notification
-            // (a file this container had never heard of — e.g. one that
-            // existed before the container was added live) installs the
-            // inode with its new vector before any page has arrived.
+            // installs the inode with its new vector before any page has
+            // arrived.
             let pageless_replica = !info.deleted
                 && !local.deleted
                 && !k.stores_data(gfid)
                 && k.pack_of_ref(gfid.fg)
                     .is_some_and(|p| info.replicas.contains(&p.origin()));
-            if local.vv.covers(&info.vv) && !pageless_replica {
-                return Ok(());
-            }
-            if local.vv.compare(&info.vv).is_conflict() {
+            if (local.vv.covers(&info.vv) && !pageless_replica)
+                || local.vv.compare(&info.vv).is_conflict()
+            {
                 return Ok(());
             }
         }
-    }
-
-    if info.deleted {
-        let mut k = fsc.kernel(site);
-        let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-        if pack.inode(gfid.ino).is_some() {
-            let mut sess = ShadowSession::begin(pack, gfid.ino)?;
-            sess.mark_deleted();
-            k.commit_session(fsc.net(), gfid, sess, info.vv.clone())?;
-        } else {
-            pack.install_inode(gfid.ino, info.to_disk_inode(false));
-            k.name_cache.invalidate(gfid);
-        }
-        drop(k);
-        recall(&info.vv);
-        return Ok(());
     }
 
     // Ensure a local inode exists, then pull pages into a shadow session.
-    // A container whose pack is not in the replica set only carries the
-    // inode information, never the pages (§2.2.2).
+    // A tombstone has no pages, and a container whose pack is not in the
+    // replica set only carries the inode information (§2.2.2).
     let mut sess = {
         let mut k = fsc.kernel(site);
         let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-        let metadata_only = !info.replicas.contains(&pack.origin());
+        let metadata_only = info.deleted || !info.replicas.contains(&pack.origin());
         if pack.inode(gfid.ino).is_none() {
             pack.install_inode(gfid.ino, info.to_disk_inode(false));
         }
@@ -458,15 +536,7 @@ pub(crate) fn propagate_pull(fsc: &FsCluster, site: SiteId, req: &PropReq) -> Sy
 
     let mut failed = false;
     for &lpn in &page_list {
-        let Ok(FsReply::Page { data }) = fsc.rpc(
-            site,
-            req.source,
-            FsMsg::ReadPage {
-                gfid,
-                lpn,
-                guess: 0,
-            },
-        ) else {
+        let Ok(data) = pull_page(fsc, site, req.source, gfid, lpn) else {
             failed = true;
             break;
         };

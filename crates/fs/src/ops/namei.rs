@@ -36,6 +36,7 @@ use locus_types::{Errno, FileType, Gfid, Ino, OpenMode, Perms, SiteId, SysResult
 use crate::cluster::{Coherence, FsCluster};
 use crate::cost;
 use crate::directory::Directory;
+use crate::handoff;
 use crate::mailbox::Mailbox;
 use crate::ops::io::{get_page, local_write_page, put_page_range};
 use crate::ops::open::{close_ticket, open_gfid};
@@ -234,31 +235,17 @@ fn coherence_for(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> Coherence {
 /// (§2.3.1) — the cache revalidation probe. A procedure call when this
 /// site is the CSS, one [`FsMsg::VvCheck`] round trip otherwise.
 fn css_known_latest(fsc: &FsCluster, us: SiteId, gfid: Gfid) -> SysResult<VersionVector> {
-    let mut css = fsc.kernel(us).mount.css_of(gfid.fg)?;
-    let mut redirects = 0;
-    loop {
-        match fsc.rpc(us, css, FsMsg::VvCheck { gfid })? {
-            FsReply::VvKnown { vv, lease } => {
-                if lease {
-                    fsc.with_kernel(us, |k| k.name_cache.grant_lease(gfid));
-                    fsc.net().obs_note(us, "lease.grant", gfid, vv.total());
-                }
-                return Ok(vv);
+    // A probe that raced a CSS handoff follows it: a warm cache must
+    // never be vouched for by an ex-CSS.
+    match handoff::css_rpc(fsc, us, gfid.fg, || FsMsg::VvCheck { gfid })? {
+        FsReply::VvKnown { vv, lease } => {
+            if lease {
+                fsc.with_kernel(us, |k| k.name_cache.grant_lease(gfid));
+                fsc.net().obs_note(us, "lease.grant", gfid, vv.total());
             }
-            // The probe raced a CSS handoff: adopt the newer assignment
-            // and revalidate against the site actually holding the role
-            // — a warm cache must never be vouched for by an ex-CSS.
-            FsReply::NotCss { epoch, new_css } => {
-                redirects += 1;
-                if redirects > crate::handoff::MAX_CSS_REDIRECTS || new_css == css {
-                    return Err(Errno::Esitedown);
-                }
-                let now = fsc.net().now();
-                fsc.with_kernel(us, |k| k.mount.adopt_css(gfid.fg, new_css, epoch, now));
-                css = new_css;
-            }
-            _ => return Err(Errno::Eio),
+            Ok(vv)
         }
+        _ => Err(Errno::Eio),
     }
 }
 

@@ -18,6 +18,7 @@ use locus_types::{Errno, Gfid, OpenMode, SiteId, SysResult, VersionVector};
 
 use crate::cluster::FsCluster;
 use crate::cost;
+use crate::handoff;
 use crate::ops::OpenTicket;
 use crate::proto::{FsMsg, FsReply, InodeInfo};
 
@@ -61,48 +62,23 @@ fn open_gfid_inner(
         }
     }
 
-    let (css, us_vv) = {
+    let us_vv = {
         let k = fsc.kernel(us);
-        let css = k.mount.css_of(gfid.fg)?;
-        let us_vv = if k.stores_data(gfid) {
+        if k.stores_data(gfid) {
             k.local_info(gfid).map(|i| i.vv)
         } else {
             None
-        };
-        (css, us_vv)
+        }
     };
 
     // "If the local site is the CSS, only a procedure call is needed"
-    // (§2.3.3). A `NotCss` redirect means the request raced a live CSS
-    // handoff: adopt the newer assignment and retry against the new CSS.
-    // The bound covers any realistic chain of back-to-back handoffs; an
-    // assignment loop beyond it surfaces as an error instead of hanging.
-    let mut css = css;
-    let reply = {
-        let mut redirects = 0;
-        loop {
-            let r = fsc.rpc(
-                us,
-                css,
-                FsMsg::OpenReq {
-                    gfid,
-                    mode,
-                    us_vv: us_vv.clone(),
-                    us,
-                },
-            )?;
-            let FsReply::NotCss { epoch, new_css } = r else {
-                break r;
-            };
-            redirects += 1;
-            if redirects > crate::handoff::MAX_CSS_REDIRECTS || new_css == css {
-                return Err(Errno::Esitedown);
-            }
-            let now = fsc.net().now();
-            fsc.with_kernel(us, |k| k.mount.adopt_css(gfid.fg, new_css, epoch, now));
-            css = new_css;
-        }
-    };
+    // (§2.3.3); a request that raced a live CSS handoff follows it.
+    let reply = handoff::css_rpc(fsc, us, gfid.fg, || FsMsg::OpenReq {
+        gfid,
+        mode,
+        us_vv: us_vv.clone(),
+        us,
+    })?;
     let FsReply::Opened { ss, info } = reply else {
         return Err(Errno::Eio);
     };

@@ -51,7 +51,7 @@ impl InodeInfo {
     /// Materializes a pageless disk inode carrying this information, used
     /// when a container first learns of a file from a commit notification
     /// or a propagation pull.
-    pub fn to_disk_inode(&self, data_here: bool) -> locus_storage::DiskInode {
+    pub(crate) fn to_disk_inode(&self, data_here: bool) -> locus_storage::DiskInode {
         let mut d = locus_storage::DiskInode::new(self.ftype, self.perms, self.owner);
         d.size = self.size;
         d.nlink = self.nlink;
@@ -64,14 +64,19 @@ impl InodeInfo {
         d
     }
 
-    /// Copies the permissions, owner, link count and replica list into
-    /// `sess`'s working inode. Each caller sets the other fields (size,
-    /// mtime, data-here, conflict) its own way.
-    pub fn copy_meta_to(&self, sess: &mut locus_storage::ShadowSession) {
+    /// Copies the permissions, owner, link count, replica list and the
+    /// deleted and conflict flags into `sess`'s working inode: a copy that
+    /// catches up with a version merge recovery made also takes back a
+    /// file it had deleted (§4.4 rule d) and drops a conflict mark the
+    /// merge settled. Each caller sets the other fields (size, mtime,
+    /// data-here) its own way.
+    pub(crate) fn copy_meta_to(&self, sess: &mut locus_storage::ShadowSession) {
         sess.set_perms(self.perms);
         sess.set_owner(self.owner);
         sess.set_nlink(self.nlink);
         sess.set_replicas(self.replicas.clone());
+        sess.set_deleted(self.deleted);
+        sess.set_conflict(self.conflict);
     }
 }
 
@@ -366,21 +371,12 @@ pub struct MetaUpdate {
     pub nlink: Option<u32>,
     /// Mark the file deleted (§2.3.7 delete-via-commit).
     pub delete: bool,
-    /// New data-replica set (pack indexes), if changing — how a live
-    /// replica addition or removal reaches existing files: the new set
-    /// commits like any other inode change and the commit notification
-    /// triggers the propagation pulls.
-    pub replicas: Option<Vec<u32>>,
 }
 
 impl MetaUpdate {
     /// Whether this update changes anything.
     pub fn is_empty(&self) -> bool {
-        self.perms.is_none()
-            && self.owner.is_none()
-            && self.nlink.is_none()
-            && self.replicas.is_none()
-            && !self.delete
+        self.perms.is_none() && self.owner.is_none() && self.nlink.is_none() && !self.delete
     }
 }
 

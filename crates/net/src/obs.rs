@@ -286,7 +286,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper edge of the bucket
-    /// it falls in; [`Ticks::ZERO`] when empty.
+    /// it falls in, never above the exact maximum; [`Ticks::ZERO`] when
+    /// empty.
     pub(crate) fn quantile(&self, q: f64) -> Ticks {
         if self.count == 0 {
             return Ticks::ZERO;
@@ -299,7 +300,7 @@ impl Histogram {
                 return if i == 0 {
                     Ticks::ZERO
                 } else {
-                    Ticks::micros((1u64 << i) - 1)
+                    Ticks::micros((1u64 << i) - 1).min(self.max)
                 };
             }
         }
@@ -1302,8 +1303,18 @@ mod tests {
         // rank(0.5 * 6) = 3 -> third sample in bucket order: the 1s live
         // in bucket 1 (upper edge 1), 3 in bucket 2 (upper edge 3).
         assert_eq!(h.quantile(0.5), Ticks::micros(1));
-        assert_eq!(h.quantile(1.0), Ticks::micros(1023));
+        // The top bucket's edge (1023) lies above every sample in it.
+        assert_eq!(h.quantile(1.0), Ticks::micros(1000));
         assert_eq!(Histogram::default().quantile(0.5), Ticks::ZERO);
+    }
+
+    #[test]
+    fn a_quantile_never_exceeds_the_maximum() {
+        let mut h = Histogram::default();
+        h.record(Ticks::micros(2_928));
+        assert_eq!(h.max(), Ticks::micros(2_928));
+        assert_eq!(h.quantile(0.5), h.max());
+        assert_eq!(h.quantile(0.95), h.max());
     }
 
     #[test]
@@ -1879,12 +1890,13 @@ mod tests {
             max: Ticks::micros(max),
         };
         // fs/read samples 10, 100 and 3 µs fall in buckets 4, 7 and 2
-        // (upper edges 15, 127, 3): rank 2 of 3 is 15, rank 3 is 127.
+        // (upper edges 15, 127, 3): rank 2 of 3 is 15, rank 3 is 127,
+        // clamped to the maximum, 100.
         assert_eq!(
             op_stats(&evs),
             vec![
-                row("fs", "open", 1, 1023, 1023, 1000),
-                row("fs", "read", 3, 15, 127, 100),
+                row("fs", "open", 1, 1000, 1000, 1000),
+                row("fs", "read", 3, 15, 100, 100),
                 row("proc", "fork", 1, 0, 0, 0),
             ]
         );

@@ -8,47 +8,47 @@
 //! to compare and merge the files."
 
 use locus_fs::directory::Directory;
-use locus_fs::ops::namei;
+use locus_fs::ops::{commit, namei};
 use locus_fs::proto::ProcFsCtx;
 use locus_fs::FsCluster;
-use locus_storage::ShadowSession;
+use locus_net::RpcEngine;
 use locus_types::{Errno, FileType, Gfid, Perms, SiteId, SysResult};
 
-/// Marks one copy of `gfid` as conflicted so normal opens fail with
-/// `ECONFLICT`.
-pub(crate) fn mark_conflict(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<()> {
-    let mut k = fsc.kernel(site);
-    let Some(pack) = k.pack_of(gfid.fg) else {
-        return Ok(());
-    };
-    if pack.inode(gfid.ino).is_none() {
-        return Ok(());
-    }
-    let vv = pack.inode(gfid.ino).expect("checked").vv.clone();
-    let mut sess = ShadowSession::begin(pack, gfid.ino)?;
-    sess.set_conflict(true);
-    sess.commit(pack, vv)?;
-    // As in `overwrite_copy`: recovery's disk time is discarded, not
-    // charged, and never left on the meter.
-    pack.take_io_cost();
-    k.invalidate_caches_for(gfid);
-    drop(k);
-    // The flag changed behind the CSS's lease table, as a commit does.
-    fsc.recall_if_css(site, gfid);
-    Ok(())
-}
+use crate::filegroup::{read_version, stored_versions, Inventory};
+use crate::proto::{RecMsg, RECOVERY_MSG_BYTES};
 
-/// Sends conflict mail to a file's owner ("mail is sent to the owner(s)
-/// of a given file that is in conflict, describing the problem", §4.6).
-/// Failures are swallowed: recovery must proceed even if the mail spool
-/// is itself unavailable.
-pub(crate) fn notify_owner(fsc: &FsCluster, site: SiteId, owner: u32, body: &str) {
-    let _ = namei::deliver_mail(fsc, site, owner, body);
+/// Sets (or clears) the conflict mark on the copies of `gfid` at `sites`:
+/// one `RECOVERY mark` RPC per container, fanned out from `from` (a
+/// procedure call at `from` itself), each container marking its own
+/// copy. `Esitedown` if any is abandoned.
+pub(crate) fn mark_copies(
+    fsc: &FsCluster,
+    from: SiteId,
+    gfid: Gfid,
+    sites: &[SiteId],
+    conflict: bool,
+) -> SysResult<()> {
+    let acks = RpcEngine::new(fsc.retry_policy()).fan_out(
+        fsc.net(),
+        from,
+        sites,
+        RecMsg::Mark { gfid, conflict },
+        |_| RECOVERY_MSG_BYTES,
+        |site, msg| match msg {
+            RecMsg::Mark { gfid, conflict } => commit::set_conflict_mark(fsc, site, gfid, conflict),
+            _ => Err(Errno::Eio),
+        },
+    );
+    for ack in acks {
+        ack.map_err(|_| Errno::Esitedown)??;
+    }
+    Ok(())
 }
 
 /// The §4.6 resolution tool: splits the conflicted versions of
 /// `dir/name` into separate ordinary files named `name.<n>`, removing the
-/// original entry and clearing all conflict marks. Returns the new names.
+/// original entry and clearing the conflict marks of every reachable
+/// copy. Returns the new names.
 pub fn split_conflict(
     fsc: &FsCluster,
     site: SiteId,
@@ -62,39 +62,23 @@ pub fn split_conflict(
     let ino = dir.lookup(name).ok_or(Errno::Enoent)?;
     let gfid = Gfid::new(dirg.fg, ino);
 
-    // Collect the distinct versions directly from the containers.
-    let containers = fsc.kernel(site).mount.get(dirg.fg)?.containers.clone();
-    let mut versions: Vec<(Vec<u8>, locus_types::VersionVector)> = Vec::new();
-    for (_, csite) in containers {
-        if csite != site && !fsc.net().reachable(site, csite) {
-            continue;
-        }
-        let mut k = fsc.kernel(csite);
-        let Some(pack) = k.pack_of(dirg.fg) else {
-            continue;
-        };
-        let Some(inode) = pack.inode(gfid.ino) else {
-            continue;
-        };
-        if inode.deleted || !inode.data_here {
-            continue;
-        }
-        let vv = inode.vv.clone();
-        if versions.iter().any(|(_, v)| *v == vv) {
-            continue;
-        }
-        let bytes = pack.read_all(gfid.ino)?;
-        pack.take_io_cost();
-        versions.push((bytes, vv));
-    }
-    if versions.is_empty() {
+    // Each distinct stored version, read as the merge procedure reads
+    // one: in place from this site's own copy, else over the wire.
+    let inv = Inventory::take(fsc, site, gfid.fg, Some(gfid.ino))?;
+    let copies = inv.copies(gfid.ino);
+    let vvs = stored_versions(copies);
+    if vvs.is_empty() {
         return Err(Errno::Enocopy);
     }
+    let versions = vvs
+        .into_iter()
+        .map(|vv| read_version(fsc, site, gfid, copies, vv))
+        .collect::<SysResult<Vec<_>>>()?;
 
     // Create one ordinary file per version, then retire the conflicted
     // original.
     let mut new_names = Vec::new();
-    for (i, (bytes, _)) in versions.iter().enumerate() {
+    for (i, bytes) in versions.iter().enumerate() {
         let new_name = format!("{name}.{}", i + 1);
         let path = format!("{}/{}", dir_path.trim_end_matches('/'), new_name);
         let new_gfid = namei::create(
@@ -109,20 +93,8 @@ pub fn split_conflict(
         new_names.push(new_name);
     }
     // Clear the conflict marks so the tombstoning commit can proceed.
-    let all_sites: Vec<SiteId> = fsc.sites().collect();
-    for s in all_sites {
-        let mut k = fsc.kernel(s);
-        let Some(pack) = k.pack_of(dirg.fg) else {
-            continue;
-        };
-        if pack.inode(gfid.ino).is_some() {
-            let vv = pack.inode(gfid.ino).expect("checked").vv.clone();
-            let mut sess = ShadowSession::begin(pack, gfid.ino)?;
-            sess.set_conflict(false);
-            sess.commit(pack, vv)?;
-            k.invalidate_caches_for(gfid);
-        }
-    }
+    let holders: Vec<SiteId> = copies.iter().map(|c| c.site).collect();
+    mark_copies(fsc, site, gfid, &holders, false)?;
     namei::unlink(
         fsc,
         site,

@@ -5,30 +5,20 @@ use std::collections::BTreeMap;
 
 use locus_fs::directory::Directory;
 use locus_fs::mailbox::Mailbox;
+use locus_fs::ops::{commit, namei};
 use locus_fs::proto::{FsMsg, InodeInfo};
 use locus_fs::FsCluster;
 use locus_net::RpcEngine;
-use locus_storage::{Pack, ShadowSession, PAGE_SIZE};
 use locus_types::{
     Errno, FileType, FilegroupId, Gfid, Ino, SiteId, SysResult, VersionVector, VvOrder,
 };
 
-use crate::conflicts::{mark_conflict, notify_owner};
+use crate::conflicts::mark_copies;
 use crate::dir_merge::merge_directories;
 use crate::mail_merge::merge_mailboxes;
 use crate::managers::MergeManagers;
-use crate::proto::{InventoryReply, InventoryRow, RecMsg};
+use crate::proto::{InventoryReply, InventoryRow, RecMsg, RECOVERY_MSG_BYTES};
 use crate::report::{FileOutcome, RecoveryReport};
-
-/// One copy of a file as the coordinator knows it.
-#[derive(Clone, Debug)]
-struct CopyView {
-    site: SiteId,
-    info: InodeInfo,
-    data_here: bool,
-    /// The version a pull already queued at the container will install.
-    pending: Option<VersionVector>,
-}
 
 /// What the coordinator knows about a filegroup's copies: one
 /// [`InventoryReply`] per reachable container (its own pack's is a
@@ -38,12 +28,12 @@ struct CopyView {
 /// again after recovery mailed an owner, because that mail is an
 /// ordinary filesystem write outside recovery's own installs.
 #[derive(Default)]
-struct Inventory {
+pub(crate) struct Inventory {
     /// The containers that answered, in mount order, with their pack
     /// index (version-vector update origin).
     origins: Vec<(SiteId, u32)>,
     /// Every copy of every inode, each row in mount order.
-    rows: BTreeMap<Ino, Vec<CopyView>>,
+    rows: BTreeMap<Ino, Vec<InventoryRow>>,
     /// Owner mail went out since the table was taken.
     stale: bool,
 }
@@ -53,7 +43,7 @@ impl Inventory {
     /// inode table (just `only`'s row for demand recovery): one fan-out
     /// round of RPCs to the other containers, each retried under the
     /// cluster policy, `Esitedown` if any is abandoned.
-    fn take(
+    pub(crate) fn take(
         fsc: &FsCluster,
         coordinator: SiteId,
         fg: FilegroupId,
@@ -66,25 +56,20 @@ impl Inventory {
             &sites,
             RecMsg::Inventory { fg, only },
             InventoryReply::wire_bytes,
-            |site, _| inventory_at(fsc, site, fg, only),
+            |site, msg| inventory_at(fsc, site, msg),
         );
         let mut inv = Inventory::default();
         for (site, reply) in sites.into_iter().zip(replies) {
             let reply = reply.map_err(|_| Errno::Esitedown)?;
             inv.origins.push((site, reply.origin));
             for row in reply.rows {
-                inv.rows.entry(row.ino).or_default().push(CopyView {
-                    site,
-                    info: row.info,
-                    data_here: row.data_here,
-                    pending: row.pending,
-                });
+                inv.rows.entry(row.ino).or_default().push(row);
             }
         }
         Ok(inv)
     }
 
-    fn copies(&self, ino: Ino) -> &[CopyView] {
+    pub(crate) fn copies(&self, ino: Ino) -> &[InventoryRow] {
         self.rows.get(&ino).map_or(&[], Vec::as_slice)
     }
 
@@ -97,12 +82,6 @@ impl Inventory {
             .map_or(0, |(_, o)| *o)
     }
 
-    fn is_dir(&self, ino: Ino) -> bool {
-        self.copies(ino)
-            .first()
-            .is_some_and(|c| c.info.ftype.is_directory_like())
-    }
-
     /// Whether a current copy of `ino` is live (not deleted) — the
     /// "interrogate the inode" oracle for directory-merge rules b/d. A
     /// copy some other copy dominates is stale: a delete that dominates
@@ -112,11 +91,6 @@ impl Inventory {
         copies
             .iter()
             .any(|c| !c.info.deleted && is_maximal(c, copies))
-    }
-
-    /// Owner of a file, defaulting to root when unknown.
-    fn owner_of(&self, ino: Ino) -> u32 {
-        self.copies(ino).first().map_or(0, |c| c.info.owner)
     }
 
     /// Forgets the rows of containers that dropped out of `sites` since
@@ -133,38 +107,31 @@ impl Inventory {
 
 /// Whether no copy in `copies` dominates `c` under the version-vector
 /// order.
-fn is_maximal(c: &CopyView, copies: &[CopyView]) -> bool {
+fn is_maximal(c: &InventoryRow, copies: &[InventoryRow]) -> bool {
     copies
         .iter()
         .all(|o| o.info.vv.compare(&c.info.vv) != VvOrder::Dominates)
 }
 
-/// One inventory row: the inode's state in `pack` and whether the data
-/// is stored here (a tombstone counts: there is nothing to fetch).
-fn row_of(pack: &Pack, ino: Ino) -> Option<(InodeInfo, bool)> {
-    let inode = pack.inode(ino)?;
-    Some((InodeInfo::from(inode), inode.data_here || inode.deleted))
-}
-
 /// The inventory handler: runs at the container `site` and answers from
 /// its own pack and propagation queue only.
-fn inventory_at(
-    fsc: &FsCluster,
-    site: SiteId,
-    fg: FilegroupId,
-    only: Option<Ino>,
-) -> InventoryReply {
+fn inventory_at(fsc: &FsCluster, site: SiteId, msg: RecMsg) -> InventoryReply {
+    let RecMsg::Inventory { fg, only } = msg else {
+        return InventoryReply::default();
+    };
     let k = fsc.kernel(site);
     let Some(pack) = k.pack_of_ref(fg) else {
         return InventoryReply::default();
     };
     let row = |ino| {
-        let (info, data_here) = row_of(pack, ino)?;
+        let inode = pack.inode(ino)?;
         let gfid = Gfid::new(fg, ino);
         Some(InventoryRow {
+            site,
             ino,
-            info,
-            data_here,
+            info: InodeInfo::from(inode),
+            // A tombstone counts: there is nothing to fetch.
+            data_here: inode.data_here || inode.deleted,
             pending: k.pull_queued(gfid).then(|| k.known_latest(gfid)),
         })
     };
@@ -192,77 +159,98 @@ fn reachable_containers(fsc: &FsCluster, coordinator: SiteId, fg: FilegroupId) -
         .collect()
 }
 
-/// Reads the full content of a copy directly from its container
-/// (privileged access, bypassing synchronization — recovery may run while
-/// the copies disagree).
-fn read_copy(fsc: &FsCluster, site: SiteId, gfid: Gfid) -> SysResult<Vec<u8>> {
-    let mut k = fsc.kernel(site);
-    let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-    let bytes = pack.read_all(gfid.ino)?;
-    pack.take_io_cost();
-    Ok(bytes)
+/// The distinct versions the live data copies among `copies` store, in
+/// mount order.
+pub(crate) fn stored_versions(copies: &[InventoryRow]) -> Vec<&VersionVector> {
+    let mut vvs: Vec<&VersionVector> = Vec::new();
+    for c in copies {
+        if c.data_here && !c.info.deleted && !vvs.contains(&&c.info.vv) {
+            vvs.push(&c.info.vv);
+        }
+    }
+    vvs
 }
 
-/// Overwrites one copy with `bytes` (or just metadata when `None`) under
-/// an explicit version vector and returns the copy as installed. This is
-/// the recovery installer: it uses the same shadow commit as ordinary
-/// modification, so a crash mid-recovery still leaves a coherent copy.
-#[allow(clippy::too_many_arguments)]
-fn overwrite_copy(
+/// Reads version `vv` of `gfid` for the merge procedure at
+/// `coordinator`: in place from its own copy if it holds one, else from
+/// the first copy in mount order that stores it, as a pull reads it.
+pub(crate) fn read_version(
     fsc: &FsCluster,
-    site: SiteId,
+    coordinator: SiteId,
     gfid: Gfid,
-    bytes: Option<&[u8]>,
-    template: &InodeInfo,
+    copies: &[InventoryRow],
     vv: &VersionVector,
-    deleted: bool,
-) -> SysResult<CopyView> {
-    let mut k = fsc.kernel(site);
-    let pack = k.pack_of(gfid.fg).ok_or(Errno::Enocopy)?;
-    if pack.inode(gfid.ino).is_none() {
-        pack.install_inode(gfid.ino, template.to_disk_inode(false));
-    }
-    let is_replica = template.replicas.contains(&pack.origin());
-    let mut sess = ShadowSession::begin(pack, gfid.ino)?;
-    if deleted {
-        sess.mark_deleted();
-    } else {
-        sess.undelete();
-    }
-    if let (false, Some(bytes), true) = (deleted, bytes, is_replica) {
-        let npages = bytes.len().div_ceil(PAGE_SIZE);
-        // A failed write or truncate fails the commit below, which
-        // aborts the session and frees its blocks.
-        for lpn in 0..npages {
-            let chunk = &bytes[lpn * PAGE_SIZE..((lpn + 1) * PAGE_SIZE).min(bytes.len())];
-            if sess.write_page(pack, lpn, chunk).is_err() {
-                break;
-            }
-        }
-        let _ = sess.truncate_pages(pack, npages);
-        sess.set_size(bytes.len() as u64);
-        sess.set_data_here(true);
-    }
-    template.copy_meta_to(&mut sess);
-    sess.set_conflict(false);
-    sess.commit(pack, vv.clone())?;
-    // Recovery runs as the merge procedure, not as a system call of any
-    // site's workload: its disk time is discarded here on purpose, never
-    // left on the meter for the next handler, and the copy rewritten
-    // behind the buffer cache's back is dropped from it, not installed.
-    pack.take_io_cost();
-    let (info, data_here) = row_of(pack, gfid.ino).expect("just committed");
-    k.invalidate_caches_for(gfid);
-    k.note_latest(gfid, vv);
-    drop(k);
-    // The copy changed behind the CSS's lease table, as a commit does.
-    fsc.recall_if_css(site, gfid);
-    Ok(CopyView {
+) -> SysResult<Vec<u8>> {
+    let source = copies
+        .iter()
+        .filter(|c| c.data_here && !c.info.deleted && c.info.vv == *vv)
+        .map(|c| c.site)
+        .min_by_key(|&s| s != coordinator)
+        .ok_or(Errno::Enocopy)?;
+    commit::fetch_copy(fsc, coordinator, source, gfid)
+}
+
+/// Commits a reconciled version of `gfid` — `bytes`, or a tombstone
+/// when `None` — at one data replica: the coordinator's own container if
+/// it is one, else the first reachable one, sent the bytes in one
+/// `RECOVERY install`. Its vector dominates every copy's, bumped at the
+/// installing pack. The installed copy replaces the file's rows.
+fn install(
+    fsc: &FsCluster,
+    coordinator: SiteId,
+    gfid: Gfid,
+    sites: &[SiteId],
+    inv: &mut Inventory,
+    bytes: Option<Vec<u8>>,
+    mut template: InodeInfo,
+) -> SysResult<(SiteId, InodeInfo)> {
+    template.deleted = bytes.is_none();
+    template.conflict = false;
+    let is_replica = |site: SiteId| template.replicas.contains(&inv.origin(site));
+    let site = sites
+        .iter()
+        .copied()
+        .filter(|&s| is_replica(s))
+        .min_by_key(|&s| s != coordinator)
+        .unwrap_or(coordinator);
+    let data_here = template.deleted || is_replica(site);
+    let copies = inv.copies(gfid.ino).iter();
+    let mut vv = copies.fold(VersionVector::new(), |vv, c| vv.merge_max(&c.info.vv));
+    vv.bump(inv.origin(site));
+    let msg = RecMsg::Install {
+        gfid,
+        bytes,
+        template,
+        vv,
+    };
+    let serve = |msg| match msg {
+        RecMsg::Install {
+            gfid,
+            bytes,
+            template,
+            vv,
+        } => commit::install_version(fsc, site, gfid, bytes.as_deref(), &template, &vv),
+        _ => Err(Errno::Eio),
+    };
+    let info = RpcEngine::new(fsc.retry_policy())
+        .rpc(
+            fsc.net(),
+            coordinator,
+            site,
+            msg,
+            |_| RECOVERY_MSG_BYTES,
+            serve,
+        )
+        .map_err(|_| Errno::Esitedown)??;
+    let row = InventoryRow {
         site,
-        info,
+        ino: gfid.ino,
+        info: info.clone(),
         data_here,
         pending: None,
-    })
+    };
+    inv.rows.insert(gfid.ino, vec![row]);
+    Ok((site, info))
 }
 
 /// Reconciles a single file across the partition coordinated by
@@ -275,19 +263,6 @@ pub fn reconcile_file(
     gfid: Gfid,
     report: &mut RecoveryReport,
 ) -> SysResult<FileOutcome> {
-    reconcile_file_with(fsc, coordinator, gfid, report, &MergeManagers::new())
-}
-
-/// [`reconcile_file`] with a registry of type-specific recovery/merge
-/// managers (§4.1): a concurrent update to a managed type is offered to
-/// the manager before being declared an unresolvable conflict.
-pub(crate) fn reconcile_file_with(
-    fsc: &FsCluster,
-    coordinator: SiteId,
-    gfid: Gfid,
-    report: &mut RecoveryReport,
-    managers: &MergeManagers,
-) -> SysResult<FileOutcome> {
     // A plain file needs only its own row. A directory's merge rules
     // interrogate the files it names, so a directory (or a file the
     // coordinator holds no copy of to tell) takes the whole table.
@@ -296,7 +271,8 @@ pub(crate) fn reconcile_file_with(
         .local_info(gfid)
         .is_some_and(|i| !i.ftype.is_directory_like());
     let mut inv = Inventory::take(fsc, coordinator, gfid.fg, plain.then_some(gfid.ino))?;
-    reconcile_one(fsc, coordinator, gfid, &mut inv, report, managers)
+    let managers = MergeManagers::new();
+    reconcile_one(fsc, coordinator, gfid, &mut inv, report, &managers)
 }
 
 fn reconcile_one(
@@ -326,73 +302,207 @@ fn reconcile_file_inner(
     if copies.is_empty() {
         return Ok(FileOutcome::Consistent);
     }
-    // Installs one reconciled version at every reachable container —
-    // `bytes`, or a tombstone when `None` — and records the copies as
-    // installed in the coordinator's table.
-    let install = |inv: &mut Inventory,
-                   bytes: Option<&[u8]>,
-                   template: &InodeInfo,
-                   vv: &VersionVector|
-     -> SysResult<()> {
-        let deleted = bytes.is_none();
-        let mut rows = Vec::with_capacity(sites.len());
-        for &site in &sites {
-            if !deleted {
-                charge_propagate(fsc, coordinator, site);
-            }
-            rows.push(overwrite_copy(
-                fsc, site, gfid, bytes, template, vv, deleted,
-            )?);
-        }
-        inv.rows.insert(gfid.ino, rows);
-        Ok(())
-    };
     // Marks every copy conflicted, at its container and in the table.
     let mark_conflicted = |inv: &mut Inventory| -> SysResult<()> {
-        for c in inv.rows.get_mut(&gfid.ino).into_iter().flatten() {
-            mark_conflict(fsc, c.site, gfid)?;
+        let rows = inv
+            .rows
+            .get_mut(&gfid.ino)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        let holders: Vec<SiteId> = rows.iter().map(|c| c.site).collect();
+        mark_copies(fsc, coordinator, gfid, &holders, true)?;
+        for c in rows {
             c.info.conflict = true;
         }
         Ok(())
     };
-    // Owner mail is an ordinary filesystem write: whatever it touched is
-    // no longer what the table says.
-    let notify = |inv: &mut Inventory, owner: u32, body: &str| {
-        notify_owner(fsc, coordinator, owner, body);
-        inv.stale = true;
-    };
+    // Owner mail, sent once the file is reconciled: `(owner, body)`.
+    let mut mail: Vec<(u32, String)> = Vec::new();
 
-    // Find the maximal versions under the version-vector order.
-    let maximal: Vec<&CopyView> = copies.iter().filter(|c| is_maximal(c, &copies)).collect();
-    let distinct: Vec<&CopyView> = {
-        let mut seen: Vec<&CopyView> = Vec::new();
-        for c in &maximal {
-            if !seen.iter().any(|s| s.info.vv == c.info.vv) {
-                seen.push(c);
+    // The maximal versions under the version-vector order, one copy each.
+    let mut distinct: Vec<&InventoryRow> = Vec::new();
+    for c in copies.iter().filter(|c| is_maximal(c, &copies)) {
+        if !distinct.iter().any(|d| d.info.vv == c.info.vv) {
+            distinct.push(c);
+        }
+    }
+
+    // The outcome, and the new version to install, if any: its bytes (a
+    // tombstone when `None`) and a template's inode information.
+    let (outcome, merged) = if distinct.len() <= 1 {
+        // One version dominates (or all equal): recovery decides, and
+        // notifies below. §4.4 rule b caveat for directories: a delete
+        // recorded in the (vector-wise newer) winning copy must NOT
+        // propagate if the named file was modified since the delete — the
+        // file-level pass has already resurrected it, so its entry comes
+        // back too. Only a delete some other copy has not seen can be
+        // undone this way: a name that is live nowhere was removed with
+        // every copy's knowledge (an unlinked hard link's inode lives on
+        // under its other name) and stays removed.
+        let latest = &distinct[0].info;
+        let winning = (!latest.deleted && latest.ftype.is_directory_like())
+            .then(|| read_version(fsc, coordinator, gfid, &copies, &latest.vv))
+            .filter(|r| r.as_ref().err() != Some(&Errno::Enocopy)); // no copy stores it
+        let mut corrected: Option<Directory> = None;
+        if let Some(bytes) = winning {
+            let dir = Directory::parse(&bytes?)?;
+            // The other versions' directories: read and parsed once, and
+            // only when a removed record names a live file.
+            let mut others: Option<Vec<Directory>> = None;
+            for rec in dir.records() {
+                let current = corrected.as_ref().unwrap_or(&dir);
+                if rec.removed && inv.alive(rec.ino) && current.lookup(&rec.name).is_none() {
+                    let others = others.get_or_insert_with(|| {
+                        let mut versions = stored_versions(&copies);
+                        versions.retain(|vv| **vv != latest.vv);
+                        versions
+                            .into_iter()
+                            .filter_map(|vv| {
+                                let bytes = read_version(fsc, coordinator, gfid, &copies, vv);
+                                Directory::parse(&bytes.ok()?).ok()
+                            })
+                            .collect()
+                    });
+                    if others.iter().any(|d| d.lookup(&rec.name).is_some()) {
+                        corrected
+                            .get_or_insert_with(|| dir.clone())
+                            .insert(&rec.name, rec.ino, rec.ftype)
+                            .expect("name free");
+                    }
+                }
             }
         }
-        seen
+        match corrected {
+            Some(dir) => {
+                let merged = (Some(dir.serialize()), latest.clone());
+                (FileOutcome::DirectoryMerged, Some(merged))
+            }
+            None => (FileOutcome::Consistent, None),
+        }
+    } else {
+        // Concurrent versions: a genuine partitioned-update situation.
+        let live: Vec<&InventoryRow> = distinct
+            .iter()
+            .copied()
+            .filter(|c| !c.info.deleted)
+            .collect();
+        let read_live = || -> SysResult<Vec<Vec<u8>>> {
+            live.iter()
+                .map(|c| read_version(fsc, coordinator, gfid, &copies, &c.info.vv))
+                .collect()
+        };
+        let template = live.first().unwrap_or(&distinct[0]).info.clone();
+        if live.is_empty() {
+            // Deleted on both sides: propagate a merged tombstone.
+            (FileOutcome::DeletePropagated, Some((None, template)))
+        } else if live.len() == 1 {
+            // §4.4 rule d: "deleted in one partition while it was modified
+            // in another, wants to be saved" — undo the delete.
+            (
+                FileOutcome::Resurrected,
+                Some((read_live()?.pop(), template)),
+            )
+        } else {
+            // Concurrent live modifications: resolve by type (§4.3).
+            match live[0].info.ftype {
+                FileType::Directory | FileType::HiddenDirectory => {
+                    let dirs = read_live()?
+                        .iter()
+                        .map(|bytes| Directory::parse(bytes))
+                        .collect::<SysResult<Vec<_>>>()?;
+                    let merged = merge_directories(&dirs, |ino| inv.alive(ino));
+                    for (name, renamed) in merged.renames {
+                        for (new_name, ino) in &renamed {
+                            let body = format!(
+                                "name conflict on `{name}` after partition merge; \
+                                 your file is now `{new_name}`"
+                            );
+                            let owner = inv.copies(*ino).first().map_or(0, |c| c.info.owner);
+                            mail.push((owner, body));
+                        }
+                        report.name_conflicts.push((
+                            gfid,
+                            name,
+                            renamed.into_iter().map(|(n, _)| n).collect(),
+                        ));
+                    }
+                    let bytes = merged.merged.serialize();
+                    (FileOutcome::DirectoryMerged, Some((Some(bytes), template)))
+                }
+                FileType::Mailbox => {
+                    let boxes = read_live()?
+                        .iter()
+                        .map(|bytes| Mailbox::parse(bytes))
+                        .collect::<SysResult<Vec<_>>>()?;
+                    let bytes = merge_mailboxes(&boxes).serialize();
+                    (FileOutcome::MailboxMerged, Some((Some(bytes), template)))
+                }
+                ftype if managers.handles(ftype) => {
+                    // Reflected up to the registered recovery/merge
+                    // manager (§4.1). A declining manager falls through
+                    // to owner notification on the next pass.
+                    let manager = managers.get(ftype).expect("handles checked");
+                    match manager(&read_live()?) {
+                        Some(bytes) => (FileOutcome::ManagerMerged, Some((Some(bytes), template))),
+                        None => {
+                            mark_conflicted(inv)?;
+                            let body = format!("merge manager could not reconcile {gfid}");
+                            mail.push((template.owner, body));
+                            (FileOutcome::ConflictMarked, None)
+                        }
+                    }
+                }
+                // Untyped or database (no merge manager registered): mark
+                // every copy, notify the owner (§4.6). A file whose live
+                // copies are all already marked was handled by an earlier
+                // pass — recovery must converge, so it is not re-reported
+                // (the user resolves it with the split tool at their
+                // leisure).
+                _ if live.iter().all(|c| c.info.conflict) => (FileOutcome::Consistent, None),
+                _ => {
+                    mark_conflicted(inv)?;
+                    let body = format!(
+                        "update conflict detected on {gfid}; access is blocked until resolved"
+                    );
+                    mail.push((template.owner, body));
+                    (FileOutcome::ConflictMarked, None)
+                }
+            }
+        }
     };
 
-    let outcome = if distinct.len() <= 1 {
-        // One version dominates (or all equal): recovery decides, and
-        // notifies. Stragglers, data-less replicas and containers that
-        // never heard of the file get the commit notification they
-        // missed, which installs a missed create, folds in a tombstone,
-        // records the latest version (at the CSS: opens go to a current
-        // copy, and the file's leases are recalled) and queues the pull
-        // — ordinary background propagation from here on (§2.3.6).
-        let winner = pick_data_source(&copies, &distinct[0].info.vv).unwrap_or(distinct[0].site);
-        let latest = distinct[0].info.clone();
-        let mut acted = false;
+    // Whatever version stands reaches the other containers the way any
+    // committed version does: a merged one is committed at one data
+    // replica first, and the copies that lack it — stragglers, data-less
+    // replicas, containers that missed the create — get the commit
+    // notification they missed. Each installs a missed create, folds in
+    // a tombstone, records the latest version (at the CSS: opens go to a
+    // current copy, and the file's leases are recalled) and queues the
+    // pull, ordinary background propagation from here on (§2.3.6). A
+    // conflict leaves every copy where it is.
+    let standing = match merged {
+        Some((bytes, template)) => Some(install(
+            fsc,
+            coordinator,
+            gfid,
+            &sites,
+            inv,
+            bytes,
+            template,
+        )?),
+        None if distinct.len() <= 1 => {
+            let latest = distinct[0].info.clone();
+            let holder = copies
+                .iter()
+                .find(|c| c.data_here && c.info.vv == latest.vv);
+            Some((holder.unwrap_or(distinct[0]).site, latest))
+        }
+        None => None,
+    };
+    let mut acted = false;
+    if let Some((source, latest)) = &standing {
         for &site in &sites {
-            if site == winner {
-                continue;
-            }
-            let copy = copies.iter().find(|c| c.site == site);
-            let needs = match copy {
-                None => true, // the container missed the create entirely
-                Some(c) => {
+            let needs = site != *source
+                && copies.iter().find(|c| c.site == site).is_none_or(|c| {
                     let stale = !c.info.vv.covers(&latest.vv);
                     let missing_data = !latest.deleted
                         && latest.replicas.contains(&inv.origin(c.site))
@@ -401,14 +511,13 @@ fn reconcile_file_inner(
                     // decided by an earlier pass (or commit): not news.
                     let queued = c.pending.as_ref() == Some(&latest.vv);
                     (stale || missing_data) && !queued
-                }
-            };
+                });
             if needs {
                 let notify = FsMsg::CommitNotify {
                     gfid,
                     vv: latest.vv.clone(),
-                    source: winner,
-                    origin: inv.origin(winner),
+                    source: *source,
+                    origin: inv.origin(*source),
                     inode_only: false,
                     pages: None,
                     info: latest.clone(),
@@ -417,198 +526,25 @@ fn reconcile_file_inner(
                 acted = true;
             }
         }
-        // §4.4 rule b caveat for directories: a delete recorded in the
-        // (vector-wise newer) winning copy must NOT propagate if the named
-        // file was modified since the delete — the file-level pass has
-        // already resurrected it, so its entry comes back too. Only a
-        // delete some other copy has not seen can be undone this way: a
-        // name that is live nowhere was removed with every copy's
-        // knowledge (an unlinked hard link's inode lives on under its
-        // other name) and stays removed.
-        let mut fixed_dir = false;
-        if !latest.deleted && latest.ftype.is_directory_like() {
-            let bytes = read_copy(fsc, winner, gfid)?;
-            let dir = Directory::parse(&bytes)?;
-            // The other copies' directories: read and parsed once, and
-            // only when a removed record names a live file.
-            let mut others: Option<Vec<Directory>> = None;
-            let mut corrected = dir.clone();
-            let mut changed = false;
-            for rec in dir.records() {
-                if rec.removed && inv.alive(rec.ino) && corrected.lookup(&rec.name).is_none() {
-                    let others = others.get_or_insert_with(|| {
-                        copies
-                            .iter()
-                            .filter(|c| c.site != winner)
-                            .filter_map(|c| {
-                                let bytes = read_copy(fsc, c.site, gfid).ok()?;
-                                Directory::parse(&bytes).ok()
-                            })
-                            .collect()
-                    });
-                    if others.iter().any(|d| d.lookup(&rec.name).is_some()) {
-                        corrected
-                            .insert(&rec.name, rec.ino, rec.ftype)
-                            .expect("name free");
-                        changed = true;
-                    }
-                }
-            }
-            if changed {
-                let mut vv = latest.vv.clone();
-                vv.bump(inv.origin(coordinator));
-                install(inv, Some(&corrected.serialize()), &latest, &vv)?;
-                fixed_dir = true;
-            }
-        }
-        if fixed_dir {
-            FileOutcome::DirectoryMerged
-        } else if !acted {
-            FileOutcome::Consistent
-        } else if latest.deleted {
+    }
+    let outcome = match outcome {
+        FileOutcome::Consistent if acted && distinct[0].info.deleted => {
             FileOutcome::DeletePropagated
-        } else {
-            FileOutcome::Propagated
         }
-    } else {
-        // Concurrent versions: a genuine partitioned-update situation.
-        let live: Vec<&&CopyView> = distinct.iter().filter(|c| !c.info.deleted).collect();
-        let merged_vv = {
-            let mut vv = VersionVector::new();
-            for c in &copies {
-                vv = vv.merge_max(&c.info.vv);
-            }
-            // The reconciliation itself is an update, performed at the
-            // coordinator's pack.
-            vv.bump(inv.origin(coordinator));
-            vv
-        };
-
-        if live.is_empty() {
-            // Deleted on both sides: propagate a merged tombstone.
-            install(inv, None, &distinct[0].info, &merged_vv)?;
-            FileOutcome::DeletePropagated
-        } else if live.len() == 1 {
-            // §4.4 rule d: "deleted in one partition while it was modified
-            // in another, wants to be saved" — undo the delete.
-            let saved = live[0];
-            let bytes = read_copy(fsc, saved.site, gfid)?;
-            install(inv, Some(&bytes), &saved.info, &merged_vv)?;
-            FileOutcome::Resurrected
-        } else {
-            // Concurrent live modifications: resolve by type (§4.3).
-            match live[0].info.ftype {
-                FileType::Directory | FileType::HiddenDirectory => {
-                    let mut dirs = Vec::new();
-                    for c in &live {
-                        dirs.push(Directory::parse(&read_copy(fsc, c.site, gfid)?)?);
-                    }
-                    let merged = merge_directories(&dirs, |ino| inv.alive(ino));
-                    let bytes = merged.merged.serialize();
-                    install(inv, Some(&bytes), &live[0].info, &merged_vv)?;
-                    for (name, renamed) in merged.renames {
-                        for (new_name, ino) in &renamed {
-                            let owner = inv.owner_of(*ino);
-                            notify(
-                                inv,
-                                owner,
-                                &format!(
-                                    "name conflict on `{name}` after partition merge; \
-                                     your file is now `{new_name}`"
-                                ),
-                            );
-                        }
-                        report.name_conflicts.push((
-                            gfid,
-                            name,
-                            renamed.into_iter().map(|(n, _)| n).collect(),
-                        ));
-                    }
-                    FileOutcome::DirectoryMerged
-                }
-                FileType::Mailbox => {
-                    let mut boxes = Vec::new();
-                    for c in &live {
-                        boxes.push(Mailbox::parse(&read_copy(fsc, c.site, gfid)?)?);
-                    }
-                    let merged = merge_mailboxes(&boxes).serialize();
-                    install(inv, Some(&merged), &live[0].info, &merged_vv)?;
-                    FileOutcome::MailboxMerged
-                }
-                ftype if managers.handles(ftype) => {
-                    // Reflected up to the registered recovery/merge
-                    // manager (§4.1). A declining manager falls through
-                    // to owner notification on the next pass.
-                    let mut versions = Vec::new();
-                    for c in &live {
-                        versions.push(read_copy(fsc, c.site, gfid)?);
-                    }
-                    let manager = managers.get(ftype).expect("handles checked");
-                    match manager(&versions) {
-                        Some(merged) => {
-                            install(inv, Some(&merged), &live[0].info, &merged_vv)?;
-                            FileOutcome::ManagerMerged
-                        }
-                        None => {
-                            mark_conflicted(inv)?;
-                            notify(
-                                inv,
-                                live[0].info.owner,
-                                &format!("merge manager could not reconcile {gfid}"),
-                            );
-                            FileOutcome::ConflictMarked
-                        }
-                    }
-                }
-                _ => {
-                    // Untyped or database (no merge manager registered):
-                    // mark every copy, notify the owner (§4.6). A file
-                    // whose live copies are all already marked was
-                    // handled by an earlier pass — recovery must converge,
-                    // so it is not re-reported (the user resolves it with
-                    // the split tool at their leisure).
-                    if live.iter().all(|c| c.info.conflict) {
-                        report.files.push((gfid, FileOutcome::Consistent));
-                        return Ok(FileOutcome::Consistent);
-                    }
-                    mark_conflicted(inv)?;
-                    notify(
-                        inv,
-                        live[0].info.owner,
-                        &format!(
-                            "update conflict detected on {gfid}; access is blocked until resolved"
-                        ),
-                    );
-                    FileOutcome::ConflictMarked
-                }
-            }
-        }
+        FileOutcome::Consistent if acted => FileOutcome::Propagated,
+        outcome => outcome,
     };
+    // Conflict mail to the owners ("mail is sent to the owner(s) of a
+    // given file that is in conflict, describing the problem", §4.6) is an
+    // ordinary filesystem write: whatever it touched is no longer what the
+    // table says. A failure is swallowed: recovery proceeds even if the
+    // mail spool is itself unavailable.
+    for (owner, body) in mail {
+        let _ = namei::deliver_mail(fsc, coordinator, owner, &body);
+        inv.stale = true;
+    }
     report.files.push((gfid, outcome));
     Ok(outcome)
-}
-
-/// Picks a copy that actually stores data for the given version.
-fn pick_data_source(copies: &[CopyView], vv: &VersionVector) -> Option<SiteId> {
-    copies
-        .iter()
-        .find(|c| c.data_here && c.info.vv == *vv)
-        .map(|c| c.site)
-}
-
-fn charge_propagate(fsc: &FsCluster, from: SiteId, to: SiteId) {
-    if from != to {
-        // Best-effort, but no longer silent: the engine retries under the
-        // cluster policy and an abandoned propagation is counted as a
-        // one-way loss for recovery's accounting.
-        let _ = RpcEngine::new(fsc.retry_policy()).one_way(
-            fsc.net(),
-            from,
-            to,
-            RecMsg::Propagate,
-            |_| (),
-        );
-    }
 }
 
 /// Reconciles every file of `fg` within `coordinator`'s partition: the
@@ -677,7 +613,12 @@ fn reconcile_filegroup_inner(
     for (pass, dirs) in [("files", false), ("directories", true)] {
         fsc.net().span("recovery", pass, coordinator, || {
             for &ino in &all {
-                if inv.is_dir(ino) != dirs {
+                let copies = inv.copies(ino);
+                if copies
+                    .first()
+                    .is_some_and(|c| c.info.ftype.is_directory_like())
+                    != dirs
+                {
                     continue;
                 }
                 reconcile_one(

@@ -26,9 +26,10 @@
 //!
 //! Recovery runs "as a privileged application program" (§5.3), outside
 //! the synchronized open path. What each copy looks like it learns from
-//! one bulk inventory reply per container (`proto::InventoryReply`);
-//! file *content* it still reads and installs by reaching directly into
-//! the containers, charging a propagate message on the shared network.
+//! one bulk inventory reply per container (`proto::InventoryReply`); it
+//! reads other sites' copies as a pull does, commits a merged version at
+//! one data replica, and the other containers catch up by commit
+//! notification and pull (§2.3.6).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

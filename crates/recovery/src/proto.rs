@@ -1,15 +1,16 @@
 //! Typed wire protocol for recovery (§4).
 //!
-//! Inventory gathering and update propagation ride the shared
-//! [`RpcEngine`](locus_net::RpcEngine): inventories retry under the
-//! policy instead of failing on the first injected drop, and abandoned
-//! propagations are counted as one-way losses rather than vanishing
-//! silently. This module is the only place the recovery protocol's kind
-//! labels and wire sizes are spelled.
+//! Inventory gathering, installs and conflict marks ride the shared
+//! [`RpcEngine`](locus_net::RpcEngine), so each retries under the policy
+//! instead of failing on the first injected drop. A copy's content moves
+//! in fs messages: recovery reads a copy as a propagation pull does, and
+//! the other containers pull a merged version after its commit
+//! notification. This module is the only place the recovery protocol's
+//! kind labels and wire sizes are spelled.
 
 use locus_fs::proto::InodeInfo;
 use locus_net::WireMsg;
-use locus_types::{FilegroupId, Ino, VersionVector};
+use locus_types::{FilegroupId, Gfid, Ino, SiteId, VersionVector};
 
 /// Wire size charged per recovery control message, and the fixed header
 /// of an inventory reply.
@@ -21,7 +22,7 @@ pub(crate) const RECOVERY_MSG_BYTES: usize = 192;
 pub const INVENTORY_ENTRY_BYTES: usize = 48;
 
 /// One recovery message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub(crate) enum RecMsg {
     /// Ask a container site for its pack's inode table of `fg` — every
     /// inode, or just `only` for demand recovery; the reply is an
@@ -32,13 +33,33 @@ pub(crate) enum RecMsg {
         /// Restrict the reply to one inode (demand recovery, §4.4).
         only: Option<Ino>,
     },
-    /// Propagate a reconciled version to a stale container copy (§4.3).
-    Propagate,
+    /// Commit a reconciled version at a data replica (§4.3); the reply
+    /// is the installed inode information.
+    Install {
+        /// The file.
+        gfid: Gfid,
+        /// The content, or `None` for a tombstone.
+        bytes: Option<Vec<u8>>,
+        /// Permissions, owner, link count and replica list to install.
+        template: InodeInfo,
+        /// The reconciled version vector.
+        vv: VersionVector,
+    },
+    /// Set or clear the conflict mark on the receiving container's own
+    /// copy (§4.6).
+    Mark {
+        /// The file.
+        gfid: Gfid,
+        /// Set (`true`) or clear.
+        conflict: bool,
+    },
 }
 
 /// One inode of a container's inventory.
 #[derive(Clone, Debug)]
 pub(crate) struct InventoryRow {
+    /// The answering container (the reply's sender: no wire bytes).
+    pub site: SiteId,
     /// The inode.
     pub ino: Ino,
     /// Its state in the answering pack.
@@ -85,23 +106,32 @@ impl WireMsg for RecMsg {
     fn kind(&self) -> &'static str {
         match self {
             RecMsg::Inventory { .. } => "RECOVERY inventory",
-            RecMsg::Propagate => "RECOVERY propagate",
+            RecMsg::Install { .. } => "RECOVERY install",
+            RecMsg::Mark { .. } => "RECOVERY mark",
         }
     }
 
     fn reply_kind(&self) -> &'static str {
         match self {
             RecMsg::Inventory { .. } => "RECOVERY inventory resp",
-            RecMsg::Propagate => "RECOVERY propagate ack",
+            RecMsg::Install { .. } => "RECOVERY install ack",
+            RecMsg::Mark { .. } => "RECOVERY mark ack",
         }
     }
 
+    /// The fixed header, plus the content an install carries.
     fn wire_bytes(&self) -> usize {
-        RECOVERY_MSG_BYTES
+        match self {
+            RecMsg::Install {
+                bytes: Some(bytes), ..
+            } => RECOVERY_MSG_BYTES + bytes.len(),
+            _ => RECOVERY_MSG_BYTES,
+        }
     }
 
-    /// Inventories are pure queries; propagations re-install the same
-    /// version, so both tolerate re-issue.
+    /// Inventories are pure queries; an install commits the same version
+    /// again and a mark sets the same flag again, so all tolerate
+    /// re-issue.
     fn idempotent(&self) -> bool {
         true
     }
@@ -110,6 +140,7 @@ impl WireMsg for RecMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locus_types::{FileType, Perms, Ticks};
 
     #[test]
     fn labels_match_the_historical_wire_format() {
@@ -119,9 +150,43 @@ mod tests {
         };
         assert_eq!(inventory.kind(), "RECOVERY inventory");
         assert_eq!(inventory.reply_kind(), "RECOVERY inventory resp");
-        assert_eq!(RecMsg::Propagate.kind(), "RECOVERY propagate");
         assert_eq!(inventory.wire_bytes(), RECOVERY_MSG_BYTES);
-        assert!(RecMsg::Propagate.idempotent());
+        assert!(inventory.idempotent());
         assert_eq!(<RecMsg as WireMsg>::SERVICE, "recovery");
+    }
+
+    #[test]
+    fn an_install_carries_its_content() {
+        let gfid = Gfid::new(FilegroupId(0), Ino(1));
+        let install = |bytes| RecMsg::Install {
+            gfid,
+            bytes,
+            template: InodeInfo {
+                ftype: FileType::Untyped,
+                perms: Perms::FILE_DEFAULT,
+                owner: 0,
+                size: 0,
+                nlink: 1,
+                vv: VersionVector::new(),
+                mtime: Ticks::ZERO,
+                deleted: false,
+                conflict: false,
+                replicas: vec![0],
+            },
+            vv: VersionVector::new(),
+        };
+        assert_eq!(
+            install(Some(vec![0; 100])).wire_bytes(),
+            RECOVERY_MSG_BYTES + 100
+        );
+        assert_eq!(install(None).wire_bytes(), RECOVERY_MSG_BYTES);
+        let mark = RecMsg::Mark {
+            gfid,
+            conflict: true,
+        };
+        assert_eq!(
+            (mark.kind(), mark.reply_kind()),
+            ("RECOVERY mark", "RECOVERY mark ack")
+        );
     }
 }

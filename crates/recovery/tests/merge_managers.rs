@@ -67,7 +67,8 @@ fn database_manager_reconciles_what_the_nucleus_cannot() {
     assert!(text.starts_with("rec1\n"));
     assert!(text.contains("rec2-from-A"));
     assert!(text.contains("rec3-from-B"));
-    // All copies converged.
+    // All copies converged, once the pulls the merge queued have run.
+    fsc.settle();
     assert_eq!(
         fsc.kernel(s(0)).local_info(g).unwrap().vv,
         fsc.kernel(s(1)).local_info(g).unwrap().vv

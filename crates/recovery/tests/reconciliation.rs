@@ -471,7 +471,8 @@ fn second_pass_is_quiet() {
         .iter()
         .all(|(_, o)| *o == FileOutcome::Consistent));
     let st = fsc.net().stats();
-    assert_eq!(st.sends("RECOVERY propagate"), 0);
+    assert_eq!(st.sends("RECOVERY install"), 0);
+    assert_eq!(st.sends("COMMIT notify"), 0);
     assert_eq!(st.sends("RECOVERY inventory"), 1);
 }
 

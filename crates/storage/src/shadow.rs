@@ -196,15 +196,10 @@ impl ShadowSession {
 
     /// Marks the working inode deleted ("the US marks the inode and does a
     /// commit", §2.3.7); data pages are released at commit, leaving a
-    /// tombstone that propagates the delete.
-    pub fn mark_deleted(&mut self) {
-        self.work.deleted = true;
-    }
-
-    /// Clears the deleted tombstone — recovery's §4.4 rule d "the delete
-    /// is undone" path, resurrecting a file modified in another partition.
-    pub fn undelete(&mut self) {
-        self.work.deleted = false;
+    /// tombstone that propagates the delete. Clearing the mark undoes a
+    /// delete (§4.4 rule d).
+    pub fn set_deleted(&mut self, deleted: bool) {
+        self.work.deleted = deleted;
     }
 
     /// Clears or sets the conflict mark (recovery uses this).
@@ -438,7 +433,7 @@ mod tests {
     fn delete_commit_releases_pages_and_leaves_tombstone() {
         let (mut p, ino) = pack_with_file(&vec![9u8; 3 * PAGE_SIZE]);
         let mut s = ShadowSession::begin(&p, ino).unwrap();
-        s.mark_deleted();
+        s.set_deleted(true);
         let mut vv = s.working().vv.clone();
         vv.bump(p.origin());
         s.commit(&mut p, vv).unwrap();
@@ -520,7 +515,7 @@ mod tests {
 
         let mut s = ShadowSession::begin(&p, ino).unwrap();
         s.write_page(&mut p, 0, b"doomed").unwrap();
-        s.mark_deleted();
+        s.set_deleted(true);
         let vv = s.working().vv.clone();
         let gone = Committed {
             pages: Vec::new(),

@@ -262,3 +262,214 @@ fn a_failed_pull_leaves_the_old_version_whole() {
     assert_eq!(vv, source_vv);
     assert_ne!(vv, v1_vv);
 }
+
+/// A cluster whose root filegroup has three containers (sites 0–2) and a
+/// diskless site 3, with one logged-in process per site.
+fn three_containers() -> (Cluster, Vec<locus::Pid>) {
+    let c = Cluster::builder()
+        .vax_sites(4)
+        .filegroup("root", &[0, 1, 2])
+        .build();
+    let pids = (0..4).map(|i| c.login(s(i), 1).unwrap()).collect();
+    (c, pids)
+}
+
+/// The copy of `gfid` in `site`'s container: its bytes, its version
+/// vector and the container's free blocks.
+fn container_copy(
+    c: &Cluster,
+    site: SiteId,
+    gfid: locus::Gfid,
+) -> (Vec<u8>, locus_types::VersionVector, usize) {
+    c.fs().with_kernel(site, |k| {
+        let pack = k.pack_of(gfid.fg).expect("container pack");
+        let vv = pack.inode(gfid.ino).expect("container inode").vv.clone();
+        let bytes = pack.read_all(gfid.ino).expect("container pages");
+        pack.take_io_cost();
+        (bytes, vv, pack.free_blocks())
+    })
+}
+
+/// A two-sided directory merge is committed at one container. The others
+/// keep their own copies until they pull the merged version, yet every
+/// site's open reads the merged directory at once, through the CSS.
+#[test]
+fn a_merged_directory_is_written_once_and_pulled_by_the_others() {
+    let (c, p) = three_containers();
+    c.partition(&[vec![s(0), s(3)], vec![s(1), s(2)]]);
+    c.reconfigure().unwrap();
+    c.write_file(p[0], "/from-a", b"A").unwrap();
+    c.write_file(p[1], "/from-b", b"B").unwrap();
+    c.settle();
+    let root = c.resolve(p[0], "/").unwrap();
+    let containers = [s(0), s(1), s(2)];
+    let before: Vec<_> = containers
+        .iter()
+        .map(|&site| container_copy(&c, site, root))
+        .collect();
+
+    c.heal();
+    let report = c.reconfigure().unwrap();
+    assert!(report
+        .recovery
+        .iter()
+        .flat_map(|(_, r)| &r.files)
+        .any(|&(g, o)| g == root && o == FileOutcome::DirectoryMerged));
+    let written: Vec<SiteId> = containers
+        .iter()
+        .zip(&before)
+        .filter(|&(&site, old)| container_copy(&c, site, root).1 != old.1)
+        .map(|(&site, _)| site)
+        .collect();
+    assert_eq!(written.len(), 1, "one container commits the merge");
+    for (&site, old) in containers.iter().zip(&before) {
+        if site != written[0] {
+            let (_, vv, free) = container_copy(&c, site, root);
+            assert_eq!((vv, free), (old.1.clone(), old.2), "{site} was written");
+        }
+    }
+    for &pid in &p {
+        let mut names = c.readdir(pid, "/").unwrap();
+        names.retain(|n| n.starts_with("from-"));
+        names.sort();
+        assert_eq!(names, ["from-a", "from-b"]);
+    }
+
+    c.settle();
+    let merged = container_copy(&c, written[0], root);
+    for &site in &containers {
+        let (bytes, vv, _) = container_copy(&c, site, root);
+        assert!(bytes == merged.0, "{site} holds the merged bytes");
+        assert_eq!(vv, merged.1, "{site} holds the merged version");
+    }
+}
+
+/// §4.4 rule d at a coordinator that stores no data copy of the file:
+/// the saved version is installed at a data replica, carried there in a
+/// delivered `RECOVERY install`, and reaches every copy by the ordinary
+/// pull.
+#[test]
+fn a_resurrection_reaches_a_remote_replica_inside_a_message() {
+    let (c, p) = three_containers();
+    // Created while site 0 is away: the file's data replicas are the
+    // packs of sites 1 and 2, and site 0 keeps only its inode.
+    c.set_ncopies(p[1], 2).unwrap();
+    c.partition(&[vec![s(0)], vec![s(1), s(2), s(3)]]);
+    c.reconfigure().unwrap();
+    c.write_file(p[1], "/precious", b"v1").unwrap();
+    c.settle();
+    c.heal();
+    c.reconfigure().unwrap();
+    c.settle();
+    let g = c.resolve(p[0], "/precious").unwrap();
+    assert!(!c.fs().kernel(s(0)).stores_data(g));
+
+    // Deleted on one side, modified on the other.
+    c.partition(&[vec![s(0), s(1)], vec![s(2), s(3)]]);
+    c.reconfigure().unwrap();
+    c.unlink(p[0], "/precious").unwrap();
+    c.write_file(p[2], "/precious", b"v2 from the other side")
+        .unwrap();
+    c.settle();
+
+    c.heal();
+    c.net().set_observing(true);
+    let report = c.reconfigure().unwrap();
+    let events = c.net().take_obs_events();
+    c.net().set_observing(false);
+    assert!(report
+        .recovery
+        .iter()
+        .flat_map(|(_, r)| &r.files)
+        .any(|&(gg, o)| gg == g && o == FileOutcome::Resurrected));
+    let delivered = |wanted: &str| -> Vec<(SiteId, SiteId, u64)> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                locus_net::ObsEvent::Request {
+                    from,
+                    to,
+                    kind,
+                    bytes,
+                    outcome: locus_net::SendOutcome::Delivered,
+                    ..
+                } if kind == wanted => Some((*from, *to, *bytes)),
+                _ => None,
+            })
+            .collect()
+    };
+    // A recovery request's fixed header, as an inventory request shows.
+    let header = delivered("RECOVERY inventory")[0].2;
+    let body = b"v2 from the other side";
+    let installs = delivered("RECOVERY install");
+    assert!(
+        installs.iter().any(|&(from, to, bytes)| from == s(0)
+            && (to == s(1) || to == s(2))
+            && bytes == header + body.len() as u64),
+        "no delivered install carries the file to a replica: {installs:?}"
+    );
+
+    c.settle();
+    for &pid in &p {
+        assert_eq!(
+            c.read_file(pid, "/precious").unwrap(),
+            b"v2 from the other side"
+        );
+    }
+    let copies: Vec<_> = [s(1), s(2)]
+        .iter()
+        .map(|&site| container_copy(&c, site, g))
+        .collect();
+    assert_eq!(copies[0].0, b"v2 from the other side");
+    assert_eq!((&copies[0].0, &copies[0].1), (&copies[1].0, &copies[1].1));
+}
+
+/// An untyped file updated on both sides stays two versions: each
+/// container keeps its own, only marked, so every open fails until the
+/// §4.6 tool splits them, and the tool finds both.
+#[test]
+fn an_untyped_conflict_keeps_each_version_where_it_was() {
+    use locus_fs::ProcFsCtx;
+    use locus_recovery::conflicts::split_conflict;
+
+    let (c, p) = three_containers();
+    c.write_file(p[0], "/doc", b"base").unwrap();
+    c.settle();
+    let g = c.resolve(p[0], "/doc").unwrap();
+    c.partition(&[vec![s(0), s(3)], vec![s(1), s(2)]]);
+    c.reconfigure().unwrap();
+    c.write_file(p[0], "/doc", b"version A").unwrap();
+    c.write_file(p[1], "/doc", b"version B").unwrap();
+    c.settle();
+    let containers = [s(0), s(1), s(2)];
+    let before: Vec<_> = containers
+        .iter()
+        .map(|&site| container_copy(&c, site, g))
+        .collect();
+
+    c.heal();
+    c.net().reset_stats();
+    c.reconfigure().unwrap();
+    c.settle();
+    // One mark per other container, each set by the container itself.
+    assert_eq!(c.net().stats().sends("RECOVERY mark"), 2);
+    for (&site, old) in containers.iter().zip(&before) {
+        let (bytes, vv, _) = container_copy(&c, site, g);
+        assert!(bytes == old.0, "{site} lost its own version");
+        assert_eq!(vv, old.1, "{site}'s version vector moved");
+    }
+    for &pid in &p {
+        assert_eq!(c.read_file(pid, "/doc").unwrap_err(), Errno::Econflict);
+    }
+
+    let root = c.fs().kernel(s(0)).mount.root().unwrap();
+    let ctx = ProcFsCtx::new(root, locus_types::MachineType::Vax);
+    let names = split_conflict(c.fs(), s(3), &ctx, "/", "doc").unwrap();
+    c.settle();
+    let mut bodies: Vec<Vec<u8>> = names
+        .iter()
+        .map(|n| c.read_file(p[2], &format!("/{n}")).unwrap())
+        .collect();
+    bodies.sort();
+    assert_eq!(bodies, [b"version A".to_vec(), b"version B".to_vec()]);
+}
